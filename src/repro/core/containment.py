@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.net.addr import AddressSpaceInventory, IPAddress
 from repro.net.packet import PROTO_UDP, Packet
@@ -222,12 +222,28 @@ class ReflectionNat:
     def __init__(self) -> None:
         self._map: Dict[Tuple[IPAddress, IPAddress], IPAddress] = {}
         self._reverse: Dict[Tuple[IPAddress, IPAddress], IPAddress] = {}
+        # Farm address -> keys of the entries it takes part in, as the
+        # scanning VM or as the internal stand-in, so a VM teardown
+        # visits only that VM's entries.
+        self._map_keys: Dict[IPAddress, Set[Tuple[IPAddress, IPAddress]]] = {}
+        self._reverse_keys: Dict[IPAddress, Set[Tuple[IPAddress, IPAddress]]] = {}
         self.translations = 0
         self.outbound_translations = 0
 
     def record(self, vm_ip: IPAddress, internal: IPAddress, original: IPAddress) -> None:
-        self._map[(vm_ip, internal)] = original
-        self._reverse[(vm_ip, original)] = internal
+        key = (vm_ip, internal)
+        if key not in self._map:
+            self._map_keys.setdefault(vm_ip, set()).add(key)
+            self._map_keys.setdefault(internal, set()).add(key)
+        self._map[key] = original
+        key = (vm_ip, original)
+        replaced = self._reverse.get(key)
+        if replaced != internal:
+            if replaced is not None and replaced != vm_ip:
+                _discard_key(self._reverse_keys, replaced, key)
+            self._reverse_keys.setdefault(vm_ip, set()).add(key)
+            self._reverse_keys.setdefault(internal, set()).add(key)
+            self._reverse[key] = internal
 
     def translate_outbound_destination(self, packet: Packet) -> Optional[Packet]:
         """If ``packet`` (infected VM → external address it was told it
@@ -263,20 +279,31 @@ class ReflectionNat:
 
     def forget_vm(self, vm_ip: IPAddress) -> int:
         """Drop all entries involving a reclaimed VM's address."""
-        doomed = [key for key in self._map if key[0] == vm_ip or key[1] == vm_ip]
+        doomed = self._map_keys.pop(vm_ip, ())
         for key in doomed:
             del self._map[key]
-        reverse_doomed = [
-            key
-            for key, internal in self._reverse.items()
-            if key[0] == vm_ip or internal == vm_ip
-        ]
-        for key in reverse_doomed:
-            del self._reverse[key]
+            for other in key:
+                if other != vm_ip:
+                    _discard_key(self._map_keys, other, key)
+        for key in self._reverse_keys.pop(vm_ip, ()):
+            internal = self._reverse.pop(key)
+            for other in (key[0], internal):
+                if other != vm_ip:
+                    _discard_key(self._reverse_keys, other, key)
         return len(doomed)
 
     def __len__(self) -> int:
         return len(self._map)
+
+
+def _discard_key(index: Dict[IPAddress, Set], address: IPAddress, key: Tuple) -> None:
+    """Remove ``key`` from ``address``'s set in ``index``, dropping the
+    set once empty so the index holds live addresses only."""
+    keys = index.get(address)
+    if keys is not None:
+        keys.discard(key)
+        if not keys:
+            del index[address]
 
 
 def make_policy(

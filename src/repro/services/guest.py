@@ -25,7 +25,9 @@ front of the containment policy.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional
 
 from repro.net.addr import IPAddress
@@ -68,6 +70,7 @@ def _is_response_payload(payload: str) -> bool:
     return payload.startswith(_RESPONSE_PREFIXES)
 
 
+@lru_cache(maxsize=None)
 def _worm_body_region(worm_name: str, page_count: int, body_pages: int) -> int:
     """Deterministic start page for a worm's resident body.
 
@@ -85,6 +88,7 @@ def _worm_body_region(worm_name: str, page_count: int, body_pages: int) -> int:
     return low_reserved + int.from_bytes(digest[:4], "big") % span
 
 
+@lru_cache(maxsize=None)
 def _worm_page_content(worm_name: str, index: int) -> int:
     """Deterministic content tag for page ``index`` of a worm's body.
 
@@ -94,8 +98,6 @@ def _worm_page_content(worm_name: str, index: int) -> int:
     Derived via SHA-256 so tags are stable across runs and cannot collide
     with the allocator's sequential fresh tags (top bit forced set).
     """
-    import hashlib
-
     digest = hashlib.sha256(f"worm-body:{worm_name}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big") | (1 << 63)
 
@@ -269,21 +271,23 @@ class GuestHost:
                 return False
         return True
 
-    def _dirty_pages(self, count: int, content_for=None) -> None:
+    def _dirty_pages(self, count: int) -> None:
         """Dirty ``count`` distinct fresh pages (sequential cursor).
 
-        Used for one-time footprint growth — the base working set and the
-        worm body — where sequential selection makes private-page counts
-        exact: N requested writes dirty exactly min(N, image size) pages.
-        ``content_for(i)`` optionally pins the i-th page's content tag
-        (worm bodies are identical across victims).
+        Used for one-time footprint growth — the base working set — where
+        sequential selection makes private-page counts exact: N requested
+        writes dirty exactly min(N, image size) pages. Clean pages go down
+        as runs; a page that is already private, or that the pool has no
+        frame for, takes the single-page path and its OOM handling.
         """
-        total = self.vm.address_space.page_count
-        for i in range(count):
+        space = self.vm.address_space
+        total = space.page_count
+        while count > 0:
             page = self._page_cursor % total
-            self._page_cursor += 1
-            content = content_for(i) if content_for is not None else None
-            if not self._write_page(page, content):
+            written = space.write_fresh_run(page, count)
+            self._page_cursor += written or 1
+            count -= written or 1
+            if not written and not self._write_page(page):
                 return
 
     def _write_worm_body(self, worm_name: str, body_pages: int) -> None:
@@ -314,8 +318,6 @@ class GuestHost:
         count = self.personality.infection_disk_blocks
         if count == 0 or self.vm.disk.detached:
             return
-        import hashlib
-
         total = self.vm.disk.image.block_count
         cap = self.personality.disk_working_set_cap_blocks
         # Stable (cross-process) per-worm region, clear of the log area.

@@ -7,15 +7,24 @@ of honeypot VMs fit in the RAM that would conventionally hold a handful.
 
 Representation
 --------------
-A clone's address space is a **base + overlay**:
+A clone's address space is a **base + runs + overlay**:
 
 * the *base* is an immutable :class:`ReferenceImage` whose frames were
   allocated once, when the reference snapshot was taken;
+* a *run* is an extent ``(first page, count, first tag)`` of consecutive
+  pages dirtied in one call with freshly generated content — the boot
+  working set. Page ``i`` of a run reads ``first tag + i``; each page is
+  one frame that only its owner references, so writing and freeing a
+  run costs one allocator call and one bump per counter, whatever its
+  length (:meth:`GuestAddressSpace.write_fresh_run`);
 * the *overlay* is a per-VM dict mapping page number → content tag,
-  populated on first write to each page (the CoW fault).
+  populated on first write to each single page (the CoW fault) and
+  whenever content is pinned. Writing into a run splits the run around
+  the page and moves that page here.
 
 This makes clone creation O(1) in pages — exactly the property that makes
-flash cloning fast in the real system, where only page tables are touched.
+flash cloning fast in the real system, where only page tables are touched
+— and keeps the clone's first activity O(1) as well.
 Frame *contents* are modelled as integer version tags: the experiments
 depend on which pages are private, not on their bytes, but tags let tests
 verify CoW isolation (writer sees its own value, sharers still see the
@@ -36,7 +45,11 @@ ablation), each :class:`MachineMemory` owns a :class:`SharedFrameStore`
 the first writer of a tag pays one physical frame, every later writer of
 the same tag (any VM on the host) shares it at zero frame cost, and the
 frame returns to the pool only when its last reference is rewritten or
-destroyed. Every operation is O(1), so the host's physical usage
+destroyed. The table holds only tags that are pinned or were written one
+page at a time; tags living in runs are found through the store's run
+index (fresh tags only grow, so the index is a sorted list that fresh
+runs append to) and move into the table the moment something else names
+them. Every operation is O(1) or a bisect, so the host's physical usage
 
     resident = image frames + distinct private contents
 
@@ -45,12 +58,15 @@ stays an exact, cheaply-queryable quantity rather than a scanner result.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Iterator, Optional, Tuple
+from bisect import bisect_right
+from itertools import chain
+from operator import attrgetter
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "PAGE_SIZE",
     "OutOfMemoryError",
+    "reset_content_tags",
     "MachineMemory",
     "SharedFrameStore",
     "ReferenceImage",
@@ -60,7 +76,31 @@ __all__ = [
 PAGE_SIZE = 4096
 """Bytes per page; delta virtualization operates at this granularity."""
 
-_content_versions = itertools.count(1)
+
+class _TagCounter:
+    """Source of fresh content tags: consecutive integers from 1, taken
+    one at a time or reserved as a range."""
+
+    __slots__ = ("next",)
+
+    def __init__(self) -> None:
+        self.next = 1
+
+    def take(self, count: int = 1) -> int:
+        """Reserve ``count`` consecutive tags; returns the first."""
+        first = self.next
+        self.next = first + count
+        return first
+
+
+_fresh_tags = _TagCounter()
+
+
+def reset_content_tags() -> None:
+    """Restart fresh content tags from 1, so two runs in one process hand
+    out the same tags. Only for use between runs: memory created before
+    the reset must not be written afterwards."""
+    _fresh_tags.next = 1
 
 
 class OutOfMemoryError(Exception):
@@ -82,19 +122,40 @@ class _SharedEntry:
         self.holders: Dict["GuestAddressSpace", int] = {}
 
 
+class _Run:
+    """``count`` consecutive pages of ``space`` starting at ``page``,
+    holding consecutive fresh tags starting at ``tag``; every page is a
+    frame only ``space`` references."""
+
+    __slots__ = ("space", "page", "count", "tag")
+
+    def __init__(self, space: "GuestAddressSpace", page: int, count: int, tag: int) -> None:
+        self.space = space
+        self.page = page
+        self.count = count
+        self.tag = tag
+
+
+_first_tag = attrgetter("tag")
+
+
 class SharedFrameStore:
     """Content tag → refcounted physical frame (transparent page sharing).
 
-    One store per :class:`MachineMemory`; all overlay writes on the host
+    One store per :class:`MachineMemory`; all private writes on the host
     go through it. Interning a tag either allocates a fresh frame (first
     sight of that content) or bumps the refcount of the existing frame
     (a *hit* — the sharing win). Releasing drops the refcount and frees
-    the frame when it reaches zero.
+    the frame when it reaches zero. Runs of fresh pages are kept whole
+    (:meth:`add_run` / :meth:`drop_run`): one reference and one frame per
+    page, with no per-page entry until a page is rewritten or its tag is
+    pinned somewhere else.
 
     Invariants (checked by :meth:`audit` and the hypothesis ledger test):
 
-    * ``total_refs`` == Σ over live address spaces of their overlay size;
-    * ``distinct_frames`` == physical frames the store holds
+    * ``total_refs`` == Σ over live address spaces of their private pages;
+    * ``distinct_frames`` == entries + pages in runs
+      == physical frames the store holds
       == the owning memory's ``private_frames``;
     * ``shared_frames`` == entries with ``refs >= 2``;
     * ``savings_frames`` == ``total_refs - distinct_frames`` — frames a
@@ -109,6 +170,10 @@ class SharedFrameStore:
     def __init__(self, memory: "MachineMemory") -> None:
         self.memory = memory
         self._entries: Dict[int, _SharedEntry] = {}
+        # Live runs ordered by first tag. Fresh tags only grow, so a new
+        # run appends.
+        self._runs: List[_Run] = []
+        self._run_frames = 0
         self.total_refs = 0
         self.shared_frames = 0     # entries currently referenced >= 2 times
         self.attach_hits = 0       # interns that matched an existing frame
@@ -121,20 +186,91 @@ class SharedFrameStore:
     @property
     def distinct_frames(self) -> int:
         """Physical frames currently backing the store."""
-        return len(self._entries)
+        return len(self._entries) + self._run_frames
 
     @property
     def savings_frames(self) -> int:
         """Frames avoided versus a no-sharing host with the same contents."""
-        return self.total_refs - len(self._entries)
+        return self.total_refs - self.distinct_frames
 
     def refs_of(self, tag: int) -> int:
         """Current reference count of ``tag`` (0 if not resident)."""
         entry = self._entries.get(tag)
-        return entry.refs if entry is not None else 0
+        if entry is not None:
+            return entry.refs
+        return 0 if self._run_holding(tag) is None else 1
 
     # ------------------------------------------------------------------ #
-    # Mutation — all O(1)
+    # Runs of fresh pages
+    # ------------------------------------------------------------------ #
+
+    def _run_position(self, tag: int) -> int:
+        """Index in ``_runs`` of the last run starting at or before
+        ``tag``; -1 if every run starts after it."""
+        return bisect_right(self._runs, tag, key=_first_tag) - 1
+
+    def _run_holding(self, tag: int) -> Optional[_Run]:
+        """The live run holding ``tag``, if any. Anything the counter has
+        not issued yet (every worm-body tag, for one) is answered by the
+        first compare."""
+        if tag >= _fresh_tags.next:
+            return None
+        i = self._run_position(tag)
+        if i >= 0 and tag < self._runs[i].tag + self._runs[i].count:
+            return self._runs[i]
+        return None
+
+    def add_run(self, space: "GuestAddressSpace", page: int, count: int, tag: int) -> _Run:
+        """Back ``count`` fresh pages of ``space`` with ``count`` new
+        frames. ``tag`` must come from the fresh-tag counter, and no tag
+        of the run may be resident already.
+
+        Raises :class:`OutOfMemoryError` (with no state change) when the
+        pool cannot hold the whole run.
+        """
+        self.memory._allocate_private(count)
+        run = _Run(space, page, count, tag)
+        self._runs.append(run)
+        self._run_frames += count
+        self.total_refs += count
+        space._exclusive_frames += count
+        return run
+
+    def drop_run(self, run: _Run) -> None:
+        """Free every frame of ``run`` (its owner is being destroyed)."""
+        del self._runs[self._run_position(run.tag)]
+        self._run_frames -= run.count
+        self.total_refs -= run.count
+        run.space._exclusive_frames -= run.count
+        self.memory._free_private(run.count)
+
+    def replace_run(self, run: _Run, pieces: List[_Run], carved_tag: int) -> None:
+        """The page holding ``carved_tag`` leaves ``run`` for an entry of
+        its own and ``pieces`` — what is left of the run, in tag order,
+        ``run`` itself being the first if it keeps a head — take the
+        run's place in the index. The frame, its reference and its
+        exclusivity carry over."""
+        i = self._run_position(run.tag)
+        self._runs[i:i + 1] = pieces
+        self._run_frames -= 1
+        entry = _SharedEntry()
+        entry.refs = 1
+        entry.holders[run.space] = 1
+        self._entries[carved_tag] = entry
+
+    def _resident(self, tag: int) -> Optional[_SharedEntry]:
+        """The entry holding ``tag``, carving it out of a live run first
+        if that is where the content lives; None if not resident."""
+        entry = self._entries.get(tag)
+        if entry is None:
+            run = self._run_holding(tag)
+            if run is not None:
+                run.space._carve(run, tag - run.tag)
+                entry = self._entries[tag]
+        return entry
+
+    # ------------------------------------------------------------------ #
+    # Mutation — O(1), or one bisect when a tag may live in a run
     # ------------------------------------------------------------------ #
 
     def intern(self, space: "GuestAddressSpace", tag: int) -> None:
@@ -144,7 +280,7 @@ class SharedFrameStore:
         Raises :class:`OutOfMemoryError` (with no state change) when a
         fresh frame is needed and the pool is exhausted.
         """
-        entry = self._entries.get(tag)
+        entry = self._resident(tag)
         if entry is None:
             self.memory._allocate_private(1)  # may raise; nothing mutated yet
             entry = _SharedEntry()
@@ -197,7 +333,7 @@ class SharedFrameStore:
         if old_tag == new_tag:
             return
         old_entry = self._entries[old_tag]
-        if old_entry.refs == 1 and new_tag not in self._entries:
+        if old_entry.refs == 1 and self._resident(new_tag) is None:
             del self._entries[old_tag]
             self._entries[new_tag] = old_entry
             self.frames_recycled += 1
@@ -210,13 +346,30 @@ class SharedFrameStore:
     # ------------------------------------------------------------------ #
 
     def audit(self) -> None:
-        """Recount every counter from the raw entries; raise
-        :class:`AssertionError` on any drift. O(entries) — for tests and
-        debugging, not the hot path."""
-        refs = sum(e.refs for e in self._entries.values())
+        """Recount every counter from the raw entries and runs; raise
+        :class:`AssertionError` on any drift. O(entries + runs) — for
+        tests and debugging, not the hot path."""
+        run_frames = sum(run.count for run in self._runs)
+        if run_frames != self._run_frames:
+            raise AssertionError(
+                f"shared store drift: _run_frames={self._run_frames}, recount {run_frames}"
+            )
+        issued = 0  # one past the last tag of the previous run
+        for run in self._runs:
+            if run.count <= 0 or run.tag < issued:
+                raise AssertionError(f"run at tag {run.tag}: empty, out of order or overlapping")
+            issued = run.tag + run.count
+            if run not in run.space._runs:
+                raise AssertionError(f"run at tag {run.tag}: unknown to its address space")
+            if not self._entries.keys().isdisjoint(range(run.tag, issued)):
+                raise AssertionError(f"run at tag {run.tag}: a tag is also a store entry")
+        if issued > _fresh_tags.next:
+            raise AssertionError(f"run tags reach {issued}, past the fresh-tag counter")
+        refs = sum(e.refs for e in self._entries.values()) + run_frames
         if refs != self.total_refs:
             raise AssertionError(
-                f"shared store drift: total_refs={self.total_refs} but entries sum to {refs}"
+                f"shared store drift: total_refs={self.total_refs}"
+                f" but entries and runs sum to {refs}"
             )
         shared = sum(1 for e in self._entries.values() if e.refs >= 2)
         if shared != self.shared_frames:
@@ -233,6 +386,8 @@ class SharedFrameStore:
             if len(entry.holders) == 1:
                 holder = next(iter(entry.holders))
                 exclusive[holder] = exclusive.get(holder, 0) + 1
+        for run in self._runs:
+            exclusive[run.space] = exclusive.get(run.space, 0) + run.count
         for space, expect in exclusive.items():
             if space._exclusive_frames != expect:
                 raise AssertionError(
@@ -387,7 +542,7 @@ class ReferenceImage:
         self.sharers = 0
         self.released = False
         # Base contents: version tag per page, fixed at snapshot time.
-        base_version = next(_content_versions)
+        base_version = _fresh_tags.take()
         self._contents: Dict[int, int] = {}
         self._default_version = base_version
 
@@ -402,7 +557,7 @@ class ReferenceImage:
         self._check_page(page)
         if self.released:
             raise ValueError("cannot modify a released reference image")
-        self._contents[page] = next(_content_versions)
+        self._contents[page] = _fresh_tags.take()
 
     def _check_page(self, page: int) -> None:
         if not (0 <= page < self.page_count):
@@ -439,7 +594,8 @@ class ReferenceImage:
 
 
 class GuestAddressSpace:
-    """A VM's memory: a reference image plus a private CoW overlay.
+    """A VM's memory: a reference image plus private CoW pages, held as
+    runs of fresh pages and a per-page overlay (see the module docstring).
 
     Two construction modes mirror the system under test and its ablation:
 
@@ -449,7 +605,7 @@ class GuestAddressSpace:
       baseline**: every page is copied (and charged) up front, as a
       conventional clone would.
 
-    When the host memory has content sharing enabled, every overlay
+    When the host memory has content sharing enabled, every private
     write routes through its :class:`SharedFrameStore`, so identical
     contents across (or within) VMs cost one frame.
     """
@@ -461,22 +617,23 @@ class GuestAddressSpace:
         self._store = self.memory.sharing
         self.eager_copy = eager_copy
         self._overlay: Dict[int, int] = {}
+        self._runs: List[_Run] = []
         self.cow_faults = 0
         # Frames only this space references; maintained by the store.
-        # Equals len(_overlay) when sharing is off.
+        # Equals private_pages when sharing is off.
         self._exclusive_frames = 0
         self.destroyed = False
         if eager_copy:
             try:
                 if self._store is not None:
                     for page in range(image.page_count):
-                        tag = next(_content_versions)
+                        tag = _fresh_tags.take()
                         self._store.intern(self, tag)
                         self._overlay[page] = tag
                 else:
                     self.memory._allocate_private(image.page_count)
                     for page in range(image.page_count):
-                        self._overlay[page] = next(_content_versions)
+                        self._overlay[page] = _fresh_tags.take()
             except OutOfMemoryError:
                 # Roll back the partial copy; the caller sees a clean failure.
                 for tag in self._overlay.values():
@@ -494,12 +651,44 @@ class GuestAddressSpace:
         return self.image.page_count
 
     def read(self, page: int) -> int:
-        """Content tag visible at ``page`` (overlay wins over base)."""
+        """Content tag visible at ``page`` (private pages win over base)."""
         self._check_alive()
         self.image._check_page(page)
         if page in self._overlay:
             return self._overlay[page]
+        run = self._run_at(page)
+        if run is not None:
+            return run.tag + page - run.page
         return self.image.content_of(page)
+
+    def _run_at(self, page: int) -> Optional[_Run]:
+        """The run holding ``page``, if any. A guest has one run per
+        boot, plus one per split, so a scan beats an index."""
+        for run in self._runs:
+            if 0 <= page - run.page < run.count:
+                return run
+        return None
+
+    def _carve(self, run: _Run, offset: int) -> int:
+        """Move the page at ``offset`` of ``run`` to the per-page overlay,
+        splitting the run around it, so the single-page paths can act on
+        it; returns the page's tag. The page keeps its frame: no ledger
+        moves and nothing a guest can observe changes."""
+        page = run.page + offset
+        tag = run.tag + offset
+        after = run.count - offset - 1
+        pieces = []
+        if offset:
+            run.count = offset  # the pages before the carved one stay in place
+            pieces.append(run)
+        if after:
+            pieces.append(_Run(self, page + 1, after, tag + 1))
+        i = self._runs.index(run)
+        self._runs[i:i + 1] = pieces
+        if self._store is not None:
+            self._store.replace_run(run, pieces, tag)
+        self._overlay[page] = tag
+        return tag
 
     def write(self, page: int, content: Optional[int] = None) -> int:
         """Dirty ``page``, taking a CoW fault on the first write; returns
@@ -514,11 +703,16 @@ class GuestAddressSpace:
         """
         self._check_alive()
         self.image._check_page(page)
-        tag = next(_content_versions) if content is None else content
+        tag = _fresh_tags.take() if content is None else content
         store = self._store
-        if page in self._overlay:
+        old = self._overlay.get(page)
+        if old is None:
+            run = self._run_at(page)
+            if run is not None:
+                old = self._carve(run, page - run.page)
+        if old is not None:
             if store is not None:
-                store.exchange(self, self._overlay[page], tag)
+                store.exchange(self, old, tag)
         else:
             if store is not None:
                 store.intern(self, tag)
@@ -528,14 +722,56 @@ class GuestAddressSpace:
         self._overlay[page] = tag
         return tag
 
+    def write_fresh_run(self, page: int, count: int) -> int:
+        """Dirty up to ``count`` clean pages from ``page`` on with freshly
+        generated content, as one run; returns how many were written.
+
+        Equivalent to that many ``write(page + i)`` calls, at the cost of
+        one. The run stops at the image end, at the first page that is
+        already private and at the last free frame; 0 means the page at
+        ``page`` needs :meth:`write` (a rewrite, or an exhausted pool
+        whose failure the caller must see). O(1) for a guest with no
+        private pages (a boot); otherwise finding where to stop costs up
+        to ``count`` overlay probes plus a pass over this guest's runs.
+        """
+        self._check_alive()
+        if self.is_private(page):
+            return 0
+        count = min(count, self.image.page_count - page, self.memory.free_frames)
+        for run in self._runs:
+            if page < run.page < page + count:
+                count = run.page - page
+        if self._overlay:
+            count = next((i for i in range(1, count) if page + i in self._overlay), count)
+        tag = _fresh_tags.next
+        store = self._store
+        if store is not None and not store._entries.keys().isdisjoint(range(tag, tag + count)):
+            # Content pinned ahead of the counter: the page that draws
+            # that tag shares the pinned frame, so the run stops short.
+            count = next(i for i in range(count) if tag + i in store._entries)
+        if count <= 0:
+            return 0
+        _fresh_tags.take(count)
+        if store is not None:
+            run = store.add_run(self, page, count, tag)
+        else:
+            self.memory._allocate_private(count)
+            run = _Run(self, page, count, tag)
+        self._runs.append(run)
+        self.cow_faults += count
+        return count
+
     def private_page_contents(self) -> Iterator[Tuple[int, int]]:
-        """Iterate (page number, content tag) over the private overlay."""
-        return iter(self._overlay.items())
+        """Iterate (page number, content tag) over the private pages."""
+        return chain(self._overlay.items(), *(
+            zip(range(run.page, run.page + run.count), range(run.tag, run.tag + run.count))
+            for run in self._runs
+        ))
 
     def is_private(self, page: int) -> bool:
         """Whether ``page`` has been dirtied away from the image."""
         self.image._check_page(page)
-        return page in self._overlay
+        return page in self._overlay or self._run_at(page) is not None
 
     # ------------------------------------------------------------------ #
     # Accounting
@@ -543,12 +779,12 @@ class GuestAddressSpace:
 
     @property
     def private_pages(self) -> int:
-        """Pages dirtied away from the image (logical overlay size)."""
-        return len(self._overlay)
+        """Pages dirtied away from the image (logical private size)."""
+        return len(self._overlay) + sum(run.count for run in self._runs)
 
     @property
     def shared_pages(self) -> int:
-        return self.image.page_count - len(self._overlay)
+        return self.image.page_count - self.private_pages
 
     @property
     def private_bytes(self) -> int:
@@ -564,14 +800,16 @@ class GuestAddressSpace:
         """
         if self._store is not None:
             return self._exclusive_frames
-        return len(self._overlay)
+        return self.private_pages
 
     def sharing_ratio(self) -> float:
         """Fraction of this VM's pages still shared with the image."""
         return self.shared_pages / self.image.page_count
 
     def private_page_numbers(self) -> Iterator[int]:
-        return iter(self._overlay.keys())
+        return chain(self._overlay, *(
+            range(run.page, run.page + run.count) for run in self._runs
+        ))
 
     # ------------------------------------------------------------------ #
     # Teardown
@@ -581,20 +819,23 @@ class GuestAddressSpace:
         """Release all private references and detach from the image.
 
         Returns the number of physical frames freed (under sharing this
-        can be less than the overlay size). Idempotent.
+        can be less than the private page count). Idempotent.
         """
         if self.destroyed:
             return 0
         store = self._store
         if store is not None:
             before = self.memory.allocated_frames
+            for run in self._runs:
+                store.drop_run(run)
             for tag in self._overlay.values():
                 store.release(self, tag)
             freed = before - self.memory.allocated_frames
         else:
-            freed = len(self._overlay)
+            freed = self.private_pages
             self.memory._free_private(freed)
         self._overlay.clear()
+        self._runs.clear()
         self.image.detach()
         self.destroyed = True
         return freed

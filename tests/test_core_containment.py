@@ -1,6 +1,8 @@
 """Unit tests for containment policies, rate limiting, and reflection NAT."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.containment import (
     AllowDnsPolicy,
@@ -182,6 +184,56 @@ class TestReflectionNat:
         r1 = nat.translate_reply_source(tcp_packet(i1, VM_IP, 1, 2))
         r2 = nat.translate_reply_source(tcp_packet(i2, VM_IP, 1, 2))
         assert r1.src == x1 and r2.src == x2
+
+
+class _ScanningNat:
+    """Reference for the index: the two maps alone, ``forget_vm`` by
+    scanning both (what :class:`ReflectionNat` did before it kept one)."""
+
+    def __init__(self):
+        self._map = {}
+        self._reverse = {}
+
+    def record(self, vm_ip, internal, original):
+        self._map[(vm_ip, internal)] = original
+        self._reverse[(vm_ip, original)] = internal
+
+    def forget_vm(self, vm_ip):
+        doomed = [key for key in self._map if vm_ip in key]
+        for key in doomed:
+            del self._map[key]
+        for key, internal in list(self._reverse.items()):
+            if key[0] == vm_ip or internal == vm_ip:
+                del self._reverse[key]
+        return len(doomed)
+
+
+# Five addresses: the same one recurs as VM, stand-in and original, and
+# bindings get overwritten in both directions.
+_few_addresses = st.integers(min_value=1, max_value=5).map(IPAddress)
+
+
+class TestReflectionNatIndex:
+    @given(st.lists(
+        st.one_of(
+            st.tuples(_few_addresses, _few_addresses, _few_addresses),
+            st.tuples(_few_addresses),
+        ),
+        max_size=40,
+    ))
+    def test_forget_vm_matches_a_full_scan(self, ops):
+        nat, reference = ReflectionNat(), _ScanningNat()
+        for op in ops:
+            if len(op) == 3:
+                nat.record(*op)
+                reference.record(*op)
+            else:
+                assert nat.forget_vm(*op) == reference.forget_vm(*op)
+            assert list(nat._map.items()) == list(reference._map.items())
+            assert list(nat._reverse.items()) == list(reference._reverse.items())
+        for address in {a for op in ops for a in op}:
+            nat.forget_vm(address)
+        assert not nat._map_keys and not nat._reverse_keys  # the index empties with the maps
 
 
 class TestMakePolicy:

@@ -42,7 +42,7 @@ def _pin_global_counters():
     vm._vm_ids = itertools.count(1)
     host._host_ids = itertools.count(1)
     devices._mac_counter = itertools.count(1)
-    memory._content_versions = itertools.count(1)
+    memory.reset_content_tags()
 
 
 def _replay(scenario, trace, batched: bool):

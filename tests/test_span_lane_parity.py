@@ -35,7 +35,7 @@ def _pin_global_counters():
     vm._vm_ids = itertools.count(1)
     host._host_ids = itertools.count(1)
     devices._mac_counter = itertools.count(1)
-    memory._content_versions = itertools.count(1)
+    memory.reset_content_tags()
 
 
 def _run_world(scenario: Scenario, trace, batched: bool):
