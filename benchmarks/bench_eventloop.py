@@ -5,7 +5,9 @@ The simulator used to schedule one heap event per replayed packet; for a
 allocation, one full dispatch-loop pass per packet) dominated end-to-end
 wall time. The batched core (docs/PERFORMANCE.md) replaces that with
 :class:`~repro.sim.batch.PacketArrivalStream` merged into the run loop
-plus the gateway's vectorized ``dispatch_batch`` lane.
+plus the gateway's span lane (``dispatch_span``, one pure-Python
+implementation) and its fused same-timestamp fallback
+(``dispatch_batch``).
 
 Both arms replay the **same** 120-simulated-second /16 storm trace —
 ladder enabled, no exploits, so the emulator tier answers everything and
@@ -15,7 +17,7 @@ than guest execution:
 * ``per_event`` — ``replay_into_farm(batched=False)``: one scheduled
   event per packet, the pre-batching baseline.
 * ``batched`` — ``replay_into_farm(batched=True)``: arrivals stream
-  through ``Gateway.dispatch_batch``.
+  through ``Gateway.dispatch_span``.
 
 Timed end-to-end: packet materialization + replay scheduling + the full
 run. Acceptance (exit 1 on failure):

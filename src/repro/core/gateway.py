@@ -52,11 +52,6 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.metrics import MetricRegistry
 from repro.vmm.vm import VirtualMachine, VMState
 
-try:  # numpy is optional: it only accelerates the span lane's aggregation
-    import numpy as _np
-except ImportError:  # pragma: no cover - per-packet span loop covers this
-    _np = None
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.fidelity.ladder import FidelityLadder
     from repro.sim.batch import PacketColumns
@@ -177,12 +172,12 @@ class Gateway:
         self._tunnel_range_keys: List[int] = []
 
         # Span-lane state (see dispatch_span): a persistent cache of
-        # resolved fast-path flows keyed by arrival 5-tuple, invalidated
-        # wholesale by bumping the epoch whenever anything outside the
-        # span lane mutates farm state an entry may depend on.
-        self._span_epoch = 0
+        # resolved fast-path flows keyed by arrival 5-tuple. An entry is
+        # valid while its destination's emulated session keeps the
+        # generation the entry was resolved under.
         self._span_cache: Dict[Tuple[str, int, str, int, int], list] = {}
         self._span_classes: Dict[Tuple[int, int, int, int], Tuple] = {}
+        self._span_ports: Dict[int, frozenset] = {}
         self._span_sup: Optional[Tuple[float, float]] = None
         self._span_sup_for: Optional[object] = None
         self._span_catalog = None
@@ -190,17 +185,11 @@ class Gateway:
         self._span_personality = None
         self._span_session_cls = None
         self._span_state_cls = None
-        # Vectorized-lane flow cache, keyed by the columns' integer
-        # arrival ids instead of 5-tuples (see PacketColumns.key_ids):
-        # a flat entry list plus numpy epoch/last-seen mirrors, rebuilt
-        # when a different columns object shows up.
-        self._span_cols = None
-        self._span_kid_entries: Optional[list] = None
-        self._span_kid_epoch = None
-        self._span_kid_last = None
-        self._span_kid_sid = None
-        self._span_sessions: Optional[list] = None
-        self._span_sess_gid: Optional[dict] = None
+        #: ``_span_resolve`` calls, and how many of them were for a key
+        #: that already had a cache entry. Plain ints, not metrics
+        #: counters: they describe the lane, not the simulated outcome.
+        self.span_resolves = 0
+        self.span_reresolves = 0
 
         # Counter handles, resolved once: per-packet increments are a
         # single attribute store, never a string-keyed registry lookup.
@@ -312,10 +301,6 @@ class Gateway:
 
     def process_inbound(self, packet: Packet) -> None:
         """Dispatch one packet addressed into the farm's dark space."""
-        # Any per-packet dispatch may mutate state a span-cache entry
-        # depends on (promote a session, spawn a VM, advance flow state):
-        # invalidate the span cache by epoch.
-        self._span_epoch += 1
         self._c_packets_in.increment()
         if self.packet_tap is not None:
             self.packet_tap(packet)
@@ -373,7 +358,6 @@ class Gateway:
             for k in range(start, end):
                 process_inbound(packets[k])
             return
-        self._span_epoch += 1  # same invalidation rule as process_inbound
         # Hoisted hot-path locals (see docs/PERFORMANCE.md).
         c_packets_in = self._c_packets_in
         c_ttl_expired = self._c_ttl_expired
@@ -425,17 +409,26 @@ class Gateway:
         flow/session/reply bookkeeping is applied with plain arithmetic
         and counters are flushed in bulk at the end. Any packet outside
         the proof (payload-carrying, VM-backed or promotable destination,
-        expired cache entry, unsupported trigger/policy/route
-        configuration) stops the span; the caller falls back to the exact
-        per-packet lanes for it. Returns 0 when the lane is unavailable.
+        unsupported trigger/policy/route configuration) stops the span;
+        the caller falls back to the exact per-packet lanes for it.
+        Returns 0 when the lane is unavailable.
 
         Correctness rests on three invariants:
 
         * nothing here schedules events or reads ``sim.now``, so the
           caller's span bound (next heap event) stays valid throughout;
-        * every *other* dispatch path bumps ``_span_epoch``, so a cache
-          entry whose epoch matches cannot have been invalidated by a
-          promotion, VM spawn, sweep, or flow-state advance;
+        * a cache entry depends only on state of its *destination
+          address*: that no VM is bound there, and which
+          ``EmulatedSession`` the ladder holds for it (every flow of a
+          live session is below the promotion thresholds — the packet
+          that reaches one promotes, which drops the session). Each of
+          those changes bumps that session's ``cache_gen`` in the one
+          place it happens (``FidelityLadder._retire``, which
+          ``_promote`` and ``sweep`` drop sessions through, and
+          :meth:`bind_vm`), the entry's flow record is checked for
+          liveness on every touch, and an entry that fails either check
+          is resolved again exactly as a first packet would be — so
+          traffic to any other address leaves it valid;
         * bucket placement is deferred to ``FlowTable.expire_idle``'s
           self-heal (records touched here keep their creation-time
           bucket), which visits stale-bucketed records no later than
@@ -454,35 +447,20 @@ class Gateway:
             # schedules events, violating the span invariant (fidelity
             # over speed: deception-on runs use the exact lanes).
             return 0
-        support = self._span_support(ladder)
-        if support is None:
+        if self._span_support(ladder) is None:
             return 0
 
         times = columns.times
-        if (
-            _np is not None
-            and limit - start >= 4
-            and times[limit - 1] - times[start] <= self.flows.idle_timeout
-        ):
-            # Vectorized aggregation: per-flow sums replace the per-packet
-            # loop. Valid only when the span's wall-clock extent cannot
-            # idle-expire a flow between two of its own packets (checked
-            # above); each flow's first touch still gets the exact
-            # liveness check below.
-            view = columns.numpy_view()
-            if view is not None:
-                return self._dispatch_span_np(columns, start, limit, ladder, view)
-
         keys = columns.keys
         payloads = columns.payloads
         sizes = columns.sizes
         cache = self._span_cache
         cache_get = cache.get
         resolve = self._span_resolve
-        epoch = self._span_epoch
         idle_timeout = self.flows.idle_timeout
         buffer_limit = ladder.ladder_config.max_handoff_packets
         n_replies = n_contained = n_external = n_buffer_dropped = 0
+        n_resolves = n_reresolves = 0
 
         i = start
         while i < limit:
@@ -491,16 +469,25 @@ class Gateway:
             key = keys[i]
             t = times[i]
             entry = cache_get(key)
-            if entry is None or entry[4] != epoch:
+            if entry is not None:
+                record = entry[1]
+                session = entry[2]
+                if (
+                    session.cache_gen != entry[3]
+                    or record._table is None
+                    or t - record.last_seen > idle_timeout
+                ):
+                    n_reresolves += 1
+                    entry = None
+            if entry is None:
+                n_resolves += 1
                 entry = resolve(columns, i, key, t)
                 if entry is None:
                     break
                 cache[key] = entry
-            record = entry[1]
-            if record._table is None or t - record.last_seen > idle_timeout:
-                break  # flow gone or idle-expired: per-event recreation path
+                record = entry[1]
+                session = entry[2]
             kind = entry[0]
-            session = entry[3]
             size = sizes[i]
             record.last_seen = t
             session.last_seen = t
@@ -514,12 +501,12 @@ class Gateway:
                 buffered.append((columns, i))  # lazy; materialized on promote
             if kind == 1:  # fixed-size same-protocol reply (SYN/RST ack, banner)
                 record.packets += 2
-                record.bytes += size + entry[6]
-                banner = entry[7]
+                record.bytes += size + entry[5]
+                banner = entry[6]
                 if banner is not None:
                     session.banner = banner
                 n_replies += 1
-                if entry[9]:
+                if entry[7]:
                     n_contained += 1
                 else:
                     n_external += 1
@@ -529,7 +516,7 @@ class Gateway:
             elif kind == 3:  # ICMP port-unreachable on its own flow, contained
                 record.packets += 1
                 record.bytes += size
-                icmp_record = entry[5]
+                icmp_record = entry[4]
                 icmp_record.last_seen = t
                 icmp_record.packets += 1
                 icmp_record.bytes += 56
@@ -539,12 +526,14 @@ class Gateway:
                 record.packets += 2
                 record.bytes += size + size
                 n_replies += 1
-                if entry[9]:
+                if entry[7]:
                     n_contained += 1
                 else:
                     n_external += 1
             i += 1
 
+        self.span_resolves += n_resolves
+        self.span_reresolves += n_reresolves
         consumed = i - start
         if consumed:
             self._c_packets_in.increment(consumed)
@@ -559,254 +548,6 @@ class Gateway:
             if n_buffer_dropped:
                 ladder._c_buffer_dropped.increment(n_buffer_dropped)
         return consumed
-
-    def _dispatch_span_np(
-        self,
-        columns: "PacketColumns",
-        start: int,
-        limit: int,
-        ladder: "FidelityLadder",
-        view,
-    ) -> int:
-        """Vectorized body of :meth:`dispatch_span`.
-
-        Arrivals are pre-factorized to integer ids
-        (:meth:`PacketColumns.key_ids`), so the whole span reduces with
-        ``numpy.unique``: one Python pass visits each *flow* (not each
-        packet) in first-touch order to validate its cached entry —
-        epoch and liveness checks come vectorized off flat mirror
-        arrays — or resolve it; numpy then aggregates per-flow packet
-        counts, byte sums, and last-touch times in C, and two short
-        loops — one per flow, one per session — apply the sums to the
-        same records, sessions, and counters the per-packet loop would
-        have touched one arrival at a time.
-
-        Stopping at the first unresolvable arrival leaves exactly the
-        side effects the per-event arm would have accumulated up to that
-        packet: first occurrences are visited in arrival order, so at a
-        cut no flow first seen later has been touched. The caller has
-        already proven no flow can idle-expire *between* two of its own
-        in-span packets (span extent <= idle timeout), which is what
-        makes first-touch-only liveness checking exact.
-        """
-        np_ = _np
-        times_np, sizes_np, pay_np = view
-        seg_pay = pay_np[start:limit]
-        if seg_pay.any():
-            limit = start + int(seg_pay.argmax())
-            if limit <= start:
-                return 0
-        kids_np = columns.key_ids()
-        if self._span_cols is not columns:
-            # New columns object: rebuild the kid-indexed caches (ids are
-            # per-columns) and batch-parse its address strings.
-            n = columns.n
-            self._span_cols = columns
-            self._span_kid_entries = [None] * n
-            self._span_kid_epoch = np_.full(n, -1, dtype=np_.int64)
-            self._span_kid_last = np_.zeros(n, dtype=np_.float64)
-            self._span_kid_sid = np_.zeros(n, dtype=np_.intp)
-            self._span_sessions = []
-            self._span_sess_gid = {}
-        entry_by_kid = self._span_kid_entries
-        epoch_np = self._span_kid_epoch
-        last_np = self._span_kid_last
-        sid_by_kid = self._span_kid_sid
-        sessions_g = self._span_sessions
-        sess_gid = self._span_sess_gid
-
-        epoch = self._span_epoch
-        idle_timeout = self.flows.idle_timeout
-        seg = kids_np[start:limit]
-        times_seg = times_np[start:limit]
-        uniq, first_rel, inv = np_.unique(
-            seg, return_index=True, return_inverse=True
-        )
-        ok_l = (
-            (epoch_np[uniq] == epoch)
-            & (times_seg[first_rel] - last_np[uniq] <= idle_timeout)
-        ).tolist()
-        uniq_l = uniq.tolist()
-        first_l = first_rel.tolist()
-        nu = len(uniq_l)
-        entries: List = [None] * nu
-        cut_rel = limit - start
-        resolve = self._span_resolve
-        keys = columns.keys
-        times = columns.times
-        for pos in np_.argsort(first_rel).tolist():
-            kid = uniq_l[pos]
-            if ok_l[pos]:
-                e = entry_by_kid[kid]
-                if e[1]._table is not None:
-                    entries[pos] = e
-                    continue
-                # Record lazily expired under a live epoch: fall through
-                # and resolve afresh (live_record recreates it exactly as
-                # the per-event arm's observe would).
-            rel = first_l[pos]
-            j = start + rel
-            e = resolve(columns, j, keys[j], times[j])
-            if e is None:
-                cut_rel = rel
-                break
-            entries[pos] = entry_by_kid[kid] = e
-            epoch_np[kid] = epoch
-            last_np[kid] = e[1].last_seen
-            session = e[3]
-            gid = sess_gid.get(id(session))
-            if gid is None:
-                # sessions_g keeps every session alive, so id() stays
-                # unambiguous for the lifetime of this columns cache.
-                gid = sess_gid[id(session)] = len(sessions_g)
-                sessions_g.append(session)
-            sid_by_kid[kid] = gid
-        m = cut_rel
-        if m <= 0:
-            return 0
-        if m < limit - start:
-            # Conservative cut: first occurrences are visited in arrival
-            # order, so every flow in the kept prefix was validated above
-            # — re-factorizing it yields only cached entries.
-            seg = seg[:m]
-            times_seg = times_seg[:m]
-            uniq, first_rel, inv = np_.unique(
-                seg, return_index=True, return_inverse=True
-            )
-            uniq_l = uniq.tolist()
-            entries = [entry_by_kid[k] for k in uniq_l]
-        nf = len(uniq_l)
-
-        intp = np_.intp
-        arange = np_.arange(m, dtype=intp)
-        cnt_l = np_.bincount(inv, minlength=nf).tolist()
-        bsum_l = (
-            np_.bincount(inv, weights=sizes_np[start:start + m], minlength=nf)
-            .astype(np_.int64)
-            .tolist()
-        )
-        last_local = np_.zeros(nf, dtype=intp)
-        last_local[inv] = arange  # forward assignment: last write wins
-        t_last = times_seg[last_local]
-        t_last_l = t_last.tolist()
-        # Refresh the liveness mirror; max, because a sibling arrival key
-        # may already have pushed a shared record further.
-        last_np[uniq] = np_.maximum(last_np[uniq], t_last)
-
-        n_replies = n_contained = n_external = 0
-        for f in range(nf):
-            entry = entries[f]
-            kind = entry[0]
-            rec = entry[1]
-            c = cnt_l[f]
-            tl = t_last_l[f]
-            # max, not assignment: both directions of a conversation are
-            # distinct arrival keys sharing one record.
-            if tl > rec.last_seen:
-                rec.last_seen = tl
-            if kind == 1:  # fixed-size same-protocol reply
-                rec.packets += 2 * c
-                rec.bytes += bsum_l[f] + c * entry[6]
-                n_replies += c
-                if entry[9]:
-                    n_contained += c
-                else:
-                    n_external += c
-            elif kind == 0:  # silently absorbed
-                rec.packets += c
-                rec.bytes += bsum_l[f]
-            elif kind == 3:  # ICMP unreachable on its own flow, contained
-                rec.packets += c
-                rec.bytes += bsum_l[f]
-                ir = entry[5]
-                if tl > ir.last_seen:
-                    ir.last_seen = tl
-                ir.packets += c
-                ir.bytes += 56 * c
-                n_replies += c
-                n_contained += c
-            else:  # kind == 2: echo reply mirroring request size
-                rec.packets += 2 * c
-                rec.bytes += 2 * bsum_l[f]
-                n_replies += c
-                if entry[9]:
-                    n_contained += c
-                else:
-                    n_external += c
-
-        gsid = sid_by_kid[uniq]  # per-flow global session id
-        suniq, sinv = np_.unique(gsid, return_inverse=True)
-        ns = len(suniq)
-        sess_list = [sessions_g[g] for g in suniq.tolist()]
-        sid_np = sinv[inv]  # per-packet span-local session id
-        scnt = np_.bincount(sid_np, minlength=ns)
-        s_last = np_.zeros(ns, dtype=intp)
-        s_last[sid_np] = arange
-        s_tlast_l = times_seg[s_last].tolist()
-        scnt_l = scnt.tolist()
-        fban = [entry[7] is not None for entry in entries]
-        last_b_l = None
-        if True in fban:
-            bmask = np_.array(fban, dtype=np_.bool_)[inv]
-            bidx = bmask.nonzero()[0]
-            last_b = np_.full(ns, -1, dtype=intp)
-            last_b[sid_np[bidx]] = bidx
-            last_b_l = last_b.tolist()
-        buffer_limit = ladder.ladder_config.max_handoff_packets
-        pairs = None
-        if buffer_limit > 0:
-            # One flat list of lazy (columns, index) pairs in
-            # session-grouped arrival order; each session extends its
-            # replay buffer with a plain slice of it.
-            order_l = np_.argsort(sid_np, kind="stable").tolist()
-            bounds_l = scnt.cumsum().tolist()
-            pairs = [(columns, start + k) for k in order_l]
-        n_buffer_dropped = 0
-        lo = 0
-        for s in range(ns):
-            session = sess_list[s]
-            c = scnt_l[s]
-            tl = s_tlast_l[s]
-            if tl > session.last_seen:
-                session.last_seen = tl
-            session.packets_absorbed += c
-            if last_b_l is not None:
-                lb = last_b_l[s]
-                if lb >= 0:
-                    session.banner = entries[inv[lb]][7]
-            if pairs is not None:
-                hi = bounds_l[s]
-                buffered = session.buffered
-                # Per-arrival eviction (cap, pop-front, append) telescopes
-                # to: final = (old + new)[-cap:], dropped = overflow.
-                drop = len(buffered) + c - buffer_limit
-                if drop > 0:
-                    session.buffer_dropped += drop
-                    n_buffer_dropped += drop
-                    if c >= buffer_limit:
-                        del buffered[:]
-                        buffered.extend(pairs[hi - buffer_limit:hi])
-                        lo = hi
-                        continue
-                    del buffered[:drop]
-                if c == 1:
-                    buffered.append(pairs[lo])
-                else:
-                    buffered.extend(pairs[lo:hi])
-                lo = hi
-
-        self._c_packets_in.increment(m)
-        self._c_emulated.increment(m)
-        if n_replies:
-            self._c_emulated_replies.increment(n_replies)
-        if n_contained:
-            self._c_emulated_contained.increment(n_contained)
-        if n_external:
-            self._c_reply_external.increment(n_external)
-            self._c_external_out.increment(n_external)
-        if n_buffer_dropped:
-            ladder._c_buffer_dropped.increment(n_buffer_dropped)
-        return m
 
     def _span_support(self, ladder: "FidelityLadder") -> Optional[Tuple[float, float]]:
         """Whether the ladder's trigger stack is one the span lane can
@@ -847,6 +588,7 @@ class Gateway:
         self._span_sup_for = ladder
         self._span_cache = {}
         self._span_classes = {}
+        self._span_ports = {}
         if supported:
             self._span_catalog = catalog
             self._span_droppall = type(self.policy) is DropAllPolicy
@@ -865,13 +607,25 @@ class Gateway:
             self._span_sup = None
         return self._span_sup
 
+    def _span_port_set(self, personality) -> frozenset:
+        """The ``(protocol, port)`` endpoints at which ``personality``'s
+        answer to an empty-payload packet can depend on the port: its
+        services and the vuln catalog's endpoints. Every other port is
+        closed and catalog-free, and shares one class per protocol."""
+        ports = {(svc.protocol, svc.port) for svc in personality.services}
+        if self._span_catalog is not None:
+            ports.update(self._span_catalog.endpoints())
+        return frozenset(ports)
+
     def _span_classify(self, columns: "PacketColumns", i: int, personality) -> Tuple:
         """Class descriptor ``(kind, reply_size, banner)`` for every
         empty-payload packet sharing arrival ``i``'s ``(personality,
         protocol, dst_port, tcp_flags)``: the emulator's reply (and the
         vuln catalog's verdict) depends only on those fields once the
-        payload is empty. ``kind < 0`` means the class must take the slow
-        path (promotes, multi-reply, or an unmodelled containment case)."""
+        payload is empty, and on the port only where
+        :meth:`_span_port_set` says so. ``kind < 0`` means the class must
+        take the slow path (promotes, multi-reply, or an unmodelled
+        containment case)."""
         from repro.fidelity.emulator import emulator_replies
 
         packet = columns.packet_at(i)
@@ -907,8 +661,7 @@ class Gateway:
     def _span_resolve(self, columns: "PacketColumns", i: int, key, t: float):
         """Build (or rebuild) the span-cache entry for arrival ``key`` —
         the once-per-flow slow half of the span lane. The caller owns the
-        cache store (tuple dict for the per-packet loop, kid arrays for
-        the vectorized lane); re-resolving is idempotent either way.
+        cache store; re-resolving is idempotent.
 
         Ordering is load-bearing: every bail-out that sends the packet to
         the per-packet path happens **before** any flow-record mutation,
@@ -957,7 +710,16 @@ class Gateway:
                 personality = ladder.registry.get(
                     ladder.config.personality_for_address(prefix, dst_addr)
                 )
-        class_key = (id(personality), protocol, dst_port, columns.records[i].tcp_flags)
+        pid = id(personality)
+        ports = self._span_ports.get(pid)
+        if ports is None:
+            ports = self._span_ports[pid] = self._span_port_set(personality)
+        class_key = (
+            pid,
+            protocol,
+            dst_port if (protocol, dst_port) in ports else 0,
+            columns.records[i].tcp_flags,
+        )
         cls = self._span_classes.get(class_key)
         if cls is None:
             cls = self._span_classes[class_key] = self._span_classify(
@@ -1007,6 +769,7 @@ class Gateway:
             session.banner = None
             session.packets_absorbed = 0
             session.payload_bytes_total = 0
+            session.cache_gen = 0
             ladder.sessions[dst_addr] = session
             ladder._c_sessions_started.value += 1  # Counter.increment, sans call
             if t < ladder._session_floor:
@@ -1033,19 +796,16 @@ class Gateway:
                 icmp_record = flows.create(icmp_key, dst_addr, t)
             elif icmp_record.initiator.value != dv:
                 return None  # externally-initiated ICMP flow: reply routes out
-        entry = [
-            kind,           # 0: per-class reply shape
-            record,         # 1: the conversation's flow record
-            state,          # 2: ladder flow state (threshold-checked above)
-            session,        # 3: the emulated session
-            self._span_epoch,  # 4: validity epoch
-            icmp_record,    # 5: kind-3 reply flow record
-            cls[1],         # 6: fixed reply size (kind 1)
-            cls[2],         # 7: banner payload, if any
-            dst_addr,       # 8: parsed destination
-            contained,      # 9: reply faces (and loses to) drop-all policy
+        return [
+            kind,               # 0: per-class reply shape
+            record,             # 1: the conversation's flow record
+            session,            # 2: the emulated session
+            session.cache_gen,  # 3: the session generation resolved under
+            icmp_record,        # 4: kind-3 reply flow record
+            cls[1],             # 5: fixed reply size (kind 1)
+            cls[2],             # 6: banner payload, if any
+            contained,          # 7: reply faces (and loses to) drop-all policy
         ]
-        return entry
 
     def _dispatch_to_vm(
         self,
@@ -1065,7 +825,7 @@ class Gateway:
                     self._trace_dispatch("no_capacity", packet)
                 return
             self._c_clones_requested.increment()
-            self.vm_map[packet.dst] = vm
+            self.bind_vm(packet.dst, vm)
             if vm.state is not VMState.RUNNING:
                 # Normal case: the clone pipeline is in flight; hold the
                 # packet until vm_ready flushes it.
@@ -1161,7 +921,7 @@ class Gateway:
             and current.vm_id == vm_id
             and current.state is not VMState.RUNNING
         ):
-            del self.vm_map[ip]
+            self.bind_vm(ip, None)
 
     def _drop_pending(self, ip: IPAddress, cause: str) -> None:
         self._cancel_pending_timer(ip)
@@ -1177,6 +937,23 @@ class Gateway:
     # ------------------------------------------------------------------ #
     # VM lifecycle notifications from the backend
     # ------------------------------------------------------------------ #
+
+    def bind_vm(self, ip: IPAddress, vm: Optional[VirtualMachine]) -> None:
+        """Point ``ip`` at ``vm``, or at nothing (``None``): the only
+        writer of ``vm_map``.
+
+        Binding a VM over an address the emulator tier is serving (a
+        respawn after a host crash) outdates every span-cache entry
+        resolved there. Unbinding outdates nothing: the span lane caches
+        no entry for a VM-backed address."""
+        if vm is None:
+            del self.vm_map[ip]
+            return
+        self.vm_map[ip] = vm
+        if self.ladder is not None:
+            session = self.ladder.sessions.get(ip)
+            if session is not None:
+                session.cache_gen += 1
 
     def vm_ready(self, vm: VirtualMachine) -> None:
         """Flush packets queued while ``vm`` was cloning.
@@ -1243,7 +1020,7 @@ class Gateway:
         """
         current = self.vm_map.get(vm.ip)
         if current is not None and current.vm_id == vm.vm_id:
-            del self.vm_map[vm.ip]
+            self.bind_vm(vm.ip, None)
         self._drop_pending(vm.ip, pending_cause)
         self.flows.drop_vm(vm.vm_id)
         self.nat.forget_vm(vm.ip)
@@ -1534,11 +1311,7 @@ class Gateway:
     def sweep_flows(self) -> int:
         """Expire idle flows; returns how many were dropped."""
         if self.ladder is not None:
-            if self.ladder.sweep(self.sim.now):
-                # Sessions died: span-cache entries hold session refs.
-                # (Expired flow *records* need no epoch — the span lane
-                # re-checks record liveness on every touch.)
-                self._span_epoch += 1
+            self.ladder.sweep(self.sim.now)
         return len(self.flows.expire_idle(self.sim.now))
 
     def tunnel_links(self) -> Dict[int, Link]:

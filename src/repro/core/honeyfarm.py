@@ -739,7 +739,7 @@ class Honeyfarm:
             else:
                 self.metrics.counter("farm.respawns_abandoned").increment()
             return
-        self.gateway.vm_map[ip] = vm
+        self.gateway.bind_vm(ip, vm)
         self.metrics.counter("farm.respawns").increment()
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(

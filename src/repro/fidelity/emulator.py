@@ -110,7 +110,13 @@ class FlowState:
 
 
 class EmulatedSession:
-    """Per-address emulator state: flow depths, banner, replay buffer."""
+    """Per-address emulator state: flow depths, banner, replay buffer.
+
+    ``cache_gen`` is the validity token for anything cached against this
+    session's address (the gateway's span lane): the ladder bumps it when
+    it drops the session, the gateway when it binds a VM over the
+    address. A cached entry holds while the generation it was resolved
+    under is still current."""
 
     __slots__ = (
         "personality",
@@ -122,6 +128,7 @@ class EmulatedSession:
         "banner",
         "packets_absorbed",
         "payload_bytes_total",
+        "cache_gen",
     )
 
     def __init__(self, personality: Personality, now: float) -> None:
@@ -134,6 +141,7 @@ class EmulatedSession:
         self.banner: Optional[str] = None
         self.packets_absorbed = 0
         self.payload_bytes_total = 0
+        self.cache_gen = 0
 
     def note(
         self, packet: Packet, now: float, key: Optional[FlowKey] = None

@@ -137,6 +137,11 @@ class FidelityLadder:
             self._c_buffer_dropped.increment()
         session.buffered.append(packet)
 
+    def _retire(self, ip: IPAddress) -> None:
+        """Drop ``ip``'s session; whatever was cached against it (the
+        gateway's span entries) is stale from here on."""
+        self.sessions.pop(ip).cache_gen += 1
+
     def _promote(
         self, ip: IPAddress, session: EmulatedSession, trigger: str, now: float
     ) -> None:
@@ -163,7 +168,7 @@ class FidelityLadder:
             buffer_dropped=session.buffer_dropped,
         )
         self.handoffs[ip] = handoff
-        del self.sessions[ip]
+        self._retire(ip)
         self._c_promotions.increment()
         self._c_promotions_by_trigger[trigger].increment()
         if _obs.ACTIVE is not None:
@@ -236,7 +241,7 @@ class FidelityLadder:
                 floor = last_seen
         self._session_floor = floor
         for ip in expired:
-            del self.sessions[ip]
+            self._retire(ip)
         if expired:
             self._c_sessions_expired.increment(len(expired))
         return len(expired)

@@ -104,6 +104,11 @@ class VulnerabilityCatalog:
     def names(self) -> List[str]:
         return sorted(self._by_name)
 
+    def endpoints(self) -> List[Tuple[int, int]]:
+        """Every ``(protocol, port)`` some registered vulnerability
+        listens on — the only endpoints :meth:`match` can ever hit."""
+        return list(self._by_endpoint)
+
     def match(self, packet: Packet) -> Optional[Vulnerability]:
         """The vulnerability this packet exploits, if any."""
         candidates = self._by_endpoint.get((packet.protocol, packet.dst_port))

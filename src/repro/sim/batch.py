@@ -29,11 +29,8 @@ Ordering contract (what makes batching a *pure mechanical transform*):
   *after* (higher seq) — the merge fires it in exactly the slot the
   per-event loop would have.
 
-When numpy is importable, batch boundaries come from ``searchsorted``
-over a prebuilt float64 view of the timestamps; otherwise a pure-Python
-walk finds the same boundary. Timestamps handed to the simulator are
-always the original Python floats, so nothing downstream ever sees a
-numpy scalar.
+Batch boundaries come from a walk over the timestamp list, span bounds
+from ``bisect`` over the same list; there is one implementation of each.
 
 Dispatch has three lanes, chosen per batch (fastest first):
 
@@ -61,7 +58,8 @@ Dispatch has three lanes, chosen per batch (fastest first):
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, lt
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -69,11 +67,6 @@ from repro.net.addr import IPAddress
 from repro.net.packet import Packet
 from repro.obs import recorder as _obs
 from repro.sim.engine import SimulationError, Simulator
-
-try:  # numpy is optional: searchsorted only accelerates batch formation
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via force_python flag
-    _np = None
 
 __all__ = ["PacketColumns", "PacketArrivalStream"]
 
@@ -105,10 +98,6 @@ class PacketColumns:
     cache needs. ``addr_cache`` (dotted-quad → :class:`IPAddress`) starts
     empty and fills lazily: only addresses of flows that actually reach
     the resolve path (or a materialized packet) ever pay for parsing.
-
-    :meth:`numpy_view` exposes float64/bool mirrors of the numeric
-    columns for the gateway's vectorized span aggregation; without numpy
-    it returns None and the per-packet span loop runs instead.
     """
 
     __slots__ = (
@@ -120,8 +109,6 @@ class PacketColumns:
         "sizes",
         "addr_cache",
         "packets",
-        "_np_view",
-        "_kid_np",
     )
 
     def __init__(self, records: Sequence, time_offset: float = 0.0) -> None:
@@ -139,47 +126,6 @@ class PacketColumns:
         self.sizes: List[int] = list(map(_get_size, records))
         self.addr_cache: Dict[str, IPAddress] = {}
         self.packets: List[Optional[Packet]] = [None] * self.n
-        self._np_view: Optional[Tuple] = None
-        self._kid_np = None
-
-    def numpy_view(self):
-        """``(times_f64, sizes_f64, has_payload_bool)`` numpy mirrors of
-        the columns (built once, cached), or None when numpy is absent.
-        Sizes are float64 so they can feed ``bincount`` weights directly;
-        sums stay exact (sizes and counts are far below 2**53)."""
-        view = self._np_view
-        if view is None:
-            if _np is None:
-                return None
-            view = self._np_view = (
-                _np.asarray(self.times, dtype=_np.float64),
-                _np.asarray(self.sizes, dtype=_np.float64),
-                _np.fromiter(
-                    (len(p) != 0 for p in self.payloads), _np.bool_, self.n
-                ),
-            )
-        return view
-
-    def key_ids(self):
-        """Arrival keys factorized to integer ids (numpy ``intp`` array,
-        built once, cached), or None when numpy is absent.
-
-        ``key_ids()[i]`` is the index of the *first* arrival sharing
-        ``keys[i]``'s 5-tuple — stable, injective per conversation
-        direction, and bounded by ``n``. The gateway's vectorized span
-        lane keys its flow-entry cache by these ids: flat array indexing
-        replaces tuple hashing on every per-packet cache probe."""
-        kids = self._kid_np
-        if kids is None:
-            if _np is None:
-                return None
-            index: Dict = {}
-            kids = self._kid_np = _np.fromiter(
-                map(index.setdefault, self.keys, range(self.n)),
-                _np.intp,
-                self.n,
-            )
-        return kids
 
     def packet_at(self, i: int) -> Packet:
         """Materialize (and cache) the packet for record ``i``."""
@@ -218,7 +164,6 @@ class PacketArrivalStream:
         "_pos",
         "_len",
         "_base_seq",
-        "_times_np",
     )
 
     def __init__(
@@ -229,7 +174,6 @@ class PacketArrivalStream:
         deliver: Callable[[Packet], None],
         deliver_batch: Optional[Callable[[List[Packet], int, int, float], None]] = None,
         timing_label: str = "farm",
-        force_python: bool = False,
         columns: Optional[PacketColumns] = None,
         deliver_span: Optional[Callable[[PacketColumns, int, int], int]] = None,
     ) -> None:
@@ -238,21 +182,8 @@ class PacketArrivalStream:
                 f"times/packets length mismatch: {len(times)} != {len(packets)}"
             )
         times = [float(t) for t in times]
-        times_np = (
-            _np.asarray(times, dtype=_np.float64)
-            if (_np is not None and not force_python)
-            else None
-        )
-        if times_np is not None and len(times) > 1:
-            descending = times_np[1:] < times_np[:-1]
-            bad = int(descending.argmax()) + 1 if descending.any() else 0
-        else:
-            bad = 0
-            for i in range(1, len(times)):
-                if times[i] < times[i - 1]:
-                    bad = i
-                    break
-        if bad:
+        if any(map(lt, islice(times, 1, None), times)):  # C-speed scan
+            bad = next(i for i in range(1, len(times)) if times[i] < times[i - 1])
             raise SimulationError(
                 f"arrival times must be non-decreasing: item {bad} at"
                 f" t={times[bad]!r} after t={times[bad - 1]!r}"
@@ -273,7 +204,6 @@ class PacketArrivalStream:
         self._pos = 0
         self._len = len(times)
         self._base_seq = sim.reserve_seqs(self._len)
-        self._times_np = times_np
 
     # ------------------------------------------------------------------ #
     # ArrivalStream protocol (see repro.sim.engine)
@@ -291,9 +221,7 @@ class PacketArrivalStream:
 
     def _batch_end(self, start: int, t: float) -> int:
         """End index (exclusive) of the equal-timestamp run beginning at
-        ``start``: numpy ``searchsorted`` when available, else a walk."""
-        if self._times_np is not None:
-            return int(self._times_np.searchsorted(t, side="right"))
+        ``start``."""
         times = self._times
         end = start + 1
         n = self._len

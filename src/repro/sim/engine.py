@@ -357,7 +357,7 @@ class Simulator:
         gc_saved = None
         if self._streams and gc.isenabled():
             # Stream drains allocate span bookkeeping (flow records,
-            # sessions, numpy scratch) in dense bursts; the default gen-0
+            # sessions, cache entries) in dense bursts; the default gen-0
             # threshold makes the cyclic collector walk the heap thousands
             # of times per storm for objects that are overwhelmingly still
             # live. Trade collection frequency for batch size while the

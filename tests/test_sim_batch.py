@@ -32,14 +32,13 @@ def _packet(i: int = 0, src_port: int = 40000) -> Packet:
     )
 
 
-def _attach(sim, times, log, tag="pkt", force_python=False):
+def _attach(sim, times, log, tag="pkt"):
     packets = [_packet(i) for i in range(len(times))]
     stream = PacketArrivalStream(
         sim,
         times,
         packets,
         deliver=lambda p: log.append((tag, sim.now, p.dst.value & 0xFFFF)),
-        force_python=force_python,
     )
     sim.attach_stream(stream)
     return stream
@@ -91,7 +90,7 @@ class TestOrderingEquivalence:
         sim.run()
         return log, sim.events_processed, sim.now
 
-    def _batched(self, times, event_specs, force_python=False):
+    def _batched(self, times, event_specs):
         sim = Simulator()
         log = []
         for t, tag in event_specs["before"]:
@@ -103,7 +102,6 @@ class TestOrderingEquivalence:
             times,
             packets,
             deliver=lambda p: log.append(("pkt", sim.now, index_of[id(p)])),
-            force_python=force_python,
         )
         sim.attach_stream(stream)
         for t, tag in event_specs["after"]:
@@ -111,8 +109,7 @@ class TestOrderingEquivalence:
         sim.run()
         return log, sim.events_processed, sim.now
 
-    @pytest.mark.parametrize("force_python", [False, True])
-    def test_equal_timestamp_tie_break_matches_per_event(self, force_python):
+    def test_equal_timestamp_tie_break_matches_per_event(self):
         # Events at the arrivals' own timestamps, scheduled both before
         # the stream attaches (must win ties) and after (must lose them).
         times = [1.0, 1.0, 1.0, 2.0, 2.0, 3.0]
@@ -120,16 +117,7 @@ class TestOrderingEquivalence:
             "before": [(1.0, "pre"), (2.0, "pre"), (4.0, "pre")],
             "after": [(1.0, "post"), (3.0, "post")],
         }
-        assert self._batched(times, specs, force_python) == self._reference(
-            times, specs
-        )
-
-    def test_numpy_and_python_boundaries_agree(self):
-        times = [0.0, 0.0, 0.5, 0.5, 0.5, 2.0]
-        specs = {"before": [(0.5, "pre")], "after": [(0.5, "post")]}
-        assert self._batched(times, specs, force_python=False) == self._batched(
-            times, specs, force_python=True
-        )
+        assert self._batched(times, specs) == self._reference(times, specs)
 
     def test_callback_scheduled_mid_batch_fires_after_batch(self, sim):
         # A dispatched packet schedules a zero-delay event; within the
