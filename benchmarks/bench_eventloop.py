@@ -6,8 +6,8 @@ allocation, one full dispatch-loop pass per packet) dominated end-to-end
 wall time. The batched core (docs/PERFORMANCE.md) replaces that with
 :class:`~repro.sim.batch.PacketArrivalStream` merged into the run loop
 plus the gateway's span lane (``dispatch_span``, one pure-Python
-implementation) and its fused same-timestamp fallback
-(``dispatch_batch``).
+implementation); whatever the span lane declines goes through
+``process_inbound``, the same per-packet code the per-event arm runs.
 
 Both arms replay the **same** 120-simulated-second /16 storm trace —
 ladder enabled, no exploits, so the emulator tier answers everything and
@@ -80,7 +80,7 @@ ARM_SPEEDUP_FLOOR = 3.0
 
 #: Smoke-mode acceptance: absolute batched throughput floor (events/s),
 #: deliberately far below a healthy run so only order-of-magnitude
-#: regressions (or a silent fall-off the fast lane) trip it in CI.
+#: regressions (or a silent fall-off the span lane) trip it in CI.
 SMOKE_EVENTS_PER_SEC_FLOOR = 20_000.0
 
 

@@ -4,29 +4,24 @@ The gateway is the architecture's central chokepoint — every packet of
 every tunnel crosses it. The paper's scaling answer is horizontal:
 partition the dark address space across several gateways, each running
 its own farm, with nothing shared but the upstream routers' divert
-rules. :class:`FederatedHoneyfarm` builds exactly that in two shapes:
+rules. :class:`FederatedHoneyfarm` builds exactly that: each member is
+a :class:`~repro.core.intershard.ShardRunner` on a *private* clock,
+advanced in lockstep epochs with cross-shard reflected traffic carried
+by the inter-shard message layer. This is the in-process *golden
+reference* for the multiprocess
+:class:`~repro.core.parallel.ParallelFederation`: both lanes drive the
+identical runners through the identical epoch loop, so their results are
+bit-equal by construction (and gated in
+``benchmarks/bench_federation.py``).
 
-* **Legacy shared-clock mode** (``interlink=None``, the default): N
-  member farms on one simulated clock, a dispatch step that routes each
-  inbound packet to the owning member, fully member-local containment.
-  Members stay completely independent — a member's failure or overload
-  never touches the others' traffic.
-* **Interlink mode** (``interlink=InterShardConfig(...)``): each member
-  becomes a :class:`~repro.core.intershard.ShardRunner` on a *private*
-  clock, advanced in lockstep epochs with cross-shard reflected traffic
-  carried by the inter-shard message layer. This is the in-process
-  *golden reference* for the multiprocess
-  :class:`~repro.core.parallel.ParallelFederation`: both lanes drive the
-  identical runners through the identical epoch loop, so their results
-  are bit-equal by construction (and gated in
-  ``benchmarks/bench_federation.py``).
+(N fully independent farms on one shared clock need no class at all:
+build each with ``Honeyfarm(config, sim=shared_sim)``.)
 
-Either way the federation carries the aggregate books: merged infection
-timelines, summed counters, per-member packet ledgers, and a global
+The federation carries the aggregate books: merged infection timelines,
+summed counters, per-member packet ledgers, and a global
 packet-conservation check (:meth:`assert_packet_conservation`) that
 every packet entering any gateway is delivered, emulated, refused,
-dropped-with-cause, still pending, or — interlink only — in flight
-between shards.
+dropped-with-cause, still pending, or in flight between shards.
 """
 
 from __future__ import annotations
@@ -37,12 +32,10 @@ from repro.core.config import HoneyfarmConfig
 from repro.core.delta import MemoryBreakdown, farm_memory_breakdown
 from repro.core.honeyfarm import Honeyfarm
 from repro.core.intershard import InterShardConfig, ShardRunner, run_epochs
-from repro.net.addr import IPAddress, Prefix
 from repro.net.packet import Packet
 from repro.net.shardmap import ShardMap
 from repro.services.guest import InfectionRecord, ScanBehavior
 from repro.services.personality import PersonalityRegistry
-from repro.sim.engine import Simulator
 
 __all__ = ["FederatedHoneyfarm"]
 
@@ -56,87 +49,52 @@ class FederatedHoneyfarm:
         One :class:`HoneyfarmConfig` per member; their prefixes must be
         mutually disjoint (each member is sovereign over its shard).
     interlink:
-        None (default) keeps the legacy shared-clock federation. An
-        :class:`InterShardConfig` switches to lockstep-epoch members on
-        private clocks with cross-shard reflection over the message
-        layer — the reference semantics of the parallel lane.
+        The protocol constants (cross-shard latency, epoch width) every
+        shard agrees on.
     worms:
-        Interlink mode only: ``(name, scan_rate)`` specs registered on
-        every shard inside the runner (the multiprocess lane registers
-        the identical specs in its workers; see
-        :class:`~repro.core.intershard.ShardRunner`).
+        ``(name, scan_rate)`` specs registered on every shard inside the
+        runner (the multiprocess lane registers the identical specs in
+        its workers; see :class:`~repro.core.intershard.ShardRunner`).
     shard_recorder_capacity:
-        Interlink mode only: give each shard a private flight recorder
-        of this capacity (0 disables), surfaced in shard reports.
+        Give each shard a private flight recorder of this capacity
+        (0 disables), surfaced in shard reports.
     """
 
     def __init__(
         self,
         shard_configs: Sequence[HoneyfarmConfig],
+        interlink: InterShardConfig,
         personalities: Optional[PersonalityRegistry] = None,
-        interlink: Optional[InterShardConfig] = None,
         worms: Sequence[Tuple[str, float]] = (),
         shard_recorder_capacity: int = 0,
     ) -> None:
         if not shard_configs:
             raise ValueError("a federation needs at least one member farm")
         self.interlink = interlink
-        self.runners: List[ShardRunner] = []
         self.unrouteable_packets = 0
-        if interlink is not None:
-            shard_map = ShardMap.from_configs(shard_configs)  # validates
-            self.sim: Optional[Simulator] = None
-            self.shard_map: Optional[ShardMap] = shard_map
-            self.runners = [
-                ShardRunner(
-                    index, config, shard_map, interlink,
-                    personalities=personalities, worms=worms,
-                    recorder_capacity=shard_recorder_capacity,
-                )
-                for index, config in enumerate(shard_configs)
-            ]
-            self.members: List[Honeyfarm] = [r.farm for r in self.runners]
-            return
-        if worms:
-            raise ValueError("worm specs require interlink mode; use"
-                             " register_worm() on a legacy federation")
-        self.sim = Simulator()
-        self.shard_map = None
-        self.members = []
-        claimed: List[Prefix] = []
-        for config in shard_configs:
-            for prefix in config.parsed_prefixes():
-                for existing in claimed:
-                    if existing.overlaps(prefix):
-                        raise ValueError(
-                            f"shard prefix {prefix} overlaps {existing};"
-                            " members must own disjoint address space"
-                        )
-                claimed.append(prefix)
-            self.members.append(
-                Honeyfarm(config, personalities=personalities, sim=self.sim)
+        self.shard_map = ShardMap.from_configs(shard_configs)  # validates
+        self.runners: List[ShardRunner] = [
+            ShardRunner(
+                index, config, self.shard_map, interlink,
+                personalities=personalities, worms=worms,
+                recorder_capacity=shard_recorder_capacity,
             )
+            for index, config in enumerate(shard_configs)
+        ]
+        self.members: List[Honeyfarm] = [r.farm for r in self.runners]
 
     # ------------------------------------------------------------------ #
     # Routing and driving
     # ------------------------------------------------------------------ #
 
-    def member_for(self, addr: IPAddress) -> Optional[Honeyfarm]:
-        """The member whose shard covers ``addr`` (None = not dark space)."""
-        for member in self.members:
-            if member.inventory.covers(addr):
-                return member
-        return None
-
     def inject(self, packet: Packet) -> None:
-        """Route one packet to the owning member's gateway (in interlink
-        mode this is a pre-run seeding hook: mid-run injection would
-        bypass the epoch barriers)."""
-        member = self.member_for(packet.dst)
-        if member is None:
+        """Route one packet to the owning member's gateway. A pre-run
+        seeding hook: mid-run injection would bypass the epoch barriers."""
+        shard = self.shard_map.shard_for(packet.dst)
+        if shard is None:
             self.unrouteable_packets += 1
             return
-        member.inject(packet)
+        self.members[shard].inject(packet)
 
     def register_worm(self, behavior: ScanBehavior) -> None:
         """Register the worm's behaviour with every member."""
@@ -144,10 +102,9 @@ class FederatedHoneyfarm:
             member.register_worm(behavior)
 
     def attach_telescope(self, telescope, batched: bool = True) -> int:
-        """Attach a :class:`~repro.workloads.telescope.PartitionedTelescope`
-        (interlink mode): each shard generates and replays its own
-        partition, exactly as the parallel lane's workers do."""
-        self._require_interlink("attach_telescope")
+        """Attach a :class:`~repro.workloads.telescope.PartitionedTelescope`:
+        each shard generates and replays its own partition, exactly as
+        the parallel lane's workers do."""
         if telescope.shard_count != len(self.runners):
             raise ValueError(
                 f"telescope has {telescope.shard_count} partitions for"
@@ -161,23 +118,13 @@ class FederatedHoneyfarm:
     def attach_shard_records(
         self, shard: int, records, batched: bool = True
     ) -> int:
-        """Feed one shard's explicit record list (interlink mode)."""
-        self._require_interlink("attach_shard_records")
+        """Feed one shard's explicit record list."""
         return self.runners[shard].attach_records(records, batched=batched)
 
     def run(self, until: float) -> None:
-        """Run the federation to ``until`` — one shared clock in legacy
-        mode, lockstep epochs over private clocks in interlink mode."""
-        if self.interlink is not None:
-            run_epochs(self.runners, until, self.interlink.lookahead)
-            return
-        for member in self.members:
-            member._ensure_sweeper()
-        self.sim.run(until=until)
-
-    def _require_interlink(self, what: str) -> None:
-        if self.interlink is None:
-            raise ValueError(f"{what} requires interlink mode")
+        """Run the federation to ``until`` in lockstep epochs over the
+        members' private clocks."""
+        run_epochs(self.runners, until, self.interlink.lookahead)
 
     # ------------------------------------------------------------------ #
     # Aggregate reporting
@@ -186,9 +133,7 @@ class FederatedHoneyfarm:
     @property
     def now(self) -> float:
         """The federation's simulated time (all clocks agree at barriers)."""
-        if self.interlink is not None:
-            return max(r.farm.sim.now for r in self.runners)
-        return self.sim.now
+        return max(r.farm.sim.now for r in self.runners)
 
     @property
     def total_addresses(self) -> int:
@@ -266,7 +211,7 @@ class FederatedHoneyfarm:
 
         Checks, in order: each member's own ledger balances (leaked ==
         0); the sum of member ledgers equals the federation ledger,
-        bucket by bucket; and — interlink mode — the message layer
+        bucket by bucket; and the message layer
         conserves too (every message sent was received by its owner or
         is still in a mailbox past the final barrier). Returns the
         federation ledger on success.
@@ -290,15 +235,14 @@ class FederatedHoneyfarm:
                     f"{bucket}: member ledgers sum to {member_sum}"
                     f" but the federation ledger says {fed_value}"
                 )
-        if self.interlink is not None:
-            sent = sum(r.sent for r in self.runners)
-            received = self.aggregate_counters().get("gateway.intershard_in", 0)
-            undelivered = sum(r.undelivered_messages for r in self.runners)
-            if sent != received + undelivered:
-                failures.append(
-                    f"inter-shard messages: {sent} sent !="
-                    f" {received} received + {undelivered} undelivered"
-                )
+        sent = sum(r.sent for r in self.runners)
+        received = self.aggregate_counters().get("gateway.intershard_in", 0)
+        undelivered = sum(r.undelivered_messages for r in self.runners)
+        if sent != received + undelivered:
+            failures.append(
+                f"inter-shard messages: {sent} sent !="
+                f" {received} received + {undelivered} undelivered"
+            )
         if failures:
             raise AssertionError(
                 "federation packet conservation violated: "
@@ -308,9 +252,8 @@ class FederatedHoneyfarm:
 
     def shard_reports(self) -> List[Dict]:
         """Per-shard reports in the exact shape the parallel lane's
-        workers return (interlink mode) — the bit-equality surface the
-        worker-count invariance tests and the federation bench compare."""
-        self._require_interlink("shard_reports")
+        workers return — the bit-equality surface the worker-count
+        invariance tests and the federation bench compare."""
         return [runner.report() for runner in self.runners]
 
     def per_member_rows(self) -> List[Tuple[str, int, int, int, int]]:
@@ -330,6 +273,5 @@ class FederatedHoneyfarm:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<FederatedHoneyfarm members={len(self.members)}"
-            f" addresses={self.total_addresses} t={self.now:.1f}s"
-            f"{' interlinked' if self.interlink is not None else ''}>"
+            f" addresses={self.total_addresses} t={self.now:.1f}s>"
         )

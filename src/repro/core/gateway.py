@@ -335,62 +335,10 @@ class Gateway:
     def dispatch_batch(
         self, packets: List[Packet], start: int, end: int, now: float
     ) -> None:
-        """Dispatch ``packets[start:end]`` (all sharing timestamp ``now``)
-        with per-packet Python overhead hoisted out of the loop.
-
-        Behaviourally identical to calling :meth:`process_inbound` on each
-        packet in order — same per-packet verdicts, ledger buckets, ladder
-        consultation, and containment classification — but the dominant
-        cold-address/emulated path is fused inline: the canonical flow key
-        is computed once per packet and threaded through the flow table,
-        the ladder session, and same-flow reply routing, and every
-        attribute lookup on the path is a preresolved local. Any packet
-        that leaves the fused path (VM exists, promotion, TTL/stray, or a
-        protocol-changing reply) falls back to the exact per-packet code.
-
-        Only the batched arrival stream calls this, and only when no
-        flight recorder is installed; with a recorder (or a packet tap)
-        the stream uses the faithful per-packet lane instead, so traces
-        stay bit-identical.
-        """
-        if self.packet_tap is not None or _obs.ACTIVE is not None:
-            process_inbound = self.process_inbound
-            for k in range(start, end):
-                process_inbound(packets[k])
-            return
-        # Hoisted hot-path locals (see docs/PERFORMANCE.md).
-        c_packets_in = self._c_packets_in
-        c_ttl_expired = self._c_ttl_expired
-        c_stray = self._c_stray
-        c_emulated = self._c_emulated
-        inventory_covers = self.inventory.covers
-        from_packet = FlowKey.from_packet
-        observe_keyed = self.flows.observe_keyed
-        vm_map_get = self.vm_map.get
-        ladder = self.ladder
-        consider = ladder.consider if ladder is not None else None
-        emit_reply_keyed = self._emit_emulated_reply_keyed
-        dispatch_to_vm = self._dispatch_to_vm
+        # No caller under src/: kept only because benchmarks/e2e/layers.py
+        # resolves the name when it installs its traced-pass wrappers.
         for k in range(start, end):
-            packet = packets[k]
-            c_packets_in.increment()
-            if packet.ttl <= 0:
-                c_ttl_expired.increment()
-                continue
-            if not inventory_covers(packet.dst):
-                c_stray.increment()
-                continue
-            key = from_packet(packet)
-            record, created = observe_keyed(key, packet, now)
-            vm = vm_map_get(packet.dst)
-            if vm is None and consider is not None:
-                verdict = consider(packet, now, key=key)
-                if not verdict.promoted:
-                    c_emulated.increment()
-                    for reply in verdict.replies:
-                        emit_reply_keyed(reply, key)
-                    continue
-            dispatch_to_vm(packet, record, created, vm)
+            self.process_inbound(packets[k])
 
     # ------------------------------------------------------------------ #
     # Span lane (multi-timestamp batched dispatch; see docs/PERFORMANCE.md)
@@ -410,7 +358,7 @@ class Gateway:
         and counters are flushed in bulk at the end. Any packet outside
         the proof (payload-carrying, VM-backed or promotable destination,
         unsupported trigger/policy/route configuration) stops the span;
-        the caller falls back to the exact per-packet lanes for it.
+        the caller falls back to the exact per-packet lane for it.
         Returns 0 when the lane is unavailable.
 
         Correctness rests on three invariants:
@@ -445,7 +393,7 @@ class Gateway:
         ):
             # reply_jitter disqualifies the lane because jittered egress
             # schedules events, violating the span invariant (fidelity
-            # over speed: deception-on runs use the exact lanes).
+            # over speed: deception-on runs use the exact lane).
             return 0
         if self._span_support(ladder) is None:
             return 0
@@ -814,9 +762,9 @@ class Gateway:
         created: bool,
         vm: Optional[VirtualMachine],
     ) -> None:
-        """The clone/queue/deliver tail shared by the per-packet and
-        batched inbound paths (the packet has been flow-accounted and was
-        not absorbed by the emulator tier)."""
+        """The clone/queue/deliver tail of :meth:`process_inbound` (the
+        packet has been flow-accounted and was not absorbed by the
+        emulator tier)."""
         if vm is None:
             vm = self.backend.spawn_vm(packet.dst)
             if vm is None:
@@ -1087,21 +1035,27 @@ class Gateway:
             self._c_out_dns_redirected.increment()
             self._deliver_dns(vm, packet, original_resolver=packet.dst)
         elif verdict.action is ContainmentAction.REFLECT:
-            assert verdict.new_destination is not None
-            self._c_out_reflected.increment()
-            # The NAT record stays on the initiating VM's shard: replies
-            # come back through the message layer raw and are translated
-            # here, mirroring the local reflection path exactly.
-            self.nat.record(vm.ip, verdict.new_destination, packet.dst)
-            reflected = packet.with_destination(verdict.new_destination)
-            if not self._route_intershard(reflected, reply=False):
-                self.process_inbound(reflected.decremented_ttl())
+            self._reflect(vm.ip, packet, verdict.new_destination)
         else:  # pragma: no cover - exhaustive over the enum
             raise AssertionError(f"unhandled containment action: {verdict.action!r}")
 
+    def _reflect(
+        self, source_ip: IPAddress, packet: Packet, new_destination: Optional[IPAddress]
+    ) -> None:
+        """Carry out a REFLECT verdict on ``packet``, emitted by the
+        honeypot (VM or emulated address) at ``source_ip``."""
+        assert new_destination is not None
+        self._c_out_reflected.increment()
+        # The NAT record stays on the initiating shard: replies come back
+        # through the message layer raw and are translated here, mirroring
+        # the local reflection path exactly.
+        self.nat.record(source_ip, new_destination, packet.dst)
+        reflected = packet.with_destination(new_destination)
+        if not self._route_intershard(reflected, reply=False):
+            self.process_inbound(reflected.decremented_ttl())
+
     def _emit_reply(self, vm: VirtualMachine, packet: Packet) -> None:
-        """Reply on an externally- or peer-initiated flow: always allowed,
-        routed externally or internally by destination."""
+        """Reply on an externally- or peer-initiated flow: always allowed."""
         self._c_reply_allowed.increment()
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
@@ -1109,6 +1063,11 @@ class Gateway:
                 action="reply", src=str(packet.src), dst=str(packet.dst),
                 vm_id=vm.vm_id,
             )
+        self._route_reply(packet)
+
+    def _route_reply(self, packet: Packet) -> None:
+        """Route an allowed reply (a VM's or the emulator tier's) by its
+        destination: internal stand-in, sibling shard, or the Internet."""
         if self.inventory.covers(packet.dst):
             translated = self.nat.translate_reply_source(packet)
             self.process_inbound(translated.decremented_ttl())
@@ -1134,46 +1093,18 @@ class Gateway:
         from ``gateway.outbound.reply_allowed``."""
         self._c_emulated_replies.increment()
         record, created = self.flows.observe(packet, self.sim.now)
-        self._route_emulated_reply(packet, record, created)
-
-    def _emit_emulated_reply_keyed(self, packet: Packet, inbound_key: FlowKey) -> None:
-        """:meth:`_emit_emulated_reply` for the batched lane: a reply that
-        keeps the inbound packet's protocol mirrors its canonical flow key
-        exactly (the key is direction-independent), so the inbound key is
-        reused; a protocol-changing reply (the ICMP unreachable answering
-        a UDP probe) opens a different flow and takes the generic path."""
-        if packet.protocol != inbound_key.protocol:
-            self._emit_emulated_reply(packet)
-            return
-        self._c_emulated_replies.increment()
-        record, created = self.flows.observe_keyed(inbound_key, packet, self.sim.now)
-        self._route_emulated_reply(packet, record, created)
-
-    def _route_emulated_reply(
-        self, packet: Packet, record: FlowRecord, created: bool
-    ) -> None:
         if created or record.initiator == packet.src:
             verdict = self.policy.decide(
                 _EmulatedSource(packet.src), packet, self.sim.now
             )
             if verdict.action is ContainmentAction.REFLECT:
-                assert verdict.new_destination is not None
-                self._c_out_reflected.increment()
-                self.nat.record(packet.src, verdict.new_destination, packet.dst)
-                reflected = packet.with_destination(verdict.new_destination)
-                if not self._route_intershard(reflected, reply=False):
-                    self.process_inbound(reflected.decremented_ttl())
+                self._reflect(packet.src, packet, verdict.new_destination)
                 return
             if verdict.action is not ContainmentAction.ALLOW:
                 # DROP, or DNS redirection the emulator never initiates.
                 self._c_emulated_contained.increment()
                 return
-        if self.inventory.covers(packet.dst):
-            translated = self.nat.translate_reply_source(packet)
-            self.process_inbound(translated.decremented_ttl())
-        elif not self._route_intershard(packet, reply=True):
-            self._c_reply_external.increment()
-            self._send_external(packet)
+        self._route_reply(packet)
 
     def _route_intershard(self, packet: Packet, reply: bool) -> bool:
         """Hand ``packet`` to the federation message layer when a sibling

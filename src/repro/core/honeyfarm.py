@@ -223,47 +223,32 @@ class Honeyfarm:
     def inject_batch(
         self, packets: List[Packet], start: int, end: int, now: float
     ) -> None:
-        """Batched counterpart of :meth:`inject` for same-timestamp runs
-        (see :meth:`~repro.core.gateway.Gateway.dispatch_batch`)."""
-        self.gateway.dispatch_batch(packets, start, end, now)
+        # No caller under src/: kept only because benchmarks/e2e/layers.py
+        # resolves the name when it installs its traced-pass wrappers.
+        for k in range(start, end):
+            self.inject(packets[k])
 
-    def attach_arrivals(
-        self, times: List[float], packets: List[Packet]
-    ) -> PacketArrivalStream:
-        """Stream a pre-sorted packet workload into this farm's run loop.
+    def attach_arrival_columns(self, columns: PacketColumns) -> PacketArrivalStream:
+        """Stream a time-sorted, lazy struct-of-arrays trace into this
+        farm's run loop.
 
         The batched equivalent of scheduling one injection event per
         packet: firing order (and therefore every verdict, counter, and
         trace event) is bit-identical, but arrivals never touch the event
-        heap — see ``docs/PERFORMANCE.md``.
-        """
-        stream = PacketArrivalStream(
-            self.sim,
-            times,
-            packets,
-            deliver=self.inject,
-            deliver_batch=self.inject_batch,
-        )
-        self.sim.attach_stream(stream)
-        return stream
-
-    def attach_arrival_columns(self, columns: PacketColumns) -> PacketArrivalStream:
-        """:meth:`attach_arrivals` over a lazy struct-of-arrays trace.
-
-        Packets are materialized only when they leave the gateway's span
-        lane (:meth:`~repro.core.gateway.Gateway.dispatch_span`); the
-        storm-dominant emulator-tier path runs entirely on the columns.
-        Results are bit-identical to per-event replay of the same records
-        — see ``docs/PERFORMANCE.md``.
+        heap. Packets are materialized only when they leave the gateway's
+        span lane (:meth:`~repro.core.gateway.Gateway.dispatch_span`),
+        which is offered only when the farm has a ladder — without one it
+        declines every arrival. See ``docs/PERFORMANCE.md``.
         """
         stream = PacketArrivalStream(
             self.sim,
             columns.times,
             columns.packets,
             deliver=self.inject,
-            deliver_batch=self.inject_batch,
             columns=columns,
-            deliver_span=self.gateway.dispatch_span,
+            deliver_span=(
+                self.gateway.dispatch_span if self.ladder is not None else None
+            ),
         )
         self.sim.attach_stream(stream)
         return stream

@@ -143,17 +143,12 @@ class EmulatedSession:
         self.payload_bytes_total = 0
         self.cache_gen = 0
 
-    def note(
-        self, packet: Packet, now: float, key: Optional[FlowKey] = None
-    ) -> Tuple[FlowState, bool]:
+    def note(self, packet: Packet, now: float) -> Tuple[FlowState, bool]:
         """Account ``packet`` against its flow's state (creating it on
         first sight) and return ``(state, flow_created)``. Called before
-        trigger evaluation, so triggers see the packet's contribution.
-        ``key`` lets the gateway's batched lane pass the canonical flow
-        key it already computed instead of re-deriving it."""
+        trigger evaluation, so triggers see the packet's contribution."""
         self.last_seen = now
-        if key is None:
-            key = FlowKey.from_packet(packet)
+        key = FlowKey.from_packet(packet)
         state = self.flows.get(key)
         created = state is None
         if created:

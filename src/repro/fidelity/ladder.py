@@ -26,7 +26,6 @@ from repro.fidelity.emulator import EmulatedSession
 from repro.fidelity.handoff import HandoffRecord
 from repro.fidelity.triggers import default_triggers
 from repro.net.addr import AddressSpaceInventory, IPAddress
-from repro.net.flow import FlowKey
 from repro.net.packet import Packet
 from repro.obs import recorder as _obs
 from repro.services.personality import PersonalityRegistry
@@ -92,17 +91,12 @@ class FidelityLadder:
     # Per-packet path (called by the gateway for cold addresses)
     # ------------------------------------------------------------------ #
 
-    def consider(
-        self, packet: Packet, now: float, key: Optional["FlowKey"] = None
-    ) -> LadderVerdict:
-        """Absorb ``packet`` into the emulator tier, or promote its flow.
-
-        ``key`` is the packet's canonical flow key when the caller (the
-        gateway's batched lane) has already computed it."""
+    def consider(self, packet: Packet, now: float) -> LadderVerdict:
+        """Absorb ``packet`` into the emulator tier, or promote its flow."""
         session = self.sessions.get(packet.dst)
         if session is None:
             session = self._open_session(packet.dst, now)
-        state, flow_created = session.note(packet, now, key=key)
+        state, flow_created = session.note(packet, now)
         if flow_created:
             self._c_flows_seen.increment()
         for trigger in self.triggers:

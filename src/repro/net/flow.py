@@ -115,7 +115,6 @@ class FlowRecord:
         "initiator",
         "packets",
         "bytes",
-        "tunnel_key",
         "_vm_id",
         "_table",
         "_bucket",
@@ -130,7 +129,6 @@ class FlowRecord:
         packets: int = 0,
         bytes: int = 0,
         vm_id: Optional[int] = None,
-        tunnel_key: Optional[int] = None,
     ) -> None:
         self.key = key
         self.first_seen = first_seen
@@ -138,7 +136,6 @@ class FlowRecord:
         self.initiator = initiator
         self.packets = packets
         self.bytes = bytes
-        self.tunnel_key = tunnel_key
         self._vm_id = vm_id
         self._table: Optional["FlowTable"] = None
         self._bucket: Optional[int] = None
@@ -170,8 +167,7 @@ class FlowRecord:
         return (
             f"FlowRecord(key={self.key!r}, first_seen={self.first_seen},"
             f" last_seen={self.last_seen}, initiator={self.initiator!r},"
-            f" packets={self.packets}, bytes={self.bytes}, vm_id={self._vm_id},"
-            f" tunnel_key={self.tunnel_key})"
+            f" packets={self.packets}, bytes={self.bytes}, vm_id={self._vm_id})"
         )
 
 
@@ -276,12 +272,10 @@ class FlowTable:
     def observe_keyed(
         self, key: FlowKey, packet: Packet, now: float
     ) -> Tuple[FlowRecord, bool]:
-        """:meth:`observe` with the canonical key already in hand.
+        """The body of :meth:`observe`, taking the packet's canonical key.
 
-        The gateway's batched lane computes each packet's key exactly once
-        and threads it through the flow table, the fidelity ladder, and
-        same-flow reply routing — key construction (two tuple hashes) is
-        otherwise the single largest per-packet allocation.
+        Its own method only because ``benchmarks/e2e/layers.py`` wraps
+        this name to count and time flow-table observations.
         """
         record = self._flows.get(key)
         if record is not None and now - record.last_seen > self.idle_timeout:
@@ -335,7 +329,6 @@ class FlowTable:
         record.initiator = initiator
         record.packets = 0
         record.bytes = 0
-        record.tunnel_key = None
         record._vm_id = None
         record._table = self
         bucket = int(now / self._granularity)

@@ -32,7 +32,7 @@ Ordering contract (what makes batching a *pure mechanical transform*):
 Batch boundaries come from a walk over the timestamp list, span bounds
 from ``bisect`` over the same list; there is one implementation of each.
 
-Dispatch has three lanes, chosen per batch (fastest first):
+Dispatch has two lanes:
 
 * **span lane** — lazy struct-of-arrays only (:class:`PacketColumns`
   attached) and no flight recorder: a whole *multi-timestamp* run of
@@ -42,17 +42,14 @@ Dispatch has three lanes, chosen per batch (fastest first):
   processes the prefix it can prove equivalent to per-event dispatch
   without ever materializing a :class:`~repro.net.packet.Packet` and
   returns how many it consumed. Whatever it declines falls through to
-  the batch lane below, so progress is always made.
-* **fast lane** — no flight recorder installed: one equal-timestamp
-  batch goes to ``deliver_batch(packets, start, end, now)`` (normally
-  :meth:`~repro.core.gateway.Gateway.dispatch_batch`), which preserves
-  per-packet verdicts, ledger buckets, ladder consultation, and
-  containment classification while hoisting the per-packet Python
-  overhead out of the loop.
-* **faithful lane** — recorder installed (or no batch entry point):
-  each packet goes through the per-packet ``deliver`` callable wrapped
-  in the same per-subsystem timing hook the event loop applies, so
-  flight-recorder traces stay bit-identical to the per-event loop.
+  the per-packet lane below, so progress is always made.
+* **per-packet lane** — each packet of one equal-timestamp batch goes
+  through ``deliver``, the same callable per-event replay schedules
+  (normally :meth:`~repro.core.honeyfarm.Honeyfarm.inject`), so a run
+  with a flight recorder or packet tap installed executes the same
+  gateway code as a run without. With a recorder the call is wrapped in
+  the per-subsystem timing hook the event loop applies, so recorded
+  traces stay bit-identical to the per-event loop's.
 """
 
 from __future__ import annotations
@@ -147,9 +144,7 @@ class PacketArrivalStream:
 
     ``times`` and ``packets`` are parallel arrays (``times`` must be
     non-decreasing); ``deliver`` is the per-packet injection callable the
-    per-event loop would have scheduled (e.g. ``farm.inject``), and
-    ``deliver_batch`` the optional vectorized entry point used when no
-    flight recorder is installed.
+    per-event loop would have scheduled (e.g. ``farm.inject``).
     """
 
     __slots__ = (
@@ -157,7 +152,6 @@ class PacketArrivalStream:
         "_times",
         "_packets",
         "_deliver",
-        "_deliver_batch",
         "_columns",
         "_deliver_span",
         "_timing_label",
@@ -172,7 +166,6 @@ class PacketArrivalStream:
         times: Sequence[float],
         packets: List[Packet],
         deliver: Callable[[Packet], None],
-        deliver_batch: Optional[Callable[[List[Packet], int, int, float], None]] = None,
         timing_label: str = "farm",
         columns: Optional[PacketColumns] = None,
         deliver_span: Optional[Callable[[PacketColumns, int, int], int]] = None,
@@ -197,7 +190,6 @@ class PacketArrivalStream:
         self._times = times
         self._packets = packets
         self._deliver = deliver
-        self._deliver_batch = deliver_batch
         self._columns = columns
         self._deliver_span = deliver_span if columns is not None else None
         self._timing_label = timing_label
@@ -277,7 +269,7 @@ class PacketArrivalStream:
                 # path schedules nothing, so the bound stays valid for the
                 # whole span). The gateway consumes the prefix it can
                 # prove per-event-equivalent and leaves the rest to the
-                # batch lane below.
+                # per-packet lane below.
                 lim = n
                 if until is not None:
                     lim = bisect_right(times, until, i, lim)
@@ -306,7 +298,7 @@ class PacketArrivalStream:
                 end = i + (budget - delivered)
             sim.advance_for_stream(t, end - i)
             self._pos = end  # before dispatch: callbacks may inspect us
-            self._dispatch_slice(i, end, t)
+            self._dispatch_slice(i, end)
             delivered += end - i
             i = end
             if budget is not None and delivered >= budget:
@@ -314,39 +306,28 @@ class PacketArrivalStream:
         return delivered
 
     # ------------------------------------------------------------------ #
-    # Dispatch lanes
+    # Per-packet lane
     # ------------------------------------------------------------------ #
 
-    def _dispatch_slice(self, start: int, end: int, now: float) -> None:
+    def _dispatch_slice(self, start: int, end: int) -> None:
         recorder = _obs.ACTIVE
         packets = self._packets
-        columns = self._columns
-        if columns is not None:
-            # Lazy columns: packets the span lane never consumed are
-            # materialized here, in arrival order, exactly as the eager
-            # path built them.
-            packet_at = columns.packet_at
-            for k in range(start, end):
-                if packets[k] is None:
-                    packet_at(k)
-        if recorder is None:
-            deliver_batch = self._deliver_batch
-            if deliver_batch is not None:
-                deliver_batch(packets, start, end, now)
-                return
-            deliver = self._deliver
-            for k in range(start, end):
-                deliver(packets[k])
-            return
-        # Faithful lane: per-packet delivery with the same per-subsystem
-        # timing attribution Simulator.step applies, so recorded traces
-        # are bit-identical to the per-event loop's.
         deliver = self._deliver
-        label = self._timing_label
         for k in range(start, end):
-            started = perf_counter()
-            deliver(packets[k])
-            recorder.record_timing(label, perf_counter() - started)
+            packet = packets[k]
+            if packet is None:
+                # Lazy columns: a packet the span lane never consumed is
+                # materialized here, exactly as the eager path built it.
+                packet = self._columns.packet_at(k)
+            if recorder is None:
+                deliver(packet)
+            else:
+                # The per-subsystem timing attribution Simulator.step
+                # applies, so recorded traces are bit-identical to the
+                # per-event loop's.
+                started = perf_counter()
+                deliver(packet)
+                recorder.record_timing(self._timing_label, perf_counter() - started)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -45,7 +45,7 @@ from repro.core.honeyfarm import Honeyfarm
 from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.sim.rand import RandomStream, SeedSequence
-from repro.workloads.trace import TraceRecord
+from repro.workloads.trace import TraceRecord, replay_into_farm
 
 __all__ = [
     "PartitionedTelescope",
@@ -358,15 +358,7 @@ class TelescopeWorkload:
         materialized only if they leave the gateway's span lane) at a
         fraction of the event-loop cost.
         """
-        records = self.generate(duration)
-        if batched:
-            from repro.sim.batch import PacketColumns
-
-            farm.attach_arrival_columns(PacketColumns(records))
-            return len(records)
-        for record in records:
-            farm.sim.schedule_at(record.time, farm.inject, record.to_packet())
-        return len(records)
+        return replay_into_farm(farm, self.generate(duration), batched=batched)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

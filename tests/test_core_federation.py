@@ -4,9 +4,13 @@ import pytest
 
 from repro.core.config import HoneyfarmConfig
 from repro.core.federation import FederatedHoneyfarm
+from repro.core.honeyfarm import Honeyfarm
+from repro.core.intershard import InterShardConfig
 from repro.net.addr import IPAddress
 from repro.net.packet import PROTO_UDP, tcp_packet, udp_packet
 from repro.services.guest import ScanBehavior
+from repro.sim.engine import Simulator
+from repro.workloads.trace import TraceRecord
 
 ATTACKER = IPAddress.parse("203.0.113.1")
 
@@ -20,26 +24,23 @@ def shard_config(prefix, **overrides):
 
 @pytest.fixture
 def federation():
-    return FederatedHoneyfarm([
-        shard_config("10.16.0.0/24"),
-        shard_config("10.17.0.0/24"),
-    ])
+    return FederatedHoneyfarm(
+        [shard_config("10.16.0.0/24"), shard_config("10.17.0.0/24")],
+        interlink=InterShardConfig(),
+    )
 
 
 class TestConstruction:
-    def test_members_share_one_clock(self, federation):
-        assert all(m.sim is federation.sim for m in federation.members)
-
     def test_overlapping_shards_rejected(self):
         with pytest.raises(ValueError, match="overlaps"):
-            FederatedHoneyfarm([
-                shard_config("10.16.0.0/16"),
-                shard_config("10.16.4.0/24"),
-            ])
+            FederatedHoneyfarm(
+                [shard_config("10.16.0.0/16"), shard_config("10.16.4.0/24")],
+                interlink=InterShardConfig(),
+            )
 
     def test_empty_federation_rejected(self):
         with pytest.raises(ValueError):
-            FederatedHoneyfarm([])
+            FederatedHoneyfarm([], interlink=InterShardConfig())
 
     def test_total_addresses(self, federation):
         assert federation.total_addresses == 512
@@ -59,28 +60,28 @@ class TestRouting:
         assert federation.unrouteable_packets == 1
         assert federation.live_vms == 0
 
-    def test_member_for(self, federation):
-        assert federation.member_for(IPAddress.parse("10.17.0.9")) is (
-            federation.members[1]
-        )
-        assert federation.member_for(IPAddress.parse("8.8.8.8")) is None
-
 
 class TestIsolationAndAggregation:
-    def test_epidemic_in_one_shard_stays_there(self, federation):
-        """Reflection operates within the member's own shard: the other
-        member's gateway never sees the outbreak."""
+    def test_epidemic_in_one_shard_stays_there(self):
+        """Two plain farms on one shared clock (no federation): reflection
+        operates within each farm's own address space, so the other
+        farm's gateway never sees the outbreak."""
+        sim = Simulator()
+        farms = [
+            Honeyfarm(shard_config("10.16.0.0/24"), sim=sim),
+            Honeyfarm(shard_config("10.17.0.0/24"), sim=sim),
+        ]
         worm = ScanBehavior("slammer", PROTO_UDP, 1434, "exploit:slammer",
                             scan_rate=30.0)
-        federation.register_worm(worm)
-        federation.inject(udp_packet(ATTACKER, IPAddress.parse("10.16.0.5"),
-                                     1, 1434, payload="exploit:slammer"))
-        federation.run(until=6.0)
-        assert federation.members[0].infection_count() > 1
-        assert federation.members[1].infection_count() == 0
-        assert federation.infection_count() == (
-            federation.members[0].infection_count()
-        )
+        for farm in farms:
+            farm.register_worm(worm)
+            farm._ensure_sweeper()
+        farms[0].inject(udp_packet(ATTACKER, IPAddress.parse("10.16.0.5"),
+                                   1, 1434, payload="exploit:slammer"))
+        sim.run(until=6.0)
+        assert farms[0].infection_count() > 1
+        assert farms[1].infection_count() == 0
+        assert farms[1].metrics.counters().get("gateway.packets_in", 0) == 0
 
     def test_aggregate_counters_sum_members(self, federation):
         for i in range(3):
@@ -107,9 +108,11 @@ class TestIsolationAndAggregation:
         federation.register_worm(worm)
         federation.inject(udp_packet(ATTACKER, IPAddress.parse("10.16.0.5"),
                                      1, 1434, payload="exploit:slammer"))
-        federation.sim.schedule(1.0, federation.inject,
-                                udp_packet(ATTACKER, IPAddress.parse("10.17.0.5"),
-                                           1, 1434, payload="exploit:slammer"))
+        federation.attach_shard_records(1, [TraceRecord.from_packet(
+            1.0,
+            udp_packet(ATTACKER, IPAddress.parse("10.17.0.5"),
+                       1, 1434, payload="exploit:slammer"),
+        )])
         federation.run(until=5.0)
         merged = federation.infections()
         times = [r.time for r in merged]

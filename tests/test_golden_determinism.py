@@ -73,9 +73,9 @@ def test_scenario_is_deterministic_within_process():
 
 
 def test_batched_replay_matches_golden(golden):
-    """The batched arrival stream (gateway ``dispatch_batch`` fast lane —
-    no recorder installed here) must reproduce the per-event golden
-    byte-for-byte, ``events_processed`` included."""
+    """The batched arrival stream (no span lane on this ladder-off
+    farm: every arrival goes through ``process_inbound``) must reproduce
+    the per-event golden byte-for-byte, ``events_processed`` included."""
     golden.check(GOLDEN_PATH, run_scenario(batched=True))
 
 

@@ -221,9 +221,10 @@ class TestParallelFederationApi:
 
 
 class TestLegacyFederationLedgers:
-    """The shared-clock federation gains the same books: per-member
-    ledgers, the independently-reconciled federation ledger, and the
-    conservation assert."""
+    """The in-process federation's books on a hand-injected workload:
+    per-member ledgers, the independently-reconciled federation ledger,
+    and the conservation assert. (The class keeps its name from the
+    deleted shared-clock mode so the test ids stay stable.)"""
 
     @pytest.fixture
     def federation(self):
@@ -233,7 +234,7 @@ class TestLegacyFederationLedgers:
             HoneyfarmConfig(prefixes=("10.17.0.0/24",), num_hosts=1,
                             clone_jitter=0.0, seed=5),
         ]
-        federation = FederatedHoneyfarm(configs)
+        federation = FederatedHoneyfarm(configs, interlink=INTERLINK)
         attacker = IPAddress.parse("203.0.113.1")
         for i in range(3):
             federation.inject(tcp_packet(
@@ -261,21 +262,6 @@ class TestLegacyFederationLedgers:
     def test_per_member_rows_carry_packet_totals(self, federation):
         rows = federation.per_member_rows()
         assert [row[4] for row in rows] == [3, 1]
-
-    def test_worms_require_interlink(self):
-        with pytest.raises(ValueError, match="interlink"):
-            FederatedHoneyfarm(
-                [HoneyfarmConfig(prefixes=("10.16.0.0/24",), seed=5)],
-                worms=(("slammer", 2.0),),
-            )
-
-    def test_telescope_requires_interlink(self, federation):
-        telescope = PartitionedTelescope(
-            shard_prefixes=(("10.16.0.0/24",), ("10.17.0.0/24",)),
-            duration=1.0,
-        )
-        with pytest.raises(ValueError, match="interlink"):
-            federation.attach_telescope(telescope)
 
 
 class TestPartitionedTelescope:

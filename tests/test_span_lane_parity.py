@@ -1,8 +1,8 @@
 """Differential parity for the gateway's span lane.
 
 The generic batched-loop property test (``test_properties_batched``)
-runs ladder-off farms, where the span lane never engages and arrivals
-take the faithful per-packet path. These tests pin the lane itself:
+runs ladder-off farms, where the span lane is never offered and every
+arrival takes the per-packet lane. These tests pin the span lane itself:
 ladder-on farms where the storm is absorbed by the emulator tier, so
 span dispatch carries almost every packet — then compare every
 observable against the per-event loop.
@@ -10,9 +10,10 @@ observable against the per-event loop.
 There is one span implementation and one validity rule (a cache entry
 holds until something happens to *its destination address*), so the
 matrix is: an uninterrupted storm, a storm interrupted by promotions,
-clones and reclamation, a respawn behind the cache's back, and a
-hypothesis property that interleaves radiation with every event that
-invalidates an entry.
+clones and reclamation (alone, and crossed with ladder on/off and a
+flight recorder or packet tap installed), a respawn behind the cache's
+back, and a hypothesis property that interleaves radiation with every
+event that invalidates an entry.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 from repro.core.honeyfarm import Honeyfarm
 from repro.net.addr import IPAddress
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
+from repro.obs import recording
 from repro.testing.scenario import Scenario, WormWave
 from repro.workloads.trace import TraceRecord, replay_into_farm
 from repro.workloads.worms import KNOWN_WORMS
@@ -50,8 +52,10 @@ def _pin_global_counters():
 
 def _observe(farm: Honeyfarm):
     """Everything the two arms must agree on: clock, counters, the
-    ladder's sessions and the flow table, field by field."""
+    ladder's sessions (none on a ladder-off farm) and the flow table,
+    field by field."""
     ladder = farm.gateway.ladder
+    sessions = ladder.sessions if ladder is not None else {}
     return {
         "events": farm.sim.events_processed,
         "now": farm.sim.now,
@@ -67,15 +71,15 @@ def _observe(farm: Honeyfarm):
             (str(ip), s.created_at, s.last_seen, s.packets_absorbed,
              s.buffer_dropped, s.banner, s.payload_bytes_total, len(s.buffered),
              sorted((str(k), f.exchanges, f.payload_bytes) for k, f in s.flows.items()))
-            for ip, s in ladder.sessions.items()
+            for ip, s in sessions.items()
         ),
         "vms": sorted((str(ip), vm.vm_id) for ip, vm in farm.gateway.vm_map.items()),
     }
 
 
 def _run_world(config, trace, batched: bool, until: float, prepare=None):
-    """One arm: a fresh ladder-on farm, the trace replayed per-event or
-    batched, ``prepare(farm)`` run before the replay attaches."""
+    """One arm: a fresh farm, the trace replayed per-event or batched,
+    ``prepare(farm)`` run before the replay attaches."""
     _pin_global_counters()
     farm = Honeyfarm(config)
     if prepare is not None:
@@ -168,14 +172,17 @@ def test_interrupted_storm_keeps_other_addresses_cached():
     # Destinations the span lane has served (so a cached entry exists),
     # and slow-path packets that then arrived for one of them: the only
     # packets that are allowed to cost a cached flow a second resolve.
+    # Top-level calls only — a reply or reflection the gateway routes
+    # back into itself while handling a packet is not an arrival.
     span_served = set()
     slow_to_cached = [0]
+    depth = [0]
 
     def prepare(farm: Honeyfarm) -> None:
         _register_worms(farm)
         gateway = farm.gateway
         dispatch_span = gateway.dispatch_span
-        dispatch_batch = gateway.dispatch_batch
+        process_inbound = gateway.process_inbound
 
         def counting_span(columns, start, limit):
             consumed = dispatch_span(columns, start, limit)
@@ -184,14 +191,17 @@ def test_interrupted_storm_keeps_other_addresses_cached():
             )
             return consumed
 
-        def counting_batch(packets, start, end, now):
-            slow_to_cached[0] += sum(
-                str(packets[k].dst) in span_served for k in range(start, end)
-            )
-            dispatch_batch(packets, start, end, now)
+        def counting_inbound(packet):
+            if depth[0] == 0 and str(packet.dst) in span_served:
+                slow_to_cached[0] += 1
+            depth[0] += 1
+            try:
+                process_inbound(packet)
+            finally:
+                depth[0] -= 1
 
         gateway.dispatch_span = counting_span
-        gateway.dispatch_batch = counting_batch
+        gateway.process_inbound = counting_inbound
 
     observed = _run_world(config, trace, True, until, prepare=prepare)
 
@@ -202,6 +212,47 @@ def test_interrupted_storm_keeps_other_addresses_cached():
     assert counters["ladder.demotions"] > 5
     gateway = observed.gateway
     assert 0 < gateway.span_reresolves <= slow_to_cached[0]
+
+
+@pytest.mark.parametrize("observer", ["none", "recorder", "tap"])
+@pytest.mark.parametrize("ladder", [True, False], ids=["ladder-on", "ladder-off"])
+def test_interrupted_storm_is_lane_independent(ladder, observer):
+    """The cells that used to pick a different lane: a recorder or a tap
+    installed, a ladder present or not. Per-event and batched replay must
+    agree on every observable and on what the observer saw, line by line."""
+    scenario = _interrupted_storm()
+    trace = scenario.build_trace()
+    config = scenario.farm_config(ladder=ladder)
+    until = scenario.duration + 5.0
+
+    def arm(batched: bool):
+        tapped = []
+
+        def prepare(farm: Honeyfarm) -> None:
+            _register_worms(farm)
+            if observer == "tap":
+                # Every field but packet_id (a process-global counter the
+                # lazy batched arm draws from in a different order).
+                farm.attach_packet_tap(lambda p: tapped.append((
+                    str(p.src), str(p.dst), p.protocol, p.src_port, p.dst_port,
+                    int(p.flags), p.icmp_type, p.payload, p.size, p.ttl,
+                )))
+
+        if observer != "recorder":
+            return _observe(_run_world(config, trace, batched, until, prepare)), tapped
+        with recording(capacity=400_000) as recorder:
+            farm = _run_world(config, trace, batched, until, prepare)
+        return _observe(farm), list(recorder.iter_jsonl())
+
+    reference, reference_seen = arm(batched=False)
+    observed, observed_seen = arm(batched=True)
+
+    assert observed == reference
+    if observer != "none":
+        assert reference_seen, "the observer saw nothing"
+    for line_no, (a, b) in enumerate(zip(reference_seen, observed_seen)):
+        assert a == b, f"{observer} stream diverges at line {line_no}"
+    assert len(observed_seen) == len(reference_seen)
 
 
 # ---------------------------------------------------------------------- #
