@@ -17,11 +17,14 @@ Acceptance (exit 1 on failure):
 
 * **Bit-equality** — every arm's per-shard reports are *identical*,
   field for field: the process layout must never leak into results.
-* **Scaling** — parallel efficiency at the widest arm is at least
-  ``SPEEDUP_EFFICIENCY_FLOOR`` of ideal, where ideal speedup over the
-  one-worker arm is ``min(workers, cpu_count)`` (a single-core CI box
-  cannot scale, so there the gate degenerates to "multiprocess overhead
-  stays bounded", which is exactly what it can still catch).
+* **Scaling** (full mode only) — parallel efficiency at the widest arm
+  is at least ``SPEEDUP_EFFICIENCY_FLOOR`` of ideal, where ideal speedup
+  over the one-worker arm is ``min(workers, cpu_count)`` (a single-core
+  box cannot scale, so there the gate degenerates to "multiprocess
+  overhead stays bounded", which is exactly what it can still catch).
+  ``--smoke`` prints and records the efficiency but does not gate on it:
+  its arms run for well under a second, where process start-up and a
+  busy second CPU decide the ratio, not the code.
 * **Liveness** — the scenario actually exercised the message layer:
   cross-shard messages were sent and received, and global packet
   conservation holds.
@@ -59,11 +62,8 @@ SMOKE_WORKERS = (1, 2)
 
 #: Full-mode acceptance: measured speedup of the widest arm over the
 #: one-worker arm, as a fraction of the ideal speedup
-#: ``min(workers, cpu_count)``.
+#: ``min(workers, cpu_count)``. Smoke mode has no wall-clock gate.
 SPEEDUP_EFFICIENCY_FLOOR = 0.7
-
-#: Smoke-mode floor: looser, sized for CI-runner noise.
-SMOKE_EFFICIENCY_FLOOR = 0.5
 
 
 def federated_scenario(smoke: bool) -> FederationScenario:
@@ -157,11 +157,10 @@ def check_criteria(
         one["wall_seconds"] / wide["wall_seconds"]
         if wide["wall_seconds"] > 0 else 0.0
     )
-    floor = SMOKE_EFFICIENCY_FLOOR if smoke else SPEEDUP_EFFICIENCY_FLOOR
-    if speedup < floor * ideal:
+    if not smoke and speedup < SPEEDUP_EFFICIENCY_FLOOR * ideal:
         failures.append(
             f"{wide['arm']} speedup {speedup:.2f}x over workers=1 is below"
-            f" {floor:.0%} of ideal ({ideal}x on this"
+            f" {SPEEDUP_EFFICIENCY_FLOOR:.0%} of ideal ({ideal}x on this"
             f" {os.cpu_count() or 1}-cpu machine)"
         )
     return failures
@@ -194,9 +193,7 @@ def run_bench(smoke: bool = False) -> Dict[str, Any]:
             "duration_seconds": scenario.duration,
             "latency_seconds": scenario.latency,
             "cpu_count": os.cpu_count(),
-            "efficiency_floor": (
-                SMOKE_EFFICIENCY_FLOOR if smoke else SPEEDUP_EFFICIENCY_FLOOR
-            ),
+            "efficiency_floor": None if smoke else SPEEDUP_EFFICIENCY_FLOOR,
             "ideal_speedup": ideal,
         },
         "arms": {arm["arm"]: arm for arm in arms},
@@ -236,9 +233,10 @@ def main(argv: Optional[List[str]] = None) -> int:
               f" {arm['infections']} infections,"
               f" {arm['intershard_sent']} cross-shard msgs")
     print(f"  bit-identical across arms: {doc['bit_identical']}")
+    floor = config["efficiency_floor"]
     print(f"  speedup (widest vs workers=1): {doc['speedup']}x"
           f" = {doc['speedup_vs_ideal']}x ideal"
-          f" (floor {config['efficiency_floor']:.0%})")
+          f" ({'not gated in smoke mode' if floor is None else f'floor {floor:.0%}'})")
     if doc["failures"]:
         for failure in doc["failures"]:
             print(f"ERROR: {failure}", file=sys.stderr)

@@ -33,13 +33,15 @@ def report_csv(name: str, series, value_label: str = "value") -> None:
 
 
 #: Known conflict, owned by the benchmark-only PR that wraps
-#: ``GuestAddressSpace.write_fresh_run`` in ``benchmarks/e2e/layers.py``.
-#: ``vmm.memory.writes`` counts calls of ``GuestAddressSpace.write``; since
-#: PR 12 a boot dirties its working set in one ``write_fresh_run`` call,
-#: so the count falls below ``vmm.memory.cow_faults`` (which is unchanged)
-#: and this test's ``writes >= cow_faults`` line cannot hold. PR 12 may not
-#: edit ``benchmarks/e2e``. Strict: the marker must go the moment the
-#: benchmark counts bulk writes.
+#: ``GuestAddressSpace.write_run`` in ``benchmarks/e2e/layers.py``.
+#: ``vmm.memory.writes`` counts calls of ``GuestAddressSpace.write``; every
+#: guest write is one ``write_run`` call (PR 12 for the boot working set,
+#: PR 15 for connection pages and worm bodies) and ``write`` takes only the
+#: pages a bulk call stops before, so the count falls below
+#: ``vmm.memory.cow_faults`` (which is unchanged) and this test's
+#: ``writes >= cow_faults`` line cannot hold. Neither PR may edit
+#: ``benchmarks/e2e``. Strict: the marker must go the moment the benchmark
+#: counts bulk writes.
 _WRITES_BELOW_COW_FAULTS = (
     "e2e/tests/test_e2e_benchmark.py"
     "::test_traced_run_prints_every_layer_metric_and_rows_sum_to_root["
@@ -51,7 +53,7 @@ def pytest_collection_modifyitems(items):
         if _WRITES_BELOW_COW_FAULTS in item.nodeid:
             item.add_marker(pytest.mark.xfail(
                 strict=True,
-                reason="vmm.memory.writes does not count write_fresh_run (see CHANGES.md, PR 12)",
+                reason="vmm.memory.writes does not count write_run (see CHANGES.md, PR 12 and PR 15)",
             ))
 
 

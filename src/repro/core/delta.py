@@ -90,17 +90,15 @@ def host_memory_breakdown(host: PhysicalHost) -> MemoryBreakdown:
     image_resident = sum(
         snap.image.page_count for snap in host.snapshots.values() if not snap.image.released
     )
-    private = 0
     full_copy = image_resident
     vms = 0
     for vm in host.vms():
         vms += 1
-        private += vm.private_pages
         full_copy += vm.address_space.page_count
     return MemoryBreakdown(
         capacity=host.memory.capacity_bytes,
         image_resident=image_resident * PAGE_SIZE,
-        private_resident=private * PAGE_SIZE,
+        private_resident=host.memory.private_pages * PAGE_SIZE,
         live_vms=vms,
         full_copy_equivalent=full_copy * PAGE_SIZE,
         sharing_savings=host.memory.sharing_savings_frames * PAGE_SIZE,

@@ -10,7 +10,7 @@ carried separately so byte counters and bandwidth models still work.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntFlag
 from typing import Optional
 
@@ -126,11 +126,18 @@ class Packet:
     def with_destination(self, dst: IPAddress) -> "Packet":
         """Copy of this packet re-addressed to ``dst`` (used by the
         gateway's reflection/proxy containment actions)."""
-        return replace(self, dst=dst, packet_id=next(_packet_ids))
+        return Packet(
+            self.src, dst, self.protocol, self.src_port, self.dst_port,
+            self.flags, self.icmp_type, self.payload, self.size, self.ttl,
+        )
 
     def decremented_ttl(self) -> "Packet":
         """Copy with TTL reduced by one hop."""
-        return replace(self, ttl=self.ttl - 1)
+        return Packet(
+            self.src, self.dst, self.protocol, self.src_port, self.dst_port,
+            self.flags, self.icmp_type, self.payload, self.size, self.ttl - 1,
+            self.packet_id,
+        )
 
     def describe(self) -> str:
         """One-line human-readable rendering for logs and traces."""

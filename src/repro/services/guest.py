@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.addr import IPAddress
 from repro.net.packet import (
@@ -77,11 +77,14 @@ def _worm_body_region(worm_name: str, page_count: int, body_pages: int) -> int:
     Real malware lands at distinctive addresses (its allocation pattern
     is part of its fingerprint); modelling that gives each worm a stable
     per-worm region, which is what lets forensic clustering separate
-    families by page *position* as well as content. The region is kept
-    clear of the low pages where the guest's own working set lives.
+    families by page *position* as well as content. In an image larger
+    than ``1024 + body_pages`` pages the region is kept clear of the low
+    pages where the guest's own working set lives. At or below that size
+    (a 4 MiB image is 1 024 pages) the start is page 1 024 modulo the
+    image size — page 0 of a 4 MiB image — so the body lands on top of
+    the boot working set and the connection region. The position is part
+    of every golden and digest; it stays where it is.
     """
-    import hashlib
-
     low_reserved = 1024  # base working set + connection region live here
     span = max(page_count - low_reserved - body_pages, 1)
     digest = hashlib.sha256(f"body-region:{worm_name}".encode()).digest()
@@ -100,6 +103,12 @@ def _worm_page_content(worm_name: str, index: int) -> int:
     """
     digest = hashlib.sha256(f"worm-body:{worm_name}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big") | (1 << 63)
+
+
+@lru_cache(maxsize=None)
+def _worm_body_tags(worm_name: str, body_pages: int) -> Tuple[int, ...]:
+    """The content tags of a worm's whole body, in page order."""
+    return tuple(_worm_page_content(worm_name, i) for i in range(body_pages))
 
 
 @dataclass(frozen=True)
@@ -271,34 +280,52 @@ class GuestHost:
                 return False
         return True
 
+    def _write_run(
+        self, page: int, count: int, contents: Optional[Sequence[int]] = None
+    ) -> int:
+        """Write ``count`` consecutive pages from ``page`` on, wrapping
+        at the image end, page ``i`` with ``contents[i]`` (fresh content
+        when ``contents`` is None); returns how many were written.
+
+        Every guest write goes through here: the address space takes as
+        many pages as it can in one call, and the page it stops before —
+        one the pool has no frame for, or whose content needs the
+        single-page lookups — takes :meth:`_write_page` and its OOM
+        handling. Fewer than ``count`` means the next page was dropped
+        and the rest not attempted.
+        """
+        space = self.vm.address_space
+        total = space.page_count
+        done = 0
+        while done < count:
+            at = (page + done) % total
+            chunk = min(count - done, total - at)
+            tags = contents[done:done + chunk] if contents is not None else None
+            written = space.write_run(at, chunk, tags)
+            done += written
+            if written < chunk:
+                content = contents[done] if contents is not None else None
+                if not self._write_page(at + written, content):
+                    break
+                done += 1
+        return done
+
     def _dirty_pages(self, count: int) -> None:
         """Dirty ``count`` distinct fresh pages (sequential cursor).
 
         Used for one-time footprint growth — the base working set — where
         sequential selection makes private-page counts exact: N requested
-        writes dirty exactly min(N, image size) pages. Clean pages go down
-        as runs; a page that is already private, or that the pool has no
-        frame for, takes the single-page path and its OOM handling.
+        writes dirty exactly min(N, image size) pages.
         """
-        space = self.vm.address_space
-        total = space.page_count
-        while count > 0:
-            page = self._page_cursor % total
-            written = space.write_fresh_run(page, count)
-            self._page_cursor += written or 1
-            count -= written or 1
-            if not written and not self._write_page(page):
-                return
+        written = self._write_run(self._page_cursor, count)
+        self._page_cursor += min(written + 1, count)  # past a dropped page too
 
     def _write_worm_body(self, worm_name: str, body_pages: int) -> None:
         """Install the worm in memory: its own region, its own content —
         both deterministic per worm, so captures of the same family are
         position- and content-identical across VMs."""
-        total = self.vm.address_space.page_count
-        base = _worm_body_region(worm_name, total, body_pages)
-        for i in range(body_pages):
-            if not self._write_page((base + i) % total, _worm_page_content(worm_name, i)):
-                return
+        base = _worm_body_region(worm_name, self.vm.address_space.page_count, body_pages)
+        self._write_run(base, body_pages, _worm_body_tags(worm_name, body_pages))
 
     def _write_connection_to_disk(self) -> None:
         """Log-style disk writes for one connection, cycling within the
@@ -340,11 +367,14 @@ class GuestHost:
             # Reserve the region right after wherever the cursor is now.
             self._conn_region_start = self._page_cursor % total
             self._page_cursor += cap
-        for __ in range(count):
-            page = (self._conn_region_start + self._conn_cursor % cap) % total
-            self._conn_cursor += 1
-            if not self._write_page(page):
+        while count > 0:
+            offset = self._conn_cursor % cap
+            chunk = min(count, cap - offset)  # the region cycles at its cap
+            written = self._write_run(self._conn_region_start + offset, chunk)
+            self._conn_cursor += min(written + 1, chunk)
+            if written < chunk:
                 return
+            count -= chunk
 
     def _touch_working_set(self) -> None:
         if not self._touched:

@@ -12,15 +12,25 @@ A clone's address space is a **base + runs + overlay**:
 * the *base* is an immutable :class:`ReferenceImage` whose frames were
   allocated once, when the reference snapshot was taken;
 * a *run* is an extent ``(first page, count, first tag)`` of consecutive
-  pages dirtied in one call with freshly generated content — the boot
-  working set. Page ``i`` of a run reads ``first tag + i``; each page is
-  one frame that only its owner references, so writing and freeing a
-  run costs one allocator call and one bump per counter, whatever its
-  length (:meth:`GuestAddressSpace.write_fresh_run`);
+  clean pages dirtied in one call with freshly generated content — the
+  boot working set, a connection's buffers. Page ``i`` of a run reads
+  ``first tag + i``; each page is one frame that only its owner
+  references, so writing and freeing a run costs one allocator call and
+  one bump per counter, whatever its length;
 * the *overlay* is a per-VM dict mapping page number → content tag,
-  populated on first write to each single page (the CoW fault) and
-  whenever content is pinned. Writing into a run splits the run around
-  the page and moves that page here.
+  holding every other private page: pinned content (a worm body) and
+  rewrites. Writing into a run splits the run around the pages written
+  and moves those pages here.
+
+Every guest write is one :meth:`GuestAddressSpace.write_run` call. It
+walks the range as segments — pages inside one run, clean pages, pages
+already in the overlay — and does each segment's ledger work once: one
+splice of the run list, one allocator call, one bump per counter, and
+per page only the store lookup and the refcount update.
+:meth:`GuestAddressSpace.write` is the single-page primitive that
+defines what a bulk write means; ``write_run`` stops before any page it
+cannot treat exactly as ``write`` would (an exhausted pool, content that
+may live in another guest's run) and the caller falls back to it.
 
 This makes clone creation O(1) in pages — exactly the property that makes
 flash cloning fast in the real system, where only page tables are touched
@@ -61,7 +71,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import chain
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "PAGE_SIZE",
@@ -117,9 +127,10 @@ class _SharedEntry:
 
     __slots__ = ("refs", "holders")
 
-    def __init__(self) -> None:
-        self.refs = 0
-        self.holders: Dict["GuestAddressSpace", int] = {}
+    def __init__(self, space: "GuestAddressSpace") -> None:
+        """A frame that one page of ``space`` maps."""
+        self.refs = 1
+        self.holders: Dict["GuestAddressSpace", int] = {space: 1}
 
 
 class _Run:
@@ -147,9 +158,9 @@ class SharedFrameStore:
     sight of that content) or bumps the refcount of the existing frame
     (a *hit* — the sharing win). Releasing drops the refcount and frees
     the frame when it reaches zero. Runs of fresh pages are kept whole
-    (:meth:`add_run` / :meth:`drop_run`): one reference and one frame per
-    page, with no per-page entry until a page is rewritten or its tag is
-    pinned somewhere else.
+    (:meth:`add_run` / :meth:`release_all`): one reference and one frame
+    per page, with no per-page entry until a page is rewritten or its tag
+    is pinned somewhere else.
 
     Invariants (checked by :meth:`audit` and the hypothesis ledger test):
 
@@ -236,27 +247,20 @@ class SharedFrameStore:
         space._exclusive_frames += count
         return run
 
-    def drop_run(self, run: _Run) -> None:
-        """Free every frame of ``run`` (its owner is being destroyed)."""
-        del self._runs[self._run_position(run.tag)]
-        self._run_frames -= run.count
-        self.total_refs -= run.count
-        run.space._exclusive_frames -= run.count
-        self.memory._free_private(run.count)
-
-    def replace_run(self, run: _Run, pieces: List[_Run], carved_tag: int) -> None:
-        """The page holding ``carved_tag`` leaves ``run`` for an entry of
-        its own and ``pieces`` — what is left of the run, in tag order,
-        ``run`` itself being the first if it keeps a head — take the
-        run's place in the index. The frame, its reference and its
-        exclusivity carry over."""
+    def replace_run(self, run: _Run, pieces: List[_Run], carved: int) -> None:
+        """``carved`` pages leave ``run`` and ``pieces`` — what is left of
+        the run, in tag order, ``run`` itself being the first if it keeps
+        a head — take the run's place in the index. The carved pages keep
+        their frames, references and exclusivity; the caller gives each
+        an entry (:meth:`adopt`, or one under a new tag: :meth:`retag_run`)."""
         i = self._run_position(run.tag)
         self._runs[i:i + 1] = pieces
-        self._run_frames -= 1
-        entry = _SharedEntry()
-        entry.refs = 1
-        entry.holders[run.space] = 1
-        self._entries[carved_tag] = entry
+        self._run_frames -= carved
+
+    def adopt(self, space: "GuestAddressSpace", tag: int) -> None:
+        """Give a page just carved out of one of ``space``'s runs the
+        entry of its own that the single-page paths act on."""
+        self._entries[tag] = _SharedEntry(space)
 
     def _resident(self, tag: int) -> Optional[_SharedEntry]:
         """The entry holding ``tag``, carving it out of a live run first
@@ -265,13 +269,47 @@ class SharedFrameStore:
         if entry is None:
             run = self._run_holding(tag)
             if run is not None:
-                run.space._carve(run, tag - run.tag)
+                run.space._carve_page(run, tag - run.tag)
                 entry = self._entries[tag]
         return entry
 
     # ------------------------------------------------------------------ #
     # Mutation — O(1), or one bisect when a tag may live in a run
     # ------------------------------------------------------------------ #
+
+    def _attach(self, entry: _SharedEntry, space: "GuestAddressSpace") -> None:
+        """One more page of ``space`` maps ``entry``'s frame (a hit)."""
+        holders = entry.holders
+        held = holders.get(space, 0)
+        if not held and len(holders) == 1:
+            # The sole current holder is gaining a co-sharer.
+            next(iter(holders))._exclusive_frames -= 1
+        holders[space] = held + 1
+        if entry.refs == 1:
+            self.shared_frames += 1
+        entry.refs += 1
+
+    def _detach(self, tag: int, space: "GuestAddressSpace") -> bool:
+        """One page of ``space`` stops mapping ``tag``'s frame; True if
+        that was the last reference anywhere (the entry is gone and the
+        caller returns the frame to the pool)."""
+        entry = self._entries[tag]
+        entry.refs -= 1
+        if not entry.refs:
+            del self._entries[tag]
+            return True
+        if entry.refs == 1:
+            self.shared_frames -= 1
+        holders = entry.holders
+        held = holders[space]
+        if held == 1:
+            del holders[space]
+            if len(holders) == 1:
+                # Down to one surviving holder: it owns the frame now.
+                next(iter(holders))._exclusive_frames += 1
+        else:
+            holders[space] = held - 1
+        return False
 
     def intern(self, space: "GuestAddressSpace", tag: int) -> None:
         """Map one page of ``space`` to the frame holding ``tag``,
@@ -283,42 +321,20 @@ class SharedFrameStore:
         entry = self._resident(tag)
         if entry is None:
             self.memory._allocate_private(1)  # may raise; nothing mutated yet
-            entry = _SharedEntry()
-            self._entries[tag] = entry
+            self._entries[tag] = _SharedEntry(space)
             space._exclusive_frames += 1
         else:
             self.attach_hits += 1
-            holders = entry.holders
-            if len(holders) == 1 and space not in holders:
-                # The sole current holder is gaining a co-sharer.
-                next(iter(holders))._exclusive_frames -= 1
-            if entry.refs == 1:
-                self.shared_frames += 1
-        entry.refs += 1
-        entry.holders[space] = entry.holders.get(space, 0) + 1
+            self._attach(entry, space)
         self.total_refs += 1
 
     def release(self, space: "GuestAddressSpace", tag: int) -> None:
         """Drop one of ``space``'s references to ``tag``, freeing the
         frame when the last reference anywhere goes."""
-        entry = self._entries[tag]
-        holders = entry.holders
-        count = holders[space]
-        entry.refs -= 1
         self.total_refs -= 1
-        if entry.refs == 1:
-            self.shared_frames -= 1
-        if count == 1:
-            del holders[space]
-            if not holders:
-                del self._entries[tag]
-                self.memory._free_private(1)
-                space._exclusive_frames -= 1
-            elif len(holders) == 1:
-                # Down to one surviving holder: it owns the frame now.
-                next(iter(holders))._exclusive_frames += 1
-        else:
-            holders[space] = count - 1
+        if self._detach(tag, space):
+            self.memory._free_private(1)
+            space._exclusive_frames -= 1
 
     def exchange(self, space: "GuestAddressSpace", old_tag: int, new_tag: int) -> None:
         """Rewrite one of ``space``'s pages from ``old_tag`` to
@@ -340,6 +356,110 @@ class SharedFrameStore:
             return
         self.intern(space, new_tag)  # may raise; old mapping still intact
         self.release(space, old_tag)
+
+    # ------------------------------------------------------------------ #
+    # Bulk mutation — the segments of GuestAddressSpace.write_run. Each
+    # equals the single-page calls it names, page by page in order. The
+    # allocator is called once per segment because every ledger move of
+    # the segment goes the same way, so the peak is the per-page one.
+    # ------------------------------------------------------------------ #
+
+    def bulk_prefix(self, count: int, contents: Optional[Sequence[int]]) -> int:
+        """How many of ``count`` pages the bulk paths below may take: up
+        to the first whose tag could live in a run (pinned below the
+        fresh-tag counter) or, for fresh content, is pinned already."""
+        if contents is None:
+            tags = range(_fresh_tags.next, _fresh_tags.next + count)
+            if self._entries.keys().isdisjoint(tags):
+                return count
+            return next(i for i, tag in enumerate(tags) if tag in self._entries)
+        issued = _fresh_tags.next
+        if not count or min(contents) >= issued:
+            return count
+        return next(i for i, tag in enumerate(contents) if tag < issued)
+
+    def intern_run(self, space: "GuestAddressSpace", tags: Sequence[int]) -> int:
+        """:meth:`intern` each of ``tags`` for a clean page of ``space``;
+        stops before the first miss the pool has no frame for and
+        returns how many were interned."""
+        entries = self._entries
+        free = self.memory.free_frames
+        done = misses = 0
+        for tag in tags:
+            entry = entries.get(tag)
+            if entry is not None:
+                self._attach(entry, space)
+            elif misses < free:
+                entries[tag] = _SharedEntry(space)
+                misses += 1
+            else:
+                break
+            done += 1
+        self.attach_hits += done - misses
+        self.total_refs += done
+        space._exclusive_frames += misses
+        self.memory._allocate_private(misses)
+        return done
+
+    def retag_run(self, space: "GuestAddressSpace", tags: Sequence[int]) -> None:
+        """Pages of ``space`` just carved out of a run are rewritten to
+        ``tags`` — :meth:`adopt` then :meth:`exchange`, per page. A miss
+        re-keys the page's own frame; a hit shares the resident frame
+        and frees the page's own."""
+        entries = self._entries
+        hits = 0
+        for tag in tags:
+            entry = entries.get(tag)
+            if entry is None:
+                entries[tag] = _SharedEntry(space)
+            else:
+                self._attach(entry, space)
+                hits += 1
+        self.frames_recycled += len(tags) - hits
+        self.attach_hits += hits
+        space._exclusive_frames -= hits
+        self.memory._free_private(hits)
+
+    def exchange_run(
+        self, space: "GuestAddressSpace", old_tags: Sequence[int], new_tags: Sequence[int]
+    ) -> int:
+        """:meth:`exchange` pairwise; stops before the first pair that
+        would raise and returns how many were exchanged. Sole-owner
+        rewrites to new content re-key in place; the rest, whose ledger
+        moves go both ways, take :meth:`exchange` itself."""
+        entries = self._entries
+        done = recycled = 0
+        for old, new in zip(old_tags, new_tags):
+            if old != new:
+                miss = new not in entries
+                if miss and entries[old].refs == 1:
+                    entries[new] = entries.pop(old)
+                    recycled += 1
+                elif miss and not self.memory.free_frames:
+                    break
+                else:
+                    self.exchange(space, old, new)
+            done += 1
+        self.frames_recycled += recycled
+        return done
+
+    def release_all(self, space: "GuestAddressSpace") -> int:
+        """Drop every reference ``space`` holds — its runs whole, one
+        :meth:`release` per overlay page — and return the frames nobody
+        else maps to the pool in one call; returns how many."""
+        freed = 0
+        for run in space._runs:
+            del self._runs[self._run_position(run.tag)]
+            freed += run.count
+        self._run_frames -= freed
+        self.total_refs -= freed + len(space._overlay)
+        detach = self._detach
+        for tag in space._overlay.values():
+            if detach(tag, space):
+                freed += 1
+        space._exclusive_frames -= freed
+        self.memory._free_private(freed)
+        return freed
 
     # ------------------------------------------------------------------ #
     # Verification (tests and the sweep's ledger check)
@@ -438,6 +558,12 @@ class MachineMemory:
     @property
     def free_frames(self) -> int:
         return self.capacity_frames - self.allocated_frames
+
+    @property
+    def private_pages(self) -> int:
+        """Pages the host's live address spaces have dirtied, summed —
+        what the private frames would number without content sharing."""
+        return self.sharing.total_refs if self.sharing is not None else self.private_frames
 
     @property
     def shared_frames(self) -> int:
@@ -669,24 +795,33 @@ class GuestAddressSpace:
                 return run
         return None
 
-    def _carve(self, run: _Run, offset: int) -> int:
-        """Move the page at ``offset`` of ``run`` to the per-page overlay,
-        splitting the run around it, so the single-page paths can act on
-        it; returns the page's tag. The page keeps its frame: no ledger
-        moves and nothing a guest can observe changes."""
-        page = run.page + offset
-        tag = run.tag + offset
-        after = run.count - offset - 1
+    def _carve(self, run: _Run, offset: int, count: int) -> None:
+        """Take the ``count`` pages from ``offset`` on out of ``run``,
+        splitting the run around them. The pages keep their frames: no
+        ledger moves, and the caller gives each a slot in the overlay
+        (and, under sharing, an entry in the store)."""
+        after = run.count - offset - count
         pieces = []
-        if offset:
-            run.count = offset  # the pages before the carved one stay in place
-            pieces.append(run)
         if after:
-            pieces.append(_Run(self, page + 1, after, tag + 1))
+            beyond = offset + count
+            pieces.append(_Run(self, run.page + beyond, after, run.tag + beyond))
+        if offset:
+            run.count = offset  # the pages before the carved ones stay in place
+            pieces.insert(0, run)
         i = self._runs.index(run)
         self._runs[i:i + 1] = pieces
         if self._store is not None:
-            self._store.replace_run(run, pieces, tag)
+            self._store.replace_run(run, pieces, count)
+
+    def _carve_page(self, run: _Run, offset: int) -> int:
+        """Move the page at ``offset`` of ``run`` to the per-page overlay
+        so the single-page paths can act on it; returns the page's tag.
+        Nothing a guest can observe changes."""
+        page = run.page + offset
+        tag = run.tag + offset
+        self._carve(run, offset, 1)
+        if self._store is not None:
+            self._store.adopt(self, tag)
         self._overlay[page] = tag
         return tag
 
@@ -709,7 +844,7 @@ class GuestAddressSpace:
         if old is None:
             run = self._run_at(page)
             if run is not None:
-                old = self._carve(run, page - run.page)
+                old = self._carve_page(run, page - run.page)
         if old is not None:
             if store is not None:
                 store.exchange(self, old, tag)
@@ -722,44 +857,93 @@ class GuestAddressSpace:
         self._overlay[page] = tag
         return tag
 
-    def write_fresh_run(self, page: int, count: int) -> int:
-        """Dirty up to ``count`` clean pages from ``page`` on with freshly
-        generated content, as one run; returns how many were written.
+    def write_run(
+        self, page: int, count: int, contents: Optional[Sequence[int]] = None
+    ) -> int:
+        """Dirty up to ``count`` pages from ``page`` on; returns how many
+        were written.
 
-        Equivalent to that many ``write(page + i)`` calls, at the cost of
-        one. The run stops at the image end, at the first page that is
-        already private and at the last free frame; 0 means the page at
-        ``page`` needs :meth:`write` (a rewrite, or an exhausted pool
-        whose failure the caller must see). O(1) for a guest with no
-        private pages (a boot); otherwise finding where to stop costs up
-        to ``count`` overlay probes plus a pass over this guest's runs.
+        Equivalent to ``write(page + i, contents[i] if contents else
+        None)`` for every ``i`` below the returned number, at the cost of
+        one call: the range is walked as segments — pages inside one
+        run, clean pages, pages already in the overlay — and each
+        segment's ledger work is done once. Fresh content (``contents``
+        None) on clean pages is recorded as a run, O(1) whatever its
+        length. The run stops *before* a page whose single write would
+        raise (the pool is exhausted) or whose tag needs the single-page
+        lookups (:meth:`SharedFrameStore.bulk_prefix`); the caller sends
+        that page through :meth:`write` and sees what it does.
         """
         self._check_alive()
-        if self.is_private(page):
-            return 0
-        count = min(count, self.image.page_count - page, self.memory.free_frames)
-        for run in self._runs:
-            if page < run.page < page + count:
-                count = run.page - page
-        if self._overlay:
-            count = next((i for i in range(1, count) if page + i in self._overlay), count)
-        tag = _fresh_tags.next
-        store = self._store
-        if store is not None and not store._entries.keys().isdisjoint(range(tag, tag + count)):
-            # Content pinned ahead of the counter: the page that draws
-            # that tag shares the pinned frame, so the run stops short.
-            count = next(i for i in range(count) if tag + i in store._entries)
+        self.image._check_page(page)
         if count <= 0:
             return 0
-        _fresh_tags.take(count)
+        self.image._check_page(page + count - 1)
+        if contents is not None and len(contents) != count:
+            raise ValueError(f"{len(contents)} content tags for {count} pages")
+        store = self._store
+        memory = self.memory
+        overlay = self._overlay
         if store is not None:
-            run = store.add_run(self, page, count, tag)
-        else:
-            self.memory._allocate_private(count)
-            run = _Run(self, page, count, tag)
-        self._runs.append(run)
-        self.cow_faults += count
-        return count
+            count = store.bulk_prefix(count, contents)
+        done = 0
+        while done < count:
+            at = page + done
+            run, length = self._segment_at(at, count - done)
+            private = run is not None or at in overlay
+            if contents is None:
+                tags: Sequence[int] = range(_fresh_tags.next, _fresh_tags.next + length)
+            else:
+                tags = contents[done:done + length]
+            wrote = length
+            if run is not None:
+                self._carve(run, at - run.page, length)
+                if store is not None:
+                    store.retag_run(self, tags)
+            elif private:
+                if store is not None:
+                    olds = [overlay[p] for p in range(at, at + length)]
+                    wrote = store.exchange_run(self, olds, tags)
+            elif contents is None:
+                # Fresh content on clean pages stays one extent.
+                wrote = min(length, memory.free_frames)
+                if wrote and store is not None:
+                    self._runs.append(store.add_run(self, at, wrote, tags[0]))
+                elif wrote:
+                    memory._allocate_private(wrote)
+                    self._runs.append(_Run(self, at, wrote, tags[0]))
+            elif store is not None:
+                wrote = store.intern_run(self, tags)
+            else:
+                wrote = min(length, memory.free_frames)
+                memory._allocate_private(wrote)
+            if contents is None:
+                _fresh_tags.take(wrote)
+            if private or contents is not None:
+                overlay.update(zip(range(at, at + wrote), tags))
+            if not private:
+                self.cow_faults += wrote
+            done += wrote
+            if wrote < length:
+                break
+        return done
+
+    def _segment_at(self, page: int, limit: int) -> Tuple[Optional[_Run], int]:
+        """The longest stretch of at most ``limit`` pages from ``page`` on
+        that are all of one kind — inside one run (returned with it), in
+        the overlay, or clean."""
+        overlay = self._overlay
+        if page in overlay:
+            return None, next((i for i in range(1, limit) if page + i not in overlay), limit)
+        for run in self._runs:
+            ahead = run.page - page
+            if -run.count < ahead <= 0:
+                return run, min(limit, ahead + run.count)
+            if 0 < ahead < limit:
+                limit = ahead
+        if overlay:
+            limit = next((i for i in range(1, limit) if page + i in overlay), limit)
+        return None, limit
 
     def private_page_contents(self) -> Iterator[Tuple[int, int]]:
         """Iterate (page number, content tag) over the private pages."""
@@ -823,14 +1007,8 @@ class GuestAddressSpace:
         """
         if self.destroyed:
             return 0
-        store = self._store
-        if store is not None:
-            before = self.memory.allocated_frames
-            for run in self._runs:
-                store.drop_run(run)
-            for tag in self._overlay.values():
-                store.release(self, tag)
-            freed = before - self.memory.allocated_frames
+        if self._store is not None:
+            freed = self._store.release_all(self)
         else:
             freed = self.private_pages
             self.memory._free_private(freed)

@@ -4,8 +4,8 @@ Stands in for ``benchmarks/e2e/tests/test_e2e_benchmark.py::
 test_traced_run_prints_every_layer_metric_and_rows_sum_to_root``, which
 ``benchmarks/conftest.py`` marks as a strict expected failure: it asserts
 ``vmm.memory.writes >= vmm.memory.cow_faults``, and the benchmark counts
-only ``GuestAddressSpace.write`` calls while a boot's pages now go down
-in one ``write_fresh_run`` call. Everything else that test checks is
+only ``GuestAddressSpace.write`` calls while a guest's pages now go down
+in bulk ``write_run`` calls. Everything else that test checks is
 checked here, so none of it goes unwatched in the meantime. Delete this
 file together with that marker once the benchmark counts bulk writes.
 """

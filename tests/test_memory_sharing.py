@@ -264,7 +264,7 @@ class _World:
             _, idx, page, count = op
             space = self.spaces.get(idx)
             if space is not None:
-                return space.write_fresh_run(page, count)
+                return space.write_run(page, min(count, PAGES - page))
         else:
             _, idx, page, tag = op
             space = self.spaces.get(idx)

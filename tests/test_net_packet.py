@@ -1,5 +1,7 @@
 """Unit tests for packet records."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.net.addr import IPAddress
@@ -91,13 +93,14 @@ class TestPacketTransforms:
         other = IPAddress.parse("10.16.0.99")
         q = p.with_destination(other)
         assert q.dst == other
-        assert q.src == p.src
-        assert q.payload == p.payload
         assert q.packet_id != p.packet_id  # a new packet, not an alias
+        assert replace(q, dst=p.dst, packet_id=p.packet_id) == p
 
     def test_decremented_ttl(self):
-        p = tcp_packet(SRC, DST, 1, 2)
-        assert p.decremented_ttl().ttl == p.ttl - 1
+        p = tcp_packet(SRC, DST, 1, 2, flags=TcpFlags.PSH | TcpFlags.ACK, payload="x", size=99)
+        q = p.decremented_ttl()
+        assert q.ttl == p.ttl - 1
+        assert replace(q, ttl=p.ttl) == p  # same packet (and id), one hop on
 
     def test_describe_formats(self):
         assert "TCP" in tcp_packet(SRC, DST, 1, 80).describe()
