@@ -1,4 +1,7 @@
-"""The dedicated-honeypot baseline: one booted VM per address.
+"""The clone-mode baselines: the standard farm with flash cloning or
+delta virtualization taken away.
+
+**Dedicated** (``clone_mode="boot"``): one booted VM per address.
 
 Before flash cloning, backing an address with a high-fidelity honeypot
 meant booting a whole VM for it and keeping its full memory resident.
@@ -16,6 +19,13 @@ Two effects the experiments surface:
 * **Memory** — each VM charges its full image, so a 2 GiB host holds
   ~15 concurrent 128 MiB honeypots versus hundreds under delta
   virtualization.
+
+**Full copy** (``clone_mode="full-copy"``, the A-ABL1 ablation): a new VM
+still skips the guest boot (it is forked from the reference snapshot),
+but its memory is eagerly copied rather than CoW-shared. Isolates the two
+halves of the paper's scalability claim — latency (flash cloning) and
+memory (delta virtualization) — by keeping the first and removing the
+second.
 """
 
 from __future__ import annotations
@@ -23,12 +33,17 @@ from __future__ import annotations
 from repro.core.config import HoneyfarmConfig
 from repro.core.honeyfarm import Honeyfarm
 
-__all__ = ["dedicated_farm", "dedicated_vms_per_host"]
+__all__ = ["dedicated_farm", "dedicated_vms_per_host", "full_copy_farm"]
 
 
 def dedicated_farm(config: HoneyfarmConfig) -> Honeyfarm:
     """A farm whose VMs are cold-booted with private memory images."""
     return Honeyfarm(config.with_overrides(clone_mode="boot"))
+
+
+def full_copy_farm(config: HoneyfarmConfig) -> Honeyfarm:
+    """A farm that clones by copying the entire memory image."""
+    return Honeyfarm(config.with_overrides(clone_mode="full-copy"))
 
 
 def dedicated_vms_per_host(

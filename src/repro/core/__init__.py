@@ -16,60 +16,3 @@ The pieces map one-to-one onto the architecture in the paper:
   guests, and policies into a runnable farm.
 * :mod:`repro.core.config` — one declarative configuration object.
 """
-
-from repro.core.config import HoneyfarmConfig
-from repro.core.containment import (
-    AllowDnsPolicy,
-    CompositePolicy,
-    ContainmentAction,
-    ContainmentPolicy,
-    DropAllPolicy,
-    OpenPolicy,
-    OutboundRateLimiter,
-    ReflectionPolicy,
-    Verdict,
-)
-from repro.core.delta import farm_memory_breakdown, host_memory_breakdown, MemoryBreakdown
-from repro.core.federation import FederatedHoneyfarm
-from repro.core.flash_clone import CloneResult, FlashCloneEngine
-from repro.core.gateway import Gateway
-from repro.core.honeyfarm import Honeyfarm
-from repro.core.placement import (
-    LeastLoadedPlacement,
-    PackingPlacement,
-    PlacementPolicy,
-    RoundRobinPlacement,
-)
-from repro.core.reclamation import (
-    IdleTimeoutPolicy,
-    MemoryPressurePolicy,
-    ReclamationPolicy,
-)
-
-__all__ = [
-    "AllowDnsPolicy",
-    "CloneResult",
-    "CompositePolicy",
-    "ContainmentAction",
-    "ContainmentPolicy",
-    "DropAllPolicy",
-    "FederatedHoneyfarm",
-    "FlashCloneEngine",
-    "Gateway",
-    "Honeyfarm",
-    "HoneyfarmConfig",
-    "IdleTimeoutPolicy",
-    "LeastLoadedPlacement",
-    "MemoryBreakdown",
-    "MemoryPressurePolicy",
-    "OpenPolicy",
-    "PackingPlacement",
-    "PlacementPolicy",
-    "RoundRobinPlacement",
-    "OutboundRateLimiter",
-    "ReclamationPolicy",
-    "ReflectionPolicy",
-    "Verdict",
-    "farm_memory_breakdown",
-    "host_memory_breakdown",
-]

@@ -2,9 +2,10 @@
 
 The honeyfarm invites compromise, so every *honeypot-initiated* packet is
 a potential attack on a third party and must pass a policy check at the
-gateway. (Replies on externally-initiated flows are exempt — answering
-your scanner is the whole point — and the gateway enforces that
-distinction, not this module.)
+gateway. Replies on externally-initiated flows are exempt — answering
+your scanner is the whole point — and :func:`honeypot_initiated` is the
+one statement of that distinction; every emission path of the gateway
+(VM, emulator tier, span lane) asks it.
 
 The paper frames containment as a fidelity dial. This module implements
 the points on that dial it discusses:
@@ -32,11 +33,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.net.addr import AddressSpaceInventory, IPAddress
 from repro.net.packet import PROTO_UDP, Packet
 from repro.vmm.vm import VirtualMachine
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.net.flow import FlowRecord
 
 __all__ = [
     "ContainmentAction",
@@ -49,8 +53,17 @@ __all__ = [
     "CompositePolicy",
     "OutboundRateLimiter",
     "ReflectionNat",
+    "honeypot_initiated",
     "make_policy",
 ]
+
+
+def honeypot_initiated(record: "FlowRecord", created: bool, source: IPAddress) -> bool:
+    """Whether a packet the honeypot at ``source`` emits on the flow
+    ``record`` faces the containment policy, or is a reply that always
+    goes out. ``created`` says the emission itself opened the flow. It is
+    not implied by the initiator test: a guest may forge its source."""
+    return created or record.initiator.value == source.value
 
 
 class ContainmentAction(enum.Enum):

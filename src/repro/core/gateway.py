@@ -37,44 +37,26 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Tupl
 from repro.core.containment import (
     ContainmentAction,
     ContainmentPolicy,
-    DropAllPolicy,
-    OutboundRateLimiter,
     ReflectionNat,
+    honeypot_initiated,
 )
+from repro.fidelity.ladder import FidelityLadder
+from repro.fidelity.span import SpanLane
 from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
-from repro.net.flow import FlowKey, FlowRecord, FlowTable
+from repro.net.flow import FlowRecord, FlowTable
 from repro.net.gre import GrePacket, GreTunnel, decapsulate, encapsulate
 from repro.net.link import Link
-from repro.net.packet import PROTO_ICMP, Packet
+from repro.net.packet import Packet
 from repro.obs import recorder as _obs
 from repro.services.dns import DnsServer
 from repro.sim.engine import Event, Simulator
 from repro.sim.metrics import MetricRegistry
 from repro.vmm.vm import VirtualMachine, VMState
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.fidelity.ladder import FidelityLadder
+if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.sim.batch import PacketColumns
 
 __all__ = ["Gateway", "HoneyfarmBackend"]
-
-
-def _parse_addr(text: str, _cls=IPAddress, _new=object.__new__, _set=object.__setattr__) -> IPAddress:
-    """Strict dotted-quad parse with :meth:`IPAddress.parse`'s exact
-    accept/reject set, unrolled for the span lane's once-per-address cost
-    (``parse``'s generic loop is ~2x slower and runs ~10^5 times per
-    large replay)."""
-    a, b, c, d = text.split(".")
-    if a.isdigit() and b.isdigit() and c.isdigit() and d.isdigit():
-        a = int(a)
-        b = int(b)
-        c = int(c)
-        d = int(d)
-        if a < 256 and b < 256 and c < 256 and d < 256:
-            addr = _new(_cls)
-            _set(addr, "value", a << 24 | b << 16 | c << 8 | d)
-            return addr
-    raise ValueError(f"malformed IPv4 address: {text!r}")
 
 
 class HoneyfarmBackend(Protocol):
@@ -138,7 +120,7 @@ class Gateway:
         # Fidelity ladder (attached by the farm when the ladder config
         # block is enabled): consulted for cold addresses before a clone
         # is dispatched, and handed the replay when the clone is ready.
-        self.ladder: Optional["FidelityLadder"] = None
+        self.ladder: Optional[FidelityLadder] = None
         # Deception reply-timing jitter (attached by the farm when the
         # deception config block is enabled): maps a honeypot source
         # address to its fixed egress delay. None keeps the zero-cost
@@ -171,21 +153,10 @@ class Gateway:
         self._tunnel_ends: List[int] = []
         self._tunnel_range_keys: List[int] = []
 
-        # Span-lane state (see dispatch_span): a persistent cache of
-        # resolved fast-path flows keyed by arrival 5-tuple. An entry is
-        # valid while its destination's emulated session keeps the
-        # generation the entry was resolved under.
-        self._span_cache: Dict[Tuple[str, int, str, int, int], list] = {}
-        self._span_classes: Dict[Tuple[int, int, int, int], Tuple] = {}
-        self._span_ports: Dict[int, frozenset] = {}
-        self._span_sup: Optional[Tuple[float, float]] = None
-        self._span_sup_for: Optional[object] = None
-        self._span_catalog = None
-        self._span_droppall = False
-        self._span_personality = None
-        self._span_session_cls = None
-        self._span_state_cls = None
-        #: ``_span_resolve`` calls, and how many of them were for a key
+        # The span lane (see dispatch_span), built on first use and
+        # rebuilt when what it was resolved under is replaced.
+        self._span_lane: Optional[SpanLane] = None
+        #: Span-lane flow resolves, and how many of them were for a key
         #: that already had a cache entry. Plain ints, not metrics
         #: counters: they describe the lane, not the simulated outcome.
         self.span_resolves = 0
@@ -340,49 +311,16 @@ class Gateway:
         for k in range(start, end):
             self.process_inbound(packets[k])
 
-    # ------------------------------------------------------------------ #
-    # Span lane (multi-timestamp batched dispatch; see docs/PERFORMANCE.md)
-    # ------------------------------------------------------------------ #
-
     def dispatch_span(self, columns: "PacketColumns", start: int, limit: int) -> int:
         """Consume the longest prefix of ``columns[start:limit]`` that is
         provably equivalent to per-event dispatch, without materializing
-        packets, and return how many arrivals were consumed.
+        packets, and return how many arrivals were consumed (0 when the
+        lane is unavailable; the caller then dispatches per packet).
 
-        The lane handles exactly the storm-dominant case: an emulator-tier
-        packet with an **empty payload** addressed to a cold covered
-        address from an external source, whose reply classification is
-        constant per ``(personality, protocol, dst_port, tcp_flags)``.
-        Everything per-packet is O(1) dict hits on a persistent cache;
-        flow/session/reply bookkeeping is applied with plain arithmetic
-        and counters are flushed in bulk at the end. Any packet outside
-        the proof (payload-carrying, VM-backed or promotable destination,
-        unsupported trigger/policy/route configuration) stops the span;
-        the caller falls back to the exact per-packet lane for it.
-        Returns 0 when the lane is unavailable.
-
-        Correctness rests on three invariants:
-
-        * nothing here schedules events or reads ``sim.now``, so the
-          caller's span bound (next heap event) stays valid throughout;
-        * a cache entry depends only on state of its *destination
-          address*: that no VM is bound there, and which
-          ``EmulatedSession`` the ladder holds for it (every flow of a
-          live session is below the promotion thresholds — the packet
-          that reaches one promotes, which drops the session). Each of
-          those changes bumps that session's ``cache_gen`` in the one
-          place it happens (``FidelityLadder._retire``, which
-          ``_promote`` and ``sweep`` drop sessions through, and
-          :meth:`bind_vm`), the entry's flow record is checked for
-          liveness on every touch, and an entry that fails either check
-          is resolved again exactly as a first packet would be — so
-          traffic to any other address leaves it valid;
-        * bucket placement is deferred to ``FlowTable.expire_idle``'s
-          self-heal (records touched here keep their creation-time
-          bucket), which visits stale-bucketed records no later than
-          their expiry sweep — so expiry timing and counts match the
-          per-event arm exactly.
-        """
+        The lane itself is :class:`repro.fidelity.span.SpanLane`, the
+        emulator tier's bulk path. What stays here is what the gateway
+        owns: the configurations that disqualify the lane outright, and
+        the gateway's own counters."""
         ladder = self.ladder
         if (
             ladder is None
@@ -395,365 +333,22 @@ class Gateway:
             # schedules events, violating the span invariant (fidelity
             # over speed: deception-on runs use the exact lane).
             return 0
-        if self._span_support(ladder) is None:
-            return 0
-
-        times = columns.times
-        keys = columns.keys
-        payloads = columns.payloads
-        sizes = columns.sizes
-        cache = self._span_cache
-        cache_get = cache.get
-        resolve = self._span_resolve
-        idle_timeout = self.flows.idle_timeout
-        buffer_limit = ladder.ladder_config.max_handoff_packets
-        n_replies = n_contained = n_external = n_buffer_dropped = 0
-        n_resolves = n_reresolves = 0
-
-        i = start
-        while i < limit:
-            if payloads[i]:
-                break  # payload advances flow state / may promote: slow path
-            key = keys[i]
-            t = times[i]
-            entry = cache_get(key)
-            if entry is not None:
-                record = entry[1]
-                session = entry[2]
-                if (
-                    session.cache_gen != entry[3]
-                    or record._table is None
-                    or t - record.last_seen > idle_timeout
-                ):
-                    n_reresolves += 1
-                    entry = None
-            if entry is None:
-                n_resolves += 1
-                entry = resolve(columns, i, key, t)
-                if entry is None:
-                    break
-                cache[key] = entry
-                record = entry[1]
-                session = entry[2]
-            kind = entry[0]
-            size = sizes[i]
-            record.last_seen = t
-            session.last_seen = t
-            session.packets_absorbed += 1
-            if buffer_limit > 0:
-                buffered = session.buffered
-                if len(buffered) >= buffer_limit:
-                    del buffered[0]
-                    session.buffer_dropped += 1
-                    n_buffer_dropped += 1
-                buffered.append((columns, i))  # lazy; materialized on promote
-            if kind == 1:  # fixed-size same-protocol reply (SYN/RST ack, banner)
-                record.packets += 2
-                record.bytes += size + entry[5]
-                banner = entry[6]
-                if banner is not None:
-                    session.banner = banner
-                n_replies += 1
-                if entry[7]:
-                    n_contained += 1
-                else:
-                    n_external += 1
-            elif kind == 0:  # silently absorbed, no reply
-                record.packets += 1
-                record.bytes += size
-            elif kind == 3:  # ICMP port-unreachable on its own flow, contained
-                record.packets += 1
-                record.bytes += size
-                icmp_record = entry[4]
-                icmp_record.last_seen = t
-                icmp_record.packets += 1
-                icmp_record.bytes += 56
-                n_replies += 1
-                n_contained += 1
-            else:  # kind == 2: ICMP echo reply mirroring the request size
-                record.packets += 2
-                record.bytes += size + size
-                n_replies += 1
-                if entry[7]:
-                    n_contained += 1
-                else:
-                    n_external += 1
-            i += 1
-
-        self.span_resolves += n_resolves
-        self.span_reresolves += n_reresolves
-        consumed = i - start
+        lane = self._span_lane
+        if lane is None or not lane.serves(ladder, self.policy):
+            lane = self._span_lane = SpanLane(self, ladder)
+        consumed, replies, contained = lane.run(columns, start, limit)
         if consumed:
             self._c_packets_in.increment(consumed)
             self._c_emulated.increment(consumed)
-            if n_replies:
-                self._c_emulated_replies.increment(n_replies)
-            if n_contained:
-                self._c_emulated_contained.increment(n_contained)
-            if n_external:
-                self._c_reply_external.increment(n_external)
-                self._c_external_out.increment(n_external)
-            if n_buffer_dropped:
-                ladder._c_buffer_dropped.increment(n_buffer_dropped)
+            if replies:
+                self._c_emulated_replies.increment(replies)
+            if contained:
+                self._c_emulated_contained.increment(contained)
+            external = replies - contained
+            if external:
+                self._c_reply_external.increment(external)
+                self._c_external_out.increment(external)
         return consumed
-
-    def _span_support(self, ladder: "FidelityLadder") -> Optional[Tuple[float, float]]:
-        """Whether the ladder's trigger stack is one the span lane can
-        evaluate without packets: vuln-probe triggers fold into the class
-        descriptor, payload/depth triggers into two thresholds (``inf``
-        when absent — empty-payload packets never advance either counter,
-        so a below-threshold flow stays below for the whole span).
-        Returns ``(payload_bytes, state_depth)`` thresholds, or None."""
-        if self._span_sup_for is ladder:
-            return self._span_sup
-        # Function-local imports: repro.fidelity pulls in repro.core at
-        # package-import time, so a module-level import here would cycle.
-        from repro.fidelity.emulator import EmulatedSession, FlowState
-        from repro.fidelity.triggers import (
-            PayloadBytesTrigger,
-            StateDepthTrigger,
-            VulnProbeTrigger,
-        )
-
-        self._span_session_cls = EmulatedSession
-        self._span_state_cls = FlowState
-
-        inf = float("inf")
-        byte_threshold = depth_threshold = inf
-        catalog = None
-        supported = True
-        for trigger in ladder.triggers:
-            kind = type(trigger)
-            if kind is VulnProbeTrigger:
-                catalog = trigger.catalog
-            elif kind is PayloadBytesTrigger:
-                byte_threshold = min(byte_threshold, trigger.threshold)
-            elif kind is StateDepthTrigger:
-                depth_threshold = min(depth_threshold, trigger.threshold)
-            else:  # custom trigger: only the real per-packet path is safe
-                supported = False
-                break
-        self._span_sup_for = ladder
-        self._span_cache = {}
-        self._span_classes = {}
-        self._span_ports = {}
-        if supported:
-            self._span_catalog = catalog
-            self._span_droppall = type(self.policy) is DropAllPolicy
-            self._span_sup = (byte_threshold, depth_threshold)
-            # Single-prefix farm without a personality mix: every cold
-            # address resolves to one personality, so hoist the
-            # prefix-lookup + registry chain out of the per-flow path.
-            self._span_personality = None
-            if ladder.config.personality_mix is None:
-                prefixes = list(ladder.inventory.prefixes)
-                if len(prefixes) == 1:
-                    self._span_personality = ladder.registry.get(
-                        ladder.config.personality_for(prefixes[0])
-                    )
-        else:
-            self._span_sup = None
-        return self._span_sup
-
-    def _span_port_set(self, personality) -> frozenset:
-        """The ``(protocol, port)`` endpoints at which ``personality``'s
-        answer to an empty-payload packet can depend on the port: its
-        services and the vuln catalog's endpoints. Every other port is
-        closed and catalog-free, and shares one class per protocol."""
-        ports = {(svc.protocol, svc.port) for svc in personality.services}
-        if self._span_catalog is not None:
-            ports.update(self._span_catalog.endpoints())
-        return frozenset(ports)
-
-    def _span_classify(self, columns: "PacketColumns", i: int, personality) -> Tuple:
-        """Class descriptor ``(kind, reply_size, banner)`` for every
-        empty-payload packet sharing arrival ``i``'s ``(personality,
-        protocol, dst_port, tcp_flags)``: the emulator's reply (and the
-        vuln catalog's verdict) depends only on those fields once the
-        payload is empty, and on the port only where
-        :meth:`_span_port_set` says so. ``kind < 0`` means the class must
-        take the slow path (promotes, multi-reply, or an unmodelled
-        containment case)."""
-        from repro.fidelity.emulator import emulator_replies
-
-        packet = columns.packet_at(i)
-        slow = (-1, 0, None)
-        catalog = self._span_catalog
-        if catalog is not None:
-            vuln = catalog.match(packet)
-            if vuln is not None and vuln.name in personality.vulnerability_names:
-                return slow  # would promote: per-packet path handles it
-        replies = emulator_replies(personality, packet)
-        if not replies:
-            return (0, 0, None)
-        if len(replies) != 1:
-            return slow
-        reply = replies[0]
-        if reply.protocol != packet.protocol:
-            # Protocol-changing reply (ICMP unreachable): it opens its own
-            # flow and faces the containment policy. Only exact drop-all
-            # is modelled as a counter; anything else goes per-packet.
-            if (
-                not self._span_droppall
-                or reply.protocol != PROTO_ICMP
-                or reply.size != 56
-            ):
-                return slow
-            return (3, 56, None)
-        if packet.protocol == PROTO_ICMP:
-            return (2, 0, None)  # echo reply: size mirrors the request
-        payload = reply.payload
-        banner = payload[7:] if payload.startswith("banner:") else None
-        return (1, reply.size, banner)
-
-    def _span_resolve(self, columns: "PacketColumns", i: int, key, t: float):
-        """Build (or rebuild) the span-cache entry for arrival ``key`` —
-        the once-per-flow slow half of the span lane. The caller owns the
-        cache store; re-resolving is idempotent.
-
-        Ordering is load-bearing: every bail-out that sends the packet to
-        the per-packet path happens **before** any flow-record mutation,
-        so the slow path sees exactly the state the per-event arm would
-        have (in particular its ``created`` flag for overflow rollback).
-        Pre-creating the *session* and *flow state* is safe either way:
-        the per-event path would create identical objects at the same
-        timestamp, and the creation counters are incremented exactly once,
-        here."""
-        ladder = self.ladder
-        addr_cache = columns.addr_cache
-        src_s, src_port, dst_s, dst_port, protocol = key
-        dst_addr = addr_cache.get(dst_s)
-        src_addr = addr_cache.get(src_s)
-        try:
-            if dst_addr is None:
-                dst_addr = addr_cache[dst_s] = _parse_addr(dst_s)
-            if src_addr is None:
-                src_addr = addr_cache[src_s] = _parse_addr(src_s)
-        except ValueError:
-            return None  # malformed address: per-event parse raises properly
-        inventory = self.inventory
-        starts = inventory._starts
-        if len(starts) == 1:  # single-prefix farm: hoist covers() to a compare
-            lo = starts[0]
-            hi = inventory._ends[0]
-            if not lo <= dst_addr.value <= hi or lo <= src_addr.value <= hi:
-                return None  # stray, or an internal source: slow path
-        elif not inventory.covers(dst_addr) or inventory.covers(src_addr):
-            return None
-        if self.intershard is not None and self.intershard.is_remote(src_addr):
-            # A sibling shard's address probing this darknet: its replies
-            # must ride the federation message layer, never the span
-            # lane's counter-only absorption.
-            return None
-        vm_map = self.vm_map
-        if vm_map and vm_map.get(dst_addr) is not None:
-            return None  # VM-backed address: clone/deliver path
-        session = ladder.sessions.get(dst_addr)
-        if session is not None:
-            personality = session.personality
-        else:
-            personality = self._span_personality
-            if personality is None:
-                prefix = ladder.inventory.lookup(dst_addr)
-                personality = ladder.registry.get(
-                    ladder.config.personality_for_address(prefix, dst_addr)
-                )
-        pid = id(personality)
-        ports = self._span_ports.get(pid)
-        if ports is None:
-            ports = self._span_ports[pid] = self._span_port_set(personality)
-        class_key = (
-            pid,
-            protocol,
-            dst_port if (protocol, dst_port) in ports else 0,
-            columns.records[i].tcp_flags,
-        )
-        cls = self._span_classes.get(class_key)
-        if cls is None:
-            cls = self._span_classes[class_key] = self._span_classify(
-                columns, i, personality
-            )
-        kind = cls[0]
-        if kind < 0:
-            return None
-        # Canonical flow key: exactly FlowKey.from_packet's ordering,
-        # spelled with scalar compares.
-        sv = src_addr.value
-        dv = dst_addr.value
-        if sv < dv or (sv == dv and src_port <= dst_port):
-            flow_key = FlowKey(src_addr, src_port, dst_addr, dst_port, protocol)
-        else:
-            flow_key = FlowKey(dst_addr, dst_port, src_addr, src_port, protocol)
-        state = session.flows.get(flow_key) if session is not None else None
-        if state is not None:
-            byte_threshold, depth_threshold = self._span_sup
-            if (
-                state.payload_bytes >= byte_threshold
-                or state.exchanges >= depth_threshold
-            ):
-                return None  # next packet promotes: per-packet path
-        flows = self.flows
-        record = flows.live_record(flow_key, t)
-        contained = False
-        if record is None:
-            record = flows.create(flow_key, src_addr, t)
-        elif kind in (1, 2) and record.initiator.value == dv:
-            # The reply rides a flow the farm side initiated: per-event
-            # routing consults the policy. Drop-all (the only policy this
-            # lane supports beyond reply routing) contains it.
-            if not self._span_droppall:
-                return None
-            contained = True
-        if session is None:
-            # Field-by-field EmulatedSession.__init__, sans the call: this
-            # is the hottest allocation in a cold-storm span.
-            session = object.__new__(self._span_session_cls)
-            session.personality = personality
-            session.created_at = t
-            session.last_seen = t
-            session.flows = {}
-            session.buffered = []
-            session.buffer_dropped = 0
-            session.banner = None
-            session.packets_absorbed = 0
-            session.payload_bytes_total = 0
-            session.cache_gen = 0
-            ladder.sessions[dst_addr] = session
-            ladder._c_sessions_started.value += 1  # Counter.increment, sans call
-            if t < ladder._session_floor:
-                ladder._session_floor = t
-        if state is None:
-            state = object.__new__(self._span_state_cls)
-            state.exchanges = 0
-            state.payload_bytes = 0
-            session.flows[flow_key] = state
-            ladder._c_flows_seen.value += 1
-        icmp_record = None
-        if kind == 3:
-            # The unreachable's flow: same endpoints, ICMP. Same canonical
-            # ordering as the inbound key (identical endpoint pairs).
-            icmp_key = FlowKey(
-                flow_key.addr_low,
-                flow_key.port_low,
-                flow_key.addr_high,
-                flow_key.port_high,
-                PROTO_ICMP,
-            )
-            icmp_record = flows.live_record(icmp_key, t)
-            if icmp_record is None:
-                icmp_record = flows.create(icmp_key, dst_addr, t)
-            elif icmp_record.initiator.value != dv:
-                return None  # externally-initiated ICMP flow: reply routes out
-        return [
-            kind,               # 0: per-class reply shape
-            record,             # 1: the conversation's flow record
-            session,            # 2: the emulated session
-            session.cache_gen,  # 3: the session generation resolved under
-            icmp_record,        # 4: kind-3 reply flow record
-            cls[1],             # 5: fixed reply size (kind 1)
-            cls[2],             # 6: banner payload, if any
-            contained,          # 7: reply faces (and loses to) drop-all policy
-        ]
 
     def _dispatch_to_vm(
         self,
@@ -890,18 +485,15 @@ class Gateway:
         """Point ``ip`` at ``vm``, or at nothing (``None``): the only
         writer of ``vm_map``.
 
-        Binding a VM over an address the emulator tier is serving (a
-        respawn after a host crash) outdates every span-cache entry
-        resolved there. Unbinding outdates nothing: the span lane caches
-        no entry for a VM-backed address."""
+        The ladder hears of a binding, which outdates every span-cache
+        entry resolved at the address. Unbinding outdates nothing: the
+        span lane caches no entry for a VM-backed address."""
         if vm is None:
             del self.vm_map[ip]
             return
         self.vm_map[ip] = vm
         if self.ladder is not None:
-            session = self.ladder.sessions.get(ip)
-            if session is not None:
-                session.cache_gen += 1
+            self.ladder.vm_bound(ip)
 
     def vm_ready(self, vm: VirtualMachine) -> None:
         """Flush packets queued while ``vm`` was cloning.
@@ -1010,7 +602,7 @@ class Gateway:
             return
 
         record, created = self.flows.observe(packet, self.sim.now)
-        if not created and record.initiator != vm.ip:
+        if not honeypot_initiated(record, created, vm.ip):
             self._emit_reply(vm, packet)
             return
 
@@ -1081,8 +673,9 @@ class Gateway:
     def _emit_emulated_reply(self, packet: Packet) -> None:
         """Route one emulator-tier reply exactly as a VM reply would be.
 
-        Classification mirrors :meth:`emit_from_vm` so the emulator tier
-        is policy-invisible: a reply riding the externally-initiated flow
+        Classification is :meth:`emit_from_vm`'s (``honeypot_initiated``),
+        so the emulator tier is policy-invisible: a reply riding the
+        externally-initiated flow
         is always allowed (NAT-translated back toward internal stand-ins,
         shipped through the owning tunnel otherwise), while a
         *flow-creating* emission — the ICMP unreachable answering a
@@ -1093,7 +686,7 @@ class Gateway:
         from ``gateway.outbound.reply_allowed``."""
         self._c_emulated_replies.increment()
         record, created = self.flows.observe(packet, self.sim.now)
-        if created or record.initiator == packet.src:
+        if honeypot_initiated(record, created, packet.src):
             verdict = self.policy.decide(
                 _EmulatedSource(packet.src), packet, self.sim.now
             )

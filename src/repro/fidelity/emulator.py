@@ -113,10 +113,15 @@ class EmulatedSession:
     """Per-address emulator state: flow depths, banner, replay buffer.
 
     ``cache_gen`` is the validity token for anything cached against this
-    session's address (the gateway's span lane): the ladder bumps it when
-    it drops the session, the gateway when it binds a VM over the
+    session's address (:mod:`repro.fidelity.span`): the ladder bumps it
+    when it drops the session, and when the gateway binds a VM over the
     address. A cached entry holds while the generation it was resolved
-    under is still current."""
+    under is still current.
+
+    ``buffered`` holds packets, and — for arrivals the span lane
+    absorbed — lazy ``(columns, index)`` pairs that
+    :func:`repro.fidelity.span.materialise` turns into packets on
+    promotion."""
 
     __slots__ = (
         "personality",
@@ -136,23 +141,28 @@ class EmulatedSession:
         self.created_at = now
         self.last_seen = now
         self.flows: Dict[FlowKey, FlowState] = {}
-        self.buffered: List[Packet] = []
+        self.buffered: list = []
         self.buffer_dropped = 0
         self.banner: Optional[str] = None
         self.packets_absorbed = 0
         self.payload_bytes_total = 0
         self.cache_gen = 0
 
+    def flow_state(self, key: FlowKey) -> Tuple[FlowState, bool]:
+        """The state of flow ``key`` inside this session, created on
+        first sight; returns ``(state, flow_created)``."""
+        state = self.flows.get(key)
+        if state is None:
+            state = self.flows[key] = FlowState()
+            return state, True
+        return state, False
+
     def note(self, packet: Packet, now: float) -> Tuple[FlowState, bool]:
         """Account ``packet`` against its flow's state (creating it on
         first sight) and return ``(state, flow_created)``. Called before
         trigger evaluation, so triggers see the packet's contribution."""
         self.last_seen = now
-        key = FlowKey.from_packet(packet)
-        state = self.flows.get(key)
-        created = state is None
-        if created:
-            state = self.flows[key] = FlowState()
+        state, created = self.flow_state(FlowKey.from_packet(packet))
         if (
             packet.protocol in (PROTO_TCP, PROTO_UDP)
             and packet.payload

@@ -24,11 +24,12 @@ from typing import Dict, List, Optional
 from repro.core.config import HoneyfarmConfig
 from repro.fidelity.emulator import EmulatedSession
 from repro.fidelity.handoff import HandoffRecord
+from repro.fidelity.span import materialise
 from repro.fidelity.triggers import default_triggers
 from repro.net.addr import AddressSpaceInventory, IPAddress
 from repro.net.packet import Packet
 from repro.obs import recorder as _obs
-from repro.services.personality import PersonalityRegistry
+from repro.services.personality import Personality, PersonalityRegistry
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricRegistry
 
@@ -64,6 +65,17 @@ class FidelityLadder:
         self.metrics = metrics or MetricRegistry()
         self.session_idle_timeout = session_idle_timeout
         self.triggers = default_triggers(self.ladder_config, registry.catalog)
+        # One prefix, no per-address draw: every cold address answers as
+        # the same personality, so the prefix lookup and the registry
+        # chain run once, here.
+        self._sole_personality = None
+        prefixes = inventory.prefixes
+        if (
+            len(prefixes) == 1
+            and config.personality_mix is None
+            and not config.deception.enabled
+        ):
+            self._sole_personality = registry.get(config.personality_for(prefixes[0]))
         self.sessions: Dict[IPAddress, EmulatedSession] = {}
         self.handoffs: Dict[IPAddress, HandoffRecord] = {}
         # Provable lower bound on min(session.last_seen) over live
@@ -93,9 +105,7 @@ class FidelityLadder:
 
     def consider(self, packet: Packet, now: float) -> LadderVerdict:
         """Absorb ``packet`` into the emulator tier, or promote its flow."""
-        session = self.sessions.get(packet.dst)
-        if session is None:
-            session = self._open_session(packet.dst, now)
+        session = self.session_at(packet.dst, now)
         state, flow_created = session.note(packet, now)
         if flow_created:
             self._c_flows_seen.increment()
@@ -107,16 +117,24 @@ class FidelityLadder:
         self._buffer(session, packet)
         return LadderVerdict(promoted=False, replies=replies)
 
-    def _open_session(self, ip: IPAddress, now: float) -> EmulatedSession:
-        prefix = self.inventory.lookup(ip)
-        personality = self.registry.get(
-            self.config.personality_for_address(prefix, ip)
-        )
-        session = EmulatedSession(personality, now)
-        self.sessions[ip] = session
-        self._c_sessions_started.increment()
-        if now < self._session_floor:
-            self._session_floor = now
+    def personality_at(self, ip: IPAddress) -> Personality:
+        """The personality the cold address ``ip`` answers as."""
+        personality = self._sole_personality
+        if personality is None:
+            personality = self.registry.get(
+                self.config.personality_for_address(self.inventory.lookup(ip), ip)
+            )
+        return personality
+
+    def session_at(self, ip: IPAddress, now: float) -> EmulatedSession:
+        """The emulated session serving ``ip``, opened at ``now`` if the
+        address has none."""
+        session = self.sessions.get(ip)
+        if session is None:
+            session = self.sessions[ip] = EmulatedSession(self.personality_at(ip), now)
+            self._c_sessions_started.increment()
+            if now < self._session_floor:
+                self._session_floor = now
         return session
 
     def _buffer(self, session: EmulatedSession, packet: Packet) -> None:
@@ -133,8 +151,16 @@ class FidelityLadder:
 
     def _retire(self, ip: IPAddress) -> None:
         """Drop ``ip``'s session; whatever was cached against it (the
-        gateway's span entries) is stale from here on."""
+        span lane's entries) is stale from here on."""
         self.sessions.pop(ip).cache_gen += 1
+
+    def vm_bound(self, ip: IPAddress) -> None:
+        """The gateway bound a VM over ``ip``. If the emulator tier was
+        serving the address (a respawn after a host crash), the session
+        stays but every span entry resolved against it is stale."""
+        session = self.sessions.get(ip)
+        if session is not None:
+            session.cache_gen += 1
 
     def _promote(
         self, ip: IPAddress, session: EmulatedSession, trigger: str, now: float
@@ -148,14 +174,9 @@ class FidelityLadder:
             ip=ip,
             created_at=now,
             trigger=trigger,
-            # The gateway's span lane buffers lazy (columns, index) pairs
-            # instead of packets; materialize them here — the one choke
-            # point every promotion passes through — so handoff replay
-            # (and everything downstream) only ever sees real packets.
-            buffered=[
-                p if p.__class__ is Packet else p[0].packet_at(p[1])
-                for p in session.buffered
-            ],
+            # The one choke point every promotion passes through: handoff
+            # replay (and everything downstream) only ever sees packets.
+            buffered=materialise(session.buffered),
             flows=len(session.flows),
             payload_bytes=session.payload_bytes_total,
             banner=session.banner,

@@ -12,7 +12,7 @@ farm's.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import LadderConfig
 from repro.fidelity.emulator import FlowState
@@ -26,6 +26,7 @@ __all__ = [
     "StateDepthTrigger",
     "VulnProbeTrigger",
     "default_triggers",
+    "empty_payload_rule",
 ]
 
 
@@ -101,3 +102,34 @@ def default_triggers(
     if config.promote_state_depth is not None:
         triggers.append(StateDepthTrigger(config.promote_state_depth))
     return triggers
+
+
+def empty_payload_rule(
+    triggers: Sequence[PromotionTrigger],
+) -> Optional[Tuple[Tuple[VulnProbeTrigger, ...], float, float]]:
+    """What ``triggers`` can say about a packet with an empty payload,
+    in a form that needs no packet per arrival (the span lane's terms):
+    ``(probes, payload_bytes, state_depth)``.
+
+    Such a packet advances neither flow counter, so the byte and depth
+    triggers fire on it exactly when the flow already stands at their
+    threshold (``inf`` when the trigger is absent), and a vuln probe's
+    verdict depends only on packet fields that are constant per
+    ``(personality, protocol, port, flags)`` class — ``probes`` are the
+    triggers to ask once per class. ``None`` when the stack holds a
+    trigger this module does not define: only its ``should_promote``,
+    packet in hand, can say.
+    """
+    probes: List[VulnProbeTrigger] = []
+    payload_bytes = state_depth = float("inf")
+    for trigger in triggers:
+        kind = type(trigger)
+        if kind is VulnProbeTrigger:
+            probes.append(trigger)
+        elif kind is PayloadBytesTrigger:
+            payload_bytes = min(payload_bytes, trigger.threshold)
+        elif kind is StateDepthTrigger:
+            state_depth = min(state_depth, trigger.threshold)
+        else:
+            return None
+    return tuple(probes), payload_bytes, state_depth

@@ -41,19 +41,25 @@ class IPAddress:
 
     @classmethod
     def parse(cls, text: str) -> "IPAddress":
-        """Parse dotted-quad notation."""
+        """Parse dotted-quad notation.
+
+        Unrolled, and built without ``__init__`` (four octets below 256
+        cannot leave the range it checks): a large replay parses ~10^5
+        addresses, once each."""
         parts = text.split(".")
-        if len(parts) != 4:
-            raise ValueError(f"malformed IPv4 address: {text!r}")
-        value = 0
-        for part in parts:
-            if not part.isdigit():
-                raise ValueError(f"malformed IPv4 address: {text!r}")
-            octet = int(part)
-            if octet > 255:
+        if len(parts) == 4:
+            a, b, c, d = parts
+            if a.isdigit() and b.isdigit() and c.isdigit() and d.isdigit():
+                a = int(a)
+                b = int(b)
+                c = int(c)
+                d = int(d)
+                if a < 256 and b < 256 and c < 256 and d < 256:
+                    addr = object.__new__(cls)
+                    object.__setattr__(addr, "value", a << 24 | b << 16 | c << 8 | d)
+                    return addr
                 raise ValueError(f"octet out of range in {text!r}")
-            value = (value << 8) | octet
-        return cls(value)
+        raise ValueError(f"malformed IPv4 address: {text!r}")
 
     def __str__(self) -> str:
         v = self.value

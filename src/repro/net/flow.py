@@ -60,13 +60,23 @@ class FlowKey:
         )
 
     @classmethod
+    def between(
+        cls, src: IPAddress, src_port: int, dst: IPAddress, dst_port: int, protocol: int
+    ) -> "FlowKey":
+        """Canonical key of the conversation between two endpoints, given
+        in either direction: endpoints ordered by (address, port)."""
+        sv = src.value
+        dv = dst.value
+        if sv < dv or (sv == dv and src_port <= dst_port):
+            return cls(src, src_port, dst, dst_port, protocol)
+        return cls(dst, dst_port, src, src_port, protocol)
+
+    @classmethod
     def from_packet(cls, packet: Packet) -> "FlowKey":
-        """Canonical key: endpoints ordered by (address, port)."""
-        src, dst = packet.src, packet.dst
-        src_port, dst_port = packet.src_port, packet.dst_port
-        if (src.value, src_port) <= (dst.value, dst_port):
-            return cls(src, src_port, dst, dst_port, packet.protocol)
-        return cls(dst, dst_port, src, src_port, packet.protocol)
+        """Canonical key of ``packet``'s conversation."""
+        return cls.between(
+            packet.src, packet.src_port, packet.dst, packet.dst_port, packet.protocol
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -256,14 +266,7 @@ class FlowTable:
         A record past its idle timeout is treated as absent (and removed),
         so callers never observe stale flows regardless of sweep timing.
         """
-        record = self._flows.get(FlowKey.from_packet(packet))
-        if record is None:
-            return None
-        if now - record.last_seen > self.idle_timeout:
-            self._remove(record)
-            self.expired_total += 1
-            return None
-        return record
+        return self.live_record(FlowKey.from_packet(packet), now)
 
     def observe(self, packet: Packet, now: float) -> Tuple[FlowRecord, bool]:
         """Account ``packet``; returns ``(record, is_new_flow)``."""
@@ -277,21 +280,10 @@ class FlowTable:
         Its own method only because ``benchmarks/e2e/layers.py`` wraps
         this name to count and time flow-table observations.
         """
-        record = self._flows.get(key)
-        if record is not None and now - record.last_seen > self.idle_timeout:
-            self._remove(record)
-            self.expired_total += 1
-            record = None
+        record = self.live_record(key, now)
         created = record is None
         if created:
-            record = FlowRecord(
-                key=key,
-                first_seen=now,
-                last_seen=now,
-                initiator=packet.src,
-            )
-            record._table = self
-            self._flows[key] = record
+            record = self.create(key, packet.src, now)
         record.touch(packet, now)
         self._place_in_bucket(record, now)
         return record, created
@@ -299,11 +291,9 @@ class FlowTable:
     def live_record(self, key: FlowKey, now: float) -> Optional[FlowRecord]:
         """The record under ``key`` if it is still live at ``now``.
 
-        Applies exactly :meth:`observe_keyed`'s lazy-expiry rule (strict
-        ``now - last_seen > idle_timeout``, counted in ``expired_total``)
-        without touching the record — the gateway's span lane reads the
-        table through this so its expiry accounting stays bit-identical
-        to the per-event path's.
+        The table's one lazy-expiry rule: a record silent for strictly
+        more than ``idle_timeout`` is removed, counted in
+        ``expired_total`` and reported absent. The record is not touched.
         """
         record = self._flows.get(key)
         if record is not None and now - record.last_seen > self.idle_timeout:
@@ -315,12 +305,11 @@ class FlowTable:
     def create(self, key: FlowKey, initiator: IPAddress, now: float) -> FlowRecord:
         """Register a brand-new flow record (no packet accounted yet).
 
-        Mirrors the creation half of :meth:`observe_keyed`: the record is
-        indexed and bucketed at ``now`` but carries zero packets/bytes —
-        the span lane applies per-packet touch arithmetic itself. The
-        record is built field-by-field and bucketed inline: this runs
-        once per unique flow of a batched replay, where constructor and
-        method-call overhead dominates.
+        The record is indexed and bucketed at ``now`` but carries zero
+        packets/bytes: :meth:`observe_keyed` touches it next, the span
+        lane applies its own per-packet arithmetic. Built field-by-field
+        and bucketed inline, because this runs once per unique flow of a
+        replay, where constructor and method-call overhead dominates.
         """
         record = FlowRecord.__new__(FlowRecord)
         record.key = key

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.baselines.dedicated import dedicated_farm, dedicated_vms_per_host
-from repro.baselines.fullcopy import full_copy_farm
+from repro.baselines import dedicated_farm, dedicated_vms_per_host, full_copy_farm
 from repro.baselines.responder import StatelessResponder
 from repro.core.config import HoneyfarmConfig
 from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
