@@ -85,35 +85,16 @@ def federated_scenario(smoke: bool) -> FederationScenario:
     )
 
 
-def run_reference(scenario: FederationScenario) -> Dict[str, Any]:
+def run_arm(scenario: FederationScenario, workers: int) -> Dict[str, Any]:
+    """One arm: the in-process reference (``workers=0``) or the parallel
+    lane at ``workers`` processes — one code path, one result type."""
     gc.collect()
     t0 = time.perf_counter()
-    federation = scenario.build_reference()
-    federation.run(until=scenario.duration)
-    wall = time.perf_counter() - t0
-    federation.assert_packet_conservation()
-    reports = federation.shard_reports()
-    return {
-        "arm": "reference",
-        "workers": 0,
-        "wall_seconds": round(wall, 3),
-        "events_processed": sum(r["events_processed"] for r in reports),
-        "infections": sum(len(r["infections"]) for r in reports),
-        "intershard_sent": sum(r["intershard"]["sent"] for r in reports),
-        "_reports": reports,
-    }
-
-
-def run_parallel_arm(
-    scenario: FederationScenario, workers: int
-) -> Dict[str, Any]:
-    gc.collect()
-    t0 = time.perf_counter()
-    result = scenario.build_parallel(workers).run(until=scenario.duration)
+    result = scenario.run(workers)
     wall = time.perf_counter() - t0
     result.assert_packet_conservation()
     return {
-        "arm": f"workers={workers}",
+        "arm": f"workers={workers}" if workers else "reference",
         "workers": workers,
         "assignment": list(result.assignment),
         "wall_seconds": round(wall, 3),
@@ -168,9 +149,10 @@ def check_criteria(
 
 def run_bench(smoke: bool = False) -> Dict[str, Any]:
     scenario = federated_scenario(smoke)
-    arms = [run_reference(scenario)]
-    for workers in (SMOKE_WORKERS if smoke else FULL_WORKERS):
-        arms.append(run_parallel_arm(scenario, workers))
+    arms = [
+        run_arm(scenario, workers)
+        for workers in (0,) + (SMOKE_WORKERS if smoke else FULL_WORKERS)
+    ]
     failures = check_criteria(arms, smoke)
 
     one = next(a for a in arms if a["workers"] == 1)

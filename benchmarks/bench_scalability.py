@@ -117,9 +117,7 @@ def run_shard_count(shards: int) -> dict:
         name=f"shard-sweep-{shards}",
     )
     t0 = time.perf_counter()
-    result = scenario.build_parallel(workers=shards).run(
-        until=scenario.duration
-    )
+    result = scenario.run(workers=shards)
     wall = time.perf_counter() - t0
     result.assert_packet_conservation()
     events = sum(r["events_processed"] for r in result.reports)

@@ -18,11 +18,12 @@ exists to ask:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
 from repro.core.honeyfarm import Honeyfarm
+from repro.core.ledger import PacketLedger, packet_ledger
 from repro.faults.injectors import ChaosController, FaultRecord
 
 __all__ = [
@@ -33,8 +34,6 @@ __all__ = [
     "packet_ledger",
     "recovery_report",
 ]
-
-PENDING_DROP_CAUSES = ("host_down", "vm_retired", "timeout", "clone_failed", "vm_died")
 
 
 @dataclass
@@ -53,34 +52,6 @@ class FaultOutcome:
         if self.recovered_at is None:
             return None
         return self.recovered_at - self.record.fired_at
-
-
-@dataclass
-class PacketLedger:
-    """Conservation check over the gateway's inbound packet counters."""
-
-    packets_in: int
-    delivered: int
-    refused: int  # ttl expired + strays (never the farm's to handle)
-    dropped_by_cause: Dict[str, int] = field(default_factory=dict)
-    still_pending: int = 0
-    emulated: int = 0  # served by the fidelity ladder's emulator tier
-
-    @property
-    def dropped(self) -> int:
-        return sum(self.dropped_by_cause.values())
-
-    @property
-    def leaked(self) -> int:
-        """Packets the counters cannot account for (must be zero)."""
-        return (
-            self.packets_in
-            - self.delivered
-            - self.emulated
-            - self.refused
-            - self.dropped
-            - self.still_pending
-        )
 
 
 @dataclass
@@ -207,28 +178,6 @@ def fault_outcomes(farm: Honeyfarm, controller: ChaosController) -> List[FaultOu
             )
         )
     return outcomes
-
-
-def packet_ledger(farm: Honeyfarm) -> PacketLedger:
-    """Reconcile the gateway's inbound counters into a conservation check."""
-    counters = farm.metrics.counters()
-    dropped: Dict[str, int] = {}
-    for cause in ("no_capacity_drop", "pending_overflow", "dropped_vm_not_running"):
-        count = counters.get(f"gateway.{cause}", 0)
-        if count:
-            dropped[cause.replace("_drop", "").replace("dropped_", "")] = count
-    for cause in PENDING_DROP_CAUSES:
-        count = counters.get(f"gateway.pending_dropped_{cause}", 0)
-        if count:
-            dropped[f"pending_{cause}"] = count
-    return PacketLedger(
-        packets_in=counters.get("gateway.packets_in", 0),
-        delivered=counters.get("gateway.delivered", 0),
-        refused=counters.get("gateway.ttl_expired", 0) + counters.get("gateway.stray", 0),
-        dropped_by_cause=dropped,
-        still_pending=farm.gateway.pending_packet_count,
-        emulated=counters.get("gateway.emulated", 0),
-    )
 
 
 def recovery_report(farm: Honeyfarm, controller: ChaosController) -> RecoveryReport:

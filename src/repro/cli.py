@@ -397,17 +397,11 @@ def _cmd_federation(args: argparse.Namespace) -> int:
         scenario = FederationScenario.from_json(
             open(args.scenario_file).read()
         )
-    if args.workers > 0:
-        lane = f"{args.workers} worker process(es)"
-        result = scenario.build_parallel(
-            args.workers, placement=args.placement
-        ).run(until=scenario.duration)
-        reports = result.reports
-    else:
-        lane = "in-process reference"
-        federation = scenario.build_reference()
-        federation.run(until=scenario.duration)
-        reports = federation.shard_reports()
+    result = scenario.run(args.workers, placement=args.placement)
+    lane = (
+        f"{result.workers} worker process(es)" if result.workers
+        else "in-process reference"
+    )
 
     print(
         f"federation run — {scenario.shards} shard(s) over {lane},"
@@ -425,7 +419,7 @@ def _cmd_federation(args: argparse.Namespace) -> int:
             report["intershard"]["received"],
             report["nat"]["reply_translations"],
         ]
-        for report in reports
+        for report in result.reports
     ]
     print(format_table(
         ["shard", "prefixes", "live VMs", "infections", "packets in",
@@ -435,26 +429,15 @@ def _cmd_federation(args: argparse.Namespace) -> int:
     ))
 
     try:
-        if args.workers > 0:
-            totals = result.assert_packet_conservation()
-        else:
-            ledger = federation.assert_packet_conservation()
-            totals = {
-                "packets_in": ledger.packets_in,
-                "delivered": ledger.delivered,
-                "emulated": ledger.emulated,
-                "refused": ledger.refused,
-                "dropped": ledger.dropped,
-                "still_pending": ledger.still_pending,
-            }
+        ledger = result.assert_packet_conservation()
     except AssertionError as exc:
         print(f"\nERROR: {exc}", file=sys.stderr)
         return 1
     print(
-        f"\npacket conservation holds: {totals['packets_in']} in ="
-        f" {totals['delivered']} delivered + {totals['emulated']} emulated +"
-        f" {totals['refused']} refused + {totals['dropped']} dropped +"
-        f" {totals['still_pending']} pending"
+        f"\npacket conservation holds: {ledger.packets_in} in ="
+        f" {ledger.delivered} delivered + {ledger.emulated} emulated +"
+        f" {ledger.refused} refused + {ledger.dropped} dropped +"
+        f" {ledger.still_pending} pending"
     )
     return 0
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from repro.net.addr import IPAddress, Prefix
+from repro.sim.rand import stable_hash
 
 __all__ = ["DeceptionConfig", "HoneyfarmConfig", "LadderConfig"]
 
@@ -330,21 +331,13 @@ class HoneyfarmConfig:
         per-prefix mapping.
         """
         if self.deception.enabled:
-            import hashlib
-
             pool = self.deception.personality_pool
-            digest = hashlib.sha256(
-                f"deception:{self.seed}:{addr.value}".encode()
-            ).digest()
-            return pool[int.from_bytes(digest[:8], "big") % len(pool)]
+            return pool[stable_hash(f"deception:{self.seed}:{addr.value}") % len(pool)]
         if self.personality_mix is None:
             return self.personality_for(prefix)
-        import hashlib
-
         names = sorted(self.personality_mix)
         total = sum(self.personality_mix[name] for name in names)
-        digest = hashlib.sha256(f"personality:{addr.value}".encode()).digest()
-        roll = int.from_bytes(digest[:8], "big") / float(1 << 64) * total
+        roll = stable_hash(f"personality:{addr.value}") / float(1 << 64) * total
         acc = 0.0
         for name in names:
             acc += self.personality_mix[name]
@@ -369,12 +362,7 @@ class HoneyfarmConfig:
         deception = self.deception
         if not deception.enabled or deception.jitter_max_seconds <= 0.0:
             return 0.0
-        import hashlib
-
-        digest = hashlib.sha256(
-            f"deception-jitter:{self.seed}:{addr.value}".encode()
-        ).digest()
-        unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
+        unit = stable_hash(f"deception-jitter:{self.seed}:{addr.value}") / float(1 << 64)
         return unit * deception.jitter_max_seconds
 
     def dns_address(self) -> IPAddress:

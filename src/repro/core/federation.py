@@ -4,40 +4,137 @@ The gateway is the architecture's central chokepoint — every packet of
 every tunnel crosses it. The paper's scaling answer is horizontal:
 partition the dark address space across several gateways, each running
 its own farm, with nothing shared but the upstream routers' divert
-rules. :class:`FederatedHoneyfarm` builds exactly that: each member is
-a :class:`~repro.core.intershard.ShardRunner` on a *private* clock,
-advanced in lockstep epochs with cross-shard reflected traffic carried
-by the inter-shard message layer. This is the in-process *golden
-reference* for the multiprocess
-:class:`~repro.core.parallel.ParallelFederation`: both lanes drive the
-identical runners through the identical epoch loop, so their results are
-bit-equal by construction (and gated in
-``benchmarks/bench_federation.py``).
+rules. :class:`FederatedHoneyfarm` builds exactly that in one process:
+each member is a :class:`~repro.core.intershard.ShardRunner` on a
+*private* clock, all of them one
+:class:`~repro.core.intershard.ShardGroup` driven by
+:func:`~repro.core.intershard.run_lockstep`. The multiprocess
+:class:`~repro.core.parallel.ParallelFederation` drives the same loop
+over the same groups behind pipes, so the lanes are bit-equal by
+construction (and gated in ``benchmarks/bench_federation.py``).
 
 (N fully independent farms on one shared clock need no class at all:
 build each with ``Honeyfarm(config, sim=shared_sim)``.)
 
-The federation carries the aggregate books: merged infection timelines,
-summed counters, per-member packet ledgers, and a global
-packet-conservation check (:meth:`assert_packet_conservation`) that
-every packet entering any gateway is delivered, emulated, refused,
+:class:`FederationResult` carries the aggregate books of either lane:
+merged infection timelines, summed counters and ledgers, and the global
+packet-conservation check (:meth:`~FederationResult.assert_packet_conservation`)
+that every packet entering any gateway is delivered, emulated, refused,
 dropped-with-cause, still pending, or in flight between shards.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import HoneyfarmConfig
-from repro.core.delta import MemoryBreakdown, farm_memory_breakdown
+from repro.core.delta import MemoryBreakdown
 from repro.core.honeyfarm import Honeyfarm
-from repro.core.intershard import InterShardConfig, ShardRunner, run_epochs
+from repro.core.intershard import (
+    InterShardConfig,
+    ShardGroup,
+    ShardRunner,
+    run_lockstep,
+)
+from repro.core.ledger import PacketLedger, packet_ledger
 from repro.net.packet import Packet
 from repro.net.shardmap import ShardMap
 from repro.services.guest import InfectionRecord, ScanBehavior
 from repro.services.personality import PersonalityRegistry
 
-__all__ = ["FederatedHoneyfarm"]
+__all__ = ["FederatedHoneyfarm", "FederationResult"]
+
+
+@dataclass
+class FederationResult:
+    """Everything a federated run reports, plus the aggregate views —
+    the same surface whichever lane produced it.
+
+    ``reports`` (one :meth:`ShardRunner.report` per shard, sorted by
+    shard index) is the bit-equality surface: it must compare equal
+    across worker counts and between the lanes. ``workers`` is 0 for the
+    in-process lane.
+    """
+
+    reports: List[Dict[str, Any]]
+    workers: int
+    assignment: List[int]
+    epochs: int
+
+    def aggregate_counters(self) -> Dict[str, int]:
+        """Sum of every shard's counters, by name."""
+        totals: Dict[str, int] = {}
+        for report in self.reports:
+            for name, value in report["counters"].items():
+                totals[name] = totals.get(name, 0) + value
+        return totals
+
+    def infection_count(self) -> int:
+        return sum(len(r["infections"]) for r in self.reports)
+
+    def infections(self) -> List[Tuple]:
+        """All shards' infection tuples merged in time order."""
+        merged: List[Tuple] = []
+        for report in self.reports:
+            merged.extend(tuple(i) for i in report["infections"])
+        merged.sort()
+        return merged
+
+    def shard_ledgers(self) -> List[PacketLedger]:
+        """One :class:`PacketLedger` per shard, as the shard reported it."""
+        return [PacketLedger.from_dict(r["ledger"]) for r in self.reports]
+
+    def ledger(self) -> PacketLedger:
+        """The shard ledgers summed bucket by bucket."""
+        return PacketLedger.total(self.shard_ledgers())
+
+    def intershard_totals(self) -> Dict[str, int]:
+        keys = ("sent", "received", "undelivered")
+        return {
+            key: sum(r["intershard"][key] for r in self.reports)
+            for key in keys
+        }
+
+    def assert_packet_conservation(self) -> PacketLedger:
+        """Global packet conservation, or raise with every violation.
+
+        Three clauses: each shard's own ledger balances (leaked == 0);
+        the shard ledgers sum, bucket by bucket, to the ledger reconciled
+        *independently* from the summed counters (so it cross-checks the
+        shard ledgers rather than restating them); and the message layer
+        conserves too (every message sent was received by its owner or
+        is still in a mailbox past the final barrier). Returns the
+        summed ledger on success.
+        """
+        ledgers = self.shard_ledgers()
+        summed = PacketLedger.total(ledgers)
+        reconciled = PacketLedger.from_counters(
+            self.aggregate_counters(), summed.still_pending
+        )
+        failures = [
+            f"shard {report['shard']} leaked {ledger.leaked} packets"
+            for report, ledger in zip(self.reports, ledgers)
+            if ledger.leaked != 0
+        ]
+        if summed != reconciled:
+            failures.append(
+                f"shard ledgers sum to {summed}"
+                f" but the summed counters say {reconciled}"
+            )
+        flows = self.intershard_totals()
+        if flows["sent"] != flows["received"] + flows["undelivered"]:
+            failures.append(
+                f"inter-shard messages: {flows['sent']} sent !="
+                f" {flows['received']} received +"
+                f" {flows['undelivered']} undelivered"
+            )
+        if failures:
+            raise AssertionError(
+                "federation packet conservation violated: "
+                + "; ".join(failures)
+            )
+        return summed
 
 
 class FederatedHoneyfarm:
@@ -82,6 +179,9 @@ class FederatedHoneyfarm:
             for index, config in enumerate(shard_configs)
         ]
         self.members: List[Honeyfarm] = [r.farm for r in self.runners]
+        # One executor, so one group owning every shard.
+        self._group = ShardGroup(self.runners)
+        self.epochs = 0
 
     # ------------------------------------------------------------------ #
     # Routing and driving
@@ -123,8 +223,12 @@ class FederatedHoneyfarm:
 
     def run(self, until: float) -> None:
         """Run the federation to ``until`` in lockstep epochs over the
-        members' private clocks."""
-        run_epochs(self.runners, until, self.interlink.lookahead)
+        members' private clocks. Resumable: a later call carries on from
+        where this one stopped. Builds no reports; see :meth:`result`."""
+        self.epochs += run_lockstep(
+            [self._group], lambda message: 0,  # the one group owns every shard
+            self.now, until, self.interlink.lookahead,
+        )
 
     # ------------------------------------------------------------------ #
     # Aggregate reporting
@@ -162,99 +266,34 @@ class FederatedHoneyfarm:
             merged = merged.merged_with(member.memory_breakdown())
         return merged
 
-    def aggregate_counters(self) -> Dict[str, int]:
-        """Sum of every member's counters, by name."""
-        totals: Dict[str, int] = {}
-        for member in self.members:
-            for name, value in member.metrics.counters().items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
-
-    def member_ledgers(self) -> List:
-        """One :class:`~repro.analysis.recovery.PacketLedger` per member."""
-        from repro.analysis.recovery import packet_ledger
-
-        return [packet_ledger(member) for member in self.members]
-
-    def federation_ledger(self):
-        """The federation-wide packet ledger, reconciled *independently*
-        from the summed counters (so it cross-checks the per-member
-        ledgers rather than restating them)."""
-        from repro.analysis.recovery import PENDING_DROP_CAUSES, PacketLedger
-
-        totals = self.aggregate_counters()
-        dropped: Dict[str, int] = {}
-        for cause in ("no_capacity_drop", "pending_overflow", "dropped_vm_not_running"):
-            count = totals.get(f"gateway.{cause}", 0)
-            if count:
-                dropped[cause.replace("_drop", "").replace("dropped_", "")] = count
-        for cause in PENDING_DROP_CAUSES:
-            count = totals.get(f"gateway.pending_dropped_{cause}", 0)
-            if count:
-                dropped[f"pending_{cause}"] = count
-        return PacketLedger(
-            packets_in=totals.get("gateway.packets_in", 0),
-            delivered=totals.get("gateway.delivered", 0),
-            refused=(
-                totals.get("gateway.ttl_expired", 0)
-                + totals.get("gateway.stray", 0)
-            ),
-            dropped_by_cause=dropped,
-            still_pending=sum(
-                m.gateway.pending_packet_count for m in self.members
-            ),
-            emulated=totals.get("gateway.emulated", 0),
+    def result(self) -> FederationResult:
+        """The run so far as a :class:`FederationResult`, built now from
+        fresh shard reports (nothing is cached: the farms may run on)."""
+        return FederationResult(
+            reports=self.shard_reports(),
+            workers=0,
+            assignment=[0] * len(self.runners),
+            epochs=self.epochs,
         )
-
-    def assert_packet_conservation(self):
-        """Global packet conservation, or raise with every violation.
-
-        Checks, in order: each member's own ledger balances (leaked ==
-        0); the sum of member ledgers equals the federation ledger,
-        bucket by bucket; and the message layer
-        conserves too (every message sent was received by its owner or
-        is still in a mailbox past the final barrier). Returns the
-        federation ledger on success.
-        """
-        members = self.member_ledgers()
-        federation = self.federation_ledger()
-        failures: List[str] = []
-        for index, ledger in enumerate(members):
-            if ledger.leaked != 0:
-                failures.append(
-                    f"member {index} leaked {ledger.leaked} packets"
-                )
-        for bucket in (
-            "packets_in", "delivered", "emulated", "refused",
-            "dropped", "still_pending",
-        ):
-            member_sum = sum(getattr(ledger, bucket) for ledger in members)
-            fed_value = getattr(federation, bucket)
-            if member_sum != fed_value:
-                failures.append(
-                    f"{bucket}: member ledgers sum to {member_sum}"
-                    f" but the federation ledger says {fed_value}"
-                )
-        sent = sum(r.sent for r in self.runners)
-        received = self.aggregate_counters().get("gateway.intershard_in", 0)
-        undelivered = sum(r.undelivered_messages for r in self.runners)
-        if sent != received + undelivered:
-            failures.append(
-                f"inter-shard messages: {sent} sent !="
-                f" {received} received + {undelivered} undelivered"
-            )
-        if failures:
-            raise AssertionError(
-                "federation packet conservation violated: "
-                + "; ".join(failures)
-            )
-        return federation
 
     def shard_reports(self) -> List[Dict]:
         """Per-shard reports in the exact shape the parallel lane's
         workers return — the bit-equality surface the worker-count
         invariance tests and the federation bench compare."""
-        return [runner.report() for runner in self.runners]
+        return self._group.reports()
+
+    def aggregate_counters(self) -> Dict[str, int]:
+        """Sum of every member's counters, by name."""
+        return self.result().aggregate_counters()
+
+    def member_ledgers(self) -> List[PacketLedger]:
+        """One :class:`~repro.core.ledger.PacketLedger` per member."""
+        return [packet_ledger(member) for member in self.members]
+
+    def assert_packet_conservation(self) -> PacketLedger:
+        """:meth:`FederationResult.assert_packet_conservation` over the
+        run so far."""
+        return self.result().assert_packet_conservation()
 
     def per_member_rows(self) -> List[Tuple[str, int, int, int, int]]:
         """(shard, live VMs, spawned, infections, packets in) rows."""
@@ -275,3 +314,4 @@ class FederatedHoneyfarm:
             f"<FederatedHoneyfarm members={len(self.members)}"
             f" addresses={self.total_addresses} t={self.now:.1f}s>"
         )
+

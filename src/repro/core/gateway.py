@@ -40,6 +40,7 @@ from repro.core.containment import (
     ReflectionNat,
     honeypot_initiated,
 )
+from repro.core.ledger import PENDING_DROP_CAUSES
 from repro.fidelity.ladder import FidelityLadder
 from repro.fidelity.span import SpanLane
 from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
@@ -200,15 +201,10 @@ class Gateway:
         self._c_emulated_replies = handle("gateway.ladder_replies_out")
         self._c_emulated_contained = handle("gateway.ladder_replies_contained")
         # Pending-queue drops, keyed by cause, so packet totals reconcile
-        # exactly even through host crashes and clone failures:
-        #   host_down    — the VM's host crashed mid-clone
-        #   vm_retired   — the VM was reclaimed/detained with packets held
-        #   timeout      — the watchdog gave up on a stuck clone
-        #   clone_failed — the clone pipeline itself failed (fault injection)
-        #   vm_died      — the VM stopped RUNNING mid-flush
+        # exactly even through host crashes and clone failures.
         self._c_pending_dropped = {
             cause: handle(f"gateway.pending_dropped_{cause}")
-            for cause in ("host_down", "vm_retired", "timeout", "clone_failed", "vm_died")
+            for cause in PENDING_DROP_CAUSES
         }
 
     # ------------------------------------------------------------------ #

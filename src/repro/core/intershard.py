@@ -1,32 +1,32 @@
-"""The inter-shard message layer and lockstep-epoch shard runner.
+"""The inter-shard message layer and the lockstep-epoch engine.
 
-The federation's parallel lane splits the dark space across N shard
-workers, each owning a full farm (gateway, hosts, ladder, batched event
-loop) on a *private* clock. Cross-shard traffic — chiefly reflected
-scans from infected VMs and the replies coming back — crosses process
-boundaries as :class:`ShardMessage` records over a conservative
-time-stepped synchronization protocol:
+A federation splits the dark space across N shards, each owning a full
+farm (gateway, hosts, ladder, batched event loop) on a *private* clock.
+Cross-shard traffic — chiefly reflected scans from infected VMs and the
+replies coming back — crosses shard boundaries as :class:`ShardMessage`
+records over a conservative time-stepped synchronization protocol:
 
 * Every cross-shard hop costs at least ``latency_seconds`` of simulated
   time (the federation's minimum inter-gateway latency, standing in for
   the paper's GRE-tunnel round trip between gateways).
-* All shards therefore advance in **lockstep epochs** of width
-  ``epoch_lookahead <= latency_seconds``: a message sent during epoch
-  ``k`` cannot be due before the epoch-``k`` barrier, so exchanging
-  outboxes at each barrier delivers every message to its destination
-  shard *before* the simulated instant it arrives. No shard ever sees
-  an event out of order, and no rollback is needed.
+* All shards therefore advance in **lockstep epochs** one latency wide:
+  a message sent during epoch ``k`` cannot be due before the epoch-``k``
+  barrier, so exchanging outboxes at each barrier delivers every message
+  to its destination shard *before* the simulated instant it arrives.
+  No shard ever sees an event out of order, and no rollback is needed.
 * Delivery order inside a shard is fixed by the mailbox key
   ``(deliver_time, src_shard, seq)`` — pure protocol state, independent
   of OS scheduling — which is what makes runs bit-reproducible for any
   worker count (see docs/FEDERATION.md for the full argument).
 
-:class:`ShardRunner` is the per-shard epoch engine. Both lanes use it:
-the in-process :class:`~repro.core.federation.FederatedHoneyfarm`
-reference drives a list of runners directly, and the multiprocess
-:class:`~repro.core.parallel.ParallelFederation` drives the identical
-runners inside worker processes — equality of results is by
-construction, and the benchmark gate checks it anyway.
+Each decision is written once here. :class:`ShardRunner` is one shard's
+epoch engine; :class:`ShardGroup` is what one executor does with the
+shards it owns; :func:`run_lockstep` is the coordinator loop. The
+in-process :class:`~repro.core.federation.FederatedHoneyfarm` hands the
+loop its group directly, the multiprocess
+:class:`~repro.core.parallel.ParallelFederation` hands it pipe proxies
+for groups living in worker processes — the lanes differ in transport
+and in nothing else.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.config import HoneyfarmConfig
 from repro.core.containment import make_policy
 from repro.core.honeyfarm import Honeyfarm
+from repro.core.ledger import packet_ledger
 from repro.net.addr import IPAddress
 from repro.net.packet import Packet, TcpFlags
 from repro.net.shardmap import ShardMap
@@ -47,12 +48,13 @@ from repro.obs.recorder import FlightRecorder, event_tally
 __all__ = [
     "WIRE_VERSION",
     "InterShardConfig",
+    "ShardGroup",
     "ShardMessage",
     "ShardRunner",
     "assign_shards",
     "decode_packet",
     "encode_packet",
-    "run_epochs",
+    "run_lockstep",
 ]
 
 #: Wire-format version for :meth:`ShardMessage.encode`. Bump on any
@@ -64,7 +66,7 @@ WIRE_VERSION = 2
 
 @dataclass(frozen=True)
 class InterShardConfig:
-    """Protocol constants every shard must agree on.
+    """The protocol constant every shard must agree on.
 
     Attributes
     ----------
@@ -72,40 +74,22 @@ class InterShardConfig:
         Minimum simulated latency of a cross-shard hop. This is the
         protocol's lookahead source: no message sent at time ``t`` can
         take effect before ``t + latency_seconds``.
-    epoch_lookahead:
-        Lockstep epoch width. ``None`` (the default) uses the full
-        latency — the widest window that is still conservative. Smaller
-        values are legal (more barriers, same results); larger values
-        would let a message be due before the barrier that carries it,
-        so they are rejected.
     """
 
     latency_seconds: float = 0.5
-    epoch_lookahead: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.latency_seconds <= 0:
             raise ValueError(
                 f"latency_seconds must be positive: {self.latency_seconds!r}"
             )
-        if self.epoch_lookahead is not None:
-            if self.epoch_lookahead <= 0:
-                raise ValueError(
-                    f"epoch_lookahead must be positive: {self.epoch_lookahead!r}"
-                )
-            if self.epoch_lookahead > self.latency_seconds:
-                raise ValueError(
-                    "epoch_lookahead must not exceed latency_seconds"
-                    f" ({self.epoch_lookahead!r} > {self.latency_seconds!r}):"
-                    " a wider epoch could owe a shard a message from its past"
-                )
 
     @property
     def lookahead(self) -> float:
-        """The effective epoch width."""
-        if self.epoch_lookahead is None:
-            return self.latency_seconds
-        return self.epoch_lookahead
+        """The lockstep epoch width: the full latency, the widest window
+        that is still conservative. (A wider epoch could owe a shard a
+        message from its past; a narrower one only adds barriers.)"""
+        return self.latency_seconds
 
 
 # ---------------------------------------------------------------------- #
@@ -420,10 +404,7 @@ class ShardRunner:
         so every field must be deterministic protocol/farm state, never
         process-local identity (vm ids, object ids, wall time).
         """
-        from repro.analysis.recovery import packet_ledger
-
         farm = self.farm
-        ledger = packet_ledger(farm)
         nat = farm.gateway.nat
         report: Dict[str, Any] = {
             "shard": self.index,
@@ -437,15 +418,7 @@ class ShardRunner:
                 (r.time, str(r.victim), str(r.source), r.worm_name, r.generation)
                 for r in farm.infections
             ],
-            "ledger": {
-                "packets_in": ledger.packets_in,
-                "delivered": ledger.delivered,
-                "emulated": ledger.emulated,
-                "refused": ledger.refused,
-                "dropped_by_cause": dict(ledger.dropped_by_cause),
-                "still_pending": ledger.still_pending,
-                "leaked": ledger.leaked,
-            },
+            "ledger": packet_ledger(farm).as_dict(),
             "intershard": {
                 "sent": self.sent,
                 "received": farm.metrics.counters().get(
@@ -471,24 +444,90 @@ class ShardRunner:
         )
 
 
-def run_epochs(
-    runners: Sequence[ShardRunner], until: float, lookahead: float
-) -> None:
-    """Drive a list of runners in lockstep epochs to ``until`` — the
-    reference coordinator loop. The multiprocess coordinator runs this
-    exact structure with a pipe between the two ``for`` bodies; keeping
-    the loop shapes identical is what makes the two lanes bit-equal.
+class ShardGroup:
+    """What one executor does with the shards it owns.
+
+    The in-process federation is one group holding every shard; each
+    worker process of the parallel lane is one group holding its share.
+    Either way an epoch is: deposit the inbound messages, run the shards
+    in shard order, gather their outboxes. Messages cross this boundary
+    as :class:`ShardMessage` objects; the wire form exists only at a
+    pipe.
+
+    :meth:`epoch` and :meth:`deposit` start a step and :meth:`collect`
+    hands back what it sent — two calls, because :func:`run_lockstep`
+    starts a step on every group before it collects from any, which is
+    what lets groups behind pipes overlap.
+    """
+
+    def __init__(self, runners: Sequence[ShardRunner]) -> None:
+        self.runners = sorted(runners, key=lambda runner: runner.index)
+        self._by_shard = {runner.index: runner for runner in self.runners}
+        # One list for the life of the group: cleared, never reallocated.
+        self._outbox: List[ShardMessage] = []
+
+    def epoch(self, end: float, inbound: Sequence[ShardMessage]) -> None:
+        """Deposit ``inbound``, then run every shard to ``end``."""
+        self.deposit(inbound)
+        outbox = self._outbox
+        for runner in self.runners:
+            outbox.extend(runner.run_epoch(end))
+
+    def deposit(self, inbound: Sequence[ShardMessage]) -> None:
+        """Mailbox-only step: sends nothing."""
+        self._outbox.clear()
+        by_shard = self._by_shard
+        for message in inbound:
+            by_shard[message.dst_shard].deposit(message)
+
+    def collect(self) -> List[ShardMessage]:
+        """The messages the last step sent (valid until the next step)."""
+        return self._outbox
+
+    def reports(self) -> List[Dict[str, Any]]:
+        """One :meth:`ShardRunner.report` per shard, in shard order."""
+        return [runner.report() for runner in self.runners]
+
+
+def run_lockstep(
+    groups: Sequence[Any],
+    owner_of: Callable[[Any], int],
+    clock: float,
+    until: float,
+    lookahead: float,
+) -> int:
+    """Drive ``groups`` in lockstep epochs from ``clock`` to ``until``;
+    returns the number of epochs run.
+
+    Each of ``groups`` is a :class:`ShardGroup` or a stand-in with the
+    same ``epoch`` / ``deposit`` / ``collect`` methods; ``owner_of(message)``
+    is the position in ``groups`` of the one that owns the message's
+    destination shard. The loop never looks inside a message, so a lane
+    may route them in whatever form its transport carries.
+
+    Final-epoch sends are all due past ``until`` (the epoch is no wider
+    than the latency); the closing deposit parks them in their owners'
+    mailboxes, so undelivered accounting is exact and a later call
+    resumes where this one stopped.
     """
     if lookahead <= 0:
         raise ValueError(f"lookahead must be positive: {lookahead!r}")
-    if not runners:
-        return
-    clock = runners[0].farm.sim.now
+    # Allocated once and cleared per epoch: a traced run charges a
+    # collector pause to whatever span is open, and this glue has none.
+    pending: List[List[Any]] = [[] for __ in groups]
+    epochs = 0
     while clock < until:
         end = min(clock + lookahead, until)
-        outbound: List[ShardMessage] = []
-        for runner in runners:
-            outbound.extend(runner.run_epoch(end))
-        for message in outbound:
-            runners[message.dst_shard].deposit(message)
+        for group, inbound in zip(groups, pending):
+            group.epoch(end, inbound)
+            inbound.clear()
+        for group in groups:
+            for message in group.collect():
+                pending[owner_of(message)].append(message)
         clock = end
+        epochs += 1
+    for group, inbound in zip(groups, pending):
+        group.deposit(inbound)
+    for group in groups:
+        group.collect()
+    return epochs

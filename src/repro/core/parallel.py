@@ -3,14 +3,14 @@
 This is the scalability tentpole: N shard workers, each owning a full
 farm (gateway, hosts, ladder, batched event loop) in its own OS process,
 coordinated over pipes by a conservative time-stepped protocol (see
-:mod:`repro.core.intershard` and docs/FEDERATION.md). The coordinator's
-loop is the same lockstep-epoch structure as the in-process
-:func:`~repro.core.intershard.run_epochs` reference — run every shard to
-the barrier, exchange outboxes, advance — with a pipe round-trip where
-the reference has a function call. Workers run the identical
-:class:`~repro.core.intershard.ShardRunner` code, so for any worker
-count the results are bit-equal to the reference (the federation bench
-gates this on every run).
+:mod:`repro.core.intershard` and docs/FEDERATION.md). Nothing about the
+protocol is written here: each worker serves one
+:class:`~repro.core.intershard.ShardGroup`, and the coordinator hands
+:func:`~repro.core.intershard.run_lockstep` — the loop the in-process
+:class:`~repro.core.federation.FederatedHoneyfarm` runs — one pipe proxy
+per worker. A pipe round-trip stands where the reference has a function
+call, so for any worker count the results are bit-equal to the reference
+(the federation bench gates this on every run).
 
 Determinism does not depend on scheduling: each worker runs its shards
 in shard order within an epoch, messages are routed purely by the shard
@@ -21,22 +21,26 @@ time.
 Workers receive *specs*, not live objects: configs, prefix strings,
 worm names, telescope parameters, trace records — everything picklable
 and everything reconstructible to an identical farm in any process.
+Messages are encoded (:meth:`ShardMessage.encode`) only here, at the
+pipe; the coordinator routes the encoded tuples without decoding packet
+bodies.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import time
 import traceback
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import HoneyfarmConfig
+from repro.core.federation import FederationResult
 from repro.core.intershard import (
     InterShardConfig,
+    ShardGroup,
     ShardMessage,
     ShardRunner,
     assign_shards,
+    run_lockstep,
 )
 from repro.net.shardmap import ShardMap
 
@@ -48,29 +52,28 @@ _ENC_DST_SHARD = 4
 
 
 def _shard_worker(conn, payload: Dict[str, Any]) -> None:
-    """Worker main: build this worker's shards, then serve epochs.
+    """Worker main: build this worker's :class:`ShardGroup`, then serve
+    the coordinator's calls on it.
 
     Protocol (all tuples, coordinator -> worker unless noted):
 
     * worker sends ``("ready", [shard indices])`` after construction;
-    * ``("epoch", end, inbound)`` — deposit the encoded inbound
-      messages, run every owned shard to ``end`` (shard order), answer
-      ``("done", outbound)`` with the epoch's encoded outbox;
-    * ``("deposit", inbound)`` — mailbox-only (the post-final-barrier
-      exchange that keeps undelivered accounting identical to the
-      reference), answer ``("done", [])``;
-    * ``("report",)`` — answer ``("reports", [shard report dicts])``;
+    * ``("epoch", end, inbound)`` — :meth:`ShardGroup.epoch` on the
+      decoded inbound messages, answer ``("done", outbound)`` with the
+      epoch's encoded outbox;
+    * ``("deposit", inbound)`` — :meth:`ShardGroup.deposit` (the
+      post-final-barrier exchange), answer ``("done", [])``;
+    * ``("reports",)`` — answer ``("reports", [shard report dicts])``;
     * ``("stop",)`` — exit.
 
     Any exception is shipped back as ``("error", formatted traceback)``.
     """
     try:
         shard_map = ShardMap(payload["spec"])
-        interlink: InterShardConfig = payload["interlink"]
-        runners: Dict[int, ShardRunner] = {}
+        runners: List[ShardRunner] = []
         for index, config, records in payload["shards"]:
             runner = ShardRunner(
-                index, config, shard_map, interlink,
+                index, config, shard_map, payload["interlink"],
                 worms=payload["worms"],
                 recorder_capacity=payload["recorder_capacity"],
             )
@@ -80,32 +83,22 @@ def _shard_worker(conn, payload: Dict[str, Any]) -> None:
                 )
             elif records is not None:
                 runner.attach_records(records, batched=payload["batched"])
-            runners[index] = runner
-        order = sorted(runners)
-        conn.send(("ready", order))
+            runners.append(runner)
+        group = ShardGroup(runners)
+        conn.send(("ready", [runner.index for runner in group.runners]))
         while True:
-            message = conn.recv()
-            op = message[0]
-            if op == "epoch":
-                __, end, inbound = message
-                for encoded in inbound:
-                    decoded = ShardMessage.decode(encoded)
-                    runners[decoded.dst_shard].deposit(decoded)
-                outbound: List[Tuple] = []
-                for index in order:
-                    outbound.extend(
-                        m.encode() for m in runners[index].run_epoch(end)
-                    )
-                conn.send(("done", outbound))
-            elif op == "deposit":
-                for encoded in message[1]:
-                    decoded = ShardMessage.decode(encoded)
-                    runners[decoded.dst_shard].deposit(decoded)
-                conn.send(("done", []))
-            elif op == "report":
-                conn.send(("reports", [runners[i].report() for i in order]))
-            elif op == "stop":
+            op, *args = conn.recv()
+            if op == "stop":
                 return
+            if op == "reports":
+                conn.send(("reports", group.reports()))
+            elif op in ("epoch", "deposit"):
+                # The codec lives here, at the pipe, and nowhere else.
+                *when, inbound = args
+                getattr(group, op)(
+                    *when, [ShardMessage.decode(encoded) for encoded in inbound]
+                )
+                conn.send(("done", [m.encode() for m in group.collect()]))
             else:
                 raise ValueError(f"unknown coordinator op: {op!r}")
     except Exception:
@@ -117,88 +110,30 @@ def _shard_worker(conn, payload: Dict[str, Any]) -> None:
         conn.close()
 
 
-@dataclass
-class FederationResult:
-    """Everything a parallel run reports, plus aggregate views.
+class _WorkerPort:
+    """Coordinator-side stand-in for the :class:`ShardGroup` living in
+    one worker process: each method is that method's call sent down the
+    pipe, and :meth:`collect` is the reply."""
 
-    ``reports`` (sorted by shard index) is the bit-equality surface: it
-    must compare equal across worker counts and against the in-process
-    reference's :meth:`~repro.core.federation.FederatedHoneyfarm.shard_reports`.
-    """
+    def __init__(self, conn, worker: int) -> None:
+        self.conn = conn
+        self.worker = worker
 
-    reports: List[Dict[str, Any]]
-    workers: int
-    assignment: List[int]
-    epochs: int
-    until: float
-    wall_seconds: float = 0.0
-    ledger_buckets: Tuple[str, ...] = field(
-        default=("packets_in", "delivered", "emulated", "refused",
-                 "still_pending"),
-        repr=False,
-    )
+    def epoch(self, end: float, inbound: List[Tuple]) -> None:
+        self.conn.send(("epoch", end, inbound))
 
-    def aggregate_counters(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
-        for report in self.reports:
-            for name, value in report["counters"].items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
+    def deposit(self, inbound: List[Tuple]) -> None:
+        self.conn.send(("deposit", inbound))
 
-    def infection_count(self) -> int:
-        return sum(len(r["infections"]) for r in self.reports)
-
-    def infections(self) -> List[Tuple]:
-        """All shards' infection tuples merged in time order."""
-        merged: List[Tuple] = []
-        for report in self.reports:
-            merged.extend(tuple(i) for i in report["infections"])
-        merged.sort()
-        return merged
-
-    def ledger_totals(self) -> Dict[str, int]:
-        totals = {bucket: 0 for bucket in self.ledger_buckets}
-        totals["dropped"] = 0
-        totals["leaked"] = 0
-        for report in self.reports:
-            ledger = report["ledger"]
-            for bucket in self.ledger_buckets:
-                totals[bucket] += ledger[bucket]
-            totals["dropped"] += sum(ledger["dropped_by_cause"].values())
-            totals["leaked"] += ledger["leaked"]
-        return totals
-
-    def intershard_totals(self) -> Dict[str, int]:
-        keys = ("sent", "received", "undelivered")
-        return {
-            key: sum(r["intershard"][key] for r in self.reports)
-            for key in keys
-        }
-
-    def assert_packet_conservation(self) -> Dict[str, int]:
-        """Mirror of the in-process federation's conservation check over
-        the shipped reports; returns the summed ledger on success."""
-        failures: List[str] = []
-        for report in self.reports:
-            if report["ledger"]["leaked"] != 0:
-                failures.append(
-                    f"shard {report['shard']} leaked"
-                    f" {report['ledger']['leaked']} packets"
-                )
-        totals = self.ledger_totals()
-        flows = self.intershard_totals()
-        if flows["sent"] != flows["received"] + flows["undelivered"]:
-            failures.append(
-                f"inter-shard messages: {flows['sent']} sent !="
-                f" {flows['received']} received +"
-                f" {flows['undelivered']} undelivered"
+    def collect(self):
+        """The worker's next reply. The only ``recv`` on the coordinator
+        side, so the one place a worker failure surfaces."""
+        message = self.conn.recv()
+        if message[0] == "error":
+            raise RuntimeError(
+                f"federation worker {self.worker} failed:\n{message[1]}"
             )
-        if failures:
-            raise AssertionError(
-                "parallel federation packet conservation violated: "
-                + "; ".join(failures)
-            )
-        return totals
+        return message[1]
 
 
 class ParallelFederation:
@@ -299,15 +234,6 @@ class ParallelFederation:
             "recorder_capacity": self.shard_recorder_capacity,
         }
 
-    @staticmethod
-    def _recv(conn, worker: int):
-        message = conn.recv()
-        if message[0] == "error":
-            raise RuntimeError(
-                f"federation worker {worker} failed:\n{message[1]}"
-            )
-        return message[1]
-
     def run(self, until: float) -> FederationResult:
         """Execute the lockstep run to ``until`` and collect reports.
 
@@ -319,9 +245,8 @@ class ParallelFederation:
         self._ran = True
         ctx = mp.get_context(self.start_method)
         active = sorted(set(self.assignment))
-        processes: Dict[int, Any] = {}
-        conns: Dict[int, Any] = {}
-        t0 = time.perf_counter()
+        processes: List[Any] = []
+        ports: List[_WorkerPort] = []
         try:
             for worker in active:
                 parent_conn, child_conn = ctx.Pipe()
@@ -332,54 +257,36 @@ class ParallelFederation:
                 )
                 process.start()
                 child_conn.close()
-                processes[worker] = process
-                conns[worker] = parent_conn
-            for worker in active:
-                self._recv(conns[worker], worker)  # ready
-            lookahead = self.interlink.lookahead
-            pending: Dict[int, List[Tuple]] = {w: [] for w in active}
-            clock, epochs = 0.0, 0
-            while clock < until:
-                end = min(clock + lookahead, until)
-                for worker in active:
-                    conns[worker].send(("epoch", end, pending[worker]))
-                    pending[worker] = []
-                for worker in active:
-                    for encoded in self._recv(conns[worker], worker):
-                        owner = self.assignment[encoded[_ENC_DST_SHARD]]
-                        pending[owner].append(encoded)
-                clock = end
-                epochs += 1
-            # Final-epoch sends are all due past ``until`` (the epoch is
-            # narrower than the latency); park them in their owners'
-            # mailboxes so undelivered accounting matches the reference.
-            for worker in active:
-                conns[worker].send(("deposit", pending[worker]))
-                pending[worker] = []
-            for worker in active:
-                self._recv(conns[worker], worker)
+                processes.append(process)
+                ports.append(_WorkerPort(parent_conn, worker))
+            for port in ports:
+                port.collect()  # ready
+            # Shard -> position in ``ports`` of the worker that owns it.
+            owner = [active.index(worker) for worker in self.assignment]
+            epochs = run_lockstep(
+                ports, lambda encoded: owner[encoded[_ENC_DST_SHARD]],
+                0.0, until, self.interlink.lookahead,
+            )
             reports: List[Dict[str, Any]] = []
-            for worker in active:
-                conns[worker].send(("report",))
-            for worker in active:
-                reports.extend(self._recv(conns[worker], worker))
-            for worker in active:
-                conns[worker].send(("stop",))
-            for worker in active:
-                processes[worker].join(timeout=30)
+            for port in ports:
+                port.conn.send(("reports",))
+            for port in ports:
+                reports.extend(port.collect())
+            for port in ports:
+                port.conn.send(("stop",))
+            for process in processes:
+                process.join(timeout=30)
         finally:
-            for process in processes.values():
+            for process in processes:
                 if process.is_alive():
                     process.terminate()
                     process.join(timeout=5)
-            for conn in conns.values():
-                conn.close()
+            for port in ports:
+                port.conn.close()
         reports.sort(key=lambda r: r["shard"])
         return FederationResult(
             reports=reports,
             workers=self.workers,
             assignment=list(self.assignment),
             epochs=epochs,
-            until=until,
-            wall_seconds=time.perf_counter() - t0,
         )

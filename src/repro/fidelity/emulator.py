@@ -4,10 +4,13 @@ The contract of this module is **byte parity with the guest**: for any
 packet that does not trigger a promotion, :func:`emulator_replies` must
 return exactly the packets a freshly cloned
 :class:`~repro.services.guest.GuestHost` of the same personality would
-return — same flags, same payloads, same sizes. That parity is what the
-world-matrix equivalence oracle proves end to end, and it is why the
-shared constants below are imported from the guest module rather than
-re-declared (``tests/test_fidelity.py`` pins the parity packet-by-packet).
+return — same flags, same payloads, same sizes. Parity holds by
+construction: ``emulator_replies`` *is* the guest's own reply function
+(:func:`repro.services.guest.service_replies`), under the name the
+emulator tier, the span lane and the responder baseline import. The
+world-matrix equivalence oracle and ``tests/test_fidelity.py`` still
+check it packet by packet. Exploit packets that would actually infect
+the guest must be promoted *before* it is called.
 
 :class:`EmulatedSession` adds the per-address state the stateless reply
 function does not need but the promotion engine does: per-flow exchange
@@ -20,74 +23,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.flow import FlowKey
-from repro.net.packet import (
-    ICMP_ECHO_REQUEST,
-    PROTO_ICMP,
-    PROTO_TCP,
-    PROTO_UDP,
-    Packet,
-    TcpFlags,
-)
-# Intentional private imports: the emulator's whole contract is parity
-# with the guest's reply path, so the response-prefix check must be the
-# guest's own, not a copy that can drift.
-from repro.services.guest import ICMP_DEST_UNREACHABLE, _is_response_payload
+from repro.net.packet import PROTO_TCP, PROTO_UDP, Packet
+from repro.services.guest import BANNER_PREFIX, _is_response_payload
+from repro.services.guest import service_replies as emulator_replies
 from repro.services.personality import Personality
 
 __all__ = ["EmulatedSession", "FlowState", "emulator_replies"]
-
-_SYN_ACK = TcpFlags.SYN | TcpFlags.ACK
-_RST_ACK = TcpFlags.RST | TcpFlags.ACK
-_PSH_ACK = TcpFlags.PSH | TcpFlags.ACK
-
-_BANNER_PREFIX = "banner:"
-
-
-def emulator_replies(personality: Personality, packet: Packet) -> List[Packet]:
-    """The synchronous replies a running guest of ``personality`` would
-    send for ``packet`` — minus infection and memory side effects.
-
-    Mirrors ``GuestHost._handle_icmp/_handle_tcp/_handle_udp`` exactly
-    (the guest's ``_pending_followups`` branch is unreachable here:
-    emulated addresses never initiate connections). Exploit packets that
-    would actually infect the guest must be promoted *before* this is
-    called; an exploit the personality is not vulnerable to bounces off
-    with a banner, just as it does on a real guest.
-    """
-    if packet.is_icmp:
-        if packet.icmp_type != ICMP_ECHO_REQUEST:
-            return []
-        return [packet.reply_template(size=packet.size)]
-    if packet.is_tcp:
-        service = personality.service_at(PROTO_TCP, packet.dst_port)
-        if packet.flags.is_syn:
-            handshake = packet.reply_template()
-            handshake.flags = _RST_ACK if service is None else _SYN_ACK
-            return [handshake]
-        if service is None:
-            return []  # mid-stream segment to a closed port: silently drop
-        if _is_response_payload(packet.payload):
-            return []  # responses never elicit responses (no reply loops)
-        if packet.payload and service.banner:
-            banner = packet.reply_template(payload=f"{_BANNER_PREFIX}{service.banner}")
-            banner.flags = _PSH_ACK
-            banner.size = 40 + len(service.banner)
-            return [banner]
-        return []
-    if packet.is_udp:
-        if _is_response_payload(packet.payload):
-            return []
-        service = personality.service_at(PROTO_UDP, packet.dst_port)
-        if service is None:
-            unreachable = packet.reply_template()
-            unreachable.protocol = PROTO_ICMP
-            unreachable.icmp_type = ICMP_DEST_UNREACHABLE
-            unreachable.size = 56
-            return [unreachable]
-        if service.banner:
-            return [packet.reply_template(payload=f"{_BANNER_PREFIX}{service.banner}")]
-        return []
-    return []  # unknown IP protocol: the guest drops it silently too
 
 
 class FlowState:
@@ -178,8 +119,8 @@ class EmulatedSession:
         self.packets_absorbed += 1
         replies = emulator_replies(self.personality, packet)
         for reply in replies:
-            if reply.payload.startswith(_BANNER_PREFIX):
-                self.banner = reply.payload[len(_BANNER_PREFIX):]
+            if reply.payload.startswith(BANNER_PREFIX):
+                self.banner = reply.payload[len(BANNER_PREFIX):]
         return replies
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

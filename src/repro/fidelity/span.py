@@ -40,10 +40,9 @@ Correctness rests on three invariants:
   be, so traffic to any other address leaves it valid. What an entry
   assumes about the *farm* (its policy and trigger stack) is the lane
   object's own validity: :meth:`SpanLane.serves`;
-* bucket placement is deferred to ``FlowTable.expire_idle``'s self-heal
-  (records touched here keep their creation-time bucket), which visits
-  stale-bucketed records no later than their expiry sweep, so expiry
-  timing and counts match the per-event arm exactly.
+* flow records touched here keep their creation-time bucket, as they
+  do on the per-packet lane: ``FlowTable.expire_idle`` refiles them
+  (see :mod:`repro.net.flow`).
 """
 
 from __future__ import annotations
@@ -51,11 +50,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.containment import ContainmentPolicy, DropAllPolicy, honeypot_initiated
-from repro.fidelity.emulator import _BANNER_PREFIX, emulator_replies
+from repro.fidelity.emulator import emulator_replies
 from repro.fidelity.triggers import empty_payload_rule
 from repro.net.addr import IPAddress
 from repro.net.flow import FlowKey
 from repro.net.packet import PROTO_ICMP, Packet
+from repro.services.guest import BANNER_PREFIX
 from repro.services.personality import Personality
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -253,7 +253,7 @@ class SpanLane:
             return (_ECHO, 0, None)
         payload = reply.payload
         banner = (
-            payload[len(_BANNER_PREFIX):] if payload.startswith(_BANNER_PREFIX) else None
+            payload[len(BANNER_PREFIX):] if payload.startswith(BANNER_PREFIX) else None
         )
         return (_FIXED, reply.size, banner)
 

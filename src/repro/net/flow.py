@@ -21,6 +21,15 @@ every live flow:
   residual flow state without touching unrelated flows, and
 * **last-seen buckets** (coarse time buckets over ``last_seen``) so
   :meth:`expire_idle` visits only flows old enough to possibly be idle.
+
+One bucket policy: a record is filed under its creation time by
+:meth:`FlowTable.create` and *not* moved when later packets touch it.
+:meth:`FlowTable.expire_idle` visits every bucket old enough to hold an
+expirable record, and refiles the records it finds still live under
+their true ``last_seen``. A record's bucket is therefore never later
+than its ``last_seen`` one, so the sweep that should expire it always
+visits it: expiry timing and counts are those of re-bucketing on every
+packet, without the per-packet dict moves.
 """
 
 from __future__ import annotations
@@ -285,7 +294,6 @@ class FlowTable:
         if created:
             record = self.create(key, packet.src, now)
         record.touch(packet, now)
-        self._place_in_bucket(record, now)
         return record, created
 
     def live_record(self, key: FlowKey, now: float) -> Optional[FlowRecord]:
@@ -359,8 +367,8 @@ class FlowTable:
                     self._remove(record)
                     expired.append(record)
                 else:
-                    # Self-heal: a record touched outside observe() may sit
-                    # in a stale bucket; refile it under its true last_seen.
+                    # Touched since it was filed: refile it under its
+                    # true last_seen (the module docstring's one policy).
                     self._place_in_bucket(record, record.last_seen)
         self.expired_total += len(expired)
         return expired

@@ -25,7 +25,6 @@ front of the containment policy.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -33,31 +32,33 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.net.addr import IPAddress
 from repro.net.packet import (
     ICMP_ECHO_REQUEST,
+    PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
     Packet,
     TcpFlags,
-    tcp_packet,
     udp_packet,
 )
 from repro.services.personality import Personality
 from repro.services.vulnerabilities import VulnerabilityCatalog
 from repro.sim.engine import Simulator
 from repro.sim.process import Process, Sleep, spawn
-from repro.sim.rand import RandomStream
+from repro.sim.rand import RandomStream, stable_hash
 from repro.vmm.memory import OutOfMemoryError
 from repro.vmm.vm import VirtualMachine, VMState
 
-__all__ = ["ScanBehavior", "InfectionRecord", "GuestHost"]
+__all__ = ["ScanBehavior", "InfectionRecord", "GuestHost", "service_replies"]
 
 ICMP_DEST_UNREACHABLE = 3
+
+BANNER_PREFIX = "banner:"
 
 #: Payload prefixes that mark a packet as a *response*. Responses are
 #: consumed silently by whoever receives them — real application protocols
 #: do not answer answers, and modelling that is what prevents two
 #: honeypots from ping-ponging banners through the reflection path
 #: forever (a synchronous packet storm the first prototype hit).
-_RESPONSE_PREFIXES = ("banner:", "dns:answer")
+_RESPONSE_PREFIXES = (BANNER_PREFIX, "dns:answer")
 
 # Flag combinations the TCP answer path stamps on every reply; IntFlag's
 # ``|`` constructs a new member per call, so build each combination once.
@@ -68,6 +69,54 @@ _PSH_ACK = TcpFlags.PSH | TcpFlags.ACK
 
 def _is_response_payload(payload: str) -> bool:
     return payload.startswith(_RESPONSE_PREFIXES)
+
+
+def service_replies(personality: Personality, packet: Packet) -> List[Packet]:
+    """The synchronous replies a running, uncompromised host of
+    ``personality`` sends for ``packet``: the one statement of how a
+    personality answers.
+
+    Pure — no guest, no memory, no infection. :class:`GuestHost` answers
+    through it after applying a request's side effects, and the emulator
+    tier (where it is known as ``emulator_replies``), the span lane and
+    the stateless-responder baseline answer through it with no VM at
+    all, so the tiers cannot be told apart by their replies. An exploit
+    the personality is not vulnerable to bounces off with a banner.
+    """
+    if packet.is_icmp:
+        if packet.icmp_type != ICMP_ECHO_REQUEST:
+            return []
+        return [packet.reply_template(size=packet.size)]
+    if packet.is_tcp:
+        service = personality.service_at(PROTO_TCP, packet.dst_port)
+        if packet.flags.is_syn:
+            handshake = packet.reply_template()
+            handshake.flags = _RST_ACK if service is None else _SYN_ACK
+            return [handshake]
+        if service is None:
+            return []  # mid-stream segment to a closed port: silently drop
+        if _is_response_payload(packet.payload):
+            return []  # responses never elicit responses (no reply loops)
+        if packet.payload and service.banner:
+            banner = packet.reply_template(payload=f"{BANNER_PREFIX}{service.banner}")
+            banner.flags = _PSH_ACK
+            banner.size = 40 + len(service.banner)
+            return [banner]
+        return []
+    if packet.is_udp:
+        if _is_response_payload(packet.payload):
+            return []  # responses never elicit responses (no reply loops)
+        service = personality.service_at(PROTO_UDP, packet.dst_port)
+        if service is None:
+            unreachable = packet.reply_template()
+            unreachable.protocol = PROTO_ICMP
+            unreachable.icmp_type = ICMP_DEST_UNREACHABLE
+            unreachable.size = 56
+            return [unreachable]
+        if service.banner:
+            return [packet.reply_template(payload=f"{BANNER_PREFIX}{service.banner}")]
+        return []
+    return []  # unknown IP protocol: dropped silently
 
 
 @lru_cache(maxsize=None)
@@ -87,8 +136,7 @@ def _worm_body_region(worm_name: str, page_count: int, body_pages: int) -> int:
     """
     low_reserved = 1024  # base working set + connection region live here
     span = max(page_count - low_reserved - body_pages, 1)
-    digest = hashlib.sha256(f"body-region:{worm_name}".encode()).digest()
-    return low_reserved + int.from_bytes(digest[:4], "big") % span
+    return low_reserved + stable_hash(f"body-region:{worm_name}", 4) % span
 
 
 @lru_cache(maxsize=None)
@@ -101,8 +149,7 @@ def _worm_page_content(worm_name: str, index: int) -> int:
     Derived via SHA-256 so tags are stable across runs and cannot collide
     with the allocator's sequential fresh tags (top bit forced set).
     """
-    digest = hashlib.sha256(f"worm-body:{worm_name}:{index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") | (1 << 63)
+    return stable_hash(f"worm-body:{worm_name}:{index}") | (1 << 63)
 
 
 @lru_cache(maxsize=None)
@@ -348,10 +395,7 @@ class GuestHost:
         total = self.vm.disk.image.block_count
         cap = self.personality.disk_working_set_cap_blocks
         # Stable (cross-process) per-worm region, clear of the log area.
-        region = int.from_bytes(
-            hashlib.sha256(f"disk:{worm_name}".encode()).digest()[:4], "big"
-        ) % 1000
-        base = cap + region * 256
+        base = cap + stable_hash(f"disk:{worm_name}", 4) % 1000 * 256
         for i in range(count):
             self.vm.disk.write((base + i) % total)
 
@@ -397,24 +441,12 @@ class GuestHost:
         self.vm.vif.account_in(packet.size)
         self._touch_working_set()
 
-        if packet.is_icmp:
-            return self._handle_icmp(packet)
-        if packet.is_tcp:
-            return self._handle_tcp(packet, now)
-        if packet.is_udp:
-            return self._handle_udp(packet, now)
-        return []
-
-    def _handle_icmp(self, packet: Packet) -> List[Packet]:
-        if packet.icmp_type != ICMP_ECHO_REQUEST:
-            return []
-        return [self._account_out(packet.reply_template(size=packet.size))]
-
-    def _handle_tcp(self, packet: Packet, now: float) -> List[Packet]:
         # A SYN/ACK (or RST) answering a connection this guest initiated:
         # the connection is up, deliver the queued payload on it.
-        if packet.dst_port in self._pending_followups and (
-            packet.flags.is_synack or packet.flags.has_rst
+        if (
+            packet.is_tcp
+            and packet.dst_port in self._pending_followups
+            and (packet.flags.is_synack or packet.flags.has_rst)
         ):
             dst_port, payload, size = self._pending_followups.pop(packet.dst_port)
             if packet.flags.is_synack:
@@ -430,54 +462,32 @@ class GuestHost:
                 )
                 self._transmit_if_running(followup)
             return []
-        service = self.personality.service_at(PROTO_TCP, packet.dst_port)
-        if packet.flags.is_syn:
-            if service is None:
-                rst = packet.reply_template()
-                rst.flags = _RST_ACK
-                return [self._account_out(rst)]
-            synack = packet.reply_template()
-            synack.flags = _SYN_ACK
-            return [self._account_out(synack)]
-        if service is None:
-            return []  # mid-stream segment to a closed port: silently drop
-        if _is_response_payload(packet.payload):
-            return []  # responses never elicit responses (no reply loops)
-        replies: List[Packet] = []
-        if packet.payload:
+
+        if self._is_service_request(packet):
             self.connections_handled += 1
             self._dirty_connection_pages(self.personality.pages_per_connection)
             self._write_connection_to_disk()
-            infected_now = self._maybe_infect(packet, now)
-            if not infected_now and service.banner:
-                banner = packet.reply_template(payload=f"banner:{service.banner}")
-                banner.flags = _PSH_ACK
-                banner.size = 40 + len(service.banner)
-                replies.append(self._account_out(banner))
+            if self._maybe_infect(packet, now):
+                return []  # compromised by this packet: the service never answers
+        replies = service_replies(self.personality, packet)
+        for reply in replies:
+            self.vm.vif.account_out(reply.size)
         return replies
 
-    def _handle_udp(self, packet: Packet, now: float) -> List[Packet]:
-        if _is_response_payload(packet.payload):
-            return []  # responses never elicit responses (no reply loops)
-        service = self.personality.service_at(PROTO_UDP, packet.dst_port)
-        if service is None:
-            unreachable = packet.reply_template()
-            unreachable.protocol = 1  # ICMP
-            unreachable.icmp_type = ICMP_DEST_UNREACHABLE
-            unreachable.size = 56
-            return [self._account_out(unreachable)]
-        self.connections_handled += 1
-        self._dirty_connection_pages(self.personality.pages_per_connection)
-        self._write_connection_to_disk()
-        infected_now = self._maybe_infect(packet, now)
-        if not infected_now and service.banner:
-            reply = packet.reply_template(payload=f"banner:{service.banner}")
-            return [self._account_out(reply)]
-        return []
-
-    def _account_out(self, packet: Packet) -> Packet:
-        self.vm.vif.account_out(packet.size)
-        return packet
+    def _is_service_request(self, packet: Packet) -> bool:
+        """Whether ``packet`` is application data for a service this
+        guest runs — what costs connection state and can carry an
+        exploit: a UDP datagram, or a TCP payload segment (never the
+        SYN), to an open port, and not itself a response."""
+        if packet.is_tcp:
+            if packet.flags.is_syn or not packet.payload:
+                return False
+        elif not packet.is_udp:
+            return False
+        return (
+            not _is_response_payload(packet.payload)
+            and self.personality.service_at(packet.protocol, packet.dst_port) is not None
+        )
 
     # ------------------------------------------------------------------ #
     # Infection and propagation
@@ -550,7 +560,7 @@ class GuestHost:
             src_port = 1024 + self.rng.randint(0, 60000)
             if behavior.protocol == PROTO_TCP:
                 # Real TCP worms connect first; the exploit follows the
-                # handshake (see _handle_tcp's SYN/ACK branch).
+                # handshake (see handle_packet's SYN/ACK branch).
                 self._pending_followups[src_port] = (
                     behavior.dst_port, behavior.exploit_tag, behavior.payload_size,
                 )

@@ -21,14 +21,22 @@ import math
 import random
 from typing import Iterable, List, Optional, Sequence, TypeVar
 
-__all__ = ["SeedSequence", "RandomStream"]
+__all__ = ["SeedSequence", "RandomStream", "stable_hash"]
 
 T = TypeVar("T")
 
 
+def stable_hash(label: str, nbytes: int = 8) -> int:
+    """The first ``nbytes`` of SHA-256(``label``) as a big-endian
+    integer: a hash that is the same in every process and Python version
+    (unlike ``hash()``). Every value the simulation derives from a name —
+    stream seeds, per-address personalities, worm body positions — goes
+    through here."""
+    return int.from_bytes(hashlib.sha256(label.encode()).digest()[:nbytes], "big")
+
+
 def _derive_seed(root: int, name: str) -> int:
-    digest = hashlib.sha256(f"{root}:{name}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return stable_hash(f"{root}:{name}")
 
 
 class SeedSequence:

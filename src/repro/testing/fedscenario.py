@@ -7,7 +7,8 @@ the per-shard farm configs, the epoch protocol constants, the
 partitioned telescope workload, and the worm specs. One scenario builds
 *both* lanes (:meth:`build_reference` for the in-process golden
 federation, :meth:`build_parallel` for the multiprocess runner at any
-worker count), which is what the worker-count invariance tests and
+worker count; :meth:`run` picks by worker count and returns the one
+result type), which is what the worker-count invariance tests and
 ``benchmarks/bench_federation.py`` compare bit for bit.
 
 Pinned scenarios live in ``tests/corpus/federation/`` (a subdirectory:
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.config import HoneyfarmConfig, LadderConfig
-from repro.core.federation import FederatedHoneyfarm
+from repro.core.federation import FederatedHoneyfarm, FederationResult
 from repro.core.intershard import InterShardConfig
 from repro.sim.rand import SeedSequence
 from repro.workloads.telescope import PartitionedTelescope, TelescopeConfig
@@ -47,9 +48,9 @@ class FederationScenario:
         at ``10.16.0.0`` — ``shard_bits=16`` reproduces the paper's
         one-/16-per-gateway layout (``10.16.0.0/16``, ``10.17.0.0/16``,
         ...), larger values give the small shards tests want.
-    latency / lookahead:
-        The :class:`InterShardConfig` fields (``lookahead=None`` uses
-        the full latency).
+    latency:
+        The :class:`InterShardConfig` cross-shard latency (also the
+        lockstep epoch width).
     telescope_rate:
         ``sources_per_second_per_slash16`` for every shard's partition;
         scale it up for small shards (the workload scales with shard
@@ -64,7 +65,6 @@ class FederationScenario:
     shard_bits: int = 24
     duration: float = 15.0
     latency: float = 0.5
-    lookahead: Optional[float] = None
     telescope_rate: float = 256.0
     exploit_fraction: float = 0.35
     probes_max: int = 200
@@ -99,7 +99,7 @@ class FederationScenario:
                 raise ValueError(
                     f"unknown worm {worm!r}; known: {sorted(KNOWN_WORMS)}"
                 )
-        self.interlink()  # validate latency/lookahead eagerly
+        self.interlink()  # validate the latency eagerly
 
     # ------------------------------------------------------------------ #
     # Derived inputs
@@ -148,9 +148,7 @@ class FederationScenario:
         return configs
 
     def interlink(self) -> InterShardConfig:
-        return InterShardConfig(
-            latency_seconds=self.latency, epoch_lookahead=self.lookahead
-        )
+        return InterShardConfig(latency_seconds=self.latency)
 
     def telescope(self) -> PartitionedTelescope:
         return PartitionedTelescope(
@@ -191,6 +189,17 @@ class FederationScenario:
             worms=self.worms,
             **kwargs,
         )
+
+    def run(self, workers: int = 0, placement="balanced") -> FederationResult:
+        """Run to ``duration`` on the in-process lane (``workers=0``) or
+        over ``workers`` processes, shards placed by ``placement`` (the
+        in-process lane has nothing to place)."""
+        if workers:
+            lane = self.build_parallel(workers, placement=placement)
+            return lane.run(until=self.duration)
+        federation = self.build_reference()
+        federation.run(until=self.duration)
+        return federation.result()
 
     # ------------------------------------------------------------------ #
     # Serialization (corpus pinning)

@@ -23,11 +23,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.adversary.base import AdversaryAgent
 from repro.adversary.botnet import BotnetCampaign
 from repro.adversary.fingerprint import FingerprintScanner
-from repro.analysis.recovery import packet_ledger
 from repro.baselines.responder import StatelessResponder
 from repro.core.federation import FederatedHoneyfarm
 from repro.core.honeyfarm import Honeyfarm
 from repro.core.intershard import InterShardConfig
+from repro.core.ledger import packet_ledger
 from repro.faults.injectors import ChaosController
 from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
 from repro.obs import FlightRecorder, install, uninstall
@@ -145,7 +145,8 @@ class WorldObservation:
     recorder_evicted: int = 0
     frame_error: Optional[str] = None
     pressure_evictions: int = 0
-    # Packet-conservation ledger fields (farm worlds).
+    # Packet-conservation ledger (farm worlds): the keys of
+    # ``PacketLedger.as_dict()``.
     packets_in: int = 0
     delivered: int = 0
     refused: int = 0
@@ -312,14 +313,7 @@ def _run_farm(
     )
 
     obs.pressure_evictions = obs.counters.get("farm.pressure_evictions", 0)
-    ledger = packet_ledger(farm)
-    obs.packets_in = ledger.packets_in
-    obs.delivered = ledger.delivered
-    obs.refused = ledger.refused
-    obs.dropped_by_cause = dict(ledger.dropped_by_cause)
-    obs.still_pending = ledger.still_pending
-    obs.leaked = ledger.leaked
-    obs.emulated = ledger.emulated
+    vars(obs).update(packet_ledger(farm).as_dict())
     return obs
 
 
@@ -419,6 +413,7 @@ def _run_federation(
     end_time = scenario.duration + COOLDOWN_SECONDS
     federation.run(until=end_time)
 
+    result = federation.result()
     obs = WorldObservation(
         world=spec.name,
         kind="federation",
@@ -428,25 +423,18 @@ def _run_federation(
         sim_now=federation.now,
         end_time=end_time,
         live_vms=federation.live_vms,
-        counters=federation.aggregate_counters(),
+        counters=result.aggregate_counters(),
     )
     obs.infections = sorted(
-        (str(r.victim), r.worm_name, r.generation)
-        for r in federation.infections()
+        (victim, worm, generation)
+        for __, victim, __, worm, generation in result.infections()
     )
     obs.external_packets = sorted(escaped)
     try:
-        ledger = federation.assert_packet_conservation()
+        result.assert_packet_conservation()
     except AssertionError as exc:  # the oracle reports, never raises
         obs.frame_error = f"{type(exc).__name__}: {exc}"
-        ledger = federation.federation_ledger()
-    obs.packets_in = ledger.packets_in
-    obs.delivered = ledger.delivered
-    obs.refused = ledger.refused
-    obs.dropped_by_cause = dict(ledger.dropped_by_cause)
-    obs.still_pending = ledger.still_pending
-    obs.leaked = sum(l.leaked for l in federation.member_ledgers())
-    obs.emulated = ledger.emulated
+    vars(obs).update(result.ledger().as_dict())
     obs.pressure_evictions = obs.counters.get("farm.pressure_evictions", 0)
     return obs
 

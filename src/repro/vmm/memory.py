@@ -737,6 +737,10 @@ class GuestAddressSpace:
     """
 
     def __init__(self, image: ReferenceImage, eager_copy: bool = False) -> None:
+        if eager_copy and not image.memory.can_fit(image.page_count):
+            # Refused before any state changes; ``allocate`` counts the
+            # failure and raises OutOfMemoryError.
+            image.memory.allocate(image.page_count)
         image.attach()
         self.image = image
         self.memory = image.memory
@@ -750,23 +754,16 @@ class GuestAddressSpace:
         self._exclusive_frames = 0
         self.destroyed = False
         if eager_copy:
-            try:
-                if self._store is not None:
-                    for page in range(image.page_count):
-                        tag = _fresh_tags.take()
-                        self._store.intern(self, tag)
-                        self._overlay[page] = tag
-                else:
-                    self.memory._allocate_private(image.page_count)
-                    for page in range(image.page_count):
-                        self._overlay[page] = _fresh_tags.take()
-            except OutOfMemoryError:
-                # Roll back the partial copy; the caller sees a clean failure.
-                for tag in self._overlay.values():
-                    self._store.release(self, tag)
-                self._overlay.clear()
-                image.detach()
-                raise
+            # A full copy is one write of the whole image. The bulk call
+            # stops only before a fresh tag something has pinned ahead of
+            # the counter; that page takes the single-page path.
+            page = 0
+            while page < image.page_count:
+                page += self.write_run(page, image.page_count - page)
+                if page < image.page_count:
+                    self.write(page)
+                    page += 1
+            self.cow_faults = 0  # copied up front, not faulted
 
     # ------------------------------------------------------------------ #
     # Access

@@ -1,9 +1,12 @@
 """Tests for the inter-shard message layer primitives.
 
 Wire codec round-trips, protocol-constant validation, the federation
-routing table (:class:`ShardMap`), shard->worker placement, and the
-mailbox's deterministic delivery order.
+routing table (:class:`ShardMap`), shard->worker placement, the
+mailbox's deterministic delivery order, and the one lockstep loop
+(:func:`run_lockstep`) against fake groups.
 """
+
+from operator import itemgetter
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.core.intershard import (
     assign_shards,
     decode_packet,
     encode_packet,
+    run_lockstep,
 )
 from repro.net.addr import IPAddress
 from repro.net.packet import TcpFlags, icmp_packet, tcp_packet, udp_packet
@@ -108,24 +112,10 @@ class TestInterShardConfig:
     def test_default_lookahead_is_latency(self):
         assert InterShardConfig(latency_seconds=0.25).lookahead == 0.25
 
-    def test_explicit_lookahead(self):
-        config = InterShardConfig(latency_seconds=0.5, epoch_lookahead=0.1)
-        assert config.lookahead == 0.1
-
     @pytest.mark.parametrize("latency", [0.0, -1.0])
     def test_nonpositive_latency_rejected(self, latency):
         with pytest.raises(ValueError, match="latency"):
             InterShardConfig(latency_seconds=latency)
-
-    def test_lookahead_wider_than_latency_rejected(self):
-        """A message sent late in an over-wide epoch would be due before
-        the barrier that carries it — the conservative invariant breaks."""
-        with pytest.raises(ValueError, match="exceed"):
-            InterShardConfig(latency_seconds=0.5, epoch_lookahead=0.6)
-
-    def test_nonpositive_lookahead_rejected(self):
-        with pytest.raises(ValueError, match="lookahead"):
-            InterShardConfig(latency_seconds=0.5, epoch_lookahead=0.0)
 
 
 class TestShardMap:
@@ -260,6 +250,77 @@ class TestShardRunnerMailbox:
         with pytest.raises(ValueError, match="disagree"):
             ShardRunner(0, configs[1], shard_map,
                         InterShardConfig(latency_seconds=0.25))
+
+
+class FakeGroup:
+    """Stand-in for a :class:`ShardGroup`: sends a canned outbox per
+    epoch and logs ``(position, op, *args)`` for every call it gets."""
+
+    def __init__(self, position, outboxes, log):
+        self.position = position
+        self.outboxes = iter(outboxes)
+        self.log = log
+        self.sent = []
+
+    def epoch(self, end, inbound):
+        self.log.append((self.position, "epoch", end, list(inbound)))
+        self.sent = next(self.outboxes)
+
+    def deposit(self, inbound):
+        self.log.append((self.position, "deposit", list(inbound)))
+        self.sent = []
+
+    def collect(self):
+        self.log.append((self.position, "collect"))
+        return self.sent
+
+
+class TestRunLockstep:
+    """The one coordinator loop, against groups that are lists of canned
+    outboxes. A message is ``(owner position, label)``."""
+
+    def run(self, clock=0.0, until=0.6):
+        log = []
+        groups = [
+            FakeGroup(0, [[(1, "a")], [(0, "b"), (1, "c")], [(1, "d")]], log),
+            FakeGroup(1, [[], [(0, "e")], [(0, "f")]], log),
+        ]
+        epochs = run_lockstep(groups, itemgetter(0), clock, until, 0.25)
+        return log, epochs
+
+    def test_epoch_boundaries_stop_at_until(self):
+        log, epochs = self.run()
+        assert epochs == 3
+        for position in (0, 1):
+            ends = [c[2] for c in log if c[:2] == (position, "epoch")]
+            assert ends == [0.25, 0.5, 0.6]
+
+    def test_boundaries_count_from_the_given_clock(self):
+        log, epochs = self.run(clock=7.3, until=7.8)
+        assert epochs == 2
+        assert [c[2] for c in log if c[:2] == (0, "epoch")] == [7.55, 7.8]
+
+    def test_each_outbox_reaches_its_owner_next_epoch(self):
+        log, __ = self.run()
+        inbound = {
+            position: [c[-1] for c in log if c[0] == position and c[1] != "collect"]
+            for position in (0, 1)
+        }
+        assert inbound[0] == [[], [], [(0, "b"), (0, "e")], [(0, "f")]]
+        assert inbound[1] == [[], [(1, "a")], [(1, "c")], [(1, "d")]]
+
+    def test_every_group_starts_before_any_is_collected(self):
+        """What lets groups behind pipes overlap; and the exchange past
+        the last barrier is a deposit, never an epoch."""
+        log, __ = self.run(until=0.25)
+        assert [c[:2] for c in log] == [
+            (0, "epoch"), (1, "epoch"), (0, "collect"), (1, "collect"),
+            (0, "deposit"), (1, "deposit"), (0, "collect"), (1, "collect"),
+        ]
+
+    def test_nonpositive_lookahead_rejected(self):
+        with pytest.raises(ValueError, match="lookahead"):
+            run_lockstep([], itemgetter(0), 0.0, 1.0, 0.0)
 
 
 class TestCrossShardGeneration:

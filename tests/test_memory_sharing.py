@@ -173,8 +173,25 @@ class TestSharedFrameStore:
             GuestAddressSpace(img, eager_copy=True)
         assert img.sharers == 0
         assert tight.allocated_frames == 8
+        assert tight.allocation_failures == 1  # refused once, up front
         tight.check_frame_invariant()
         tight.sharing.audit()
+
+    def test_eager_copy_is_one_run_around_a_pinned_fresh_tag(self, memory, image):
+        """The full copy is a single bulk write: one run, except that a
+        fresh tag something pinned ahead of the counter must share that
+        frame, exactly as page-by-page interning did."""
+        other = GuestAddressSpace(image)
+        pinned = other.write(0) + 11  # the copy's page 10 will draw this tag
+        other.write(1, content=pinned)
+        base = memory.allocated_frames
+        copy = GuestAddressSpace(image, eager_copy=True)
+        assert copy.private_pages == 64 and copy.cow_faults == 0
+        assert copy.read(10) == pinned
+        assert memory.sharing.refs_of(pinned) == 2
+        assert memory.allocated_frames == base + 63
+        assert [(r.page, r.count) for r in copy._runs] == [(0, 10), (11, 53)]
+        memory.sharing.audit()
 
     def test_sharing_off_keeps_original_accounting(self):
         memory = MachineMemory(64 * (1 << 20), content_sharing=False)

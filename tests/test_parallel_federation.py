@@ -48,11 +48,16 @@ def shard_configs():
     ]
 
 
-def run_reference(until=30.0):
+def build_reference():
     federation = FederatedHoneyfarm(
         shard_configs(), interlink=INTERLINK, worms=(("slammer", 2.0),),
     )
     federation.attach_shard_records(0, [SEED_RECORD])
+    return federation
+
+
+def run_reference(until=30.0):
+    federation = build_reference()
     federation.run(until=until)
     return federation
 
@@ -133,6 +138,17 @@ class TestWorkerCountInvariance:
             assert result.reports == reference, (
                 f"workers={workers} diverged from the in-process reference"
             )
+
+    def test_in_process_run_resumes_where_it_stopped(self):
+        """Stopping at an arbitrary instant (mid-epoch, messages in
+        flight) and running on gives the one-call outcome: the closing
+        deposit of a run parks every in-flight message in a mailbox."""
+        whole = run_reference(until=20.0)
+        resumed = build_reference()
+        resumed.run(until=7.3)
+        resumed.run(until=20.0)
+        assert resumed.shard_reports() == whole.shard_reports()
+        assert resumed.epochs > whole.epochs  # 7.3 is not a barrier
 
     def test_placement_is_load_balanced(self):
         lane = ParallelFederation(
@@ -218,6 +234,25 @@ class TestParallelFederationApi:
         )
         times = [i[0] for i in result.infections()]
         assert times == sorted(times)
+
+    def test_conservation_cross_checks_counters_on_shipped_reports(self):
+        """The parallel lane's check used to be a hand-kept mirror of
+        the in-process one and had lost the counters-vs-ledger clause: a
+        report whose counters disagreed with its ledger passed."""
+        result = run_parallel(workers=2, until=10.0)
+        result.assert_packet_conservation()
+        result.reports[0]["counters"]["gateway.delivered"] += 1
+        with pytest.raises(AssertionError, match="delivered"):
+            result.assert_packet_conservation()
+
+    def test_both_lanes_hand_out_the_same_result(self):
+        reference = run_reference(until=10.0).result()
+        parallel = run_parallel(workers=2, until=10.0)
+        assert reference.reports == parallel.reports
+        assert reference.epochs == parallel.epochs == 40
+        assert (reference.workers, parallel.workers) == (0, 2)
+        assert reference.assert_packet_conservation() \
+            == parallel.assert_packet_conservation()
 
 
 class TestLegacyFederationLedgers:
