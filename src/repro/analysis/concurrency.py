@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.sim.batch import PacketColumns, TraceRecord
 from repro.sim.metrics import TimeSeries
-from repro.workloads.trace import TraceRecord
 
 __all__ = ["ConcurrencyResult", "concurrency_for_timeout", "sweep_timeouts"]
 
@@ -37,19 +37,21 @@ class ConcurrencyResult:
 
 
 def concurrency_for_timeout(
-    records: Sequence[TraceRecord],
+    records: Iterable[TraceRecord],
     timeout: float,
     sample_interval: float = 1.0,
 ) -> ConcurrencyResult:
     """Exact concurrent-VM count over time for one idle timeout.
 
-    ``records`` must be time-sorted (generators and readers produce
-    sorted traces). The returned series samples the concurrency level at
-    ``sample_interval`` spacing, plus every peak-changing instant is
+    ``records`` (a trace, or rows to make one of) must be time-sorted —
+    generators and readers produce sorted traces; only the time and key
+    columns are read. The returned series samples the concurrency level
+    at ``sample_interval`` spacing, plus every peak-changing instant is
     reflected in ``peak_vms``/``mean_vms`` exactly.
     """
     if timeout <= 0:
         raise ValueError(f"timeout must be positive: {timeout!r}")
+    trace = PacketColumns.from_records(records)
     series = TimeSeries(f"concurrency[t={timeout:g}s]")
     expiry_heap: List[Tuple[float, str]] = []  # (expiry_time, address)
     expires_at: Dict[str, float] = {}
@@ -74,10 +76,9 @@ def concurrency_for_timeout(
         weighted_sum += live * (t - last_time)
         last_time = t
 
-    for record in records:
-        t = record.time
+    for t, key in zip(trace.times, trace.keys):
         advance_to(t)
-        addr = record.dst
+        addr = key[2]  # the destination
         if addr not in expires_at:
             live += 1
             instantiations += 1
@@ -103,14 +104,14 @@ def concurrency_for_timeout(
     )
 
 
-# Per-worker state for the multiprocessing sweep: the parsed trace is
-# shipped once per worker (via the pool initializer), not once per timeout.
-_worker_records: Sequence[TraceRecord] = ()
+# Per-worker state for the multiprocessing sweep: the trace is shipped
+# once per worker (via the pool initializer), not once per timeout.
+_worker_records: Iterable[TraceRecord] = ()
 _worker_sample_interval: float = 1.0
 
 
 def _init_sweep_worker(
-    records: Sequence[TraceRecord], sample_interval: float
+    records: PacketColumns, sample_interval: float
 ) -> None:
     global _worker_records, _worker_sample_interval
     _worker_records = records
@@ -124,7 +125,7 @@ def _sweep_one(timeout: float) -> ConcurrencyResult:
 
 
 def sweep_timeouts(
-    records: Sequence[TraceRecord],
+    records: Iterable[TraceRecord],
     timeouts: Sequence[float],
     sample_interval: float = 1.0,
     workers: Optional[int] = None,
@@ -136,17 +137,17 @@ def sweep_timeouts(
     the output is identical to the sequential sweep — results come back
     in ``timeouts`` order regardless of which worker finishes first.
     """
-    materialized = list(records)
+    trace = PacketColumns.from_records(records)
     if workers is not None and workers > 1 and len(timeouts) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(
             processes=min(workers, len(timeouts)),
             initializer=_init_sweep_worker,
-            initargs=(materialized, sample_interval),
+            initargs=(trace, sample_interval),
         ) as pool:
             return pool.map(_sweep_one, timeouts, chunksize=1)
     return [
-        concurrency_for_timeout(materialized, timeout, sample_interval)
+        concurrency_for_timeout(trace, timeout, sample_interval)
         for timeout in timeouts
     ]

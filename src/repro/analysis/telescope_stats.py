@@ -12,12 +12,12 @@ calibrated to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.analysis.report import format_table
-from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
+from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, TcpFlags
+from repro.sim.batch import PacketColumns, TraceRecord
 from repro.sim.metrics import Histogram, TimeSeries
-from repro.workloads.trace import TraceRecord
 
 __all__ = ["TrafficProfile", "characterize_trace"]
 
@@ -74,33 +74,36 @@ class TrafficProfile:
         return overview + "\n\n" + ports
 
 
-def characterize_trace(records: Sequence[TraceRecord], duration: float) -> TrafficProfile:
-    """Compute the full profile of a (time-sorted) trace."""
+def characterize_trace(records: Iterable[TraceRecord], duration: float) -> TrafficProfile:
+    """Compute the full profile of a (time-sorted) trace, or of rows to
+    make one of."""
     if duration <= 0:
         raise ValueError(f"duration must be positive: {duration!r}")
+    trace = PacketColumns.from_records(records)
     sources_seen: Dict[str, int] = {}
     destinations = set()
     port_counts: Dict[str, int] = {}
     arrival = TimeSeries("unique sources (cumulative)")
     exploit = 0
     backscatter = 0
-    from repro.net.packet import TcpFlags
 
-    for record in records:
-        count = sources_seen.get(record.src)
+    for t, (src, __, dst, dst_port, protocol), payload, tcp_flags in zip(
+        trace.times, trace.keys, trace.payloads, trace.tcp_flags
+    ):
+        count = sources_seen.get(src)
         if count is None:
-            sources_seen[record.src] = 1
-            arrival.record(record.time, len(sources_seen))
+            sources_seen[src] = 1
+            arrival.record(t, len(sources_seen))
         else:
-            sources_seen[record.src] = count + 1
-        destinations.add(record.dst)
-        proto = _PROTO_NAMES.get(record.protocol, str(record.protocol))
-        key = f"{proto}/{record.dst_port}"
+            sources_seen[src] = count + 1
+        destinations.add(dst)
+        proto = _PROTO_NAMES.get(protocol, str(protocol))
+        key = f"{proto}/{dst_port}"
         port_counts[key] = port_counts.get(key, 0) + 1
-        if record.payload.startswith("exploit:"):
+        if payload.startswith("exploit:"):
             exploit += 1
-        if record.protocol == PROTO_TCP and record.tcp_flags:
-            flags = TcpFlags(record.tcp_flags)
+        if protocol == PROTO_TCP and tcp_flags:
+            flags = TcpFlags(tcp_flags)
             if flags.is_synack or flags & TcpFlags.RST:
                 backscatter += 1
 
@@ -110,7 +113,7 @@ def characterize_trace(records: Sequence[TraceRecord], duration: float) -> Traff
     top_ports = sorted(port_counts.items(), key=lambda kv: -kv[1])
     return TrafficProfile(
         duration=duration,
-        total_packets=len(records),
+        total_packets=len(trace),
         unique_sources=len(sources_seen),
         unique_destinations=len(destinations),
         source_arrival_series=arrival,

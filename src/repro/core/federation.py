@@ -218,7 +218,7 @@ class FederatedHoneyfarm:
     def attach_shard_records(
         self, shard: int, records, batched: bool = True
     ) -> int:
-        """Feed one shard's explicit record list."""
+        """Feed one shard's explicit trace (or list of rows)."""
         return self.runners[shard].attach_records(records, batched=batched)
 
     def run(self, until: float) -> None:

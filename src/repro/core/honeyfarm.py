@@ -228,9 +228,11 @@ class Honeyfarm:
         for k in range(start, end):
             self.inject(packets[k])
 
-    def attach_arrival_columns(self, columns: PacketColumns) -> PacketArrivalStream:
-        """Stream a time-sorted, lazy struct-of-arrays trace into this
-        farm's run loop.
+    def attach_arrival_columns(
+        self, trace: PacketColumns, time_offset: float = 0.0
+    ) -> PacketArrivalStream:
+        """Stream a time-sorted columnar trace into this farm's run
+        loop, ``time_offset`` later than its timestamps say.
 
         The batched equivalent of scheduling one injection event per
         packet: firing order (and therefore every verdict, counter, and
@@ -238,8 +240,12 @@ class Honeyfarm:
         heap. Packets are materialized only when they leave the gateway's
         span lane (:meth:`~repro.core.gateway.Gateway.dispatch_span`),
         which is offered only when the farm has a ladder — without one it
-        declines every arrival. See ``docs/PERFORMANCE.md``.
+        declines every arrival. The farm takes its own
+        :meth:`~repro.sim.batch.PacketColumns.attachment` of the trace,
+        so nothing is copied and the trace can feed other farms too. See
+        ``docs/PERFORMANCE.md``.
         """
+        columns = trace.attachment(time_offset)
         stream = PacketArrivalStream(
             self.sim,
             columns.times,

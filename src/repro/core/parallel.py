@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import HoneyfarmConfig
 from repro.core.federation import FederationResult
@@ -152,9 +152,11 @@ class ParallelFederation:
     telescope / shard_records:
         The workload, exactly one of: a picklable
         :class:`~repro.workloads.telescope.PartitionedTelescope` each
-        worker expands for its own shards, or one explicit
-        ``TraceRecord`` list per shard. (No workload is also legal —
-        worm-only experiments seed via records.)
+        worker expands for its own shards, or one explicit trace per
+        shard (a :class:`~repro.sim.batch.PacketColumns`, which pickles
+        as its columns for a spawned worker, or a list of rows). (No
+        workload is also legal — worm-only experiments seed via
+        records.)
     worms:
         ``(name, scan_rate)`` specs registered on every shard.
     placement:
@@ -173,7 +175,7 @@ class ParallelFederation:
         workers: int,
         *,
         telescope=None,
-        shard_records: Optional[Sequence[Optional[list]]] = None,
+        shard_records: Optional[Sequence[Optional[Iterable]]] = None,
         worms: Sequence[Tuple[str, float]] = (),
         placement: Union[str, Callable] = "balanced",
         batched: bool = True,

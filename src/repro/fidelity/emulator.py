@@ -20,13 +20,16 @@ bounded buffer of absorbed packets that becomes the handoff replay.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.net.flow import FlowKey
 from repro.net.packet import PROTO_TCP, PROTO_UDP, Packet
 from repro.services.guest import BANNER_PREFIX, _is_response_payload
 from repro.services.guest import service_replies as emulator_replies
 from repro.services.personality import Personality
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.sim.batch import PacketColumns
 
 __all__ = ["EmulatedSession", "FlowState", "emulator_replies"]
 
@@ -59,10 +62,11 @@ class EmulatedSession:
     address. A cached entry holds while the generation it was resolved
     under is still current.
 
-    ``buffered`` holds packets, and — for arrivals the span lane
-    absorbed — lazy ``(columns, index)`` pairs that
-    :func:`repro.fidelity.span.materialise` turns into packets on
-    promotion."""
+    ``buffered`` is the handoff buffer. The per-packet lane appends
+    packets; the span lane appends the bare row index of each arrival it
+    absorbed (an int: no object per absorbed packet), and ``columns`` is
+    the trace attachment those indices point into.
+    :meth:`buffered_packets` is the buffer as packets."""
 
     __slots__ = (
         "personality",
@@ -70,6 +74,7 @@ class EmulatedSession:
         "last_seen",
         "flows",
         "buffered",
+        "columns",
         "buffer_dropped",
         "banner",
         "packets_absorbed",
@@ -83,6 +88,7 @@ class EmulatedSession:
         self.last_seen = now
         self.flows: Dict[FlowKey, FlowState] = {}
         self.buffered: list = []
+        self.columns: Optional["PacketColumns"] = None
         self.buffer_dropped = 0
         self.banner: Optional[str] = None
         self.packets_absorbed = 0
@@ -97,6 +103,21 @@ class EmulatedSession:
             state = self.flows[key] = FlowState()
             return state, True
         return state, False
+
+    def buffered_packets(self) -> List[Packet]:
+        """The handoff buffer with every row index materialized."""
+        columns = self.columns
+        return [
+            p if p.__class__ is Packet else columns.packet_at(p)
+            for p in self.buffered
+        ]
+
+    def index_into(self, columns: "PacketColumns") -> None:
+        """Row indices buffered from now on point into ``columns``. Any
+        still pointing into another attachment (a second trace feeding
+        the same farm) become packets first."""
+        self.buffered = self.buffered_packets()
+        self.columns = columns
 
     def note(self, packet: Packet, now: float) -> Tuple[FlowState, bool]:
         """Account ``packet`` against its flow's state (creating it on

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional
 from repro.core.config import HoneyfarmConfig
 from repro.fidelity.emulator import EmulatedSession
 from repro.fidelity.handoff import HandoffRecord
-from repro.fidelity.span import materialise
 from repro.fidelity.triggers import default_triggers
 from repro.net.addr import AddressSpaceInventory, IPAddress
 from repro.net.packet import Packet
@@ -176,7 +175,7 @@ class FidelityLadder:
             trigger=trigger,
             # The one choke point every promotion passes through: handoff
             # replay (and everything downstream) only ever sees packets.
-            buffered=materialise(session.buffered),
+            buffered=session.buffered_packets(),
             flows=len(session.flows),
             payload_bytes=session.payload_bytes_total,
             banner=session.banner,

@@ -47,7 +47,7 @@ Correctness rests on three invariants:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.core.containment import ContainmentPolicy, DropAllPolicy, honeypot_initiated
 from repro.fidelity.emulator import emulator_replies
@@ -63,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.fidelity.ladder import FidelityLadder
     from repro.sim.batch import PacketColumns
 
-__all__ = ["SpanLane", "materialise"]
+__all__ = ["SpanLane"]
 
 #: Reply shapes of a class of empty-payload packets.
 _ABSORB = 0       # silently absorbed, no reply
@@ -73,13 +73,6 @@ _UNREACHABLE = 3  # ICMP port-unreachable on its own flow, contained
 #: The class takes the per-packet lane: it promotes, draws several
 #: replies, or needs a containment verdict the lane does not model.
 _SLOW = (-1, 0, None)
-
-
-def materialise(buffered: Iterable) -> List[Packet]:
-    """A session's handoff buffer as packets. Arrivals the span lane
-    absorbed sit in it as lazy ``(columns, index)`` pairs (written by
-    :meth:`SpanLane.run`), the per-packet lane's as packets."""
-    return [p if p.__class__ is Packet else p[0].packet_at(p[1]) for p in buffered]
 
 
 class SpanLane:
@@ -171,12 +164,14 @@ class SpanLane:
             session.last_seen = t
             session.packets_absorbed += 1
             if buffer_limit > 0:
+                if session.columns is not columns:
+                    session.index_into(columns)
                 buffered = session.buffered
                 if len(buffered) >= buffer_limit:
                     del buffered[0]
                     session.buffer_dropped += 1
                     n_buffer_dropped += 1
-                buffered.append((columns, i))  # lazy: see materialise()
+                buffered.append(i)  # a bare row index, not an object
             if kind == _FIXED:
                 record.packets += 2
                 record.bytes += size + entry[5]
@@ -313,7 +308,7 @@ class SpanLane:
             pid,
             protocol,
             dst_port if (protocol, dst_port) in ports else 0,
-            columns.records[i].tcp_flags,
+            columns.tcp_flags[i],
         )
         cls = self.classes.get(class_key)
         if cls is None:

@@ -1,12 +1,19 @@
-"""Struct-of-arrays arrival batching for the simulator hot loop.
+"""The columnar trace, and its batched replay into the simulator loop.
 
-Replaying a telescope trace used to mean one heap entry, one ``Event``
-object, and one full dispatch-loop pass per packet — the per-event Python
-overhead, not the gateway, was the end-to-end bottleneck (ROADMAP item 2).
-:class:`PacketArrivalStream` removes it: arrivals live in two preallocated
-parallel arrays (timestamps and prebuilt :class:`~repro.net.packet.Packet`
-objects — a struct-of-arrays layout, so no per-arrival container is ever
-allocated), the stream reserves a contiguous block of tie-break sequence
+:class:`PacketColumns` is the in-memory trace: five parallel columns,
+filled by the workload generators and read by everything downstream,
+with :class:`TraceRecord` as the row a reader sees when it indexes or
+iterates one. The common packet — background radiation the emulator
+tier absorbs — is a row from the generator to the handoff buffer and
+never an object of its own.
+
+Replaying a trace used to mean one heap entry, one ``Event`` object, and
+one full dispatch-loop pass per packet — the per-event Python overhead,
+not the gateway, was the end-to-end bottleneck (ROADMAP item 2).
+:class:`PacketArrivalStream` removes it: it walks a trace attachment's
+``times`` column and lazy ``packets`` cache in place (a struct-of-arrays
+layout, so no per-arrival container is ever allocated and attaching
+copies nothing), reserves a contiguous block of tie-break sequence
 numbers at attach time, and :meth:`Simulator.run` merges it against the
 event heap by ``(time, seq)``.
 
@@ -55,96 +62,270 @@ Dispatch has two lanes:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from itertools import islice
-from operator import attrgetter, lt
+from operator import lt
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.net.addr import IPAddress
-from repro.net.packet import Packet
+from repro.net.packet import PROTO_TCP, Packet, TcpFlags
 from repro.obs import recorder as _obs
 from repro.sim.engine import SimulationError, Simulator
 
-__all__ = ["PacketColumns", "PacketArrivalStream"]
+__all__ = ["ArrivalKey", "PacketArrivalStream", "PacketColumns", "TraceRecord"]
 
-# Column extractors: ``map(attrgetter, records)`` iterates in C, which
-# matters at 10^5 records per replay. The 5-field getter returns the
-# arrival key tuple directly, in FlowKey-compatible field order.
-_get_time = attrgetter("time")
-_get_key = attrgetter("src", "src_port", "dst", "dst_port", "protocol")
-_get_payload = attrgetter("payload")
-_get_size = attrgetter("size")
+#: ``(src, src_port, dst, dst_port, protocol)``, addresses as dotted
+#: quads: FlowKey field order, injective per conversation direction.
+ArrivalKey = Tuple[str, int, str, int, int]
+
+_PSH_ACK = TcpFlags.PSH | TcpFlags.ACK
 
 
-class PacketColumns:
-    """Struct-of-arrays view of a trace: one column per packet field,
-    packets materialized lazily.
+def _row_packet(
+    key: ArrivalKey,
+    payload: str,
+    size: int,
+    tcp_flags: int,
+    addr_cache: Dict[str, IPAddress],
+) -> Packet:
+    """The one row -> :class:`Packet` function. ``tcp_flags`` 0 means
+    infer (a SYN, or PSH|ACK for a data segment). ``addr_cache``
+    (dotted quad -> address) amortizes parsing: traces revisit the same
+    addresses constantly and ``IPAddress`` is immutable, so packets may
+    share instances. Ports and size are validated by ``Packet`` itself."""
+    src_s, src_port, dst_s, dst_port, protocol = key
+    if protocol != PROTO_TCP:
+        flags = TcpFlags.NONE
+    elif tcp_flags:
+        flags = TcpFlags(tcp_flags)
+    elif payload:
+        flags = _PSH_ACK
+    else:
+        flags = TcpFlags.SYN
+    src = addr_cache.get(src_s)
+    if src is None:
+        src = addr_cache[src_s] = IPAddress.parse(src_s)
+    dst = addr_cache.get(dst_s)
+    if dst is None:
+        dst = addr_cache[dst_s] = IPAddress.parse(dst_s)
+    return Packet(src, dst, protocol, src_port, dst_port, flags, 0, payload, size)
 
-    Building a :class:`~repro.net.packet.Packet` per arrival (~6 µs each)
-    costs more than the whole span-lane dispatch budget, so the batched
-    replay path keeps arrivals as parallel columns of plain
-    ints/floats/strings — C-speed comprehensions over the trace records —
-    and only materializes ``packets[i]`` when a packet actually leaves
-    the span lane (slow-path dispatch, promotion-buffer replay, or the
-    faithful per-packet lane). ``packet_at`` caches, so a packet is
-    built at most once and every consumer shares the same instance.
 
-    ``keys[i]`` is the *arrival* 5-tuple ``(src, src_port, dst, dst_port,
-    protocol)`` with addresses as the trace's dotted-quad strings —
-    injective per conversation direction, which is all the gateway's span
-    cache needs. ``addr_cache`` (dotted-quad → :class:`IPAddress`) starts
-    empty and fills lazily: only addresses of flows that actually reach
-    the resolve path (or a materialized packet) ever pay for parsing.
+@dataclass(frozen=True)
+class TraceRecord:
+    """One packet arrival as a row: what iterating or indexing a
+    :class:`PacketColumns` trace yields, what a JSONL line parses to, and
+    what hand-built traces are lists of. Addresses are dotted-quad
+    strings so the on-disk format is self-describing."""
+
+    time: float
+    src: str
+    dst: str
+    protocol: int
+    src_port: int = 0
+    dst_port: int = 0
+    payload: str = ""
+    size: int = 40
+    tcp_flags: int = 0  # 0 = infer from payload (SYN, or PSH|ACK for data)
+
+    @property
+    def key(self) -> ArrivalKey:
+        return (self.src, self.src_port, self.dst, self.dst_port, self.protocol)
+
+    @classmethod
+    def from_columns(
+        cls, time: float, key: ArrivalKey, payload: str, size: int, tcp_flags: int
+    ) -> "TraceRecord":
+        """The row holding one entry of each trace column."""
+        src, src_port, dst, dst_port, protocol = key
+        return cls(time, src, dst, protocol, src_port, dst_port, payload, size, tcp_flags)
+
+    def to_packet(self, addr_cache: Optional[Dict[str, IPAddress]] = None) -> Packet:
+        """Materialize the packet (see :func:`_row_packet`)."""
+        return _row_packet(
+            self.key, self.payload, self.size, self.tcp_flags,
+            {} if addr_cache is None else addr_cache,
+        )
+
+    @classmethod
+    def from_packet(cls, time: float, packet: Packet) -> "TraceRecord":
+        return cls(
+            time=time,
+            src=str(packet.src),
+            dst=str(packet.dst),
+            protocol=packet.protocol,
+            src_port=packet.src_port,
+            dst_port=packet.dst_port,
+            payload=packet.payload,
+            size=packet.size,
+            tcp_flags=int(packet.flags) if packet.is_tcp else 0,
+        )
+
+
+class PacketColumns(Sequence[TraceRecord]):
+    """A packet trace as a struct of arrays: the in-memory trace.
+
+    Five parallel columns of plain floats / tuples / strings / ints, one
+    entry per arrival: ``times``, ``keys`` (the :data:`ArrivalKey`
+    5-tuple), ``payloads``, ``sizes``, ``tcp_flags``. Generators append
+    to the five lists and hand them over (adopted, not copied); nothing
+    writes to them afterwards. As a read-only sequence the trace yields
+    :class:`TraceRecord` rows — ``len``, iteration, ``trace[i]``,
+    ``trace[a:b]`` (a trace) and ``==`` (against a trace or a list of
+    rows) — so analysis code and tests read it like the record list it
+    replaces, while the replay path never builds a row.
+
+    A background-radiation packet is absorbed by the gateway's span lane
+    without ever becoming an object: building a
+    :class:`~repro.net.packet.Packet` (~6 µs) costs more than the whole
+    span-lane budget, so ``packet_at(i)`` materializes ``packets[i]``
+    only when a packet leaves the span lane (slow-path dispatch,
+    promotion-buffer replay, the per-packet lane), at most once.
+
+    The columns are immutable and may be shared; the caches are not.
+    ``Packet`` is mutable and its ``packet_id`` is drawn from a
+    process-global counter, so every replay of a trace takes its own
+    :meth:`attachment`: the same column lists (shifted times apart)
+    under a fresh ``packets`` cache and a fresh ``addr_cache`` (dotted
+    quad -> :class:`IPAddress`, filled only for flows that reach the
+    resolve path or a materialized packet).
     """
 
     __slots__ = (
-        "records",
-        "n",
         "times",
         "keys",
         "payloads",
         "sizes",
+        "tcp_flags",
         "addr_cache",
         "packets",
     )
 
-    def __init__(self, records: Sequence, time_offset: float = 0.0) -> None:
-        records = list(records)
-        self.records = records
-        self.n = len(records)
-        if time_offset:
-            self.times: List[float] = [r.time + time_offset for r in records]
-        else:
-            self.times = list(map(_get_time, records))
-        self.keys: List[Tuple[str, int, str, int, int]] = list(
-            map(_get_key, records)
-        )
-        self.payloads: List[str] = list(map(_get_payload, records))
-        self.sizes: List[int] = list(map(_get_size, records))
+    def __init__(
+        self,
+        times: List[float],
+        keys: List[ArrivalKey],
+        payloads: List[str],
+        sizes: List[int],
+        tcp_flags: List[int],
+    ) -> None:
+        n = len(times)
+        if not (len(keys) == len(payloads) == len(sizes) == len(tcp_flags) == n):
+            raise ValueError(
+                "trace columns differ in length:"
+                f" {n} times, {len(keys)} keys, {len(payloads)} payloads,"
+                f" {len(sizes)} sizes, {len(tcp_flags)} tcp_flags"
+            )
+        self.times = times
+        self.keys = keys
+        self.payloads = payloads
+        self.sizes = sizes
+        self.tcp_flags = tcp_flags
         self.addr_cache: Dict[str, IPAddress] = {}
-        self.packets: List[Optional[Packet]] = [None] * self.n
+        self.packets: List[Optional[Packet]] = [None] * n
+
+    @classmethod
+    def from_records(cls, records: Iterable[TraceRecord]) -> "PacketColumns":
+        """The trace holding ``records`` — the one way rows (a hand-built
+        list, a JSONL reader) become columns, consumed one at a time. A
+        trace is returned as is."""
+        if isinstance(records, cls):
+            return records
+        columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
+        times, keys, payloads, sizes, tcp_flags = columns
+        for row in records:
+            times.append(float(row.time))
+            keys.append(row.key)
+            payloads.append(row.payload)
+            sizes.append(row.size)
+            tcp_flags.append(row.tcp_flags)
+        return cls(*columns)
+
+    def attachment(self, time_offset: float = 0.0) -> "PacketColumns":
+        """This trace for one replay, ``time_offset`` later: shared
+        columns, caches of its own (see the class docstring)."""
+        times = self.times
+        if time_offset:
+            times = [t + time_offset for t in times]
+        return PacketColumns(
+            times, self.keys, self.payloads, self.sizes, self.tcp_flags
+        )
+
+    def sorted_by_time(self, limit: Optional[int] = None) -> "PacketColumns":
+        """The first ``limit`` rows (all, if None) in time order. Stable:
+        rows at equal times keep their order, as ``list.sort`` over rows
+        would. One index permutation, then one gather per column."""
+        order = sorted(range(len(self.times)), key=self.times.__getitem__)
+        if limit is not None:
+            del order[limit:]
+        return PacketColumns(*(
+            list(map(column.__getitem__, order)) for column in self._columns()
+        ))
+
+    def _columns(self) -> Tuple[list, list, list, list, list]:
+        return self.times, self.keys, self.payloads, self.sizes, self.tcp_flags
 
     def packet_at(self, i: int) -> Packet:
-        """Materialize (and cache) the packet for record ``i``."""
+        """Materialize (and cache) the packet for row ``i``."""
         packet = self.packets[i]
         if packet is None:
-            packet = self.packets[i] = self.records[i].to_packet(self.addr_cache)
+            packet = self.packets[i] = _row_packet(
+                self.keys[i], self.payloads[i], self.sizes[i], self.tcp_flags[i],
+                self.addr_cache,
+            )
         return packet
 
+    # ------------------------------------------------------------------ #
+    # Read-only sequence of rows
+    # ------------------------------------------------------------------ #
+
     def __len__(self) -> int:
-        return self.n
+        return len(self.times)
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(TraceRecord.from_columns, *self._columns())
+
+    def __getitem__(self, index):
+        entries = (column[index] for column in self._columns())
+        if isinstance(index, slice):
+            return PacketColumns(*entries)
+        return TraceRecord.from_columns(*entries)
+
+    def __add__(self, other: "PacketColumns") -> "PacketColumns":
+        if not isinstance(other, PacketColumns):
+            return NotImplemented
+        return PacketColumns(*(
+            mine + theirs for mine, theirs in zip(self._columns(), other._columns())
+        ))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PacketColumns):
+            return self._columns() == other._columns()
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        return NotImplemented
+
+    def __reduce__(self):
+        # Columns only: the caches hold packets of one replay.
+        return PacketColumns, self._columns()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         built = sum(1 for p in self.packets if p is not None)
-        return f"<PacketColumns n={self.n} materialized={built}>"
+        return f"<PacketColumns n={len(self)} materialized={built}>"
 
 
 class PacketArrivalStream:
     """A time-sorted packet workload merged into ``Simulator.run``.
 
-    ``times`` and ``packets`` are parallel arrays (``times`` must be
-    non-decreasing); ``deliver`` is the per-packet injection callable the
-    per-event loop would have scheduled (e.g. ``farm.inject``).
+    ``times`` and ``packets`` are parallel lists (``times`` floats,
+    non-decreasing), kept by reference: attaching a trace's columns
+    copies nothing, and the only pass over them is the ordering check.
+    ``deliver`` is the per-packet injection callable the per-event loop
+    would have scheduled (e.g. ``farm.inject``). With ``columns``,
+    ``packets`` is that attachment's lazy cache and may hold None.
     """
 
     __slots__ = (
@@ -174,7 +355,6 @@ class PacketArrivalStream:
             raise ValueError(
                 f"times/packets length mismatch: {len(times)} != {len(packets)}"
             )
-        times = [float(t) for t in times]
         if any(map(lt, islice(times, 1, None), times)):  # C-speed scan
             bad = next(i for i in range(1, len(times)) if times[i] < times[i - 1])
             raise SimulationError(

@@ -22,9 +22,10 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.config import DeceptionConfig, HoneyfarmConfig, LadderConfig
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.net.addr import IPAddress, Prefix
+from repro.net.packet import PROTO_UDP
+from repro.sim.batch import ArrivalKey, PacketColumns
 from repro.sim.rand import RandomStream, SeedSequence
 from repro.workloads.telescope import TelescopeConfig, TelescopeWorkload
-from repro.workloads.trace import TraceRecord
 from repro.workloads.worms import KNOWN_WORMS
 
 __all__ = ["AdversarySpec", "WormWave", "Scenario", "ScenarioGenerator"]
@@ -266,12 +267,14 @@ class Scenario:
     # Trace synthesis (the one input every world shares)
     # ------------------------------------------------------------------ #
 
-    def build_trace(self) -> List[TraceRecord]:
+    def build_trace(self) -> PacketColumns:
         """The deterministic packet trace driving every world.
 
         Telescope background radiation plus the scenario's worm waves,
-        merged in time order and capped at ``max_packets``. Bit-identical
-        across calls and processes for a given scenario.
+        merged in time order (telescope rows first at equal times) and
+        capped at ``max_packets``. Bit-identical across calls and
+        processes for a given scenario; read-only, so every world of a
+        differential run replays the same object.
         """
         telescope_seed = SeedSequence(self.seed).spawn("telescope").root_seed
         workload = TelescopeWorkload(
@@ -285,52 +288,48 @@ class Scenario:
                 probes_max=200,
             ),
         )
-        records = workload.generate(self.duration, max_records=self.max_packets)
-        records.extend(self._wave_records())
-        records.sort(key=lambda r: r.time)
-        return records[: self.max_packets]
+        telescope = workload.generate(self.duration, max_records=self.max_packets)
+        if not self.worm_waves:
+            return telescope  # already sorted and capped
+        return (telescope + self._wave_records()).sorted_by_time(self.max_packets)
 
-    def _wave_records(self) -> List[TraceRecord]:
-        from repro.net.packet import PROTO_UDP
-
+    def _wave_records(self) -> PacketColumns:
+        """Every wave source's scans inside the trace window, in draw
+        order (not yet time-sorted). A UDP worm's scan is the exploit
+        datagram; a TCP worm's is a SYN, then the exploit segment."""
         inventory_prefix = Prefix.parse(self.prefix)
         seeds = SeedSequence(self.seed).spawn("worm-waves")
-        records: List[TraceRecord] = []
+        times: List[float] = []
+        keys: List[ArrivalKey] = []
+        payloads: List[str] = []
+        sizes: List[int] = []
         for index, wave in enumerate(self.worm_waves):
             spec = KNOWN_WORMS[wave.worm]
+            exploit = (spec.exploit_tag, 40 + spec.payload_size)
+            if spec.protocol == PROTO_UDP:
+                burst = ((0.0, *exploit),)
+            else:
+                burst = ((0.0, "", 40), (_EXPLOIT_PAYLOAD_DELAY, *exploit))
+            end = min(wave.start + wave.duration, self.duration)
             for source_index in range(wave.sources):
                 rng = seeds.stream(f"wave-{index}-source-{source_index}")
-                source = self._external_address(rng, inventory_prefix)
+                source = str(self._external_address(rng, inventory_prefix))
                 src_port = 1024 + rng.randint(0, 60000)
                 t = wave.start
-                end = min(wave.start + wave.duration, self.duration)
                 while t < end:
                     dst = IPAddress(
                         inventory_prefix.network.value
                         + rng.randint(0, self.address_count - 1)
                     )
-                    if spec.protocol == PROTO_UDP:
-                        records.append(TraceRecord(
-                            time=t, src=str(source), dst=str(dst),
-                            protocol=spec.protocol, src_port=src_port,
-                            dst_port=spec.port, payload=spec.exploit_tag,
-                            size=40 + spec.payload_size,
-                        ))
-                    else:
-                        records.append(TraceRecord(
-                            time=t, src=str(source), dst=str(dst),
-                            protocol=spec.protocol, src_port=src_port,
-                            dst_port=spec.port, size=40,
-                        ))
-                        records.append(TraceRecord(
-                            time=t + _EXPLOIT_PAYLOAD_DELAY, src=str(source),
-                            dst=str(dst), protocol=spec.protocol,
-                            src_port=src_port, dst_port=spec.port,
-                            payload=spec.exploit_tag,
-                            size=40 + spec.payload_size,
-                        ))
+                    key = (source, src_port, str(dst), spec.port, spec.protocol)
+                    for offset, payload, size in burst:
+                        if t + offset < self.duration:
+                            times.append(t + offset)
+                            keys.append(key)
+                            payloads.append(payload)
+                            sizes.append(size)
                     t += rng.exponential(wave.rate)
-        return [r for r in records if r.time < self.duration]
+        return PacketColumns(times, keys, payloads, sizes, [0] * len(times))
 
     @staticmethod
     def _external_address(rng: RandomStream, prefix: Prefix) -> IPAddress:

@@ -32,9 +32,10 @@ from repro.faults.injectors import ChaosController
 from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
 from repro.obs import FlightRecorder, install, uninstall
 from repro.services.personality import default_registry
+from repro.sim.batch import PacketColumns, TraceRecord
 from repro.sim.rand import SeedSequence
 from repro.testing.scenario import Scenario
-from repro.workloads.trace import TraceRecord, replay_into_farm
+from repro.workloads.trace import replay_into_farm
 from repro.workloads.worms import KNOWN_WORMS
 
 __all__ = [
@@ -207,7 +208,7 @@ def _packet_key(packet) -> PacketKey:
 def run_world(
     scenario: Scenario,
     spec: WorldSpec,
-    trace: Optional[List[TraceRecord]] = None,
+    trace: Optional[PacketColumns] = None,
     recorder_capacity: int = 400_000,
 ) -> WorldObservation:
     """Execute ``scenario`` through the world described by ``spec``."""
@@ -223,7 +224,7 @@ def run_world(
 def _run_farm(
     scenario: Scenario,
     spec: WorldSpec,
-    trace: List[TraceRecord],
+    trace: PacketColumns,
     recorder_capacity: int,
 ) -> WorldObservation:
     config = scenario.farm_config(
@@ -355,7 +356,7 @@ def _build_adversaries(scenario: Scenario, farm: Honeyfarm) -> List[AdversaryAge
 
 
 def _run_federation(
-    scenario: Scenario, spec: WorldSpec, trace: List[TraceRecord]
+    scenario: Scenario, spec: WorldSpec, trace: PacketColumns
 ) -> WorldObservation:
     """Run the scenario through a two-shard interlinked federation.
 
@@ -440,7 +441,7 @@ def _run_federation(
 
 
 def _run_responder(
-    scenario: Scenario, spec: WorldSpec, trace: List[TraceRecord]
+    scenario: Scenario, spec: WorldSpec, trace: PacketColumns
 ) -> WorldObservation:
     inventory = AddressSpaceInventory([Prefix.parse(scenario.prefix)])
     # Same per-address personality assignment as the farm worlds, so the

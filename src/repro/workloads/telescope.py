@@ -38,14 +38,15 @@ is a config field for sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.honeyfarm import Honeyfarm
 from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
-from repro.net.packet import PROTO_TCP, PROTO_UDP
+from repro.net.packet import PROTO_TCP, PROTO_UDP, TcpFlags
+from repro.sim.batch import PacketColumns
 from repro.sim.rand import RandomStream, SeedSequence
-from repro.workloads.trace import TraceRecord, replay_into_farm
+from repro.workloads.trace import replay_into_farm
 
 __all__ = [
     "PartitionedTelescope",
@@ -68,6 +69,9 @@ DEFAULT_PORT_MIX: Tuple[Tuple[int, int, float, Optional[str]], ...] = (
     (PROTO_UDP, 137, 0.02, None),
 )
 _OTHER_PORT_WEIGHT = 0.20  # random unpopular ports
+
+_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
+_RST_ACK = int(TcpFlags.RST | TcpFlags.ACK)
 
 
 @dataclass(frozen=True)
@@ -216,117 +220,98 @@ class TelescopeWorkload:
         # Unpopular tail: a random high port, never exploit-carrying.
         return PortProfile(PROTO_TCP, rng.randint(1024, 65535), None)
 
-    def _backscatter_records(
-        self, rng: RandomStream, start: float, source: IPAddress
-    ) -> Iterator[TraceRecord]:
+    def _backscatter_session(
+        self, rng: RandomStream, start: float, source: str, duration: float,
+        columns: Tuple[list, list, list, list, list],
+    ) -> None:
         """One DDoS victim's responses to spoofed sources that happened
         to fall in the dark space: SYN/ACKs (service answered) or RSTs
         (no such service), from a well-known port, at the victim's reply
         rate, to uniformly random dark addresses."""
-        from repro.net.packet import TcpFlags
-
+        times, keys, payloads, sizes, tcp_flags = columns
+        config = self.config
         victim_port = rng.choice([80, 443, 53, 6667, 25])
-        flags = (
-            int(TcpFlags.SYN | TcpFlags.ACK)
-            if rng.bernoulli(0.7)
-            else int(TcpFlags.RST | TcpFlags.ACK)
-        )
+        flags = _SYN_ACK if rng.bernoulli(0.7) else _RST_ACK
         replies = int(rng.bounded_pareto(
-            self.config.probes_pareto_shape,
-            float(self.config.probes_min),
-            float(self.config.probes_max),
+            config.probes_pareto_shape,
+            float(config.probes_min),
+            float(config.probes_max),
         ))
-        total = self.inventory.total_addresses
+        address_at = self.inventory.address_at_flat_index
+        last = self.inventory.total_addresses - 1
         t = start
         for __ in range(replies):
-            dst = self.inventory.address_at_flat_index(rng.randint(0, total - 1))
-            yield TraceRecord(
-                time=t,
-                src=str(source),
-                dst=str(dst),
-                protocol=PROTO_TCP,
-                src_port=victim_port,
-                dst_port=1024 + rng.randint(0, 60000),
-                tcp_flags=flags,
-                size=40,
-            )
-            t += rng.exponential(self.config.probe_rate_per_source)
+            dst = str(address_at(rng.randint(0, last)))
+            dst_port = 1024 + rng.randint(0, 60000)
+            if t < duration:
+                times.append(t)
+                keys.append((source, victim_port, dst, dst_port, PROTO_TCP))
+                payloads.append("")
+                sizes.append(40)
+                tcp_flags.append(flags)
+            t += rng.exponential(config.probe_rate_per_source)
 
-    def _session_records(
-        self, rng: RandomStream, start: float, source: IPAddress
-    ) -> Iterator[TraceRecord]:
-        if rng.bernoulli(self.config.backscatter_fraction):
-            yield from self._backscatter_records(rng, start, source)
-            return
+    def _scan_session(
+        self, rng: RandomStream, start: float, source: str, duration: float,
+        columns: Tuple[list, list, list, list, list],
+    ) -> None:
+        """One scanner's session: a heavy-tailed number of probed
+        destinations (a sequential sweep or uniform draws), each of which
+        receives the source's burst. A source's burst has one shape: UDP
+        probes are single datagrams (Slammer-style); TCP probes retransmit
+        the SYN on the retry timer; exploit-carrying TCP sources instead
+        deliver the payload after connecting. The packets of one burst
+        share one arrival-key tuple."""
+        times, keys, payloads, sizes, tcp_flags = columns
+        config = self.config
         profile = self._pick_profile(rng)
-        probes = int(
-            rng.bounded_pareto(
-                self.config.probes_pareto_shape,
-                float(self.config.probes_min),
-                float(self.config.probes_max),
-            )
-        )
+        probes = int(rng.bounded_pareto(
+            config.probes_pareto_shape,
+            float(config.probes_min),
+            float(config.probes_max),
+        ))
         total = self.inventory.total_addresses
-        sweep = rng.bernoulli(self.config.sequential_sweep_fraction)
+        sweep = rng.bernoulli(config.sequential_sweep_fraction)
         cursor = rng.randint(0, total - 1)
-        t = start
         src_port = 1024 + rng.randint(0, 60000)
         payload = profile.exploit_tag or ""
-        for i in range(probes):
-            if sweep:
-                index = (cursor + i) % total
-            else:
-                index = rng.randint(0, total - 1)
-            dst = self.inventory.address_at_flat_index(index)
-            yield from self._destination_burst(t, source, dst, profile, src_port, payload)
-            t += rng.exponential(self.config.probe_rate_per_source)
-
-    def _destination_burst(
-        self,
-        t: float,
-        source: IPAddress,
-        dst: IPAddress,
-        profile: PortProfile,
-        src_port: int,
-        payload: str,
-    ) -> Iterator[TraceRecord]:
-        """The packets one destination receives from one source.
-
-        UDP probes are single datagrams (Slammer-style). TCP probes
-        retransmit the SYN on the retry timer; exploit-carrying TCP
-        sources additionally deliver the payload after connecting.
-        """
-
-        def record(offset: float, pkt_payload: str) -> TraceRecord:
-            return TraceRecord(
-                time=t + offset,
-                src=str(source),
-                dst=str(dst),
-                protocol=profile.protocol,
-                src_port=src_port,
-                dst_port=profile.port,
-                payload=pkt_payload,
-                size=40 + len(pkt_payload),
+        protocol, port = profile.protocol, profile.port
+        if protocol == PROTO_UDP:
+            burst = ((0.0, payload),)
+        elif payload:
+            # The connection-opening SYN, then the exploit.
+            burst = ((0.0, ""), (config.exploit_payload_delay, payload))
+        else:
+            burst = tuple(
+                (retry * config.retry_interval, "")
+                for retry in range(config.tcp_syn_retries)
             )
+        address_at = self.inventory.address_at_flat_index
+        t = start
+        for i in range(probes):
+            index = (cursor + i) % total if sweep else rng.randint(0, total - 1)
+            key = (source, src_port, str(address_at(index)), port, protocol)
+            for offset, packet_payload in burst:
+                when = t + offset
+                if when < duration:
+                    times.append(when)
+                    keys.append(key)
+                    payloads.append(packet_payload)
+                    sizes.append(40 + len(packet_payload))
+                    tcp_flags.append(0)
+            t += rng.exponential(config.probe_rate_per_source)
 
-        if profile.protocol == PROTO_UDP:
-            yield record(0.0, payload)
-            return
-        if payload:
-            yield record(0.0, "")  # the connection-opening SYN
-            yield record(self.config.exploit_payload_delay, payload)
-            return
-        for retry in range(self.config.tcp_syn_retries):
-            yield record(retry * self.config.retry_interval, "")
-
-    def generate(self, duration: float, max_records: Optional[int] = None) -> List[TraceRecord]:
-        """All records with session-start inside ``[0, duration)``, sorted
-        by time. Sessions may run past ``duration``; records beyond it are
-        trimmed so the trace covers exactly the window."""
+    def generate(self, duration: float, max_records: Optional[int] = None) -> PacketColumns:
+        """Every arrival of the sessions starting inside ``[0, duration)``
+        as a trace sorted by time. Sessions may run past ``duration``;
+        arrivals beyond it are trimmed so the trace covers exactly the
+        window. Rows go straight into the trace's columns: one address
+        string per source, no per-packet object."""
         if duration <= 0:
             raise ValueError(f"duration must be positive: {duration!r}")
         arrivals = self._seeds.stream("arrivals")
-        records: List[TraceRecord] = []
+        columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
+        times = columns[0]
         t = 0.0
         source_index = 0
         while True:
@@ -335,28 +320,25 @@ class TelescopeWorkload:
             if t >= duration:
                 break
             session_rng = self._seeds.stream(f"session-{source_index}")
-            source = self._random_external_source(session_rng)
-            for record in self._session_records(session_rng, t, source):
-                if record.time < duration:
-                    records.append(record)
+            source = str(self._random_external_source(session_rng))
+            if session_rng.bernoulli(self.config.backscatter_fraction):
+                self._backscatter_session(session_rng, t, source, duration, columns)
+            else:
+                self._scan_session(session_rng, t, source, duration, columns)
             source_index += 1
-            if max_records is not None and len(records) >= max_records:
+            if max_records is not None and len(times) >= max_records:
                 break
-        records.sort(key=lambda r: r.time)
-        if max_records is not None:
-            records = records[:max_records]
-        return records
+        return PacketColumns(*columns).sorted_by_time(max_records)
 
     def attach(self, farm: Honeyfarm, duration: float, batched: bool = False) -> int:
         """Generate a trace and feed it directly onto ``farm``; returns
         the number of packets.
 
-        ``batched=True`` streams the arrivals as one lazy
-        :class:`~repro.sim.batch.PacketColumns` arrival stream instead of
-        scheduling one event per packet — bit-identical behaviour (the
-        stream merges by the same ``(time, seq)`` order, and packets are
-        materialized only if they leave the gateway's span lane) at a
-        fraction of the event-loop cost.
+        ``batched=True`` streams the trace's columns as one lazy arrival
+        stream instead of scheduling one event per packet — bit-identical
+        behaviour (the stream merges by the same ``(time, seq)`` order,
+        and packets are materialized only if they leave the gateway's
+        span lane) at a fraction of the event-loop cost.
         """
         return replay_into_farm(farm, self.generate(duration), batched=batched)
 
@@ -418,14 +400,12 @@ class PartitionedTelescope:
 
     def shard_config(self, shard: int) -> TelescopeConfig:
         """The per-shard telescope config: same knobs, derived seed."""
-        from dataclasses import replace
-
         return replace(
             self.config,
             seed=SeedSequence(self.config.seed).spawn(f"shard-{shard}").root_seed,
         )
 
-    def build(self, shard: int) -> List[TraceRecord]:
+    def build(self, shard: int) -> PacketColumns:
         """Shard ``shard``'s complete trace (deterministic, process-free)."""
         workload = TelescopeWorkload(
             [Prefix.parse(text) for text in self.shard_prefixes[shard]],
@@ -435,5 +415,5 @@ class PartitionedTelescope:
             self.duration, max_records=self.max_records_per_shard
         )
 
-    def build_all(self) -> List[List[TraceRecord]]:
+    def build_all(self) -> List[PacketColumns]:
         return [self.build(shard) for shard in range(self.shard_count)]

@@ -1,92 +1,46 @@
-"""Trace records, JSONL persistence, and replay.
+"""Traces on disk and on the farm: JSONL persistence and replay.
 
 A trace is the interchange format between workload generation, analysis,
-and the farm: a time-ordered sequence of packet records. Generators can
-stream traces to disk (so an experiment's input is inspectable and
-re-runnable bit-for-bit) and :func:`replay_into_farm` schedules a trace's
-packets onto a farm's event clock.
+and the farm: a time-ordered sequence of packet arrivals. In memory it is
+always a columnar :class:`~repro.sim.batch.PacketColumns` (generators
+build one, :meth:`TraceReader.read_all` returns one, hand-built lists of
+:class:`~repro.sim.batch.TraceRecord` rows become one through
+``PacketColumns.from_records``); on disk it is JSONL, one row per line,
+so an experiment's input is inspectable and re-runnable bit-for-bit.
+:func:`replay_into_farm` puts a trace's packets onto a farm's event clock.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Dict, Iterable, Iterator, List, Optional, Union
+from typing import IO, Dict, Iterable, Iterator, Optional, Union
 
 from repro.core.honeyfarm import Honeyfarm
 from repro.net.addr import IPAddress
-from repro.net.packet import PROTO_TCP, PROTO_UDP, Packet, TcpFlags
-from repro.sim.batch import PacketColumns
+from repro.sim.batch import ArrivalKey, PacketColumns, TraceRecord
 
 __all__ = ["TraceRecord", "TraceWriter", "TraceReader", "replay_into_farm"]
 
+# json.dumps builds an encoder per call when given separators.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One packet arrival, with addresses as dotted-quad strings so the
-    on-disk format is self-describing."""
 
-    time: float
-    src: str
-    dst: str
-    protocol: int
-    src_port: int = 0
-    dst_port: int = 0
-    payload: str = ""
-    size: int = 40
-    tcp_flags: int = 0  # 0 = infer from payload (SYN, or PSH|ACK for data)
-
-    def to_packet(self, addr_cache: Optional[Dict[str, IPAddress]] = None) -> Packet:
-        """Materialize the packet. ``addr_cache`` (dotted-quad → address)
-        amortizes parsing across a replay: telescope traces revisit the
-        same sources and destinations constantly, and ``IPAddress`` is
-        immutable so sharing instances is safe."""
-        if self.protocol == PROTO_TCP and self.tcp_flags:
-            flags = TcpFlags(self.tcp_flags)
-        elif self.protocol == PROTO_TCP and self.payload:
-            flags = TcpFlags.PSH | TcpFlags.ACK
-        elif self.protocol == PROTO_TCP:
-            flags = TcpFlags.SYN
-        else:
-            flags = TcpFlags.NONE
-        if addr_cache is None:
-            src, dst = IPAddress.parse(self.src), IPAddress.parse(self.dst)
-        else:
-            src = addr_cache.get(self.src)
-            if src is None:
-                src = addr_cache[self.src] = IPAddress.parse(self.src)
-            dst = addr_cache.get(self.dst)
-            if dst is None:
-                dst = addr_cache[self.dst] = IPAddress.parse(self.dst)
-        return Packet(
-            src=src,
-            dst=dst,
-            protocol=self.protocol,
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            flags=flags,
-            payload=self.payload,
-            size=self.size,
-        )
-
-    @classmethod
-    def from_packet(cls, time: float, packet: Packet) -> "TraceRecord":
-        return cls(
-            time=time,
-            src=str(packet.src),
-            dst=str(packet.dst),
-            protocol=packet.protocol,
-            src_port=packet.src_port,
-            dst_port=packet.dst_port,
-            payload=packet.payload,
-            size=packet.size,
-            tcp_flags=int(packet.flags) if packet.is_tcp else 0,
-        )
+def _json_line(
+    time: float, key: ArrivalKey, payload: str, size: int, tcp_flags: int
+) -> str:
+    """One row as its JSONL line: the fields of :class:`TraceRecord`, in
+    declaration order."""
+    src, src_port, dst, dst_port, protocol = key
+    return _encode({
+        "time": time, "src": src, "dst": dst, "protocol": protocol,
+        "src_port": src_port, "dst_port": dst_port, "payload": payload,
+        "size": size, "tcp_flags": tcp_flags,
+    }) + "\n"
 
 
 class TraceWriter:
-    """Streams records to a JSONL file (one record per line)."""
+    """Streams rows to a JSONL file (one per line)."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
@@ -101,14 +55,18 @@ class TraceWriter:
         self.close()
 
     def write(self, record: TraceRecord) -> None:
-        if self._fh is None:
-            raise ValueError("TraceWriter must be used as a context manager")
-        self._fh.write(json.dumps(asdict(record), separators=(",", ":")) + "\n")
-        self.records_written += 1
+        self.write_all((record,))
 
     def write_all(self, records: Iterable[TraceRecord]) -> int:
-        for record in records:
-            self.write(record)
+        """Append a trace (or any iterable of rows), column by column."""
+        if self._fh is None:
+            raise ValueError("TraceWriter must be used as a context manager")
+        trace = PacketColumns.from_records(records)
+        self._fh.writelines(map(
+            _json_line, trace.times, trace.keys, trace.payloads, trace.sizes,
+            trace.tcp_flags,
+        ))
+        self.records_written += len(trace)
         return self.records_written
 
     def close(self) -> None:
@@ -118,7 +76,8 @@ class TraceWriter:
 
 
 class TraceReader:
-    """Iterates records from a JSONL trace file."""
+    """Reads a JSONL trace file: iterate it for rows, or
+    :meth:`read_all` for the trace."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
@@ -137,8 +96,8 @@ class TraceReader:
                         f"{self.path}:{line_no}: malformed trace record"
                     ) from exc
 
-    def read_all(self) -> List[TraceRecord]:
-        return list(self)
+    def read_all(self) -> PacketColumns:
+        return PacketColumns.from_records(self)
 
 
 def replay_into_farm(
@@ -147,26 +106,30 @@ def replay_into_farm(
     time_offset: float = 0.0,
     batched: bool = False,
 ) -> int:
-    """Feed every record's packet into the farm at its timestamp (plus
-    ``time_offset``); returns the number of packets.
+    """Feed every arrival of a trace (or of any iterable of rows) into
+    the farm at its timestamp plus ``time_offset``; returns the number
+    of packets.
 
-    ``batched=False`` schedules one injection event per record.
-    ``batched=True`` attaches the records as a lazy
-    :class:`~repro.sim.batch.PacketColumns` arrival stream instead —
-    bit-identical firing order and observable results (see
-    ``docs/PERFORMANCE.md``) without one heap entry per packet, and
+    ``batched=False`` schedules one injection event per row.
+    ``batched=True`` attaches the trace's columns as a lazy arrival
+    stream instead — bit-identical firing order and observable results
+    (see ``docs/PERFORMANCE.md``) without one heap entry per packet, and
     without materializing a :class:`~repro.net.packet.Packet` for any
-    arrival the gateway's span lane fully absorbs.
+    arrival the gateway's span lane fully absorbs. Either way the trace
+    itself is left untouched, so one trace can drive many farms.
 
-    Records must not be earlier than the farm's current simulated time
+    Arrivals must not be earlier than the farm's current simulated time
     after the offset is applied.
     """
     if batched:
-        columns = PacketColumns(records, time_offset)
-        farm.attach_arrival_columns(columns)
-        return columns.n
+        trace = PacketColumns.from_records(records)
+        farm.attach_arrival_columns(trace, time_offset)
+        return len(trace)
+    addr_cache: Dict[str, IPAddress] = {}
     count = 0
     for record in records:
-        farm.sim.schedule_at(record.time + time_offset, farm.inject, record.to_packet())
+        farm.sim.schedule_at(
+            record.time + time_offset, farm.inject, record.to_packet(addr_cache)
+        )
         count += 1
     return count
