@@ -15,6 +15,13 @@ machine-readable results for regression tracking:
   worm packet storm on a memory-constrained host, once with the
   shared-frame store on and once off, recording peak resident frames,
   pressure events/evictions, clone churn, and the frames sharing saved.
+* ``BENCH_heap.json`` — what the process holds: the end-to-end
+  benchmark's ``vm_churn`` and ``mixed_storm`` storms under
+  ``tracemalloc``, reporting traced bytes per live VM / per live flow at
+  the busiest simulated second, bytes still held once the farm has
+  drained (no VM, flow or session left), and the per-VM / per-flow
+  objects still alive then. The run **fails** if a ``VirtualMachine`` or
+  ``FlowRecord`` outlives the drain: host memory follows the live farm.
 * ``BENCH_sweeps.json`` — the parallel grid sweeps (see
   ``sweep_runner.py``).
 
@@ -29,13 +36,20 @@ shape is identical.
 from __future__ import annotations
 
 import argparse
+import collections
+import gc
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# The heap section measures the end-to-end benchmark's own storms.
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+
+import workloads as e2e_workloads
 
 from repro.core.config import HoneyfarmConfig
 from repro.core.honeyfarm import Honeyfarm
@@ -55,6 +69,19 @@ MEMORY_VICTIMS = 120
 MEMORY_VICTIMS_SMOKE = 40
 MEMORY_DURATION = 30.0
 MEMORY_DURATION_SMOKE = 10.0
+HEAP_SEED = 424742  # benchmarks/e2e's default seed
+#: The per-VM and per-flow types a farm allocates as it serves traffic;
+#: live instances of each should number what the farm has live.
+HEAP_TYPES = (
+    "VirtualMachine", "GuestHost", "GuestAddressSpace", "CloneResult",
+    "FlowRecord", "EmulatedSession", "FlowState",
+)
+#: (e2e workload, the live count its bytes are divided by, the key that
+#: quotient is reported under).
+HEAP_STORMS = (
+    ("vm_churn", "live_vms", "bytes_per_live_vm"),
+    ("mixed_storm", "live_flows", "bytes_per_live_flow"),
+)
 
 
 def _quiet_farm() -> Honeyfarm:
@@ -181,7 +208,7 @@ def _memory_storm(
         getattr(policy, "pressure_events", 0)
         for policy in farm.reclamation.policies
     )
-    clones = len(farm.clone_engine.results)
+    clones = farm.clone_engine.completed
     return {
         "content_sharing": content_sharing,
         "victims": victims,
@@ -229,6 +256,86 @@ def bench_memory(victims: int, duration: float) -> Dict[str, Any]:
                 and on["peak_allocated_frames"] < off["peak_allocated_frames"]
             ),
         },
+    }
+
+
+def heap_census() -> Dict[str, int]:
+    """Live instances of each of ``HEAP_TYPES``, after a full collection."""
+    gc.collect()
+    alive = collections.Counter(type(obj).__name__ for obj in gc.get_objects())
+    return {name: alive[name] for name in HEAP_TYPES}
+
+
+def drain(farm: Honeyfarm) -> None:
+    """Run ``farm`` with no further input until it is quiescent: every VM
+    reclaimed, every flow and emulated session expired."""
+    config = farm.config
+    step = (
+        max(config.idle_timeout_seconds, config.flow_idle_timeout_seconds)
+        + config.sweep_interval_seconds
+    )
+    for __ in range(100):
+        if not (
+            farm.live_vms
+            or len(farm.gateway.flows)
+            or (farm.ladder is not None and farm.ladder.sessions)
+        ):
+            return
+        farm.run(until=farm.sim.now + step)
+    raise RuntimeError(f"{farm!r} did not drain")
+
+
+def heap_profile(name: str, size: str, per: str, quotient: str) -> Dict[str, Any]:
+    """One e2e storm under ``tracemalloc``, sampled every simulated
+    second and then drained. ``per`` names what the storm's bytes are
+    divided by, ``live_vms`` or ``live_flows``, at the sample where that
+    count peaked, and ``quotient`` the key the result goes under. Byte
+    figures are relative to the set-up farm with its trace attached, so
+    they count what serving the traffic allocated."""
+    tracemalloc.start()
+    try:
+        run = e2e_workloads.prepare(name, HEAP_SEED, size)
+        farm = run.farm
+        replay_into_farm(farm, run.trace, batched=True)
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        busiest = {"live_vms": 0, "live_flows": 0, "bytes": 0, "sim_time": 0.0}
+        end = run.scenario.duration + e2e_workloads.COOLDOWN_SECONDS
+        while farm.sim.now < end:
+            farm.run(until=min(farm.sim.now + 1.0, end))
+            sample = {
+                "live_vms": farm.live_vms,
+                "live_flows": len(farm.gateway.flows),
+                "bytes": tracemalloc.get_traced_memory()[0] - base,
+                "sim_time": farm.sim.now,
+            }
+            if sample[per] > busiest[per]:
+                busiest = sample
+        clones = farm.clone_engine.completed
+        drain(farm)
+        retained = heap_census()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    lane = farm.gateway._span_lane
+    return {
+        "workload": name,
+        "size": size,
+        "packets": len(run.trace),
+        "clones_completed": clones,
+        "busiest_second": busiest,
+        quotient: round(busiest["bytes"] / max(busiest[per], 1)),
+        "bytes_held_after_drain": held,
+        "span_cache_entries_after_drain": 0 if lane is None else len(lane.cache),
+        "retained_after_drain": retained,
+    }
+
+
+def bench_heap(smoke: bool) -> Dict[str, Any]:
+    size = "smoke" if smoke else "bench"
+    return {
+        name: heap_profile(name, size, per, quotient)
+        for name, per, quotient in HEAP_STORMS
     }
 
 
@@ -289,6 +396,29 @@ def main(argv: Optional[List[str]] = None) -> int:
           f" {storm['events_processed']} events in {storm['wall_seconds']}s"
           f" ({storm['events_per_second']:,} events/s,"
           f" {storm['heap_compactions']} compactions)")
+
+    heap_doc = {
+        "config": {"smoke": args.smoke, "seed": HEAP_SEED},
+        **bench_heap(args.smoke),
+    }
+    heap_out = REPORT_DIR / "BENCH_heap.json"
+    heap_out.write_text(json.dumps(heap_doc, indent=2) + "\n")
+    print(f"wrote {heap_out}")
+    leaked = []
+    for name, __, quotient in HEAP_STORMS:
+        row = heap_doc[name]
+        print(f"  {name}: {row[quotient]} {quotient.replace('_', ' ')},"
+              f" {row['bytes_held_after_drain']} bytes held after drain"
+              f" ({row['clones_completed']} clones, {row['packets']} packets)")
+        leaked += [
+            f"{name}: {count} {kind} alive after drain"
+            for kind, count in row["retained_after_drain"].items()
+            if count and kind in ("VirtualMachine", "FlowRecord")
+        ]
+    for line in leaked:
+        print(f"HEAP GATE FAILED: {line}", file=sys.stderr)
+    if leaked:
+        return 1
 
     if not args.skip_sweeps:
         import sweep_runner

@@ -14,6 +14,12 @@ The engine is asynchronous: :meth:`FlashCloneEngine.clone` returns the VM
 immediately in ``CLONING`` state and invokes a completion callback when
 the pipeline finishes, which is when the gateway flushes the packets it
 queued for the address.
+
+The engine keeps aggregates, not results: a completed count and the
+``clone.*`` histograms, whose running moments are the T1 means. A
+:class:`CloneResult` (and through it the VM) is referenced by the
+pending completion event and then by nobody, so what the engine holds
+does not grow with the number of VMs it has ever cloned.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Callable, Dict, List, Optional
 from repro.net.addr import IPAddress
 from repro.obs import recorder as _obs
 from repro.sim.engine import Simulator
-from repro.sim.metrics import MetricRegistry
+from repro.sim.metrics import Histogram, MetricRegistry
 from repro.vmm.host import HostCapacityError, PhysicalHost
 from repro.vmm.latency import CloneCostModel, StageCost
 from repro.vmm.memory import GuestAddressSpace, OutOfMemoryError
@@ -36,7 +42,8 @@ __all__ = ["CloneResult", "FlashCloneEngine"]
 
 @dataclass
 class CloneResult:
-    """Outcome of one clone operation, kept for the latency experiments.
+    """Outcome of one clone operation, handed to its ``on_ready`` callback
+    and kept by no one: the engine holds aggregates, not results.
 
     ``failed`` marks a clone the fault-injection hook killed at the end
     of its pipeline: the VM never reached RUNNING and the orchestrator
@@ -97,16 +104,13 @@ class FlashCloneEngine:
         self.cost_model = cost_model
         self.metrics = metrics or MetricRegistry()
         self.mode = mode
-        self.results: List[CloneResult] = []
-        self.failures: List[CloneResult] = []
         self.in_flight = 0
-        # Running sums for the periodic reports, maintained as clones
-        # complete: the old re-scan of ``results`` per call made every
-        # report O(completed clones) — quadratic over a run that reports
-        # each sweep. ``results`` itself stays, for the T1 tables.
-        self._latency_sum = 0.0
-        self._stage_sums: Dict[str, float] = {}
-        self._stage_counts: Dict[str, int] = {}
+        # Aggregates only (module docstring). Histogram handles are
+        # resolved on first use and kept, so a run that completes no
+        # clone has no ``clone.*`` histogram.
+        self._c_completed = self.metrics.handle("clone.completed")
+        self._latency: Optional[Histogram] = None
+        self._stage_histograms: Dict[str, Histogram] = {}
         # Chaos hook (see repro.faults.injectors.CloneFaultInjector):
         # called once per completing clone; a non-None return is a
         # failure reason and the clone fails instead of starting. None
@@ -187,7 +191,6 @@ class FlashCloneEngine:
             if reason is not None:
                 result.failed = True
                 result.failure_reason = reason
-                self.failures.append(result)
                 self.metrics.counter("clone.failed").increment()
                 if _obs.ACTIVE is not None:
                     _obs.ACTIVE.emit(
@@ -198,9 +201,7 @@ class FlashCloneEngine:
                     on_ready(result)
                 return
         vm.start(self.sim.now)
-        self.results.append(result)
-        self._latency_sum += result.total_seconds
-        self.metrics.counter("clone.completed").increment()
+        self._c_completed.increment()
         if _obs.ACTIVE is not None:
             memory = vm.address_space.memory
             _obs.ACTIVE.emit(
@@ -209,13 +210,18 @@ class FlashCloneEngine:
                 host_shared_frames=memory.shared_frames,
                 host_sharing_savings=memory.sharing_savings_frames,
             )
-        self.metrics.histogram("clone.latency_seconds").observe(result.total_seconds)
+        latency = self._latency
+        if latency is None:
+            latency = self._latency = self.metrics.histogram("clone.latency_seconds")
+        latency.observe(result.total_seconds)
+        histograms = self._stage_histograms
         for stage in result.stages:
-            self._stage_sums[stage.stage] = (
-                self._stage_sums.get(stage.stage, 0.0) + stage.seconds
-            )
-            self._stage_counts[stage.stage] = self._stage_counts.get(stage.stage, 0) + 1
-            self.metrics.histogram(f"clone.stage.{stage.stage}").observe(stage.seconds)
+            histogram = histograms.get(stage.stage)
+            if histogram is None:
+                histogram = histograms[stage.stage] = self.metrics.histogram(
+                    f"clone.stage.{stage.stage}"
+                )
+            histogram.observe(stage.seconds)
         if on_ready is not None:
             on_ready(result)
 
@@ -223,19 +229,22 @@ class FlashCloneEngine:
     # Reporting
     # ------------------------------------------------------------------ #
 
+    @property
+    def completed(self) -> int:
+        """Clones that reached RUNNING (failed and aborted ones are the
+        ``clone.failed`` / ``clone.aborted`` counters)."""
+        return self._c_completed.value
+
     def stage_breakdown_ms(self) -> Dict[str, float]:
         """Mean per-stage latency in milliseconds over all completed
-        clones — the rows of the Table T1 reproduction. O(stages), from
-        running sums."""
+        clones — the rows of the Table T1 reproduction. O(stages)."""
         return {
-            stage: 1000.0 * self._stage_sums[stage] / self._stage_counts[stage]
-            for stage in self._stage_sums
+            stage: 1000.0 * histogram.total / histogram.count
+            for stage, histogram in self._stage_histograms.items()
         }
 
     def mean_latency_seconds(self) -> float:
-        if not self.results:
-            return 0.0
-        return self._latency_sum / len(self.results)
+        return 0.0 if self._latency is None else self._latency.mean
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<FlashCloneEngine {self.mode} completed={len(self.results)}>"
+        return f"<FlashCloneEngine {self.mode} completed={self.completed}>"

@@ -832,7 +832,11 @@ class Gateway:
         """Expire idle flows; returns how many were dropped."""
         if self.ladder is not None:
             self.ladder.sweep(self.sim.now)
-        return len(self.flows.expire_idle(self.sim.now))
+        expired = len(self.flows.expire_idle(self.sim.now))
+        if self._span_lane is not None:
+            # After the expiry: what it detached is what the cache lets go.
+            self._span_lane.shed()
+        return expired
 
     def tunnel_links(self) -> Dict[int, Link]:
         """The registered tunnel return links, keyed by tunnel key (the

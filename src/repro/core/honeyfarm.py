@@ -45,7 +45,7 @@ from repro.services.guest import GuestHost, InfectionRecord, ScanBehavior
 from repro.services.personality import PersonalityRegistry, default_registry
 from repro.sim.batch import PacketArrivalStream, PacketColumns
 from repro.sim.engine import Simulator
-from repro.sim.metrics import MetricRegistry
+from repro.sim.metrics import Histogram, MetricRegistry
 from repro.sim.rand import SeedSequence
 from repro.vmm.host import HostCapacityError, PhysicalHost
 from repro.vmm.latency import CloneCostModel
@@ -189,6 +189,10 @@ class Honeyfarm:
         self._c_infections = self.metrics.handle("farm.infections")
         self._c_vms_reclaimed = self.metrics.handle("farm.vms_reclaimed")
         self._c_clone_failures = self.metrics.handle("farm.clone_failures")
+        self._c_sweep_reclaims = self.metrics.handle("farm.sweep_reclaims")
+        # Resolved at the first ready address: a run that serves none
+        # has no such histogram.
+        self._address_ready: Optional[Histogram] = None
         self._live_series = self.metrics.series("farm.live_vms_series")
         self._infections_series = self.metrics.series("farm.infections_series")
         # Sharing series exist only when the mechanism is on, so a
@@ -353,9 +357,7 @@ class Honeyfarm:
             self.metrics.counter("clone.aborted").increment()
             return
         vm.start(self.sim.now)
-        self.metrics.histogram("farm.address_ready_seconds").observe(
-            self.sim.now - requested_at
-        )
+        self._note_address_ready(self.sim.now - requested_at)
         self.gateway.vm_ready(vm)
 
     # ------------------------------------------------------------------ #
@@ -463,9 +465,7 @@ class Honeyfarm:
         if not vm.parked:
             # Address-serving clones (not pool refills) count toward the
             # farm's first-packet-to-ready latency.
-            self.metrics.histogram("farm.address_ready_seconds").observe(
-                result.total_seconds
-            )
+            self._note_address_ready(result.total_seconds)
         host = self._host_by_id(vm.host_id)
         personality = self.personalities.get(vm.personality)
         # Seed by farm-local creation index, not the process-global VM id:
@@ -483,6 +483,14 @@ class Honeyfarm:
             on_infection=self._record_infection,
         )
         self.gateway.vm_ready(vm)
+
+    def _note_address_ready(self, seconds: float) -> None:
+        histogram = self._address_ready
+        if histogram is None:
+            histogram = self._address_ready = self.metrics.histogram(
+                "farm.address_ready_seconds"
+            )
+        histogram.observe(seconds)
 
     def _note_clone_failure(self, reason: str) -> None:
         """Account a failed or refused clone under a reason label."""
@@ -603,7 +611,7 @@ class Honeyfarm:
             plan: ReclamationPlan = self.reclamation.plan(host, self.sim.now)
             for vm in plan.destroy:
                 self._retire(host, vm)
-                self.metrics.counter("farm.sweep_reclaims").increment()
+            self._c_sweep_reclaims.increment(len(plan.destroy))
             for vm in plan.detain:
                 self._detain(host, vm)
             destroyed += len(plan.destroy)

@@ -44,6 +44,7 @@ from repro.net.packet import Packet, TcpFlags
 from repro.net.shardmap import ShardMap
 from repro.obs import recorder as _obs
 from repro.obs.recorder import FlightRecorder, event_tally
+from repro.sim.engine import batched_collection
 
 __all__ = [
     "WIRE_VERSION",
@@ -516,18 +517,21 @@ def run_lockstep(
     # collector pause to whatever span is open, and this glue has none.
     pending: List[List[Any]] = [[] for __ in groups]
     epochs = 0
-    while clock < until:
-        end = min(clock + lookahead, until)
+    # One collector policy for the whole drive, not one per slice of
+    # every simulator driven (see batched_collection).
+    with batched_collection():
+        while clock < until:
+            end = min(clock + lookahead, until)
+            for group, inbound in zip(groups, pending):
+                group.epoch(end, inbound)
+                inbound.clear()
+            for group in groups:
+                for message in group.collect():
+                    pending[owner_of(message)].append(message)
+            clock = end
+            epochs += 1
         for group, inbound in zip(groups, pending):
-            group.epoch(end, inbound)
-            inbound.clear()
+            group.deposit(inbound)
         for group in groups:
-            for message in group.collect():
-                pending[owner_of(message)].append(message)
-        clock = end
-        epochs += 1
-    for group, inbound in zip(groups, pending):
-        group.deposit(inbound)
-    for group in groups:
-        group.collect()
+            group.collect()
     return epochs

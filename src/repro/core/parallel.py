@@ -43,6 +43,7 @@ from repro.core.intershard import (
     run_lockstep,
 )
 from repro.net.shardmap import ShardMap
+from repro.sim.engine import batched_collection
 
 __all__ = ["FederationResult", "ParallelFederation"]
 
@@ -86,21 +87,24 @@ def _shard_worker(conn, payload: Dict[str, Any]) -> None:
             runners.append(runner)
         group = ShardGroup(runners)
         conn.send(("ready", [runner.index for runner in group.runners]))
-        while True:
-            op, *args = conn.recv()
-            if op == "stop":
-                return
-            if op == "reports":
-                conn.send(("reports", group.reports()))
-            elif op in ("epoch", "deposit"):
-                # The codec lives here, at the pipe, and nowhere else.
-                *when, inbound = args
-                getattr(group, op)(
-                    *when, [ShardMessage.decode(encoded) for encoded in inbound]
-                )
-                conn.send(("done", [m.encode() for m in group.collect()]))
-            else:
-                raise ValueError(f"unknown coordinator op: {op!r}")
+        # The worker's side of the drive run_lockstep holds the collector
+        # policy around: here the slices arrive one pipe message each.
+        with batched_collection():
+            while True:
+                op, *args = conn.recv()
+                if op == "stop":
+                    return
+                if op == "reports":
+                    conn.send(("reports", group.reports()))
+                elif op in ("epoch", "deposit"):
+                    # The codec lives here, at the pipe, and nowhere else.
+                    *when, inbound = args
+                    getattr(group, op)(
+                        *when, [ShardMessage.decode(encoded) for encoded in inbound]
+                    )
+                    conn.send(("done", [m.encode() for m in group.collect()]))
+                else:
+                    raise ValueError(f"unknown coordinator op: {op!r}")
     except Exception:
         try:
             conn.send(("error", traceback.format_exc()))

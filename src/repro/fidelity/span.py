@@ -37,9 +37,15 @@ Correctness rests on three invariants:
   drop sessions through, and ``FidelityLadder.vm_bound``), the entry's
   flow record is checked for liveness on every touch, and an entry that
   fails either check is resolved again exactly as a first packet would
-  be, so traffic to any other address leaves it valid. What an entry
-  assumes about the *farm* (its policy and trigger stack) is the lane
-  object's own validity: :meth:`SpanLane.serves`;
+  be, so traffic to any other address leaves it valid. All three
+  checks are one-way — a generation only rises, a detached record is
+  never re-attached, an idle record is expired before anything touches
+  it again — so an entry that fails one is dead for good, and
+  :meth:`SpanLane.shed` drops such entries once they outnumber the live
+  ones: the rule that keeps the cache right also keeps it the size of
+  what it caches. What an entry assumes about the *farm* (its policy and
+  trigger stack) is the lane object's own validity:
+  :meth:`SpanLane.serves`;
 * flow records touched here keep their creation-time bucket, as they
   do on the per-packet lane: ``FlowTable.expire_idle`` refiles them
   (see :mod:`repro.net.flow`).
@@ -143,7 +149,7 @@ class SpanLane:
             if entry is not None:
                 record = entry[1]
                 session = entry[2]
-                if (
+                if (  # the validity rule; shed() drops what fails it
                     session.cache_gen != entry[3]
                     or record._table is None
                     or t - record.last_seen > idle_timeout
@@ -207,6 +213,29 @@ class SpanLane:
         if n_buffer_dropped:
             ladder._c_buffer_dropped.increment(n_buffer_dropped)
         return i - start, n_replies, n_contained
+
+    def shed(self) -> None:
+        """Drop the entries :meth:`run` would reject, once they outnumber
+        the rest. The gateway's flow sweep calls this right after the
+        table expired its idle records, so a record still attached is a
+        live one and the rule's idle clause has nothing left to catch.
+
+        Every valid entry holds a distinct live flow record, so a cache
+        over twice the flow table's size is more than half dead: a
+        rebuild frees more than it keeps, the work is amortised O(1) per
+        entry ever inserted, a run in which nothing expires never
+        rebuilds, and an empty flow table leaves an empty cache.
+        Dropping a dead entry changes nothing simulated — its next packet
+        resolves afresh either way — and lets go of the expired record,
+        its session and that session's handoff buffer."""
+        cache = self.cache
+        if len(cache) <= 2 * len(self.gateway.flows):
+            return
+        self.cache = {
+            key: entry
+            for key, entry in cache.items()
+            if entry[2].cache_gen == entry[3] and entry[1]._table is not None
+        }
 
     # ------------------------------------------------------------------ #
     # Per class: what the emulator answers

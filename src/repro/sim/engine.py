@@ -18,12 +18,65 @@ from __future__ import annotations
 
 import gc
 import heapq
+from contextlib import nullcontext
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Protocol, Tuple
 
 from repro.obs import recorder as _obs
 
-__all__ = ["ArrivalStream", "Event", "Simulator", "SimulationError"]
+__all__ = [
+    "ArrivalStream",
+    "Event",
+    "Simulator",
+    "SimulationError",
+    "batched_collection",
+]
+
+#: Gen-0 threshold while a simulation runs (CPython's default is 700).
+_RUN_GC_THRESHOLD = 50_000
+
+
+class batched_collection:
+    """Context manager: the collector policy of a stream-draining
+    simulation, for as long as the block lasts.
+
+    A drain allocates its bookkeeping (flow records, sessions, cache
+    entries, VMs) in dense bursts, and the default gen-0 threshold makes
+    the cyclic collector walk the heap thousands of times per storm for
+    objects that are overwhelmingly still live; this trades collection
+    frequency for batch size. Purely a wall-clock knob — collection
+    points never affect simulated state.
+
+    :meth:`Simulator.run` enters it when it has streams to drain. Whoever
+    drives simulators in many short slices (a federation's lockstep loop)
+    holds it around the whole drive: the allocation count run up under
+    the raised threshold is over the default one, so restoring after
+    every slice buys a collection at the first allocation after every
+    slice. Re-entrant with nothing shared between holders — an entry that
+    finds the threshold already raised does nothing, so only the
+    outermost holder restores — restored on every exit path, and skipped
+    when the collector is disabled.
+
+    A class with a plain ``__exit__``, not a ``@contextmanager``
+    generator: the collection a restore leaves pending is paid by
+    whoever allocates the next container, and a generator's closing
+    ``StopIteration`` would be that container — a whole-heap pass billed
+    to the run that just ended rather than to what the caller does next.
+    """
+
+    __slots__ = ("_saved",)
+
+    def __enter__(self) -> None:
+        saved = gc.get_threshold()
+        if gc.isenabled() and saved[0] < _RUN_GC_THRESHOLD:
+            self._saved = saved
+            gc.set_threshold(_RUN_GC_THRESHOLD, 50, 50)
+        else:
+            self._saved = None
+
+    def __exit__(self, exc_type: Any, exc: Any, traceback: Any) -> None:
+        if self._saved is not None:
+            gc.set_threshold(*self._saved)
 
 
 #: callback.__module__ -> short subsystem label, e.g.
@@ -354,51 +407,42 @@ class Simulator:
             raise SimulationError("simulator is already running (reentrant run())")
         self._running = True
         executed = 0
-        gc_saved = None
-        if self._streams and gc.isenabled():
-            # Stream drains allocate span bookkeeping (flow records,
-            # sessions, cache entries) in dense bursts; the default gen-0
-            # threshold makes the cyclic collector walk the heap thousands
-            # of times per storm for objects that are overwhelmingly still
-            # live. Trade collection frequency for batch size while the
-            # drain runs; restored on every exit path. Purely a wall-clock
-            # knob — collection points never affect simulated state.
-            gc_saved = gc.get_threshold()
-            gc.set_threshold(50_000, 50, 50)
+        # A heap-only run keeps the default collector policy: its steady
+        # per-event allocation profile is the one the defaults suit.
+        policy = batched_collection() if self._streams else nullcontext()
         try:
-            while True:
-                if max_events is not None and executed >= max_events:
-                    break
-                # self._queue is re-read each pass: compaction rebinds it.
-                while self._queue and self._queue[0].cancelled:
-                    self._discard_head()
-                head = self._queue[0] if self._queue else None
-                stream, stream_key, runner_key = self._best_stream()
-                if stream is not None and (
-                    head is None or stream_key < (head.time, head.seq)
-                ):
-                    if until is not None and stream_key[0] > until:
+            with policy:
+                while True:
+                    if max_events is not None and executed >= max_events:
                         break
-                    budget = None if max_events is None else max_events - executed
-                    executed += stream.drain(until, runner_key, budget)
-                    if stream.peek() is None:
-                        self._streams.remove(stream)
-                    continue
-                if head is None:
-                    break
-                if until is not None and head.time > until:
-                    break
-                self.step()
-                executed += 1
-            if until is not None and self._now < until:
-                next_time = self._next_pending_time()
-                target = until if next_time is None else min(until, next_time)
-                if target > self._now:
-                    self._now = target
+                    # self._queue is re-read each pass: compaction rebinds it.
+                    while self._queue and self._queue[0].cancelled:
+                        self._discard_head()
+                    head = self._queue[0] if self._queue else None
+                    stream, stream_key, runner_key = self._best_stream()
+                    if stream is not None and (
+                        head is None or stream_key < (head.time, head.seq)
+                    ):
+                        if until is not None and stream_key[0] > until:
+                            break
+                        budget = None if max_events is None else max_events - executed
+                        executed += stream.drain(until, runner_key, budget)
+                        if stream.peek() is None:
+                            self._streams.remove(stream)
+                        continue
+                    if head is None:
+                        break
+                    if until is not None and head.time > until:
+                        break
+                    self.step()
+                    executed += 1
+                if until is not None and self._now < until:
+                    next_time = self._next_pending_time()
+                    target = until if next_time is None else min(until, next_time)
+                    if target > self._now:
+                        self._now = target
         finally:
             self._running = False
-            if gc_saved is not None:
-                gc.set_threshold(*gc_saved)
 
     def _best_stream(
         self,

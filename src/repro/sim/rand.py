@@ -12,6 +12,12 @@ This gives two properties the experiments rely on:
 
 Streams are derived by hashing ``(root_seed, name)`` with SHA-256, so the
 mapping is stable across Python versions and processes (unlike ``hash()``).
+
+A stream that never draws costs a name and a seed: the farm hands every
+guest its own stream, nine guests in ten are never infected and never
+draw, and a seeded Mersenne Twister is 2.5 KiB and ~6 us to seed. The
+generator is therefore built at the first draw, which moves no draw
+sequence — the seed is fixed when the stream is derived.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, TypeVar
 
 __all__ = ["SeedSequence", "RandomStream", "stable_hash"]
@@ -71,12 +78,19 @@ class RandomStream:
     Thin wrapper over :class:`random.Random` plus a few distributions
     (bounded Pareto, zipf) that the standard library lacks and that
     Internet-traffic modelling needs.
+
+    No :class:`random.Random` exists until the first draw. A pickled
+    stream carries its generator's state, if it has one by then, and
+    continues its sequence where it was.
     """
 
     def __init__(self, seed: int, name: str = "") -> None:
         self.name = name
         self.seed = seed
-        self._rng = random.Random(seed)
+
+    @cached_property
+    def _rng(self) -> random.Random:
+        return random.Random(self.seed)
 
     # -- uniform / integers -------------------------------------------- #
 

@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.core.intershard import run_lockstep
+from repro.sim.engine import SimulationError, Simulator, batched_collection
 
 
 class TestScheduling:
@@ -247,3 +250,107 @@ class TestCompaction:
         expected_survivors.sort()
         sim.run()
         assert fired == [arg for _, _, arg in expected_survivors]
+
+
+class _OneArrival:
+    """The smallest arrival stream: one item that reports the collector
+    thresholds in force while it is drained."""
+
+    def __init__(self, sim, time, seen):
+        self.sim, self.time, self.seen = sim, time, seen
+        self.seq = sim.reserve_seqs(1)
+        self.delivered = False
+        sim.attach_stream(self)
+
+    def peek(self):
+        return None if self.delivered else (self.time, self.seq)
+
+    def drain(self, until, limit_key, budget):
+        self.sim.advance_for_stream(self.time)
+        self.delivered = True
+        self.seen.append(gc.get_threshold())
+        return 1
+
+
+class TestCollectorPolicy:
+    """``batched_collection``: one collector policy per drive, however
+    many simulators and slices the drive is made of."""
+
+    @pytest.fixture(autouse=True)
+    def _default_thresholds(self):
+        saved, enabled = gc.get_threshold(), gc.isenabled()
+        gc.enable()
+        gc.set_threshold(700, 10, 10)
+        yield
+        gc.set_threshold(*saved)
+        if not enabled:
+            gc.disable()
+
+    def test_a_draining_run_raises_the_threshold_and_restores_it(self, sim):
+        seen = []
+        _OneArrival(sim, 1.0, seen)
+        sim.run()
+        assert seen == [(50_000, 50, 50)]
+        assert gc.get_threshold() == (700, 10, 10)
+
+    def test_a_heap_only_run_keeps_the_defaults(self, sim):
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.get_threshold()))
+        sim.run()
+        assert seen == [(700, 10, 10)]
+
+    def test_only_the_outermost_holder_restores(self, sim):
+        seen = []
+        _OneArrival(sim, 1.0, seen)
+        _OneArrival(sim, 3.0, seen)
+        with batched_collection():
+            sim.run(until=2.0)
+            seen.append(gc.get_threshold())  # between slices: still raised
+            sim.run(until=4.0)
+            with batched_collection():
+                pass
+            seen.append(gc.get_threshold())
+        assert seen == [(50_000, 50, 50)] * 4
+        assert gc.get_threshold() == (700, 10, 10)
+
+    def test_restored_when_the_block_raises(self, sim):
+        def boom():
+            raise RuntimeError("callback failed")
+
+        _OneArrival(sim, 2.0, [])
+        sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert gc.get_threshold() == (700, 10, 10)
+        with pytest.raises(RuntimeError):
+            with batched_collection():
+                raise RuntimeError("driver failed")
+        assert gc.get_threshold() == (700, 10, 10)
+
+    def test_skipped_while_the_collector_is_disabled(self, sim):
+        gc.disable()
+        seen = []
+        _OneArrival(sim, 1.0, seen)
+        sim.run()
+        assert seen == [(700, 10, 10)] and not gc.isenabled()
+
+    def test_a_lockstep_drive_holds_one_policy_across_its_slices(self):
+        # What a slice-driver pays otherwise: the allocations run up under
+        # the raised threshold are over the restored one, so every slice
+        # boundary buys a collection.
+        seen = []
+
+        class Group:
+            def epoch(self, end, inbound):
+                Simulator().run(until=end)
+                seen.append(gc.get_threshold())
+
+            def deposit(self, inbound):
+                seen.append(gc.get_threshold())
+
+            def collect(self):
+                return ()
+
+        assert run_lockstep([Group()], lambda message: 0, 0.0, 1.0, 0.25) == 4
+        assert seen == [(50_000, 50, 50)] * 5
+        assert gc.get_threshold() == (700, 10, 10)

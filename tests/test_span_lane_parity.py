@@ -10,9 +10,10 @@ observable against the per-event loop.
 There is one span implementation and one validity rule (a cache entry
 holds until something happens to *its destination address*), so the
 matrix is: an uninterrupted storm, a storm interrupted by promotions,
-clones and reclamation (alone, and crossed with ladder on/off and a
-flight recorder or packet tap installed), a respawn behind the cache's
-back, and a hypothesis property that interleaves radiation with every
+clones and reclamation (alone, crossed with ladder on/off and a flight
+recorder or packet tap installed, and with timeouts short enough that
+the cache sheds), a respawn behind the cache's back, and a hypothesis
+property that interleaves radiation with every
 event that invalidates an entry. One more group covers what the lane
 assumes about the farm itself (policy, trigger stack, personality rule)
 when that is replaced through the farm's public attributes.
@@ -34,6 +35,7 @@ from hypothesis import strategies as st
 from repro.core.config import DeceptionConfig
 from repro.core.containment import OpenPolicy
 from repro.core.honeyfarm import Honeyfarm
+from repro.fidelity.span import SpanLane
 from repro.fidelity.triggers import PromotionTrigger
 from repro.net.addr import IPAddress
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
@@ -323,6 +325,69 @@ def test_interrupted_storm_is_lane_independent(ladder, observer):
     for line_no, (a, b) in enumerate(zip(reference_seen, observed_seen)):
         assert a == b, f"{observer} stream diverges at line {line_no}"
     assert len(observed_seen) == len(reference_seen)
+
+
+# ---------------------------------------------------------------------- #
+# Shedding: the cache lets go of what expired, and nobody can tell
+# ---------------------------------------------------------------------- #
+
+def test_span_cache_shedding_is_invisible(monkeypatch):
+    """The interrupted storm with a 4 s flow and session timeout, so
+    records and sessions expire all through it and the cache outgrows
+    twice the flow table more than once. Its first second of radiation
+    comes round again at 18 s, long after those flows were shed, and its
+    first packet repeats every half second, a flow that outlives every
+    rebuild. Batched must still equal per-event (which has no cache to
+    shed), observable by observable."""
+    scenario = _interrupted_storm()
+    rows = list(scenario.build_trace())
+    again = [
+        dataclasses.replace(row, time=row.time + 18.0)
+        for row in rows if row.time < 1.0 and not row.payload
+    ]
+    steady = [
+        dataclasses.replace(again[0], time=rows[0].time + 0.5 * beat)
+        for beat in range(1, 50)
+    ]
+    trace = sorted(rows + again + steady, key=lambda row: row.time)
+    config = dataclasses.replace(
+        scenario.farm_config(ladder=True), flow_idle_timeout_seconds=4.0
+    )
+    until = scenario.duration + 5.0
+    shed = SpanLane.shed
+    rebuilds = []
+
+    def counting_shed(lane):
+        before = lane.cache
+        shed(lane)
+        if lane.cache is not before:
+            rebuilds.append((len(before), len(lane.cache)))
+
+    reference = _run_world(config, trace, False, until, prepare=_register_worms)
+    monkeypatch.setattr(SpanLane, "shed", counting_shed)
+    observed = _run_world(config, trace, True, until, prepare=_register_worms)
+    monkeypatch.setattr(SpanLane, "shed", lambda lane: None)
+    hoarding = _run_world(config, trace, True, until, prepare=_register_worms)
+
+    assert _observe(observed) == _observe(reference)
+    counters = dict(observed.metrics.counters())
+    assert counters["ladder.sessions_expired"] > 100
+    assert observed.gateway.flows.expired_total > 100
+    # Each rebuild dropped more than it kept, and the run ends with the
+    # table and the cache both empty; left alone the cache ends it
+    # holding every key it ever resolved.
+    assert len(rebuilds) >= 2
+    assert all(kept < before - kept for before, kept in rebuilds)
+    assert len(observed.gateway.flows) == len(hoarding.gateway.flows) == 0
+    assert len(observed.gateway._span_lane.cache) == 0
+    assert len(hoarding.gateway._span_lane.cache) > 1000
+    # Only dead entries go: the steady flow is resolved once, and a key
+    # that comes back after its entry was shed costs the resolve its dead
+    # entry would have cost anyway, so the resolve count is the hoarding
+    # cache's. It just is not a *re*-resolve any more — which is why span_reresolves is lower here,
+    # and why the assertions on it above are upper bounds or zeroes.
+    assert observed.gateway.span_resolves == hoarding.gateway.span_resolves
+    assert 0 < observed.gateway.span_reresolves < hoarding.gateway.span_reresolves
 
 
 # ---------------------------------------------------------------------- #
