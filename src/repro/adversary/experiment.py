@@ -1,10 +1,11 @@
 """The dwell-time / capture-rate experiment: attackers vs deception.
 
-One driver shared by the ``potemkin adversary`` CLI and
-``benchmarks/bench_adversary.py``: for each deception arm (off / on) it
-runs one farm per scanner sophistication tier plus one botnet campaign,
-all from the same root seed, and reports the headline metric — attacker
-dwell time and capture rate vs sophistication.
+One driver shared by the ``potemkin adversary`` CLI and the
+``adversary`` section of ``benchmarks/perf_harness.py``: for each
+deception arm (off / on) it runs one farm per scanner sophistication
+tier plus one botnet campaign, all from the same root seed, and reports
+the headline metric — attacker dwell time and capture rate vs
+sophistication.
 
 The expected shape (and what the benchmark gates on):
 

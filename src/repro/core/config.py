@@ -193,11 +193,6 @@ class HoneyfarmConfig:
         dropped (accounted under the ``timeout`` cause) and the address
         is unbound so the next packet re-dispatches. None (the default)
         disables the watchdog entirely — no timer events are scheduled.
-    respawn_backoff_base / respawn_backoff_cap / respawn_backoff_jitter:
-        Capped exponential backoff (with seeded jitter) for re-spawning
-        the addresses a crashed host was serving onto survivors.
-    respawn_max_attempts:
-        Give up re-spawning an address after this many failed attempts.
     ladder:
         Fidelity-ladder block (:class:`LadderConfig`): protocol-emulator
         tier with dynamic promotion into flash clones. Disabled by
@@ -231,14 +226,9 @@ class HoneyfarmConfig:
     clone_mode: str = "flash"
     content_sharing: bool = True
     warm_pool_size: int = 0
-    warm_pool_refill_interval: float = 0.25
     placement_policy: str = "least-loaded"
     dns_server_ip: str = "198.18.53.53"
     pending_timeout_seconds: Optional[float] = None
-    respawn_backoff_base: float = 0.5
-    respawn_backoff_cap: float = 8.0
-    respawn_backoff_jitter: float = 0.2
-    respawn_max_attempts: int = 6
     ladder: LadderConfig = field(default_factory=LadderConfig)
     deception: DeceptionConfig = field(default_factory=DeceptionConfig)
     seed: int = 1
@@ -260,31 +250,12 @@ class HoneyfarmConfig:
             raise ValueError(f"unknown clone_mode: {self.clone_mode!r}")
         if self.warm_pool_size < 0:
             raise ValueError(f"warm_pool_size must be >= 0: {self.warm_pool_size!r}")
-        if self.warm_pool_refill_interval <= 0:
-            raise ValueError("warm_pool_refill_interval must be positive")
         if self.placement_policy not in ("least-loaded", "round-robin", "pack"):
             raise ValueError(f"unknown placement_policy: {self.placement_policy!r}")
         if self.pending_timeout_seconds is not None and self.pending_timeout_seconds <= 0:
             raise ValueError(
                 "pending_timeout_seconds must be positive or None:"
                 f" {self.pending_timeout_seconds!r}"
-            )
-        if self.respawn_backoff_base <= 0:
-            raise ValueError(
-                f"respawn_backoff_base must be positive: {self.respawn_backoff_base!r}"
-            )
-        if self.respawn_backoff_cap < self.respawn_backoff_base:
-            raise ValueError(
-                "respawn_backoff_cap must be >= respawn_backoff_base:"
-                f" {self.respawn_backoff_cap!r}"
-            )
-        if not (0.0 <= self.respawn_backoff_jitter < 1.0):
-            raise ValueError(
-                f"respawn_backoff_jitter must be in [0, 1): {self.respawn_backoff_jitter!r}"
-            )
-        if self.respawn_max_attempts <= 0:
-            raise ValueError(
-                f"respawn_max_attempts must be positive: {self.respawn_max_attempts!r}"
             )
         if self.memory_pressure_threshold is not None and not (
             0.0 < self.memory_pressure_threshold <= 1.0

@@ -11,7 +11,7 @@ each member is a :class:`~repro.core.intershard.ShardRunner` on a
 :func:`~repro.core.intershard.run_lockstep`. The multiprocess
 :class:`~repro.core.parallel.ParallelFederation` drives the same loop
 over the same groups behind pipes, so the lanes are bit-equal by
-construction (and gated in ``benchmarks/bench_federation.py``).
+construction (and gated in ``tests/test_parallel_federation.py``).
 
 (N fully independent farms on one shared clock need no class at all:
 build each with ``Honeyfarm(config, sim=shared_sim)``.)
@@ -279,7 +279,7 @@ class FederatedHoneyfarm:
     def shard_reports(self) -> List[Dict]:
         """Per-shard reports in the exact shape the parallel lane's
         workers return — the bit-equality surface the worker-count
-        invariance tests and the federation bench compare."""
+        invariance tests compare."""
         return self._group.reports()
 
     def aggregate_counters(self) -> Dict[str, int]:

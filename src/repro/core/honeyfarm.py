@@ -55,6 +55,16 @@ from repro.vmm.vm import VirtualMachine, VMState
 
 __all__ = ["Honeyfarm"]
 
+#: How often the background daemon tops the warm pool back up (seconds).
+WARM_POOL_REFILL_INTERVAL = 0.25
+#: Re-spawning the addresses a crashed host was serving onto survivors:
+#: capped exponential backoff with seeded jitter, abandoned after this
+#: many failed attempts.
+RESPAWN_BACKOFF_BASE = 0.5
+RESPAWN_BACKOFF_CAP = 8.0
+RESPAWN_BACKOFF_JITTER = 0.2
+RESPAWN_MAX_ATTEMPTS = 6
+
 
 class Honeyfarm:
     """A complete, runnable honeyfarm. See module docstring."""
@@ -329,7 +339,7 @@ class Honeyfarm:
     def _refill_pool(self) -> None:
         """Background daemon: keep the pool at its target size."""
         self._top_up_pool()
-        self.sim.schedule(self.config.warm_pool_refill_interval, self._refill_pool)
+        self.sim.schedule(WARM_POOL_REFILL_INTERVAL, self._refill_pool)
 
     def _pool_vm_ready(self, result: CloneResult) -> None:
         """A pool VM finished its (full) clone pipeline: give it a guest
@@ -719,9 +729,9 @@ class Honeyfarm:
     def _schedule_respawn(self, ip: IPAddress, attempt: int = 0) -> None:
         delay = backoff_delay(
             attempt,
-            self.config.respawn_backoff_base,
-            self.config.respawn_backoff_cap,
-            self.config.respawn_backoff_jitter,
+            RESPAWN_BACKOFF_BASE,
+            RESPAWN_BACKOFF_CAP,
+            RESPAWN_BACKOFF_JITTER,
             self._respawn_rng,
         )
         self.sim.schedule(delay, self._attempt_respawn, ip, attempt)
@@ -732,7 +742,7 @@ class Honeyfarm:
             return
         vm = self.spawn_vm(ip)
         if vm is None:
-            if attempt + 1 < self.config.respawn_max_attempts:
+            if attempt + 1 < RESPAWN_MAX_ATTEMPTS:
                 self.metrics.counter("farm.respawn_retries").increment()
                 self._schedule_respawn(ip, attempt + 1)
             else:

@@ -10,7 +10,8 @@ protocol is written here: each worker serves one
 :class:`~repro.core.federation.FederatedHoneyfarm` runs — one pipe proxy
 per worker. A pipe round-trip stands where the reference has a function
 call, so for any worker count the results are bit-equal to the reference
-(the federation bench gates this on every run).
+(``tests/test_parallel_federation.py`` asserts it at 1, 2, 4 and 8
+workers).
 
 Determinism does not depend on scheduling: each worker runs its shards
 in shard order within an epoch, messages are routed purely by the shard

@@ -36,7 +36,8 @@ Instrumented code guards every emit with a single module-level check::
 
 ``ACTIVE`` is ``None`` unless a recorder has been installed, so the
 disabled cost is one global load and an identity test — verified against
-``benchmarks/bench_gateway_throughput.py`` (see docs/OBSERVABILITY.md).
+the hot-path row of ``benchmarks/bench_gateway_throughput.py`` (T-GATEWAY;
+see docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ partitioned telescope workload, and the worm specs. One scenario builds
 *both* lanes (:meth:`build_reference` for the in-process golden
 federation, :meth:`build_parallel` for the multiprocess runner at any
 worker count; :meth:`run` picks by worker count and returns the one
-result type), which is what the worker-count invariance tests and
-``benchmarks/bench_federation.py`` compare bit for bit.
+result type), which is what the worker-count invariance tests
+(``tests/test_parallel_federation.py``) compare bit for bit.
 
 Pinned scenarios live in ``tests/corpus/federation/`` (a subdirectory:
 the top-level corpus glob replays plain :class:`Scenario` JSON and

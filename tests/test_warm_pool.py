@@ -114,5 +114,3 @@ class TestPoolAssignment:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             HoneyfarmConfig(warm_pool_size=-1)
-        with pytest.raises(ValueError):
-            HoneyfarmConfig(warm_pool_refill_interval=0.0)
