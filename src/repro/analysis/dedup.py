@@ -49,10 +49,6 @@ class DedupStats:
     already_shared_frames: int = 0   # duplicates the live stores already collapsed
 
     @property
-    def total_private_bytes(self) -> int:
-        return self.total_private_frames * PAGE_SIZE
-
-    @property
     def shareable_bytes(self) -> int:
         return self.shareable_frames * PAGE_SIZE
 

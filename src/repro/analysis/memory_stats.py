@@ -14,15 +14,12 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from repro.sim.metrics import Histogram
-from repro.vmm.host import PhysicalHost
 from repro.vmm.memory import PAGE_SIZE
 from repro.vmm.vm import VirtualMachine
 
 __all__ = [
     "FootprintSummary",
-    "SharingSummary",
     "footprint_summary",
-    "sharing_summary",
     "vms_per_host_estimate",
 ]
 
@@ -61,52 +58,6 @@ def footprint_summary(vms: Iterable[VirtualMachine]) -> FootprintSummary:
         p99=hist.percentile(99),
         max=hist.max,
         total=hist.total,
-    )
-
-
-@dataclass(frozen=True)
-class SharingSummary:
-    """Live content-sharing state across a cluster, read straight from
-    each host's :class:`~repro.vmm.memory.SharedFrameStore` counters —
-    O(hosts), no page scan."""
-
-    hosts: int
-    total_private_refs: int      # logical overlay pages across the cluster
-    distinct_private_frames: int  # physical frames backing them
-    shared_frames: int           # frames with >= 2 references
-    savings_frames: int          # frames sharing is currently avoiding
-
-    @property
-    def savings_bytes(self) -> int:
-        return self.savings_frames * PAGE_SIZE
-
-    @property
-    def savings_fraction(self) -> float:
-        """Fraction of logical private memory sharing collapses."""
-        if self.total_private_refs == 0:
-            return 0.0
-        return self.savings_frames / self.total_private_refs
-
-
-def sharing_summary(hosts: Iterable[PhysicalHost]) -> SharingSummary:
-    """Aggregate the live O(1) sharing counters (zeros when sharing is
-    off everywhere)."""
-    count = refs = distinct = shared = savings = 0
-    for host in hosts:
-        count += 1
-        store = host.memory.sharing
-        if store is None:
-            continue
-        refs += store.total_refs
-        distinct += store.distinct_frames
-        shared += store.shared_frames
-        savings += store.savings_frames
-    return SharingSummary(
-        hosts=count,
-        total_private_refs=refs,
-        distinct_private_frames=distinct,
-        shared_frames=shared,
-        savings_frames=savings,
     )
 
 

@@ -397,7 +397,7 @@ def _cmd_federation(args: argparse.Namespace) -> int:
         scenario = FederationScenario.from_json(
             open(args.scenario_file).read()
         )
-    result = scenario.run(args.workers, placement=args.placement)
+    result = scenario.run(args.workers)
     lane = (
         f"{result.workers} worker process(es)" if result.workers
         else "in-process reference"
@@ -594,11 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     federation.add_argument(
         "--containment", default="reflect",
         choices=["open", "drop-all", "allow-dns", "reflect"],
-    )
-    federation.add_argument(
-        "--placement", default="balanced",
-        choices=["balanced", "round-robin"],
-        help="shard -> worker placement policy",
     )
     federation.add_argument(
         "--scenario-file", default=None,

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 from repro.net.addr import IPAddress, Prefix
 from repro.sim.rand import stable_hash
 
-__all__ = ["DeceptionConfig", "HoneyfarmConfig", "LadderConfig"]
+__all__ = ["DeceptionConfig", "HoneyfarmConfig"]
 
 
 @dataclass(frozen=True)
@@ -67,65 +67,6 @@ class DeceptionConfig:
             raise ValueError(
                 "an enabled deception config needs a non-empty"
                 " personality_pool"
-            )
-
-
-@dataclass(frozen=True)
-class LadderConfig:
-    """The fidelity ladder: emulator tier + dynamic promotion.
-
-    Attributes
-    ----------
-    enabled:
-        Attach the ladder to the gateway. Off by default: the stock farm
-        clones a VM for every cold address, exactly as before. ``False``
-        is also the *clone-always ablation* the fidelity benchmark
-        compares against.
-    promote_on_vuln_probe:
-        Promote a flow the instant its packet exploits a vulnerability
-        the address's personality actually has. Disabling this is an
-        ablation knob only — the emulator cannot be infected, so farms
-        running with it off will miss every infection the ladder absorbs.
-    promote_payload_bytes:
-        Promote once a single flow has carried this many payload bytes
-        (None disables the trigger).
-    promote_state_depth:
-        Promote once a single flow has reached this many application
-        exchanges (None disables the trigger).
-    max_handoff_packets:
-        Bound on the per-session replay buffer carried into a promoted
-        VM; the oldest absorbed packets are evicted first (0 disables
-        buffering — promotions then hand off no history).
-    """
-
-    enabled: bool = False
-    promote_on_vuln_probe: bool = True
-    promote_payload_bytes: Optional[int] = 512
-    promote_state_depth: Optional[int] = 8
-    max_handoff_packets: int = 64
-
-    def __post_init__(self) -> None:
-        if self.promote_payload_bytes is not None and self.promote_payload_bytes <= 0:
-            raise ValueError(
-                "promote_payload_bytes must be positive or None:"
-                f" {self.promote_payload_bytes!r}"
-            )
-        if self.promote_state_depth is not None and self.promote_state_depth <= 0:
-            raise ValueError(
-                "promote_state_depth must be positive or None:"
-                f" {self.promote_state_depth!r}"
-            )
-        if self.max_handoff_packets < 0:
-            raise ValueError(
-                f"max_handoff_packets must be >= 0: {self.max_handoff_packets!r}"
-            )
-        if self.enabled and not (
-            self.promote_on_vuln_probe
-            or self.promote_payload_bytes is not None
-            or self.promote_state_depth is not None
-        ):
-            raise ValueError(
-                "an enabled ladder needs at least one promotion trigger"
             )
 
 
@@ -194,9 +135,10 @@ class HoneyfarmConfig:
         is unbound so the next packet re-dispatches. None (the default)
         disables the watchdog entirely — no timer events are scheduled.
     ladder:
-        Fidelity-ladder block (:class:`LadderConfig`): protocol-emulator
-        tier with dynamic promotion into flash clones. Disabled by
-        default, which doubles as the clone-always ablation.
+        Attach the fidelity ladder (:mod:`repro.fidelity`): a
+        protocol-emulator tier with dynamic promotion into flash clones.
+        Off by default, which doubles as the clone-always ablation the
+        fidelity benchmark compares against.
     deception:
         Anti-fingerprinting block (:class:`DeceptionConfig`): seeded
         per-address personality randomization + reply-timing jitter.
@@ -229,7 +171,7 @@ class HoneyfarmConfig:
     placement_policy: str = "least-loaded"
     dns_server_ip: str = "198.18.53.53"
     pending_timeout_seconds: Optional[float] = None
-    ladder: LadderConfig = field(default_factory=LadderConfig)
+    ladder: bool = False
     deception: DeceptionConfig = field(default_factory=DeceptionConfig)
     seed: int = 1
 

@@ -48,10 +48,6 @@ class MemoryBreakdown:
         return self.private_resident - self.sharing_savings
 
     @property
-    def physical_resident(self) -> int:
-        return self.image_resident + self.physical_private_resident
-
-    @property
     def mean_private_per_vm(self) -> float:
         """Mean private footprint per VM, in bytes."""
         return self.private_resident / self.live_vms if self.live_vms else 0.0

@@ -152,9 +152,6 @@ class FederatedHoneyfarm:
         ``(name, scan_rate)`` specs registered on every shard inside the
         runner (the multiprocess lane registers the identical specs in
         its workers; see :class:`~repro.core.intershard.ShardRunner`).
-    shard_recorder_capacity:
-        Give each shard a private flight recorder of this capacity
-        (0 disables), surfaced in shard reports.
     """
 
     def __init__(
@@ -163,7 +160,6 @@ class FederatedHoneyfarm:
         interlink: InterShardConfig,
         personalities: Optional[PersonalityRegistry] = None,
         worms: Sequence[Tuple[str, float]] = (),
-        shard_recorder_capacity: int = 0,
     ) -> None:
         if not shard_configs:
             raise ValueError("a federation needs at least one member farm")
@@ -174,7 +170,6 @@ class FederatedHoneyfarm:
             ShardRunner(
                 index, config, self.shard_map, interlink,
                 personalities=personalities, worms=worms,
-                recorder_capacity=shard_recorder_capacity,
             )
             for index, config in enumerate(shard_configs)
         ]

@@ -59,6 +59,9 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 
 __all__ = ["Gateway", "HoneyfarmBackend"]
 
+#: Packets held per address while its VM clones; the next one is dropped.
+MAX_PENDING_PER_IP = 256
+
 
 class HoneyfarmBackend(Protocol):
     """What the gateway needs from the orchestrator behind it."""
@@ -101,8 +104,6 @@ class Gateway:
         dns_server: Optional[DnsServer] = None,
         metrics: Optional[MetricRegistry] = None,
         external_sink: Optional[Callable[[Packet], None]] = None,
-        max_pending_per_ip: int = 256,
-        packet_tap: Optional[Callable[[Packet], None]] = None,
         pending_timeout: Optional[float] = None,
     ) -> None:
         if pending_timeout is not None and pending_timeout <= 0:
@@ -115,11 +116,12 @@ class Gateway:
         self.dns_server = dns_server
         self.metrics = metrics or MetricRegistry()
         self.external_sink = external_sink
-        self.max_pending_per_ip = max_pending_per_ip
-        self.packet_tap = packet_tap
+        self.max_pending_per_ip = MAX_PENDING_PER_IP
+        # Mirror of every inbound packet (``Honeyfarm.attach_packet_tap``).
+        self.packet_tap: Optional[Callable[[Packet], None]] = None
         self.pending_timeout = pending_timeout
-        # Fidelity ladder (attached by the farm when the ladder config
-        # block is enabled): consulted for cold addresses before a clone
+        # Fidelity ladder (attached by the farm when ``config.ladder`` is
+        # set): consulted for cold addresses before a clone
         # is dispatched, and handed the replay when the clone is ready.
         self.ladder: Optional[FidelityLadder] = None
         # Deception reply-timing jitter (attached by the farm when the

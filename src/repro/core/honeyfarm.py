@@ -141,9 +141,9 @@ class Honeyfarm:
         )
 
         # Fidelity ladder (emulator tier + promotion engine). Constructed
-        # only when the config block enables it, so the default farm is
+        # only when ``config.ladder`` is set, so the default farm is
         # byte-identical to a clone-always farm.
-        if self.config.ladder.enabled:
+        if self.config.ladder:
             self.ladder: Optional[FidelityLadder] = FidelityLadder(
                 sim=self.sim,
                 config=self.config,
@@ -259,16 +259,11 @@ class Honeyfarm:
         so nothing is copied and the trace can feed other farms too. See
         ``docs/PERFORMANCE.md``.
         """
-        columns = trace.attachment(time_offset)
         stream = PacketArrivalStream(
             self.sim,
-            columns.times,
-            columns.packets,
-            deliver=self.inject,
-            columns=columns,
-            deliver_span=(
-                self.gateway.dispatch_span if self.ladder is not None else None
-            ),
+            trace.attachment(time_offset),
+            self.inject,
+            self.gateway.dispatch_span if self.ladder is not None else None,
         )
         self.sim.attach_stream(stream)
         return stream

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.core.config import HoneyfarmConfig
 from repro.core.containment import make_policy
@@ -42,8 +42,6 @@ from repro.core.ledger import packet_ledger
 from repro.net.addr import IPAddress
 from repro.net.packet import Packet, TcpFlags
 from repro.net.shardmap import ShardMap
-from repro.obs import recorder as _obs
-from repro.obs.recorder import FlightRecorder, event_tally
 from repro.sim.engine import batched_collection
 
 __all__ = [
@@ -175,51 +173,24 @@ class ShardMessage:
 # Shard -> worker placement
 # ---------------------------------------------------------------------- #
 
-def assign_shards(
-    loads: Sequence[int],
-    workers: int,
-    policy: Union[str, Callable[[Sequence[int], int], Sequence[int]]] = "balanced",
-) -> List[int]:
+def assign_shards(loads: Sequence[int], workers: int) -> List[int]:
     """Place shards onto workers; returns ``worker_index`` per shard.
 
     ``loads`` is one load estimate per shard (by convention the shard's
     dark-address count, the best static proxy for its packet share).
-    Policies:
-
-    * ``"round-robin"`` — shard ``i`` to worker ``i % workers``.
-    * ``"balanced"`` — longest-processing-time greedy: heaviest shard
-      first onto the currently-lightest worker (ties broken by lowest
-      index on both sides, so placement is deterministic).
-    * a callable ``policy(loads, workers) -> assignment`` for custom
-      placement (validated for shape and range).
+    Placement is longest-processing-time greedy: heaviest shard first
+    onto the currently-lightest worker (ties broken by lowest index on
+    both sides, so placement is deterministic).
     """
     if workers <= 0:
         raise ValueError(f"workers must be positive: {workers!r}")
-    if callable(policy):
-        assignment = [int(w) for w in policy(list(loads), workers)]
-        if len(assignment) != len(loads):
-            raise ValueError(
-                f"placement policy returned {len(assignment)} assignments"
-                f" for {len(loads)} shards"
-            )
-        for shard, worker in enumerate(assignment):
-            if not (0 <= worker < workers):
-                raise ValueError(
-                    f"placement policy put shard {shard} on worker"
-                    f" {worker}, outside [0, {workers})"
-                )
-        return assignment
-    if policy == "round-robin":
-        return [i % workers for i in range(len(loads))]
-    if policy == "balanced":
-        totals = [0] * workers
-        assignment = [0] * len(loads)
-        for shard in sorted(range(len(loads)), key=lambda i: (-loads[i], i)):
-            worker = min(range(workers), key=lambda w: (totals[w], w))
-            assignment[shard] = worker
-            totals[worker] += loads[shard]
-        return assignment
-    raise ValueError(f"unknown placement policy: {policy!r}")
+    totals = [0] * workers
+    assignment = [0] * len(loads)
+    for shard in sorted(range(len(loads)), key=lambda i: (-loads[i], i)):
+        worker = min(range(workers), key=lambda w: (totals[w], w))
+        assignment[shard] = worker
+        totals[worker] += loads[shard]
+    return assignment
 
 
 # ---------------------------------------------------------------------- #
@@ -247,11 +218,6 @@ class ShardRunner:
         :data:`~repro.workloads.worms.KNOWN_WORMS`, registered against
         this shard's farm. Spec-based (not behaviour objects) so the
         identical registration happens inside worker processes.
-    recorder_capacity:
-        When positive, this shard runs under a private
-        :class:`~repro.obs.recorder.FlightRecorder` (installed only
-        while the shard executes, so shards never interleave events);
-        :meth:`report` then carries the per-shard event tally.
     """
 
     def __init__(
@@ -263,7 +229,6 @@ class ShardRunner:
         *,
         personalities=None,
         worms: Sequence[Tuple[str, float]] = (),
-        recorder_capacity: int = 0,
     ) -> None:
         if tuple(config.prefixes) != shard_map.shard_prefixes[index]:
             raise ValueError(
@@ -290,9 +255,6 @@ class ShardRunner:
         self.sent = 0
         self.outbox: List[ShardMessage] = []
         self._mailbox: List[Tuple[float, int, int, bool, Tuple, int]] = []
-        self.recorder: Optional[FlightRecorder] = (
-            FlightRecorder(recorder_capacity) if recorder_capacity > 0 else None
-        )
         for name, rate in self.worm_specs:
             from repro.workloads.worms import KNOWN_WORMS
 
@@ -375,18 +337,7 @@ class ShardRunner:
                 deliver, gateway.receive_intershard, decode_packet(wire),
                 reply, generation,
             )
-        if self.recorder is not None:
-            previous = _obs.active()
-            _obs.install(self.recorder)
-            try:
-                self.farm.run(until=end)
-            finally:
-                if previous is None:
-                    _obs.uninstall()
-                else:
-                    _obs.install(previous)
-        else:
-            self.farm.run(until=end)
+        self.farm.run(until=end)
         out, self.outbox = self.outbox, []
         return out
 
@@ -407,7 +358,7 @@ class ShardRunner:
         """
         farm = self.farm
         nat = farm.gateway.nat
-        report: Dict[str, Any] = {
+        return {
             "shard": self.index,
             "prefixes": list(farm.config.prefixes),
             "sim_now": farm.sim.now,
@@ -433,9 +384,6 @@ class ShardRunner:
                 "entries": len(nat),
             },
         }
-        if self.recorder is not None:
-            report["recorder_events"] = event_tally(self.recorder)
-        return report
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import traceback
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import HoneyfarmConfig
 from repro.core.federation import FederationResult
@@ -75,9 +75,7 @@ def _shard_worker(conn, payload: Dict[str, Any]) -> None:
         runners: List[ShardRunner] = []
         for index, config, records in payload["shards"]:
             runner = ShardRunner(
-                index, config, shard_map, payload["interlink"],
-                worms=payload["worms"],
-                recorder_capacity=payload["recorder_capacity"],
+                index, config, shard_map, payload["interlink"], worms=payload["worms"]
             )
             if payload["telescope"] is not None:
                 runner.attach_telescope(
@@ -151,9 +149,10 @@ class ParallelFederation:
         epoch protocol constants — the same inputs the in-process
         reference takes.
     workers:
-        Worker process count. Shards are placed by ``placement``; a
-        worker with no shards is simply never spawned, so any
-        ``workers >= 1`` is valid for any shard count.
+        Worker process count. Shards are placed by
+        :func:`~repro.core.intershard.assign_shards`; a worker with no
+        shards is simply never spawned, so any ``workers >= 1`` is valid
+        for any shard count.
     telescope / shard_records:
         The workload, exactly one of: a picklable
         :class:`~repro.workloads.telescope.PartitionedTelescope` each
@@ -164,10 +163,6 @@ class ParallelFederation:
         records.)
     worms:
         ``(name, scan_rate)`` specs registered on every shard.
-    placement:
-        ``"balanced"`` (default), ``"round-robin"``, or a callable —
-        see :func:`~repro.core.intershard.assign_shards`. The placement
-        affects wall time only, never results.
     start_method:
         ``multiprocessing`` start method; default prefers ``fork``
         (cheap on Linux) and falls back to whatever the platform has.
@@ -182,9 +177,7 @@ class ParallelFederation:
         telescope=None,
         shard_records: Optional[Sequence[Optional[Iterable]]] = None,
         worms: Sequence[Tuple[str, float]] = (),
-        placement: Union[str, Callable] = "balanced",
         batched: bool = True,
-        shard_recorder_capacity: int = 0,
         start_method: Optional[str] = None,
     ) -> None:
         if workers <= 0:
@@ -209,7 +202,6 @@ class ParallelFederation:
         self.shard_records = shard_records
         self.worms = tuple((name, float(rate)) for name, rate in worms)
         self.batched = batched
-        self.shard_recorder_capacity = shard_recorder_capacity
         if start_method is None:
             methods = mp.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
@@ -218,7 +210,7 @@ class ParallelFederation:
             self.shard_map.addresses_of(i)
             for i in range(self.shard_map.shard_count)
         ]
-        self.assignment = assign_shards(loads, workers, placement)
+        self.assignment = assign_shards(loads, workers)
         self._ran = False
 
     def _payload_for(self, worker: int) -> Dict[str, Any]:
@@ -238,7 +230,6 @@ class ParallelFederation:
             "telescope": self.telescope,
             "worms": self.worms,
             "batched": self.batched,
-            "recorder_capacity": self.shard_recorder_capacity,
         }
 
     def run(self, until: float) -> FederationResult:

@@ -27,7 +27,7 @@ class HandoffRecord:
     """One promotion's conversation state, awaiting a running VM.
 
     ``buffered`` holds the absorbed packets in arrival order (bounded by
-    ``LadderConfig.max_handoff_packets``; ``buffer_dropped`` counts the
+    ``FidelityLadder.MAX_HANDOFF_PACKETS``; ``buffer_dropped`` counts the
     oldest packets evicted when the bound was hit). ``banner`` is the
     last service banner the emulator sent — the negotiated application
     state the VM's personality must match. ``created_at`` stamps the

@@ -1,7 +1,7 @@
 """The fidelity-ladder coordinator: sessions, promotion, demotion.
 
 One :class:`FidelityLadder` sits beside the gateway (attached when
-``HoneyfarmConfig.ladder.enabled``). The gateway consults it for every
+``HoneyfarmConfig.ladder``). The gateway consults it for every
 packet addressed to a *cold* address — one with no live or cloning VM —
 and the ladder either absorbs the packet into an emulated session
 (returning the guest-faithful replies) or declares a promotion, in which
@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 from repro.core.config import HoneyfarmConfig
 from repro.fidelity.emulator import EmulatedSession
 from repro.fidelity.handoff import HandoffRecord
-from repro.fidelity.triggers import default_triggers
+from repro.fidelity.triggers import TRIGGER_NAMES, promotion_trigger
 from repro.net.addr import AddressSpaceInventory, IPAddress
 from repro.net.packet import Packet
 from repro.obs import recorder as _obs
@@ -47,6 +47,10 @@ class LadderVerdict:
 class FidelityLadder:
     """See module docstring."""
 
+    #: Bound on the per-session replay buffer carried into a promoted VM;
+    #: the oldest absorbed packets are evicted first.
+    MAX_HANDOFF_PACKETS = 64
+
     def __init__(
         self,
         sim: Simulator,
@@ -58,12 +62,10 @@ class FidelityLadder:
     ) -> None:
         self.sim = sim
         self.config = config
-        self.ladder_config = config.ladder
         self.registry = registry
         self.inventory = inventory
         self.metrics = metrics or MetricRegistry()
         self.session_idle_timeout = session_idle_timeout
-        self.triggers = default_triggers(self.ladder_config, registry.catalog)
         # One prefix, no per-address draw: every cold address answers as
         # the same personality, so the prefix lookup and the registry
         # chain run once, here.
@@ -88,8 +90,7 @@ class FidelityLadder:
         self._c_flows_seen = handle("ladder.flows_seen")
         self._c_promotions = handle("ladder.promotions")
         self._c_promotions_by_trigger = {
-            trigger.name: handle(f"ladder.promotions.{trigger.name}")
-            for trigger in self.triggers
+            name: handle(f"ladder.promotions.{name}") for name in TRIGGER_NAMES
         }
         self._c_demotions = handle("ladder.demotions")
         self._c_handoffs_completed = handle("ladder.handoffs_completed")
@@ -108,10 +109,12 @@ class FidelityLadder:
         state, flow_created = session.note(packet, now)
         if flow_created:
             self._c_flows_seen.increment()
-        for trigger in self.triggers:
-            if trigger.should_promote(session.personality, state, packet):
-                self._promote(packet.dst, session, trigger.name, now)
-                return LadderVerdict(promoted=True, trigger=trigger.name)
+        trigger = promotion_trigger(
+            self.registry.catalog, session.personality, state, packet
+        )
+        if trigger is not None:
+            self._promote(packet.dst, session, trigger, now)
+            return LadderVerdict(promoted=True, trigger=trigger)
         replies = session.emulate(packet)
         self._buffer(session, packet)
         return LadderVerdict(promoted=False, replies=replies)
@@ -137,10 +140,7 @@ class FidelityLadder:
         return session
 
     def _buffer(self, session: EmulatedSession, packet: Packet) -> None:
-        limit = self.ladder_config.max_handoff_packets
-        if limit <= 0:
-            return
-        if len(session.buffered) >= limit:
+        if len(session.buffered) >= self.MAX_HANDOFF_PACKETS:
             # Keep the most recent conversation context for the replay;
             # the evicted prefix is already fully answered.
             session.buffered.pop(0)
@@ -267,6 +267,5 @@ class FidelityLadder:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<FidelityLadder sessions={len(self.sessions)}"
-            f" pending_handoffs={len(self.handoffs)}"
-            f" triggers={[t.name for t in self.triggers]}>"
+            f" pending_handoffs={len(self.handoffs)}>"
         )

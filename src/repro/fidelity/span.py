@@ -16,7 +16,7 @@ the span, and the per-packet lane takes it from there.
 The lane decides nothing of its own. Once per flow, :meth:`SpanLane._resolve`
 asks the primitives the per-packet lane runs — ``FidelityLadder.session_at``,
 ``EmulatedSession.flow_state``, ``FlowKey.between``,
-``FlowTable.live_record`` / ``create``, ``triggers.empty_payload_rule``,
+``FlowTable.live_record`` / ``create``, ``triggers.vuln_probe``,
 ``emulator_replies``, ``containment.honeypot_initiated`` — and caches the
 answer; per packet, :meth:`SpanLane.run` applies the cached answer with
 plain arithmetic. That apply loop is the one deliberate restatement (of
@@ -44,8 +44,7 @@ Correctness rests on three invariants:
   :meth:`SpanLane.shed` drops such entries once they outnumber the live
   ones: the rule that keeps the cache right also keeps it the size of
   what it caches. What an entry assumes about the *farm* (its policy and
-  trigger stack) is the lane object's own validity:
-  :meth:`SpanLane.serves`;
+  ladder) is the lane object's own validity: :meth:`SpanLane.serves`;
 * flow records touched here keep their creation-time bucket, as they
   do on the per-packet lane: ``FlowTable.expire_idle`` refiles them
   (see :mod:`repro.net.flow`).
@@ -57,7 +56,11 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.core.containment import ContainmentPolicy, DropAllPolicy, honeypot_initiated
 from repro.fidelity.emulator import emulator_replies
-from repro.fidelity.triggers import empty_payload_rule
+from repro.fidelity.triggers import (
+    PROMOTE_PAYLOAD_BYTES,
+    PROMOTE_STATE_DEPTH,
+    vuln_probe,
+)
 from repro.net.addr import IPAddress
 from repro.net.flow import FlowKey
 from repro.net.packet import PROTO_ICMP, Packet
@@ -83,17 +86,12 @@ _SLOW = (-1, 0, None)
 
 class SpanLane:
     """The span cache and what it was resolved under: one gateway, one
-    ladder, that ladder's trigger stack and one containment policy."""
+    ladder and one containment policy."""
 
     def __init__(self, gateway: "Gateway", ladder: "FidelityLadder") -> None:
         self.gateway = gateway
         self.ladder = ladder
         self.policy = gateway.policy
-        self.triggers = tuple(ladder.triggers)
-        rule = empty_payload_rule(self.triggers)
-        #: False declines every run: the stack holds a custom trigger.
-        self.supported = rule is not None
-        self.probes, self.payload_bytes, self.state_depth = rule or ((), 0, 0)
         # The one verdict the lane models as a counter: exact drop-all,
         # which is stateless and contains whatever it is asked about.
         self.drop_all = type(self.policy) is DropAllPolicy
@@ -104,13 +102,9 @@ class SpanLane:
 
     def serves(self, ladder: "FidelityLadder", policy: ContainmentPolicy) -> bool:
         """Whether everything cached here still describes the farm:
-        ``gateway.policy``, ``gateway.ladder`` and ``ladder.triggers`` are
-        public and may be replaced mid-run."""
-        return (
-            policy is self.policy
-            and ladder is self.ladder
-            and tuple(ladder.triggers) == self.triggers
-        )
+        ``gateway.policy`` and ``gateway.ladder`` are public and may be
+        replaced mid-run."""
+        return policy is self.policy and ladder is self.ladder
 
     # ------------------------------------------------------------------ #
     # Per packet: apply the cached answer
@@ -124,8 +118,6 @@ class SpanLane:
         gateway's counters are the caller's to flush from the returned
         ``(consumed, replies, contained)``. Every reply not contained
         went out to the Internet."""
-        if not self.supported:
-            return 0, 0, 0
         ladder = self.ladder
         times = columns.times
         keys = columns.keys
@@ -135,7 +127,7 @@ class SpanLane:
         cache_get = cache.get
         resolve = self._resolve
         idle_timeout = self.gateway.flows.idle_timeout
-        buffer_limit = ladder.ladder_config.max_handoff_packets
+        buffer_limit = ladder.MAX_HANDOFF_PACKETS
         n_replies = n_contained = n_buffer_dropped = 0
         n_resolves = n_reresolves = 0
 
@@ -169,15 +161,14 @@ class SpanLane:
             record.last_seen = t
             session.last_seen = t
             session.packets_absorbed += 1
-            if buffer_limit > 0:
-                if session.columns is not columns:
-                    session.index_into(columns)
-                buffered = session.buffered
-                if len(buffered) >= buffer_limit:
-                    del buffered[0]
-                    session.buffer_dropped += 1
-                    n_buffer_dropped += 1
-                buffered.append(i)  # a bare row index, not an object
+            if session.columns is not columns:
+                session.index_into(columns)
+            buffered = session.buffered
+            if len(buffered) >= buffer_limit:
+                del buffered[0]
+                session.buffer_dropped += 1
+                n_buffer_dropped += 1
+            buffered.append(i)  # a bare row index, not an object
             if kind == _FIXED:
                 record.packets += 2
                 record.bytes += size + entry[5]
@@ -244,11 +235,10 @@ class SpanLane:
     def _port_set(self, personality: Personality) -> frozenset:
         """The ``(protocol, port)`` endpoints at which ``personality``'s
         answer to an empty-payload packet can depend on the port: its
-        services and the vuln catalogs' endpoints. Every other port is
+        services and the vuln catalog's endpoints. Every other port is
         closed and catalog-free, and shares one class per protocol."""
         ports = {(svc.protocol, svc.port) for svc in personality.services}
-        for probe in self.probes:
-            ports.update(probe.catalog.endpoints())
+        ports.update(self.ladder.registry.catalog.endpoints())
         return frozenset(ports)
 
     def _classify(self, packet: Packet, personality: Personality) -> Tuple:
@@ -258,9 +248,8 @@ class SpanLane:
         vuln probe's verdict) depends only on those fields once the
         payload is empty, and on the port only where :meth:`_port_set`
         says so."""
-        for probe in self.probes:
-            if probe.should_promote(personality, None, packet):
-                return _SLOW
+        if vuln_probe(self.ladder.registry.catalog, personality, packet):
+            return _SLOW
         replies = emulator_replies(personality, packet)
         if not replies:
             return (_ABSORB, 0, None)
@@ -352,8 +341,8 @@ class SpanLane:
         if flow_created:
             ladder._c_flows_seen.increment()
         if (
-            state.payload_bytes >= self.payload_bytes
-            or state.exchanges >= self.state_depth
+            state.payload_bytes >= PROMOTE_PAYLOAD_BYTES
+            or state.exchanges >= PROMOTE_STATE_DEPTH
         ):
             return None  # this packet promotes
 

@@ -8,9 +8,7 @@ the zero-overhead-when-disabled contract.
 from repro.obs.recorder import (
     FlightRecorder,
     active,
-    event_tally,
     install,
-    merge_tallies,
     recording,
     uninstall,
 )
@@ -18,9 +16,7 @@ from repro.obs.recorder import (
 __all__ = [
     "FlightRecorder",
     "active",
-    "event_tally",
     "install",
-    "merge_tallies",
     "recording",
     "uninstall",
 ]

@@ -45,14 +45,12 @@ from __future__ import annotations
 import json
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "ACTIVE",
     "FlightRecorder",
-    "event_tally",
     "install",
-    "merge_tallies",
     "uninstall",
     "active",
     "recording",
@@ -216,34 +214,6 @@ class FlightRecorder:
             f"<FlightRecorder events={len(self.events)}/{self.capacity}"
             f" emitted={self.emitted} snapshots={self.snapshots_taken}>"
         )
-
-
-# ---------------------------------------------------------------------- #
-# Tallies (per-shard recorders -> one aggregate view)
-# ---------------------------------------------------------------------- #
-
-def event_tally(recorder: FlightRecorder) -> Dict[str, int]:
-    """``"subsystem.event" -> count`` over the recorder's buffered events.
-
-    The federation runs one private recorder per shard (shards execute
-    their epochs back to back, so a single process-wide ring would
-    interleave them); tallies are the picklable summary a shard worker
-    ships home, merged with :func:`merge_tallies`.
-    """
-    tally: Dict[str, int] = {}
-    for __, __, subsystem, event, __ in recorder.events:
-        key = f"{subsystem}.{event}"
-        tally[key] = tally.get(key, 0) + 1
-    return dict(sorted(tally.items()))
-
-
-def merge_tallies(tallies: Iterable[Dict[str, int]]) -> Dict[str, int]:
-    """Sum per-shard event tallies into one federation-wide tally."""
-    merged: Dict[str, int] = {}
-    for tally in tallies:
-        for key, count in tally.items():
-            merged[key] = merged.get(key, 0) + count
-    return dict(sorted(merged.items()))
 
 
 # ---------------------------------------------------------------------- #

@@ -7,15 +7,13 @@ iterates one. The common packet — background radiation the emulator
 tier absorbs — is a row from the generator to the handoff buffer and
 never an object of its own.
 
-Replaying a trace used to mean one heap entry, one ``Event`` object, and
-one full dispatch-loop pass per packet — the per-event Python overhead,
-not the gateway, was the end-to-end bottleneck (ROADMAP item 2).
-:class:`PacketArrivalStream` removes it: it walks a trace attachment's
-``times`` column and lazy ``packets`` cache in place (a struct-of-arrays
-layout, so no per-arrival container is ever allocated and attaching
-copies nothing), reserves a contiguous block of tie-break sequence
-numbers at attach time, and :meth:`Simulator.run` merges it against the
-event heap by ``(time, seq)``.
+:class:`PacketArrivalStream` replays a trace without a heap entry, an
+``Event`` object or a dispatch-loop pass per packet: it walks one trace
+attachment's ``times`` column and lazy ``packets`` cache in place (a
+struct-of-arrays layout, so no per-arrival container is ever allocated
+and attaching copies nothing), reserves a contiguous block of tie-break
+sequence numbers at attach time, and :meth:`Simulator.run` merges it
+against the event heap by ``(time, seq)``.
 
 Ordering contract (what makes batching a *pure mechanical transform*):
 
@@ -41,8 +39,8 @@ from ``bisect`` over the same list; there is one implementation of each.
 
 Dispatch has two lanes:
 
-* **span lane** — lazy struct-of-arrays only (:class:`PacketColumns`
-  attached) and no flight recorder: a whole *multi-timestamp* run of
+* **span lane** — offered when the stream has a ``deliver_span`` and no
+  flight recorder is installed: a whole *multi-timestamp* run of
   arrivals, bounded by the next heap event / ``until`` / budget via
   binary search, goes to ``deliver_span(columns, start, limit)``
   (normally :meth:`~repro.core.gateway.Gateway.dispatch_span`), which
@@ -320,12 +318,13 @@ class PacketColumns(Sequence[TraceRecord]):
 class PacketArrivalStream:
     """A time-sorted packet workload merged into ``Simulator.run``.
 
-    ``times`` and ``packets`` are parallel lists (``times`` floats,
-    non-decreasing), kept by reference: attaching a trace's columns
-    copies nothing, and the only pass over them is the ordering check.
-    ``deliver`` is the per-packet injection callable the per-event loop
-    would have scheduled (e.g. ``farm.inject``). With ``columns``,
-    ``packets`` is that attachment's lazy cache and may hold None.
+    ``columns`` is one replay's :meth:`PacketColumns.attachment`, kept
+    by reference: its ``times`` must be non-decreasing, the only pass
+    over them is that check, and its ``packets`` cache fills as arrivals
+    reach the per-packet lane. ``deliver`` is the per-packet injection
+    callable the per-event loop would have scheduled (``farm.inject``);
+    ``deliver_span(columns, start, limit) -> consumed``, if given, is
+    offered each run of arrivals first.
     """
 
     __slots__ = (
@@ -335,7 +334,6 @@ class PacketArrivalStream:
         "_deliver",
         "_columns",
         "_deliver_span",
-        "_timing_label",
         "_pos",
         "_len",
         "_base_seq",
@@ -344,35 +342,23 @@ class PacketArrivalStream:
     def __init__(
         self,
         sim: Simulator,
-        times: Sequence[float],
-        packets: List[Packet],
+        columns: PacketColumns,
         deliver: Callable[[Packet], None],
-        timing_label: str = "farm",
-        columns: Optional[PacketColumns] = None,
         deliver_span: Optional[Callable[[PacketColumns, int, int], int]] = None,
     ) -> None:
-        if len(times) != len(packets):
-            raise ValueError(
-                f"times/packets length mismatch: {len(times)} != {len(packets)}"
-            )
+        times = columns.times
         if any(map(lt, islice(times, 1, None), times)):  # C-speed scan
             bad = next(i for i in range(1, len(times)) if times[i] < times[i - 1])
             raise SimulationError(
                 f"arrival times must be non-decreasing: item {bad} at"
                 f" t={times[bad]!r} after t={times[bad - 1]!r}"
             )
-        if columns is not None and packets is not columns.packets:
-            raise ValueError(
-                "columns.packets must be the stream's packets list (the"
-                " lazy-materialization cache is shared)"
-            )
         self._sim = sim
         self._times = times
-        self._packets = packets
+        self._packets = columns.packets
         self._deliver = deliver
         self._columns = columns
-        self._deliver_span = deliver_span if columns is not None else None
-        self._timing_label = timing_label
+        self._deliver_span = deliver_span
         self._pos = 0
         self._len = len(times)
         self._base_seq = sim.reserve_seqs(self._len)
@@ -496,18 +482,18 @@ class PacketArrivalStream:
         for k in range(start, end):
             packet = packets[k]
             if packet is None:
-                # Lazy columns: a packet the span lane never consumed is
-                # materialized here, exactly as the eager path built it.
+                # A packet the span lane never consumed is materialized
+                # here, at most once.
                 packet = self._columns.packet_at(k)
             if recorder is None:
                 deliver(packet)
             else:
                 # The per-subsystem timing attribution Simulator.step
-                # applies, so recorded traces are bit-identical to the
-                # per-event loop's.
+                # applies to a scheduled ``farm.inject`` ("farm"), so
+                # recorded traces are bit-identical to the per-event loop's.
                 started = perf_counter()
                 deliver(packet)
-                recorder.record_timing(self._timing_label, perf_counter() - started)
+                recorder.record_timing("farm", perf_counter() - started)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

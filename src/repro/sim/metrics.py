@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "TimeSeries", "MetricRegistry"]
 
@@ -131,28 +131,6 @@ class Histogram:
         self._values.append(value)
         self._total += value
         self._sum_squares += value * value
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        """Record a batch of observations in one pass.
-
-        Equivalent to calling :meth:`observe` per value but amortizes the
-        bookkeeping: one extend, one sortedness check against the batch,
-        and two running-moment updates. Used by batched flushes (metric
-        emission over a whole arrival batch); an empty batch is a no-op —
-        mean/stddev stay well-defined (0.0) on an empty histogram.
-        """
-        values = list(values)
-        if not values:
-            return
-        old = self._values
-        if self._sorted and (
-            (old and values[0] < old[-1])
-            or any(b < a for a, b in zip(values, values[1:]))
-        ):
-            self._sorted = False
-        old.extend(values)
-        self._total += sum(values)
-        self._sum_squares += sum(v * v for v in values)
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:

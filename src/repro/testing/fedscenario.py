@@ -22,7 +22,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Tuple
 
-from repro.core.config import HoneyfarmConfig, LadderConfig
+from repro.core.config import HoneyfarmConfig
 from repro.core.federation import FederatedHoneyfarm, FederationResult
 from repro.core.intershard import InterShardConfig
 from repro.sim.rand import SeedSequence
@@ -142,7 +142,7 @@ class FederationScenario:
                 flow_idle_timeout_seconds=max(self.duration * 10.0, 30.0),
                 containment=self.containment,
                 clone_jitter=0.0,
-                ladder=LadderConfig(enabled=True) if self.ladder else LadderConfig(),
+                ladder=self.ladder,
                 seed=seeds.spawn(f"shard-farm-{shard}").root_seed,
             ))
         return configs
@@ -177,7 +177,7 @@ class FederationScenario:
         federation.attach_telescope(self.telescope(), batched=batched)
         return federation
 
-    def build_parallel(self, workers: int, **kwargs):
+    def build_parallel(self, workers: int):
         """The multiprocess lane at ``workers`` processes (same inputs)."""
         from repro.core.parallel import ParallelFederation
 
@@ -187,16 +187,13 @@ class FederationScenario:
             workers,
             telescope=self.telescope(),
             worms=self.worms,
-            **kwargs,
         )
 
-    def run(self, workers: int = 0, placement="balanced") -> FederationResult:
+    def run(self, workers: int = 0) -> FederationResult:
         """Run to ``duration`` on the in-process lane (``workers=0``) or
-        over ``workers`` processes, shards placed by ``placement`` (the
-        in-process lane has nothing to place)."""
+        over ``workers`` processes."""
         if workers:
-            lane = self.build_parallel(workers, placement=placement)
-            return lane.run(until=self.duration)
+            return self.build_parallel(workers).run(until=self.duration)
         federation = self.build_reference()
         federation.run(until=self.duration)
         return federation.result()

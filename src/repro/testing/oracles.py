@@ -552,9 +552,6 @@ class OracleRegistry:
         self._oracles[oracle.name] = oracle
         return oracle
 
-    def unregister(self, name: str) -> None:
-        del self._oracles[name]
-
     def names(self) -> List[str]:
         return list(self._oracles)
 

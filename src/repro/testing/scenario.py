@@ -19,7 +19,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.config import DeceptionConfig, HoneyfarmConfig, LadderConfig
+from repro.core.config import DeceptionConfig, HoneyfarmConfig
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.net.addr import IPAddress, Prefix
 from repro.net.packet import PROTO_UDP
@@ -37,7 +37,8 @@ ADVERSARY_KINDS = ("fingerprint", "botnet")
 SCENARIO_CONTAINMENTS = ("drop-all", "allow-dns", "reflect", "open")
 
 #: Gap between a worm wave's connection-opening SYN and its exploit
-#: payload (mirrors the telescope generator's burst model).
+#: payload. The waves' own value: the telescope generator's burst model
+#: uses ``EXPLOIT_PAYLOAD_DELAY`` (0.4 s); goldens pin both.
 _EXPLOIT_PAYLOAD_DELAY = 0.3
 
 
@@ -234,7 +235,7 @@ class Scenario:
         """The farm configuration for one world of this scenario."""
         deceive = self.deception if deception is None else deception
         return HoneyfarmConfig(
-            ladder=LadderConfig(enabled=True) if ladder else LadderConfig(),
+            ladder=ladder,
             deception=DeceptionConfig(enabled=True) if deceive else DeceptionConfig(),
             prefixes=(self.prefix,),
             num_hosts=self.num_hosts,

@@ -184,12 +184,6 @@ class PhysicalHost:
     def total_private_pages(self) -> int:
         return sum(vm.private_pages for vm in self._vms.values())
 
-    def total_reclaimable_frames(self) -> int:
-        """Physical frames evicting every resident VM would return —
-        less than :meth:`total_private_pages` once content sharing has
-        collapsed duplicates."""
-        return sum(vm.reclaimable_frames for vm in self._vms.values())
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<PhysicalHost {self.name!r} vms={self.live_vms}/{self.max_vms}"

@@ -149,9 +149,6 @@ class CloneCostModel:
             StageCost("pool_dispatch", self._jittered(0.010)),
         ]
 
-    def reassign_total(self) -> float:
-        return sum(s.seconds for s in self.reassign_stages())
-
     def boot_stages(self) -> List[StageCost]:
         """Stages for a cold boot (dedicated-VM baseline): domain creation
         and device setup still apply, then the guest OS boot dwarfs them."""

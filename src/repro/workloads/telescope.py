@@ -5,8 +5,7 @@ large dark-address telescope. This generator reproduces the *statistical
 structure* of that traffic — the properties the farm's VM-demand and
 concurrency results actually depend on:
 
-* **Source arrivals** are Poisson (new scanners appear at a steady rate,
-  with an optional diurnal modulation).
+* **Source arrivals** are Poisson (new scanners appear at a steady rate).
 * **Per-source sessions are heavy-tailed**: most sources send a handful
   of probes, a few send thousands (bounded-Pareto session sizes) — which
   is what makes per-source VM state hard and per-*address* recycling easy.
@@ -31,8 +30,9 @@ concurrency results actually depend on:
 
 Calibration: defaults produce roughly 40–50 packets/second and ~8 new
 sources/second per /16 of dark space — inside the tens-to-hundreds pps
-range published for mid-2000s /16-scale telescopes — and every parameter
-is a config field for sweeps.
+range published for mid-2000s /16-scale telescopes. The population
+shape is :class:`TelescopeConfig`; the per-source timing the traces were
+calibrated at is the module constants beside the port mix.
 """
 
 from __future__ import annotations
@@ -41,12 +41,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.honeyfarm import Honeyfarm
 from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
 from repro.net.packet import PROTO_TCP, PROTO_UDP, TcpFlags
 from repro.sim.batch import PacketColumns
 from repro.sim.rand import RandomStream, SeedSequence
-from repro.workloads.trace import replay_into_farm
 
 __all__ = [
     "PartitionedTelescope",
@@ -70,6 +68,11 @@ DEFAULT_PORT_MIX: Tuple[Tuple[int, int, float, Optional[str]], ...] = (
 )
 _OTHER_PORT_WEIGHT = 0.20  # random unpopular ports
 
+PROBE_RATE_PER_SOURCE = 12.0  # probes/second while a session lasts
+TCP_SYN_RETRIES = 3           # total SYNs sent per unanswered TCP dst
+RETRY_INTERVAL = 3.0          # TCP retransmission timer
+EXPLOIT_PAYLOAD_DELAY = 0.4   # connect -> payload gap
+
 _SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
 _RST_ACK = int(TcpFlags.RST | TcpFlags.ACK)
 
@@ -85,7 +88,8 @@ class PortProfile:
 
 @dataclass(frozen=True)
 class TelescopeConfig:
-    """Knobs for the background-radiation generator.
+    """The background-radiation population: how many sources, how long
+    their sessions, what they are.
 
     ``sources_per_second`` scales with telescope size: the default is per
     /16 and :class:`TelescopeWorkload` multiplies by the number of /16
@@ -96,14 +100,9 @@ class TelescopeConfig:
     probes_min: int = 1
     probes_max: int = 4000
     probes_pareto_shape: float = 1.15
-    probe_rate_per_source: float = 12.0  # probes/second while a session lasts
     sequential_sweep_fraction: float = 0.3
     exploit_source_fraction: float = 0.35
     backscatter_fraction: float = 0.15
-    tcp_syn_retries: int = 3       # total SYNs sent per unanswered TCP dst
-    retry_interval: float = 3.0    # TCP retransmission timer
-    exploit_payload_delay: float = 0.4  # connect -> payload gap
-    diurnal_amplitude: float = 0.0  # 0 disables; 0.3 = ±30% over 24 h
     seed: int = 77
 
     def __post_init__(self) -> None:
@@ -111,20 +110,12 @@ class TelescopeConfig:
             raise ValueError("sources_per_second_per_slash16 must be positive")
         if not (0 < self.probes_min <= self.probes_max):
             raise ValueError("need 0 < probes_min <= probes_max")
-        if self.probe_rate_per_source <= 0:
-            raise ValueError("probe_rate_per_source must be positive")
         if not (0.0 <= self.sequential_sweep_fraction <= 1.0):
             raise ValueError("sequential_sweep_fraction must be in [0, 1]")
         if not (0.0 <= self.exploit_source_fraction <= 1.0):
             raise ValueError("exploit_source_fraction must be in [0, 1]")
         if not (0.0 <= self.backscatter_fraction <= 1.0):
             raise ValueError("backscatter_fraction must be in [0, 1]")
-        if self.tcp_syn_retries < 1:
-            raise ValueError("tcp_syn_retries must be >= 1")
-        if self.retry_interval <= 0 or self.exploit_payload_delay <= 0:
-            raise ValueError("retry/payload intervals must be positive")
-        if not (0.0 <= self.diurnal_amplitude < 1.0):
-            raise ValueError("diurnal_amplitude must be in [0, 1)")
 
 
 class TelescopeWorkload:
@@ -171,7 +162,7 @@ class TelescopeWorkload:
         Backscatter sends one segment per destination; scanners follow
         the port-mix burst model (retries / exploit follow-ups).
         """
-        retries = float(self.config.tcp_syn_retries)
+        retries = float(TCP_SYN_RETRIES)
         f = self.config.exploit_source_fraction
         scan_factor = 0.0
         for protocol, __, weight, tag in DEFAULT_PORT_MIX:
@@ -191,12 +182,6 @@ class TelescopeWorkload:
             * self.expected_session_probes()
             * self.expected_burst_factor()
         )
-
-    def _rate_multiplier(self, t: float) -> float:
-        amp = self.config.diurnal_amplitude
-        if amp == 0.0:
-            return 1.0
-        return 1.0 + amp * math.sin(2.0 * math.pi * t / 86400.0)
 
     # ------------------------------------------------------------------ #
     # Generation
@@ -249,7 +234,7 @@ class TelescopeWorkload:
                 payloads.append("")
                 sizes.append(40)
                 tcp_flags.append(flags)
-            t += rng.exponential(config.probe_rate_per_source)
+            t += rng.exponential(PROBE_RATE_PER_SOURCE)
 
     def _scan_session(
         self, rng: RandomStream, start: float, source: str, duration: float,
@@ -280,11 +265,10 @@ class TelescopeWorkload:
             burst = ((0.0, payload),)
         elif payload:
             # The connection-opening SYN, then the exploit.
-            burst = ((0.0, ""), (config.exploit_payload_delay, payload))
+            burst = ((0.0, ""), (EXPLOIT_PAYLOAD_DELAY, payload))
         else:
             burst = tuple(
-                (retry * config.retry_interval, "")
-                for retry in range(config.tcp_syn_retries)
+                (retry * RETRY_INTERVAL, "") for retry in range(TCP_SYN_RETRIES)
             )
         address_at = self.inventory.address_at_flat_index
         t = start
@@ -299,7 +283,7 @@ class TelescopeWorkload:
                     payloads.append(packet_payload)
                     sizes.append(40 + len(packet_payload))
                     tcp_flags.append(0)
-            t += rng.exponential(config.probe_rate_per_source)
+            t += rng.exponential(PROBE_RATE_PER_SOURCE)
 
     def generate(self, duration: float, max_records: Optional[int] = None) -> PacketColumns:
         """Every arrival of the sessions starting inside ``[0, duration)``
@@ -312,10 +296,10 @@ class TelescopeWorkload:
         arrivals = self._seeds.stream("arrivals")
         columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
         times = columns[0]
+        rate = self.source_rate
         t = 0.0
         source_index = 0
         while True:
-            rate = self.source_rate * self._rate_multiplier(t)
             t += arrivals.exponential(rate)
             if t >= duration:
                 break
@@ -329,18 +313,6 @@ class TelescopeWorkload:
             if max_records is not None and len(times) >= max_records:
                 break
         return PacketColumns(*columns).sorted_by_time(max_records)
-
-    def attach(self, farm: Honeyfarm, duration: float, batched: bool = False) -> int:
-        """Generate a trace and feed it directly onto ``farm``; returns
-        the number of packets.
-
-        ``batched=True`` streams the trace's columns as one lazy arrival
-        stream instead of scheduling one event per packet — bit-identical
-        behaviour (the stream merges by the same ``(time, seq)`` order,
-        and packets are materialized only if they leave the gateway's
-        span lane) at a fraction of the event-loop cost.
-        """
-        return replay_into_farm(farm, self.generate(duration), batched=batched)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

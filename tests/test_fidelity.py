@@ -8,16 +8,17 @@ ladder-equivalence oracle and the reply-suppressed handoff replay.
 
 import pytest
 
-from repro.core.config import HoneyfarmConfig, LadderConfig
+from repro.core.config import HoneyfarmConfig
 from repro.core.honeyfarm import Honeyfarm
 from repro.fidelity import (
     EmulatedSession,
     FidelityLadder,
-    PayloadBytesTrigger,
-    StateDepthTrigger,
-    VulnProbeTrigger,
-    default_triggers,
+    PROMOTE_PAYLOAD_BYTES,
+    PROMOTE_STATE_DEPTH,
+    TRIGGER_NAMES,
     emulator_replies,
+    promotion_trigger,
+    vuln_probe,
 )
 from repro.fidelity.emulator import FlowState
 from repro.net.addr import IPAddress
@@ -42,11 +43,9 @@ PSH_ACK = TcpFlags.PSH | TcpFlags.ACK
 
 
 def ladder_config(**overrides) -> HoneyfarmConfig:
-    ladder_kwargs = overrides.pop("ladder_kwargs", {})
     defaults = dict(
         prefixes=("10.16.0.0/24",), num_hosts=1, containment="drop-all",
-        clone_jitter=0.0, seed=7,
-        ladder=LadderConfig(enabled=True, **ladder_kwargs),
+        clone_jitter=0.0, seed=7, ladder=True,
     )
     defaults.update(overrides)
     return HoneyfarmConfig(**defaults)
@@ -145,42 +144,45 @@ class TestEmulatorParity:
 
 class TestTriggers:
     def test_vuln_probe_matches_personality_surface(self, registry):
-        trigger = VulnProbeTrigger(registry.catalog)
+        catalog = registry.catalog
         windows = registry.get("windows-default")
         patched = registry.get("windows-patched")
         exploit = udp_packet(ATTACKER, VICTIM, 1, 1434, payload="exploit:slammer")
-        assert trigger.should_promote(windows, FlowState(), exploit)
-        assert not trigger.should_promote(patched, FlowState(), exploit)
+        assert vuln_probe(catalog, windows, exploit)
+        assert promotion_trigger(catalog, windows, FlowState(), exploit) == "vuln_probe"
+        assert not vuln_probe(catalog, patched, exploit)
+        assert promotion_trigger(catalog, patched, FlowState(), exploit) is None
         benign = udp_packet(ATTACKER, VICTIM, 1, 1434, payload="probe")
-        assert not trigger.should_promote(windows, FlowState(), benign)
+        assert not vuln_probe(catalog, windows, benign)
 
     def test_payload_and_depth_thresholds(self, registry):
+        assert (PROMOTE_PAYLOAD_BYTES, PROMOTE_STATE_DEPTH) == (512, 8)
+        catalog = registry.catalog
         windows = registry.get("windows-default")
         flow = FlowState()
         flow.payload_bytes = 511
         flow.exchanges = 7
         probe = tcp_packet(ATTACKER, VICTIM, 1, 80, flags=PSH_ACK, payload="x")
-        assert not PayloadBytesTrigger(512).should_promote(windows, flow, probe)
-        assert not StateDepthTrigger(8).should_promote(windows, flow, probe)
-        flow.payload_bytes = 512
+        assert promotion_trigger(catalog, windows, flow, probe) is None
         flow.exchanges = 8
-        assert PayloadBytesTrigger(512).should_promote(windows, flow, probe)
-        assert StateDepthTrigger(8).should_promote(windows, flow, probe)
+        assert promotion_trigger(catalog, windows, flow, probe) == "state_depth"
+        flow.exchanges = 7
+        flow.payload_bytes = 512
+        assert promotion_trigger(catalog, windows, flow, probe) == "payload_bytes"
 
     def test_default_stack_order_and_ablation(self, registry):
-        full = default_triggers(LadderConfig(enabled=True), registry.catalog)
-        assert [t.name for t in full] == ["vuln_probe", "payload_bytes", "state_depth"]
-        bytes_only = default_triggers(
-            LadderConfig(enabled=True, promote_on_vuln_probe=False,
-                         promote_state_depth=None),
-            registry.catalog,
-        )
-        assert [t.name for t in bytes_only] == ["payload_bytes"]
-
-    def test_enabled_ladder_requires_a_trigger(self):
-        with pytest.raises(ValueError):
-            LadderConfig(enabled=True, promote_on_vuln_probe=False,
-                         promote_payload_bytes=None, promote_state_depth=None)
+        assert TRIGGER_NAMES == ("vuln_probe", "payload_bytes", "state_depth")
+        # Priority is that order: a packet every rule accepts is
+        # attributed to the most meaningful one.
+        catalog = registry.catalog
+        windows = registry.get("windows-default")
+        flow = FlowState()
+        flow.payload_bytes = 512
+        flow.exchanges = 8
+        exploit = udp_packet(ATTACKER, VICTIM, 1, 1434, payload="exploit:slammer")
+        assert promotion_trigger(catalog, windows, flow, exploit) == "vuln_probe"
+        benign = udp_packet(ATTACKER, VICTIM, 1, 1434, payload="probe")
+        assert promotion_trigger(catalog, windows, flow, benign) == "payload_bytes"
 
 
 class TestEmulatedSession:
@@ -210,9 +212,8 @@ class TestEmulatedSession:
 
 
 class TestFidelityLadderUnit:
-    def make_ladder(self, sim, registry, **ladder_kwargs):
-        config = ladder_config(ladder_kwargs=ladder_kwargs)
-        farm = Honeyfarm(sim=sim, config=config, personalities=registry)
+    def make_ladder(self, sim, registry):
+        farm = Honeyfarm(sim=sim, config=ladder_config(), personalities=registry)
         assert farm.ladder is not None
         return farm.ladder
 
@@ -232,22 +233,24 @@ class TestFidelityLadderUnit:
         assert handoff.trigger == "vuln_probe"
 
     def test_handoff_buffer_bounded(self, sim, registry):
-        ladder = self.make_ladder(sim, registry, max_handoff_packets=2)
-        for i in range(5):
-            ladder.consider(icmp_packet(ATTACKER, VICTIM), float(i))
+        ladder = self.make_ladder(sim, registry)
+        assert FidelityLadder.MAX_HANDOFF_PACKETS == 64
+        sent = [icmp_packet(ATTACKER, VICTIM) for __ in range(66)]
+        for i, packet in enumerate(sent):
+            ladder.consider(packet, float(i))
         session = ladder.sessions[VICTIM]
-        assert len(session.buffered) == 2
-        assert session.buffer_dropped == 3
-        assert ladder.metrics.counters()["ladder.handoff_buffer_dropped"] == 3
+        # The oldest two were evicted; the most recent 64 are kept in order.
+        assert session.buffered == sent[2:]
+        assert session.buffer_dropped == 2
+        assert ladder.metrics.counters()["ladder.handoff_buffer_dropped"] == 2
 
     def test_state_depth_promotes_deep_conversation(self, sim, registry):
-        ladder = self.make_ladder(
-            sim, registry, promote_payload_bytes=None, promote_state_depth=3,
-        )
+        ladder = self.make_ladder(sim, registry)
+        # 8 x 5 payload bytes stays far below the byte threshold.
         probe = tcp_packet(ATTACKER, VICTIM, 1, 80, flags=PSH_ACK, payload="GET /")
-        assert not ladder.consider(probe, 0.0).promoted
-        assert not ladder.consider(probe, 0.1).promoted
-        verdict = ladder.consider(probe, 0.2)
+        for exchange in range(7):
+            assert not ladder.consider(probe, 0.1 * exchange).promoted
+        verdict = ladder.consider(probe, 0.7)
         assert verdict.promoted and verdict.trigger == "state_depth"
 
     def test_sessions_expire_on_sweep(self, sim, registry):
@@ -353,7 +356,7 @@ class TestLadderFarm:
         assert "emulated (ladder)" in _render_ledger(ledger)
 
     def test_clone_always_ablation_spawns_for_everything(self):
-        config = ladder_config(ladder=LadderConfig())  # the ablation knob
+        config = ladder_config(ladder=False)  # the ablation knob
         farm = run_ladder_farm(config, [
             (0.1, tcp_packet(ATTACKER, VICTIM, 1, 445)),
         ])
@@ -449,9 +452,7 @@ class TestLadderVsCloneAlwaysEquivalence:
         ]
 
         def run(ladder_on):
-            config = ladder_config() if ladder_on else ladder_config(
-                ladder=LadderConfig()
-            )
+            config = ladder_config(ladder=ladder_on)
             farm = Honeyfarm(config=config)
             external = []
             farm.gateway.external_sink = lambda p: external.append(

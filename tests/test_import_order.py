@@ -1,4 +1,5 @@
-"""Every ``repro`` subpackage imports first in a fresh interpreter.
+"""Import-shape gates: every ``repro`` subpackage imports first in a
+fresh interpreter, and ``repro.core`` never imports ``repro.analysis``.
 
 ``repro.core.gateway`` imports ``repro.fidelity`` at module level (it
 holds a ``SpanLane``), and ``repro.fidelity`` imports ``repro.core.config``
@@ -10,6 +11,7 @@ half the tree before any test runs.
 
 from __future__ import annotations
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -42,3 +44,40 @@ def test_imports_first_in_a_fresh_interpreter(first):
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _analysis_imports(source: str) -> list:
+    """Line numbers of every import of ``repro.analysis`` in ``source``,
+    function-local ones included."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "repro.analysis" or n.startswith("repro.analysis.") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_core_never_imports_analysis():
+    """The layering gate: analysis reads the core's results, the core
+    never reaches up. The scanner is checked against each import form
+    first, so an empty result means no import, not no detection."""
+    for form in (
+        "import repro.analysis.trace",
+        "from repro.analysis import dedup",
+        "from repro import analysis",
+        "def f():\n    from repro.analysis.trace import load_trace",
+    ):
+        assert _analysis_imports(form), form
+    assert not _analysis_imports("from repro.core import config  # repro.analysis")
+    core = Path(repro.__file__).resolve().parent / "core"
+    offenders = sorted(
+        f"{path.relative_to(core.parent)}:{line}"
+        for path in core.rglob("*.py")
+        for line in _analysis_imports(path.read_text())
+    )
+    assert not offenders, "\n".join(offenders)

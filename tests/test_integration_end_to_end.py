@@ -18,6 +18,7 @@ from repro.net.router import BorderRouter
 from repro.services.guest import ScanBehavior
 from repro.workloads.scenarios import outbreak_scenario
 from repro.workloads.telescope import TelescopeConfig, TelescopeWorkload
+from repro.workloads.trace import replay_into_farm
 
 ATTACKER = IPAddress.parse("203.0.113.7")
 TARGET = IPAddress.parse("10.16.0.25")
@@ -146,7 +147,7 @@ class TestScenarioSmoke:
             farm.config.parsed_prefixes(),
             TelescopeConfig(seed=5, sources_per_second_per_slash16=1024.0),
         )
-        workload.attach(farm, duration=60.0)
+        replay_into_farm(farm, workload.generate(60.0))
         farm.run(until=90.0)
         counters = farm.metrics.counters()
         assert counters["farm.vms_spawned"] > 10

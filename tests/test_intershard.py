@@ -159,32 +159,14 @@ class TestShardMap:
 
 
 class TestAssignShards:
-    def test_round_robin(self):
-        assert assign_shards([10, 10, 10], 2, "round-robin") == [0, 1, 0]
-
     def test_balanced_spreads_heavy_shards(self):
         # LPT: 8 -> w0, 6 -> w1, 4 -> w1 (10 vs 8), 2 -> w0.
-        assert assign_shards([8, 6, 4, 2], 2, "balanced") == [0, 1, 1, 0]
+        assert assign_shards([8, 6, 4, 2], 2) == [0, 1, 1, 0]
 
     def test_balanced_is_deterministic_under_ties(self):
-        first = assign_shards([5, 5, 5, 5], 2, "balanced")
-        assert first == assign_shards([5, 5, 5, 5], 2, "balanced")
+        first = assign_shards([5, 5, 5, 5], 2)
+        assert first == assign_shards([5, 5, 5, 5], 2)
         assert sorted(first.count(w) for w in (0, 1)) == [2, 2]
-
-    def test_callable_policy(self):
-        assert assign_shards([1, 2], 3, lambda loads, n: [2, 0]) == [2, 0]
-
-    def test_callable_policy_shape_checked(self):
-        with pytest.raises(ValueError, match="assignments"):
-            assign_shards([1, 2], 2, lambda loads, n: [0])
-
-    def test_callable_policy_range_checked(self):
-        with pytest.raises(ValueError, match="outside"):
-            assign_shards([1, 2], 2, lambda loads, n: [0, 5])
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown placement"):
-            assign_shards([1], 1, "hash")
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):

@@ -17,7 +17,7 @@ import pytest
 from repro.net.addr import IPAddress
 from repro.net.flow import FlowTable
 from repro.net.packet import PROTO_TCP, Packet, TcpFlags
-from repro.sim.batch import PacketArrivalStream
+from repro.sim.batch import PacketArrivalStream, PacketColumns, TraceRecord
 from repro.sim.engine import SimulationError, Simulator
 
 
@@ -32,32 +32,36 @@ def _packet(i: int = 0, src_port: int = 40000) -> Packet:
     )
 
 
-def _attach(sim, times, log, tag="pkt"):
-    packets = [_packet(i) for i in range(len(times))]
-    stream = PacketArrivalStream(
-        sim,
-        times,
-        packets,
-        deliver=lambda p: log.append((tag, sim.now, p.dst.value & 0xFFFF)),
+def _stream(sim, times, deliver, packets=None):
+    """A stream over the trace holding ``packets`` (default: packet ``i``
+    goes to the ``i``-th address) at ``times``."""
+    if packets is None:
+        packets = [_packet(i) for i in range(len(times))]
+    columns = PacketColumns.from_records(
+        TraceRecord.from_packet(t, p) for t, p in zip(times, packets)
     )
+    return PacketArrivalStream(sim, columns, deliver)
+
+
+def _index(packet: Packet) -> int:
+    """Which ``_packet(i)`` a delivered packet is, read off its fields."""
+    return packet.dst.value & 0xFFFF
+
+
+def _attach(sim, times, log, tag="pkt"):
+    stream = _stream(sim, times, lambda p: log.append((tag, sim.now, _index(p))))
     sim.attach_stream(stream)
     return stream
 
 
 class TestStreamValidation:
-    def test_length_mismatch_rejected(self, sim):
-        with pytest.raises(ValueError):
-            PacketArrivalStream(sim, [0.0, 1.0], [_packet()], deliver=lambda p: None)
-
     def test_decreasing_times_rejected(self, sim):
         with pytest.raises(SimulationError):
-            PacketArrivalStream(
-                sim, [1.0, 0.5], [_packet(0), _packet(1)], deliver=lambda p: None
-            )
+            _stream(sim, [1.0, 0.5], lambda p: None)
 
     def test_attach_in_past_rejected(self):
         sim = Simulator(start_time=5.0)
-        stream = PacketArrivalStream(sim, [1.0], [_packet()], deliver=lambda p: None)
+        stream = _stream(sim, [1.0], lambda p: None)
         with pytest.raises(SimulationError):
             sim.attach_stream(stream)
 
@@ -95,13 +99,8 @@ class TestOrderingEquivalence:
         log = []
         for t, tag in event_specs["before"]:
             sim.schedule_at(t, log.append, (tag, t))
-        packets = [_packet(i) for i in range(len(times))]
-        index_of = {id(p): i for i, p in enumerate(packets)}
-        stream = PacketArrivalStream(
-            sim,
-            times,
-            packets,
-            deliver=lambda p: log.append(("pkt", sim.now, index_of[id(p)])),
+        stream = _stream(
+            sim, times, lambda p: log.append(("pkt", sim.now, _index(p)))
         )
         sim.attach_stream(stream)
         for t, tag in event_specs["after"]:
@@ -132,8 +131,7 @@ class TestOrderingEquivalence:
             if not scheduled:
                 scheduled.append(sim.call_now(lambda: log.append(("echo", sim.now))))
 
-        packets = [_packet(i) for i in range(3)]
-        stream = PacketArrivalStream(sim, [1.0, 1.0, 1.0], packets, deliver=deliver)
+        stream = _stream(sim, [1.0, 1.0, 1.0], deliver)
         sim.attach_stream(stream)
         sim.run()
         assert log == [("pkt", 0), ("pkt", 1), ("pkt", 2), ("echo", 1.0)]
@@ -198,7 +196,7 @@ class TestAccounting:
         assert sim._streams == []
 
     def test_empty_stream_is_inert(self, sim):
-        stream = PacketArrivalStream(sim, [], [], deliver=lambda p: None)
+        stream = _stream(sim, [], lambda p: None)
         sim.attach_stream(stream)
         assert stream.peek() is None
         sim.schedule_at(1.0, lambda: None)
@@ -239,8 +237,7 @@ class TestFlowExpiryBoundary:
         times = [arrivals_at, arrivals_at]
         packets = [_packet(0), _packet(0)]  # same 5-tuple as the seed flow
         if batched:
-            stream = PacketArrivalStream(sim, times, packets, deliver=deliver)
-            sim.attach_stream(stream)
+            sim.attach_stream(_stream(sim, times, deliver, packets))
         else:
             for t, p in zip(times, packets):
                 sim.schedule_at(t, deliver, p)

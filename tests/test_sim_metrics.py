@@ -270,44 +270,3 @@ class TestResampleGridDrift:
         ts.record(7.9, 4.0)
         out = ts.resample(0.2)
         assert list(out.times) == [7.3 + i * 0.2 for i in range(len(out.times))]
-
-
-class TestHistogramObserveMany:
-    def test_matches_sequential_observe(self):
-        batch = Histogram("b")
-        single = Histogram("s")
-        values = [3.0, 1.0, 2.0, 2.0, 9.5]
-        batch.observe_many(values)
-        for v in values:
-            single.observe(v)
-        assert batch.summary() == single.summary()
-        assert batch.stddev() == single.stddev()
-
-    def test_empty_flush_is_noop_and_stats_stay_defined(self):
-        h = Histogram("h")
-        h.observe_many([])
-        assert h.count == 0
-        assert h.mean == 0.0
-        assert h.stddev() == 0.0
-        assert h.percentile(99) == 0.0
-
-    def test_empty_flush_after_data_changes_nothing(self):
-        h = Histogram("h")
-        h.observe_many([1.0, 2.0])
-        before = h.summary()
-        h.observe_many([])
-        assert h.summary() == before
-
-    def test_unsorted_batch_keeps_percentiles_exact(self):
-        h = Histogram("h")
-        h.observe_many([5.0, 1.0])
-        h.observe_many([0.5])
-        assert h.min == 0.5
-        assert h.percentile(50) == 1.0
-
-    def test_batch_lower_than_tail_flips_sorted_flag(self):
-        h = Histogram("h")
-        h.observe(10.0)
-        h.observe_many([1.0, 2.0])
-        assert h.min == 1.0
-        assert h.max == 10.0

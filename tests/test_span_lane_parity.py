@@ -15,8 +15,8 @@ recorder or packet tap installed, and with timeouts short enough that
 the cache sheds), a respawn behind the cache's back, and a hypothesis
 property that interleaves radiation with every
 event that invalidates an entry. One more group covers what the lane
-assumes about the farm itself (policy, trigger stack, personality rule)
-when that is replaced through the farm's public attributes.
+assumes about the farm itself (policy, personality rule) when that is
+replaced through the farm's public attributes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.core.config import DeceptionConfig
 from repro.core.containment import OpenPolicy
 from repro.core.honeyfarm import Honeyfarm
 from repro.fidelity.span import SpanLane
-from repro.fidelity.triggers import PromotionTrigger
 from repro.net.addr import IPAddress
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from repro.obs import recording
@@ -143,45 +142,23 @@ def test_span_lane_actually_engages():
 # The farm the lane resolved under is replaced through public attributes
 # ---------------------------------------------------------------------- #
 
-class _SshSyn(PromotionTrigger):
-    """A trigger the span lane cannot know: promotes the empty-payload
-    SYNs to port 22 (~3 % of the storm), which the stock stack lets the
-    emulator answer. Reuses a stock name, so the ladder has a counter
-    for it."""
-
-    name = "state_depth"
-
-    def should_promote(self, personality, flow, packet) -> bool:
-        return packet.is_tcp and packet.dst_port == 22 and not packet.payload
-
-
 def _swap_policy_mid_run(farm: Honeyfarm) -> None:
     # drop-all contains the emulator's ICMP unreachables; the open
     # policy that replaces it at t=0.5 ships them.
     farm.sim.schedule_at(0.5, setattr, farm.gateway, "policy", OpenPolicy())
 
 
-def _append_custom_trigger(farm: Honeyfarm) -> None:
-    farm.ladder.triggers.append(_SshSyn())
-
-
-def _append_custom_trigger_mid_run(farm: Honeyfarm) -> None:
-    farm.sim.schedule_at(0.5, farm.ladder.triggers.append, _SshSyn())
-
-
 @pytest.mark.parametrize(
-    "deception, prepare, lane_engages",
+    "deception, prepare",
     [
-        (None, _swap_policy_mid_run, True),
-        (None, _append_custom_trigger, False),
-        (None, _append_custom_trigger_mid_run, True),
+        (None, _swap_policy_mid_run),
         # Per-address personalities without the jitter that would
         # disqualify the lane: no address may answer as the prefix's one.
-        (DeceptionConfig(enabled=True, jitter_max_seconds=0.0), None, True),
+        (DeceptionConfig(enabled=True, jitter_max_seconds=0.0), None),
     ],
-    ids=["policy-swap", "custom-trigger", "custom-trigger-mid-run", "deception-no-jitter"],
+    ids=["policy-swap", "deception-no-jitter"],
 )
-def test_span_lane_follows_the_farm_it_serves(deception, prepare, lane_engages):
+def test_span_lane_follows_the_farm_it_serves(deception, prepare):
     scenario = _storm(0.0)
     trace = scenario.build_trace()
     config = scenario.farm_config(ladder=True)
@@ -193,15 +170,7 @@ def test_span_lane_follows_the_farm_it_serves(deception, prepare, lane_engages):
     observed = _run_world(config, trace, True, until, prepare=prepare)
 
     assert _observe(observed) == _observe(reference)
-    if lane_engages:
-        assert observed.gateway.span_resolves > 0
-    else:
-        # A trigger the lane cannot evaluate without the packet: it must
-        # decline every run, not guess.
-        assert observed.gateway.span_resolves == 0
-    if prepare in (_append_custom_trigger, _append_custom_trigger_mid_run):
-        # Guard the guard: the custom trigger really fired.
-        assert dict(observed.metrics.counters())["ladder.promotions.state_depth"] > 0
+    assert observed.gateway.span_resolves > 0
 
 
 # ---------------------------------------------------------------------- #

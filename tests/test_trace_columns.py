@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.config import HoneyfarmConfig, LadderConfig
+from repro.core.config import HoneyfarmConfig
 from repro.core.honeyfarm import Honeyfarm
 from repro.core.parallel import ParallelFederation
 from repro.net.addr import Prefix
@@ -185,7 +185,7 @@ def test_two_traces_feeding_one_session_hand_off_in_arrival_order(batched):
              _syn(2.0, target, src_port=1002, payload="exploit:sasser", size=440)]
     second = [_syn(1.1, target, src_port=2000), _syn(1.3, target, src_port=2001)]
     farm = Honeyfarm(HoneyfarmConfig(
-        prefixes=("10.16.0.0/24",), ladder=LadderConfig(enabled=True), seed=3,
+        prefixes=("10.16.0.0/24",), ladder=True, seed=3,
     ))
     replay_into_farm(farm, first, batched=batched)
     replay_into_farm(farm, second, batched=batched)
@@ -204,7 +204,7 @@ def test_out_of_order_trace_names_the_first_offending_item(small_farm):
 
 def test_malformed_address_raises_the_per_packet_lanes_parse_error():
     farm = Honeyfarm(HoneyfarmConfig(
-        prefixes=("10.16.0.0/24",), ladder=LadderConfig(enabled=True),
+        prefixes=("10.16.0.0/24",), ladder=True,
     ))
     replay_into_farm(farm, [_syn(1.0, dst="10.16.0.999")], batched=True)
     with pytest.raises(ValueError, match="10.16.0.999"):
@@ -379,7 +379,7 @@ def test_span_lane_state_is_per_flow_not_per_packet():
         for k, (src, dst) in enumerate(flows * 200)
     )
     farm = Honeyfarm(HoneyfarmConfig(
-        prefixes=("10.16.0.0/24",), ladder=LadderConfig(enabled=True),
+        prefixes=("10.16.0.0/24",), ladder=True,
         containment="drop-all", seed=3,
     ))
     farm.run(until=0.5)

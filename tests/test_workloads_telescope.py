@@ -5,6 +5,7 @@ import pytest
 from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.workloads.telescope import TelescopeConfig, TelescopeWorkload
+from repro.workloads.trace import replay_into_farm
 
 SLASH16 = [Prefix.parse("10.16.0.0/16")]
 SLASH24 = [Prefix.parse("10.16.0.0/24")]
@@ -19,10 +20,8 @@ class TestConfigValidation:
         [
             ("sources_per_second_per_slash16", 0.0),
             ("probes_min", 0),
-            ("probe_rate_per_source", -1.0),
             ("sequential_sweep_fraction", 1.5),
             ("exploit_source_fraction", -0.1),
-            ("diurnal_amplitude", 1.0),
         ],
     )
     def test_rejects_bad_values(self, field, value):
@@ -194,7 +193,7 @@ class TestAttach:
             small_farm.config.parsed_prefixes(),
             TelescopeConfig(seed=5, sources_per_second_per_slash16=512.0),
         )
-        scheduled = workload.attach(small_farm, duration=60.0)
+        scheduled = replay_into_farm(small_farm, workload.generate(60.0))
         assert scheduled > 0
         small_farm.run(until=60.0)
         assert small_farm.metrics.counters()["gateway.packets_in"] >= scheduled
