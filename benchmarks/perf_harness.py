@@ -10,10 +10,12 @@ JSON report and a ``failures(doc) -> list[str]`` that is its gate:
   memory-constrained host, shared-frame store on and off (peak resident
   frames, pressure events and evictions, frames sharing saved). No gate.
 * ``heap`` — what the process holds: the end-to-end benchmark's
-  ``vm_churn`` and ``mixed_storm`` storms under ``tracemalloc``, bytes
-  per live VM / per live flow at the busiest simulated second, bytes
-  still held once the farm has drained. **Fails** if a
-  ``VirtualMachine`` or ``FlowRecord`` outlives the drain: host memory
+  ``vm_churn``, ``mixed_storm`` and ``radiation_span`` storms under
+  ``tracemalloc``, bytes per live VM / per live flow at the busiest
+  simulated second and the allocation sites holding the most there,
+  bytes still held once the farm has drained. **Fails** if a
+  ``VirtualMachine`` outlives the drain, or the drained farm's flow
+  table still holds a live row or any column capacity: host memory
   follows the live farm.
 * ``sweeps`` — the two grid-shaped experiments: F-CONC (exact
   concurrency-vs-idle-timeout curves from one telescope trace) and
@@ -55,8 +57,9 @@ import os
 import sys
 import time
 import tracemalloc
+from array import array
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 # The heap section measures the end-to-end benchmark's own storms.
@@ -75,6 +78,7 @@ from repro.core.config import HoneyfarmConfig
 from repro.core.honeyfarm import Honeyfarm
 from repro.faults import FaultPlan, host_crash
 from repro.net.addr import IPAddress, Prefix
+from repro.net.flow import FlowTable
 from repro.net.packet import TcpFlags, tcp_packet, udp_packet
 from repro.obs import FlightRecorder, install, uninstall
 from repro.testing.scenario import Scenario
@@ -86,6 +90,7 @@ from repro.workloads.trace import replay_into_farm
 from repro.workloads.worms import KNOWN_WORMS
 
 REPORT_DIR = Path(__file__).resolve().parent / "reports"
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 Doc = Dict[str, Any]
 
@@ -218,18 +223,23 @@ def run_memory(smoke: bool, workers: int) -> Doc:
 # ---------------------------------------------------------------------- #
 
 HEAP_SEED = 424742  # benchmarks/e2e's default seed
-#: The per-VM and per-flow types a farm allocates as it serves traffic;
-#: live instances of each should number what the farm has live.
+#: The per-VM and per-address types a farm allocates as it serves
+#: traffic; live instances of each should number what the farm has live.
+#: A flow is a row of the flow table, not an object: see
+#: :func:`flow_table_footprint`.
 HEAP_TYPES = (
     "VirtualMachine", "GuestHost", "GuestAddressSpace", "CloneResult",
-    "FlowRecord", "EmulatedSession", "FlowState",
+    "EmulatedSession",
 )
 #: (e2e workload, the live count its bytes are divided by, the key that
 #: quotient is reported under).
 HEAP_STORMS = (
     ("vm_churn", "live_vms", "bytes_per_live_vm"),
     ("mixed_storm", "live_flows", "bytes_per_live_flow"),
+    ("radiation_span", "live_flows", "bytes_per_live_flow"),
 )
+#: Allocation sites listed per storm, largest first.
+HEAP_TOP_SITES = 15
 
 
 def heap_census() -> Dict[str, int]:
@@ -237,6 +247,59 @@ def heap_census() -> Dict[str, int]:
     gc.collect()
     alive = collections.Counter(type(obj).__name__ for obj in gc.get_objects())
     return {name: alive[name] for name in HEAP_TYPES}
+
+
+def flow_table_footprint(table: FlowTable) -> Dict[str, int]:
+    """Live rows of a flow table, and the bytes its columns (the typed
+    arrays and the row -> key list) still have allocated."""
+    columns = [getattr(table, name) for name in FlowTable.COLUMNS]
+    column_bytes = sum(
+        sys.getsizeof(column) - sys.getsizeof(array(column.typecode))
+        for column in columns
+    )
+    column_bytes += sys.getsizeof(table.keys) - sys.getsizeof([])
+    return {"live_rows": len(table.keys) - table.keys.count(None),
+            "column_bytes": column_bytes}
+
+
+def _site(frame: tracemalloc.Frame) -> str:
+    """``file:line`` of an allocation site, repository-relative."""
+    path = Path(frame.filename)
+    try:
+        name = path.resolve().relative_to(REPO_ROOT).as_posix()
+    except ValueError:
+        name = path.name
+    return f"{name}:{frame.lineno}"
+
+
+def top_sites(snapshot: tracemalloc.Snapshot) -> List[Doc]:
+    """The ``HEAP_TOP_SITES`` allocation sites holding the most bytes."""
+    return [
+        {"site": _site(stat.traceback[0]), "mib": round(stat.size / (1 << 20), 2),
+         "count": stat.count}
+        for stat in snapshot.statistics("lineno")[:HEAP_TOP_SITES]
+    ]
+
+
+def _storm(name: str, size: str):
+    """``name``'s e2e storm, set up with its trace attached."""
+    run = e2e_workloads.prepare(name, HEAP_SEED, size)
+    replay_into_farm(run.farm, run.trace, batched=True)
+    return run
+
+
+def _seconds(run) -> Iterator[Doc]:
+    """Run the storm to its end a simulated second at a time; after each,
+    yield the farm's live counts."""
+    farm = run.farm
+    end = run.scenario.duration + e2e_workloads.COOLDOWN_SECONDS
+    while farm.sim.now < end:
+        farm.run(until=min(farm.sim.now + 1.0, end))
+        yield {
+            "live_vms": farm.live_vms,
+            "live_flows": len(farm.gateway.flows),
+            "sim_time": farm.sim.now,
+        }
 
 
 def drain(farm: Honeyfarm) -> None:
@@ -264,29 +327,29 @@ def heap_profile(name: str, size: str, per: str, quotient: str) -> Doc:
     divided by, ``live_vms`` or ``live_flows``, at the sample where that
     count peaked, and ``quotient`` the key the result goes under. Byte
     figures are relative to the set-up farm with its trace attached, so
-    they count what serving the traffic allocated."""
+    they count what serving the traffic allocated; the allocation sites
+    are the whole process's at that sample (a snapshot per sample would
+    cost more than the storm, so a plain run finds the sample first)."""
+    # The first second at which ``per`` peaks, as the traced run finds it.
+    snapshot_at = max(_seconds(_storm(name, size)), key=lambda s: s[per])["sim_time"]
+    sites: List[Doc] = []
     tracemalloc.start()
     try:
-        run = e2e_workloads.prepare(name, HEAP_SEED, size)
+        run = _storm(name, size)
         farm = run.farm
-        replay_into_farm(farm, run.trace, batched=True)
         gc.collect()
         base = tracemalloc.get_traced_memory()[0]
-        busiest = {"live_vms": 0, "live_flows": 0, "bytes": 0, "sim_time": 0.0}
-        end = run.scenario.duration + e2e_workloads.COOLDOWN_SECONDS
-        while farm.sim.now < end:
-            farm.run(until=min(farm.sim.now + 1.0, end))
-            sample = {
-                "live_vms": farm.live_vms,
-                "live_flows": len(farm.gateway.flows),
-                "bytes": tracemalloc.get_traced_memory()[0] - base,
-                "sim_time": farm.sim.now,
-            }
+        busiest = {"live_vms": 0, "live_flows": 0, "sim_time": 0.0, "bytes": 0}
+        for sample in _seconds(run):
+            sample["bytes"] = tracemalloc.get_traced_memory()[0] - base
             if sample[per] > busiest[per]:
                 busiest = sample
+            if sample["sim_time"] == snapshot_at:
+                sites = top_sites(tracemalloc.take_snapshot())
         clones = farm.clone_engine.completed
         drain(farm)
         retained = heap_census()
+        table = flow_table_footprint(farm.gateway.flows)
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -298,9 +361,11 @@ def heap_profile(name: str, size: str, per: str, quotient: str) -> Doc:
         "clones_completed": clones,
         "busiest_second": busiest,
         quotient: round(busiest["bytes"] / max(busiest[per], 1)),
+        "top_sites_at_busiest": sites,
         "bytes_held_after_drain": held,
         "span_cache_entries_after_drain": 0 if lane is None else len(lane.cache),
         "retained_after_drain": retained,
+        "flow_table_after_drain": table,
     }
 
 
@@ -316,12 +381,19 @@ def run_heap(smoke: bool, workers: int) -> Doc:
 
 
 def heap_failures(doc: Doc) -> List[str]:
-    return [
-        f"{name}: {count} {kind} alive after drain"
-        for name, __, __ in HEAP_STORMS
-        for kind, count in doc[name]["retained_after_drain"].items()
-        if count and kind in ("VirtualMachine", "FlowRecord")
-    ]
+    failures = []
+    for name, __, __ in HEAP_STORMS:
+        storm = doc[name]
+        vms = storm["retained_after_drain"]["VirtualMachine"]
+        if vms:
+            failures.append(f"{name}: {vms} VirtualMachine alive after drain")
+        table = storm["flow_table_after_drain"]
+        if table["live_rows"] or table["column_bytes"]:
+            failures.append(
+                f"{name}: flow table holds {table['live_rows']} live rows and"
+                f" {table['column_bytes']} column bytes after drain"
+            )
+    return failures
 
 
 # ---------------------------------------------------------------------- #

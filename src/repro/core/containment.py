@@ -33,14 +33,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.net.addr import AddressSpaceInventory, IPAddress
 from repro.net.packet import PROTO_UDP, Packet
 from repro.vmm.vm import VirtualMachine
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.net.flow import FlowRecord
 
 __all__ = [
     "ContainmentAction",
@@ -58,12 +55,13 @@ __all__ = [
 ]
 
 
-def honeypot_initiated(record: "FlowRecord", created: bool, source: IPAddress) -> bool:
-    """Whether a packet the honeypot at ``source`` emits on the flow
-    ``record`` faces the containment policy, or is a reply that always
-    goes out. ``created`` says the emission itself opened the flow. It is
-    not implied by the initiator test: a guest may forge its source."""
-    return created or record.initiator.value == source.value
+def honeypot_initiated(initiator: int, created: bool, source: IPAddress) -> bool:
+    """Whether a packet the honeypot at ``source`` emits on a flow opened
+    by the address value ``initiator`` (its ``FlowTable.initiator``
+    column) faces the containment policy, or is a reply that always goes
+    out. ``created`` says the emission itself opened the flow. It is not
+    implied by the initiator test: a guest may forge its source."""
+    return created or initiator == source.value
 
 
 class ContainmentAction(enum.Enum):

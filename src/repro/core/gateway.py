@@ -140,8 +140,9 @@ class Gateway:
         self.remote_generations: Dict[IPAddress, int] = {}
         self.nat = ReflectionNat()
         self.vm_map: Dict[IPAddress, VirtualMachine] = {}
-        # Packets held while a clone is in flight, each with the flow
-        # record that already accounted it (observed exactly once).
+        # Packets held while a clone is in flight, each with a view of the
+        # flow that already accounted it (observed exactly once). The flow
+        # may leave the table first; its view then writes nothing.
         self._pending: Dict[IPAddress, List[Tuple[Packet, FlowRecord]]] = {}
         # Watchdog timers over pending queues (armed only when
         # ``pending_timeout`` is configured, so the default path never
@@ -600,7 +601,7 @@ class Gateway:
             return
 
         record, created = self.flows.observe(packet, self.sim.now)
-        if not honeypot_initiated(record, created, vm.ip):
+        if not honeypot_initiated(self.flows.initiator[record.row], created, vm.ip):
             self._emit_reply(vm, packet)
             return
 
@@ -684,7 +685,7 @@ class Gateway:
         from ``gateway.outbound.reply_allowed``."""
         self._c_emulated_replies.increment()
         record, created = self.flows.observe(packet, self.sim.now)
-        if honeypot_initiated(record, created, packet.src):
+        if honeypot_initiated(self.flows.initiator[record.row], created, packet.src):
             verdict = self.policy.decide(
                 _EmulatedSource(packet.src), packet, self.sim.now
             )

@@ -13,7 +13,7 @@ VM so the attacker sees one continuous session.
 See ``docs/FIDELITY.md`` for the design and the ablation.
 """
 
-from repro.fidelity.emulator import EmulatedSession, FlowState, emulator_replies
+from repro.fidelity.emulator import EmulatedSession, FlowProgress, emulator_replies
 from repro.fidelity.handoff import HandoffRecord
 from repro.fidelity.ladder import FidelityLadder, LadderVerdict
 from repro.fidelity.triggers import (
@@ -27,7 +27,7 @@ from repro.fidelity.triggers import (
 __all__ = [
     "EmulatedSession",
     "FidelityLadder",
-    "FlowState",
+    "FlowProgress",
     "HandoffRecord",
     "LadderVerdict",
     "PROMOTE_PAYLOAD_BYTES",

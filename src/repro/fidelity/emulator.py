@@ -20,9 +20,10 @@ bounded buffer of absorbed packets that becomes the handoff replay.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from array import array
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.net.flow import FlowKey
+from repro.net.flow import FiveTuple, packet_flow_key
 from repro.net.packet import PROTO_TCP, PROTO_UDP, Packet
 from repro.services.guest import BANNER_PREFIX, _is_response_payload
 from repro.services.guest import service_replies as emulator_replies
@@ -31,26 +32,26 @@ from repro.services.personality import Personality
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.sim.batch import PacketColumns
 
-__all__ = ["EmulatedSession", "FlowState", "emulator_replies"]
+__all__ = ["FRESH_FLOW", "EmulatedSession", "FlowProgress", "emulator_replies"]
 
 
-class FlowState:
+class FlowProgress(NamedTuple):
     """Promotion-relevant state of one flow inside a session.
 
     ``exchanges`` counts application exchanges (payload-carrying,
     non-response TCP/UDP packets) and ``payload_bytes`` accumulates their
     payload lengths — both *include* the packet currently under
-    consideration, so triggers evaluate prospective values.
+    consideration, so triggers evaluate prospective values. Immutable:
+    an exchange replaces the flow's value, and every flow that has had
+    none (every span-lane flow) shares :data:`FRESH_FLOW`.
     """
 
-    __slots__ = ("exchanges", "payload_bytes")
+    exchanges: int
+    payload_bytes: int
 
-    def __init__(self) -> None:
-        self.exchanges = 0
-        self.payload_bytes = 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<FlowState exchanges={self.exchanges} bytes={self.payload_bytes}>"
+#: The progress of a flow with no application exchange yet.
+FRESH_FLOW = FlowProgress(0, 0)
 
 
 class EmulatedSession:
@@ -62,11 +63,16 @@ class EmulatedSession:
     address. A cached entry holds while the generation it was resolved
     under is still current.
 
-    ``buffered`` is the handoff buffer. The per-packet lane appends
-    packets; the span lane appends the bare row index of each arrival it
-    absorbed (an int: no object per absorbed packet), and ``columns`` is
-    the trace attachment those indices point into.
-    :meth:`buffered_packets` is the buffer as packets."""
+    ``flows`` maps each flow's canonical key to its :class:`FlowProgress`;
+    a flow the span lane opens shares its key tuple with the flow
+    table's row.
+
+    ``buffered`` is the handoff buffer, in arrival order: an
+    ``array('l')`` of row indices into the trace attachment ``columns``
+    (the span lane's absorbed arrivals: no object per absorbed packet),
+    where ``-1`` stands for the next packet of ``held`` (those the
+    per-packet lane absorbed, oldest first). :meth:`buffered_packets` is
+    the buffer as packets."""
 
     __slots__ = (
         "personality",
@@ -74,6 +80,7 @@ class EmulatedSession:
         "last_seen",
         "flows",
         "buffered",
+        "held",
         "columns",
         "buffer_dropped",
         "banner",
@@ -86,8 +93,9 @@ class EmulatedSession:
         self.personality = personality
         self.created_at = now
         self.last_seen = now
-        self.flows: Dict[FlowKey, FlowState] = {}
-        self.buffered: list = []
+        self.flows: Dict[FiveTuple, FlowProgress] = {}
+        self.buffered = array("l")
+        self.held: Optional[List[Packet]] = None
         self.columns: Optional["PacketColumns"] = None
         self.buffer_dropped = 0
         self.banner: Optional[str] = None
@@ -95,44 +103,65 @@ class EmulatedSession:
         self.payload_bytes_total = 0
         self.cache_gen = 0
 
-    def flow_state(self, key: FlowKey) -> Tuple[FlowState, bool]:
-        """The state of flow ``key`` inside this session, created on
-        first sight; returns ``(state, flow_created)``."""
+    def flow_state(self, key: FiveTuple) -> Tuple[FlowProgress, bool]:
+        """The progress of flow ``key`` inside this session, opened on
+        first sight; returns ``(progress, flow_created)``."""
         state = self.flows.get(key)
         if state is None:
-            state = self.flows[key] = FlowState()
-            return state, True
+            self.flows[key] = FRESH_FLOW
+            return FRESH_FLOW, True
         return state, False
 
     def buffered_packets(self) -> List[Packet]:
         """The handoff buffer with every row index materialized."""
+        held = iter(self.held or ())
         columns = self.columns
         return [
-            p if p.__class__ is Packet else columns.packet_at(p)
-            for p in self.buffered
+            next(held) if row < 0 else columns.packet_at(row)
+            for row in self.buffered
         ]
+
+    def hold(self, packet: Packet) -> None:
+        """Buffer a packet the per-packet lane absorbed."""
+        if self.held is None:
+            self.held = []
+        self.held.append(packet)
+        self.buffered.append(-1)
+
+    def evict_oldest(self) -> None:
+        """Drop the oldest buffered arrival (the buffer is full)."""
+        if self.buffered[0] < 0:
+            del self.held[0]
+        del self.buffered[0]
+        self.buffer_dropped += 1
 
     def index_into(self, columns: "PacketColumns") -> None:
         """Row indices buffered from now on point into ``columns``. Any
         still pointing into another attachment (a second trace feeding
-        the same farm) become packets first."""
-        self.buffered = self.buffered_packets()
+        the same farm) become held packets first."""
+        if self.buffered and max(self.buffered) >= 0:
+            self.held = self.buffered_packets()
+            self.buffered = array("l", [-1]) * len(self.held)
         self.columns = columns
 
-    def note(self, packet: Packet, now: float) -> Tuple[FlowState, bool]:
-        """Account ``packet`` against its flow's state (creating it on
-        first sight) and return ``(state, flow_created)``. Called before
-        trigger evaluation, so triggers see the packet's contribution."""
+    def note(self, packet: Packet, now: float) -> Tuple[FlowProgress, bool]:
+        """Account ``packet`` against its flow's progress (opening it on
+        first sight) and return ``(progress, flow_created)``. Called
+        before trigger evaluation, so triggers see the packet's
+        contribution."""
         self.last_seen = now
-        state, created = self.flow_state(FlowKey.from_packet(packet))
+        key = packet_flow_key(packet)
+        state, created = self.flow_state(key)
         if (
             packet.protocol in (PROTO_TCP, PROTO_UDP)
             and packet.payload
             and not _is_response_payload(packet.payload)
         ):
-            state.exchanges += 1
-            state.payload_bytes += len(packet.payload)
-            self.payload_bytes_total += len(packet.payload)
+            size = len(packet.payload)
+            state = self.flows[key] = FlowProgress(
+                state.exchanges + 1, state.payload_bytes + size
+            )
+            self.payload_bytes_total += size
         return state, created
 
     def emulate(self, packet: Packet) -> List[Packet]:

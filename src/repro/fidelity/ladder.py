@@ -143,10 +143,9 @@ class FidelityLadder:
         if len(session.buffered) >= self.MAX_HANDOFF_PACKETS:
             # Keep the most recent conversation context for the replay;
             # the evicted prefix is already fully answered.
-            session.buffered.pop(0)
-            session.buffer_dropped += 1
+            session.evict_oldest()
             self._c_buffer_dropped.increment()
-        session.buffered.append(packet)
+        session.hold(packet)
 
     def _retire(self, ip: IPAddress) -> None:
         """Drop ``ip``'s session; whatever was cached against it (the

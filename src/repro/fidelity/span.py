@@ -15,14 +15,16 @@ the span, and the per-packet lane takes it from there.
 
 The lane decides nothing of its own. Once per flow, :meth:`SpanLane._resolve`
 asks the primitives the per-packet lane runs — ``FidelityLadder.session_at``,
-``EmulatedSession.flow_state``, ``FlowKey.between``,
+``EmulatedSession.flow_state``, ``flow_key``,
 ``FlowTable.live_record`` / ``create``, ``triggers.vuln_probe``,
 ``emulator_replies``, ``containment.honeypot_initiated`` — and caches the
-answer; per packet, :meth:`SpanLane.run` applies the cached answer with
-plain arithmetic. That apply loop is the one deliberate restatement (of
-``FlowRecord.touch``, ``EmulatedSession.emulate`` and
-``FidelityLadder._buffer``), and ``tests/test_span_lane_parity.py`` holds
-it to the per-event loop, observable by observable.
+answer: the flow's row in the flow table and the packet class's reply
+shape. Per packet, :meth:`SpanLane.run` applies the cached answer as
+plain arithmetic on the flow table's columns and the session's handoff
+buffer (what ``FlowTable.observe_keyed``, ``EmulatedSession.emulate`` and
+``FidelityLadder._buffer`` do per packet), and
+``tests/test_span_lane_parity.py`` holds it to the per-event loop,
+observable by observable.
 
 Correctness rests on three invariants:
 
@@ -35,19 +37,23 @@ Correctness rests on three invariants:
   those changes bumps that session's ``cache_gen`` in the one place it
   happens (``FidelityLadder._retire``, which ``_promote`` and ``sweep``
   drop sessions through, and ``FidelityLadder.vm_bound``), the entry's
-  flow record is checked for liveness on every touch, and an entry that
-  fails either check is resolved again exactly as a first packet would
-  be, so traffic to any other address leaves it valid. All three
-  checks are one-way — a generation only rises, a detached record is
-  never re-attached, an idle record is expired before anything touches
-  it again — so an entry that fails one is dead for good, and
+  flow rows are checked for liveness on every touch (the row's serial
+  is still the one the entry holds, and the flow is not idle), and an
+  entry that fails either check is resolved again exactly as a first
+  packet would be, so traffic to any other address leaves it valid.
+  All three checks are one-way — a generation only rises, a freed row's
+  serial never comes back, an idle flow is expired before anything
+  touches it again — so an entry that fails one is dead for good, and
   :meth:`SpanLane.shed` drops such entries once they outnumber the live
   ones: the rule that keeps the cache right also keeps it the size of
-  what it caches. What an entry assumes about the *farm* (its policy and
-  ladder) is the lane object's own validity: :meth:`SpanLane.serves`;
-* flow records touched here keep their creation-time bucket, as they
-  do on the per-packet lane: ``FlowTable.expire_idle`` refiles them
-  (see :mod:`repro.net.flow`).
+  what it caches. When the flow table empties it releases its columns,
+  and with them every row an entry could name: the lane then forgets
+  its whole cache before reading a column again. What an entry assumes
+  about the *farm* (its policy and ladder) is the lane object's own
+  validity: :meth:`SpanLane.serves`;
+* rows touched here keep their creation-time bucket, as they do on the
+  per-packet lane: ``FlowTable.expire_idle`` refiles them (see
+  :mod:`repro.net.flow`).
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from repro.fidelity.triggers import (
     vuln_probe,
 )
 from repro.net.addr import IPAddress
-from repro.net.flow import FlowKey
+from repro.net.flow import flow_key
 from repro.net.packet import PROTO_ICMP, Packet
 from repro.services.guest import BANNER_PREFIX
 from repro.services.personality import Personality
@@ -74,19 +80,28 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 
 __all__ = ["SpanLane"]
 
-#: Reply shapes of a class of empty-payload packets.
+#: Reply shapes of a class of empty-payload packets. A class is
+#: ``(kind, reply_size, banner, contained)``: the fixed reply size
+#: (_FIXED, _UNREACHABLE), the banner payload if any, and whether the
+#: reply faces (and loses to) drop-all.
 _ABSORB = 0       # silently absorbed, no reply
 _FIXED = 1        # one fixed-size same-protocol reply (SYN/RST ack, banner)
 _ECHO = 2         # ICMP echo reply mirroring the request size
 _UNREACHABLE = 3  # ICMP port-unreachable on its own flow, contained
 #: The class takes the per-packet lane: it promotes, draws several
 #: replies, or needs a containment verdict the lane does not model.
-_SLOW = (-1, 0, None)
+_SLOW = (-1, 0, None, False)
 
 
 class SpanLane:
     """The span cache and what it was resolved under: one gateway, one
-    ladder and one containment policy."""
+    ladder and one containment policy.
+
+    A cache entry is a tuple ``(cls, row, serial, session, cache_gen)``:
+    the packet class, the conversation's flow row and the serial it was
+    stamped with, the emulated session and the generation it was
+    resolved under. An ``_UNREACHABLE`` entry carries the unreachable's
+    own flow row and serial after them."""
 
     def __init__(self, gateway: "Gateway", ladder: "FidelityLadder") -> None:
         self.gateway = gateway
@@ -96,15 +111,25 @@ class SpanLane:
         # which is stateless and contains whatever it is asked about.
         self.drop_all = type(self.policy) is DropAllPolicy
         #: Resolved flows by arrival 5-tuple (validity: module docstring).
-        self.cache: Dict[Tuple[str, int, str, int, int], list] = {}
+        self.cache: Dict[Tuple[str, int, str, int, int], Tuple] = {}
         self.classes: Dict[Tuple[int, int, int, int], Tuple] = {}
         self.ports: Dict[int, frozenset] = {}
+        #: The flow table's release count the cached rows belong to.
+        self.releases = gateway.flows.releases
 
     def serves(self, ladder: "FidelityLadder", policy: ContainmentPolicy) -> bool:
         """Whether everything cached here still describes the farm:
         ``gateway.policy`` and ``gateway.ladder`` are public and may be
         replaced mid-run."""
         return policy is self.policy and ladder is self.ladder
+
+    def _follow_releases(self) -> None:
+        """Forget every entry if the flow table has released its columns
+        (it emptied) since they were resolved: their rows are gone."""
+        releases = self.gateway.flows.releases
+        if releases != self.releases:
+            self.cache.clear()
+            self.releases = releases
 
     # ------------------------------------------------------------------ #
     # Per packet: apply the cached answer
@@ -118,7 +143,9 @@ class SpanLane:
         gateway's counters are the caller's to flush from the returned
         ``(consumed, replies, contained)``. Every reply not contained
         went out to the Internet."""
+        self._follow_releases()
         ladder = self.ladder
+        flows = self.gateway.flows
         times = columns.times
         keys = columns.keys
         payloads = columns.payloads
@@ -126,7 +153,11 @@ class SpanLane:
         cache = self.cache
         cache_get = cache.get
         resolve = self._resolve
-        idle_timeout = self.gateway.flows.idle_timeout
+        serials = flows.serial
+        last_seen = flows.last_seen
+        packets = flows.packets
+        nbytes = flows.bytes
+        idle_timeout = flows.idle_timeout
         buffer_limit = ladder.MAX_HANDOFF_PACKETS
         n_replies = n_contained = n_buffer_dropped = 0
         n_resolves = n_reresolves = 0
@@ -139,62 +170,72 @@ class SpanLane:
             t = times[i]
             entry = cache_get(key)
             if entry is not None:
-                record = entry[1]
-                session = entry[2]
+                cls = entry[0]
+                row = entry[1]
+                session = entry[3]
                 if (  # the validity rule; shed() drops what fails it
-                    session.cache_gen != entry[3]
-                    or record._table is None
-                    or t - record.last_seen > idle_timeout
+                    session.cache_gen != entry[4]
+                    or serials[row] != entry[2]
+                    or t - last_seen[row] > idle_timeout
+                    or (
+                        cls[0] == _UNREACHABLE
+                        and (
+                            serials[entry[5]] != entry[6]
+                            or t - last_seen[entry[5]] > idle_timeout
+                        )
+                    )
                 ):
                     n_reresolves += 1
                     entry = None
             if entry is None:
                 n_resolves += 1
                 entry = resolve(columns, i, key, t)
+                if flows.releases != self.releases:
+                    self._follow_releases()  # a lazy expiry emptied the table
                 if entry is None:
                     break
                 cache[key] = entry
-                record = entry[1]
-                session = entry[2]
-            kind = entry[0]
+                cls = entry[0]
+                row = entry[1]
+                session = entry[3]
+            kind = cls[0]
             size = sizes[i]
-            record.last_seen = t
+            last_seen[row] = t
             session.last_seen = t
             session.packets_absorbed += 1
             if session.columns is not columns:
                 session.index_into(columns)
             buffered = session.buffered
             if len(buffered) >= buffer_limit:
-                del buffered[0]
-                session.buffer_dropped += 1
+                session.evict_oldest()
                 n_buffer_dropped += 1
-            buffered.append(i)  # a bare row index, not an object
+            buffered.append(i)  # a row index, not an object
             if kind == _FIXED:
-                record.packets += 2
-                record.bytes += size + entry[5]
-                banner = entry[6]
+                packets[row] += 2
+                nbytes[row] += size + cls[1]
+                banner = cls[2]
                 if banner is not None:
                     session.banner = banner
                 n_replies += 1
-                if entry[7]:
+                if cls[3]:
                     n_contained += 1
             elif kind == _ABSORB:
-                record.packets += 1
-                record.bytes += size
+                packets[row] += 1
+                nbytes[row] += size
             elif kind == _UNREACHABLE:
-                record.packets += 1
-                record.bytes += size
-                icmp_record = entry[4]
-                icmp_record.last_seen = t
-                icmp_record.packets += 1
-                icmp_record.bytes += entry[5]
+                packets[row] += 1
+                nbytes[row] += size
+                icmp_row = entry[5]
+                last_seen[icmp_row] = t
+                packets[icmp_row] += 1
+                nbytes[icmp_row] += cls[1]
                 n_replies += 1
                 n_contained += 1
             else:  # _ECHO
-                record.packets += 2
-                record.bytes += size + size
+                packets[row] += 2
+                nbytes[row] += size + size
                 n_replies += 1
-                if entry[7]:
+                if cls[3]:
                     n_contained += 1
             i += 1
 
@@ -208,24 +249,28 @@ class SpanLane:
     def shed(self) -> None:
         """Drop the entries :meth:`run` would reject, once they outnumber
         the rest. The gateway's flow sweep calls this right after the
-        table expired its idle records, so a record still attached is a
-        live one and the rule's idle clause has nothing left to catch.
+        table expired its idle flows, so a row whose serial still matches
+        is a live one and the rule's idle clause has nothing left to
+        catch.
 
-        Every valid entry holds a distinct live flow record, so a cache
+        Every valid entry holds a distinct live flow row, so a cache
         over twice the flow table's size is more than half dead: a
         rebuild frees more than it keeps, the work is amortised O(1) per
         entry ever inserted, a run in which nothing expires never
         rebuilds, and an empty flow table leaves an empty cache.
         Dropping a dead entry changes nothing simulated — its next packet
-        resolves afresh either way — and lets go of the expired record,
-        its session and that session's handoff buffer."""
+        resolves afresh either way — and lets go of its session and that
+        session's handoff buffer."""
+        self._follow_releases()
         cache = self.cache
-        if len(cache) <= 2 * len(self.gateway.flows):
+        flows = self.gateway.flows
+        if len(cache) <= 2 * len(flows):
             return
+        serials = flows.serial
         self.cache = {
             key: entry
             for key, entry in cache.items()
-            if entry[2].cache_gen == entry[3] and entry[1]._table is not None
+            if entry[3].cache_gen == entry[4] and serials[entry[1]] == entry[2]
         }
 
     # ------------------------------------------------------------------ #
@@ -242,17 +287,18 @@ class SpanLane:
         return frozenset(ports)
 
     def _classify(self, packet: Packet, personality: Personality) -> Tuple:
-        """Class descriptor ``(kind, reply_size, banner)`` for every
+        """Class ``(kind, reply_size, banner, False)`` of every
         empty-payload packet sharing ``packet``'s ``(personality,
         protocol, dst_port, tcp_flags)``: the emulator's reply (and a
         vuln probe's verdict) depends only on those fields once the
         payload is empty, and on the port only where :meth:`_port_set`
-        says so."""
+        says so. Whether a reply is contained depends on the flow, and
+        :meth:`_resolve` decides it."""
         if vuln_probe(self.ladder.registry.catalog, personality, packet):
             return _SLOW
         replies = emulator_replies(personality, packet)
         if not replies:
-            return (_ABSORB, 0, None)
+            return (_ABSORB, 0, None, False)
         if len(replies) != 1:
             return _SLOW
         reply = replies[0]
@@ -261,14 +307,14 @@ class SpanLane:
             # flow and faces the containment policy.
             if not self.drop_all or reply.protocol != PROTO_ICMP:
                 return _SLOW
-            return (_UNREACHABLE, reply.size, None)
+            return (_UNREACHABLE, reply.size, None, True)
         if packet.protocol == PROTO_ICMP:
-            return (_ECHO, 0, None)
+            return (_ECHO, 0, None, False)
         payload = reply.payload
         banner = (
             payload[len(BANNER_PREFIX):] if payload.startswith(BANNER_PREFIX) else None
         )
-        return (_FIXED, reply.size, banner)
+        return (_FIXED, reply.size, banner, False)
 
     # ------------------------------------------------------------------ #
     # Per flow: resolve through the per-packet lane's primitives
@@ -276,7 +322,7 @@ class SpanLane:
 
     def _resolve(
         self, columns: "PacketColumns", i: int, key, t: float
-    ) -> Optional[list]:
+    ) -> Optional[Tuple]:
         """Build (or rebuild) the cache entry for arrival ``key``, or
         return None to send the packet down the per-packet lane. The
         caller owns the cache store; re-resolving is idempotent.
@@ -285,9 +331,9 @@ class SpanLane:
         the ladder altogether come first, before anything is touched.
         After them the per-packet lane would, at this same timestamp,
         open the very session and flow state opened here and expire the
-        very records ``live_record`` expires, so a later bail-out leaves
+        very flows ``live_record`` expires, so a later bail-out leaves
         it exactly the state it expects; the session and flow counters
-        are bumped once, here. Flow records are created last, after the
+        are bumped once, here. Flow rows are created last, after the
         final bail-out, so the per-packet lane's ``created`` flag (its
         overflow rollback) is the per-event one."""
         gateway = self.gateway
@@ -336,8 +382,10 @@ class SpanLane:
         kind = cls[0]
         if kind < 0:
             return None
-        flow_key = FlowKey.between(src, src_port, dst, dst_port, protocol)
-        state, flow_created = session.flow_state(flow_key)
+        src_value = src.value
+        dst_value = dst.value
+        flow = flow_key(src_value, src_port, dst_value, dst_port, protocol)
+        state, flow_created = session.flow_state(flow)
         if flow_created:
             ladder._c_flows_seen.increment()
         if (
@@ -347,42 +395,34 @@ class SpanLane:
             return None  # this packet promotes
 
         flows = gateway.flows
-        record = flows.live_record(flow_key, t)
-        contained = False
+        row = flows.live_record(flow, t)
         if (
-            record is not None
+            row is not None
             and (kind == _FIXED or kind == _ECHO)
-            and honeypot_initiated(record, False, dst)
+            and honeypot_initiated(flows.initiator[row], False, dst)
         ):
             # The reply rides a flow the farm side opened, so it faces the
             # policy, and only drop-all's answer is known here.
             if not self.drop_all:
                 return None
-            contained = True
-        icmp_record = None
+            cls = (kind, cls[1], cls[2], True)
         if kind == _UNREACHABLE:
             # The unreachable's flow: same endpoints, ICMP. Same canonical
             # ordering as the inbound key (identical endpoint pairs).
-            icmp_key = FlowKey(
-                flow_key.addr_low, flow_key.port_low,
-                flow_key.addr_high, flow_key.port_high, PROTO_ICMP,
-            )
-            icmp_record = flows.live_record(icmp_key, t)
-            if icmp_record is not None and not honeypot_initiated(
-                icmp_record, False, dst
+            icmp_key = flow[:4] + (PROTO_ICMP,)
+            icmp_row = flows.live_record(icmp_key, t)
+            if icmp_row is not None and not honeypot_initiated(
+                flows.initiator[icmp_row], False, dst
             ):
                 return None  # externally-initiated ICMP flow: reply routes out
-        if record is None:
-            record = flows.create(flow_key, src, t)
-        if kind == _UNREACHABLE and icmp_record is None:
-            icmp_record = flows.create(icmp_key, dst, t)
-        return [
-            kind,               # 0: per-class reply shape
-            record,             # 1: the conversation's flow record
-            session,            # 2: the emulated session
-            session.cache_gen,  # 3: the session generation resolved under
-            icmp_record,        # 4: the unreachable's flow record
-            cls[1],             # 5: fixed reply size (_FIXED, _UNREACHABLE)
-            cls[2],             # 6: banner payload, if any
-            contained,          # 7: reply faces (and loses to) drop-all
-        ]
+        if row is None:
+            row = flows.create(flow, src_value, t)
+        serial = flows.serial
+        if kind != _UNREACHABLE:
+            return (cls, row, serial[row], session, session.cache_gen)
+        if icmp_row is None:
+            icmp_row = flows.create(icmp_key, dst_value, t)
+        return (
+            cls, row, serial[row], session, session.cache_gen,
+            icmp_row, serial[icmp_row],
+        )

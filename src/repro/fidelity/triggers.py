@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.fidelity.emulator import FlowState
+from repro.fidelity.emulator import FlowProgress
 from repro.net.packet import Packet
 from repro.services.personality import Personality
 from repro.services.vulnerabilities import VulnerabilityCatalog
@@ -47,7 +47,7 @@ def vuln_probe(
 def promotion_trigger(
     catalog: VulnerabilityCatalog,
     personality: Personality,
-    state: FlowState,
+    state: FlowProgress,
     packet: Packet,
 ) -> Optional[str]:
     """The :data:`TRIGGER_NAMES` entry promoting ``packet``'s flow, or None."""

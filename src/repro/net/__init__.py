@@ -27,14 +27,13 @@ from repro.net.packet import (
     udp_packet,
 )
 from repro.net.gre import GrePacket, GreTunnel, decapsulate, encapsulate
-from repro.net.flow import FlowKey, FlowRecord, FlowTable
+from repro.net.flow import FlowRecord, FlowTable, flow_key, packet_flow_key
 from repro.net.link import Link
 from repro.net.router import BorderRouter
 
 __all__ = [
     "AddressSpaceInventory",
     "BorderRouter",
-    "FlowKey",
     "FlowRecord",
     "FlowTable",
     "GrePacket",
@@ -51,7 +50,9 @@ __all__ = [
     "TcpFlags",
     "decapsulate",
     "encapsulate",
+    "flow_key",
     "icmp_packet",
+    "packet_flow_key",
     "tcp_packet",
     "udp_packet",
 ]

@@ -8,382 +8,437 @@ The gateway tracks flows for two reasons the paper calls out:
 * **Containment accounting** — outbound policy (rate limits, "one response
   flow per inbound flow") is stated in terms of flows, not packets.
 
-Flows are identified by the canonical (sorted) 5-tuple so both directions
-of a conversation map to the same record. Records expire after a
-configurable idle interval; expiry is checked lazily on access and via an
-explicit :meth:`FlowTable.expire_idle` sweep, so no timer per flow exists.
+A flow is identified by its canonical 5-tuple of ints, ``(addr_low,
+port_low, addr_high, port_high, protocol)`` with the endpoints ordered by
+(address value, port), so both directions of a conversation map to the
+same key (:func:`flow_key`). A plain tuple: hashed in C, and shared by
+every index that names the flow.
 
-This module sits on the gateway's per-packet fast path, so the table keeps
-two auxiliary indexes updated in O(1) per operation instead of scanning
-every live flow:
+**Rows.** The table holds every live flow, emulated or VM-backed, as one
+row of typed columns: ``first_seen`` and ``last_seen`` in ``array('d')``;
+``packets``, ``bytes``, ``initiator`` (the address value that opened the
+flow), ``vm_id`` (:data:`NO_VM` when unbound) and ``serial`` in
+``array('q')``; and ``keys``, the row's 5-tuple. One dict maps each key to
+its dense row id. Rows are handed out from a free list: a removed flow's
+row goes back on it, and when it runs dry every column grows by a block
+of rows at once. When the table empties, every column is released, so a
+drained table holds no capacity. A live flow costs a fixed number of
+bytes, not a handful of objects.
 
-* a **per-VM index** (``vm_id`` → flows) so reclaiming a VM drops its
-  residual flow state without touching unrelated flows, and
-* **last-seen buckets** (coarse time buckets over ``last_seen``) so
-  :meth:`expire_idle` visits only flows old enough to possibly be idle.
+**The row serial.** Every new flow stamps its row with a serial drawn
+from a counter that only rises; freeing the row zeroes it. Whoever keeps
+a row id beyond the call that produced it keeps the serial with it — a
+:class:`FlowRecord` view, a span-cache entry, an expiry bucket — and the
+row is still its flow exactly while the serials agree. A reused row has a
+new serial, so nothing written through a stale holder can land on the
+flow that moved in. ``releases`` counts the times the columns were
+released, which frees every row at once: a holder of row ids compares it
+before reading a column at one of them.
 
-One bucket policy: a record is filed under its creation time by
-:meth:`FlowTable.create` and *not* moved when later packets touch it.
-:meth:`FlowTable.expire_idle` visits every bucket old enough to hold an
-expirable record, and refiles the records it finds still live under
-their true ``last_seen``. A record's bucket is therefore never later
-than its ``last_seen`` one, so the sweep that should expire it always
-visits it: expiry timing and counts are those of re-bucketing on every
-packet, without the per-packet dict moves.
+**Expiry over rows.** Records expire after a configurable idle interval;
+expiry is checked lazily on access and via an explicit
+:meth:`FlowTable.expire_idle` sweep, so no timer per flow exists. The
+sweep visits only flows old enough to possibly be idle: coarse time
+buckets over ``last_seen`` list ``(row, serial)`` pairs. One bucket
+policy: a row is filed under its creation time by :meth:`FlowTable.create`
+and *not* moved when later packets touch it. :meth:`FlowTable.expire_idle`
+visits every bucket old enough to hold an expirable row, and refiles the
+rows it finds still live under their true ``last_seen``. A row's bucket is
+therefore never later than its ``last_seen`` one, so the sweep that
+should expire it always visits it: expiry timing and counts are those of
+re-bucketing on every packet, without the per-packet moves. A live row
+has exactly one bucket entry (a sweep empties each bucket it visits
+before refiling), so an entry is current exactly while its serial is;
+one whose row was freed is dropped when its bucket is swept.
+
+A **per-VM index** (``vm_id`` → rows) lets reclaiming a VM drop its
+residual flow state without touching unrelated flows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from array import array
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.net.addr import IPAddress
 from repro.net.packet import Packet
 
-__all__ = ["FlowKey", "FlowRecord", "FlowTable"]
+__all__ = ["NO_VM", "FiveTuple", "FlowRecord", "FlowTable", "flow_key", "packet_flow_key"]
+
+#: ``(addr_low, port_low, addr_high, port_high, protocol)``, addresses as
+#: their int values: a flow's canonical key.
+FiveTuple = Tuple[int, int, int, int, int]
+
+#: The ``vm_id`` column's value for a flow bound to no VM.
+NO_VM = -1
 
 
-class FlowKey:
-    """Direction-independent 5-tuple identifying a conversation.
+def flow_key(src: int, src_port: int, dst: int, dst_port: int, protocol: int) -> FiveTuple:
+    """Canonical key of the conversation between two endpoints (address
+    values), given in either direction: endpoints ordered by (address,
+    port)."""
+    if src < dst or (src == dst and src_port <= dst_port):
+        return (src, src_port, dst, dst_port, protocol)
+    return (dst, dst_port, src, src_port, protocol)
 
-    Treat instances as immutable; the hash is computed once at
-    construction (keys are hashed at least twice per packet).
-    """
 
-    __slots__ = ("addr_low", "port_low", "addr_high", "port_high", "protocol", "_hash")
-
-    def __init__(
-        self,
-        addr_low: IPAddress,
-        port_low: int,
-        addr_high: IPAddress,
-        port_high: int,
-        protocol: int,
-    ) -> None:
-        self.addr_low = addr_low
-        self.port_low = port_low
-        self.addr_high = addr_high
-        self.port_high = port_high
-        self.protocol = protocol
-        self._hash = hash(
-            (addr_low.value, port_low, addr_high.value, port_high, protocol)
-        )
-
-    @classmethod
-    def between(
-        cls, src: IPAddress, src_port: int, dst: IPAddress, dst_port: int, protocol: int
-    ) -> "FlowKey":
-        """Canonical key of the conversation between two endpoints, given
-        in either direction: endpoints ordered by (address, port)."""
-        sv = src.value
-        dv = dst.value
-        if sv < dv or (sv == dv and src_port <= dst_port):
-            return cls(src, src_port, dst, dst_port, protocol)
-        return cls(dst, dst_port, src, src_port, protocol)
-
-    @classmethod
-    def from_packet(cls, packet: Packet) -> "FlowKey":
-        """Canonical key of ``packet``'s conversation."""
-        return cls.between(
-            packet.src, packet.src_port, packet.dst, packet.dst_port, packet.protocol
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FlowKey):
-            return NotImplemented
-        # Raw-int field compares: this runs on every flow-dict hit, and
-        # going through IPAddress.__eq__ costs a method call per endpoint.
-        return (
-            self._hash == other._hash
-            and self.port_low == other.port_low
-            and self.port_high == other.port_high
-            and self.protocol == other.protocol
-            and self.addr_low.value == other.addr_low.value
-            and self.addr_high.value == other.addr_high.value
-        )
-
-    def __str__(self) -> str:
-        return (
-            f"{self.addr_low}:{self.port_low}<->{self.addr_high}:{self.port_high}"
-            f"/{self.protocol}"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"FlowKey(addr_low={self.addr_low!r}, port_low={self.port_low},"
-            f" addr_high={self.addr_high!r}, port_high={self.port_high},"
-            f" protocol={self.protocol})"
-        )
+def packet_flow_key(packet: Packet) -> FiveTuple:
+    """Canonical key of ``packet``'s conversation."""
+    return flow_key(
+        packet.src.value, packet.src_port, packet.dst.value, packet.dst_port,
+        packet.protocol,
+    )
 
 
 class FlowRecord:
-    """Mutable per-flow state kept by the gateway.
+    """A view of one flow's row, as the per-packet lane handles it:
+    ``(table, row, serial)``.
 
-    Binding a record to a VM (``record.vm_id = ...``) keeps the owning
-    table's per-VM index consistent automatically; records detached from a
-    table (expired, dropped, or constructed standalone) update only the
-    attribute.
-    """
+    While the row still holds the flow the view was made for, reads and
+    writes go to the table's columns, and binding it to a VM
+    (``record.vm_id = ...``) keeps the per-VM index consistent. Once the
+    row is freed (expired, dropped, discarded) the view is detached:
+    :attr:`attached` reads False, reading a field raises
+    :class:`LookupError`, and writes touch nothing — so a reused row is
+    never written through a stale view."""
 
-    __slots__ = (
-        "key",
-        "first_seen",
-        "last_seen",
-        "initiator",
-        "packets",
-        "bytes",
-        "_vm_id",
-        "_table",
-        "_bucket",
-    )
+    __slots__ = ("table", "row", "serial")
 
-    def __init__(
-        self,
-        key: FlowKey,
-        first_seen: float,
-        last_seen: float,
-        initiator: IPAddress,
-        packets: int = 0,
-        bytes: int = 0,
-        vm_id: Optional[int] = None,
-    ) -> None:
-        self.key = key
-        self.first_seen = first_seen
-        self.last_seen = last_seen
-        self.initiator = initiator
-        self.packets = packets
-        self.bytes = bytes
-        self._vm_id = vm_id
-        self._table: Optional["FlowTable"] = None
-        self._bucket: Optional[int] = None
+    def __init__(self, table: "FlowTable", row: int, serial: int) -> None:
+        self.table = table
+        self.row = row
+        self.serial = serial
+
+    @property
+    def attached(self) -> bool:
+        return self.table.holds(self.row, self.serial)
+
+    def _live_row(self) -> int:
+        if not self.table.holds(self.row, self.serial):
+            raise LookupError("flow record detached: its flow left the table")
+        return self.row
+
+    @property
+    def key(self) -> FiveTuple:
+        return self.table.keys[self._live_row()]
+
+    @property
+    def first_seen(self) -> float:
+        return self.table.first_seen[self._live_row()]
+
+    @property
+    def last_seen(self) -> float:
+        return self.table.last_seen[self._live_row()]
+
+    @property
+    def initiator(self) -> IPAddress:
+        return IPAddress(self.table.initiator[self._live_row()])
+
+    @property
+    def packets(self) -> int:
+        return self.table.packets[self._live_row()]
+
+    @packets.setter
+    def packets(self, value: int) -> None:
+        if self.table.holds(self.row, self.serial):
+            self.table.packets[self.row] = value
+
+    @property
+    def bytes(self) -> int:
+        return self.table.bytes[self._live_row()]
+
+    @bytes.setter
+    def bytes(self, value: int) -> None:
+        if self.table.holds(self.row, self.serial):
+            self.table.bytes[self.row] = value
 
     @property
     def vm_id(self) -> Optional[int]:
-        return self._vm_id
+        vm_id = self.table.vm_id[self._live_row()]
+        return None if vm_id == NO_VM else vm_id
 
     @vm_id.setter
     def vm_id(self, value: Optional[int]) -> None:
-        old = self._vm_id
-        if value == old:
-            return
-        self._vm_id = value
-        table = self._table
-        if table is not None:
-            table._rebind_vm(self, old, value)
-
-    def touch(self, packet: Packet, now: float) -> None:
-        """Account one more packet on this flow."""
-        self.last_seen = now
-        self.packets += 1
-        self.bytes += packet.size
-
-    def idle_for(self, now: float) -> float:
-        return now - self.last_seen
+        if self.table.holds(self.row, self.serial):
+            self.table.bind(self.row, NO_VM if value is None else value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
+        if not self.attached:
+            return f"<FlowRecord row={self.row} detached>"
         return (
-            f"FlowRecord(key={self.key!r}, first_seen={self.first_seen},"
-            f" last_seen={self.last_seen}, initiator={self.initiator!r},"
-            f" packets={self.packets}, bytes={self.bytes}, vm_id={self._vm_id})"
+            f"<FlowRecord key={self.key} first_seen={self.first_seen}"
+            f" last_seen={self.last_seen} initiator={self.initiator}"
+            f" packets={self.packets} bytes={self.bytes} vm_id={self.vm_id}>"
         )
 
 
 class FlowTable:
-    """Dictionary of live flows with idle-based expiry.
+    """Live flows as rows, with idle-based expiry (module docstring).
 
     ``idle_timeout`` matches the gateway's flow-inactivity horizon; once a
     flow has been silent that long it is forgotten, and a new packet on the
-    same 5-tuple starts a fresh record (and may be dispatched to a new VM).
+    same 5-tuple starts a fresh row (and may be dispatched to a new VM).
     """
 
     #: Buckets per idle-timeout window; coarser buckets mean fewer moves,
     #: finer buckets mean tighter expiry scans. 8 keeps both trivial.
     _BUCKETS_PER_TIMEOUT = 8
 
+    #: The typed columns.
+    COLUMNS = (
+        "first_seen", "last_seen", "packets", "bytes", "initiator", "vm_id",
+        "serial",
+    )
+    #: Rows added per growth, at least; else an eighth of the table.
+    _GROWTH = 64
+
     def __init__(self, idle_timeout: float = 60.0) -> None:
         if idle_timeout <= 0:
             raise ValueError(f"idle_timeout must be positive: {idle_timeout!r}")
         self.idle_timeout = idle_timeout
-        self._flows: Dict[FlowKey, FlowRecord] = {}
-        self._by_vm: Dict[int, Dict[FlowKey, FlowRecord]] = {}
-        self._buckets: Dict[int, Dict[FlowKey, FlowRecord]] = {}
+        self.first_seen = array("d")
+        self.last_seen = array("d")
+        self.packets = array("q")
+        self.bytes = array("q")
+        self.initiator = array("q")
+        self.vm_id = array("q")
+        self.serial = array("q")
+        self.keys: List[Optional[FiveTuple]] = []
+        self._rows: Dict[FiveTuple, int] = {}
+        self._free = array("q")
+        self._by_vm: Dict[int, Set[int]] = {}
+        self._buckets: Dict[int, array] = {}
         self._granularity = max(idle_timeout / self._BUCKETS_PER_TIMEOUT, 1e-9)
+        self._serials_issued = 0
+        self.releases = 0
         self.expired_total = 0
 
     def __len__(self) -> int:
-        return len(self._flows)
+        return len(self._rows)
 
-    def __contains__(self, key: FlowKey) -> bool:
-        return key in self._flows
+    def __contains__(self, key: FiveTuple) -> bool:
+        return key in self._rows
+
+    def holds(self, row: int, serial: int) -> bool:
+        """Whether ``row`` still holds the flow that was stamped
+        ``serial``."""
+        serials = self.serial
+        return row < len(serials) and serials[row] == serial
+
+    def record(self, row: int) -> FlowRecord:
+        """A view of the live ``row``."""
+        return FlowRecord(self, row, self.serial[row])
 
     # ------------------------------------------------------------------ #
-    # Index maintenance
+    # Row maintenance
     # ------------------------------------------------------------------ #
 
-    def _rebind_vm(
-        self, record: FlowRecord, old: Optional[int], new: Optional[int]
-    ) -> None:
-        if old is not None:
-            flows = self._by_vm.get(old)
-            if flows is not None:
-                flows.pop(record.key, None)
-                if not flows:
-                    del self._by_vm[old]
-        if new is not None:
-            self._by_vm.setdefault(new, {})[record.key] = record
+    def bind(self, row: int, vm_id: int) -> None:
+        """Bind the live ``row`` to ``vm_id`` (:data:`NO_VM` unbinds),
+        keeping the per-VM index consistent."""
+        old = self.vm_id[row]
+        if vm_id == old:
+            return
+        self.vm_id[row] = vm_id
+        if old != NO_VM:
+            self._unindex_vm(row, old)
+        if vm_id != NO_VM:
+            rows = self._by_vm.get(vm_id)
+            if rows is None:
+                rows = self._by_vm[vm_id] = set()
+            rows.add(row)
 
-    def _place_in_bucket(self, record: FlowRecord, now: float) -> None:
-        bucket = int(now / self._granularity)
-        if bucket != record._bucket:
-            if record._bucket is not None:
-                old_bucket = self._buckets.get(record._bucket)
-                if old_bucket is not None:
-                    old_bucket.pop(record.key, None)
-                    if not old_bucket:
-                        del self._buckets[record._bucket]
-            self._buckets.setdefault(bucket, {})[record.key] = record
-            record._bucket = bucket
+    def _unindex_vm(self, row: int, vm_id: int) -> None:
+        rows = self._by_vm.get(vm_id)
+        if rows is not None:
+            rows.discard(row)
+            if not rows:
+                del self._by_vm[vm_id]
 
-    def _remove(self, record: FlowRecord) -> None:
-        del self._flows[record.key]
-        if record._bucket is not None:
-            bucket = self._buckets.get(record._bucket)
-            if bucket is not None:
-                bucket.pop(record.key, None)
-                if not bucket:
-                    del self._buckets[record._bucket]
-        if record._vm_id is not None:
-            flows = self._by_vm.get(record._vm_id)
-            if flows is not None:
-                flows.pop(record.key, None)
-                if not flows:
-                    del self._by_vm[record._vm_id]
-        # Detach so later vm_id writes on the dead record cannot touch
-        # the table's indexes.
-        record._table = None
-        record._bucket = None
+    def _file(self, row: int, serial: int, bucket: int) -> None:
+        filed = self._buckets.get(bucket)
+        if filed is None:
+            filed = self._buckets[bucket] = array("q")
+        filed.append(row)
+        filed.append(serial)
+
+    def _grow(self) -> None:
+        """Add a block of free rows to every column."""
+        first = len(self.keys)
+        added = max(self._GROWTH, first >> 3)
+        zeros = bytes(8 * added)
+        for name in self.COLUMNS:
+            getattr(self, name).frombytes(zeros)
+        self.keys.extend([None] * added)
+        # Descending, so rows are handed out lowest first.
+        self._free.extend(range(first + added - 1, first - 1, -1))
+
+    def _free_row(self, row: int) -> None:
+        """Forget the flow in live ``row``; the row joins the free list.
+        Its bucket entry stays behind, dead, until its bucket is swept."""
+        del self._rows[self.keys[row]]
+        self.keys[row] = None
+        vm_id = self.vm_id[row]
+        if vm_id != NO_VM:
+            self._unindex_vm(row, vm_id)
+        self.serial[row] = 0
+        self._free.append(row)
+
+    def _release_if_empty(self) -> None:
+        """With no live flow left, let go of every column's capacity and
+        every index (each names only freed rows)."""
+        if self._rows or not self.keys:
+            return
+        for name in self.COLUMNS:
+            del getattr(self, name)[:]
+        del self._free[:]
+        self.keys.clear()
+        self._rows.clear()
+        self._by_vm.clear()
+        self._buckets.clear()
+        self.releases += 1
 
     # ------------------------------------------------------------------ #
     # Per-packet operations
     # ------------------------------------------------------------------ #
 
     def lookup(self, packet: Packet, now: float) -> Optional[FlowRecord]:
-        """The live record for this packet's flow, or None.
+        """A view of this packet's live flow, or None.
 
-        A record past its idle timeout is treated as absent (and removed),
+        A flow past its idle timeout is treated as absent (and removed),
         so callers never observe stale flows regardless of sweep timing.
         """
-        return self.live_record(FlowKey.from_packet(packet), now)
+        row = self.live_record(packet_flow_key(packet), now)
+        return None if row is None else self.record(row)
 
     def observe(self, packet: Packet, now: float) -> Tuple[FlowRecord, bool]:
-        """Account ``packet``; returns ``(record, is_new_flow)``."""
-        return self.observe_keyed(FlowKey.from_packet(packet), packet, now)
+        """Account ``packet``; returns ``(view of its flow, is_new_flow)``."""
+        return self.observe_keyed(packet_flow_key(packet), packet, now)
 
     def observe_keyed(
-        self, key: FlowKey, packet: Packet, now: float
+        self, key: FiveTuple, packet: Packet, now: float
     ) -> Tuple[FlowRecord, bool]:
         """The body of :meth:`observe`, taking the packet's canonical key.
 
         Its own method only because ``benchmarks/e2e/layers.py`` wraps
         this name to count and time flow-table observations.
         """
-        record = self.live_record(key, now)
-        created = record is None
+        row = self.live_record(key, now)
+        created = row is None
         if created:
-            record = self.create(key, packet.src, now)
-        record.touch(packet, now)
-        return record, created
+            row = self.create(key, packet.src.value, now)
+        self.last_seen[row] = now
+        self.packets[row] += 1
+        self.bytes[row] += packet.size
+        return FlowRecord(self, row, self.serial[row]), created
 
-    def live_record(self, key: FlowKey, now: float) -> Optional[FlowRecord]:
-        """The record under ``key`` if it is still live at ``now``.
+    def live_record(self, key: FiveTuple, now: float) -> Optional[int]:
+        """The row of the flow under ``key`` if it is still live at
+        ``now``, else None.
 
-        The table's one lazy-expiry rule: a record silent for strictly
+        The table's one lazy-expiry rule: a flow silent for strictly
         more than ``idle_timeout`` is removed, counted in
-        ``expired_total`` and reported absent. The record is not touched.
+        ``expired_total`` and reported absent. The row is not touched.
         """
-        record = self._flows.get(key)
-        if record is not None and now - record.last_seen > self.idle_timeout:
-            self._remove(record)
+        row = self._rows.get(key)
+        if row is not None and now - self.last_seen[row] > self.idle_timeout:
+            self._free_row(row)
             self.expired_total += 1
+            self._release_if_empty()
             return None
-        return record
+        return row
 
-    def create(self, key: FlowKey, initiator: IPAddress, now: float) -> FlowRecord:
-        """Register a brand-new flow record (no packet accounted yet).
+    def create(self, key: FiveTuple, initiator: int, now: float) -> int:
+        """Register a brand-new flow (no packet accounted yet) opened by
+        the address value ``initiator``; returns its row.
 
-        The record is indexed and bucketed at ``now`` but carries zero
+        The row is indexed and bucketed at ``now`` but carries zero
         packets/bytes: :meth:`observe_keyed` touches it next, the span
-        lane applies its own per-packet arithmetic. Built field-by-field
-        and bucketed inline, because this runs once per unique flow of a
-        replay, where constructor and method-call overhead dominates.
+        lane applies its own per-packet arithmetic. Written column by
+        column and filed inline, because this runs once per unique flow
+        of a replay.
         """
-        record = FlowRecord.__new__(FlowRecord)
-        record.key = key
-        record.first_seen = now
-        record.last_seen = now
-        record.initiator = initiator
-        record.packets = 0
-        record.bytes = 0
-        record._vm_id = None
-        record._table = self
+        if not self._free:
+            self._grow()
+        row = self._free.pop()
+        self._serials_issued += 1
+        serial = self._serials_issued
+        self.first_seen[row] = now
+        self.last_seen[row] = now
+        self.packets[row] = 0
+        self.bytes[row] = 0
+        self.initiator[row] = initiator
+        self.vm_id[row] = NO_VM
+        self.serial[row] = serial
+        self.keys[row] = key
+        self._rows[key] = row
         bucket = int(now / self._granularity)
-        record._bucket = bucket
-        slot = self._buckets.get(bucket)
-        if slot is None:
-            slot = self._buckets[bucket] = {}
-        slot[key] = record
-        self._flows[key] = record
-        return record
+        filed = self._buckets.get(bucket)
+        if filed is None:
+            filed = self._buckets[bucket] = array("q")
+        filed.append(row)
+        filed.append(serial)
+        return row
 
     # ------------------------------------------------------------------ #
     # Sweeps and reclamation
     # ------------------------------------------------------------------ #
 
     def discard(self, record: FlowRecord) -> None:
-        """Forget ``record`` if it is live in this table (no-op otherwise).
+        """Forget ``record``'s flow if it is still live (no-op otherwise).
 
-        Used by the gateway to unwind a record created for a packet that
+        Used by the gateway to unwind a flow created for a packet that
         was then refused (e.g. pending-queue overflow) — the flow never
         reached a VM, so it must not linger in the table.
         """
-        if record._table is self:
-            self._remove(record)
+        if record.table is self and record.attached:
+            self._free_row(record.row)
+            self._release_if_empty()
 
-    def expire_idle(self, now: float) -> List[FlowRecord]:
-        """Remove and return every flow idle past the timeout.
+    def expire_idle(self, now: float) -> List[FiveTuple]:
+        """Remove every flow idle past the timeout; returns their keys.
 
         Incremental: only buckets whose entire time range is old enough to
         contain expired flows are visited, so a sweep's cost tracks the
         number of *expirable* flows, not the number of live ones.
         """
-        threshold = now - self.idle_timeout
-        boundary = int(threshold / self._granularity)
-        expired: List[FlowRecord] = []
-        for index in sorted(b for b in self._buckets if b <= boundary):
-            for record in list(self._buckets[index].values()):
-                if now - record.last_seen > self.idle_timeout:
-                    self._remove(record)
-                    expired.append(record)
+        timeout = self.idle_timeout
+        granularity = self._granularity
+        boundary = int((now - timeout) / granularity)
+        buckets = self._buckets
+        serials = self.serial
+        last_seen = self.last_seen
+        expired: List[FiveTuple] = []
+        for index in sorted(b for b in buckets if b <= boundary):
+            filed = buckets.pop(index)
+            for k in range(0, len(filed), 2):
+                row = filed[k]
+                serial = filed[k + 1]
+                if serials[row] != serial:
+                    continue  # freed since it was filed
+                seen = last_seen[row]
+                if now - seen > timeout:
+                    expired.append(self.keys[row])
+                    self._free_row(row)
                 else:
                     # Touched since it was filed: refile it under its
                     # true last_seen (the module docstring's one policy).
-                    self._place_in_bucket(record, record.last_seen)
+                    self._file(row, serial, int(seen / granularity))
         self.expired_total += len(expired)
+        self._release_if_empty()
         return expired
 
     def flows_for_vm(self, vm_id: int) -> List[FlowRecord]:
-        """All live flows currently bound to ``vm_id`` (used when a VM is
-        reclaimed, to drop its residual flow state)."""
-        return list(self._by_vm.get(vm_id, {}).values())
+        """Views of all live flows currently bound to ``vm_id``."""
+        return [self.record(row) for row in self._by_vm.get(vm_id, ())]
 
     def drop_vm(self, vm_id: int) -> int:
         """Forget all flows bound to a reclaimed VM; returns count dropped."""
-        doomed = self.flows_for_vm(vm_id)
-        for record in doomed:
-            self._remove(record)
-        return len(doomed)
+        rows = self._by_vm.pop(vm_id, ())
+        for row in rows:
+            self._free_row(row)
+        self._release_if_empty()
+        return len(rows)
 
     def __iter__(self) -> Iterator[FlowRecord]:
-        return iter(list(self._flows.values()))
+        return iter([self.record(row) for row in self._rows.values()])

@@ -59,6 +59,7 @@ Dispatch has two lanes:
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
@@ -74,7 +75,7 @@ from repro.sim.engine import SimulationError, Simulator
 __all__ = ["ArrivalKey", "PacketArrivalStream", "PacketColumns", "TraceRecord"]
 
 #: ``(src, src_port, dst, dst_port, protocol)``, addresses as dotted
-#: quads: FlowKey field order, injective per conversation direction.
+#: quads: a flow key's field order, injective per conversation direction.
 ArrivalKey = Tuple[str, int, str, int, int]
 
 _PSH_ACK = TcpFlags.PSH | TcpFlags.ACK
@@ -164,12 +165,15 @@ class TraceRecord:
 class PacketColumns(Sequence[TraceRecord]):
     """A packet trace as a struct of arrays: the in-memory trace.
 
-    Five parallel columns of plain floats / tuples / strings / ints, one
-    entry per arrival: ``times``, ``keys`` (the :data:`ArrivalKey`
-    5-tuple), ``payloads``, ``sizes``, ``tcp_flags``. Generators append
-    to the five lists and hand them over (adopted, not copied); nothing
-    writes to them afterwards. As a read-only sequence the trace yields
-    :class:`TraceRecord` rows — ``len``, iteration, ``trace[i]``,
+    Five parallel columns, one entry per arrival: ``times`` (an
+    ``array('d')``: one unboxed double a row), ``keys`` (the
+    :data:`ArrivalKey` 5-tuple), ``payloads``, ``sizes``, ``tcp_flags``
+    (lists: sizes and flags are small cached ints, keys and payloads are
+    shared per source). Generators append to the five columns and hand
+    them over (adopted, not copied; a ``times`` that is not yet an
+    ``array('d')`` becomes one, so every trace has the same column
+    types whoever built it); nothing writes to them afterwards. As a
+    read-only sequence the trace yields :class:`TraceRecord` rows — ``len``, iteration, ``trace[i]``,
     ``trace[a:b]`` (a trace) and ``==`` (against a trace or a list of
     rows) — so analysis code and tests read it like the record list it
     replaces, while the replay path never builds a row.
@@ -179,7 +183,8 @@ class PacketColumns(Sequence[TraceRecord]):
     :class:`~repro.net.packet.Packet` (~6 µs) costs more than the whole
     span-lane budget, so ``packet_at(i)`` materializes ``packets[i]``
     only when a packet leaves the span lane (slow-path dispatch,
-    promotion-buffer replay, the per-packet lane), at most once.
+    promotion-buffer replay, the per-packet lane), at most once; the
+    ``packets`` cache is a dict holding just the packets materialized.
 
     The columns are immutable and may be shared; the caches are not.
     ``Packet`` is mutable and its ``packet_id`` is drawn from a
@@ -202,12 +207,14 @@ class PacketColumns(Sequence[TraceRecord]):
 
     def __init__(
         self,
-        times: List[float],
+        times: Iterable[float],
         keys: List[ArrivalKey],
         payloads: List[str],
         sizes: List[int],
         tcp_flags: List[int],
     ) -> None:
+        if type(times) is not array:
+            times = array("d", times)
         n = len(times)
         if not (len(keys) == len(payloads) == len(sizes) == len(tcp_flags) == n):
             raise ValueError(
@@ -221,7 +228,7 @@ class PacketColumns(Sequence[TraceRecord]):
         self.sizes = sizes
         self.tcp_flags = tcp_flags
         self.addr_cache: Dict[str, IPAddress] = {}
-        self.packets: List[Optional[Packet]] = [None] * n
+        self.packets: Dict[int, Packet] = {}
 
     @classmethod
     def from_records(cls, records: Iterable[TraceRecord]) -> "PacketColumns":
@@ -230,7 +237,7 @@ class PacketColumns(Sequence[TraceRecord]):
         trace is returned as is."""
         if isinstance(records, cls):
             return records
-        columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
+        columns = (array("d"), [], [], [], [])
         times, keys, payloads, sizes, tcp_flags = columns
         for row in records:
             times.append(float(row.time))
@@ -245,7 +252,7 @@ class PacketColumns(Sequence[TraceRecord]):
         columns, caches of its own (see the class docstring)."""
         times = self.times
         if time_offset:
-            times = [t + time_offset for t in times]
+            times = array("d", [t + time_offset for t in times])
         return PacketColumns(
             times, self.keys, self.payloads, self.sizes, self.tcp_flags
         )
@@ -254,19 +261,23 @@ class PacketColumns(Sequence[TraceRecord]):
         """The first ``limit`` rows (all, if None) in time order. Stable:
         rows at equal times keep their order, as ``list.sort`` over rows
         would. One index permutation, then one gather per column."""
-        order = sorted(range(len(self.times)), key=self.times.__getitem__)
+        # The times boxed once, in C: the sort's keys and the gather read
+        # the list, and the constructor packs the gathered one back.
+        times = self.times.tolist()
+        order = sorted(range(len(times)), key=times.__getitem__)
         if limit is not None:
             del order[limit:]
         return PacketColumns(*(
-            list(map(column.__getitem__, order)) for column in self._columns()
+            list(map(column.__getitem__, order))
+            for column in (times, self.keys, self.payloads, self.sizes, self.tcp_flags)
         ))
 
-    def _columns(self) -> Tuple[list, list, list, list, list]:
+    def _columns(self) -> Tuple[array, list, list, list, list]:
         return self.times, self.keys, self.payloads, self.sizes, self.tcp_flags
 
     def packet_at(self, i: int) -> Packet:
         """Materialize (and cache) the packet for row ``i``."""
-        packet = self.packets[i]
+        packet = self.packets.get(i)
         if packet is None:
             packet = self.packets[i] = _row_packet(
                 self.keys[i], self.payloads[i], self.sizes[i], self.tcp_flags[i],
@@ -311,8 +322,7 @@ class PacketColumns(Sequence[TraceRecord]):
         return PacketColumns, self._columns()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        built = sum(1 for p in self.packets if p is not None)
-        return f"<PacketColumns n={len(self)} materialized={built}>"
+        return f"<PacketColumns n={len(self)} materialized={len(self.packets)}>"
 
 
 class PacketArrivalStream:
@@ -480,7 +490,7 @@ class PacketArrivalStream:
         packets = self._packets
         deliver = self._deliver
         for k in range(start, end):
-            packet = packets[k]
+            packet = packets.get(k)
             if packet is None:
                 # A packet the span lane never consumed is materialized
                 # here, at most once.

@@ -40,7 +40,7 @@ class batched_collection:
     """Context manager: the collector policy of a stream-draining
     simulation, for as long as the block lasts.
 
-    A drain allocates its bookkeeping (flow records, sessions, cache
+    A drain allocates its bookkeeping (flow keys, sessions, cache
     entries, VMs) in dense bursts, and the default gen-0 threshold makes
     the cyclic collector walk the heap thousands of times per storm for
     objects that are overwhelmingly still live; this trades collection

@@ -16,6 +16,7 @@ it.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -300,7 +301,7 @@ class Scenario:
         datagram; a TCP worm's is a SYN, then the exploit segment."""
         inventory_prefix = Prefix.parse(self.prefix)
         seeds = SeedSequence(self.seed).spawn("worm-waves")
-        times: List[float] = []
+        times = array("d")
         keys: List[ArrivalKey] = []
         payloads: List[str] = []
         sizes: List[int] = []

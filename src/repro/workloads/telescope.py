@@ -38,6 +38,7 @@ calibrated at is the module constants beside the port mix.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -207,7 +208,7 @@ class TelescopeWorkload:
 
     def _backscatter_session(
         self, rng: RandomStream, start: float, source: str, duration: float,
-        columns: Tuple[list, list, list, list, list],
+        columns: Tuple[array, list, list, list, list],
     ) -> None:
         """One DDoS victim's responses to spoofed sources that happened
         to fall in the dark space: SYN/ACKs (service answered) or RSTs
@@ -238,7 +239,7 @@ class TelescopeWorkload:
 
     def _scan_session(
         self, rng: RandomStream, start: float, source: str, duration: float,
-        columns: Tuple[list, list, list, list, list],
+        columns: Tuple[array, list, list, list, list],
     ) -> None:
         """One scanner's session: a heavy-tailed number of probed
         destinations (a sequential sweep or uniform draws), each of which
@@ -294,7 +295,7 @@ class TelescopeWorkload:
         if duration <= 0:
             raise ValueError(f"duration must be positive: {duration!r}")
         arrivals = self._seeds.stream("arrivals")
-        columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
+        columns = (array("d"), [], [], [], [])
         times = columns[0]
         rate = self.source_rate
         t = 0.0

@@ -160,6 +160,33 @@ class TestInboundDispatch:
         assert record.packets == 2
         assert record.bytes == 2 * pkt.size
 
+    def test_flush_through_a_stale_view_leaves_the_reused_row_alone(
+        self, sim, inventory, snapshot
+    ):
+        # The queued packet's flow expires while its clone is in flight
+        # and a new flow moves into its row: the flush must bind nothing.
+        backend = FakeBackend(sim, snapshot, instant=False)
+        gw = Gateway(
+            sim=sim, inventory=inventory, policy=OpenPolicy(), backend=backend,
+            flow_idle_timeout=5.0,
+        )
+        gw.process_inbound(tcp_packet(EXTERNAL, DARK1, 1000, 445))
+        gw.flows.observe(tcp_packet(EXTERNAL, DARK2, 2000, 80), 4.0)
+        sim.run(until=6.0)
+        assert gw.sweep_flows() == 1
+        newcomer, created = gw.flows.observe(
+            tcp_packet(EXTERNAL, DARK2, 3000, 80), sim.now
+        )
+        [(__, stale)] = gw._pending[DARK1]
+        assert created and newcomer.row == stale.row and not stale.attached
+        [vm] = backend.spawned
+        backend.finish_clone(gw, vm)
+        assert len(backend.delivered) == 1
+        assert gw.metrics.counter("gateway.delivered").value == 1
+        assert gw.flows.flows_for_vm(vm.vm_id) == []
+        assert (newcomer.vm_id, newcomer.packets) == (None, 1)
+        assert len(gw.flows) == 2
+
     def test_tunnel_ingress_counts_and_dispatches(self, sim, inventory, backend):
         gw = make_gateway(sim, inventory, backend)
         tunnel = GreTunnel(key=1, router_endpoint=EXTERNAL, gateway_endpoint=DARK1)

@@ -20,7 +20,7 @@ from repro.fidelity import (
     promotion_trigger,
     vuln_probe,
 )
-from repro.fidelity.emulator import FlowState
+from repro.fidelity.emulator import FRESH_FLOW, FlowProgress
 from repro.net.addr import IPAddress
 from repro.net.packet import (
     ICMP_ECHO_REQUEST,
@@ -149,9 +149,9 @@ class TestTriggers:
         patched = registry.get("windows-patched")
         exploit = udp_packet(ATTACKER, VICTIM, 1, 1434, payload="exploit:slammer")
         assert vuln_probe(catalog, windows, exploit)
-        assert promotion_trigger(catalog, windows, FlowState(), exploit) == "vuln_probe"
+        assert promotion_trigger(catalog, windows, FRESH_FLOW, exploit) == "vuln_probe"
         assert not vuln_probe(catalog, patched, exploit)
-        assert promotion_trigger(catalog, patched, FlowState(), exploit) is None
+        assert promotion_trigger(catalog, patched, FRESH_FLOW, exploit) is None
         benign = udp_packet(ATTACKER, VICTIM, 1, 1434, payload="probe")
         assert not vuln_probe(catalog, windows, benign)
 
@@ -159,15 +159,12 @@ class TestTriggers:
         assert (PROMOTE_PAYLOAD_BYTES, PROMOTE_STATE_DEPTH) == (512, 8)
         catalog = registry.catalog
         windows = registry.get("windows-default")
-        flow = FlowState()
-        flow.payload_bytes = 511
-        flow.exchanges = 7
         probe = tcp_packet(ATTACKER, VICTIM, 1, 80, flags=PSH_ACK, payload="x")
+        flow = FlowProgress(exchanges=7, payload_bytes=511)
         assert promotion_trigger(catalog, windows, flow, probe) is None
-        flow.exchanges = 8
+        flow = FlowProgress(exchanges=8, payload_bytes=511)
         assert promotion_trigger(catalog, windows, flow, probe) == "state_depth"
-        flow.exchanges = 7
-        flow.payload_bytes = 512
+        flow = FlowProgress(exchanges=7, payload_bytes=512)
         assert promotion_trigger(catalog, windows, flow, probe) == "payload_bytes"
 
     def test_default_stack_order_and_ablation(self, registry):
@@ -176,9 +173,7 @@ class TestTriggers:
         # attributed to the most meaningful one.
         catalog = registry.catalog
         windows = registry.get("windows-default")
-        flow = FlowState()
-        flow.payload_bytes = 512
-        flow.exchanges = 8
+        flow = FlowProgress(exchanges=8, payload_bytes=512)
         exploit = udp_packet(ATTACKER, VICTIM, 1, 1434, payload="exploit:slammer")
         assert promotion_trigger(catalog, windows, flow, exploit) == "vuln_probe"
         benign = udp_packet(ATTACKER, VICTIM, 1, 1434, payload="probe")
@@ -191,16 +186,17 @@ class TestEmulatedSession:
         probe = tcp_packet(ATTACKER, VICTIM, 1234, 80, flags=PSH_ACK, payload="GET /")
         state, created = session.note(probe, 1.0)
         assert created and state.exchanges == 1 and state.payload_bytes == 5
-        state2, created2 = session.note(probe, 2.0)
-        assert state2 is state and not created2 and state.exchanges == 2
+        state, created2 = session.note(probe, 2.0)
+        assert not created2 and state == (2, 10)
         assert session.last_seen == 2.0
         # Response payloads and SYNs don't count as exchanges.
         session.note(tcp_packet(ATTACKER, VICTIM, 1234, 80), 3.0)
-        session.note(
+        state, __ = session.note(
             tcp_packet(ATTACKER, VICTIM, 1234, 80, flags=PSH_ACK,
                        payload="banner:x"), 4.0,
         )
         assert state.exchanges == 2
+        assert list(session.flows.values()) == [(2, 10)]
 
     def test_banner_tracked_from_replies(self, registry):
         session = EmulatedSession(registry.get("windows-default"), 0.0)
@@ -240,7 +236,8 @@ class TestFidelityLadderUnit:
             ladder.consider(packet, float(i))
         session = ladder.sessions[VICTIM]
         # The oldest two were evicted; the most recent 64 are kept in order.
-        assert session.buffered == sent[2:]
+        assert session.buffered_packets() == sent[2:]
+        assert session.held == sent[2:]
         assert session.buffer_dropped == 2
         assert ladder.metrics.counters()["ladder.handoff_buffer_dropped"] == 2
 

@@ -48,8 +48,9 @@ def _census_since(before: dict) -> dict:
 
 
 def _assert_census_is_the_live_state(farm: Honeyfarm, before: dict) -> None:
-    """Every per-VM and per-flow object alive is one the farm holds live.
-    (Its own function, so the references it takes die with the call.)"""
+    """Every per-VM and per-address object alive is one the farm holds
+    live, and every flow is a row. (Its own function, so the references
+    it takes die with the call.)"""
     gateway, ladder, engine = farm.gateway, farm.ladder, farm.clone_engine
     census = _census_since(before)
     # Every VM alive is on a host; one still cloning has its CloneResult
@@ -58,21 +59,31 @@ def _assert_census_is_the_live_state(farm: Honeyfarm, before: dict) -> None:
     assert census["GuestAddressSpace"] == farm.live_vms
     assert census["CloneResult"] == engine.in_flight
     assert census["GuestHost"] == farm.live_vms - engine.in_flight
-    # Every flow record alive is in the table or behind a span-cache
-    # entry, every session in the ladder or behind one; nothing else
-    # (a result list, a closure, a stale index) holds either.
+    # A flow is a row: the table's live rows are its flows, and the only
+    # FlowRecord views alive are the ones the pending queues hold.
+    flows = gateway.flows
+    assert perf_harness.flow_table_footprint(flows)["live_rows"] == len(flows)
+    assert sum(1 for serial in flows.serial if serial) == len(flows)
+    gc.collect()
+    views = sum(type(obj).__name__ == "FlowRecord" for obj in gc.get_objects())
+    assert views == sum(len(queue) for queue in gateway._pending.values())
+    # Span entries name rows the table has, live or marked stale by their
+    # serial (a tuple of ints and the session: no record object), and
+    # shedding keeps the cache at most twice the table.
     lane = gateway._span_lane
+    if lane is not None:
+        lane.shed()
     entries = list(lane.cache.values()) if lane is not None else []
-    records = {id(record) for record in gateway.flows}
-    records |= {id(entry[1]) for entry in entries}
-    records |= {id(entry[4]) for entry in entries if entry[4] is not None}
-    assert census["FlowRecord"] == len(records)
-    sessions = {id(s): s for s in (ladder.sessions.values() if ladder else ())}
-    sessions.update((id(entry[2]), entry[2]) for entry in entries)
+    for entry in entries:
+        # The flow's row, and an unreachable entry's ICMP row.
+        for row, serial in ((entry[1], entry[2]), *zip(entry[5::2], entry[6::2])):
+            assert row < len(flows.serial)
+            assert not flows.holds(row, serial) or flows.keys[row] is not None
+    assert len(entries) <= 2 * len(flows)
+    # Every session alive is in the ladder or behind a span entry.
+    sessions = {id(s) for s in (ladder.sessions.values() if ladder else ())}
+    sessions.update(id(entry[3]) for entry in entries)
     assert census["EmulatedSession"] == len(sessions)
-    assert census["FlowState"] == sum(len(s.flows) for s in sessions.values())
-    # ... and the cache is no bigger than shedding leaves it.
-    assert len(entries) <= 2 * len(gateway.flows)
 
 
 @pytest.mark.parametrize("name", ["vm_churn", "mixed_storm"])
@@ -93,6 +104,9 @@ def test_census_equals_live_state_mid_run_and_zero_after_drain(name):
     assert farm.ladder is None or not farm.ladder.sessions
     assert clones == farm.clone_engine.completed > 0
     assert _census_since(before) == dict.fromkeys(perf_harness.HEAP_TYPES, 0)
+    assert perf_harness.flow_table_footprint(farm.gateway.flows) == {
+        "live_rows": 0, "column_bytes": 0,
+    }
     lane = farm.gateway._span_lane
     assert (lane is not None) == (name == "mixed_storm")
     assert lane is None or len(lane.cache) == 0
@@ -174,6 +188,22 @@ def test_ten_waves_of_clone_then_reclaim_hold_steady():
     assert farm.clone_engine.completed == 10 * wave
     assert tracked[9] <= 1.10 * tracked[1], tracked
     assert (held[9] - held[1]) / (8 * wave) <= 600, held
+
+
+#: Traced bytes per live emulated flow at the busiest second of the smoke
+#: ``radiation_span`` storm, measured by ``perf_harness.heap_profile``:
+#: 1 134 when a flow was a FlowRecord + FlowKey, a FlowState and an
+#: 8-slot span-cache list; 998 as a row of the flow table.
+BYTES_PER_EMULATED_FLOW = 1070
+
+
+def test_bytes_per_live_emulated_flow():
+    doc = perf_harness.heap_profile(
+        "radiation_span", "smoke", "live_flows", "bytes_per_live_flow"
+    )
+    assert doc["busiest_second"]["live_flows"] > 10_000
+    assert doc["bytes_per_live_flow"] <= BYTES_PER_EMULATED_FLOW, doc["bytes_per_live_flow"]
+    assert doc["flow_table_after_drain"] == {"live_rows": 0, "column_bytes": 0}
 
 
 # ---------------------------------------------------------------------- #

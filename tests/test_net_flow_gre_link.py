@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.addr import IPAddress
-from repro.net.flow import FlowKey, FlowTable
+from repro.net.flow import FlowTable, packet_flow_key
 from repro.net.gre import GRE_OVERHEAD_BYTES, GreTunnel, decapsulate, encapsulate
 from repro.net.link import Link
 from repro.net.packet import tcp_packet, udp_packet
@@ -17,21 +17,21 @@ class TestFlowKey:
     def test_both_directions_map_to_same_key(self):
         fwd = tcp_packet(A, B, 1234, 80)
         rev = tcp_packet(B, A, 80, 1234)
-        assert FlowKey.from_packet(fwd) == FlowKey.from_packet(rev)
+        assert packet_flow_key(fwd) == packet_flow_key(rev)
 
     def test_different_ports_differ(self):
-        k1 = FlowKey.from_packet(tcp_packet(A, B, 1234, 80))
-        k2 = FlowKey.from_packet(tcp_packet(A, B, 1235, 80))
+        k1 = packet_flow_key(tcp_packet(A, B, 1234, 80))
+        k2 = packet_flow_key(tcp_packet(A, B, 1235, 80))
         assert k1 != k2
 
     def test_different_protocols_differ(self):
-        k1 = FlowKey.from_packet(tcp_packet(A, B, 53, 53))
-        k2 = FlowKey.from_packet(udp_packet(A, B, 53, 53))
+        k1 = packet_flow_key(tcp_packet(A, B, 53, 53))
+        k2 = packet_flow_key(udp_packet(A, B, 53, 53))
         assert k1 != k2
 
     def test_key_is_hashable_and_stable(self):
-        k = FlowKey.from_packet(tcp_packet(A, B, 1, 2))
-        assert hash(k) == hash(FlowKey.from_packet(tcp_packet(A, B, 1, 2)))
+        k = packet_flow_key(tcp_packet(A, B, 1, 2))
+        assert hash(k) == hash(packet_flow_key(tcp_packet(A, B, 1, 2)))
 
 
 class TestFlowTable:
@@ -41,7 +41,7 @@ class TestFlowTable:
         rec1, created1 = table.observe(p, now=0.0)
         rec2, created2 = table.observe(p.reply_template(), now=1.0)
         assert created1 and not created2
-        assert rec1 is rec2
+        assert (rec1.row, rec1.serial) == (rec2.row, rec2.serial)
         assert rec1.packets == 2
         assert rec1.initiator == A
 
@@ -90,11 +90,53 @@ class TestFlowTable:
         rec2.vm_id = 8
         assert table.drop_vm(7) == 1
         assert len(table) == 1
-        assert table.flows_for_vm(8)[0] is rec2
+        assert [r.key for r in table.flows_for_vm(8)] == [rec2.key]
 
     def test_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError):
             FlowTable(idle_timeout=0.0)
+
+
+class TestFlowRows:
+    """A flow is a row of the table; a ``FlowRecord`` is a ``(table, row,
+    serial)`` view of it that goes dead with the flow."""
+
+    @pytest.mark.parametrize("leave", ["expire", "drop_vm"])
+    def test_stale_view_writes_nothing_into_the_row_that_reused_it(self, leave):
+        table = FlowTable(idle_timeout=5.0)
+        stale, __ = table.observe(tcp_packet(A, B, 1, 80), now=0.0)
+        table.observe(tcp_packet(A, B, 9, 80), now=4.0)  # the table stays non-empty
+        stale.vm_id = 7
+        if leave == "expire":
+            assert len(table.expire_idle(now=6.0)) == 1
+        else:
+            assert table.drop_vm(7) == 1
+        assert not stale.attached
+        packet = tcp_packet(B, A, 80, 2)
+        fresh, created = table.observe(packet, now=6.0)
+        assert created and fresh.row == stale.row  # the freed row, reused
+        stale.vm_id = 9
+        stale.packets = 100
+        stale.bytes = 1000
+        table.discard(stale)
+        assert (fresh.packets, fresh.bytes, fresh.vm_id) == (1, packet.size, None)
+        assert fresh.key in table and len(table) == 2
+        assert table.flows_for_vm(9) == [] and table.flows_for_vm(7) == []
+        with pytest.raises(LookupError):
+            stale.packets
+
+    def test_an_emptied_table_releases_its_columns(self):
+        table = FlowTable(idle_timeout=5.0)
+        views = [table.observe(tcp_packet(A, B, port, 80), now=0.0)[0] for port in range(1, 200)]
+        views[0].vm_id = 3
+        assert len(table.expire_idle(now=10.0)) == 199
+        assert len(table) == 0 and table.releases == 1 and table.keys == []
+        assert all(len(getattr(table, name)) == 0 for name in FlowTable.COLUMNS)
+        assert table.flows_for_vm(3) == []
+        fresh, __ = table.observe(tcp_packet(A, B, 1, 80), now=11.0)
+        assert fresh.row == views[0].row == 0 and not views[0].attached
+        views[0].vm_id = 4
+        assert table.flows_for_vm(4) == [] and fresh.vm_id is None
 
 
 class TestGre:

@@ -314,9 +314,10 @@ class TestFlowTableIndexes:
         other, __ = table.observe(_pkt(2), now=0.0)
         mine.vm_id = 1
         other.vm_id = 2
+        mine_key = mine.key
         assert table.drop_vm(1) == 1
         assert len(table) == 1
-        assert mine.key not in table
+        assert mine_key not in table and not mine.attached
         assert other.key in table
 
     def test_detached_record_vm_writes_do_not_resurrect_index(self):
@@ -348,7 +349,7 @@ class TestFlowTableIndexes:
             if sweep_at - record.last_seen > timeout
         }
         expired = table.expire_idle(sweep_at)
-        assert {r.key for r in expired} == expected
+        assert set(expired) == expected
         # Survivors are exactly the complement, still bucketed correctly:
         # a second sweep at the same instant finds nothing more.
         assert table.expire_idle(sweep_at) == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.concurrency import concurrency_for_timeout
 from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
-from repro.net.flow import FlowKey, FlowTable
+from repro.net.flow import FlowTable, packet_flow_key
 from repro.net.packet import PROTO_TCP, Packet, TcpFlags
 from repro.sim.engine import Simulator
 from repro.sim.metrics import Gauge, Histogram
@@ -98,14 +98,14 @@ class TestFlowProperties:
             src=packet.dst, dst=packet.src, protocol=packet.protocol,
             src_port=packet.dst_port, dst_port=packet.src_port,
         )
-        assert FlowKey.from_packet(packet) == FlowKey.from_packet(reverse)
+        assert packet_flow_key(packet) == packet_flow_key(reverse)
 
     @given(st.lists(tcp_packets(), min_size=1, max_size=40))
     def test_flow_table_size_never_exceeds_distinct_keys(self, packets):
         table = FlowTable(idle_timeout=1000.0)
         for packet in packets:
             table.observe(packet, now=0.0)
-        assert len(table) == len({FlowKey.from_packet(p) for p in packets})
+        assert len(table) == len({packet_flow_key(p) for p in packets})
 
     @given(st.lists(tcp_packets(), min_size=1, max_size=40))
     def test_flow_packet_counts_conserved(self, packets):

@@ -359,6 +359,38 @@ def test_span_cache_shedding_is_invisible(monkeypatch):
     assert 0 < observed.gateway.span_reresolves < hoarding.gateway.span_reresolves
 
 
+@pytest.mark.parametrize("lane", ["span", "per-packet"])
+def test_span_lane_forgets_the_rows_an_emptied_table_released(monkeypatch, lane):
+    """Seventy flows to one address expire at a sweep while a late
+    seventy-first keeps its session alive, and the cache keeps their
+    entries (shedding off). The seventy-first then expires lazily — on
+    the span lane, inside a span, or on the per-packet lane under a
+    payload — and the emptied table releases its columns. The next
+    arrival has a cached entry of the same live session on a row past
+    the regrown columns: the lane must resolve it afresh."""
+    scenario = Scenario(
+        seed=7, prefix_bits=24, duration=30, containment="drop-all", num_hosts=2,
+    )
+    config = dataclasses.replace(
+        scenario.farm_config(ladder=True), flow_idle_timeout_seconds=3.0,
+    )
+    sources = [f"198.51.100.{k + 1}" for k in range(71)]
+    trace = [_syn(0.01 * k, src=src) for k, src in enumerate(sources[:70])]
+    trace.append(_syn(2.5, src=sources[70]))
+    last = _syn(5.8, src=sources[70])
+    if lane == "per-packet":
+        last = dataclasses.replace(last, payload="x" * 10, size=50)
+    trace += [last, _syn(5.81, src=sources[69])]
+
+    reference = _observe(_run_world(config, trace, False, 8.0))
+    monkeypatch.setattr(SpanLane, "shed", lambda lane: None)
+    farm = _run_world(config, trace, True, 8.0)
+
+    assert _observe(farm) == reference
+    assert farm.gateway.flows.releases == 1
+    assert farm.gateway.span_resolves == len(trace) - (lane == "per-packet")
+
+
 # ---------------------------------------------------------------------- #
 # Regression: a respawn binds a VM behind the span cache's back
 # ---------------------------------------------------------------------- #
@@ -413,6 +445,37 @@ def test_respawned_address_is_served_by_its_vm_again():
     assert reference["counters"]["gateway.delivered"] == 7
     assert reference["counters"]["gateway.emulated"] == 4
     assert observed == reference
+
+
+def test_an_unreachable_entry_writes_only_rows_it_holds():
+    """An ``_UNREACHABLE`` entry names two rows: the probe's flow and the
+    ICMP unreachable's. Here the ICMP flow leaves the table on its own
+    (discarded by hand) and another flow moves into its row: the next
+    probe must resolve afresh, not count into the newcomer."""
+    scenario = Scenario(
+        seed=7, prefix_bits=24, duration=30, containment="drop-all", num_hosts=2,
+    )
+    farm = Honeyfarm(scenario.farm_config(ladder=True))
+
+    def probe(t: float) -> TraceRecord:
+        return TraceRecord(
+            time=t, src=_SOURCE, dst=_TARGET, protocol=PROTO_UDP,
+            src_port=4001, dst_port=9,
+        )
+
+    replay_into_farm(farm, [probe(1.0)], batched=True)
+    farm.run(until=1.5)
+    [entry] = farm.gateway._span_lane.cache.values()
+    flows = farm.gateway.flows
+    icmp_row = entry[5]
+    flows.discard(flows.record(icmp_row))
+    newcomer = flows.create((1, 2, 3, 4, PROTO_TCP), 1, 1.5)
+    assert newcomer == icmp_row
+    replay_into_farm(farm, [probe(2.0)], batched=True)
+    farm.run(until=2.5)
+    assert (flows.packets[newcomer], flows.last_seen[newcomer]) == (0, 1.5)
+    assert farm.gateway.span_reresolves == 1
+    assert farm.metrics.counters()["gateway.ladder_replies_contained"] == 2
 
 
 # ---------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ import hashlib
 import json
 import pickle
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -135,7 +136,7 @@ def test_two_farms_never_share_a_packet(monkeypatch, second_batched):
     assert not {id(p) for p in first} & {id(p) for p in second}
     assert not {p.packet_id for p in first} & {p.packet_id for p in second}
     # The trace's own caches were never the replays'.
-    assert not any(trace.packets) and not trace.addr_cache
+    assert not trace.packets and not trace.addr_cache
     assert trace == SCENARIO.build_trace()
 
 
@@ -148,11 +149,11 @@ def test_attachment_shares_columns_and_owns_its_caches():
         assert attached.packets is not trace.packets
         assert attached.addr_cache is not trace.addr_cache
     assert plain.times is trace.times
-    assert shifted.times == [t + 100.0 for t in trace.times]
+    assert list(shifted.times) == [t + 100.0 for t in trace.times]
     packet = plain.packet_at(3)
     assert plain.packet_at(3) is packet
     assert shifted.packet_at(3) is not packet
-    assert trace.packets[3] is None
+    assert 3 not in trace.packets
 
 
 def test_time_offset_shifts_both_lanes_alike():
@@ -282,7 +283,7 @@ class TestSequenceOfRows:
         attached.packet_at(0)
         clone = pickle.loads(pickle.dumps(attached))
         assert clone == attached
-        assert clone.packets[0] is None and not clone.addr_cache
+        assert not clone.packets and not clone.addr_cache
         # Sources stay one string per source across the pipe.
         assert len({id(key[0]) for key in clone.keys}) == len({key[0] for key in clone.keys})
 
@@ -307,6 +308,34 @@ def test_spawned_workers_replay_pickled_traces_like_forked_ones():
         ).run(scenario.duration).reports
 
     assert reports("spawn") == reports("fork")
+
+
+def test_every_constructor_builds_the_same_column_types(tmp_path):
+    """``==`` compares the columns, and an ``array('d')`` never equals a
+    list: whoever builds a trace — a generator, a JSONL reader, ``+``,
+    a slice, an attachment, a sort, unpickling — builds the same types."""
+    trace = TelescopeWorkload(
+        [Prefix.parse("10.16.0.0/16")], TelescopeConfig(seed=5)
+    ).generate(5.0)
+    path = tmp_path / "trace.jsonl"
+    with TraceWriter(path) as writer:
+        writer.write_all(trace)
+    back = TraceReader(path).read_all()
+    assert back == trace
+    extra = PacketColumns.from_records([_syn(trace.times[-1] + 1.0)])
+    joined = trace + extra
+    assert back + extra == joined and joined[:len(trace)] == trace
+    assert pickle.loads(pickle.dumps(joined)) == joined
+    by_hand = PacketColumns(
+        list(trace.times), trace.keys, trace.payloads, trace.sizes, trace.tcp_flags
+    )
+    assert by_hand == trace
+    for built in (
+        trace, back, extra, joined, by_hand, trace[3:9], trace.attachment(1.0),
+        trace.sorted_by_time(), pickle.loads(pickle.dumps(trace)),
+    ):
+        assert [type(column) for column in built._columns()] == [array, list, list, list, list]
+        assert built.times.typecode == "d"
 
 
 # ---------------------------------------------------------------------- #
