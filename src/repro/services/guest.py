@@ -252,9 +252,14 @@ class GuestHost:
         Mapping exploit-tag → :class:`ScanBehavior`, consulted when this
         guest is compromised so it knows how to propagate.
     on_oom:
-        Optional callback invoked when dirtying a page hits host memory
-        exhaustion; it should free memory (evict VMs) and return True to
-        retry. Without one, :class:`OutOfMemoryError` propagates.
+        Optional callback invoked when dirtying a page finds host memory
+        exhausted. Returning True promises that at least one frame was
+        freed, as ``Honeyfarm._relieve_pressure`` does by evicting a VM
+        with reclaimable frames, and the write resumes at that page; if
+        the page still finds no frame, :class:`OutOfMemoryError`
+        propagates. Without a handler, or when it returns False, the
+        page is dropped and counted in ``dropped_page_writes``, and the
+        rest of that write is not attempted.
     """
 
     def __init__(
@@ -310,23 +315,6 @@ class GuestHost:
     # Memory dirtying
     # ------------------------------------------------------------------ #
 
-    def _write_page(self, page: int, content: Optional[int] = None) -> bool:
-        """Write one page, routing OOM through the pressure handler.
-
-        Returns False if the write had to be dropped (memory exhausted and
-        no handler could free any).
-        """
-        space = self.vm.address_space
-        try:
-            space.write(page, content)
-        except OutOfMemoryError:
-            if self.on_oom is not None and self.on_oom():
-                space.write(page, content)  # retry after reclamation
-            else:
-                self.dropped_page_writes += 1
-                return False
-        return True
-
     def _write_run(
         self, page: int, count: int, contents: Optional[Sequence[int]] = None
     ) -> int:
@@ -334,27 +322,28 @@ class GuestHost:
         at the image end, page ``i`` with ``contents[i]`` (fresh content
         when ``contents`` is None); returns how many were written.
 
-        Every guest write goes through here: the address space takes as
-        many pages as it can in one call, and the page it stops before —
-        one the pool has no frame for, or whose content needs the
-        single-page lookups — takes :meth:`_write_page` and its OOM
-        handling. Fewer than ``count`` means the next page was dropped
-        and the rest not attempted.
+        Every guest write goes through here, one address-space call per
+        stretch. A short count means the pool had no frame for the next
+        page: that goes to ``on_oom`` (see the class docstring). Fewer
+        than ``count`` returned means that page was dropped and the rest
+        not attempted.
         """
         space = self.vm.address_space
         total = space.page_count
         done = 0
+        retrying = False
         while done < count:
             at = (page + done) % total
             chunk = min(count - done, total - at)
             tags = contents[done:done + chunk] if contents is not None else None
             written = space.write_run(at, chunk, tags)
+            if retrying and not written:
+                raise OutOfMemoryError(f"page {at}: no frame after the pressure handler")
             done += written
-            if written < chunk:
-                content = contents[done] if contents is not None else None
-                if not self._write_page(at + written, content):
-                    break
-                done += 1
+            retrying = written < chunk
+            if retrying and not (self.on_oom is not None and self.on_oom()):
+                self.dropped_page_writes += 1
+                break
         return done
 
     def _dirty_pages(self, count: int) -> None:

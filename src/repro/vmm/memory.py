@@ -22,15 +22,17 @@ A clone's address space is a **base + runs + overlay**:
   rewrites. Writing into a run splits the run around the pages written
   and moves those pages here.
 
-Every guest write is one :meth:`GuestAddressSpace.write_run` call. It
-walks the range as segments — pages inside one run, clean pages, pages
-already in the overlay — and does each segment's ledger work once: one
-splice of the run list, one allocator call, one bump per counter, and
-per page only the store lookup and the refcount update.
-:meth:`GuestAddressSpace.write` is the single-page primitive that
-defines what a bulk write means; ``write_run`` stops before any page it
-cannot treat exactly as ``write`` would (an exhausted pool, content that
-may live in another guest's run) and the caller falls back to it.
+Every guest write is one :meth:`GuestAddressSpace.write_run` call, the
+only code that moves the frame ledger. It walks the range as segments —
+pages inside one run, clean pages, pages already in the overlay — and
+does each segment's ledger work once: one splice of the run list, one
+allocator call, one bump per counter, and per page only the store lookup
+and the refcount update. A tag the store must look up (pinned below the
+fresh-tag counter, so possibly in some guest's run, or fresh but pinned
+ahead of the counter) is a one-page segment of its own, resolved before
+its page is classified. The write stops before the first page the pool
+has no frame for. :meth:`GuestAddressSpace.write` is the same call for
+one page.
 
 This makes clone creation O(1) in pages — exactly the property that makes
 flash cloning fast in the real system, where only page tables are touched
@@ -55,11 +57,10 @@ ablation), each :class:`MachineMemory` owns a :class:`SharedFrameStore`
 the first writer of a tag pays one physical frame, every later writer of
 the same tag (any VM on the host) shares it at zero frame cost, and the
 frame returns to the pool only when its last reference is rewritten or
-destroyed. The table holds only tags that are pinned or were written one
-page at a time; tags living in runs are found through the store's run
-index (fresh tags only grow, so the index is a sorted list that fresh
-runs append to) and move into the table the moment something else names
-them. Every operation is O(1) or a bisect, so the host's physical usage
+destroyed. The table holds pinned contents and rewritten pages; tags
+living in runs are found through the store's run index (fresh tags only
+grow, so the index is a sorted list that fresh runs append to) and move
+into the table the moment something else names them. Every operation is O(1) or a bisect, so the host's physical usage
 
     resident = image frames + distinct private contents
 
@@ -252,29 +253,43 @@ class SharedFrameStore:
         the run, in tag order, ``run`` itself being the first if it keeps
         a head — take the run's place in the index. The carved pages keep
         their frames, references and exclusivity; the caller gives each
-        an entry (:meth:`adopt`, or one under a new tag: :meth:`retag_run`)."""
+        an entry (:meth:`resolve`, or one under a new tag: :meth:`retag_run`)."""
         i = self._run_position(run.tag)
         self._runs[i:i + 1] = pieces
         self._run_frames -= carved
 
-    def adopt(self, space: "GuestAddressSpace", tag: int) -> None:
-        """Give a page just carved out of one of ``space``'s runs the
-        entry of its own that the single-page paths act on."""
-        self._entries[tag] = _SharedEntry(space)
+    def lookups(self, count: int, contents: Optional[Sequence[int]]) -> List[int]:
+        """Which of ``count`` pages about to be written carry a tag that
+        needs :meth:`resolve` and a segment of its own: for fresh content,
+        the tags something has pinned ahead of the counter; for pinned
+        content, every tag below the counter (it may live in a run)."""
+        issued = _fresh_tags.next
+        if contents is None:
+            tags = range(issued, issued + count)
+            if self._entries.keys().isdisjoint(tags):
+                return []
+            return [i for i, tag in enumerate(tags) if tag in self._entries]
+        if min(contents) >= issued:
+            return []
+        return [i for i, tag in enumerate(contents) if tag < issued]
 
-    def _resident(self, tag: int) -> Optional[_SharedEntry]:
-        """The entry holding ``tag``, carving it out of a live run first
-        if that is where the content lives; None if not resident."""
-        entry = self._entries.get(tag)
-        if entry is None:
-            run = self._run_holding(tag)
-            if run is not None:
-                run.space._carve_page(run, tag - run.tag)
-                entry = self._entries[tag]
-        return entry
+    def resolve(self, tag: int) -> None:
+        """If ``tag`` lives in a run, carve its page out into its owner's
+        overlay under an entry of its own, so the write about to name the
+        tag finds it in the table. Nothing a guest can observe changes."""
+        run = self._run_holding(tag)
+        if run is not None:
+            space, offset = run.space, tag - run.tag
+            space._overlay[run.page + offset] = tag
+            space._carve(run, offset, 1)
+            self._entries[tag] = _SharedEntry(space)
 
     # ------------------------------------------------------------------ #
-    # Mutation — O(1), or one bisect when a tag may live in a run
+    # Mutation — the segments of GuestAddressSpace.write_run, each taking
+    # its pages in order. The allocator is called once per segment where
+    # every ledger move of the segment goes the same way, so the peak is
+    # the page-at-a-time one; exchange_run, whose moves may go both ways,
+    # calls it per page.
     # ------------------------------------------------------------------ #
 
     def _attach(self, entry: _SharedEntry, space: "GuestAddressSpace") -> None:
@@ -311,77 +326,11 @@ class SharedFrameStore:
             holders[space] = held - 1
         return False
 
-    def intern(self, space: "GuestAddressSpace", tag: int) -> None:
-        """Map one page of ``space`` to the frame holding ``tag``,
-        allocating the frame if this content is new to the host.
-
-        Raises :class:`OutOfMemoryError` (with no state change) when a
-        fresh frame is needed and the pool is exhausted.
-        """
-        entry = self._resident(tag)
-        if entry is None:
-            self.memory._allocate_private(1)  # may raise; nothing mutated yet
-            self._entries[tag] = _SharedEntry(space)
-            space._exclusive_frames += 1
-        else:
-            self.attach_hits += 1
-            self._attach(entry, space)
-        self.total_refs += 1
-
-    def release(self, space: "GuestAddressSpace", tag: int) -> None:
-        """Drop one of ``space``'s references to ``tag``, freeing the
-        frame when the last reference anywhere goes."""
-        self.total_refs -= 1
-        if self._detach(tag, space):
-            self.memory._free_private(1)
-            space._exclusive_frames -= 1
-
-    def exchange(self, space: "GuestAddressSpace", old_tag: int, new_tag: int) -> None:
-        """Rewrite one of ``space``'s pages from ``old_tag`` to
-        ``new_tag`` without ever dropping the old mapping on failure.
-
-        The common case — a sole owner dirtying to content nobody else
-        holds — reuses the existing frame in place: no allocator
-        round-trip and no transient over-allocation. Otherwise the new
-        tag is interned *first* (so an OOM leaves the page intact) and
-        the old reference released after.
-        """
-        if old_tag == new_tag:
-            return
-        old_entry = self._entries[old_tag]
-        if old_entry.refs == 1 and self._resident(new_tag) is None:
-            del self._entries[old_tag]
-            self._entries[new_tag] = old_entry
-            self.frames_recycled += 1
-            return
-        self.intern(space, new_tag)  # may raise; old mapping still intact
-        self.release(space, old_tag)
-
-    # ------------------------------------------------------------------ #
-    # Bulk mutation — the segments of GuestAddressSpace.write_run. Each
-    # equals the single-page calls it names, page by page in order. The
-    # allocator is called once per segment because every ledger move of
-    # the segment goes the same way, so the peak is the per-page one.
-    # ------------------------------------------------------------------ #
-
-    def bulk_prefix(self, count: int, contents: Optional[Sequence[int]]) -> int:
-        """How many of ``count`` pages the bulk paths below may take: up
-        to the first whose tag could live in a run (pinned below the
-        fresh-tag counter) or, for fresh content, is pinned already."""
-        if contents is None:
-            tags = range(_fresh_tags.next, _fresh_tags.next + count)
-            if self._entries.keys().isdisjoint(tags):
-                return count
-            return next(i for i, tag in enumerate(tags) if tag in self._entries)
-        issued = _fresh_tags.next
-        if not count or min(contents) >= issued:
-            return count
-        return next(i for i, tag in enumerate(contents) if tag < issued)
-
     def intern_run(self, space: "GuestAddressSpace", tags: Sequence[int]) -> int:
-        """:meth:`intern` each of ``tags`` for a clean page of ``space``;
-        stops before the first miss the pool has no frame for and
-        returns how many were interned."""
+        """Map clean pages of ``space`` to the frames holding ``tags``, a
+        hit sharing the resident frame and a miss taking a new one; stops
+        before the first miss the pool has no frame for and returns how
+        many were mapped."""
         entries = self._entries
         free = self.memory.free_frames
         done = misses = 0
@@ -402,10 +351,10 @@ class SharedFrameStore:
         return done
 
     def retag_run(self, space: "GuestAddressSpace", tags: Sequence[int]) -> None:
-        """Pages of ``space`` just carved out of a run are rewritten to
-        ``tags`` — :meth:`adopt` then :meth:`exchange`, per page. A miss
-        re-keys the page's own frame; a hit shares the resident frame
-        and frees the page's own."""
+        """Pages of ``space`` just carved out of a run, each the only
+        reference to its frame, are rewritten to ``tags``. A miss re-keys
+        the page's own frame; a hit shares the resident frame and frees
+        the page's own."""
         entries = self._entries
         hits = 0
         for tag in tags:
@@ -423,30 +372,47 @@ class SharedFrameStore:
     def exchange_run(
         self, space: "GuestAddressSpace", old_tags: Sequence[int], new_tags: Sequence[int]
     ) -> int:
-        """:meth:`exchange` pairwise; stops before the first pair that
-        would raise and returns how many were exchanged. Sole-owner
-        rewrites to new content re-key in place; the rest, whose ledger
-        moves go both ways, take :meth:`exchange` itself."""
+        """Rewrite overlay pages of ``space`` from ``old_tags`` to
+        ``new_tags``, pairwise; stops before the first pair the pool has
+        no frame for and returns how many were rewritten.
+
+        A sole owner rewriting to content nobody holds re-keys its frame
+        in place: no allocator round trip, no transient over-allocation.
+        Otherwise the new tag is mapped *first*, so a failed pair leaves
+        the old mapping intact, and the old reference dropped after —
+        per page, because these moves go both ways and the peak must be
+        the page-at-a-time one.
+        """
         entries = self._entries
+        memory = self.memory
         done = recycled = 0
         for old, new in zip(old_tags, new_tags):
             if old != new:
-                miss = new not in entries
-                if miss and entries[old].refs == 1:
+                entry = entries.get(new)
+                if entry is None and entries[old].refs == 1:
                     entries[new] = entries.pop(old)
                     recycled += 1
-                elif miss and not self.memory.free_frames:
-                    break
                 else:
-                    self.exchange(space, old, new)
+                    if entry is not None:
+                        self.attach_hits += 1
+                        self._attach(entry, space)
+                    elif memory.free_frames:
+                        memory._allocate_private(1)
+                        entries[new] = _SharedEntry(space)
+                        space._exclusive_frames += 1
+                    else:
+                        break
+                    if self._detach(old, space):
+                        memory._free_private(1)
+                        space._exclusive_frames -= 1
             done += 1
         self.frames_recycled += recycled
         return done
 
     def release_all(self, space: "GuestAddressSpace") -> int:
-        """Drop every reference ``space`` holds — its runs whole, one
-        :meth:`release` per overlay page — and return the frames nobody
-        else maps to the pool in one call; returns how many."""
+        """Drop every reference ``space`` holds — its runs whole, its
+        overlay pages one by one — and return the frames nobody else maps
+        to the pool in one call; returns how many."""
         freed = 0
         for run in space._runs:
             del self._runs[self._run_position(run.tag)]
@@ -542,7 +508,6 @@ class MachineMemory:
         self.allocation_failures = 0
         self.image_frames = 0
         self.private_frames = 0
-        self.content_sharing = bool(content_sharing)
         self.sharing: Optional[SharedFrameStore] = (
             SharedFrameStore(self) if content_sharing else None
         )
@@ -754,15 +719,9 @@ class GuestAddressSpace:
         self._exclusive_frames = 0
         self.destroyed = False
         if eager_copy:
-            # A full copy is one write of the whole image. The bulk call
-            # stops only before a fresh tag something has pinned ahead of
-            # the counter; that page takes the single-page path.
-            page = 0
-            while page < image.page_count:
-                page += self.write_run(page, image.page_count - page)
-                if page < image.page_count:
-                    self.write(page)
-                    page += 1
+            # A full copy is one write of the whole image; the pool was
+            # checked above to hold it.
+            self.write_run(0, image.page_count)
             self.cow_faults = 0  # copied up front, not faulted
 
     # ------------------------------------------------------------------ #
@@ -810,18 +769,6 @@ class GuestAddressSpace:
         if self._store is not None:
             self._store.replace_run(run, pieces, count)
 
-    def _carve_page(self, run: _Run, offset: int) -> int:
-        """Move the page at ``offset`` of ``run`` to the per-page overlay
-        so the single-page paths can act on it; returns the page's tag.
-        Nothing a guest can observe changes."""
-        page = run.page + offset
-        tag = run.tag + offset
-        self._carve(run, offset, 1)
-        if self._store is not None:
-            self._store.adopt(self, tag)
-        self._overlay[page] = tag
-        return tag
-
     def write(self, page: int, content: Optional[int] = None) -> int:
         """Dirty ``page``, taking a CoW fault on the first write; returns
         the new content tag.
@@ -832,44 +779,33 @@ class GuestAddressSpace:
         is exactly what the shared-frame store collapses: with sharing
         on, only the first write of a tag on the host pays a frame.
         ``None`` means freshly generated, globally unique content.
+
+        A one-page :meth:`write_run`; raises :class:`OutOfMemoryError`
+        when the pool has no frame for the page.
         """
-        self._check_alive()
-        self.image._check_page(page)
-        tag = _fresh_tags.take() if content is None else content
-        store = self._store
-        old = self._overlay.get(page)
-        if old is None:
-            run = self._run_at(page)
-            if run is not None:
-                old = self._carve_page(run, page - run.page)
-        if old is not None:
-            if store is not None:
-                store.exchange(self, old, tag)
-        else:
-            if store is not None:
-                store.intern(self, tag)
-            else:
-                self.memory._allocate_private(1)
-            self.cow_faults += 1
-        self._overlay[page] = tag
+        tag = _fresh_tags.next if content is None else content
+        if not self.write_run(page, 1, None if content is None else (content,)):
+            raise OutOfMemoryError(f"no free frame for page {page}")
         return tag
 
     def write_run(
         self, page: int, count: int, contents: Optional[Sequence[int]] = None
     ) -> int:
-        """Dirty up to ``count`` pages from ``page`` on; returns how many
-        were written.
+        """Dirty up to ``count`` pages from ``page`` on, page ``i`` with
+        ``contents[i]`` (fresh content when ``contents`` is None);
+        returns how many were written.
 
-        Equivalent to ``write(page + i, contents[i] if contents else
-        None)`` for every ``i`` below the returned number, at the cost of
-        one call: the range is walked as segments — pages inside one
-        run, clean pages, pages already in the overlay — and each
-        segment's ledger work is done once. Fresh content (``contents``
-        None) on clean pages is recorded as a run, O(1) whatever its
-        length. The run stops *before* a page whose single write would
-        raise (the pool is exhausted) or whose tag needs the single-page
-        lookups (:meth:`SharedFrameStore.bulk_prefix`); the caller sends
-        that page through :meth:`write` and sees what it does.
+        The range is walked as segments — pages inside one run, clean
+        pages, pages already in the overlay — and each segment's ledger
+        work is done once. Fresh content on clean pages is recorded as a
+        run, O(1) whatever its length. A tag the store must look up
+        (:meth:`SharedFrameStore.lookups`) is a segment of its own,
+        resolved first — carved out of whichever run holds it, this
+        space's included — and only then is its page classified.
+
+        The write stops before the first page the pool has no frame for:
+        that page counts one failed allocation and, for fresh content,
+        spends the tag it drew.
         """
         self._check_alive()
         self.image._check_page(page)
@@ -881,15 +817,23 @@ class GuestAddressSpace:
         store = self._store
         memory = self.memory
         overlay = self._overlay
-        if store is not None:
-            count = store.bulk_prefix(count, contents)
+        lookups = iter(store.lookups(count, contents) if store is not None else ())
+        lookup = next(lookups, count)
         done = 0
         while done < count:
             at = page + done
-            run, length = self._segment_at(at, count - done)
+            first = _fresh_tags.next
+            looked_up = done == lookup
+            if looked_up:
+                store.resolve(first if contents is None else contents[done])
+                lookup = next(lookups, count)
+            run, length = self._segment_at(at, 1 if looked_up else lookup - done)
             private = run is not None or at in overlay
+            # Fresh content on clean pages stays one extent, unless its
+            # tag is already resident.
+            extent = not private and contents is None and not looked_up
             if contents is None:
-                tags: Sequence[int] = range(_fresh_tags.next, _fresh_tags.next + length)
+                tags: Sequence[int] = range(first, first + length)
             else:
                 tags = contents[done:done + length]
             wrote = length
@@ -901,14 +845,13 @@ class GuestAddressSpace:
                 if store is not None:
                     olds = [overlay[p] for p in range(at, at + length)]
                     wrote = store.exchange_run(self, olds, tags)
-            elif contents is None:
-                # Fresh content on clean pages stays one extent.
+            elif extent:
                 wrote = min(length, memory.free_frames)
                 if wrote and store is not None:
-                    self._runs.append(store.add_run(self, at, wrote, tags[0]))
+                    self._runs.append(store.add_run(self, at, wrote, first))
                 elif wrote:
                     memory._allocate_private(wrote)
-                    self._runs.append(_Run(self, at, wrote, tags[0]))
+                    self._runs.append(_Run(self, at, wrote, first))
             elif store is not None:
                 wrote = store.intern_run(self, tags)
             else:
@@ -916,12 +859,15 @@ class GuestAddressSpace:
                 memory._allocate_private(wrote)
             if contents is None:
                 _fresh_tags.take(wrote)
-            if private or contents is not None:
+            if not extent:
                 overlay.update(zip(range(at, at + wrote), tags))
             if not private:
                 self.cow_faults += wrote
             done += wrote
             if wrote < length:
+                memory.allocation_failures += 1
+                if contents is None:
+                    _fresh_tags.take()
                 break
         return done
 

@@ -1,8 +1,9 @@
 """The frame ledger, pinned: seeded guest-write sequences, step by step.
 
 ``tests/test_memory_runs.py`` holds ``write_run`` equal to a
-page-at-a-time reference. This file holds both to fixed numbers: it
-replays seeded op sequences through that file's ``_World`` (the real
+page-at-a-time reference, but both of its arms run through
+``write_run``. This file holds the ledger to fixed numbers, recorded
+while ``write`` still had ledger code of its own: it replays seeded op sequences through that file's ``_World`` (the real
 guest code, bulk writer) in every configuration its property explores —
 sharing on and off, a roomy and a tight pool, with and without an
 eviction handler, one and two hosts — and hashes what each step returns

@@ -1,14 +1,19 @@
 """A guest write is one extent call: bulk against per-page, step by step.
 
-``GuestAddressSpace.write_run`` must be indistinguishable from the same
-number of single-page ``write`` calls. The reference here is the per-page
-loop every guest write pattern used before ``write_run`` existed; each
-test drives one op sequence through the real guest code twice — once as
-it is, once with ``GuestHost._write_run`` replaced by that loop — and
-compares everything a caller can see after every op: reads, returned
-tags, private page contents, CoW faults, the frame ledgers, reclaimable
-frames, allocation failures and the guest's cursors. The store audit and
-the frame invariant run after every op.
+``GuestAddressSpace.write_run`` over n pages must be indistinguishable
+from n one-page ``write`` calls, each a one-page ``write_run``. The
+reference here is that loop, with the pressure handler's retry written
+out (``_per_page_write_run``); each test drives one op sequence through
+the real guest code twice — once as it is, once with
+``GuestHost._write_run`` replaced by that loop — and compares everything
+a caller can see after every op: reads, returned tags, private page
+contents, CoW faults, the frame ledgers, reclaimable frames, allocation
+failures and the guest's cursors. The store audit and the frame
+invariant run after every op.
+
+Both arms share ``write_run``'s ledger code, so this file proves that
+segmenting a write changes nothing; ``test_memory_ledger_golden.py``
+pins what the one-page semantics themselves are.
 """
 
 import pytest
@@ -52,12 +57,22 @@ def _body(family: int, count: int):
 
 
 def _per_page_write_run(guest: GuestHost, page: int, count: int, contents=None) -> int:
-    """``GuestHost._write_run`` before runs: one ``write`` per page."""
-    total = guest.vm.address_space.page_count
+    """The reference for ``GuestHost._write_run``: one ``write`` per page,
+    wrapping at the image end. A page the pool has no frame for goes to
+    the pressure handler and, if it freed memory, is written again (a
+    second failure propagates); otherwise it is dropped and the rest not
+    attempted."""
+    space = guest.vm.address_space
     for i in range(count):
+        at = (page + i) % space.page_count
         content = contents[i] if contents is not None else None
-        if not guest._write_page((page + i) % total, content):
-            return i
+        try:
+            space.write(at, content)
+        except OutOfMemoryError:
+            if guest.on_oom is None or not guest.on_oom():
+                guest.dropped_page_writes += 1
+                return i
+            space.write(at, content)
     return count
 
 
@@ -370,14 +385,32 @@ class TestRunCases:
 
     def test_pinned_tag_living_in_another_guests_run(self, sharing):
         # Guest 1 writes a run of what guest 0's boot run holds: tags
-        # below the fresh-tag counter, which only the single-page path
-        # may look up (it carves them out of guest 0's run).
+        # below the fresh-tag counter, each a one-page segment carved out
+        # of guest 0's run before guest 1's page is classified.
         ops = [
             ("clone", 0), ("clone", 1), ("boot", 0, 10), ("boot", 1, 4),
             ("mirror", 1, 2, 5, 0, 3), ("fresh", 0, 2, 6), ("destroy", 0), ("destroy", 1),
         ]
         world = _assert_same(ops, sharing=sharing)
         assert world.memory.private_frames == 0
+
+    def test_guest_mirroring_its_own_run(self, sharing):
+        # The tag's run is the run the written page sits in: shifted by
+        # one page (each write carves the next tag out of the same run),
+        # then onto the very pages that hold the tags.
+        ops = [
+            ("clone", 0), ("boot", 0, 10),
+            ("mirror", 0, 3, 4, 0, 2), ("mirror", 0, 6, 3, 0, 6), ("destroy", 0),
+        ]
+        world = _World(bulk=True, sharing=sharing, private_frames=ROOMY, evict=False)
+        for op in ops[:3]:
+            world.apply(op)
+        space = world.guests[0].vm.address_space
+        first = space.read(0)
+        assert [space.read(p) - first for p in range(10)] == [0, 1, 2, 2, 3, 4, 5, 7, 8, 9]
+        # Page 6's old content is gone; page 2's is mapped twice.
+        assert world.memory.private_frames == (9 if sharing else 10)
+        assert _assert_same(ops, sharing=sharing).memory.private_frames == 0
 
     def test_fresh_rewrite_run_over_runs_overlay_and_clean_pages(self, sharing):
         ops = [
