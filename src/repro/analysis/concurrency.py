@@ -53,8 +53,8 @@ def concurrency_for_timeout(
         raise ValueError(f"timeout must be positive: {timeout!r}")
     trace = PacketColumns.from_records(records)
     series = TimeSeries(f"concurrency[t={timeout:g}s]")
-    expiry_heap: List[Tuple[float, str]] = []  # (expiry_time, address)
-    expires_at: Dict[str, float] = {}
+    expiry_heap: List[Tuple[float, int]] = []  # (expiry_time, address)
+    expires_at: Dict[int, float] = {}
     live = 0
     instantiations = 0
     peak = 0

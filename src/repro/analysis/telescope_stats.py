@@ -80,7 +80,7 @@ def characterize_trace(records: Iterable[TraceRecord], duration: float) -> Traff
     if duration <= 0:
         raise ValueError(f"duration must be positive: {duration!r}")
     trace = PacketColumns.from_records(records)
-    sources_seen: Dict[str, int] = {}
+    sources_seen: Dict[int, int] = {}
     destinations = set()
     port_counts: Dict[str, int] = {}
     arrival = TimeSeries("unique sources (cumulative)")

@@ -76,7 +76,7 @@ from repro.services.personality import Personality
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.core.gateway import Gateway
     from repro.fidelity.ladder import FidelityLadder
-    from repro.sim.batch import PacketColumns
+    from repro.sim.batch import ArrivalKey, PacketColumns
 
 __all__ = ["SpanLane"]
 
@@ -111,7 +111,7 @@ class SpanLane:
         # which is stateless and contains whatever it is asked about.
         self.drop_all = type(self.policy) is DropAllPolicy
         #: Resolved flows by arrival 5-tuple (validity: module docstring).
-        self.cache: Dict[Tuple[str, int, str, int, int], Tuple] = {}
+        self.cache: Dict["ArrivalKey", Tuple] = {}
         self.classes: Dict[Tuple[int, int, int, int], Tuple] = {}
         self.ports: Dict[int, frozenset] = {}
         #: The flow table's release count the cached rows belong to.
@@ -321,7 +321,7 @@ class SpanLane:
     # ------------------------------------------------------------------ #
 
     def _resolve(
-        self, columns: "PacketColumns", i: int, key, t: float
+        self, columns: "PacketColumns", i: int, key: "ArrivalKey", t: float
     ) -> Optional[Tuple]:
         """Build (or rebuild) the cache entry for arrival ``key``, or
         return None to send the packet down the per-packet lane. The
@@ -337,17 +337,9 @@ class SpanLane:
         final bail-out, so the per-packet lane's ``created`` flag (its
         overflow rollback) is the per-event one."""
         gateway = self.gateway
-        src_s, src_port, dst_s, dst_port, protocol = key
-        addr_cache = columns.addr_cache
-        dst = addr_cache.get(dst_s)
-        src = addr_cache.get(src_s)
-        try:
-            if dst is None:
-                dst = addr_cache[dst_s] = IPAddress.parse(dst_s)
-            if src is None:
-                src = addr_cache[src_s] = IPAddress.parse(src_s)
-        except ValueError:
-            return None  # malformed address: per-event parse raises properly
+        src_value, src_port, dst_value, dst_port, protocol = key
+        src = IPAddress(src_value)
+        dst = IPAddress(dst_value)
         covers = gateway.inventory.covers
         if not covers(dst) or covers(src):
             return None  # stray, or an internal source whose reply re-enters
@@ -382,8 +374,6 @@ class SpanLane:
         kind = cls[0]
         if kind < 0:
             return None
-        src_value = src.value
-        dst_value = dst.value
         flow = flow_key(src_value, src_port, dst_value, dst_port, protocol)
         state, flow_created = session.flow_state(flow)
         if flow_created:

@@ -44,8 +44,8 @@ class IPAddress:
         """Parse dotted-quad notation.
 
         Unrolled, and built without ``__init__`` (four octets below 256
-        cannot leave the range it checks): a large replay parses ~10^5
-        addresses, once each."""
+        cannot leave the range it checks): reading a large JSONL trace
+        parses two addresses a line."""
         parts = text.split(".")
         if len(parts) == 4:
             a, b, c, d = parts

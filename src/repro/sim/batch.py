@@ -3,9 +3,12 @@
 :class:`PacketColumns` is the in-memory trace: five parallel columns,
 filled by the workload generators and read by everything downstream,
 with :class:`TraceRecord` as the row a reader sees when it indexes or
-iterates one. The common packet — background radiation the emulator
-tier absorbs — is a row from the generator to the handoff buffer and
-never an object of its own.
+iterates one. The columns carry addresses as 32-bit values, as the flow
+table does; dotted quads exist only in a :class:`TraceRecord` (and the
+JSONL lines it is written as), which is where the two forms meet. The
+common packet — background radiation the emulator tier absorbs — is a
+row from the generator to the handoff buffer and never an object of its
+own.
 
 :class:`PacketArrivalStream` replays a trace without a heap entry, an
 ``Event`` object or a dispatch-loop pass per packet: it walks one trace
@@ -62,6 +65,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from operator import lt
 from time import perf_counter
@@ -74,26 +78,18 @@ from repro.sim.engine import SimulationError, Simulator
 
 __all__ = ["ArrivalKey", "PacketArrivalStream", "PacketColumns", "TraceRecord"]
 
-#: ``(src, src_port, dst, dst_port, protocol)``, addresses as dotted
-#: quads: a flow key's field order, injective per conversation direction.
-ArrivalKey = Tuple[str, int, str, int, int]
+#: ``(src, src_port, dst, dst_port, protocol)``, addresses as 32-bit
+#: values: a flow key's field order, injective per conversation direction.
+ArrivalKey = Tuple[int, int, int, int, int]
 
 _PSH_ACK = TcpFlags.PSH | TcpFlags.ACK
 
 
-def _row_packet(
-    key: ArrivalKey,
-    payload: str,
-    size: int,
-    tcp_flags: int,
-    addr_cache: Dict[str, IPAddress],
-) -> Packet:
+def _row_packet(key: ArrivalKey, payload: str, size: int, tcp_flags: int) -> Packet:
     """The one row -> :class:`Packet` function. ``tcp_flags`` 0 means
-    infer (a SYN, or PSH|ACK for a data segment). ``addr_cache``
-    (dotted quad -> address) amortizes parsing: traces revisit the same
-    addresses constantly and ``IPAddress`` is immutable, so packets may
-    share instances. Ports and size are validated by ``Packet`` itself."""
-    src_s, src_port, dst_s, dst_port, protocol = key
+    infer (a SYN, or PSH|ACK for a data segment). Ports and size are
+    validated by ``Packet`` itself."""
+    src, src_port, dst, dst_port, protocol = key
     if protocol != PROTO_TCP:
         flags = TcpFlags.NONE
     elif tcp_flags:
@@ -102,13 +98,10 @@ def _row_packet(
         flags = _PSH_ACK
     else:
         flags = TcpFlags.SYN
-    src = addr_cache.get(src_s)
-    if src is None:
-        src = addr_cache[src_s] = IPAddress.parse(src_s)
-    dst = addr_cache.get(dst_s)
-    if dst is None:
-        dst = addr_cache[dst_s] = IPAddress.parse(dst_s)
-    return Packet(src, dst, protocol, src_port, dst_port, flags, 0, payload, size)
+    return Packet(
+        IPAddress(src), IPAddress(dst), protocol, src_port, dst_port, flags, 0,
+        payload, size,
+    )
 
 
 @dataclass(frozen=True)
@@ -116,7 +109,9 @@ class TraceRecord:
     """One packet arrival as a row: what iterating or indexing a
     :class:`PacketColumns` trace yields, what a JSONL line parses to, and
     what hand-built traces are lists of. Addresses are dotted-quad
-    strings so the on-disk format is self-describing."""
+    strings so the on-disk format is self-describing: :attr:`key` parses
+    them into the values a trace's columns hold, and
+    :meth:`from_columns` formats those back."""
 
     time: float
     src: str
@@ -128,9 +123,14 @@ class TraceRecord:
     size: int = 40
     tcp_flags: int = 0  # 0 = infer from payload (SYN, or PSH|ACK for data)
 
-    @property
+    @cached_property
     def key(self) -> ArrivalKey:
-        return (self.src, self.src_port, self.dst, self.dst_port, self.protocol)
+        """The row's arrival key, its addresses parsed (once per row); a
+        malformed or non-string address raises here."""
+        return (
+            IPAddress.parse(self.src).value, self.src_port,
+            IPAddress.parse(self.dst).value, self.dst_port, self.protocol,
+        )
 
     @classmethod
     def from_columns(
@@ -138,14 +138,14 @@ class TraceRecord:
     ) -> "TraceRecord":
         """The row holding one entry of each trace column."""
         src, src_port, dst, dst_port, protocol = key
-        return cls(time, src, dst, protocol, src_port, dst_port, payload, size, tcp_flags)
-
-    def to_packet(self, addr_cache: Optional[Dict[str, IPAddress]] = None) -> Packet:
-        """Materialize the packet (see :func:`_row_packet`)."""
-        return _row_packet(
-            self.key, self.payload, self.size, self.tcp_flags,
-            {} if addr_cache is None else addr_cache,
+        return cls(
+            time, str(IPAddress(src)), str(IPAddress(dst)), protocol, src_port,
+            dst_port, payload, size, tcp_flags,
         )
+
+    def to_packet(self) -> Packet:
+        """Materialize the packet (see :func:`_row_packet`)."""
+        return _row_packet(self.key, self.payload, self.size, self.tcp_flags)
 
     @classmethod
     def from_packet(cls, time: float, packet: Packet) -> "TraceRecord":
@@ -167,10 +167,11 @@ class PacketColumns(Sequence[TraceRecord]):
 
     Five parallel columns, one entry per arrival: ``times`` (an
     ``array('d')``: one unboxed double a row), ``keys`` (the
-    :data:`ArrivalKey` 5-tuple), ``payloads``, ``sizes``, ``tcp_flags``
-    (lists: sizes and flags are small cached ints, keys and payloads are
-    shared per source). Generators append to the five columns and hand
-    them over (adopted, not copied; a ``times`` that is not yet an
+    :data:`ArrivalKey` 5-tuple of ints, one tuple shared by the packets
+    of a burst), ``payloads``, ``sizes``, ``tcp_flags`` (lists: sizes and
+    flags are small cached ints, payloads are shared per source).
+    Generators append to the five columns and hand them over (adopted,
+    not copied; a ``times`` that is not yet an
     ``array('d')`` becomes one, so every trace has the same column
     types whoever built it); nothing writes to them afterwards. As a
     read-only sequence the trace yields :class:`TraceRecord` rows — ``len``, iteration, ``trace[i]``,
@@ -184,26 +185,18 @@ class PacketColumns(Sequence[TraceRecord]):
     span-lane budget, so ``packet_at(i)`` materializes ``packets[i]``
     only when a packet leaves the span lane (slow-path dispatch,
     promotion-buffer replay, the per-packet lane), at most once; the
-    ``packets`` cache is a dict holding just the packets materialized.
+    ``packets`` cache is a dict holding the packets materialized and not
+    yet delivered (the per-packet lane takes each one out as it hands
+    it over).
 
-    The columns are immutable and may be shared; the caches are not.
+    The columns are immutable and may be shared; the cache is not.
     ``Packet`` is mutable and its ``packet_id`` is drawn from a
     process-global counter, so every replay of a trace takes its own
     :meth:`attachment`: the same column lists (shifted times apart)
-    under a fresh ``packets`` cache and a fresh ``addr_cache`` (dotted
-    quad -> :class:`IPAddress`, filled only for flows that reach the
-    resolve path or a materialized packet).
+    under a fresh ``packets`` cache.
     """
 
-    __slots__ = (
-        "times",
-        "keys",
-        "payloads",
-        "sizes",
-        "tcp_flags",
-        "addr_cache",
-        "packets",
-    )
+    __slots__ = ("times", "keys", "payloads", "sizes", "tcp_flags", "packets")
 
     def __init__(
         self,
@@ -227,7 +220,6 @@ class PacketColumns(Sequence[TraceRecord]):
         self.payloads = payloads
         self.sizes = sizes
         self.tcp_flags = tcp_flags
-        self.addr_cache: Dict[str, IPAddress] = {}
         self.packets: Dict[int, Packet] = {}
 
     @classmethod
@@ -249,7 +241,7 @@ class PacketColumns(Sequence[TraceRecord]):
 
     def attachment(self, time_offset: float = 0.0) -> "PacketColumns":
         """This trace for one replay, ``time_offset`` later: shared
-        columns, caches of its own (see the class docstring)."""
+        columns, a packet cache of its own (see the class docstring)."""
         times = self.times
         if time_offset:
             times = array("d", [t + time_offset for t in times])
@@ -272,6 +264,13 @@ class PacketColumns(Sequence[TraceRecord]):
             for column in (times, self.keys, self.payloads, self.sizes, self.tcp_flags)
         ))
 
+    def take(self, rows: Iterable[int]) -> "PacketColumns":
+        """The trace of ``rows``, in the order given."""
+        rows = list(rows)
+        return PacketColumns(*(
+            list(map(column.__getitem__, rows)) for column in self._columns()
+        ))
+
     def _columns(self) -> Tuple[array, list, list, list, list]:
         return self.times, self.keys, self.payloads, self.sizes, self.tcp_flags
 
@@ -280,10 +279,14 @@ class PacketColumns(Sequence[TraceRecord]):
         packet = self.packets.get(i)
         if packet is None:
             packet = self.packets[i] = _row_packet(
-                self.keys[i], self.payloads[i], self.sizes[i], self.tcp_flags[i],
-                self.addr_cache,
+                self.keys[i], self.payloads[i], self.sizes[i], self.tcp_flags[i]
             )
         return packet
+
+    def to_packets(self) -> Iterator[Packet]:
+        """A new packet per row, in row order, cached nowhere: the trace
+        as a replay that owns its packets outright."""
+        return map(_row_packet, self.keys, self.payloads, self.sizes, self.tcp_flags)
 
     # ------------------------------------------------------------------ #
     # Read-only sequence of rows
@@ -318,7 +321,7 @@ class PacketColumns(Sequence[TraceRecord]):
         return NotImplemented
 
     def __reduce__(self):
-        # Columns only: the caches hold packets of one replay.
+        # Columns only: the packet cache belongs to one replay.
         return PacketColumns, self._columns()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -330,9 +333,10 @@ class PacketArrivalStream:
 
     ``columns`` is one replay's :meth:`PacketColumns.attachment`, kept
     by reference: its ``times`` must be non-decreasing, the only pass
-    over them is that check, and its ``packets`` cache fills as arrivals
-    reach the per-packet lane. ``deliver`` is the per-packet injection
-    callable the per-event loop would have scheduled (``farm.inject``);
+    over them is that check, and the per-packet lane takes each packet
+    it delivers out of its ``packets`` cache. ``deliver`` is the
+    per-packet injection callable the per-event loop would have
+    scheduled (``farm.inject``);
     ``deliver_span(columns, start, limit) -> consumed``, if given, is
     offered each run of arrivals first.
     """
@@ -488,13 +492,14 @@ class PacketArrivalStream:
     def _dispatch_slice(self, start: int, end: int) -> None:
         recorder = _obs.ACTIVE
         packets = self._packets
+        packet_at = self._columns.packet_at
         deliver = self._deliver
         for k in range(start, end):
-            packet = packets.get(k)
-            if packet is None:
-                # A packet the span lane never consumed is materialized
-                # here, at most once.
-                packet = self._columns.packet_at(k)
+            # Materialized at most once (the span lane may have built it
+            # to classify it), and delivered, the farm's: nothing reads
+            # the row's cache entry again.
+            packet = packets.get(k) or packet_at(k)
+            del packets[k]
             if recorder is None:
                 deliver(packet)
             else:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Sequence
+from typing import Any, Dict, Iterator, List
 
 from repro.net.addr import IPAddress, Prefix
+from repro.sim.batch import PacketColumns
 from repro.testing.scenario import Scenario
 from repro.testing.worlds import WorldObservation
-from repro.workloads.trace import TraceRecord
 
 __all__ = [
     "Oracle",
@@ -62,7 +62,7 @@ class Oracle:
         self,
         scenario: Scenario,
         observations: Dict[str, WorldObservation],
-        trace: Sequence[TraceRecord],
+        trace: PacketColumns,
     ) -> List[Violation]:
         raise NotImplementedError
 
@@ -127,7 +127,10 @@ class ContainmentSafetyOracle(Oracle):
 
     def check(self, scenario, observations, trace):
         violations = []
-        trace_pairs = {(str(r.src), str(r.dst)) for r in trace}
+        # Observed packets name addresses as dotted quads.
+        trace_pairs = {
+            (str(IPAddress(key[0])), str(IPAddress(key[2]))) for key in set(trace.keys)
+        }
         for obs in _farm_worlds(observations):
             if obs.containment == "open":
                 continue
@@ -407,7 +410,7 @@ class ResponderFidelityOracle(Oracle):
             return []
         violations = []
         prefix = Prefix.parse(scenario.prefix)
-        covered = sum(1 for r in trace if prefix.contains(IPAddress.parse(r.dst)))
+        covered = sum(1 for key in trace.keys if prefix.contains(IPAddress(key[2])))
         if responder.packets_seen != covered:
             violations.append(
                 self.violation(
@@ -565,7 +568,7 @@ class OracleRegistry:
         self,
         scenario: Scenario,
         observations: Dict[str, WorldObservation],
-        trace: Sequence[TraceRecord],
+        trace: PacketColumns,
     ) -> List[Violation]:
         violations: List[Violation] = []
         for oracle in self:

@@ -315,15 +315,14 @@ class Scenario:
             end = min(wave.start + wave.duration, self.duration)
             for source_index in range(wave.sources):
                 rng = seeds.stream(f"wave-{index}-source-{source_index}")
-                source = str(self._external_address(rng, inventory_prefix))
+                source = self._external_address(rng, inventory_prefix).value
                 src_port = 1024 + rng.randint(0, 60000)
                 t = wave.start
                 while t < end:
-                    dst = IPAddress(
-                        inventory_prefix.network.value
-                        + rng.randint(0, self.address_count - 1)
+                    dst = inventory_prefix.network.value + rng.randint(
+                        0, self.address_count - 1
                     )
-                    key = (source, src_port, str(dst), spec.port, spec.protocol)
+                    key = (source, src_port, dst, spec.port, spec.protocol)
                     for offset, payload, size in burst:
                         if t + offset < self.duration:
                             times.append(t + offset)

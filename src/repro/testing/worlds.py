@@ -32,7 +32,7 @@ from repro.faults.injectors import ChaosController
 from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
 from repro.obs import FlightRecorder, install, uninstall
 from repro.services.personality import default_registry
-from repro.sim.batch import PacketColumns, TraceRecord
+from repro.sim.batch import PacketColumns
 from repro.sim.rand import SeedSequence
 from repro.testing.scenario import Scenario
 from repro.workloads.trace import replay_into_farm
@@ -401,15 +401,15 @@ def _run_federation(
             lambda packet: escaped.append(_packet_key(packet))
         )
 
-    shard_records: List[List[TraceRecord]] = [[], []]
-    for record in trace:
-        dst = IPAddress.parse(record.dst)
+    shard_rows: List[List[int]] = [[], []]
+    for row, key in enumerate(trace.keys):
+        dst = IPAddress(key[2])
         for shard, half in enumerate(halves):
             if half.contains(dst):
-                shard_records[shard].append(record)
+                shard_rows[shard].append(row)
                 break
-    for shard, records in enumerate(shard_records):
-        federation.attach_shard_records(shard, records, batched=spec.batched)
+    for shard, rows in enumerate(shard_rows):
+        federation.attach_shard_records(shard, trace.take(rows), batched=spec.batched)
 
     end_time = scenario.duration + COOLDOWN_SECONDS
     federation.run(until=end_time)
@@ -454,8 +454,8 @@ def _run_responder(
         personality_for=lambda addr: config.personality_for_address(prefix, addr),
     )
     replies: List[PacketKey] = []
-    for record in trace:
-        for reply in responder.handle_packet(record.to_packet()):
+    for packet in trace.to_packets():
+        for reply in responder.handle_packet(packet):
             replies.append(_packet_key(reply))
     return WorldObservation(
         world=spec.name,

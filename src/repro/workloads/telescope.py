@@ -207,7 +207,7 @@ class TelescopeWorkload:
         return PortProfile(PROTO_TCP, rng.randint(1024, 65535), None)
 
     def _backscatter_session(
-        self, rng: RandomStream, start: float, source: str, duration: float,
+        self, rng: RandomStream, start: float, source: int, duration: float,
         columns: Tuple[array, list, list, list, list],
     ) -> None:
         """One DDoS victim's responses to spoofed sources that happened
@@ -227,7 +227,7 @@ class TelescopeWorkload:
         last = self.inventory.total_addresses - 1
         t = start
         for __ in range(replies):
-            dst = str(address_at(rng.randint(0, last)))
+            dst = address_at(rng.randint(0, last)).value
             dst_port = 1024 + rng.randint(0, 60000)
             if t < duration:
                 times.append(t)
@@ -238,7 +238,7 @@ class TelescopeWorkload:
             t += rng.exponential(PROBE_RATE_PER_SOURCE)
 
     def _scan_session(
-        self, rng: RandomStream, start: float, source: str, duration: float,
+        self, rng: RandomStream, start: float, source: int, duration: float,
         columns: Tuple[array, list, list, list, list],
     ) -> None:
         """One scanner's session: a heavy-tailed number of probed
@@ -275,7 +275,7 @@ class TelescopeWorkload:
         t = start
         for i in range(probes):
             index = (cursor + i) % total if sweep else rng.randint(0, total - 1)
-            key = (source, src_port, str(address_at(index)), port, protocol)
+            key = (source, src_port, address_at(index).value, port, protocol)
             for offset, packet_payload in burst:
                 when = t + offset
                 if when < duration:
@@ -290,8 +290,9 @@ class TelescopeWorkload:
         """Every arrival of the sessions starting inside ``[0, duration)``
         as a trace sorted by time. Sessions may run past ``duration``;
         arrivals beyond it are trimmed so the trace covers exactly the
-        window. Rows go straight into the trace's columns: one address
-        string per source, no per-packet object."""
+        window. Rows go straight into the trace's columns as address
+        values, one key tuple per destination burst, no per-packet
+        object."""
         if duration <= 0:
             raise ValueError(f"duration must be positive: {duration!r}")
         arrivals = self._seeds.stream("arrivals")
@@ -305,7 +306,7 @@ class TelescopeWorkload:
             if t >= duration:
                 break
             session_rng = self._seeds.stream(f"session-{source_index}")
-            source = str(self._random_external_source(session_rng))
+            source = self._random_external_source(session_rng).value
             if session_rng.bernoulli(self.config.backscatter_fraction):
                 self._backscatter_session(session_rng, t, source, duration, columns)
             else:

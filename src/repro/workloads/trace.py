@@ -2,19 +2,23 @@
 
 A trace is the interchange format between workload generation, analysis,
 and the farm: a time-ordered sequence of packet arrivals. In memory it is
-always a columnar :class:`~repro.sim.batch.PacketColumns` (generators
-build one, :meth:`TraceReader.read_all` returns one, hand-built lists of
+always a columnar :class:`~repro.sim.batch.PacketColumns` whose keys
+carry addresses as 32-bit values (generators build one,
+:meth:`TraceReader.read_all` returns one, hand-built lists of
 :class:`~repro.sim.batch.TraceRecord` rows become one through
-``PacketColumns.from_records``); on disk it is JSONL, one row per line,
-so an experiment's input is inspectable and re-runnable bit-for-bit.
-:func:`replay_into_farm` puts a trace's packets onto a farm's event clock.
+``PacketColumns.from_records``); on disk it is JSONL, one row per line
+with dotted-quad addresses, so an experiment's input is inspectable and
+re-runnable bit-for-bit. :class:`TraceWriter` formats the values and
+:class:`TraceReader` parses them back, each line inside its own error
+report. :func:`replay_into_farm` puts a trace's packets onto a farm's
+event clock.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Dict, Iterable, Iterator, Optional, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
 from repro.core.honeyfarm import Honeyfarm
 from repro.net.addr import IPAddress
@@ -33,7 +37,8 @@ def _json_line(
     declaration order."""
     src, src_port, dst, dst_port, protocol = key
     return _encode({
-        "time": time, "src": src, "dst": dst, "protocol": protocol,
+        "time": time, "src": str(IPAddress(src)), "dst": str(IPAddress(dst)),
+        "protocol": protocol,
         "src_port": src_port, "dst_port": dst_port, "payload": payload,
         "size": size, "tcp_flags": tcp_flags,
     }) + "\n"
@@ -89,12 +94,13 @@ class TraceReader:
                 if not line:
                     continue
                 try:
-                    data = json.loads(line)
-                    yield TraceRecord(**data)
-                except (json.JSONDecodeError, TypeError) as exc:
+                    record = TraceRecord(**json.loads(line))
+                    record.key  # parses (and keeps) the addresses
+                except (ValueError, TypeError, AttributeError) as exc:
                     raise ValueError(
                         f"{self.path}:{line_no}: malformed trace record"
                     ) from exc
+                yield record
 
     def read_all(self) -> PacketColumns:
         return PacketColumns.from_records(self)
@@ -121,15 +127,10 @@ def replay_into_farm(
     Arrivals must not be earlier than the farm's current simulated time
     after the offset is applied.
     """
+    trace = PacketColumns.from_records(records)
     if batched:
-        trace = PacketColumns.from_records(records)
         farm.attach_arrival_columns(trace, time_offset)
-        return len(trace)
-    addr_cache: Dict[str, IPAddress] = {}
-    count = 0
-    for record in records:
-        farm.sim.schedule_at(
-            record.time + time_offset, farm.inject, record.to_packet(addr_cache)
-        )
-        count += 1
-    return count
+    else:
+        for t, packet in zip(trace.times, trace.to_packets()):
+            farm.sim.schedule_at(t + time_offset, farm.inject, packet)
+    return len(trace)

@@ -30,12 +30,11 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.core.honeyfarm import Honeyfarm
 from repro.net.addr import IPAddress
-from repro.net.packet import PROTO_TCP, PROTO_UDP
+from repro.net.packet import PROTO_TCP, PROTO_UDP, Packet, TcpFlags
 from repro.services.guest import ScanBehavior
 from repro.sim.metrics import TimeSeries
 from repro.sim.process import Sleep, spawn
 from repro.sim.rand import RandomStream
-from repro.workloads.trace import TraceRecord
 
 __all__ = ["WormSpec", "KNOWN_WORMS", "OutbreakConfig", "InternetOutbreak"]
 
@@ -270,21 +269,18 @@ class InternetOutbreak:
                 self.scans_delivered += 1
             yield Sleep(self.config.tick_seconds)
 
-    def _scan_packet(self):
+    def _scan_packet(self) -> Packet:
         total = self.farm.inventory.total_addresses
         dst = self.farm.inventory.address_at_flat_index(self.rng.randint(0, total - 1))
         src = IPAddress(self.rng.randint(0x01000000, 0xDFFFFFFF))
-        record = TraceRecord(
-            time=0.0,
-            src=str(src),
-            dst=str(dst),
-            protocol=self.worm.protocol,
-            src_port=1024 + self.rng.randint(0, 60000),
-            dst_port=self.worm.port,
-            payload=self.worm.exploit_tag,
-            size=self.worm.payload_size,
+        worm = self.worm
+        flags = TcpFlags.NONE
+        if worm.protocol == PROTO_TCP:  # a data segment, or a bare SYN
+            flags = TcpFlags.PSH | TcpFlags.ACK if worm.exploit_tag else TcpFlags.SYN
+        return Packet(
+            src, dst, worm.protocol, 1024 + self.rng.randint(0, 60000), worm.port,
+            flags, 0, worm.exploit_tag, worm.payload_size,
         )
-        return record.to_packet()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

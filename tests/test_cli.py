@@ -48,14 +48,18 @@ class TestConcurrency:
         assert "peak VMs" in out
 
     def test_sweep_over_trace_file(self, tmp_path, capsys):
+        """A JSONL round trip changes nothing the analysis sees: the table
+        read back from the file is the generator's own for that seed."""
         out_path = tmp_path / "trace.jsonl"
-        main(["telescope", "--duration", "30", "--prefix", "10.16.0.0/18",
-              "--output", str(out_path)])
+        trace = ["--duration", "30", "--prefix", "10.16.0.0/18", "--seed", "9"]
+        timeouts = ["--timeout", "5", "--timeout", "60"]
+        main(["telescope", *trace, "--output", str(out_path)])
         capsys.readouterr()
-        assert main(["concurrency", "--trace", str(out_path),
-                     "--timeout", "5", "--timeout", "60"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("\n") >= 5  # title + header + rule + 2 rows
+        assert main(["concurrency", "--trace", str(out_path), *timeouts]) == 0
+        from_file = capsys.readouterr().out
+        assert from_file.count("\n") >= 5  # title + header + rule + 2 rows
+        assert main(["concurrency", *trace, *timeouts]) == 0
+        assert capsys.readouterr().out == from_file
 
     def test_custom_timeouts_respected(self, capsys):
         main(["concurrency", "--duration", "10", "--prefix", "10.16.0.0/20",

@@ -28,7 +28,6 @@ from repro.core.honeyfarm import Honeyfarm
 from repro.net.addr import IPAddress
 from repro.net.packet import tcp_packet
 from repro.sim.rand import RandomStream, SeedSequence
-from repro.workloads.trace import replay_into_farm
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
@@ -91,11 +90,15 @@ def test_census_equals_live_state_mid_run_and_zero_after_drain(name):
     before = perf_harness.heap_census()
     run = perf_harness.e2e_workloads.prepare(name, perf_harness.HEAP_SEED, "smoke")
     farm = run.farm
-    replay_into_farm(farm, run.trace, batched=True)
+    stream = farm.attach_arrival_columns(run.trace)
+    # Materialized and not yet delivered: with no span lane (ladder
+    # off), nothing between two drains.
+    undelivered = stream._columns.packets
 
     farm.run(until=run.scenario.duration * 0.5)
     assert farm.live_vms > 0 and len(farm.gateway.flows) > 0
     _assert_census_is_the_live_state(farm, before)
+    assert farm.ladder is not None or not undelivered
 
     farm.run(until=run.scenario.duration + perf_harness.e2e_workloads.COOLDOWN_SECONDS)
     clones = farm.clone_engine.completed
@@ -110,6 +113,8 @@ def test_census_equals_live_state_mid_run_and_zero_after_drain(name):
     lane = farm.gateway._span_lane
     assert (lane is not None) == (name == "mixed_storm")
     assert lane is None or len(lane.cache) == 0
+    assert stream.remaining == 0
+    assert farm.ladder is not None or not undelivered
 
 
 # ---------------------------------------------------------------------- #

@@ -233,7 +233,7 @@ def test_interrupted_storm_keeps_other_addresses_cached():
             return consumed
 
         def counting_inbound(packet):
-            if depth[0] == 0 and str(packet.dst) in span_served:
+            if depth[0] == 0 and packet.dst.value in span_served:
                 slow_to_cached[0] += 1
             depth[0] += 1
             try:

@@ -23,7 +23,7 @@ import pytest
 from repro.core.config import HoneyfarmConfig
 from repro.core.honeyfarm import Honeyfarm
 from repro.core.parallel import ParallelFederation
-from repro.net.addr import Prefix
+from repro.net.addr import IPAddress, Prefix
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.sim import batch
 from repro.sim.batch import PacketColumns, TraceRecord
@@ -135,9 +135,40 @@ def test_two_farms_never_share_a_packet(monkeypatch, second_batched):
     assert first and len(second) == len(alone)
     assert not {id(p) for p in first} & {id(p) for p in second}
     assert not {p.packet_id for p in first} & {p.packet_id for p in second}
-    # The trace's own caches were never the replays'.
-    assert not trace.packets and not trace.addr_cache
+    # The trace's own cache was never the replays'.
+    assert not trace.packets
     assert trace == SCENARIO.build_trace()
+
+
+def test_generated_traces_carry_address_values():
+    partitioned = FederationScenario(
+        seed=7, shards=2, shard_bits=26, duration=4.0, telescope_rate=2048.0,
+        probes_max=50, max_packets_per_shard=120, name="partitioned",
+    ).telescope().build_all()
+    for trace in (_mixed_trace(), SCENARIO._wave_records(), SCENARIO.build_trace(),
+                  *partitioned):
+        assert len(trace) and all(type(field) is int for key in trace.keys for field in key)
+
+
+@pytest.mark.parametrize(
+    "ladder, batched",
+    [(True, True), (False, True), (True, False)],
+    ids=["span-lane", "per-packet-lane", "per-event"],
+)
+def test_a_replay_parses_no_address(monkeypatch, ladder, batched):
+    """Rows reach the farm as address values: nothing on the replay
+    path reads a dotted quad."""
+    trace = SCENARIO.build_trace()
+    farm = Honeyfarm(SCENARIO.farm_config(ladder=ladder))
+
+    def parse(cls, text):
+        raise AssertionError(f"parsed {text!r} during a replay")
+
+    monkeypatch.setattr(IPAddress, "parse", classmethod(parse))
+    replay_into_farm(farm, trace, batched=batched)
+    farm.run(until=SCENARIO.duration + 5.0)
+    assert farm.metrics.counters()["gateway.packets_in"] >= len(trace)
+    assert (farm.gateway.span_resolves > 0) == (ladder and batched)
 
 
 def test_attachment_shares_columns_and_owns_its_caches():
@@ -147,7 +178,6 @@ def test_attachment_shares_columns_and_owns_its_caches():
         assert attached.keys is trace.keys and attached.payloads is trace.payloads
         assert attached.sizes is trace.sizes and attached.tcp_flags is trace.tcp_flags
         assert attached.packets is not trace.packets
-        assert attached.addr_cache is not trace.addr_cache
     assert plain.times is trace.times
     assert list(shifted.times) == [t + 100.0 for t in trace.times]
     packet = plain.packet_at(3)
@@ -203,13 +233,21 @@ def test_out_of_order_trace_names_the_first_offending_item(small_farm):
         replay_into_farm(small_farm, rows, batched=True)
 
 
-def test_malformed_address_raises_the_per_packet_lanes_parse_error():
+def test_malformed_address_fails_before_any_packet_moves():
+    """A hand-built row's addresses are parsed where it becomes columns,
+    so a bad one fails the replay call itself, on either lane, not a
+    packet mid-run."""
     farm = Honeyfarm(HoneyfarmConfig(
         prefixes=("10.16.0.0/24",), ladder=True,
     ))
-    replay_into_farm(farm, [_syn(1.0, dst="10.16.0.999")], batched=True)
-    with pytest.raises(ValueError, match="10.16.0.999"):
-        farm.run(until=2.0)
+    rows = [_syn(1.0), _syn(1.5, dst="10.16.0.999")]
+    for batched in (True, False):
+        with pytest.raises(ValueError, match="10.16.0.999"):
+            replay_into_farm(farm, rows, batched=batched)
+    with pytest.raises(AttributeError):
+        PacketColumns.from_records([_syn(1.0, src=None)])
+    farm.run(until=2.0)
+    assert "gateway.packets_in" not in farm.metrics.counters()
 
 
 def test_port_range_is_checked_when_the_packet_is_materialized():
@@ -260,7 +298,10 @@ class TestSequenceOfRows:
         trace = _mixed_trace()
         i = next(i for i, flags in enumerate(trace.tcp_flags) if flags)
         row = trace[i]
-        assert (row.src, row.src_port, row.dst, row.dst_port, row.protocol) == trace.keys[i]
+        src, src_port, dst, dst_port, protocol = trace.keys[i]
+        assert (row.src, row.dst) == (str(IPAddress(src)), str(IPAddress(dst)))
+        assert (row.src_port, row.dst_port, row.protocol) == (src_port, dst_port, protocol)
+        assert row.key == trace.keys[i]
         assert (row.time, row.payload, row.size, row.tcp_flags) == (
             trace.times[i], trace.payloads[i], trace.sizes[i], trace.tcp_flags[i],
         )
@@ -283,9 +324,12 @@ class TestSequenceOfRows:
         attached.packet_at(0)
         clone = pickle.loads(pickle.dumps(attached))
         assert clone == attached
-        assert not clone.packets and not clone.addr_cache
-        # Sources stay one string per source across the pipe.
-        assert len({id(key[0]) for key in clone.keys}) == len({key[0] for key in clone.keys})
+        assert not clone.packets
+        # A burst's packets share one key tuple, across the pipe too
+        # (pickle memoises tuples; an int is never shared that way).
+        shared = len({id(key) for key in attached.keys})
+        assert shared < len(attached.keys)
+        assert len({id(key) for key in clone.keys}) == shared
 
 
 def test_spawned_workers_replay_pickled_traces_like_forked_ones():

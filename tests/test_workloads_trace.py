@@ -74,6 +74,18 @@ class TestPersistence:
         with pytest.raises(ValueError):
             TraceReader(path).read_all()
 
+    @pytest.mark.parametrize("dst", ['"10.16.0.999"', '"10.16.0"', "167772161", "null"])
+    def test_reader_rejects_an_unparseable_address(self, tmp_path, dst):
+        path = tmp_path / "bad.jsonl"
+        with TraceWriter(path) as writer:
+            writer.write(record())
+        line = path.read_text().replace('"10.16.0.1"', dst)
+        path.write_text(path.read_text() + line)
+        with pytest.raises(ValueError, match=rf"{path}:2: malformed trace record"):
+            TraceReader(path).read_all()
+        with pytest.raises(ValueError, match=rf"{path}:2: malformed trace record"):
+            list(TraceReader(path))
+
 
 class TestReplay:
     def test_replay_schedules_all_records(self, small_farm):

@@ -1,5 +1,6 @@
 """Unit tests for worm specs and the Internet outbreak model."""
 
+import dataclasses
 import math
 
 import pytest
@@ -8,6 +9,8 @@ from repro.core.config import HoneyfarmConfig
 from repro.core.honeyfarm import Honeyfarm
 from repro.net.addr import IPAddress
 from repro.net.packet import PROTO_TCP, PROTO_UDP
+from repro.sim.rand import RandomStream
+from repro.workloads.trace import TraceRecord
 from repro.workloads.worms import (
     KNOWN_WORMS,
     InternetOutbreak,
@@ -163,3 +166,34 @@ class TestOutbreakDriving:
         series = outbreak.prevalence_series
         assert len(series) >= 29
         assert series.values[-1] >= series.values[0]
+
+    @pytest.mark.parametrize(
+        "worm",
+        [
+            KNOWN_WORMS["codered"],
+            KNOWN_WORMS["slammer"],
+            dataclasses.replace(KNOWN_WORMS["sasser"], exploit_tag=""),
+        ],
+        ids=["tcp-exploit", "udp", "tcp-bare"],
+    )
+    def test_scan_packets_are_the_rows_they_replaced(self, small_farm, worm):
+        """A scan draws its destination, its source, then its source
+        port, and carries the flags a trace row of the same fields
+        infers (data segment, datagram, bare SYN)."""
+        outbreak = InternetOutbreak(small_farm, worm)
+        draws = RandomStream(outbreak.config.seed, name=f"outbreak-{worm.name}")
+        inventory = small_farm.inventory
+        for __ in range(20):
+            dst = inventory.address_at_flat_index(
+                draws.randint(0, inventory.total_addresses - 1)
+            )
+            src = IPAddress(draws.randint(0x01000000, 0xDFFFFFFF))
+            row = TraceRecord(
+                0.0, str(src), str(dst), worm.protocol,
+                1024 + draws.randint(0, 60000), worm.port, worm.exploit_tag,
+                worm.payload_size,
+            )
+            packet = outbreak._scan_packet()
+            assert packet == dataclasses.replace(
+                row.to_packet(), packet_id=packet.packet_id
+            )
