@@ -14,9 +14,10 @@ JSON report and a ``failures(doc) -> list[str]`` that is its gate:
   ``tracemalloc``, bytes per live VM / per live flow at the busiest
   simulated second and the allocation sites holding the most there,
   bytes still held once the farm has drained. **Fails** if a
-  ``VirtualMachine`` outlives the drain, or the drained farm's flow
-  table still holds a live row or any column capacity: host memory
-  follows the live farm.
+  ``VirtualMachine`` outlives the drain, the drained farm's flow table
+  still holds a live row or any column capacity, or the trace's
+  attachment still caches a materialized packet: host memory follows
+  the live farm.
 * ``sweeps`` — the two grid-shaped experiments: F-CONC (exact
   concurrency-vs-idle-timeout curves from one telescope trace) and
   A-ABL2 (one farm run per memory-pressure threshold on a small host).
@@ -282,10 +283,10 @@ def top_sites(snapshot: tracemalloc.Snapshot) -> List[Doc]:
 
 
 def _storm(name: str, size: str):
-    """``name``'s e2e storm, set up with its trace attached."""
+    """``name``'s e2e storm, set up with its trace attached, and the
+    arrival stream the trace is attached as."""
     run = e2e_workloads.prepare(name, HEAP_SEED, size)
-    replay_into_farm(run.farm, run.trace, batched=True)
-    return run
+    return run, run.farm.attach_arrival_columns(run.trace)
 
 
 def _seconds(run) -> Iterator[Doc]:
@@ -331,11 +332,11 @@ def heap_profile(name: str, size: str, per: str, quotient: str) -> Doc:
     are the whole process's at that sample (a snapshot per sample would
     cost more than the storm, so a plain run finds the sample first)."""
     # The first second at which ``per`` peaks, as the traced run finds it.
-    snapshot_at = max(_seconds(_storm(name, size)), key=lambda s: s[per])["sim_time"]
+    snapshot_at = max(_seconds(_storm(name, size)[0]), key=lambda s: s[per])["sim_time"]
     sites: List[Doc] = []
     tracemalloc.start()
     try:
-        run = _storm(name, size)
+        run, stream = _storm(name, size)
         farm = run.farm
         gc.collect()
         base = tracemalloc.get_traced_memory()[0]
@@ -364,6 +365,8 @@ def heap_profile(name: str, size: str, per: str, quotient: str) -> Doc:
         "top_sites_at_busiest": sites,
         "bytes_held_after_drain": held,
         "span_cache_entries_after_drain": 0 if lane is None else len(lane.cache),
+        # Materialized and never taken out: nothing is left to deliver.
+        "packets_cached_after_drain": len(stream._columns.packets),
         "retained_after_drain": retained,
         "flow_table_after_drain": table,
     }
@@ -393,6 +396,9 @@ def heap_failures(doc: Doc) -> List[str]:
                 f"{name}: flow table holds {table['live_rows']} live rows and"
                 f" {table['column_bytes']} column bytes after drain"
             )
+        cached = storm["packets_cached_after_drain"]
+        if cached:
+            failures.append(f"{name}: {cached} packets still cached after drain")
     return failures
 
 

@@ -63,7 +63,7 @@ class StatelessResponder:
     def handle_packet(self, packet: Packet) -> List[Packet]:
         """Reply to one probe; mirrors the guest's synchronous behaviour
         minus infection and memory effects."""
-        if not self.inventory.covers(packet.dst):
+        if not self.inventory.covers(packet.dst.value):
             return []
         self.packets_seen += 1
         if packet.payload.startswith(EXPLOIT_PREFIX):

@@ -55,13 +55,14 @@ __all__ = [
 ]
 
 
-def honeypot_initiated(initiator: int, created: bool, source: IPAddress) -> bool:
-    """Whether a packet the honeypot at ``source`` emits on a flow opened
-    by the address value ``initiator`` (its ``FlowTable.initiator``
-    column) faces the containment policy, or is a reply that always goes
-    out. ``created`` says the emission itself opened the flow. It is not
-    implied by the initiator test: a guest may forge its source."""
-    return created or initiator == source.value
+def honeypot_initiated(initiator: int, created: bool, source: int) -> bool:
+    """Whether a packet the honeypot at address value ``source`` emits on
+    a flow opened by the address value ``initiator`` (its
+    ``FlowTable.initiator`` column) faces the containment policy, or is a
+    reply that always goes out. ``created`` says the emission itself
+    opened the flow. It is not implied by the initiator test: a guest may
+    forge its source."""
+    return created or initiator == source
 
 
 class ContainmentAction(enum.Enum):

@@ -279,7 +279,7 @@ class Gateway:
             if _obs.ACTIVE is not None:
                 self._trace_dispatch("ttl_expired", packet)
             return
-        if not self.inventory.covers(packet.dst):
+        if not self.inventory.covers(packet.dst.value):
             self._c_stray.increment()
             if _obs.ACTIVE is not None:
                 self._trace_dispatch("stray", packet)
@@ -601,7 +601,9 @@ class Gateway:
             return
 
         record, created = self.flows.observe(packet, self.sim.now)
-        if not honeypot_initiated(self.flows.initiator[record.row], created, vm.ip):
+        if not honeypot_initiated(
+            self.flows.initiator[record.row], created, vm.ip.value
+        ):
             self._emit_reply(vm, packet)
             return
 
@@ -615,7 +617,7 @@ class Gateway:
             )
         if verdict.action is ContainmentAction.ALLOW:
             self._c_out_allowed.increment()
-            if self.inventory.covers(packet.dst):
+            if self.inventory.covers(packet.dst.value):
                 self.process_inbound(packet.decremented_ttl())
             elif not self._route_intershard(packet, reply=False):
                 self._c_initiated_external.increment()
@@ -659,7 +661,7 @@ class Gateway:
     def _route_reply(self, packet: Packet) -> None:
         """Route an allowed reply (a VM's or the emulator tier's) by its
         destination: internal stand-in, sibling shard, or the Internet."""
-        if self.inventory.covers(packet.dst):
+        if self.inventory.covers(packet.dst.value):
             translated = self.nat.translate_reply_source(packet)
             self.process_inbound(translated.decremented_ttl())
         elif not self._route_intershard(packet, reply=True):
@@ -685,7 +687,9 @@ class Gateway:
         from ``gateway.outbound.reply_allowed``."""
         self._c_emulated_replies.increment()
         record, created = self.flows.observe(packet, self.sim.now)
-        if honeypot_initiated(self.flows.initiator[record.row], created, packet.src):
+        if honeypot_initiated(
+            self.flows.initiator[record.row], created, packet.src.value
+        ):
             verdict = self.policy.decide(
                 _EmulatedSource(packet.src), packet, self.sim.now
             )

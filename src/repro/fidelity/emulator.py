@@ -113,11 +113,13 @@ class EmulatedSession:
         return state, False
 
     def buffered_packets(self) -> List[Packet]:
-        """The handoff buffer with every row index materialized."""
+        """The handoff buffer with every row index materialized, for a
+        caller that hands the packets on (a promotion, :meth:`index_into`):
+        each is taken out of the attachment's packet cache."""
         held = iter(self.held or ())
         columns = self.columns
         return [
-            next(held) if row < 0 else columns.packet_at(row)
+            next(held) if row < 0 else columns.take_packet(row)
             for row in self.buffered
         ]
 

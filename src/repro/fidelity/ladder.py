@@ -8,6 +8,13 @@ and the ladder either absorbs the packet into an emulated session
 case the gateway falls through to its normal flash-clone dispatch with
 the triggering packet queued for the new VM.
 
+Sessions and pending handoffs are keyed by the address *value* (an
+:class:`~repro.net.addr.IPAddress`'s ``.value``): the span lane resolves
+from a trace row's ints, and keys on them without building an address
+object per flow. The hooks the gateway calls with a VM's address
+(``vm_bound``, ``take_handoff``, ``vm_retired``) take the ``IPAddress``
+and key on its value.
+
 Accounting contract (see ``docs/FIDELITY.md``): packets absorbed by the
 emulator are counted under ``gateway.emulated`` — a first-class bucket
 of the packet-conservation ledger — and handoff replays of those same
@@ -77,8 +84,9 @@ class FidelityLadder:
             and not config.deception.enabled
         ):
             self._sole_personality = registry.get(config.personality_for(prefixes[0]))
-        self.sessions: Dict[IPAddress, EmulatedSession] = {}
-        self.handoffs: Dict[IPAddress, HandoffRecord] = {}
+        #: Live sessions and pending handoffs, by address value.
+        self.sessions: Dict[int, EmulatedSession] = {}
+        self.handoffs: Dict[int, HandoffRecord] = {}
         # Provable lower bound on min(session.last_seen) over live
         # sessions: lets sweep() skip its full scan whenever nothing can
         # possibly have expired. Sound because last_seen only increases
@@ -105,7 +113,7 @@ class FidelityLadder:
 
     def consider(self, packet: Packet, now: float) -> LadderVerdict:
         """Absorb ``packet`` into the emulator tier, or promote its flow."""
-        session = self.session_at(packet.dst, now)
+        session = self.session_at(packet.dst.value, now)
         state, flow_created = session.note(packet, now)
         if flow_created:
             self._c_flows_seen.increment()
@@ -119,21 +127,26 @@ class FidelityLadder:
         self._buffer(session, packet)
         return LadderVerdict(promoted=False, replies=replies)
 
-    def personality_at(self, ip: IPAddress) -> Personality:
-        """The personality the cold address ``ip`` answers as."""
+    def personality_at(self, value: int) -> Personality:
+        """The personality the cold address of value ``value`` answers
+        as. Only the per-address draw (several prefixes, a personality
+        mix, deception) builds an :class:`IPAddress` for it."""
         personality = self._sole_personality
         if personality is None:
+            ip = IPAddress(value)
             personality = self.registry.get(
                 self.config.personality_for_address(self.inventory.lookup(ip), ip)
             )
         return personality
 
-    def session_at(self, ip: IPAddress, now: float) -> EmulatedSession:
-        """The emulated session serving ``ip``, opened at ``now`` if the
-        address has none."""
-        session = self.sessions.get(ip)
+    def session_at(self, value: int, now: float) -> EmulatedSession:
+        """The emulated session serving the address of value ``value``,
+        opened at ``now`` if the address has none."""
+        session = self.sessions.get(value)
         if session is None:
-            session = self.sessions[ip] = EmulatedSession(self.personality_at(ip), now)
+            session = self.sessions[value] = EmulatedSession(
+                self.personality_at(value), now
+            )
             self._c_sessions_started.increment()
             if now < self._session_floor:
                 self._session_floor = now
@@ -147,23 +160,25 @@ class FidelityLadder:
             self._c_buffer_dropped.increment()
         session.hold(packet)
 
-    def _retire(self, ip: IPAddress) -> None:
-        """Drop ``ip``'s session; whatever was cached against it (the
-        span lane's entries) is stale from here on."""
-        self.sessions.pop(ip).cache_gen += 1
+    def _retire(self, value: int) -> None:
+        """Drop the session of the address of value ``value``; whatever
+        was cached against it (the span lane's entries) is stale from
+        here on."""
+        self.sessions.pop(value).cache_gen += 1
 
     def vm_bound(self, ip: IPAddress) -> None:
         """The gateway bound a VM over ``ip``. If the emulator tier was
         serving the address (a respawn after a host crash), the session
         stays but every span entry resolved against it is stale."""
-        session = self.sessions.get(ip)
+        session = self.sessions.get(ip.value)
         if session is not None:
             session.cache_gen += 1
 
     def _promote(
         self, ip: IPAddress, session: EmulatedSession, trigger: str, now: float
     ) -> None:
-        stale = self.handoffs.pop(ip, None)
+        value = ip.value
+        stale = self.handoffs.pop(value, None)
         if stale is not None:
             # A previous promotion for this address never met a running
             # VM (clone refused or still unbound); its state is stale.
@@ -180,8 +195,8 @@ class FidelityLadder:
             banner=session.banner,
             buffer_dropped=session.buffer_dropped,
         )
-        self.handoffs[ip] = handoff
-        self._retire(ip)
+        self.handoffs[value] = handoff
+        self._retire(value)
         self._c_promotions.increment()
         self._c_promotions_by_trigger[trigger].increment()
         if _obs.ACTIVE is not None:
@@ -197,7 +212,7 @@ class FidelityLadder:
 
     def take_handoff(self, ip: IPAddress) -> Optional[HandoffRecord]:
         """Claim the pending handoff for ``ip`` (the VM is ready)."""
-        return self.handoffs.pop(ip, None)
+        return self.handoffs.pop(ip.value, None)
 
     def handoff_complete(
         self, handoff: HandoffRecord, replayed: int, vm_id: int, now: float
@@ -219,7 +234,7 @@ class FidelityLadder:
 
         Any handoff still waiting for that VM is abandoned (the chaos
         layer can fail a clone between promotion and readiness)."""
-        abandoned = self.handoffs.pop(ip, None)
+        abandoned = self.handoffs.pop(ip.value, None)
         if abandoned is not None:
             self._c_handoffs_abandoned.increment()
         self._c_demotions.increment()
@@ -246,15 +261,15 @@ class FidelityLadder:
             return 0
         expired = []
         floor = float("inf")
-        for ip, session in self.sessions.items():
+        for value, session in self.sessions.items():
             last_seen = session.last_seen
             if now - last_seen > timeout:
-                expired.append(ip)
+                expired.append(value)
             elif last_seen < floor:
                 floor = last_seen
         self._session_floor = floor
-        for ip in expired:
-            self._retire(ip)
+        for value in expired:
+            self._retire(value)
         if expired:
             self._c_sessions_expired.increment(len(expired))
         return len(expired)

@@ -26,6 +26,13 @@ buffer (what ``FlowTable.observe_keyed``, ``EmulatedSession.emulate`` and
 ``tests/test_span_lane_parity.py`` holds it to the per-event loop,
 observable by observable.
 
+Addresses stay the arrival key's 32-bit values throughout: inventory
+membership, the ladder's sessions, the flow key and the containment rule
+all take values, so a resolve builds no
+:class:`~repro.net.addr.IPAddress`. It builds one only to ask
+``IPAddress``-keyed state: a federation's ``is_remote``, and ``vm_map``
+when any VM is bound.
+
 Correctness rests on three invariants:
 
 * nothing here schedules events or reads ``sim.now``, so the caller's
@@ -337,20 +344,18 @@ class SpanLane:
         final bail-out, so the per-packet lane's ``created`` flag (its
         overflow rollback) is the per-event one."""
         gateway = self.gateway
-        src_value, src_port, dst_value, dst_port, protocol = key
-        src = IPAddress(src_value)
-        dst = IPAddress(dst_value)
+        src, src_port, dst, dst_port, protocol = key
         covers = gateway.inventory.covers
         if not covers(dst) or covers(src):
             return None  # stray, or an internal source whose reply re-enters
         port = gateway.intershard
-        if port is not None and port.is_remote(src):
+        if port is not None and port.is_remote(IPAddress(src)):
             # A sibling shard's address probing this darknet: its replies
             # must ride the federation message layer, never the span
             # lane's counter-only absorption.
             return None
         vm_map = gateway.vm_map
-        if vm_map and dst in vm_map:
+        if vm_map and IPAddress(dst) in vm_map:
             return None  # VM-backed address: clone/deliver path
 
         ladder = self.ladder
@@ -367,14 +372,17 @@ class SpanLane:
             columns.tcp_flags[i],
         )
         cls = self.classes.get(class_key)
-        if cls is None:
+        sampled = cls is None
+        if sampled:
+            # The sample stays cached for the per-packet lane in case
+            # this packet goes there.
             cls = self.classes[class_key] = self._classify(
                 columns.packet_at(i), personality
             )
         kind = cls[0]
         if kind < 0:
             return None
-        flow = flow_key(src_value, src_port, dst_value, dst_port, protocol)
+        flow = flow_key(src, src_port, dst, dst_port, protocol)
         state, flow_created = session.flow_state(flow)
         if flow_created:
             ladder._c_flows_seen.increment()
@@ -405,13 +413,17 @@ class SpanLane:
                 flows.initiator[icmp_row], False, dst
             ):
                 return None  # externally-initiated ICMP flow: reply routes out
+        if sampled:
+            # The span lane consumes this row: the sample _classify read
+            # is nobody's to deliver.
+            del columns.packets[i]
         if row is None:
-            row = flows.create(flow, src_value, t)
+            row = flows.create(flow, src, t)
         serial = flows.serial
         if kind != _UNREACHABLE:
             return (cls, row, serial[row], session, session.cache_gen)
         if icmp_row is None:
-            icmp_row = flows.create(icmp_key, dst_value, t)
+            icmp_row = flows.create(icmp_key, dst, t)
         return (
             cls, row, serial[row], session, session.cache_gen,
             icmp_row, serial[icmp_row],

@@ -251,9 +251,12 @@ class AddressSpaceInventory:
             return self._sorted_prefixes[i]
         return None
 
-    def covers(self, addr: IPAddress) -> bool:
-        i = bisect.bisect_right(self._starts, addr.value) - 1
-        return i >= 0 and addr.value <= self._ends[i]
+    def covers(self, value: int) -> bool:
+        """Whether the address ``value`` (an :class:`IPAddress`'s
+        ``.value``) is in a registered prefix: callers on the per-flow
+        path hold values, and this builds no address object for them."""
+        i = bisect.bisect_right(self._starts, value) - 1
+        return i >= 0 and value <= self._ends[i]
 
     def flat_index(self, addr: IPAddress) -> int:
         """A dense 0-based index over all registered addresses, in

@@ -186,8 +186,10 @@ class PacketColumns(Sequence[TraceRecord]):
     only when a packet leaves the span lane (slow-path dispatch,
     promotion-buffer replay, the per-packet lane), at most once; the
     ``packets`` cache is a dict holding the packets materialized and not
-    yet delivered (the per-packet lane takes each one out as it hands
-    it over).
+    yet delivered. Whoever delivers a row's packet takes it out through
+    :meth:`take_packet` (the per-packet lane as it hands it over, a
+    promotion as it hands over its buffer), and the span lane drops the
+    sample it classified a row by when it consumes that row.
 
     The columns are immutable and may be shared; the cache is not.
     ``Packet`` is mutable and its ``packet_id`` is drawn from a
@@ -283,6 +285,16 @@ class PacketColumns(Sequence[TraceRecord]):
             )
         return packet
 
+    def take_packet(self, i: int) -> Packet:
+        """The packet for row ``i``, taken out of the cache: the one
+        already materialized, else a new one. For a consumer that
+        delivers it, after which nothing reads the row's entry again."""
+        packet = self.packets.pop(i, None)
+        if packet is None:
+            packet = self.packet_at(i)
+            del self.packets[i]
+        return packet
+
     def to_packets(self) -> Iterator[Packet]:
         """A new packet per row, in row order, cached nowhere: the trace
         as a replay that owns its packets outright."""
@@ -334,7 +346,8 @@ class PacketArrivalStream:
     ``columns`` is one replay's :meth:`PacketColumns.attachment`, kept
     by reference: its ``times`` must be non-decreasing, the only pass
     over them is that check, and the per-packet lane takes each packet
-    it delivers out of its ``packets`` cache. ``deliver`` is the
+    it delivers out of its ``packets`` cache
+    (:meth:`PacketColumns.take_packet`). ``deliver`` is the
     per-packet injection callable the per-event loop would have
     scheduled (``farm.inject``);
     ``deliver_span(columns, start, limit) -> consumed``, if given, is
@@ -344,7 +357,6 @@ class PacketArrivalStream:
     __slots__ = (
         "_sim",
         "_times",
-        "_packets",
         "_deliver",
         "_columns",
         "_deliver_span",
@@ -369,7 +381,6 @@ class PacketArrivalStream:
             )
         self._sim = sim
         self._times = times
-        self._packets = columns.packets
         self._deliver = deliver
         self._columns = columns
         self._deliver_span = deliver_span
@@ -491,15 +502,12 @@ class PacketArrivalStream:
 
     def _dispatch_slice(self, start: int, end: int) -> None:
         recorder = _obs.ACTIVE
-        packets = self._packets
-        packet_at = self._columns.packet_at
+        take = self._columns.take_packet
         deliver = self._deliver
         for k in range(start, end):
             # Materialized at most once (the span lane may have built it
-            # to classify it), and delivered, the farm's: nothing reads
-            # the row's cache entry again.
-            packet = packets.get(k) or packet_at(k)
-            del packets[k]
+            # to classify it), and delivered, the farm's.
+            packet = take(k)
             if recorder is None:
                 deliver(packet)
             else:

@@ -42,7 +42,7 @@ from array import array
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
+from repro.net.addr import AddressSpaceInventory, Prefix
 from repro.net.packet import PROTO_TCP, PROTO_UDP, TcpFlags
 from repro.sim.batch import PacketColumns
 from repro.sim.rand import RandomStream, SeedSequence
@@ -188,12 +188,13 @@ class TelescopeWorkload:
     # Generation
     # ------------------------------------------------------------------ #
 
-    def _random_external_source(self, rng: RandomStream) -> IPAddress:
-        """A plausible external address (never inside the dark space)."""
+    def _random_external_source(self, rng: RandomStream) -> int:
+        """The value of a plausible external address (never inside the
+        dark space)."""
         while True:
-            addr = IPAddress(rng.randint(0x01000000, 0xDFFFFFFF))  # 1.0.0.0–223.x
-            if not self.inventory.covers(addr):
-                return addr
+            value = rng.randint(0x01000000, 0xDFFFFFFF)  # 1.0.0.0–223.x
+            if not self.inventory.covers(value):
+                return value
 
     def _pick_profile(self, rng: RandomStream) -> PortProfile:
         roll = rng.random()
@@ -306,7 +307,7 @@ class TelescopeWorkload:
             if t >= duration:
                 break
             session_rng = self._seeds.stream(f"session-{source_index}")
-            source = self._random_external_source(session_rng).value
+            source = self._random_external_source(session_rng)
             if session_rng.bernoulli(self.config.backscatter_fraction):
                 self._backscatter_session(session_rng, t, source, duration, columns)
             else:

@@ -67,7 +67,7 @@ class TestReflectionPolicy:
         verdict = policy.decide(vm, scan(), 0.0)
         assert verdict.action is ContainmentAction.REFLECT
         assert verdict.new_destination is not None
-        assert inventory.covers(verdict.new_destination)
+        assert inventory.covers(verdict.new_destination.value)
 
     def test_reflection_is_deterministic_per_destination(self, vm, inventory):
         policy = ReflectionPolicy(inventory)

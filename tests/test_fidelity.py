@@ -234,7 +234,7 @@ class TestFidelityLadderUnit:
         sent = [icmp_packet(ATTACKER, VICTIM) for __ in range(66)]
         for i, packet in enumerate(sent):
             ladder.consider(packet, float(i))
-        session = ladder.sessions[VICTIM]
+        session = ladder.sessions[VICTIM.value]
         # The oldest two were evicted; the most recent 64 are kept in order.
         assert session.buffered_packets() == sent[2:]
         assert session.held == sent[2:]

@@ -131,8 +131,8 @@ class TestAddressSpaceInventory:
 
     def test_lookup_and_covers(self):
         inv = AddressSpaceInventory([Prefix.parse("10.0.0.0/24")])
-        assert inv.covers(IPAddress.parse("10.0.0.5"))
-        assert not inv.covers(IPAddress.parse("10.0.1.5"))
+        assert inv.covers(IPAddress.parse("10.0.0.5").value)
+        assert not inv.covers(IPAddress.parse("10.0.1.5").value)
         assert inv.lookup(IPAddress.parse("10.0.0.5")) == Prefix.parse("10.0.0.0/24")
         assert inv.lookup(IPAddress.parse("8.8.8.8")) is None
 
@@ -171,4 +171,4 @@ class TestAddressSpaceInventory:
     def test_empty_inventory(self):
         inv = AddressSpaceInventory()
         assert inv.total_addresses == 0
-        assert not inv.covers(IPAddress.parse("10.0.0.1"))
+        assert not inv.covers(IPAddress.parse("10.0.0.1").value)

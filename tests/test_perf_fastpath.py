@@ -87,7 +87,7 @@ class TestPrefixIndexEquivalence:
         inv = AddressSpaceInventory(prefixes)
         addr = IPAddress((10 << 24) + offset)
         assert inv.lookup(addr) == linear_lookup(prefixes, addr)
-        assert inv.covers(addr) == (linear_lookup(prefixes, addr) is not None)
+        assert inv.covers(addr.value) == (linear_lookup(prefixes, addr) is not None)
 
     @given(disjoint_prefixes(), st.data())
     @settings(max_examples=200, deadline=None)

@@ -83,7 +83,7 @@ class TestAddressProperties:
         index = raw_index % inventory.total_addresses
         addr = inventory.address_at_flat_index(index)
         assert inventory.flat_index(addr) == index
-        assert inventory.covers(addr)
+        assert inventory.covers(addr.value)
 
 
 # ---------------------------------------------------------------------- #

@@ -39,6 +39,7 @@ from repro.fidelity.span import SpanLane
 from repro.net.addr import IPAddress
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from repro.obs import recording
+from repro.sim import batch
 from repro.testing.scenario import Scenario, WormWave
 from repro.workloads.trace import TraceRecord, replay_into_farm
 from repro.workloads.worms import KNOWN_WORMS
@@ -74,10 +75,10 @@ def _observe(farm: Honeyfarm):
             for r in farm.gateway.flows
         ),
         "sessions": sorted(
-            (str(ip), s.created_at, s.last_seen, s.packets_absorbed,
+            (str(IPAddress(value)), s.created_at, s.last_seen, s.packets_absorbed,
              s.buffer_dropped, s.banner, s.payload_bytes_total, len(s.buffered),
              sorted((str(k), f.exchanges, f.payload_bytes) for k, f in s.flows.items()))
-            for ip, s in sessions.items()
+            for value, s in sessions.items()
         ),
         "vms": sorted((str(ip), vm.vm_id) for ip, vm in farm.gateway.vm_map.items()),
     }
@@ -136,6 +137,35 @@ def test_span_lane_actually_engages():
     # interrupts this storm, so no cached flow is ever resolved twice.
     assert 0 < gateway.span_resolves < 0.8 * len(trace)
     assert gateway.span_reresolves == 0
+
+
+def test_span_lane_builds_no_address_per_flow(monkeypatch):
+    """The lane resolves a flow from the arrival key's address values:
+    the only ``IPAddress`` objects a drop-all radiation storm builds are
+    the two of each packet it materializes (its classification samples),
+    however many flows it resolves."""
+    built = {"addresses": 0, "packets": 0}
+    init = IPAddress.__init__
+    row_packet = batch._row_packet
+
+    def counting_init(self, value):
+        built["addresses"] += 1
+        init(self, value)
+
+    def counting_row_packet(*args):
+        built["packets"] += 1
+        return row_packet(*args)
+
+    scenario = _storm(0.0)
+    trace = scenario.build_trace()
+    monkeypatch.setattr(IPAddress, "__init__", counting_init)
+    monkeypatch.setattr(batch, "_row_packet", counting_row_packet)
+    farm = _run_world(
+        scenario.farm_config(ladder=True), trace, True, scenario.duration + 5.0
+    )
+    assert farm.metrics.counters()["gateway.emulated"] == len(trace)
+    assert farm.gateway.span_resolves > 10 * max(built["packets"], 1)
+    assert built["addresses"] <= 2 * built["packets"], built
 
 
 # ---------------------------------------------------------------------- #

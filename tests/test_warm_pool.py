@@ -35,7 +35,7 @@ class TestPoolLifecycle:
             assert vm.parked
             assert vm.state is VMState.RUNNING
             assert vm.private_pages == 0  # never activated
-            assert not farm.inventory.covers(vm.ip)  # parked address
+            assert not farm.inventory.covers(vm.ip.value)  # parked address
 
     def test_pool_survives_idle_reclamation(self):
         farm = pooled_farm(idle_timeout_seconds=1.0)

@@ -50,12 +50,12 @@ class TestGeneration:
     def test_destinations_inside_dark_space(self, workload):
         inventory = AddressSpaceInventory(SLASH16)
         for r in workload.generate(10.0):
-            assert inventory.covers(IPAddress.parse(r.dst))
+            assert inventory.covers(IPAddress.parse(r.dst).value)
 
     def test_sources_outside_dark_space(self, workload):
         inventory = AddressSpaceInventory(SLASH16)
         for r in workload.generate(10.0):
-            assert not inventory.covers(IPAddress.parse(r.src))
+            assert not inventory.covers(IPAddress.parse(r.src).value)
 
     def test_rate_close_to_analytic_estimate(self, workload):
         duration = 120.0
