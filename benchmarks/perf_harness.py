@@ -15,9 +15,10 @@ JSON report and a ``failures(doc) -> list[str]`` that is its gate:
   simulated second and the allocation sites holding the most there,
   bytes still held once the farm has drained. **Fails** if a
   ``VirtualMachine`` outlives the drain, the drained farm's flow table
-  still holds a live row or any column capacity, or the trace's
-  attachment still caches a materialized packet: host memory follows
-  the live farm.
+  still holds a live row or any column capacity, the trace's attachment
+  still caches a materialized packet, or a host's shared-frame store
+  still holds an entry, a run or a reference: host memory follows the
+  live farm.
 * ``sweeps`` — the two grid-shaped experiments: F-CONC (exact
   concurrency-vs-idle-timeout curves from one telescope trace) and
   A-ABL2 (one farm run per memory-pressure threshold on a small host).
@@ -263,6 +264,18 @@ def flow_table_footprint(table: FlowTable) -> Dict[str, int]:
             "column_bytes": column_bytes}
 
 
+def shared_store_footprint(farm: Honeyfarm) -> Dict[str, int]:
+    """Entries, runs and references left in the farm's shared-frame
+    stores, summed over hosts. Nothing names which spaces hold a frame,
+    so a missed decrement shows only as something left here."""
+    stores = [host.memory.sharing for host in farm.hosts if host.memory.sharing is not None]
+    return {
+        "entries": sum(len(store._entries) for store in stores),
+        "runs": sum(len(store._runs) for store in stores),
+        "total_refs": sum(store.total_refs for store in stores),
+    }
+
+
 def _site(frame: tracemalloc.Frame) -> str:
     """``file:line`` of an allocation site, repository-relative."""
     path = Path(frame.filename)
@@ -351,6 +364,7 @@ def heap_profile(name: str, size: str, per: str, quotient: str) -> Doc:
         drain(farm)
         retained = heap_census()
         table = flow_table_footprint(farm.gateway.flows)
+        store = shared_store_footprint(farm)
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -369,6 +383,7 @@ def heap_profile(name: str, size: str, per: str, quotient: str) -> Doc:
         "packets_cached_after_drain": len(stream._columns.packets),
         "retained_after_drain": retained,
         "flow_table_after_drain": table,
+        "shared_store_after_drain": store,
     }
 
 
@@ -399,6 +414,12 @@ def heap_failures(doc: Doc) -> List[str]:
         cached = storm["packets_cached_after_drain"]
         if cached:
             failures.append(f"{name}: {cached} packets still cached after drain")
+        store = storm["shared_store_after_drain"]
+        if any(store.values()):
+            failures.append(
+                f"{name}: shared-frame store holds {store['entries']} entries,"
+                f" {store['runs']} runs and {store['total_refs']} references after drain"
+            )
     return failures
 
 

@@ -555,22 +555,23 @@ class Honeyfarm:
 
     def _relieve_pressure(self, host: PhysicalHost, exclude_vm_id: int) -> bool:
         """OOM handler for guest page writes: evict the least-recently-
-        active other VM on the same host. Returns True only when physical
-        frames were actually freed — a victim whose pages are all shared
-        with other VMs frees nothing, so evicting it cannot unblock the
-        faulting write."""
-        victim = min(
+        active other VM on the same host that frees a frame. Returns True
+        only when physical frames were actually freed — a VM whose pages
+        are all shared with other VMs frees nothing, so evicting it cannot
+        unblock the faulting write. Reclaimable frames are counted on
+        demand, so candidates are walked in LRU order and counted only up
+        to the first that frees something."""
+        candidates = sorted(
             (
                 vm
                 for vm in host.vms()
                 if vm.state is VMState.RUNNING
                 and not vm.parked
                 and vm.vm_id != exclude_vm_id
-                and vm.reclaimable_frames > 0
             ),
             key=lambda vm: (vm.last_activity, vm.vm_id),
-            default=None,
         )
+        victim = next((vm for vm in candidates if vm.reclaimable_frames > 0), None)
         if victim is None:
             return False
         self._retire(host, victim)

@@ -52,7 +52,7 @@ class batched_collection:
     holds it around the whole drive: the allocation count run up under
     the raised threshold is over the default one, so restoring after
     every slice buys a collection at the first allocation after every
-    slice. Re-entrant with nothing shared between holders — an entry that
+    slice. Re-entrant with nothing shared between callers — an entry that
     finds the threshold already raised does nothing, so only the
     outermost holder restores — restored on every exit path, and skipped
     when the collector is disabled.

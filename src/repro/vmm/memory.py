@@ -57,10 +57,14 @@ ablation), each :class:`MachineMemory` owns a :class:`SharedFrameStore`
 the first writer of a tag pays one physical frame, every later writer of
 the same tag (any VM on the host) shares it at zero frame cost, and the
 frame returns to the pool only when its last reference is rewritten or
-destroyed. The table holds pinned contents and rewritten pages; tags
-living in runs are found through the store's run index (fresh tags only
-grow, so the index is a sorted list that fresh runs append to) and move
-into the table the moment something else names them. Every operation is O(1) or a bisect, so the host's physical usage
+destroyed. The table maps each tag to its reference count and nothing
+else: which frames a VM holds alone — what evicting it would return — is
+counted only when reclamation asks. The table holds pinned contents and
+rewritten pages; tags living in runs are found through the store's run
+index (fresh tags only grow, so the index is a sorted list that fresh
+runs append to) and move into the table the moment something else names
+them. Every write and release is O(1) per page or a bisect, so the
+host's physical usage
 
     resident = image frames + distinct private contents
 
@@ -70,6 +74,7 @@ stays an exact, cheaply-queryable quantity rather than a scanner result.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from itertools import chain
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -122,18 +127,6 @@ class OutOfMemoryError(Exception):
     """
 
 
-class _SharedEntry:
-    """One physical frame in the shared store: its reference count and,
-    per holding address space, how many of that space's pages map it."""
-
-    __slots__ = ("refs", "holders")
-
-    def __init__(self, space: "GuestAddressSpace") -> None:
-        """A frame that one page of ``space`` maps."""
-        self.refs = 1
-        self.holders: Dict["GuestAddressSpace", int] = {space: 1}
-
-
 class _Run:
     """``count`` consecutive pages of ``space`` starting at ``page``,
     holding consecutive fresh tags starting at ``tag``; every page is a
@@ -173,15 +166,15 @@ class SharedFrameStore:
     * ``savings_frames`` == ``total_refs - distinct_frames`` — frames a
       sharing-off host would additionally need for the same contents.
 
-    Every mutation also maintains each holder's ``_exclusive_frames``
-    (frames only that space references), which is what makes reclamation
-    projection O(1): destroying a VM returns exactly its exclusive
-    frames, because shared frames outlive it.
+    An entry is only a reference count: the store does not know which
+    spaces hold a frame. Which frames a space holds alone — what
+    destroying it returns — is counted when asked
+    (:attr:`GuestAddressSpace.reclaimable_frames`).
     """
 
     def __init__(self, memory: "MachineMemory") -> None:
         self.memory = memory
-        self._entries: Dict[int, _SharedEntry] = {}
+        self._entries: Dict[int, int] = {}  # content tag -> references
         # Live runs ordered by first tag. Fresh tags only grow, so a new
         # run appends.
         self._runs: List[_Run] = []
@@ -207,9 +200,9 @@ class SharedFrameStore:
 
     def refs_of(self, tag: int) -> int:
         """Current reference count of ``tag`` (0 if not resident)."""
-        entry = self._entries.get(tag)
-        if entry is not None:
-            return entry.refs
+        refs = self._entries.get(tag)
+        if refs is not None:
+            return refs
         return 0 if self._run_holding(tag) is None else 1
 
     # ------------------------------------------------------------------ #
@@ -245,15 +238,14 @@ class SharedFrameStore:
         self._runs.append(run)
         self._run_frames += count
         self.total_refs += count
-        space._exclusive_frames += count
         return run
 
     def replace_run(self, run: _Run, pieces: List[_Run], carved: int) -> None:
         """``carved`` pages leave ``run`` and ``pieces`` — what is left of
         the run, in tag order, ``run`` itself being the first if it keeps
         a head — take the run's place in the index. The carved pages keep
-        their frames, references and exclusivity; the caller gives each
-        an entry (:meth:`resolve`, or one under a new tag: :meth:`retag_run`)."""
+        their frames and references; the caller gives each an entry
+        (:meth:`resolve`, or one under a new tag: :meth:`retag_run`)."""
         i = self._run_position(run.tag)
         self._runs[i:i + 1] = pieces
         self._run_frames -= carved
@@ -282,7 +274,7 @@ class SharedFrameStore:
             space, offset = run.space, tag - run.tag
             space._overlay[run.page + offset] = tag
             space._carve(run, offset, 1)
-            self._entries[tag] = _SharedEntry(space)
+            self._entries[tag] = 1
 
     # ------------------------------------------------------------------ #
     # Mutation — the segments of GuestAddressSpace.write_run, each taking
@@ -292,89 +284,64 @@ class SharedFrameStore:
     # calls it per page.
     # ------------------------------------------------------------------ #
 
-    def _attach(self, entry: _SharedEntry, space: "GuestAddressSpace") -> None:
-        """One more page of ``space`` maps ``entry``'s frame (a hit)."""
-        holders = entry.holders
-        held = holders.get(space, 0)
-        if not held and len(holders) == 1:
-            # The sole current holder is gaining a co-sharer.
-            next(iter(holders))._exclusive_frames -= 1
-        holders[space] = held + 1
-        if entry.refs == 1:
-            self.shared_frames += 1
-        entry.refs += 1
-
-    def _detach(self, tag: int, space: "GuestAddressSpace") -> bool:
-        """One page of ``space`` stops mapping ``tag``'s frame; True if
-        that was the last reference anywhere (the entry is gone and the
-        caller returns the frame to the pool)."""
-        entry = self._entries[tag]
-        entry.refs -= 1
-        if not entry.refs:
-            del self._entries[tag]
+    def _detach(self, tag: int) -> bool:
+        """One page stops mapping ``tag``'s frame; True if that was the
+        last reference (the entry is gone and the caller returns the
+        frame to the pool)."""
+        entries = self._entries
+        refs = entries[tag] - 1
+        if not refs:
+            del entries[tag]
             return True
-        if entry.refs == 1:
+        if refs == 1:
             self.shared_frames -= 1
-        holders = entry.holders
-        held = holders[space]
-        if held == 1:
-            del holders[space]
-            if len(holders) == 1:
-                # Down to one surviving holder: it owns the frame now.
-                next(iter(holders))._exclusive_frames += 1
-        else:
-            holders[space] = held - 1
+        entries[tag] = refs
         return False
 
-    def intern_run(self, space: "GuestAddressSpace", tags: Sequence[int]) -> int:
-        """Map clean pages of ``space`` to the frames holding ``tags``, a
-        hit sharing the resident frame and a miss taking a new one; stops
-        before the first miss the pool has no frame for and returns how
-        many were mapped."""
+    def intern_run(self, tags: Sequence[int]) -> int:
+        """Map clean pages to the frames holding ``tags``, a hit sharing
+        the resident frame and a miss taking a new one; stops before the
+        first miss the pool has no frame for and returns how many were
+        mapped."""
         entries = self._entries
         free = self.memory.free_frames
         done = misses = 0
         for tag in tags:
-            entry = entries.get(tag)
-            if entry is not None:
-                self._attach(entry, space)
-            elif misses < free:
-                entries[tag] = _SharedEntry(space)
+            refs = entries.get(tag, 0)
+            if not refs:
+                if misses == free:
+                    break
                 misses += 1
-            else:
-                break
+            elif refs == 1:
+                self.shared_frames += 1
+            entries[tag] = refs + 1
             done += 1
         self.attach_hits += done - misses
         self.total_refs += done
-        space._exclusive_frames += misses
         self.memory._allocate_private(misses)
         return done
 
-    def retag_run(self, space: "GuestAddressSpace", tags: Sequence[int]) -> None:
-        """Pages of ``space`` just carved out of a run, each the only
-        reference to its frame, are rewritten to ``tags``. A miss re-keys
-        the page's own frame; a hit shares the resident frame and frees
-        the page's own."""
+    def retag_run(self, tags: Sequence[int]) -> None:
+        """Pages just carved out of a run, each the only reference to its
+        frame, are rewritten to ``tags``. A miss re-keys the page's own
+        frame; a hit shares the resident frame and frees the page's own."""
         entries = self._entries
         hits = 0
         for tag in tags:
-            entry = entries.get(tag)
-            if entry is None:
-                entries[tag] = _SharedEntry(space)
-            else:
-                self._attach(entry, space)
+            refs = entries.get(tag, 0)
+            if refs:
                 hits += 1
+                if refs == 1:
+                    self.shared_frames += 1
+            entries[tag] = refs + 1
         self.frames_recycled += len(tags) - hits
         self.attach_hits += hits
-        space._exclusive_frames -= hits
         self.memory._free_private(hits)
 
-    def exchange_run(
-        self, space: "GuestAddressSpace", old_tags: Sequence[int], new_tags: Sequence[int]
-    ) -> int:
-        """Rewrite overlay pages of ``space`` from ``old_tags`` to
-        ``new_tags``, pairwise; stops before the first pair the pool has
-        no frame for and returns how many were rewritten.
+    def exchange_run(self, old_tags: Sequence[int], new_tags: Sequence[int]) -> int:
+        """Rewrite overlay pages from ``old_tags`` to ``new_tags``,
+        pairwise; stops before the first pair the pool has no frame for
+        and returns how many were rewritten.
 
         A sole owner rewriting to content nobody holds re-keys its frame
         in place: no allocator round trip, no transient over-allocation.
@@ -388,23 +355,22 @@ class SharedFrameStore:
         done = recycled = 0
         for old, new in zip(old_tags, new_tags):
             if old != new:
-                entry = entries.get(new)
-                if entry is None and entries[old].refs == 1:
+                refs = entries.get(new, 0)
+                if not refs and entries[old] == 1:
                     entries[new] = entries.pop(old)
                     recycled += 1
                 else:
-                    if entry is not None:
+                    if refs:
                         self.attach_hits += 1
-                        self._attach(entry, space)
+                        if refs == 1:
+                            self.shared_frames += 1
                     elif memory.free_frames:
                         memory._allocate_private(1)
-                        entries[new] = _SharedEntry(space)
-                        space._exclusive_frames += 1
                     else:
                         break
-                    if self._detach(old, space):
+                    entries[new] = refs + 1
+                    if self._detach(old):
                         memory._free_private(1)
-                        space._exclusive_frames -= 1
             done += 1
         self.frames_recycled += recycled
         return done
@@ -421,9 +387,8 @@ class SharedFrameStore:
         self.total_refs -= freed + len(space._overlay)
         detach = self._detach
         for tag in space._overlay.values():
-            if detach(tag, space):
+            if detach(tag):
                 freed += 1
-        space._exclusive_frames -= freed
         self.memory._free_private(freed)
         return freed
 
@@ -451,35 +416,20 @@ class SharedFrameStore:
                 raise AssertionError(f"run at tag {run.tag}: a tag is also a store entry")
         if issued > _fresh_tags.next:
             raise AssertionError(f"run tags reach {issued}, past the fresh-tag counter")
-        refs = sum(e.refs for e in self._entries.values()) + run_frames
+        refs = sum(self._entries.values()) + run_frames
         if refs != self.total_refs:
             raise AssertionError(
                 f"shared store drift: total_refs={self.total_refs}"
                 f" but entries and runs sum to {refs}"
             )
-        shared = sum(1 for e in self._entries.values() if e.refs >= 2)
+        shared = sum(1 for count in self._entries.values() if count >= 2)
         if shared != self.shared_frames:
             raise AssertionError(
                 f"shared store drift: shared_frames={self.shared_frames}, recount {shared}"
             )
-        for tag, entry in self._entries.items():
-            if entry.refs != sum(entry.holders.values()):
-                raise AssertionError(f"entry {tag}: refs disagree with holder multiset")
-            if entry.refs <= 0:
-                raise AssertionError(f"entry {tag}: resident with refs={entry.refs}")
-        exclusive: Dict["GuestAddressSpace", int] = {}
-        for entry in self._entries.values():
-            if len(entry.holders) == 1:
-                holder = next(iter(entry.holders))
-                exclusive[holder] = exclusive.get(holder, 0) + 1
-        for run in self._runs:
-            exclusive[run.space] = exclusive.get(run.space, 0) + run.count
-        for space, expect in exclusive.items():
-            if space._exclusive_frames != expect:
-                raise AssertionError(
-                    f"space {space!r}: _exclusive_frames={space._exclusive_frames},"
-                    f" recount {expect}"
-                )
+        for tag, count in self._entries.items():
+            if count <= 0:
+                raise AssertionError(f"entry {tag}: resident with refs={count}")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -714,9 +664,6 @@ class GuestAddressSpace:
         self._overlay: Dict[int, int] = {}
         self._runs: List[_Run] = []
         self.cow_faults = 0
-        # Frames only this space references; maintained by the store.
-        # Equals private_pages when sharing is off.
-        self._exclusive_frames = 0
         self.destroyed = False
         if eager_copy:
             # A full copy is one write of the whole image; the pool was
@@ -840,11 +787,11 @@ class GuestAddressSpace:
             if run is not None:
                 self._carve(run, at - run.page, length)
                 if store is not None:
-                    store.retag_run(self, tags)
+                    store.retag_run(tags)
             elif private:
                 if store is not None:
                     olds = [overlay[p] for p in range(at, at + length)]
-                    wrote = store.exchange_run(self, olds, tags)
+                    wrote = store.exchange_run(olds, tags)
             elif extent:
                 wrote = min(length, memory.free_frames)
                 if wrote and store is not None:
@@ -853,7 +800,7 @@ class GuestAddressSpace:
                     memory._allocate_private(wrote)
                     self._runs.append(_Run(self, at, wrote, first))
             elif store is not None:
-                wrote = store.intern_run(self, tags)
+                wrote = store.intern_run(tags)
             else:
                 wrote = min(length, memory.free_frames)
                 memory._allocate_private(wrote)
@@ -921,13 +868,20 @@ class GuestAddressSpace:
     def reclaimable_frames(self) -> int:
         """Physical frames destroying this space returns to the pool.
 
-        Under content sharing only *exclusively held* frames come back —
-        frames shared with other spaces survive the teardown — so this,
-        not :attr:`private_pages`, is what reclamation must project.
+        Under content sharing only frames no other space maps come back:
+        every run frame, and each overlay tag whose store refcount is this
+        space's own count of it (a tag the space maps twice is still its
+        alone). So this, not :attr:`private_pages`, is what reclamation
+        must project. Counted when asked, in O(overlay) — the order of the
+        eviction it plans.
         """
-        if self._store is not None:
-            return self._exclusive_frames
-        return self.private_pages
+        store = self._store
+        if store is None:
+            return self.private_pages
+        refs = store._entries
+        return sum(run.count for run in self._runs) + sum(
+            1 for tag, own in Counter(self._overlay.values()).items() if refs[tag] == own
+        )
 
     def sharing_ratio(self) -> float:
         """Fraction of this VM's pages still shared with the image."""

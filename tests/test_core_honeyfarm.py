@@ -121,6 +121,29 @@ class TestReclamation:
         farm.run(until=20.0)
         assert farm.memory_breakdown().private_resident == 0
 
+    def test_pressure_skips_a_vm_holding_only_shared_frames(self):
+        farm = Honeyfarm(HoneyfarmConfig(
+            prefixes=("10.16.0.0/24",), num_hosts=1,
+            idle_timeout_seconds=600.0, clone_jitter=0.0,
+        ))
+        targets = [IPAddress(TARGET.value + i) for i in range(3)]
+        for i, dst in enumerate(targets):
+            farm.inject(probe(dst=dst, sport=4000 + i))
+        farm.run(until=1.0)
+        oldest, next_oldest, newest = (farm.gateway.vm_map[dst] for dst in targets)
+        for age, vm in enumerate((oldest, next_oldest, newest)):
+            vm.touch(now=float(age))
+        # The newest VM maps every page the least recently active one
+        # dirtied, so evicting that one would free nothing.
+        for page, tag in list(oldest.address_space.private_page_contents()):
+            newest.address_space.write(page, tag)
+        assert oldest.reclaimable_frames == 0 < next_oldest.reclaimable_frames
+        host = farm.hosts[0]
+        assert farm._relieve_pressure(host, exclude_vm_id=newest.vm_id)
+        assert host.get_vm(oldest.vm_id) is oldest
+        assert host.get_vm(next_oldest.vm_id) is None
+        assert farm.metrics.counters()["farm.pressure_evictions"] == 1
+
     def test_detain_infected_keeps_vm_resident(self):
         farm = Honeyfarm(HoneyfarmConfig(
             prefixes=("10.16.0.0/24",), num_hosts=1,

@@ -146,7 +146,11 @@ class _World:
         try:
             if kind == "destroy":
                 del self.guests[key]
-                return space.destroy()
+                # Destroying frees exactly what reclamation projects.
+                reclaimable = space.reclaimable_frames
+                freed = space.destroy()
+                assert freed == reclaimable
+                return freed
             if kind == "boot":
                 guest._dirty_pages(op[2])
                 return None
@@ -207,7 +211,7 @@ class _World:
                 sorted(space.private_page_numbers()),
                 space.private_pages,
                 space.cow_faults,
-                space._exclusive_frames,
+                space.reclaimable_frames if space._store is not None else 0,
                 space.reclaimable_frames,
                 g._page_cursor, g._conn_cursor, g.dropped_page_writes,
             )

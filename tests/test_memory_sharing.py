@@ -4,7 +4,7 @@ Covers the mechanism at three levels:
 
 * unit tests on :class:`~repro.vmm.memory.SharedFrameStore` refcounting
   (intern / release / exchange, frame recycling, OOM ordering safety,
-  exclusive-frame maintenance);
+  reclaimable frames as sharers come and go);
 * a hypothesis property: random interleavings of clone / write (fresh
   and repeated tags) / fresh run / destroy / image release conserve the
   frame ledger
