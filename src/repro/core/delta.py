@@ -1,9 +1,10 @@
 """Delta-virtualization accounting: what copy-on-write sharing buys.
 
-The mechanism lives in :mod:`repro.vmm.memory` (base + overlay address
-spaces); this module provides the *measurements* the paper reports on top
-of it — per-host and farm-wide breakdowns of where physical memory goes,
-and the consolidation factor versus a conventional full-copy deployment.
+The mechanism lives in :mod:`repro.vmm.memory` (base + runs + extents
+address spaces); this module provides the *measurements* the paper
+reports on top of it — per-host and farm-wide breakdowns of where
+physical memory goes, and the consolidation factor versus a
+conventional full-copy deployment.
 """
 
 from __future__ import annotations

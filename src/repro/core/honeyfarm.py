@@ -125,6 +125,8 @@ class Honeyfarm:
         self._hosts_by_id: Dict[int, PhysicalHost] = {
             host.host_id: host for host in self.hosts
         }
+        # Every guest shares one pressure handler, bound here once.
+        self._on_guest_oom = self._relieve_pressure
 
         policy = make_policy(
             self.config.containment, self.inventory, self.config.outbound_rate_limit
@@ -471,7 +473,6 @@ class Honeyfarm:
             # Address-serving clones (not pool refills) count toward the
             # farm's first-packet-to-ready latency.
             self._note_address_ready(result.total_seconds)
-        host = self._host_by_id(vm.host_id)
         personality = self.personalities.get(vm.personality)
         # Seed by farm-local creation index, not the process-global VM id:
         # two identically-seeded farms in one process must behave alike.
@@ -484,7 +485,7 @@ class Honeyfarm:
             rng=self._guest_seeds.stream(f"guest-{self._guest_counter}"),
             transmit=self.gateway.emit_from_vm,
             worm_behaviors=self.worm_behaviors,
-            on_oom=(lambda h=host, v=vm: self._relieve_pressure(h, exclude_vm_id=v.vm_id)),
+            on_oom=self._on_guest_oom,
             on_infection=self._record_infection,
         )
         self.gateway.vm_ready(vm)
@@ -553,21 +554,22 @@ class Honeyfarm:
         self.metrics.counter("farm.emergency_reclaims").increment(reclaimed)
         return reclaimed > 0
 
-    def _relieve_pressure(self, host: PhysicalHost, exclude_vm_id: int) -> bool:
-        """OOM handler for guest page writes: evict the least-recently-
-        active other VM on the same host that frees a frame. Returns True
-        only when physical frames were actually freed — a VM whose pages
-        are all shared with other VMs frees nothing, so evicting it cannot
-        unblock the faulting write. Reclaimable frames are counted on
-        demand, so candidates are walked in LRU order and counted only up
-        to the first that frees something."""
+    def _relieve_pressure(self, faulting: VirtualMachine) -> bool:
+        """OOM handler for ``faulting``'s page writes: evict the least-
+        recently-active other VM on its host that frees a frame. Returns
+        True only when physical frames were actually freed — a VM whose
+        pages are all shared with other VMs frees nothing, so evicting it
+        cannot unblock the faulting write. Reclaimable frames are counted
+        on demand, so candidates are walked in LRU order and counted only
+        up to the first that frees something."""
+        host = self._host_by_id(faulting.host_id)
         candidates = sorted(
             (
                 vm
                 for vm in host.vms()
                 if vm.state is VMState.RUNNING
                 and not vm.parked
-                and vm.vm_id != exclude_vm_id
+                and vm is not faulting
             ),
             key=lambda vm: (vm.last_activity, vm.vm_id),
         )

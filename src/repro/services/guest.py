@@ -252,10 +252,11 @@ class GuestHost:
         Mapping exploit-tag → :class:`ScanBehavior`, consulted when this
         guest is compromised so it knows how to propagate.
     on_oom:
-        Optional callback invoked when dirtying a page finds host memory
-        exhausted. Returning True promises that at least one frame was
-        freed, as ``Honeyfarm._relieve_pressure`` does by evicting a VM
-        with reclaimable frames, and the write resumes at that page; if
+        Optional callback ``on_oom(vm)`` invoked when dirtying a page of
+        ``vm`` finds host memory exhausted; one handler can serve every
+        guest of a farm. Returning True promises that at least one frame
+        was freed, as ``Honeyfarm._relieve_pressure`` does by evicting a
+        VM with reclaimable frames, and the write resumes at that page; if
         the page still finds no frame, :class:`OutOfMemoryError`
         propagates. Without a handler, or when it returns False, the
         page is dropped and counted in ``dropped_page_writes``, and the
@@ -271,7 +272,7 @@ class GuestHost:
         rng: RandomStream,
         transmit: Optional[Callable[[VirtualMachine, Packet], None]] = None,
         worm_behaviors: Optional[Dict[str, ScanBehavior]] = None,
-        on_oom: Optional[Callable[[], bool]] = None,
+        on_oom: Optional[Callable[[VirtualMachine], bool]] = None,
         on_infection: Optional[Callable[[InfectionRecord], None]] = None,
     ) -> None:
         self.vm = vm
@@ -341,7 +342,7 @@ class GuestHost:
                 raise OutOfMemoryError(f"page {at}: no frame after the pressure handler")
             done += written
             retrying = written < chunk
-            if retrying and not (self.on_oom is not None and self.on_oom()):
+            if retrying and not (self.on_oom is not None and self.on_oom(self.vm)):
                 self.dropped_page_writes += 1
                 break
         return done

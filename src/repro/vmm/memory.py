@@ -7,64 +7,51 @@ of honeypot VMs fit in the RAM that would conventionally hold a handful.
 
 Representation
 --------------
-A clone's address space is a **base + runs + overlay**:
+A clone's address space is a **base + runs + extents**:
 
 * the *base* is an immutable :class:`ReferenceImage` whose frames were
   allocated once, when the reference snapshot was taken;
-* a *run* is an extent ``(first page, count, first tag)`` of consecutive
-  clean pages dirtied in one call with freshly generated content — the
-  boot working set, a connection's buffers. Page ``i`` of a run reads
-  ``first tag + i``; each page is one frame that only its owner
-  references, so writing and freeing a run costs one allocator call and
-  one bump per counter, whatever its length;
-* the *overlay* is a per-VM dict mapping page number → content tag,
-  holding every other private page: pinned content (a worm body) and
-  rewrites. Writing into a run splits the run around the pages written
-  and moves those pages here.
+* a *run* holds consecutive clean pages dirtied in one call with fresh
+  content — the boot working set, a connection's buffers. Each page is
+  one frame only its owner references, so writing and freeing a run
+  costs one allocator call and one bump per counter, whatever its length;
+* an *extent* holds every other private page: pinned content (a worm
+  body) and rewrites.
+
+Both are ``(first page, count, tags, start)``, page ``page + i`` reading
+``tags[start + i]``: ``tags`` is the call's range of fresh tags or the
+caller's pinned sequence, kept by reference — every victim of a worm
+points at the one tuple of its body — so a page costs no object of its
+own. Writing into a run or an extent splits it around the pages written,
+which become an extent.
 
 Every guest write is one :meth:`GuestAddressSpace.write_run` call, the
 only code that moves the frame ledger. It walks the range as segments —
-pages inside one run, clean pages, pages already in the overlay — and
-does each segment's ledger work once: one splice of the run list, one
+pages inside one run, pages inside one extent, clean pages — and does
+each segment's ledger work once: one splice of a piece list, one
 allocator call, one bump per counter, and per page only the store lookup
-and the refcount update. A tag the store must look up (pinned below the
-fresh-tag counter, so possibly in some guest's run, or fresh but pinned
-ahead of the counter) is a one-page segment of its own, resolved before
-its page is classified. The write stops before the first page the pool
-has no frame for. :meth:`GuestAddressSpace.write` is the same call for
-one page.
+and the refcount update.
 
-This makes clone creation O(1) in pages — exactly the property that makes
-flash cloning fast in the real system, where only page tables are touched
-— and keeps the clone's first activity O(1) as well.
-Frame *contents* are modelled as integer version tags: the experiments
-depend on which pages are private, not on their bytes, but tags let tests
-verify CoW isolation (writer sees its own value, sharers still see the
-original).
+So clone creation is O(1) in pages — exactly the property that makes
+flash cloning fast in the real system, where only page tables are
+touched — and so is the clone's first activity. Frame *contents* are
+integer version tags: the experiments depend on which pages are private,
+not on their bytes, but tags let tests verify CoW isolation.
 
 Content-based sharing
 ---------------------
-Delta virtualization collapses pages that were *never modified*. The
-paper names the next multiplier — collapsing pages whose contents happen
-to be identical even though they were written independently (ESX-style
-transparent page sharing; Waldspurger, OSDI 2002). In a honeyfarm that
-redundancy is enormous: every victim of the same worm carries the same
-worm body.
-
-When sharing is enabled (the default; ``content_sharing=False`` is the
-ablation), each :class:`MachineMemory` owns a :class:`SharedFrameStore`
-— a content tag → refcounted frame table. A dirty write interns its tag:
-the first writer of a tag pays one physical frame, every later writer of
-the same tag (any VM on the host) shares it at zero frame cost, and the
-frame returns to the pool only when its last reference is rewritten or
-destroyed. The table maps each tag to its reference count and nothing
-else: which frames a VM holds alone — what evicting it would return — is
-counted only when reclamation asks. The table holds pinned contents and
-rewritten pages; tags living in runs are found through the store's run
-index (fresh tags only grow, so the index is a sorted list that fresh
-runs append to) and move into the table the moment something else names
-them. Every write and release is O(1) per page or a bisect, so the
-host's physical usage
+The paper's next multiplier after delta virtualization collapses pages
+whose contents are identical though written independently (ESX-style
+transparent page sharing; Waldspurger, OSDI 2002): every victim of a
+worm carries the same body. With sharing on (the default;
+``content_sharing=False`` is the ablation) each :class:`MachineMemory`
+owns a :class:`SharedFrameStore`, a content tag → refcount table: the
+first writer of a tag pays one frame, every later writer on the host
+shares it, and the frame returns to the pool with its last reference.
+Tags living in runs are found through the store's run index (fresh tags
+only grow, so it is a sorted list that new runs append to) and move into
+the table the moment something else names them. Every write and release
+is O(1) per page or a bisect, so
 
     resident = image frames + distinct private contents
 
@@ -128,17 +115,31 @@ class OutOfMemoryError(Exception):
 
 
 class _Run:
-    """``count`` consecutive pages of ``space`` starting at ``page``,
-    holding consecutive fresh tags starting at ``tag``; every page is a
-    frame only ``space`` references."""
+    """``count`` consecutive private pages of ``space`` from ``page`` on,
+    page ``page + i`` holding ``tags[start + i]``. In the space's run list
+    the tags are fresh and every page is a frame only ``space``
+    references; in its extent list they are store entries (or any content
+    when sharing is off)."""
 
-    __slots__ = ("space", "page", "count", "tag")
+    __slots__ = ("space", "page", "count", "tags", "start")
 
-    def __init__(self, space: "GuestAddressSpace", page: int, count: int, tag: int) -> None:
+    def __init__(
+        self, space: "GuestAddressSpace", page: int, count: int, tags: Sequence[int], start: int
+    ) -> None:
         self.space = space
         self.page = page
         self.count = count
-        self.tag = tag
+        self.tags = tags
+        self.start = start
+
+    @property
+    def tag(self) -> int:
+        """Content tag of the first page."""
+        return self.tags[self.start]
+
+    def contents(self) -> Sequence[int]:
+        """Content tags of the pages, in page order."""
+        return self.tags[self.start:self.start + self.count]
 
 
 _first_tag = attrgetter("tag")
@@ -225,20 +226,17 @@ class SharedFrameStore:
             return self._runs[i]
         return None
 
-    def add_run(self, space: "GuestAddressSpace", page: int, count: int, tag: int) -> _Run:
-        """Back ``count`` fresh pages of ``space`` with ``count`` new
-        frames. ``tag`` must come from the fresh-tag counter, and no tag
-        of the run may be resident already.
+    def add_run(self, run: _Run) -> None:
+        """Back the pages of ``run`` with one new frame each. Its tags must
+        come from the fresh-tag counter, and none may be resident already.
 
         Raises :class:`OutOfMemoryError` (with no state change) when the
         pool cannot hold the whole run.
         """
-        self.memory._allocate_private(count)
-        run = _Run(space, page, count, tag)
+        self.memory._allocate_private(run.count)
         self._runs.append(run)
-        self._run_frames += count
-        self.total_refs += count
-        return run
+        self._run_frames += run.count
+        self.total_refs += run.count
 
     def replace_run(self, run: _Run, pieces: List[_Run], carved: int) -> None:
         """``carved`` pages leave ``run`` and ``pieces`` — what is left of
@@ -266,14 +264,15 @@ class SharedFrameStore:
         return [i for i, tag in enumerate(contents) if tag < issued]
 
     def resolve(self, tag: int) -> None:
-        """If ``tag`` lives in a run, carve its page out into its owner's
-        overlay under an entry of its own, so the write about to name the
-        tag finds it in the table. Nothing a guest can observe changes."""
+        """If ``tag`` lives in a run, carve its page out into a one-page
+        extent of its owner under an entry of its own, so the write about
+        to name the tag finds it in the table. Nothing a guest can observe
+        changes."""
         run = self._run_holding(tag)
         if run is not None:
             space, offset = run.space, tag - run.tag
-            space._overlay[run.page + offset] = tag
-            space._carve(run, offset, 1)
+            space._add_extent(run.page + offset, 1, run.tags, run.start + offset)
+            space._carve(space._runs, run, offset, 1)
             self._entries[tag] = 1
 
     # ------------------------------------------------------------------ #
@@ -339,7 +338,7 @@ class SharedFrameStore:
         self.memory._free_private(hits)
 
     def exchange_run(self, old_tags: Sequence[int], new_tags: Sequence[int]) -> int:
-        """Rewrite overlay pages from ``old_tags`` to ``new_tags``,
+        """Rewrite extent pages from ``old_tags`` to ``new_tags``,
         pairwise; stops before the first pair the pool has no frame for
         and returns how many were rewritten.
 
@@ -377,18 +376,16 @@ class SharedFrameStore:
 
     def release_all(self, space: "GuestAddressSpace") -> int:
         """Drop every reference ``space`` holds — its runs whole, its
-        overlay pages one by one — and return the frames nobody else maps
+        extent pages one by one — and return the frames nobody else maps
         to the pool in one call; returns how many."""
         freed = 0
         for run in space._runs:
             del self._runs[self._run_position(run.tag)]
             freed += run.count
         self._run_frames -= freed
-        self.total_refs -= freed + len(space._overlay)
-        detach = self._detach
-        for tag in space._overlay.values():
-            if detach(tag):
-                freed += 1
+        self.total_refs -= space.private_pages
+        for extent in space._extents:
+            freed += sum(map(self._detach, extent.contents()))
         self.memory._free_private(freed)
         return freed
 
@@ -445,7 +442,7 @@ class MachineMemory:
     Tracks allocation against a hard capacity; the honeyfarm's
     VMs-per-host results come directly from this accounting. The pool is
     split into invariant-checked sub-ledgers — ``image_frames`` (frozen
-    reference images) and ``private_frames`` (VM overlays, deduplicated
+    reference images) and ``private_frames`` (VMs' dirtied pages, deduplicated
     by the :class:`SharedFrameStore` when ``content_sharing`` is on).
     """
 
@@ -636,7 +633,10 @@ class ReferenceImage:
 
 class GuestAddressSpace:
     """A VM's memory: a reference image plus private CoW pages, held as
-    runs of fresh pages and a per-page overlay (see the module docstring).
+    runs of fresh pages and extents over shared tag sequences (see the
+    module docstring). A guest holds a few of each — one run per boot or
+    connection write, one extent per write that is not a fresh run —
+    whatever the pages number, so a scan beats an index.
 
     Two construction modes mirror the system under test and its ablation:
 
@@ -661,8 +661,8 @@ class GuestAddressSpace:
         self.memory = image.memory
         self._store = self.memory.sharing
         self.eager_copy = eager_copy
-        self._overlay: Dict[int, int] = {}
         self._runs: List[_Run] = []
+        self._extents: List[_Run] = []
         self.cow_faults = 0
         self.destroyed = False
         if eager_copy:
@@ -683,52 +683,45 @@ class GuestAddressSpace:
         """Content tag visible at ``page`` (private pages win over base)."""
         self._check_alive()
         self.image._check_page(page)
-        if page in self._overlay:
-            return self._overlay[page]
-        run = self._run_at(page)
-        if run is not None:
-            return run.tag + page - run.page
+        _, piece, _ = self._segment_at(page, 1)
+        if piece is not None:
+            return piece.tags[piece.start + page - piece.page]
         return self.image.content_of(page)
 
-    def _run_at(self, page: int) -> Optional[_Run]:
-        """The run holding ``page``, if any. A guest has one run per
-        boot, plus one per split, so a scan beats an index."""
-        for run in self._runs:
-            if 0 <= page - run.page < run.count:
-                return run
-        return None
-
-    def _carve(self, run: _Run, offset: int, count: int) -> None:
-        """Take the ``count`` pages from ``offset`` on out of ``run``,
-        splitting the run around them. The pages keep their frames: no
-        ledger moves, and the caller gives each a slot in the overlay
-        (and, under sharing, an entry in the store)."""
-        after = run.count - offset - count
+    def _carve(self, held: List[_Run], piece: _Run, offset: int, count: int) -> None:
+        """Take the ``count`` pages from ``offset`` on out of ``piece``, one
+        of ``held`` (this space's runs or its extents), splitting it
+        around them. The pages keep their frames: no ledger moves, and the
+        caller gives them an extent (and, under sharing, store entries)."""
+        after = piece.count - offset - count
         pieces = []
         if after:
             beyond = offset + count
-            pieces.append(_Run(self, run.page + beyond, after, run.tag + beyond))
+            pieces.append(_Run(self, piece.page + beyond, after, piece.tags, piece.start + beyond))
         if offset:
-            run.count = offset  # the pages before the carved ones stay in place
-            pieces.insert(0, run)
-        i = self._runs.index(run)
-        self._runs[i:i + 1] = pieces
-        if self._store is not None:
-            self._store.replace_run(run, pieces, count)
+            piece.count = offset  # the pages before the carved ones stay in place
+            pieces.insert(0, piece)
+        i = held.index(piece)
+        held[i:i + 1] = pieces
+        if held is self._runs and self._store is not None:
+            self._store.replace_run(piece, pieces, count)
+
+    def _add_extent(self, page: int, count: int, tags: Sequence[int], start: int) -> None:
+        """Pages ``page..`` now hold ``tags[start..]``: grow the last
+        extent when they continue it, else add one."""
+        last = self._extents[-1] if self._extents else None
+        if last and last.tags is tags and last.page - page == last.start - start == -last.count:
+            last.count += count
+        else:
+            self._extents.append(_Run(self, page, count, tags, start))
 
     def write(self, page: int, content: Optional[int] = None) -> int:
-        """Dirty ``page``, taking a CoW fault on the first write; returns
-        the new content tag.
-
-        ``content`` pins the page's content tag: two pages (in any VMs)
-        written with the same tag hold identical bytes. Malware bodies
-        use this — the same worm writes the same code everywhere — which
-        is exactly what the shared-frame store collapses: with sharing
-        on, only the first write of a tag on the host pays a frame.
-        ``None`` means freshly generated, globally unique content.
-
-        A one-page :meth:`write_run`; raises :class:`OutOfMemoryError`
-        when the pool has no frame for the page.
+        """Dirty ``page`` with ``content`` (fresh, globally unique content
+        when None) and return the tag written: a one-page
+        :meth:`write_run` that raises :class:`OutOfMemoryError` when the
+        pool has no frame for the page. Pages (in any VMs) written with
+        the same tag hold identical bytes — a worm body's pages, which the
+        shared-frame store keeps once per host.
         """
         tag = _fresh_tags.next if content is None else content
         if not self.write_run(page, 1, None if content is None else (content,)):
@@ -740,15 +733,18 @@ class GuestAddressSpace:
     ) -> int:
         """Dirty up to ``count`` pages from ``page`` on, page ``i`` with
         ``contents[i]`` (fresh content when ``contents`` is None);
-        returns how many were written.
+        returns how many were written. ``contents`` is kept by reference
+        and must not change afterwards.
 
-        The range is walked as segments — pages inside one run, clean
-        pages, pages already in the overlay — and each segment's ledger
-        work is done once. Fresh content on clean pages is recorded as a
-        run, O(1) whatever its length. A tag the store must look up
-        (:meth:`SharedFrameStore.lookups`) is a segment of its own,
-        resolved first — carved out of whichever run holds it, this
-        space's included — and only then is its page classified.
+        The range is walked as segments — pages inside one run, pages
+        inside one extent, clean pages — and each segment's ledger work
+        is done once. Fresh content on clean pages is recorded as a run,
+        O(1) whatever its length; every other segment becomes an extent
+        over ``contents`` (or the call's range of fresh tags). A tag the
+        store must look up (:meth:`SharedFrameStore.lookups`) is a
+        segment of its own, resolved first — carved out of whichever run
+        holds it, this space's included — and only then is its page
+        classified.
 
         The write stops before the first page the pool has no frame for:
         that page counts one failed allocation and, for fresh content,
@@ -763,42 +759,45 @@ class GuestAddressSpace:
             raise ValueError(f"{len(contents)} content tags for {count} pages")
         store = self._store
         memory = self.memory
-        overlay = self._overlay
+        runs = self._runs
+        # Page ``page + i`` gets ``seq[i]``: fresh tags are drawn in page
+        # order, so the counter stands at ``seq[done]`` at every segment.
+        first = _fresh_tags.next
+        seq = contents if contents is not None else range(first, first + count)
         lookups = iter(store.lookups(count, contents) if store is not None else ())
         lookup = next(lookups, count)
         done = 0
         while done < count:
             at = page + done
-            first = _fresh_tags.next
             looked_up = done == lookup
             if looked_up:
-                store.resolve(first if contents is None else contents[done])
+                store.resolve(seq[done])
                 lookup = next(lookups, count)
-            run, length = self._segment_at(at, 1 if looked_up else lookup - done)
-            private = run is not None or at in overlay
-            # Fresh content on clean pages stays one extent, unless its
-            # tag is already resident.
-            extent = not private and contents is None and not looked_up
-            if contents is None:
-                tags: Sequence[int] = range(first, first + length)
-            else:
-                tags = contents[done:done + length]
+            held, piece, length = self._segment_at(at, 1 if looked_up else lookup - done)
+            # Fresh content on clean pages stays one run, unless its tag
+            # is already resident.
+            fresh_run = held is None and contents is None and not looked_up
+            tags = seq[done:done + length]
             wrote = length
-            if run is not None:
-                self._carve(run, at - run.page, length)
+            if held is runs:
+                self._carve(runs, piece, at - piece.page, length)
                 if store is not None:
                     store.retag_run(tags)
-            elif private:
+            elif held is not None:
+                offset = piece.start + at - piece.page
                 if store is not None:
-                    olds = [overlay[p] for p in range(at, at + length)]
-                    wrote = store.exchange_run(olds, tags)
-            elif extent:
+                    wrote = store.exchange_run(piece.tags[offset:offset + length], tags)
+                if wrote:
+                    self._carve(held, piece, at - piece.page, wrote)
+            elif fresh_run:
                 wrote = min(length, memory.free_frames)
-                if wrote and store is not None:
-                    self._runs.append(store.add_run(self, at, wrote, first))
-                elif wrote:
-                    memory._allocate_private(wrote)
-                    self._runs.append(_Run(self, at, wrote, first))
+                if wrote:
+                    run = _Run(self, at, wrote, seq, done)
+                    if store is not None:
+                        store.add_run(run)
+                    else:
+                        memory._allocate_private(wrote)
+                    runs.append(run)
             elif store is not None:
                 wrote = store.intern_run(tags)
             else:
@@ -806,9 +805,9 @@ class GuestAddressSpace:
                 memory._allocate_private(wrote)
             if contents is None:
                 _fresh_tags.take(wrote)
-            if not extent:
-                overlay.update(zip(range(at, at + wrote), tags))
-            if not private:
+            if wrote and not fresh_run:
+                self._add_extent(at, wrote, seq, done)
+            if held is None:
                 self.cow_faults += wrote
             done += wrote
             if wrote < length:
@@ -818,34 +817,32 @@ class GuestAddressSpace:
                 break
         return done
 
-    def _segment_at(self, page: int, limit: int) -> Tuple[Optional[_Run], int]:
+    def _segment_at(
+        self, page: int, limit: int
+    ) -> Tuple[Optional[List[_Run]], Optional[_Run], int]:
         """The longest stretch of at most ``limit`` pages from ``page`` on
-        that are all of one kind — inside one run (returned with it), in
-        the overlay, or clean."""
-        overlay = self._overlay
-        if page in overlay:
-            return None, next((i for i in range(1, limit) if page + i not in overlay), limit)
-        for run in self._runs:
-            ahead = run.page - page
-            if -run.count < ahead <= 0:
-                return run, min(limit, ahead + run.count)
-            if 0 < ahead < limit:
-                limit = ahead
-        if overlay:
-            limit = next((i for i in range(1, limit) if page + i in overlay), limit)
-        return None, limit
+        that are all of one kind: inside one run or one extent (returned
+        with the list holding it), or clean (``None, None``)."""
+        for held in (self._runs, self._extents):
+            for piece in held:
+                ahead = piece.page - page
+                if -piece.count < ahead <= 0:
+                    return held, piece, min(limit, ahead + piece.count)
+                if 0 < ahead < limit:
+                    limit = ahead
+        return None, None, limit
 
     def private_page_contents(self) -> Iterator[Tuple[int, int]]:
         """Iterate (page number, content tag) over the private pages."""
-        return chain(self._overlay.items(), *(
-            zip(range(run.page, run.page + run.count), range(run.tag, run.tag + run.count))
-            for run in self._runs
-        ))
+        return chain.from_iterable([
+            zip(range(piece.page, piece.page + piece.count), piece.contents())
+            for piece in chain(self._extents, self._runs)
+        ])
 
     def is_private(self, page: int) -> bool:
         """Whether ``page`` has been dirtied away from the image."""
         self.image._check_page(page)
-        return page in self._overlay or self._run_at(page) is not None
+        return self._segment_at(page, 1)[0] is not None
 
     # ------------------------------------------------------------------ #
     # Accounting
@@ -854,7 +851,7 @@ class GuestAddressSpace:
     @property
     def private_pages(self) -> int:
         """Pages dirtied away from the image (logical private size)."""
-        return len(self._overlay) + sum(run.count for run in self._runs)
+        return sum(piece.count for piece in chain(self._extents, self._runs))
 
     @property
     def shared_pages(self) -> int:
@@ -869,18 +866,19 @@ class GuestAddressSpace:
         """Physical frames destroying this space returns to the pool.
 
         Under content sharing only frames no other space maps come back:
-        every run frame, and each overlay tag whose store refcount is this
+        every run frame, and each extent tag whose store refcount is this
         space's own count of it (a tag the space maps twice is still its
         alone). So this, not :attr:`private_pages`, is what reclamation
-        must project. Counted when asked, in O(overlay) — the order of the
-        eviction it plans.
+        must project. Counted when asked, in O(extent pages) — the order
+        of the eviction it plans.
         """
         store = self._store
         if store is None:
             return self.private_pages
         refs = store._entries
+        own = Counter(chain.from_iterable(extent.contents() for extent in self._extents))
         return sum(run.count for run in self._runs) + sum(
-            1 for tag, own in Counter(self._overlay.values()).items() if refs[tag] == own
+            1 for tag, held in own.items() if refs[tag] == held
         )
 
     def sharing_ratio(self) -> float:
@@ -888,9 +886,10 @@ class GuestAddressSpace:
         return self.shared_pages / self.image.page_count
 
     def private_page_numbers(self) -> Iterator[int]:
-        return chain(self._overlay, *(
-            range(run.page, run.page + run.count) for run in self._runs
-        ))
+        return chain.from_iterable([
+            range(piece.page, piece.page + piece.count)
+            for piece in chain(self._extents, self._runs)
+        ])
 
     # ------------------------------------------------------------------ #
     # Teardown
@@ -909,8 +908,8 @@ class GuestAddressSpace:
         else:
             freed = self.private_pages
             self.memory._free_private(freed)
-        self._overlay.clear()
         self._runs.clear()
+        self._extents.clear()
         self.image.detach()
         self.destroyed = True
         return freed

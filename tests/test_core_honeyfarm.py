@@ -139,7 +139,7 @@ class TestReclamation:
             newest.address_space.write(page, tag)
         assert oldest.reclaimable_frames == 0 < next_oldest.reclaimable_frames
         host = farm.hosts[0]
-        assert farm._relieve_pressure(host, exclude_vm_id=newest.vm_id)
+        assert farm._relieve_pressure(newest)
         assert host.get_vm(oldest.vm_id) is oldest
         assert host.get_vm(next_oldest.vm_id) is None
         assert farm.metrics.counters()["farm.pressure_evictions"] == 1

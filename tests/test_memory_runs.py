@@ -16,6 +16,8 @@ segmenting a write changes nothing; ``test_memory_ledger_golden.py``
 pins what the one-page semantics themselves are.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -69,7 +71,7 @@ def _per_page_write_run(guest: GuestHost, page: int, count: int, contents=None) 
         try:
             space.write(at, content)
         except OutOfMemoryError:
-            if guest.on_oom is None or not guest.on_oom():
+            if guest.on_oom is None or not guest.on_oom(guest.vm):
                 guest.dropped_page_writes += 1
                 return i
             space.write(at, content)
@@ -115,16 +117,17 @@ class _World:
             catalog=REGISTRY.catalog,
             sim=Simulator(),
             rng=RandomStream(1),
-            on_oom=(lambda: self._evict_neighbour(key)) if self.evict else None,
+            on_oom=self._evict_neighbour if self.evict else None,
         )
         if not self.bulk:
             guest._write_run = lambda *args: _per_page_write_run(guest, *args)
         self.guests[key] = guest
         return guest
 
-    def _evict_neighbour(self, key: int) -> bool:
-        """Memory-pressure handler: destroy the lowest-keyed other guest
-        of the same host."""
+    def _evict_neighbour(self, vm: VirtualMachine) -> bool:
+        """Memory-pressure handler for every guest: destroy the
+        lowest-keyed other guest of ``vm``'s host."""
+        key = next(k for k, guest in self.guests.items() if guest.vm is vm)
         hosts = len(self.memories)
         for other in sorted(self.guests):
             if other != key and other % hosts == key % hosts:
@@ -245,7 +248,7 @@ class TestRunCases:
         world = _assert_same([("clone", 0), ("boot", 0, 10)], sharing=sharing)
         space = world.guests[0].vm.address_space
         assert [(r.page, r.count) for r in space._runs] == [(0, 10)]
-        assert not space._overlay
+        assert not space._extents
         if sharing:
             assert not world.memory.sharing._entries
 
@@ -357,13 +360,24 @@ class TestRunCases:
         assert space.cow_faults == 4 + 3  # the wrapped half rewrote boot pages
 
     def test_body_over_pages_the_connection_region_owns(self, sharing):
-        # Region pages 4.. : the first cycle leaves runs, a rewrite moves
-        # pages to the overlay, the rest stay clean; the body crosses all.
+        # Region pages 4.. : the first cycle leaves runs, a rewrite makes
+        # an extent, the rest stay clean; the body crosses all. Then the
+        # region writes into the body's extent, cycles through it again
+        # and again, or a second family's body lands over the first —
+        # each roomy, and crowded by a neighbour the handler can evict.
         ops = [
             ("clone", 0), ("boot", 0, 4), ("conn", 0, 3), ("conn", 0, 3),
-            ("fresh", 0, 5, 2), ("body", 0, 2, 12, 0), ("conn", 0, 6), ("destroy", 0),
+            ("fresh", 0, 5, 2), ("body", 0, 2, 12, 0),
         ]
-        _assert_same(ops, sharing=sharing)
+        for tail in (
+            [("conn", 0, 6)],
+            [("conn", 0, 7)] * 8,
+            [("body", 0, 5, 10, 1), ("conn", 0, 6)],
+        ):
+            _assert_same(ops + tail + [("destroy", 0)], sharing=sharing)
+            crowded = [("clone", 1), ("boot", 1, 8)] + ops + tail
+            world = _assert_same(crowded, sharing=sharing, private_frames=TIGHT, evict=True)
+            assert 1 not in world.guests
 
     def test_second_victim_hits_on_its_host_and_misses_on_another(self, sharing):
         # Guests 0 and 2 share host 0; guest 1 is alone on host 1.
@@ -422,9 +436,25 @@ class TestRunCases:
             ("write", 1, 1, TAG_A), ("fresh", 0, 3, 9), ("fresh", 0, 0, PAGES + 2),
         ]
         _assert_same(ops, sharing=sharing)
+        # Fresh writes ending inside a body extent shared with guest 2:
+        # from a run into its head, then strictly inside it. Crowded by
+        # guest 0, the first of them runs out of frames where it enters
+        # the extent.
+        ops = [
+            ("clone", 1), ("clone", 2), ("boot", 1, 4), ("body", 1, 2, 10, 0),
+            ("body", 2, 2, 10, 0), ("fresh", 1, 0, 5), ("fresh", 1, 7, 3),
+        ]
+        world = _assert_same(ops, sharing=sharing)
+        space = world.guests[1].vm.address_space
+        assert sorted((e.page, e.count) for e in space._extents) == [
+            (0, 5), (5, 2), (7, 3), (10, 2),
+        ]
+        crowded = [("clone", 0), ("boot", 0, 10)] + ops
+        world = _assert_same(crowded, sharing=sharing, private_frames=TIGHT, evict=True)
+        assert 0 not in world.guests
 
     def test_overlay_segment_frees_before_it_allocates(self, sharing):
-        # Guest 1 rewrites overlay pages 2.. in one run: page 2 (sole
+        # Guest 1 rewrites extent pages 2.. in one run: page 2 (sole
         # owner, new content resident in guest 2) frees a frame, page 3
         # (shared with guest 0, new content nowhere) then needs one. The
         # pool is at its peak, so one allocator call for the whole
@@ -452,6 +482,18 @@ class TestRunCases:
         world = _assert_same(ops, sharing=sharing, private_frames=TIGHT, evict=evict)
         assert world.memory.allocation_failures >= 1
         assert (0 in world.guests) != evict
+        # Under sharing, rewriting a body extent guest 2 also maps needs
+        # a frame per page: the pool runs out two pages into it.
+        ops = [
+            ("clone", 0), ("clone", 1), ("clone", 2), ("boot", 0, 14),
+            ("body", 1, 0, 6, 0), ("body", 2, 0, 6, 0), ("fresh", 1, 0, 6),
+        ]
+        world = _assert_same(ops, sharing=sharing, private_frames=TIGHT, evict=evict)
+        assert world.memory.allocation_failures == 1
+        assert (0 in world.guests) != evict
+        body = _body(0, 6)
+        kept_body = [world.guests[1].vm.address_space.read(p) in body for p in range(6)]
+        assert kept_body == ([False] * 6 if evict or not sharing else [False] * 2 + [True] * 4)
 
     # -- the same, through a real infection ----------------------------- #
 
@@ -490,6 +532,35 @@ class TestRunCases:
         exploit = udp_packet(ATTACKER, guest.vm.ip, 1, 1434, payload="exploit:slammer")
         assert guest._maybe_infect(exploit, 1.0) is False
         assert world.observe() == before
+
+
+def test_victims_of_one_worm_hold_its_body_by_reference():
+    # Fifty codered victims on one host, the body at page 0 over each
+    # boot run: every victim's body is a few extents over the one cached
+    # tuple, and writing it costs a victim a few objects, not one per page.
+    body_pages, victims = 320, 50
+    world = _World(bulk=True, sharing=True, private_frames=4096, evict=False, pages=1024)
+    guests = [world.clone(key) for key in range(victims)]
+    for guest in guests:
+        guest._dirty_pages(64)
+    body = _worm_body_tags("codered", body_pages)
+    guests[0]._write_worm_body("codered", body_pages)  # the host's entries
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for guest in guests[1:]:
+            guest._write_worm_body("codered", body_pages)
+        per_victim = (tracemalloc.get_traced_memory()[0] - before) / (victims - 1)
+    finally:
+        tracemalloc.stop()
+    for guest in guests:
+        space = guest.vm.address_space
+        assert [space.read(p) for p in range(body_pages)] == list(body)
+        extents = space._extents
+        assert len(extents) <= 3
+        assert all(extent.tags is body for extent in extents)
+    assert world.memory.sharing.refs_of(body[0]) == victims
+    assert per_victim <= 1024, f"{per_victim:.0f} bytes per victim"
 
 
 # ---------------------------------------------------------------------- #
