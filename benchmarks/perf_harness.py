@@ -402,9 +402,9 @@ def heap_failures(doc: Doc) -> List[str]:
     failures = []
     for name, __, __ in HEAP_STORMS:
         storm = doc[name]
-        vms = storm["retained_after_drain"]["VirtualMachine"]
-        if vms:
-            failures.append(f"{name}: {vms} VirtualMachine alive after drain")
+        for kind, alive in storm["retained_after_drain"].items():
+            if alive:
+                failures.append(f"{name}: {alive} {kind} alive after drain")
         table = storm["flow_table_after_drain"]
         if table["live_rows"] or table["column_bytes"]:
             failures.append(

@@ -49,7 +49,7 @@ from repro.sim.metrics import Histogram, MetricRegistry
 from repro.sim.rand import SeedSequence
 from repro.vmm.host import HostCapacityError, PhysicalHost
 from repro.vmm.latency import CloneCostModel
-from repro.vmm.memory import OutOfMemoryError
+from repro.vmm.memory import PAGE_SIZE, OutOfMemoryError
 from repro.vmm.snapshot import ReferenceSnapshot
 from repro.vmm.vm import VirtualMachine, VMState
 
@@ -125,8 +125,6 @@ class Honeyfarm:
         self._hosts_by_id: Dict[int, PhysicalHost] = {
             host.host_id: host for host in self.hosts
         }
-        # Every guest shares one pressure handler, bound here once.
-        self._on_guest_oom = self._relieve_pressure
 
         policy = make_policy(
             self.config.containment, self.inventory, self.config.outbound_rate_limit
@@ -141,6 +139,12 @@ class Honeyfarm:
             metrics=self.metrics,
             pending_timeout=self.config.pending_timeout_seconds,
         )
+        # Every guest shares one transmit callback, one pressure handler
+        # and one infection recorder, each bound here once: a bound
+        # method made per guest would be one more object per clone.
+        self._guest_transmit = self.gateway.emit_from_vm
+        self._on_guest_oom = self._relieve_pressure
+        self._on_guest_infection = self._record_infection
 
         # Fidelity ladder (emulator tier + promotion engine). Constructed
         # only when ``config.ladder`` is set, so the default farm is
@@ -483,10 +487,10 @@ class Honeyfarm:
             catalog=self.personalities.catalog,
             sim=self.sim,
             rng=self._guest_seeds.stream(f"guest-{self._guest_counter}"),
-            transmit=self.gateway.emit_from_vm,
+            transmit=self._guest_transmit,
             worm_behaviors=self.worm_behaviors,
             on_oom=self._on_guest_oom,
-            on_infection=self._record_infection,
+            on_infection=self._on_guest_infection,
         )
         self.gateway.vm_ready(vm)
 
@@ -625,15 +629,16 @@ class Honeyfarm:
             destroyed += len(plan.destroy)
             detained += len(plan.detain)
         flows_expired = self.gateway.sweep_flows()
-        breakdown = farm_memory_breakdown(self.hosts)
-        self.metrics.series("farm.private_bytes_series").record(
-            self.sim.now, breakdown.private_resident
-        )
-        shared = savings = 0
+        private = shared = savings = 0
         for host in self.hosts:
-            host.memory.check_frame_invariant()
-            shared += host.memory.shared_frames
-            savings += host.memory.sharing_savings_frames
+            memory = host.memory
+            memory.check_frame_invariant()
+            private += memory.private_pages
+            shared += memory.shared_frames
+            savings += memory.sharing_savings_frames
+        self.metrics.series("farm.private_bytes_series").record(
+            self.sim.now, private * PAGE_SIZE
+        )
         if self._sharing_series is not None:
             shared_series, savings_series = self._sharing_series
             shared_series.record(self.sim.now, shared)

@@ -52,13 +52,15 @@ before refiling), so an entry is current exactly while its serial is;
 one whose row was freed is dropped when its bucket is swept.
 
 A **per-VM index** (``vm_id`` → rows) lets reclaiming a VM drop its
-residual flow state without touching unrelated flows.
+residual flow state without touching unrelated flows. Most VMs serve one
+flow, so a VM's entry is its row id until a second row arrives, and a
+set of row ids from then on.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.net.addr import IPAddress
 from repro.net.packet import Packet
@@ -71,6 +73,11 @@ FiveTuple = Tuple[int, int, int, int, int]
 
 #: The ``vm_id`` column's value for a flow bound to no VM.
 NO_VM = -1
+
+
+def _rows_of(entry: Union[int, Collection[int]]) -> Collection[int]:
+    """The row ids a per-VM index entry names (see the module docstring)."""
+    return (entry,) if type(entry) is int else entry
 
 
 def flow_key(src: int, src_port: int, dst: int, dst_port: int, protocol: int) -> FiveTuple:
@@ -206,7 +213,7 @@ class FlowTable:
         self.keys: List[Optional[FiveTuple]] = []
         self._rows: Dict[FiveTuple, int] = {}
         self._free = array("q")
-        self._by_vm: Dict[int, Set[int]] = {}
+        self._by_vm: Dict[int, Union[int, Set[int]]] = {}
         self._buckets: Dict[int, array] = {}
         self._granularity = max(idle_timeout / self._BUCKETS_PER_TIMEOUT, 1e-9)
         self._serials_issued = 0
@@ -245,15 +252,23 @@ class FlowTable:
         if vm_id != NO_VM:
             rows = self._by_vm.get(vm_id)
             if rows is None:
-                rows = self._by_vm[vm_id] = set()
-            rows.add(row)
+                self._by_vm[vm_id] = row
+            elif type(rows) is int:
+                self._by_vm[vm_id] = {rows, row}
+            else:
+                rows.add(row)
 
     def _unindex_vm(self, row: int, vm_id: int) -> None:
         rows = self._by_vm.get(vm_id)
-        if rows is not None:
-            rows.discard(row)
-            if not rows:
+        if rows is None:
+            return
+        if type(rows) is int:
+            if rows == row:
                 del self._by_vm[vm_id]
+            return
+        rows.discard(row)
+        if not rows:
+            del self._by_vm[vm_id]
 
     def _file(self, row: int, serial: int, bucket: int) -> None:
         filed = self._buckets.get(bucket)
@@ -430,11 +445,11 @@ class FlowTable:
 
     def flows_for_vm(self, vm_id: int) -> List[FlowRecord]:
         """Views of all live flows currently bound to ``vm_id``."""
-        return [self.record(row) for row in self._by_vm.get(vm_id, ())]
+        return [self.record(row) for row in _rows_of(self._by_vm.get(vm_id, ()))]
 
     def drop_vm(self, vm_id: int) -> int:
         """Forget all flows bound to a reclaimed VM; returns count dropped."""
-        rows = self._by_vm.pop(vm_id, ())
+        rows = _rows_of(self._by_vm.pop(vm_id, ()))
         for row in rows:
             self._free_row(row)
         self._release_if_empty()

@@ -261,7 +261,21 @@ class GuestHost:
         propagates. Without a handler, or when it returns False, the
         page is dropped and counted in ``dropped_page_writes``, and the
         rest of that write is not attempted.
+
+    A guest holds only what its VM has done: what the personality fixes
+    (services, vulnerabilities) is read from the shared
+    :class:`Personality`, and the follow-up table exists once a worm or
+    bot first queues a follow-up.
     """
+
+    __slots__ = (
+        "vm", "personality", "catalog", "sim", "rng", "transmit",
+        "worm_behaviors", "on_oom", "on_infection", "infection", "generation",
+        "connections_handled", "scans_emitted", "dropped_page_writes",
+        "beacons_sent", "_touched", "_page_cursor", "_conn_region_start",
+        "_conn_cursor", "_disk_cursor", "_pending_followups",
+        "_scan_process", "_beacon_process",
+    )
 
     def __init__(
         self,
@@ -302,14 +316,11 @@ class GuestHost:
         # TCP connections in flight: src_port -> (dst_port, payload, size)
         # to send once the SYN/ACK arrives. A worm cannot put its exploit
         # (nor a bot its check-in) on the SYN; the payload follows the
-        # established connection.
-        self._pending_followups: Dict[int, tuple] = {}
+        # established connection. Created by the first follow-up.
+        self._pending_followups: Optional[Dict[int, tuple]] = None
         self._scan_process: Optional[Process] = None
         self._beacon_process: Optional[Process] = None
         self.beacons_sent = 0
-        self._vulns = {
-            v.name: v for v in personality.vulnerabilities(catalog)
-        }
         vm.guest = self
 
     # ------------------------------------------------------------------ #
@@ -364,6 +375,17 @@ class GuestHost:
         base = _worm_body_region(worm_name, self.vm.address_space.page_count, body_pages)
         self._write_run(base, body_pages, _worm_body_tags(worm_name, body_pages))
 
+    def _write_disk(self, block: int, count: int, wrap: int) -> None:
+        """Write ``count`` consecutive disk blocks from ``block`` on,
+        wrapping at block ``wrap``: one device call per stretch."""
+        disk = self.vm.disk
+        while count > 0:
+            at = block % wrap
+            chunk = min(count, wrap - at)
+            disk.write_run(at, chunk)
+            block += chunk
+            count -= chunk
+
     def _write_connection_to_disk(self) -> None:
         """Log-style disk writes for one connection, cycling within the
         personality's bounded disk working set."""
@@ -371,10 +393,8 @@ class GuestHost:
         per = self.personality.disk_blocks_per_connection
         if cap == 0 or per == 0 or self.vm.disk.detached:
             return
-        for __ in range(per):
-            block = self._disk_cursor % cap
-            self._disk_cursor += 1
-            self.vm.disk.write(block)
+        self._write_disk(self._disk_cursor, per, cap)
+        self._disk_cursor += per
 
     def _write_infection_to_disk(self, worm_name: str) -> None:
         """The worm installs itself: fresh blocks in a worm-specific
@@ -382,12 +402,10 @@ class GuestHost:
         count = self.personality.infection_disk_blocks
         if count == 0 or self.vm.disk.detached:
             return
-        total = self.vm.disk.image.block_count
         cap = self.personality.disk_working_set_cap_blocks
         # Stable (cross-process) per-worm region, clear of the log area.
         base = cap + stable_hash(f"disk:{worm_name}", 4) % 1000 * 256
-        for i in range(count):
-            self.vm.disk.write((base + i) % total)
+        self._write_disk(base, count, self.vm.disk.image.block_count)
 
     def _dirty_connection_pages(self, count: int) -> None:
         """Dirty ``count`` pages of connection state, cycling within the
@@ -428,17 +446,18 @@ class GuestHost:
         if self.vm.state is not VMState.RUNNING:
             return []
         self.vm.touch(now)
-        self.vm.vif.account_in(packet.size)
         self._touch_working_set()
 
         # A SYN/ACK (or RST) answering a connection this guest initiated:
         # the connection is up, deliver the queued payload on it.
+        followups = self._pending_followups
         if (
-            packet.is_tcp
-            and packet.dst_port in self._pending_followups
+            followups
+            and packet.is_tcp
+            and packet.dst_port in followups
             and (packet.flags.is_synack or packet.flags.has_rst)
         ):
-            dst_port, payload, size = self._pending_followups.pop(packet.dst_port)
+            dst_port, payload, size = followups.pop(packet.dst_port)
             if packet.flags.is_synack:
                 followup = Packet(
                     src=self.vm.ip,
@@ -459,10 +478,7 @@ class GuestHost:
             self._write_connection_to_disk()
             if self._maybe_infect(packet, now):
                 return []  # compromised by this packet: the service never answers
-        replies = service_replies(self.personality, packet)
-        for reply in replies:
-            self.vm.vif.account_out(reply.size)
-        return replies
+        return service_replies(self.personality, packet)
 
     def _is_service_request(self, packet: Packet) -> bool:
         """Whether ``packet`` is application data for a service this
@@ -491,7 +507,7 @@ class GuestHost:
         mutexed against double infection).
         """
         vuln = self.catalog.match(packet)
-        if vuln is None or vuln.name not in self._vulns:
+        if vuln is None or vuln.name not in self.personality.vulnerability_names:
             return False
         if self.infected:
             return False
@@ -551,8 +567,8 @@ class GuestHost:
             if behavior.protocol == PROTO_TCP:
                 # Real TCP worms connect first; the exploit follows the
                 # handshake (see handle_packet's SYN/ACK branch).
-                self._pending_followups[src_port] = (
-                    behavior.dst_port, behavior.exploit_tag, behavior.payload_size,
+                self._queue_followup(
+                    src_port, behavior.dst_port, behavior.exploit_tag, behavior.payload_size,
                 )
                 scan = Packet(
                     src=self.vm.ip,
@@ -598,8 +614,8 @@ class GuestHost:
         assert behavior.beacon_interval is not None
         while self.vm.state is VMState.RUNNING and self.infected:
             src_port = 1024 + self.rng.randint(0, 60000)
-            self._pending_followups[src_port] = (
-                behavior.cnc_port, f"cnc:checkin:{behavior.worm_name}", 120,
+            self._queue_followup(
+                src_port, behavior.cnc_port, f"cnc:checkin:{behavior.worm_name}", 120,
             )
             syn = Packet(
                 src=self.vm.ip,
@@ -614,10 +630,17 @@ class GuestHost:
             self._transmit_if_running(syn)
             yield Sleep(behavior.beacon_interval)
 
+    def _queue_followup(self, src_port: int, dst_port: int, payload: str, size: int) -> None:
+        """Send ``payload`` to ``dst_port`` once the connection opened
+        from ``src_port`` is answered."""
+        followups = self._pending_followups
+        if followups is None:
+            followups = self._pending_followups = {}
+        followups[src_port] = (dst_port, payload, size)
+
     def _transmit_if_running(self, packet: Packet) -> None:
         if self.vm.state is VMState.RUNNING and self.transmit is not None:
             self.scans_emitted += 1
-            self.vm.vif.account_out(packet.size)
             self.transmit(self.vm, packet)
 
     def stop(self) -> None:

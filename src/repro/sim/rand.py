@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, TypeVar
 
 __all__ = ["SeedSequence", "RandomStream", "stable_hash"]
@@ -84,13 +83,20 @@ class RandomStream:
     continues its sequence where it was.
     """
 
+    __slots__ = ("name", "seed", "_random")
+
     def __init__(self, seed: int, name: str = "") -> None:
         self.name = name
         self.seed = seed
+        self._random: Optional[random.Random] = None
 
-    @cached_property
+    @property
     def _rng(self) -> random.Random:
-        return random.Random(self.seed)
+        """The generator, seeded at the first draw."""
+        rng = self._random
+        if rng is None:
+            rng = self._random = random.Random(self.seed)
+        return rng
 
     # -- uniform / integers -------------------------------------------- #
 

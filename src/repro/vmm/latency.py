@@ -114,10 +114,6 @@ class CloneCostModel:
             for stage, ms in self.stage_costs_ms.items()
         ]
 
-    def flash_clone_total(self) -> float:
-        """Total seconds for one flash clone."""
-        return sum(s.seconds for s in self.flash_clone_stages())
-
     def mean_flash_clone_seconds(self) -> float:
         """The jitter-free total, for capacity planning."""
         return sum(self.stage_costs_ms.values()) / 1000.0
@@ -133,9 +129,6 @@ class CloneCostModel:
             else:
                 stages.append(StageCost(stage, self._jittered(ms / 1000.0)))
         return stages
-
-    def full_copy_total(self, image_bytes: int) -> float:
-        return sum(s.seconds for s in self.full_copy_stages(image_bytes))
 
     def reassign_stages(self) -> List[StageCost]:
         """Stages for binding a pre-created (warm-pool) VM to an address:
@@ -157,9 +150,6 @@ class CloneCostModel:
             StageCost("device_setup", self._jittered(self.stage_costs_ms["device_setup"] / 1000.0)),
             StageCost("guest_boot", self._jittered(self.boot_seconds)),
         ]
-
-    def boot_total(self) -> float:
-        return sum(s.seconds for s in self.boot_stages())
 
     def destroy_seconds(self) -> float:
         """Teardown charge: freeing overlay frames and detaching devices is

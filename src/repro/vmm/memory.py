@@ -649,7 +649,15 @@ class GuestAddressSpace:
     When the host memory has content sharing enabled, every private
     write routes through its :class:`SharedFrameStore`, so identical
     contents across (or within) VMs cost one frame.
+
+    A space with no extent holds the empty tuple in place of a list:
+    most clones never rewrite a page or pin content.
     """
+
+    __slots__ = (
+        "image", "memory", "_store", "eager_copy", "_runs", "_extents",
+        "cow_faults", "destroyed",
+    )
 
     def __init__(self, image: ReferenceImage, eager_copy: bool = False) -> None:
         if eager_copy and not image.memory.can_fit(image.page_count):
@@ -662,7 +670,7 @@ class GuestAddressSpace:
         self._store = self.memory.sharing
         self.eager_copy = eager_copy
         self._runs: List[_Run] = []
-        self._extents: List[_Run] = []
+        self._extents: Sequence[_Run] = ()
         self.cow_faults = 0
         self.destroyed = False
         if eager_copy:
@@ -709,11 +717,14 @@ class GuestAddressSpace:
     def _add_extent(self, page: int, count: int, tags: Sequence[int], start: int) -> None:
         """Pages ``page..`` now hold ``tags[start..]``: grow the last
         extent when they continue it, else add one."""
-        last = self._extents[-1] if self._extents else None
+        extents = self._extents
+        last = extents[-1] if extents else None
         if last and last.tags is tags and last.page - page == last.start - start == -last.count:
             last.count += count
+        elif extents:
+            extents.append(_Run(self, page, count, tags, start))
         else:
-            self._extents.append(_Run(self, page, count, tags, start))
+            self._extents = [_Run(self, page, count, tags, start)]
 
     def write(self, page: int, content: Optional[int] = None) -> int:
         """Dirty ``page`` with ``content`` (fresh, globally unique content
@@ -909,7 +920,7 @@ class GuestAddressSpace:
             freed = self.private_pages
             self.memory._free_private(freed)
         self._runs.clear()
-        self._extents.clear()
+        self._extents = ()
         self.image.detach()
         self.destroyed = True
         return freed

@@ -50,6 +50,12 @@ class VirtualMachine:
     once the VM is running.
     """
 
+    __slots__ = (
+        "vm_id", "snapshot", "address_space", "vif", "disk", "state",
+        "created_at", "started_at", "destroyed_at", "last_activity",
+        "host_id", "guest", "detained", "parked",
+    )
+
     def __init__(
         self,
         snapshot: ReferenceSnapshot,

@@ -24,10 +24,18 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import HoneyfarmConfig
+from repro.core.flash_clone import CloneResult
 from repro.core.honeyfarm import Honeyfarm
+from repro.fidelity.emulator import EmulatedSession
 from repro.net.addr import IPAddress
 from repro.net.packet import tcp_packet
+from repro.services.guest import GuestHost
+from repro.services.personality import default_registry
+from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStream, SeedSequence
+from repro.vmm.memory import GuestAddressSpace, MachineMemory
+from repro.vmm.snapshot import ReferenceSnapshot
+from repro.vmm.vm import VirtualMachine
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
@@ -83,6 +91,25 @@ def _assert_census_is_the_live_state(farm: Honeyfarm, before: dict) -> None:
     sessions = {id(s) for s in (ladder.sessions.values() if ladder else ())}
     sessions.update(id(entry[3]) for entry in entries)
     assert census["EmulatedSession"] == len(sessions)
+
+
+def test_census_counts_one_live_instance_of_each_type_as_one():
+    # Slotted objects have no ``__dict__``; the census must still see
+    # each of them (``gc.get_objects`` lists only collector-tracked ones)
+    # while ``alive`` holds them.
+    before = perf_harness.heap_census()
+    registry = default_registry()
+    snapshot = ReferenceSnapshot(MachineMemory(64 << 20), image_bytes=4 << 20)
+    vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), ATTACKER, 0.0)
+    alive = (
+        vm,
+        GuestHost(vm, registry.get("windows-default"), registry.catalog,
+                  Simulator(), RandomStream(1)),
+        CloneResult(vm=vm, requested_at=0.0, completed_at=0.0),
+        EmulatedSession(registry.get("windows-default"), 0.0),
+    )
+    assert _census_since(before) == dict.fromkeys(perf_harness.HEAP_TYPES, 1)
+    assert vm.guest is alive[1]  # the guest binds itself to the slotted VM
 
 
 @pytest.mark.parametrize("name", ["vm_churn", "mixed_storm"])
@@ -166,6 +193,61 @@ def test_bytes_per_live_vm_and_bytes_left_behind():
     # What stays is output, and only output: one sample in each clone.*
     # histogram, the live-VM series' two points.
     assert left_per_clone <= 600, left_per_clone
+
+
+#: Traced bytes per uninfected running clone — VM, NIC, disk, address
+#: space with its boot run, guest and random stream — as
+#: :func:`test_an_uninfected_clone_holds_only_what_it_changed` measures
+#: them: 1 887 when each was an object with an instance dict and the
+#: guest carried its own vulnerability dict, disk-overlay set and
+#: follow-up dict; 976 slotted, with those allocated on first use.
+BYTES_PER_UNINFECTED_CLONE = 1300
+
+
+def _own_containers(guest: GuestHost, other: GuestHost) -> list:
+    """The containers ``guest`` references that ``other`` does not."""
+    shared = {id(ref) for ref in gc.get_referents(other)}
+    return [
+        ref for ref in gc.get_referents(guest)
+        if isinstance(ref, (dict, list, set, tuple)) and id(ref) not in shared
+    ]
+
+
+def test_an_uninfected_clone_holds_only_what_it_changed():
+    clones = 2000
+    registry = default_registry()
+    windows = registry.get("windows-default")
+    sim = Simulator()
+    snapshot = ReferenceSnapshot(MachineMemory(1 << 30), image_bytes=4 << 20)
+    seeds = SeedSequence(3).spawn("guests")
+    behaviors: dict = {}
+    addresses = [IPAddress(DARKNET + index) for index in range(clones)]
+    guests = []
+    tracemalloc.start()
+    try:
+        before = _traced()
+        for index, ip in enumerate(addresses):
+            vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), ip, 0.0)
+            vm.start(0.0)
+            guest = GuestHost(vm, windows, registry.catalog, sim,
+                              seeds.stream(f"guest-{index}"), worm_behaviors=behaviors)
+            # A probe: the guest boots its working set and answers.
+            assert guest.handle_packet(tcp_packet(ATTACKER, ip, 1024, 445), 0.0)
+            guests.append(guest)
+        per_clone = (_traced() - before) / clones
+    finally:
+        tracemalloc.stop()
+    assert per_clone <= BYTES_PER_UNINFECTED_CLONE, per_clone
+    first, second = guests[:2]
+    vm = first.vm
+    for obj in (vm, vm.vif, vm.disk, vm.address_space, first, first.rng):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+    # What the personality fixes is shared: neither of two guests of one
+    # personality holds a container of its own — no vulnerability table,
+    # no empty follow-up table.
+    assert not first.infected and not second.infected
+    assert _own_containers(first, second) == []
+    assert _own_containers(second, first) == []
 
 
 @pytest.mark.slow

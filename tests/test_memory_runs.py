@@ -4,8 +4,8 @@
 from n one-page ``write`` calls, each a one-page ``write_run``. The
 reference here is that loop, with the pressure handler's retry written
 out (``_per_page_write_run``); each test drives one op sequence through
-the real guest code twice — once as it is, once with
-``GuestHost._write_run`` replaced by that loop — and compares everything
+the real guest code twice — once as it is, once as a ``GuestHost`` whose
+``_write_run`` is that loop (``_PerPageGuest``) — and compares everything
 a caller can see after every op: reads, returned tags, private page
 contents, CoW faults, the frame ledgers, reclaimable frames, allocation
 failures and the guest's cursors. The store audit and the frame
@@ -78,6 +78,15 @@ def _per_page_write_run(guest: GuestHost, page: int, count: int, contents=None) 
     return count
 
 
+class _PerPageGuest(GuestHost):
+    """A guest that writes through the per-page reference."""
+
+    __slots__ = ()
+
+    def _write_run(self, page: int, count: int, contents=None) -> int:
+        return _per_page_write_run(self, page, count, contents)
+
+
 class _World:
     """``hosts`` hosts with one image each, up to ``MAX_GUESTS`` guests
     (guest ``key`` lives on host ``key % hosts``) to replay ops in."""
@@ -111,7 +120,7 @@ class _World:
             IPAddress.parse(f"10.16.0.{key + 1}"), 0.0,
         )
         vm.start(now=0.0)
-        guest = GuestHost(
+        guest = (GuestHost if self.bulk else _PerPageGuest)(
             vm=vm,
             personality=WINDOWS,
             catalog=REGISTRY.catalog,
@@ -119,8 +128,6 @@ class _World:
             rng=RandomStream(1),
             on_oom=self._evict_neighbour if self.evict else None,
         )
-        if not self.bulk:
-            guest._write_run = lambda *args: _per_page_write_run(guest, *args)
         self.guests[key] = guest
         return guest
 

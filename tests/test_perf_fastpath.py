@@ -308,6 +308,24 @@ class TestFlowTableIndexes:
         assert table.flows_for_vm(7) == []
         assert [r.key for r in table.flows_for_vm(9)] == [rec.key]
 
+    def test_vm_index_keeps_a_vms_only_row_as_an_int(self):
+        table = FlowTable(idle_timeout=60.0)
+        first, __ = table.observe(_pkt(1), now=0.0)
+        second, __ = table.observe(_pkt(2), now=0.0)
+        third, __ = table.observe(_pkt(3), now=0.0)
+        first.vm_id = 7
+        assert table._by_vm[7] == first.row  # no container for one row
+        second.vm_id = 7
+        third.vm_id = 7
+        assert sorted(r.key for r in table.flows_for_vm(7)) == sorted(
+            [first.key, second.key, third.key]
+        )
+        second.vm_id = 9
+        assert sorted(r.key for r in table.flows_for_vm(7)) == sorted([first.key, third.key])
+        assert table.drop_vm(7) == 2
+        assert [r.key for r in table.flows_for_vm(9)] == [second.key]
+        assert len(table) == 1
+
     def test_drop_vm_removes_only_that_vms_flows(self):
         table = FlowTable(idle_timeout=60.0)
         mine, __ = table.observe(_pkt(1), now=0.0)

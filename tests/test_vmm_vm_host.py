@@ -1,6 +1,8 @@
 """Unit tests for VM lifecycle, devices, snapshots, and physical hosts."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.net.addr import IPAddress
 from repro.vmm.devices import DiskImage, VirtualBlockDevice, VirtualInterface
@@ -31,14 +33,6 @@ class TestVirtualInterface:
         vif.assign_ip(IP)
         assert vif.ip == IP
 
-    def test_traffic_accounting(self):
-        vif = VirtualInterface(IP)
-        vif.account_in(100)
-        vif.account_out(60)
-        vif.account_out(40)
-        assert (vif.packets_in, vif.bytes_in) == (1, 100)
-        assert (vif.packets_out, vif.bytes_out) == (2, 100)
-
 
 class TestVirtualBlockDevice:
     @pytest.fixture
@@ -51,6 +45,21 @@ class TestVirtualBlockDevice:
         assert dev.write(5) is False   # rewrite does not
         assert dev.private_blocks == 1
         assert dev.private_bytes == 4096
+
+    @given(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 12)), max_size=30))
+    def test_extents_hold_exactly_the_written_blocks(self, writes):
+        dev = VirtualBlockDevice(DiskImage(block_count=112))
+        written = set()
+        for block, count in writes:
+            first_writes = set(range(block, block + count)) - written
+            assert dev.write_run(block, count) == len(first_writes)
+            written |= first_writes
+        assert dev.private_blocks == len(written)
+        assert sorted(dev.dirty_block_numbers()) == sorted(written)
+        assert [dev.read(b) for b in range(112)] == [b in written for b in range(112)]
+        # Ascending, disjoint and non-touching: one extent per stretch.
+        bounds = dev._extents or []
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
 
     def test_read_reports_overlay_hit(self, disk_image):
         dev = VirtualBlockDevice(disk_image)
