@@ -368,7 +368,6 @@ def heap_profile(name: str, size: str, per: str, quotient: str) -> Doc:
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    lane = farm.gateway._span_lane
     return {
         "workload": name,
         "size": size,
@@ -378,7 +377,6 @@ def heap_profile(name: str, size: str, per: str, quotient: str) -> Doc:
         quotient: round(busiest["bytes"] / max(busiest[per], 1)),
         "top_sites_at_busiest": sites,
         "bytes_held_after_drain": held,
-        "span_cache_entries_after_drain": 0 if lane is None else len(lane.cache),
         # Materialized and never taken out: nothing is left to deliver.
         "packets_cached_after_drain": len(stream._columns.packets),
         "retained_after_drain": retained,

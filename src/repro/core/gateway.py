@@ -160,8 +160,8 @@ class Gateway:
         # The span lane (see dispatch_span), built on first use and
         # rebuilt when what it was resolved under is replaced.
         self._span_lane: Optional[SpanLane] = None
-        #: Span-lane flow resolves, and how many of them were for a key
-        #: that already had a cache entry. Plain ints, not metrics
+        #: Span-lane flow resolves, and how many of them were for a row
+        #: whose verdict failed the validity rule. Plain ints, not metrics
         #: counters: they describe the lane, not the simulated outcome.
         self.span_resolves = 0
         self.span_reresolves = 0
@@ -484,9 +484,9 @@ class Gateway:
         """Point ``ip`` at ``vm``, or at nothing (``None``): the only
         writer of ``vm_map``.
 
-        The ladder hears of a binding, which outdates every span-cache
-        entry resolved at the address. Unbinding outdates nothing: the
-        span lane caches no entry for a VM-backed address."""
+        The ladder hears of a binding, which outdates every span verdict
+        resolved at the address. Unbinding outdates nothing: the span
+        lane resolves no flow to a VM-backed address."""
         if vm is None:
             del self.vm_map[ip]
             return
@@ -839,11 +839,7 @@ class Gateway:
         """Expire idle flows; returns how many were dropped."""
         if self.ladder is not None:
             self.ladder.sweep(self.sim.now)
-        expired = len(self.flows.expire_idle(self.sim.now))
-        if self._span_lane is not None:
-            # After the expiry: what it detached is what the cache lets go.
-            self._span_lane.shed()
-        return expired
+        return len(self.flows.expire_idle(self.sim.now))
 
     def tunnel_links(self) -> Dict[int, Link]:
         """The registered tunnel return links, keyed by tunnel key (the

@@ -57,11 +57,13 @@ FRESH_FLOW = FlowProgress(0, 0)
 class EmulatedSession:
     """Per-address emulator state: flow depths, banner, replay buffer.
 
-    ``cache_gen`` is the validity token for anything cached against this
-    session's address (:mod:`repro.fidelity.span`): the ladder bumps it
-    when it drops the session, and when the gateway binds a VM over the
-    address. A cached entry holds while the generation it was resolved
-    under is still current.
+    ``stamp`` names this session, as it stands, to the span lane's
+    verdicts (:mod:`repro.fidelity.span`): a unique int the ladder draws
+    when it opens the session and draws afresh when the gateway binds a
+    VM over the address or a new span lane starts. A flow row's verdict
+    carries the stamp it was resolved against and holds only while the
+    address's live session still bears it; a dropped session takes its
+    stamp with it. A session built outside a ladder has stamp 0.
 
     ``flows`` maps each flow's canonical key to its :class:`FlowProgress`;
     a flow the span lane opens shares its key tuple with the flow
@@ -86,10 +88,10 @@ class EmulatedSession:
         "banner",
         "packets_absorbed",
         "payload_bytes_total",
-        "cache_gen",
+        "stamp",
     )
 
-    def __init__(self, personality: Personality, now: float) -> None:
+    def __init__(self, personality: Personality, now: float, stamp: int = 0) -> None:
         self.personality = personality
         self.created_at = now
         self.last_seen = now
@@ -101,7 +103,7 @@ class EmulatedSession:
         self.banner: Optional[str] = None
         self.packets_absorbed = 0
         self.payload_bytes_total = 0
-        self.cache_gen = 0
+        self.stamp = stamp
 
     def flow_state(self, key: FiveTuple) -> Tuple[FlowProgress, bool]:
         """The progress of flow ``key`` inside this session, opened on

@@ -26,6 +26,7 @@ so no packet is ever accounted twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Dict, List, Optional
 
 from repro.core.config import HoneyfarmConfig
@@ -40,6 +41,10 @@ from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricRegistry
 
 __all__ = ["FidelityLadder", "LadderVerdict"]
+
+#: Session stamps (:class:`EmulatedSession`), unique in the process: a
+#: verdict one ladder's span lane wrote is never trusted under another.
+_stamps = count(1)
 
 
 @dataclass
@@ -145,7 +150,7 @@ class FidelityLadder:
         session = self.sessions.get(value)
         if session is None:
             session = self.sessions[value] = EmulatedSession(
-                self.personality_at(value), now
+                self.personality_at(value), now, next(_stamps)
             )
             self._c_sessions_started.increment()
             if now < self._session_floor:
@@ -160,19 +165,20 @@ class FidelityLadder:
             self._c_buffer_dropped.increment()
         session.hold(packet)
 
-    def _retire(self, value: int) -> None:
-        """Drop the session of the address of value ``value``; whatever
-        was cached against it (the span lane's entries) is stale from
-        here on."""
-        self.sessions.pop(value).cache_gen += 1
-
     def vm_bound(self, ip: IPAddress) -> None:
         """The gateway bound a VM over ``ip``. If the emulator tier was
         serving the address (a respawn after a host crash), the session
-        stays but every span entry resolved against it is stale."""
+        stays under a new stamp, so no span verdict resolved against it
+        holds."""
         session = self.sessions.get(ip.value)
         if session is not None:
-            session.cache_gen += 1
+            session.stamp = next(_stamps)
+
+    def restamp(self) -> None:
+        """Give every live session a new stamp: a new span lane trusts no
+        verdict an earlier one wrote."""
+        for session in self.sessions.values():
+            session.stamp = next(_stamps)
 
     def _promote(
         self, ip: IPAddress, session: EmulatedSession, trigger: str, now: float
@@ -196,7 +202,9 @@ class FidelityLadder:
             buffer_dropped=session.buffer_dropped,
         )
         self.handoffs[value] = handoff
-        self._retire(value)
+        # Every span verdict resolved against the session names a stamp
+        # no live session bears from here on.
+        del self.sessions[value]
         self._c_promotions.increment()
         self._c_promotions_by_trigger[trigger].increment()
         if _obs.ACTIVE is not None:
@@ -269,7 +277,7 @@ class FidelityLadder:
                 floor = last_seen
         self._session_floor = floor
         for value in expired:
-            self._retire(value)
+            del self.sessions[value]
         if expired:
             self._c_sessions_expired.increment(len(expired))
         return len(expired)

@@ -15,13 +15,16 @@ the span, and the per-packet lane takes it from there.
 
 The lane decides nothing of its own. Once per flow, :meth:`SpanLane._resolve`
 asks the primitives the per-packet lane runs — ``FidelityLadder.session_at``,
-``EmulatedSession.flow_state``, ``flow_key``,
-``FlowTable.live_record`` / ``create``, ``triggers.vuln_probe``,
-``emulator_replies``, ``containment.honeypot_initiated`` — and caches the
-answer: the flow's row in the flow table and the packet class's reply
-shape. Per packet, :meth:`SpanLane.run` applies the cached answer as
-plain arithmetic on the flow table's columns and the session's handoff
-buffer (what ``FlowTable.observe_keyed``, ``EmulatedSession.emulate`` and
+``EmulatedSession.flow_state``, ``FlowTable.live_record`` / ``create``,
+``triggers.vuln_probe``, ``emulator_replies``,
+``containment.honeypot_initiated`` — and writes the answer on the flow's
+row, as the ``verdict`` column: the reply class and the ``tcp_flags`` it
+was classified under (a code into the lane's small table of classes),
+and the stamp of the session it was resolved against. The flow table is
+the lane's only per-flow index. Per packet, :meth:`SpanLane.run` finds
+the row, checks the verdict, and applies it as plain arithmetic on the
+flow table's columns and the session's handoff buffer (what
+``FlowTable.observe_keyed``, ``EmulatedSession.emulate`` and
 ``FidelityLadder._buffer`` do per packet), and
 ``tests/test_span_lane_parity.py`` holds it to the per-event loop,
 observable by observable.
@@ -31,33 +34,41 @@ membership, the ladder's sessions, the flow key and the containment rule
 all take values, so a resolve builds no
 :class:`~repro.net.addr.IPAddress`. It builds one only to ask
 ``IPAddress``-keyed state: a federation's ``is_remote``, and ``vm_map``
-when any VM is bound.
+when any VM is bound. Nor does it build a key: ``flow_key`` orders
+endpoints high first, so an arrival from a source above the darknet
+(96.1 % of ``radiation_span``'s) is its flow's key, and the row files the
+trace's own tuple. Only a source below the darknet costs a key tuple,
+built by ``flow_key`` to find the flow's row.
 
 Correctness rests on three invariants:
 
 * nothing here schedules events or reads ``sim.now``, so the caller's
   span bound (next heap event) stays valid throughout;
-* a cache entry depends only on state of its *destination address*: that
-  no VM is bound there, and which ``EmulatedSession`` the ladder holds
-  for it (every flow of a live session is below the promotion thresholds:
-  the packet that reaches one promotes, which drops the session). Each of
-  those changes bumps that session's ``cache_gen`` in the one place it
-  happens (``FidelityLadder._retire``, which ``_promote`` and ``sweep``
-  drop sessions through, and ``FidelityLadder.vm_bound``), the entry's
-  flow rows are checked for liveness on every touch (the row's serial
-  is still the one the entry holds, and the flow is not idle), and an
-  entry that fails either check is resolved again exactly as a first
-  packet would be, so traffic to any other address leaves it valid.
-  All three checks are one-way — a generation only rises, a freed row's
-  serial never comes back, an idle flow is expired before anything
-  touches it again — so an entry that fails one is dead for good, and
-  :meth:`SpanLane.shed` drops such entries once they outnumber the live
-  ones: the rule that keeps the cache right also keeps it the size of
-  what it caches. When the flow table empties it releases its columns,
-  and with them every row an entry could name: the lane then forgets
-  its whole cache before reading a column again. What an entry assumes
-  about the *farm* (its policy and ladder) is the lane object's own
-  validity: :meth:`SpanLane.serves`;
+* a packet is served from its row's verdict exactly when all of these
+  hold, and anything else resolves exactly as a first packet would:
+
+  - the flow index finds the row (a freed row leaves the index, and a
+    new row starts with no verdict);
+  - the ladder holds a session for the destination and its stamp is the
+    verdict's. A verdict depends only on state of its *destination
+    address*: that no VM is bound there, and which ``EmulatedSession``
+    the ladder holds for it (every flow of a live session is below the
+    promotion thresholds: the packet that reaches one promotes, which
+    drops the session). A dropped session takes its stamp with it, and
+    ``FidelityLadder.vm_bound`` draws the session a new one; stamps are
+    unique in the process, so neither ever comes back;
+  - the flow is not idle;
+  - the packet's ``tcp_flags`` are the verdict's: a flow's later packets
+    may carry other flags, and another class;
+  - an unreachable's ICMP companion row is live under its key and was
+    opened by the farm side.
+
+  Traffic to any other address leaves a verdict valid. What a verdict
+  assumes about the *farm* (its policy and ladder) is the lane object's
+  own validity, :meth:`SpanLane.serves`, and a new lane restamps the
+  ladder's sessions, so it trusts no verdict an earlier lane wrote.
+  A verdict is a column of its row: it goes when the flow does, and a
+  drained table holds none;
 * rows touched here keep their creation-time bucket, as they do on the
   per-packet lane: ``FlowTable.expire_idle`` refiles them (see
   :mod:`repro.net.flow`).
@@ -65,7 +76,7 @@ Correctness rests on three invariants:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.containment import ContainmentPolicy, DropAllPolicy, honeypot_initiated
 from repro.fidelity.emulator import emulator_replies
@@ -75,15 +86,16 @@ from repro.fidelity.triggers import (
     vuln_probe,
 )
 from repro.net.addr import IPAddress
-from repro.net.flow import flow_key
+from repro.net.flow import FiveTuple, flow_key
 from repro.net.packet import PROTO_ICMP, Packet
 from repro.services.guest import BANNER_PREFIX
 from repro.services.personality import Personality
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.core.gateway import Gateway
+    from repro.fidelity.emulator import EmulatedSession
     from repro.fidelity.ladder import FidelityLadder
-    from repro.sim.batch import ArrivalKey, PacketColumns
+    from repro.sim.batch import PacketColumns
 
 __all__ = ["SpanLane"]
 
@@ -99,16 +111,22 @@ _UNREACHABLE = 3  # ICMP port-unreachable on its own flow, contained
 #: replies, or needs a containment verdict the lane does not model.
 _SLOW = (-1, 0, None, False)
 
+#: A row's verdict is ``stamp << _CODE_BITS | code``: the session stamp
+#: it was resolved against, and its index into :attr:`SpanLane.verdicts`.
+#: XOR with the live session's shifted stamp leaves a code below
+#: ``_CODES`` exactly when the stamps agree.
+_CODE_BITS = 20
+_CODES = 1 << _CODE_BITS
+
 
 class SpanLane:
-    """The span cache and what it was resolved under: one gateway, one
-    ladder and one containment policy.
+    """The span lane and what it resolves under: one gateway, one ladder
+    and one containment policy.
 
-    A cache entry is a tuple ``(cls, row, serial, session, cache_gen)``:
-    the packet class, the conversation's flow row and the serial it was
-    stamped with, the emulated session and the generation it was
-    resolved under. An ``_UNREACHABLE`` entry carries the unreachable's
-    own flow row and serial after them."""
+    ``verdicts`` lists the reply classes flows have been resolved to,
+    each with the ``tcp_flags`` it was classified under: ``(kind,
+    reply_size, banner, contained, tcp_flags)``. A row's verdict code is
+    an index into it (``codes`` is the reverse map)."""
 
     def __init__(self, gateway: "Gateway", ladder: "FidelityLadder") -> None:
         self.gateway = gateway
@@ -117,29 +135,21 @@ class SpanLane:
         # The one verdict the lane models as a counter: exact drop-all,
         # which is stateless and contains whatever it is asked about.
         self.drop_all = type(self.policy) is DropAllPolicy
-        #: Resolved flows by arrival 5-tuple (validity: module docstring).
-        self.cache: Dict["ArrivalKey", Tuple] = {}
-        self.classes: Dict[Tuple[int, int, int, int], Tuple] = {}
+        #: Class key -> code of its verdict (see :meth:`_resolve`).
+        self.classes: Dict[Tuple[int, int, int, int], int] = {}
         self.ports: Dict[int, frozenset] = {}
-        #: The flow table's release count the cached rows belong to.
-        self.releases = gateway.flows.releases
+        self.verdicts: List[Tuple] = []
+        self.codes: Dict[Tuple, int] = {}
+        ladder.restamp()
 
     def serves(self, ladder: "FidelityLadder", policy: ContainmentPolicy) -> bool:
-        """Whether everything cached here still describes the farm:
+        """Whether the verdicts written here still describe the farm:
         ``gateway.policy`` and ``gateway.ladder`` are public and may be
         replaced mid-run."""
         return policy is self.policy and ladder is self.ladder
 
-    def _follow_releases(self) -> None:
-        """Forget every entry if the flow table has released its columns
-        (it emptied) since they were resolved: their rows are gone."""
-        releases = self.gateway.flows.releases
-        if releases != self.releases:
-            self.cache.clear()
-            self.releases = releases
-
     # ------------------------------------------------------------------ #
-    # Per packet: apply the cached answer
+    # Per packet: apply the row's verdict
     # ------------------------------------------------------------------ #
 
     def run(
@@ -150,17 +160,19 @@ class SpanLane:
         gateway's counters are the caller's to flush from the returned
         ``(consumed, replies, contained)``. Every reply not contained
         went out to the Internet."""
-        self._follow_releases()
         ladder = self.ladder
         flows = self.gateway.flows
         times = columns.times
         keys = columns.keys
         payloads = columns.payloads
         sizes = columns.sizes
-        cache = self.cache
-        cache_get = cache.get
+        tcp_flags = columns.tcp_flags
+        index_get = flows.index.get
+        sessions_get = ladder.sessions.get
+        verdicts = self.verdicts
         resolve = self._resolve
-        serials = flows.serial
+        row_verdicts = flows.verdict
+        initiator = flows.initiator
         last_seen = flows.last_seen
         packets = flows.packets
         nbytes = flows.bytes
@@ -174,38 +186,38 @@ class SpanLane:
             if payloads[i]:
                 break  # payload advances flow state / may promote: slow path
             key = keys[i]
+            src, src_port, dst, dst_port, protocol = key
             t = times[i]
-            entry = cache_get(key)
-            if entry is not None:
-                cls = entry[0]
-                row = entry[1]
-                session = entry[3]
-                if (  # the validity rule; shed() drops what fails it
-                    session.cache_gen != entry[4]
-                    or serials[row] != entry[2]
-                    or t - last_seen[row] > idle_timeout
-                    or (
-                        cls[0] == _UNREACHABLE
-                        and (
-                            serials[entry[5]] != entry[6]
-                            or t - last_seen[entry[5]] > idle_timeout
-                        )
-                    )
-                ):
+            # flow_key's order: from above the darknet, the arrival is the key.
+            flow = key if src > dst else flow_key(src, src_port, dst, dst_port, protocol)
+            row = index_get(flow)
+            verdict = None
+            stamped = 0 if row is None else row_verdicts[row]
+            if stamped:
+                session = sessions_get(dst)
+                if session is not None:  # the validity rule: module docstring
+                    code = stamped ^ (session.stamp << _CODE_BITS)
+                    if code < _CODES and t - last_seen[row] <= idle_timeout:
+                        verdict = verdicts[code]
+                        if verdict[4] != tcp_flags[i]:
+                            verdict = None
+                        elif verdict[0] == _UNREACHABLE:
+                            icmp_row = index_get(flow[:4] + (PROTO_ICMP,))
+                            if (
+                                icmp_row is None
+                                or t - last_seen[icmp_row] > idle_timeout
+                                or initiator[icmp_row] != dst
+                            ):
+                                verdict = None
+                if verdict is None:
                     n_reresolves += 1
-                    entry = None
-            if entry is None:
+            if verdict is None:
                 n_resolves += 1
-                entry = resolve(columns, i, key, t)
-                if flows.releases != self.releases:
-                    self._follow_releases()  # a lazy expiry emptied the table
-                if entry is None:
+                resolved = resolve(columns, i, flow, row, t)
+                if resolved is None:
                     break
-                cache[key] = entry
-                cls = entry[0]
-                row = entry[1]
-                session = entry[3]
-            kind = cls[0]
+                verdict, row, session, icmp_row = resolved
+            kind = verdict[0]
             size = sizes[i]
             last_seen[row] = t
             session.last_seen = t
@@ -219,12 +231,12 @@ class SpanLane:
             buffered.append(i)  # a row index, not an object
             if kind == _FIXED:
                 packets[row] += 2
-                nbytes[row] += size + cls[1]
-                banner = cls[2]
+                nbytes[row] += size + verdict[1]
+                banner = verdict[2]
                 if banner is not None:
                     session.banner = banner
                 n_replies += 1
-                if cls[3]:
+                if verdict[3]:
                     n_contained += 1
             elif kind == _ABSORB:
                 packets[row] += 1
@@ -232,17 +244,16 @@ class SpanLane:
             elif kind == _UNREACHABLE:
                 packets[row] += 1
                 nbytes[row] += size
-                icmp_row = entry[5]
                 last_seen[icmp_row] = t
                 packets[icmp_row] += 1
-                nbytes[icmp_row] += cls[1]
+                nbytes[icmp_row] += verdict[1]
                 n_replies += 1
                 n_contained += 1
             else:  # _ECHO
                 packets[row] += 2
                 nbytes[row] += size + size
                 n_replies += 1
-                if cls[3]:
+                if verdict[3]:
                     n_contained += 1
             i += 1
 
@@ -253,36 +264,18 @@ class SpanLane:
             ladder._c_buffer_dropped.increment(n_buffer_dropped)
         return i - start, n_replies, n_contained
 
-    def shed(self) -> None:
-        """Drop the entries :meth:`run` would reject, once they outnumber
-        the rest. The gateway's flow sweep calls this right after the
-        table expired its idle flows, so a row whose serial still matches
-        is a live one and the rule's idle clause has nothing left to
-        catch.
-
-        Every valid entry holds a distinct live flow row, so a cache
-        over twice the flow table's size is more than half dead: a
-        rebuild frees more than it keeps, the work is amortised O(1) per
-        entry ever inserted, a run in which nothing expires never
-        rebuilds, and an empty flow table leaves an empty cache.
-        Dropping a dead entry changes nothing simulated — its next packet
-        resolves afresh either way — and lets go of its session and that
-        session's handoff buffer."""
-        self._follow_releases()
-        cache = self.cache
-        flows = self.gateway.flows
-        if len(cache) <= 2 * len(flows):
-            return
-        serials = flows.serial
-        self.cache = {
-            key: entry
-            for key, entry in cache.items()
-            if entry[3].cache_gen == entry[4] and serials[entry[1]] == entry[2]
-        }
-
     # ------------------------------------------------------------------ #
     # Per class: what the emulator answers
     # ------------------------------------------------------------------ #
+
+    def _code(self, verdict: Tuple) -> Optional[int]:
+        """The code naming ``verdict`` in :attr:`verdicts`, or None when
+        every code is taken (the packet then takes the per-packet lane)."""
+        code = self.codes.get(verdict)
+        if code is None and len(self.verdicts) < _CODES:
+            code = self.codes[verdict] = len(self.verdicts)
+            self.verdicts.append(verdict)
+        return code
 
     def _port_set(self, personality: Personality) -> frozenset:
         """The ``(protocol, port)`` endpoints at which ``personality``'s
@@ -328,11 +321,14 @@ class SpanLane:
     # ------------------------------------------------------------------ #
 
     def _resolve(
-        self, columns: "PacketColumns", i: int, key: "ArrivalKey", t: float
-    ) -> Optional[Tuple]:
-        """Build (or rebuild) the cache entry for arrival ``key``, or
-        return None to send the packet down the per-packet lane. The
-        caller owns the cache store; re-resolving is idempotent.
+        self, columns: "PacketColumns", i: int, flow: FiveTuple,
+        row: Optional[int], t: float,
+    ) -> Optional[Tuple[Tuple, int, "EmulatedSession", Optional[int]]]:
+        """Resolve arrival ``i`` of flow ``flow``, which the flow index
+        files under ``row`` (None: no row), and write its verdict on the
+        row; return ``(verdict, row, session, icmp_row)`` (the
+        unreachable's ICMP row, else None), or None to send the packet
+        down the per-packet lane. Re-resolving is idempotent.
 
         Ordering is load-bearing. The checks that keep a packet away from
         the ladder altogether come first, before anything is touched.
@@ -344,7 +340,7 @@ class SpanLane:
         final bail-out, so the per-packet lane's ``created`` flag (its
         overflow rollback) is the per-event one."""
         gateway = self.gateway
-        src, src_port, dst, dst_port, protocol = key
+        src, src_port, dst, dst_port, protocol = columns.keys[i]
         covers = gateway.inventory.covers
         if not covers(dst) or covers(src):
             return None  # stray, or an internal source whose reply re-enters
@@ -365,24 +361,28 @@ class SpanLane:
         ports = self.ports.get(pid)
         if ports is None:
             ports = self.ports[pid] = self._port_set(personality)
+        flags = columns.tcp_flags[i]
         class_key = (
             pid,
             protocol,
             dst_port if (protocol, dst_port) in ports else 0,
-            columns.tcp_flags[i],
+            flags,
         )
-        cls = self.classes.get(class_key)
-        sampled = cls is None
+        code = self.classes.get(class_key)
+        sampled = code is None
         if sampled:
             # The sample stays cached for the per-packet lane in case
             # this packet goes there.
-            cls = self.classes[class_key] = self._classify(
-                columns.packet_at(i), personality
+            code = self._code(
+                self._classify(columns.packet_at(i), personality) + (flags,)
             )
-        kind = cls[0]
+            if code is None:
+                return None
+            self.classes[class_key] = code
+        verdict = self.verdicts[code]
+        kind = verdict[0]
         if kind < 0:
             return None
-        flow = flow_key(src, src_port, dst, dst_port, protocol)
         state, flow_created = session.flow_state(flow)
         if flow_created:
             ladder._c_flows_seen.increment()
@@ -393,7 +393,8 @@ class SpanLane:
             return None  # this packet promotes
 
         flows = gateway.flows
-        row = flows.live_record(flow, t)
+        if row is not None:
+            row = flows.live_record(flow, t)  # the lazy-expiry rule
         if (
             row is not None
             and (kind == _FIXED or kind == _ECHO)
@@ -403,7 +404,11 @@ class SpanLane:
             # policy, and only drop-all's answer is known here.
             if not self.drop_all:
                 return None
-            cls = (kind, cls[1], cls[2], True)
+            code = self._code(verdict[:3] + (True, flags))
+            if code is None:
+                return None
+            verdict = self.verdicts[code]
+        icmp_row = None
         if kind == _UNREACHABLE:
             # The unreachable's flow: same endpoints, ICMP. Same canonical
             # ordering as the inbound key (identical endpoint pairs).
@@ -419,12 +424,7 @@ class SpanLane:
             del columns.packets[i]
         if row is None:
             row = flows.create(flow, src, t)
-        serial = flows.serial
-        if kind != _UNREACHABLE:
-            return (cls, row, serial[row], session, session.cache_gen)
-        if icmp_row is None:
+        flows.verdict[row] = session.stamp << _CODE_BITS | code
+        if kind == _UNREACHABLE and icmp_row is None:
             icmp_row = flows.create(icmp_key, dst, t)
-        return (
-            cls, row, serial[row], session, session.cache_gen,
-            icmp_row, serial[icmp_row],
-        )
+        return verdict, row, session, icmp_row

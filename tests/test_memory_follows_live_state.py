@@ -28,9 +28,10 @@ from repro.core.flash_clone import CloneResult
 from repro.core.honeyfarm import Honeyfarm
 from repro.fidelity.emulator import EmulatedSession
 from repro.net.addr import IPAddress
-from repro.net.packet import tcp_packet
+from repro.net.packet import PROTO_TCP, tcp_packet
 from repro.services.guest import GuestHost
 from repro.services.personality import default_registry
+from repro.sim.batch import PacketColumns, TraceRecord
 from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStream, SeedSequence
 from repro.vmm.memory import GuestAddressSpace, MachineMemory
@@ -74,23 +75,9 @@ def _assert_census_is_the_live_state(farm: Honeyfarm, before: dict) -> None:
     gc.collect()
     views = sum(type(obj).__name__ == "FlowRecord" for obj in gc.get_objects())
     assert views == sum(len(queue) for queue in gateway._pending.values())
-    # Span entries name rows the table has, live or marked stale by their
-    # serial (a tuple of ints and the session: no record object), and
-    # shedding keeps the cache at most twice the table.
-    lane = gateway._span_lane
-    if lane is not None:
-        lane.shed()
-    entries = list(lane.cache.values()) if lane is not None else []
-    for entry in entries:
-        # The flow's row, and an unreachable entry's ICMP row.
-        for row, serial in ((entry[1], entry[2]), *zip(entry[5::2], entry[6::2])):
-            assert row < len(flows.serial)
-            assert not flows.holds(row, serial) or flows.keys[row] is not None
-    assert len(entries) <= 2 * len(flows)
-    # Every session alive is in the ladder or behind a span entry.
-    sessions = {id(s) for s in (ladder.sessions.values() if ladder else ())}
-    sessions.update(id(entry[3]) for entry in entries)
-    assert census["EmulatedSession"] == len(sessions)
+    # A span verdict is a column of its row, and a session is named by
+    # its stamp: every session alive is one the ladder holds.
+    assert census["EmulatedSession"] == (len(ladder.sessions) if ladder else 0)
 
 
 def test_census_counts_one_live_instance_of_each_type_as_one():
@@ -138,9 +125,7 @@ def test_census_equals_live_state_mid_run_and_zero_after_drain(name):
     assert perf_harness.flow_table_footprint(farm.gateway.flows) == {
         "live_rows": 0, "column_bytes": 0,
     }
-    lane = farm.gateway._span_lane
-    assert (lane is not None) == (name == "mixed_storm")
-    assert lane is None or len(lane.cache) == 0
+    assert (farm.gateway._span_lane is not None) == (name == "mixed_storm")
     assert stream.remaining == 0
     assert not undelivered
 
@@ -281,8 +266,10 @@ def test_ten_waves_of_clone_then_reclaim_hold_steady():
 #: Traced bytes per live emulated flow at the busiest second of the smoke
 #: ``radiation_span`` storm, measured by ``perf_harness.heap_profile``:
 #: 1 134 when a flow was a FlowRecord + FlowKey, a FlowState and an
-#: 8-slot span-cache list; 998 as a row of the flow table.
-BYTES_PER_EMULATED_FLOW = 1070
+#: 8-slot span-cache list; 998 as a row of the flow table; 881 with a
+#: span-cache tuple and a key tuple of its own per flow; 681 with the
+#: verdict on the row and the trace's tuple as the key.
+BYTES_PER_EMULATED_FLOW = 760
 
 
 def test_bytes_per_live_emulated_flow():
@@ -292,6 +279,53 @@ def test_bytes_per_live_emulated_flow():
     assert doc["busiest_second"]["live_flows"] > 10_000
     assert doc["bytes_per_live_flow"] <= BYTES_PER_EMULATED_FLOW, doc["bytes_per_live_flow"]
     assert doc["flow_table_after_drain"] == {"live_rows": 0, "column_bytes": 0}
+
+
+#: Radiation flows :func:`test_an_emulated_flow_allocates_only_its_row`
+#: runs, each one SYN from its own source above the darknet.
+EMULATED_FLOWS = 20_000
+#: Traced bytes per such flow: 406 when the span lane kept a cache entry
+#: per flow and the flow table a key tuple of its own; 194 with the
+#: verdict on the row and the trace's tuple as the key (the row's eight
+#: columns, its key and index slots, its row id and its session's flow
+#: entry).
+BYTES_PER_RADIATION_FLOW = 250
+
+
+def test_an_emulated_flow_allocates_only_its_row():
+    """A flow from above the darknet is keyed by the trace's own arrival
+    tuple, and the span lane's verdict is a column of its row: serving it
+    leaves no tuple of its own anywhere."""
+    farm = Honeyfarm(HoneyfarmConfig(
+        prefixes=("10.16.0.0/24",), num_hosts=2, ladder=True,
+        containment="drop-all", seed=7,
+    ))
+    trace = PacketColumns.from_records(
+        TraceRecord(
+            time=1.0 + k * 1e-4, src=f"198.51.{k >> 8}.{k & 255}",
+            dst=f"10.16.0.{k % 16 + 1}", protocol=PROTO_TCP,
+            src_port=1024 + k, dst_port=80,
+        )
+        for k in range(EMULATED_FLOWS)
+    )
+    farm.attach_arrival_columns(trace)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        farm.run(until=5.0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    flows = farm.gateway.flows
+    assert farm.gateway.span_resolves == len(flows) == EMULATED_FLOWS
+    assert all(flows.keys[flows.index[key]] is key for key in trace.keys)
+    key_bytes = sys.getsizeof(trace.keys[0])
+    tuples = sum(1 for block in snapshot.traces if block.size == key_bytes)
+    assert tuples < EMULATED_FLOWS // 100, tuples
+    assert held / EMULATED_FLOWS <= BYTES_PER_RADIATION_FLOW, held / EMULATED_FLOWS
 
 
 # ---------------------------------------------------------------------- #

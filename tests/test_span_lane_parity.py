@@ -7,16 +7,17 @@ ladder-on farms where the storm is absorbed by the emulator tier, so
 span dispatch carries almost every packet — then compare every
 observable against the per-event loop.
 
-There is one span implementation and one validity rule (a cache entry
-holds until something happens to *its destination address*), so the
-matrix is: an uninterrupted storm, a storm interrupted by promotions,
-clones and reclamation (alone, crossed with ladder on/off and a flight
-recorder or packet tap installed, and with timeouts short enough that
-the cache sheds), a respawn behind the cache's back, and a hypothesis
-property that interleaves radiation with every
-event that invalidates an entry. One more group covers what the lane
-assumes about the farm itself (policy, personality rule) when that is
-replaced through the farm's public attributes.
+There is one span implementation and one validity rule (a row's verdict
+holds until something happens to *its destination address*, its flow,
+or the packet's flags differ), so the matrix is: an uninterrupted storm,
+one flow whose packets carry different flags, a storm interrupted by
+promotions, clones and reclamation (alone, crossed with ladder on/off
+and a flight recorder or packet tap installed, and with timeouts short
+enough that flows expire all through it), a respawn behind the lane's
+back, and a hypothesis property that interleaves radiation of drawn
+flags with every event that invalidates a verdict. One more group covers
+what the lane assumes about the farm itself (policy, personality rule)
+when that is replaced through the farm's public attributes.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from hypothesis import strategies as st
 from repro.core.config import DeceptionConfig
 from repro.core.containment import OpenPolicy
 from repro.core.honeyfarm import Honeyfarm
-from repro.fidelity.span import SpanLane
 from repro.net.addr import IPAddress
-from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
+from repro.net.flow import FlowTable, flow_key
+from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, TcpFlags
 from repro.obs import recording
 from repro.sim import batch
 from repro.testing.scenario import Scenario, WormWave
@@ -134,7 +135,7 @@ def test_span_lane_actually_engages():
     counters = dict(farm.metrics.counters())
     assert counters.get("gateway.emulated", 0) > 0.9 * len(trace)
     # One resolve per flow, far fewer than one per packet; nothing
-    # interrupts this storm, so no cached flow is ever resolved twice.
+    # interrupts this storm, so no verdict ever fails its validity rule.
     assert 0 < gateway.span_resolves < 0.8 * len(trace)
     assert gateway.span_reresolves == 0
 
@@ -203,6 +204,27 @@ def test_span_lane_follows_the_farm_it_serves(deception, prepare):
     assert observed.gateway.span_resolves > 0
 
 
+def test_a_new_lane_trusts_no_verdict_an_earlier_one_wrote():
+    """A probe's flow holds a drop-all lane's unreachable verdict when
+    the policy is swapped to open. The lane rebuilt for the new policy
+    must not serve the flow's next probe from that verdict: open ships
+    the unreachable, which only the per-packet lane models."""
+    scenario = Scenario(
+        seed=7, prefix_bits=24, duration=30, containment="drop-all", num_hosts=2,
+    )
+    config = scenario.farm_config(ladder=True)
+
+    def prepare(farm: Honeyfarm) -> None:
+        farm.sim.schedule_at(1.5, setattr, farm.gateway, "policy", OpenPolicy())
+
+    trace = [_probe(1.0), _probe(2.0)]
+    reference = _run_world(config, trace, False, 3.0, prepare=prepare)
+    observed = _run_world(config, trace, True, 3.0, prepare=prepare)
+
+    assert _observe(observed) == _observe(reference)
+    assert observed.metrics.counters()["gateway.ladder_replies_contained"] == 1
+
+
 # ---------------------------------------------------------------------- #
 # Interrupted storm: the mixed_storm shape at /24 size
 # ---------------------------------------------------------------------- #
@@ -240,9 +262,9 @@ def test_interrupted_storm_keeps_other_addresses_cached():
 
     reference = _run_world(config, trace, False, until, prepare=_register_worms)
 
-    # Destinations the span lane has served (so a cached entry exists),
+    # Destinations the span lane has served (so a row carries a verdict),
     # and slow-path packets that then arrived for one of them: the only
-    # packets that are allowed to cost a cached flow a second resolve.
+    # packets that are allowed to cost a resolved flow a second resolve.
     # Top-level calls only — a reply or reflection the gateway routes
     # back into itself while handling a packet is not an arrival.
     span_served = set()
@@ -327,17 +349,16 @@ def test_interrupted_storm_is_lane_independent(ladder, observer):
 
 
 # ---------------------------------------------------------------------- #
-# Shedding: the cache lets go of what expired, and nobody can tell
+# Expiry churn: verdicts leave with their rows, and nobody can tell
 # ---------------------------------------------------------------------- #
 
-def test_span_cache_shedding_is_invisible(monkeypatch):
+def test_span_lane_under_expiry_churn_is_invisible():
     """The interrupted storm with a 4 s flow and session timeout, so
-    records and sessions expire all through it and the cache outgrows
-    twice the flow table more than once. Its first second of radiation
-    comes round again at 18 s, long after those flows were shed, and its
-    first packet repeats every half second, a flow that outlives every
-    rebuild. Batched must still equal per-event (which has no cache to
-    shed), observable by observable."""
+    records and sessions expire all through it. Its first second of
+    radiation comes round again at 18 s, long after those flows expired,
+    and its first packet repeats every half second, a flow that outlives
+    them all. Batched must still equal per-event, observable by
+    observable, and the drained table holds no verdict."""
     scenario = _interrupted_storm()
     rows = list(scenario.build_trace())
     again = [
@@ -353,51 +374,30 @@ def test_span_cache_shedding_is_invisible(monkeypatch):
         scenario.farm_config(ladder=True), flow_idle_timeout_seconds=4.0
     )
     until = scenario.duration + 5.0
-    shed = SpanLane.shed
-    rebuilds = []
-
-    def counting_shed(lane):
-        before = lane.cache
-        shed(lane)
-        if lane.cache is not before:
-            rebuilds.append((len(before), len(lane.cache)))
 
     reference = _run_world(config, trace, False, until, prepare=_register_worms)
-    monkeypatch.setattr(SpanLane, "shed", counting_shed)
     observed = _run_world(config, trace, True, until, prepare=_register_worms)
-    monkeypatch.setattr(SpanLane, "shed", lambda lane: None)
-    hoarding = _run_world(config, trace, True, until, prepare=_register_worms)
 
     assert _observe(observed) == _observe(reference)
     counters = dict(observed.metrics.counters())
     assert counters["ladder.sessions_expired"] > 100
     assert observed.gateway.flows.expired_total > 100
-    # Each rebuild dropped more than it kept, and the run ends with the
-    # table and the cache both empty; left alone the cache ends it
-    # holding every key it ever resolved.
-    assert len(rebuilds) >= 2
-    assert all(kept < before - kept for before, kept in rebuilds)
-    assert len(observed.gateway.flows) == len(hoarding.gateway.flows) == 0
-    assert len(observed.gateway._span_lane.cache) == 0
-    assert len(hoarding.gateway._span_lane.cache) > 1000
-    # Only dead entries go: the steady flow is resolved once, and a key
-    # that comes back after its entry was shed costs the resolve its dead
-    # entry would have cost anyway, so the resolve count is the hoarding
-    # cache's. It just is not a *re*-resolve any more — which is why span_reresolves is lower here,
-    # and why the assertions on it above are upper bounds or zeroes.
-    assert observed.gateway.span_resolves == hoarding.gateway.span_resolves
-    assert 0 < observed.gateway.span_reresolves < hoarding.gateway.span_reresolves
+    flows = observed.gateway.flows
+    assert len(flows) == 0 and len(flows.verdict) == 0
+    # A key that comes back after its flow expired finds no row: a plain
+    # resolve. Re-resolves are rows whose verdict went stale.
+    assert 0 < observed.gateway.span_reresolves < observed.gateway.span_resolves
 
 
 @pytest.mark.parametrize("lane", ["span", "per-packet"])
 def test_span_lane_forgets_the_rows_an_emptied_table_released(monkeypatch, lane):
     """Seventy flows to one address expire at a sweep while a late
-    seventy-first keeps its session alive, and the cache keeps their
-    entries (shedding off). The seventy-first then expires lazily — on
-    the span lane, inside a span, or on the per-packet lane under a
-    payload — and the emptied table releases its columns. The next
-    arrival has a cached entry of the same live session on a row past
-    the regrown columns: the lane must resolve it afresh."""
+    seventy-first keeps its session alive. The seventy-first then expires
+    lazily — on the span lane, inside a span, or on the per-packet lane
+    under a payload — and the emptied table releases its columns, every
+    verdict with them. The next arrival is a flow of the same live
+    session whose verdict the release took: the lane must resolve it
+    afresh."""
     scenario = Scenario(
         seed=7, prefix_bits=24, duration=30, containment="drop-all", num_hosts=2,
     )
@@ -413,25 +413,37 @@ def test_span_lane_forgets_the_rows_an_emptied_table_released(monkeypatch, lane)
     trace += [last, _syn(5.81, src=sources[69])]
 
     reference = _observe(_run_world(config, trace, False, 8.0))
-    monkeypatch.setattr(SpanLane, "shed", lambda lane: None)
+    released = []
+    release = FlowTable._release_if_empty
+
+    def counting_release(table):
+        held = len(table.keys)
+        release(table)
+        if held and not table.keys:
+            released.append(held)
+
+    monkeypatch.setattr(FlowTable, "_release_if_empty", counting_release)
     farm = _run_world(config, trace, True, 8.0)
 
     assert _observe(farm) == reference
-    assert farm.gateway.flows.releases == 1
+    assert released == [128]
     assert farm.gateway.span_resolves == len(trace) - (lane == "per-packet")
 
 
 # ---------------------------------------------------------------------- #
-# Regression: a respawn binds a VM behind the span cache's back
+# Regression: a respawn binds a VM behind the span lane's back
 # ---------------------------------------------------------------------- #
 
 _TARGET = "10.16.0.9"
 _SOURCE = "198.51.100.7"
 
 
-def _syn(t: float, dst: str = _TARGET, src: str = _SOURCE, port: int = 80):
+def _syn(
+    t: float, dst: str = _TARGET, src: str = _SOURCE, port: int = 80, flags: int = 0
+):
     return TraceRecord(
-        time=t, src=src, dst=dst, protocol=PROTO_TCP, src_port=5000, dst_port=port
+        time=t, src=src, dst=dst, protocol=PROTO_TCP, src_port=5000, dst_port=port,
+        tcp_flags=flags,
     )
 
 
@@ -453,9 +465,9 @@ def _crash_host_of(farm: Honeyfarm, address: str) -> None:
 
 def test_respawned_address_is_served_by_its_vm_again():
     """The exploit promotes the target to a VM; its host crashes; the
-    emulator answers the next SYNs (and the span lane caches that flow);
-    the farm respawns the VM from a heap callback. From then on the VM
-    must answer — per-event it does, and batched must agree."""
+    emulator answers the next SYNs (and the span lane writes that flow a
+    verdict); the farm respawns the VM from a heap callback. From then on
+    the VM must answer — per-event it does, and batched must agree."""
     scenario = Scenario(
         seed=1, prefix_bits=24, duration=30, telescope_rate=1, max_packets=10,
         containment="drop-all", num_hosts=2,
@@ -477,35 +489,101 @@ def test_respawned_address_is_served_by_its_vm_again():
     assert observed == reference
 
 
+def _probe(t: float) -> TraceRecord:
+    """A UDP probe of a closed port: drop-all contains its unreachable."""
+    return TraceRecord(
+        time=t, src=_SOURCE, dst=_TARGET, protocol=PROTO_UDP,
+        src_port=4001, dst_port=9,
+    )
+
+
+def _companion_key():
+    """The flow key of :func:`_probe`'s ICMP unreachable."""
+    return flow_key(
+        IPAddress.parse(_SOURCE).value, 4001, IPAddress.parse(_TARGET).value, 9,
+        PROTO_ICMP,
+    )
+
+
 def test_an_unreachable_entry_writes_only_rows_it_holds():
-    """An ``_UNREACHABLE`` entry names two rows: the probe's flow and the
-    ICMP unreachable's. Here the ICMP flow leaves the table on its own
-    (discarded by hand) and another flow moves into its row: the next
-    probe must resolve afresh, not count into the newcomer."""
+    """An unreachable verdict counts into two rows: the probe's flow and
+    its ICMP companion, found under the companion's key. Here the ICMP
+    flow leaves the table on its own (discarded by hand) and another flow
+    moves into its row: the next probe must resolve afresh, not count
+    into the newcomer."""
     scenario = Scenario(
         seed=7, prefix_bits=24, duration=30, containment="drop-all", num_hosts=2,
     )
     farm = Honeyfarm(scenario.farm_config(ladder=True))
 
-    def probe(t: float) -> TraceRecord:
-        return TraceRecord(
-            time=t, src=_SOURCE, dst=_TARGET, protocol=PROTO_UDP,
-            src_port=4001, dst_port=9,
-        )
-
-    replay_into_farm(farm, [probe(1.0)], batched=True)
+    replay_into_farm(farm, [_probe(1.0)], batched=True)
     farm.run(until=1.5)
-    [entry] = farm.gateway._span_lane.cache.values()
     flows = farm.gateway.flows
-    icmp_row = entry[5]
+    icmp_row = flows.index[_companion_key()]
     flows.discard(flows.record(icmp_row))
     newcomer = flows.create((1, 2, 3, 4, PROTO_TCP), 1, 1.5)
     assert newcomer == icmp_row
-    replay_into_farm(farm, [probe(2.0)], batched=True)
+    replay_into_farm(farm, [_probe(2.0)], batched=True)
     farm.run(until=2.5)
     assert (flows.packets[newcomer], flows.last_seen[newcomer]) == (0, 1.5)
+    assert flows.packets[flows.index[_companion_key()]] == 1
     assert farm.gateway.span_reresolves == 1
     assert farm.metrics.counters()["gateway.ladder_replies_contained"] == 2
+
+
+def test_an_unreachable_on_an_externally_opened_icmp_flow_is_not_served():
+    """The probe's ICMP companion expires and the Internet side opens a
+    flow under the very same key: the next unreachable is a reply on an
+    externally-initiated flow, which the span lane does not model. The
+    verdict on the probe's row is still current, and the lane must still
+    hand the probe to the per-packet lane."""
+    scenario = Scenario(
+        seed=7, prefix_bits=24, duration=30, containment="drop-all", num_hosts=2,
+    )
+    config = scenario.farm_config(ladder=True)
+
+    def reopen(farm: Honeyfarm) -> None:
+        flows = farm.gateway.flows
+        row = flows.index.get(_companion_key())
+        if row is not None:
+            flows.discard(flows.record(row))
+        flows.create(_companion_key(), IPAddress.parse(_SOURCE).value, 1.5)
+
+    def prepare(farm: Honeyfarm) -> None:
+        farm.sim.schedule_at(1.5, reopen, farm)
+
+    trace = [_probe(1.0), _probe(2.0), _probe(2.5)]
+    reference = _run_world(config, trace, False, 3.0, prepare=prepare)
+    observed = _run_world(config, trace, True, 3.0, prepare=prepare)
+
+    assert _observe(observed) == _observe(reference)
+    # The first probe resolves; each later one finds the verdict current
+    # and the companion foreign, and resolves only to be refused.
+    assert observed.gateway.span_resolves == 3
+    assert observed.gateway.span_reresolves == 2
+    assert observed.metrics.counters()["gateway.ladder_replies_contained"] == 1
+
+
+def test_a_flows_later_packets_are_classified_by_their_own_flags():
+    """One flow to an emulated address carries SYN, ACK, RST, SYN|ACK and
+    FIN|ACK. The emulator answers each by its own flags, so a verdict
+    holds only for packets with the flags it was resolved under."""
+    scenario = _storm(0.0)
+    config = scenario.farm_config(ladder=True)
+    flags = [
+        TcpFlags.SYN, TcpFlags.ACK, TcpFlags.RST, TcpFlags.SYN | TcpFlags.ACK,
+        TcpFlags.FIN | TcpFlags.ACK, TcpFlags.SYN,
+    ]
+    trace = [
+        dataclasses.replace(_syn(1.0 + 0.1 * k), tcp_flags=int(f))
+        for k, f in enumerate(flags)
+    ]
+
+    reference = _run_world(config, trace, False, 3.0)
+    observed = _run_world(config, trace, True, 3.0)
+
+    assert _observe(observed) == _observe(reference)
+    assert observed.gateway.span_resolves > 1
 
 
 # ---------------------------------------------------------------------- #
@@ -518,15 +596,26 @@ _SOURCES = ["198.51.100.7", "203.0.113.9"]
 #: flows expire, and ``ladder.sweep`` kills idle sessions.
 _IDLE = 3.0
 
+#: A TCP packet's flags: 0 infers SYN, and a flow's later packets may
+#: carry others.
+_FLAGS = [0] + [
+    int(f) for f in (
+        TcpFlags.SYN, TcpFlags.ACK, TcpFlags.RST, TcpFlags.SYN | TcpFlags.ACK,
+        TcpFlags.FIN | TcpFlags.ACK,
+    )
+]
+
 _radiation = st.tuples(
     st.sampled_from(["syn-open", "syn-closed", "udp-closed", "ping"]),
     st.sampled_from(_ADDRESSES),
     st.sampled_from(_SOURCES),
+    st.sampled_from(_FLAGS),
 )
 _interruption = st.tuples(
     st.sampled_from(["payload", "exploit", "crash"]),
     st.sampled_from(_ADDRESSES),
     st.sampled_from(_SOURCES),
+    st.just(0),
 )
 _steps = st.lists(
     st.tuples(
@@ -544,12 +633,12 @@ def _property_world(steps):
     """The trace and the crash schedule a drawn step list stands for."""
     trace, crashes = [], []
     t = 0.5
-    for gap, (what, dst, src) in steps:
+    for gap, (what, dst, src, flags) in steps:
         t = round(t + gap, 3)
         if what == "syn-open":
-            trace.append(_syn(t, dst, src, port=80))
+            trace.append(_syn(t, dst, src, port=80, flags=flags))
         elif what == "syn-closed":
-            trace.append(_syn(t, dst, src, port=81))
+            trace.append(_syn(t, dst, src, port=81, flags=flags))
         elif what == "udp-closed":
             trace.append(TraceRecord(
                 time=t, src=src, dst=dst, protocol=PROTO_UDP,
@@ -570,7 +659,7 @@ def _property_world(steps):
             trace.append(_slammer(t, dst, src))
         else:
             # The respawn follows the crash by ~0.5 s: a SYN in between
-            # lands on the emulator and leaves a span entry behind.
+            # lands on the emulator and leaves a verdict behind.
             crashes.append((t, dst))
             trace.append(_syn(round(t + 0.1, 3), dst, src, port=80))
     trace.sort(key=lambda record: record.time)
