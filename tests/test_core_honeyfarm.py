@@ -9,6 +9,8 @@ from repro.net.packet import PROTO_UDP, TcpFlags, icmp_packet, tcp_packet, udp_p
 from repro.services.guest import ScanBehavior
 from repro.vmm.vm import VMState
 
+PINNED = 1 << 63  # the pinned-content bit of a page's content tag
+
 ATTACKER = IPAddress.parse("203.0.113.7")
 TARGET = IPAddress.parse("10.16.0.25")
 
@@ -133,10 +135,13 @@ class TestReclamation:
         oldest, next_oldest, newest = (farm.gateway.vm_map[dst] for dst in targets)
         for age, vm in enumerate((oldest, next_oldest, newest)):
             vm.touch(now=float(age))
-        # The newest VM maps every page the least recently active one
-        # dirtied, so evicting that one would free nothing.
-        for page, tag in list(oldest.address_space.private_page_contents()):
-            newest.address_space.write(page, tag)
+        # A worm body covers every page the least recently active VM
+        # dirtied, and the newest VM carries the same body there, so
+        # evicting the oldest would free nothing.
+        for page in list(oldest.address_space.private_page_numbers()):
+            body_page = PINNED | page
+            oldest.address_space.write(page, body_page)
+            newest.address_space.write(page, body_page)
         assert oldest.reclaimable_frames == 0 < next_oldest.reclaimable_frames
         host = farm.hosts[0]
         assert farm._relieve_pressure(newest)

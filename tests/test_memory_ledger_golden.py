@@ -13,10 +13,10 @@ guest's cursors). One line per sequence; a changed hash means some step
 of that sequence now leaves a different ledger.
 
 The op vocabulary is the property's: boot, connection pages, a worm
-body, a fresh rewrite run, a mirror of another guest's pages (a third of
-them the writer's own), a single-page copy, a single-page write (fresh,
-pinned far above the counter, or pinned to a tag the counter will reach)
-and destroy, plus re-cloning a destroyed guest.
+body, a fresh rewrite run, a mirror of the pinned pages another guest
+holds (a third of them the writer's own), a single-page copy of one, a
+single-page write (fresh or pinned) and destroy, plus re-cloning a
+destroyed guest.
 
 Regenerate (after an intentional ledger change) with::
 
@@ -36,9 +36,9 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "memory_ledger.txt"
 SEEDS = range(8)
 OPS_PER_SEQUENCE = 40
 
-#: Contents a single-page write pins: fresh twice over, two tags far
-#: above the counter, two the counter will reach, one worm-body tag.
-WRITE_CONTENTS = (None, None, TAG_A, TAG_B, 9, 40, _body(0, 3)[2])
+#: Contents a single-page write pins: fresh twice over, two pinned tags,
+#: one worm-body tag.
+WRITE_CONTENTS = (None, None, TAG_A, TAG_B, _body(0, 3)[2])
 
 CONFIGS = [
     (sharing, pool, evict, hosts)

@@ -33,10 +33,11 @@ from repro.vmm.memory import (
 
 ATTACKER = IPAddress.parse("203.0.113.44")
 
-# Pinned content tags far above anything the fresh-tag counter reaches.
-TAG_A = 10**15 + 1
-TAG_B = 10**15 + 2
-TAG_C = 10**15 + 3
+# Pinned content carries the top bit; fresh tags count up from 1.
+PINNED = 1 << 63
+TAG_A = PINNED | 1
+TAG_B = PINNED | 2
+TAG_C = PINNED | 3
 
 
 @pytest.fixture
@@ -177,22 +178,6 @@ class TestSharedFrameStore:
         tight.check_frame_invariant()
         tight.sharing.audit()
 
-    def test_eager_copy_is_one_run_around_a_pinned_fresh_tag(self, memory, image):
-        """The full copy is a single bulk write: one run, except that a
-        fresh tag something pinned ahead of the counter must share that
-        frame, exactly as page-by-page interning did."""
-        other = GuestAddressSpace(image)
-        pinned = other.write(0) + 11  # the copy's page 10 will draw this tag
-        other.write(1, content=pinned)
-        base = memory.allocated_frames
-        copy = GuestAddressSpace(image, eager_copy=True)
-        assert copy.private_pages == 64 and copy.cow_faults == 0
-        assert copy.read(10) == pinned
-        assert memory.sharing.refs_of(pinned) == 2
-        assert memory.allocated_frames == base + 63
-        assert [(r.page, r.count) for r in copy._runs] == [(0, 10), (11, 53)]
-        memory.sharing.audit()
-
     def test_sharing_off_keeps_original_accounting(self):
         memory = MachineMemory(64 * (1 << 20), content_sharing=False)
         image = ReferenceImage(memory, page_count=64)
@@ -223,9 +208,10 @@ class TestSharedFrameStore:
 PAGES = 16
 MAX_SPACES = 6
 
-# A small pool of repeatable tags (collisions likely) plus per-op unique
-# tags; explicit in both worlds so sharing on/off see identical writes.
-repeat_tags = st.integers(min_value=0, max_value=4).map(lambda k: 10**12 + k)
+# A small pool of repeatable pinned tags (collisions likely) plus per-op
+# unique ones; explicit in both worlds so sharing on/off see identical
+# writes.
+repeat_tags = st.integers(min_value=0, max_value=4).map(lambda k: PINNED | k)
 
 
 @st.composite
@@ -246,8 +232,8 @@ def op_sequences(draw):
         elif kind == "destroy":
             ops.append(("destroy", draw(st.integers(min_value=0, max_value=MAX_SPACES - 1))))
         else:
-            fresh = draw(st.booleans())
-            tag = 10**13 + index if fresh else draw(repeat_tags)
+            unique = draw(st.booleans())
+            tag = PINNED | 1000 + index if unique else draw(repeat_tags)
             ops.append((
                 "write",
                 draw(st.integers(min_value=0, max_value=MAX_SPACES - 1)),
@@ -339,7 +325,7 @@ class TestFrameLedgerProperty:
                     assert space.is_private(page) == other.is_private(page)
                     if space.is_private(page):
                         mine, theirs = space.read(page), other.read(page)
-                        assert mine == theirs or max(mine, theirs) < 10**12
+                        assert mine == theirs or not (mine | theirs) & PINNED
                     else:
                         assert space.read(page) == shared_world.image.content_of(page)
                         assert other.read(page) == private_world.image.content_of(page)
