@@ -265,13 +265,14 @@ def flow_table_footprint(table: FlowTable) -> Dict[str, int]:
 
 
 def shared_store_footprint(farm: Honeyfarm) -> Dict[str, int]:
-    """Entries, runs and references left in the farm's shared-frame
-    stores, summed over hosts. Nothing names which spaces hold a frame,
-    so a missed decrement shows only as something left here."""
+    """Entries, run frames and references left in the farm's
+    shared-frame stores, summed over hosts. Nothing names which spaces
+    hold a frame, so a missed decrement shows only as something left
+    here."""
     stores = [host.memory.sharing for host in farm.hosts if host.memory.sharing is not None]
     return {
         "entries": sum(len(store._entries) for store in stores),
-        "runs": sum(len(store._runs) for store in stores),
+        "run_frames": sum(store._run_frames for store in stores),
         "total_refs": sum(store.total_refs for store in stores),
     }
 
@@ -416,7 +417,8 @@ def heap_failures(doc: Doc) -> List[str]:
         if any(store.values()):
             failures.append(
                 f"{name}: shared-frame store holds {store['entries']} entries,"
-                f" {store['runs']} runs and {store['total_refs']} references after drain"
+                f" {store['run_frames']} run frames and {store['total_refs']} references"
+                " after drain"
             )
     return failures
 

@@ -21,7 +21,9 @@ now exists, so the scan plays two roles:
 Worm bodies write deterministic per-worm content tags (see
 :func:`repro.services.guest._worm_page_content`), so the measured
 savings reflect exactly the cross-victim redundancy a real scanner
-would find.
+would find. They are the only pinned content: every other private page
+holds a fresh tag, which no other page can carry
+(:data:`repro.vmm.memory.PINNED`).
 """
 
 from __future__ import annotations

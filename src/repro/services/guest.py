@@ -44,7 +44,7 @@ from repro.services.vulnerabilities import VulnerabilityCatalog
 from repro.sim.engine import Simulator
 from repro.sim.process import Process, Sleep, spawn
 from repro.sim.rand import RandomStream, stable_hash
-from repro.vmm.memory import OutOfMemoryError
+from repro.vmm.memory import PINNED, OutOfMemoryError
 from repro.vmm.vm import VirtualMachine, VMState
 
 __all__ = ["ScanBehavior", "InfectionRecord", "GuestHost", "service_replies"]
@@ -146,10 +146,11 @@ def _worm_page_content(worm_name: str, index: int) -> int:
     The same worm writes the same code into every victim, so its body
     pages carry identical content across VMs — the redundancy that
     content-based page sharing (:mod:`repro.analysis.dedup`) measures.
-    Derived via SHA-256 so tags are stable across runs and cannot collide
-    with the allocator's sequential fresh tags (top bit forced set).
+    Derived via SHA-256 so tags are stable across runs, with
+    :data:`~repro.vmm.memory.PINNED` set: a guest write of given content
+    takes pinned tags only.
     """
-    return stable_hash(f"worm-body:{worm_name}:{index}") | (1 << 63)
+    return stable_hash(f"worm-body:{worm_name}:{index}") | PINNED
 
 
 @lru_cache(maxsize=None)

@@ -143,16 +143,6 @@ class RandomStream:
             raise ValueError(f"rate must be positive, got {rate!r}")
         return self._rng.expovariate(rate)
 
-    def pareto(self, shape: float, scale: float = 1.0) -> float:
-        """Pareto-distributed value with minimum ``scale``.
-
-        Heavy-tailed; used for per-source scan-session sizes, matching the
-        observation that a few telescope sources send most packets.
-        """
-        if shape <= 0:
-            raise ValueError(f"shape must be positive, got {shape!r}")
-        return scale * (1.0 + self._rng.paretovariate(shape) - 1.0)
-
     def bounded_pareto(self, shape: float, low: float, high: float) -> float:
         """Pareto truncated to ``[low, high]`` by inverse-CDF sampling."""
         if not (0 < low < high):
@@ -171,34 +161,6 @@ class RandomStream:
     def normal(self, mu: float, sigma: float) -> float:
         """Gaussian value."""
         return self._rng.gauss(mu, sigma)
-
-    def geometric(self, p: float) -> int:
-        """Number of Bernoulli(p) trials up to and including first success."""
-        if not (0 < p <= 1):
-            raise ValueError(f"p must be in (0, 1], got {p!r}")
-        if p == 1.0:
-            return 1
-        return int(math.ceil(math.log(1.0 - self._rng.random()) / math.log(1.0 - p)))
-
-    def zipf_index(self, n: int, skew: float = 1.0) -> int:
-        """Zipf-distributed index in ``[0, n)``; low indexes are popular.
-
-        Used to make some destination ports / services much hotter than
-        others, as in real background radiation.
-        """
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n!r}")
-        # Inverse-CDF on the harmonic weights via rejection-free search.
-        # n is small (ports/services) so a linear scan is fine and exact.
-        weights = [1.0 / (i + 1) ** skew for i in range(n)]
-        total = sum(weights)
-        target = self._rng.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if target < acc:
-                return i
-        return n - 1
 
     def poisson(self, mean: float) -> int:
         """Poisson-distributed count (Knuth for small mean, normal approx

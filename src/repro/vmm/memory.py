@@ -48,10 +48,11 @@ worm carries the same body. With sharing on (the default;
 owns a :class:`SharedFrameStore`, a content tag → refcount table: the
 first writer of a tag pays one frame, every later writer on the host
 shares it, and the frame returns to the pool with its last reference.
-Tags living in runs are found through the store's run index (fresh tags
-only grow, so it is a sorted list that new runs append to) and move into
-the table the moment something else names them. Every write and release
-is O(1) per page or a bisect, so
+Pinned content has its own tag space: every pinned tag carries
+:data:`PINNED`, which fresh tags never reach, and ``write_run`` refuses
+any other. So a page of a fresh run is never shared or looked up and has
+no entry — the store only counts run frames. Every write and release is
+O(1) per page, so
 
     resident = image frames + distinct private contents
 
@@ -60,14 +61,13 @@ stays an exact, cheaply-queryable quantity rather than a scanner result.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from itertools import chain
-from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "PAGE_SIZE",
+    "PINNED",
     "OutOfMemoryError",
     "reset_content_tags",
     "MachineMemory",
@@ -78,6 +78,10 @@ __all__ = [
 
 PAGE_SIZE = 4096
 """Bytes per page; delta virtualization operates at this granularity."""
+
+PINNED = 1 << 63
+"""The bit every pinned content tag carries (a worm body's pages are
+pinned). Fresh tags count up from 1 and never reach it."""
 
 
 class _TagCounter:
@@ -115,34 +119,23 @@ class OutOfMemoryError(Exception):
 
 
 class _Run:
-    """``count`` consecutive private pages of ``space`` from ``page`` on,
-    page ``page + i`` holding ``tags[start + i]``. In the space's run list
-    the tags are fresh and every page is a frame only ``space``
-    references; in its extent list they are store entries (or any content
-    when sharing is off)."""
+    """``count`` consecutive private pages from ``page`` on, page
+    ``page + i`` holding ``tags[start + i]``. In a space's run list the
+    tags are fresh and every page is a frame only that space references;
+    in its extent list they are store entries when sharing is on."""
 
-    __slots__ = ("space", "page", "count", "tags", "start")
+    __slots__ = ("page", "count", "tags", "start")
 
-    def __init__(
-        self, space: "GuestAddressSpace", page: int, count: int, tags: Sequence[int], start: int
-    ) -> None:
-        self.space = space
+    def __init__(self, page: int, count: int, tags: Sequence[int], start: int) -> None:
         self.page = page
         self.count = count
         self.tags = tags
         self.start = start
 
-    @property
-    def tag(self) -> int:
-        """Content tag of the first page."""
-        return self.tags[self.start]
-
     def contents(self) -> Sequence[int]:
         """Content tags of the pages, in page order."""
         return self.tags[self.start:self.start + self.count]
 
-
-_first_tag = attrgetter("tag")
 
 
 class SharedFrameStore:
@@ -152,10 +145,9 @@ class SharedFrameStore:
     go through it. Interning a tag either allocates a fresh frame (first
     sight of that content) or bumps the refcount of the existing frame
     (a *hit* — the sharing win). Releasing drops the refcount and frees
-    the frame when it reaches zero. Runs of fresh pages are kept whole
-    (:meth:`add_run` / :meth:`release_all`): one reference and one frame
-    per page, with no per-page entry until a page is rewritten or its tag
-    is pinned somewhere else.
+    the frame when it reaches zero. A page of a guest's fresh run has no
+    entry — no other page can name its tag — and is one reference and one
+    frame in ``_run_frames`` until it is rewritten.
 
     Invariants (checked by :meth:`audit` and the hypothesis ledger test):
 
@@ -176,10 +168,7 @@ class SharedFrameStore:
     def __init__(self, memory: "MachineMemory") -> None:
         self.memory = memory
         self._entries: Dict[int, int] = {}  # content tag -> references
-        # Live runs ordered by first tag. Fresh tags only grow, so a new
-        # run appends.
-        self._runs: List[_Run] = []
-        self._run_frames = 0
+        self._run_frames = 0  # pages in live runs, one frame each
         self.total_refs = 0
         self.shared_frames = 0     # entries currently referenced >= 2 times
         self.attach_hits = 0       # interns that matched an existing frame
@@ -200,80 +189,8 @@ class SharedFrameStore:
         return self.total_refs - self.distinct_frames
 
     def refs_of(self, tag: int) -> int:
-        """Current reference count of ``tag`` (0 if not resident)."""
-        refs = self._entries.get(tag)
-        if refs is not None:
-            return refs
-        return 0 if self._run_holding(tag) is None else 1
-
-    # ------------------------------------------------------------------ #
-    # Runs of fresh pages
-    # ------------------------------------------------------------------ #
-
-    def _run_position(self, tag: int) -> int:
-        """Index in ``_runs`` of the last run starting at or before
-        ``tag``; -1 if every run starts after it."""
-        return bisect_right(self._runs, tag, key=_first_tag) - 1
-
-    def _run_holding(self, tag: int) -> Optional[_Run]:
-        """The live run holding ``tag``, if any. Anything the counter has
-        not issued yet (every worm-body tag, for one) is answered by the
-        first compare."""
-        if tag >= _fresh_tags.next:
-            return None
-        i = self._run_position(tag)
-        if i >= 0 and tag < self._runs[i].tag + self._runs[i].count:
-            return self._runs[i]
-        return None
-
-    def add_run(self, run: _Run) -> None:
-        """Back the pages of ``run`` with one new frame each. Its tags must
-        come from the fresh-tag counter, and none may be resident already.
-
-        Raises :class:`OutOfMemoryError` (with no state change) when the
-        pool cannot hold the whole run.
-        """
-        self.memory._allocate_private(run.count)
-        self._runs.append(run)
-        self._run_frames += run.count
-        self.total_refs += run.count
-
-    def replace_run(self, run: _Run, pieces: List[_Run], carved: int) -> None:
-        """``carved`` pages leave ``run`` and ``pieces`` — what is left of
-        the run, in tag order, ``run`` itself being the first if it keeps
-        a head — take the run's place in the index. The carved pages keep
-        their frames and references; the caller gives each an entry
-        (:meth:`resolve`, or one under a new tag: :meth:`retag_run`)."""
-        i = self._run_position(run.tag)
-        self._runs[i:i + 1] = pieces
-        self._run_frames -= carved
-
-    def lookups(self, count: int, contents: Optional[Sequence[int]]) -> List[int]:
-        """Which of ``count`` pages about to be written carry a tag that
-        needs :meth:`resolve` and a segment of its own: for fresh content,
-        the tags something has pinned ahead of the counter; for pinned
-        content, every tag below the counter (it may live in a run)."""
-        issued = _fresh_tags.next
-        if contents is None:
-            tags = range(issued, issued + count)
-            if self._entries.keys().isdisjoint(tags):
-                return []
-            return [i for i, tag in enumerate(tags) if tag in self._entries]
-        if min(contents) >= issued:
-            return []
-        return [i for i, tag in enumerate(contents) if tag < issued]
-
-    def resolve(self, tag: int) -> None:
-        """If ``tag`` lives in a run, carve its page out into a one-page
-        extent of its owner under an entry of its own, so the write about
-        to name the tag finds it in the table. Nothing a guest can observe
-        changes."""
-        run = self._run_holding(tag)
-        if run is not None:
-            space, offset = run.space, tag - run.tag
-            space._add_extent(run.page + offset, 1, run.tags, run.start + offset)
-            space._carve(space._runs, run, offset, 1)
-            self._entries[tag] = 1
+        """Current reference count of ``tag``'s entry (0 if it has none)."""
+        return self._entries.get(tag, 0)
 
     # ------------------------------------------------------------------ #
     # Mutation — the segments of GuestAddressSpace.write_run, each taking
@@ -322,9 +239,11 @@ class SharedFrameStore:
 
     def retag_run(self, tags: Sequence[int]) -> None:
         """Pages just carved out of a run, each the only reference to its
-        frame, are rewritten to ``tags``. A miss re-keys the page's own
-        frame; a hit shares the resident frame and frees the page's own."""
+        frame, are rewritten to ``tags`` and leave the run count. A miss
+        re-keys the page's own frame; a hit shares the resident frame and
+        frees the page's own."""
         entries = self._entries
+        self._run_frames -= len(tags)
         hits = 0
         for tag in tags:
             refs = entries.get(tag, 0)
@@ -378,10 +297,7 @@ class SharedFrameStore:
         """Drop every reference ``space`` holds — its runs whole, its
         extent pages one by one — and return the frames nobody else maps
         to the pool in one call; returns how many."""
-        freed = 0
-        for run in space._runs:
-            del self._runs[self._run_position(run.tag)]
-            freed += run.count
+        freed = sum(run.count for run in space._runs)
         self._run_frames -= freed
         self.total_refs -= space.private_pages
         for extent in space._extents:
@@ -394,30 +310,14 @@ class SharedFrameStore:
     # ------------------------------------------------------------------ #
 
     def audit(self) -> None:
-        """Recount every counter from the raw entries and runs; raise
-        :class:`AssertionError` on any drift. O(entries + runs) — for
-        tests and debugging, not the hot path."""
-        run_frames = sum(run.count for run in self._runs)
-        if run_frames != self._run_frames:
-            raise AssertionError(
-                f"shared store drift: _run_frames={self._run_frames}, recount {run_frames}"
-            )
-        issued = 0  # one past the last tag of the previous run
-        for run in self._runs:
-            if run.count <= 0 or run.tag < issued:
-                raise AssertionError(f"run at tag {run.tag}: empty, out of order or overlapping")
-            issued = run.tag + run.count
-            if run not in run.space._runs:
-                raise AssertionError(f"run at tag {run.tag}: unknown to its address space")
-            if not self._entries.keys().isdisjoint(range(run.tag, issued)):
-                raise AssertionError(f"run at tag {run.tag}: a tag is also a store entry")
-        if issued > _fresh_tags.next:
-            raise AssertionError(f"run tags reach {issued}, past the fresh-tag counter")
-        refs = sum(self._entries.values()) + run_frames
+        """Recount every counter from the raw entries; raise
+        :class:`AssertionError` on any drift. O(entries) — for tests and
+        debugging, not the hot path."""
+        refs = sum(self._entries.values()) + self._run_frames
         if refs != self.total_refs:
             raise AssertionError(
                 f"shared store drift: total_refs={self.total_refs}"
-                f" but entries and runs sum to {refs}"
+                f" but entries and run frames sum to {refs}"
             )
         shared = sum(1 for count in self._entries.values() if count >= 2)
         if shared != self.shared_frames:
@@ -705,14 +605,12 @@ class GuestAddressSpace:
         pieces = []
         if after:
             beyond = offset + count
-            pieces.append(_Run(self, piece.page + beyond, after, piece.tags, piece.start + beyond))
+            pieces.append(_Run(piece.page + beyond, after, piece.tags, piece.start + beyond))
         if offset:
             piece.count = offset  # the pages before the carved ones stay in place
             pieces.insert(0, piece)
         i = held.index(piece)
         held[i:i + 1] = pieces
-        if held is self._runs and self._store is not None:
-            self._store.replace_run(piece, pieces, count)
 
     def _add_extent(self, page: int, count: int, tags: Sequence[int], start: int) -> None:
         """Pages ``page..`` now hold ``tags[start..]``: grow the last
@@ -722,17 +620,18 @@ class GuestAddressSpace:
         if last and last.tags is tags and last.page - page == last.start - start == -last.count:
             last.count += count
         elif extents:
-            extents.append(_Run(self, page, count, tags, start))
+            extents.append(_Run(page, count, tags, start))
         else:
-            self._extents = [_Run(self, page, count, tags, start)]
+            self._extents = [_Run(page, count, tags, start)]
 
     def write(self, page: int, content: Optional[int] = None) -> int:
         """Dirty ``page`` with ``content`` (fresh, globally unique content
-        when None) and return the tag written: a one-page
-        :meth:`write_run` that raises :class:`OutOfMemoryError` when the
-        pool has no frame for the page. Pages (in any VMs) written with
-        the same tag hold identical bytes — a worm body's pages, which the
-        shared-frame store keeps once per host.
+        when None, else a tag carrying :data:`PINNED`) and return the tag
+        written: a one-page :meth:`write_run` that raises
+        :class:`OutOfMemoryError` when the pool has no frame for the page.
+        Pages (in any VMs) written with the same tag hold identical bytes
+        — a worm body's pages, which the shared-frame store keeps once
+        per host.
         """
         tag = _fresh_tags.next if content is None else content
         if not self.write_run(page, 1, None if content is None else (content,)):
@@ -745,17 +644,14 @@ class GuestAddressSpace:
         """Dirty up to ``count`` pages from ``page`` on, page ``i`` with
         ``contents[i]`` (fresh content when ``contents`` is None);
         returns how many were written. ``contents`` is kept by reference
-        and must not change afterwards.
+        and must not change afterwards; a tag in it without
+        :data:`PINNED` raises :class:`ValueError` before anything moves.
 
         The range is walked as segments — pages inside one run, pages
         inside one extent, clean pages — and each segment's ledger work
         is done once. Fresh content on clean pages is recorded as a run,
         O(1) whatever its length; every other segment becomes an extent
-        over ``contents`` (or the call's range of fresh tags). A tag the
-        store must look up (:meth:`SharedFrameStore.lookups`) is a
-        segment of its own, resolved first — carved out of whichever run
-        holds it, this space's included — and only then is its page
-        classified.
+        over ``contents`` (or the call's range of fresh tags).
 
         The write stops before the first page the pool has no frame for:
         that page counts one failed allocation and, for fresh content,
@@ -766,8 +662,12 @@ class GuestAddressSpace:
         if count <= 0:
             return 0
         self.image._check_page(page + count - 1)
-        if contents is not None and len(contents) != count:
-            raise ValueError(f"{len(contents)} content tags for {count} pages")
+        if contents is not None:
+            if len(contents) != count:
+                raise ValueError(f"{len(contents)} content tags for {count} pages")
+            unpinned = next((tag for tag in contents if not tag & PINNED), None)
+            if unpinned is not None:
+                raise ValueError(f"content tag {unpinned:#x} does not carry PINNED")
         store = self._store
         memory = self.memory
         runs = self._runs
@@ -775,19 +675,12 @@ class GuestAddressSpace:
         # order, so the counter stands at ``seq[done]`` at every segment.
         first = _fresh_tags.next
         seq = contents if contents is not None else range(first, first + count)
-        lookups = iter(store.lookups(count, contents) if store is not None else ())
-        lookup = next(lookups, count)
         done = 0
         while done < count:
             at = page + done
-            looked_up = done == lookup
-            if looked_up:
-                store.resolve(seq[done])
-                lookup = next(lookups, count)
-            held, piece, length = self._segment_at(at, 1 if looked_up else lookup - done)
-            # Fresh content on clean pages stays one run, unless its tag
-            # is already resident.
-            fresh_run = held is None and contents is None and not looked_up
+            held, piece, length = self._segment_at(at, count - done)
+            # Fresh content on clean pages stays one run.
+            fresh_run = held is None and contents is None
             tags = seq[done:done + length]
             wrote = length
             if held is runs:
@@ -800,20 +693,18 @@ class GuestAddressSpace:
                     wrote = store.exchange_run(piece.tags[offset:offset + length], tags)
                 if wrote:
                     self._carve(held, piece, at - piece.page, wrote)
-            elif fresh_run:
-                wrote = min(length, memory.free_frames)
-                if wrote:
-                    run = _Run(self, at, wrote, seq, done)
-                    if store is not None:
-                        store.add_run(run)
-                    else:
-                        memory._allocate_private(wrote)
-                    runs.append(run)
-            elif store is not None:
+            elif store is not None and not fresh_run:
                 wrote = store.intern_run(tags)
             else:
+                # A fresh run, or pinned pages with sharing off: one new
+                # frame a page.
                 wrote = min(length, memory.free_frames)
                 memory._allocate_private(wrote)
+                if fresh_run and wrote:
+                    runs.append(_Run(at, wrote, seq, done))
+                    if store is not None:
+                        store._run_frames += wrote
+                        store.total_refs += wrote
             if contents is None:
                 _fresh_tags.take(wrote)
             if wrote and not fresh_run:
@@ -891,10 +782,6 @@ class GuestAddressSpace:
         return sum(run.count for run in self._runs) + sum(
             1 for tag, held in own.items() if refs[tag] == held
         )
-
-    def sharing_ratio(self) -> float:
-        """Fraction of this VM's pages still shared with the image."""
-        return self.shared_pages / self.image.page_count
 
     def private_page_numbers(self) -> Iterator[int]:
         return chain.from_iterable([

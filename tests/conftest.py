@@ -6,6 +6,7 @@ import difflib
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import HoneyfarmConfig
 from repro.core.honeyfarm import Honeyfarm
@@ -15,6 +16,12 @@ from repro.sim.engine import Simulator
 from repro.sim.rand import SeedSequence
 from repro.vmm.host import PhysicalHost
 from repro.vmm.snapshot import ReferenceSnapshot
+
+
+#: Ten times the examples, for the scheduled CI run:
+#: ``pytest --hypothesis-profile=nightly``. A property that sets its own
+#: count scales it by ``settings.default.max_examples`` to follow.
+settings.register_profile("nightly", max_examples=10 * settings.default.max_examples)
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

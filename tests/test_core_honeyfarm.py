@@ -7,9 +7,8 @@ from repro.core.honeyfarm import Honeyfarm
 from repro.net.addr import IPAddress
 from repro.net.packet import PROTO_UDP, TcpFlags, icmp_packet, tcp_packet, udp_packet
 from repro.services.guest import ScanBehavior
+from repro.vmm.memory import PINNED
 from repro.vmm.vm import VMState
-
-PINNED = 1 << 63  # the pinned-content bit of a page's content tag
 
 ATTACKER = IPAddress.parse("203.0.113.7")
 TARGET = IPAddress.parse("10.16.0.25")

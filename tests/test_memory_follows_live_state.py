@@ -364,12 +364,9 @@ PARENT_DRAWS = {
     "shuffle": "3fab972cc6a2556e",
     "weighted_choice": "52adfad5bc3493b3",
     "exponential": "d3f9cf1b5be1f9d6",
-    "pareto": "2434126de1542c60",
     "bounded_pareto": "a97e3baf3df3285b",
     "lognormal": "2534dad068e11c6a",
     "normal": "e3ad34aed8c294d1",
-    "geometric": "4b156cc1285150b4",
-    "zipf_index": "984ef775b813016b",
     "poisson": "3c17702f1eadbcdc",
     "fork": "76f3e2b69422b8c6",
 }
@@ -390,12 +387,9 @@ DRAWS = {
     "shuffle": _shuffled,
     "weighted_choice": lambda s: s.weighted_choice("xyz", (0.2, 0.5, 0.3)),
     "exponential": lambda s: s.exponential(4.0),
-    "pareto": lambda s: s.pareto(1.3, 2.0),
     "bounded_pareto": lambda s: s.bounded_pareto(1.1, 1.0, 500.0),
     "lognormal": lambda s: s.lognormal(0.0, 0.5),
     "normal": lambda s: s.normal(1.0, 2.0),
-    "geometric": lambda s: s.geometric(0.2),
-    "zipf_index": lambda s: s.zipf_index(12, 1.2),
     "poisson": lambda s: (s.poisson(3.5), s.poisson(900.0)),
     "fork": lambda s: s.fork("child").random(),
 }

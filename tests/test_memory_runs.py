@@ -30,6 +30,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStream
 from repro.vmm.memory import (
     PAGE_SIZE,
+    PINNED,
     GuestAddressSpace,
     MachineMemory,
     OutOfMemoryError,
@@ -43,8 +44,6 @@ MAX_GUESTS = 4
 ROOMY = 4 * PAGES   # private frames beside the image: never runs out
 TIGHT = PAGES + 6   # ... runs out in the middle of a second boot
 
-# Pinned content carries the top bit; fresh tags count up from 1.
-PINNED = 1 << 63
 TAG_A = PINNED | 1
 TAG_B = PINNED | 2
 
@@ -540,7 +539,8 @@ class TestRunEquivalenceProperty:
     @given(ops_strategy, st.booleans(), st.sampled_from([ROOMY, TIGHT]), st.booleans(),
            st.sampled_from([1, 2]))
     @example(FREE_THEN_ALLOCATE, True, ROOMY, False, 1)
-    @settings(max_examples=500, deadline=None)
+    # 500 examples; ten times as many under the nightly profile.
+    @settings(max_examples=5 * settings.default.max_examples, deadline=None)
     def test_runs_match_per_page_writes(self, ops, sharing, private_frames, evict, hosts):
         everyone = [("clone", key) for key in range(MAX_GUESTS)]
         _assert_same(

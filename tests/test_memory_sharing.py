@@ -25,16 +25,16 @@ from repro.net.addr import IPAddress
 from repro.net.packet import udp_packet
 from repro.vmm.memory import (
     PAGE_SIZE,
+    PINNED,
     GuestAddressSpace,
     MachineMemory,
     OutOfMemoryError,
     ReferenceImage,
+    _fresh_tags,
 )
 
 ATTACKER = IPAddress.parse("203.0.113.44")
 
-# Pinned content carries the top bit; fresh tags count up from 1.
-PINNED = 1 << 63
 TAG_A = PINNED | 1
 TAG_B = PINNED | 2
 TAG_C = PINNED | 3
@@ -177,6 +177,31 @@ class TestSharedFrameStore:
         assert tight.allocation_failures == 1  # refused once, up front
         tight.check_frame_invariant()
         tight.sharing.audit()
+
+    @pytest.mark.parametrize("sharing", [True, False])
+    def test_unpinned_content_is_refused_before_anything_moves(self, sharing):
+        memory = MachineMemory(64 * (1 << 20), content_sharing=sharing)
+        a = GuestAddressSpace(ReferenceImage(memory, page_count=64))
+        a.write_run(0, 4)
+        a.write(5, content=TAG_A)
+        store = memory.sharing
+
+        def ledger():
+            return (
+                memory.allocated_frames, memory.allocation_failures, a.cow_faults,
+                _fresh_tags.next, sorted(a.private_page_contents()),
+                store and (
+                    store.total_refs, store.distinct_frames, store.shared_frames,
+                    store.attach_hits, store.frames_recycled, dict(store._entries),
+                ),
+            )
+
+        before = ledger()
+        with pytest.raises(ValueError):
+            a.write_run(3, 2, (PINNED | 1, 5))  # a run page, then a clean one
+        with pytest.raises(ValueError):
+            a.write(9, 9)
+        assert ledger() == before
 
     def test_sharing_off_keeps_original_accounting(self):
         memory = MachineMemory(64 * (1 << 20), content_sharing=False)

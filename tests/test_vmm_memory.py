@@ -168,13 +168,6 @@ class TestCoWAddressSpace:
         space.write(9)
         assert image.content_of(9) == original
 
-    def test_sharing_ratio(self, memory, image):
-        space = GuestAddressSpace(image)
-        assert space.sharing_ratio() == 1.0
-        for page in range(256):
-            space.write(page)
-        assert space.sharing_ratio() == pytest.approx(0.75)
-
     def test_private_bytes(self, memory, image):
         space = GuestAddressSpace(image)
         space.write(0)
