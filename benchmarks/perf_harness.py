@@ -11,11 +11,12 @@ JSON report and a ``failures(doc) -> list[str]`` that is its gate:
   frames, pressure events and evictions, frames sharing saved). No gate.
 * ``heap`` — what the process holds: the end-to-end benchmark's
   ``vm_churn``, ``mixed_storm`` and ``radiation_span`` storms under
-  ``tracemalloc``, bytes per live VM / per live flow at the busiest
-  simulated second and the allocation sites holding the most there,
-  bytes still held once the farm has drained. **Fails** if a
-  ``VirtualMachine`` outlives the drain, the drained farm's flow table
-  still holds a live row or any column capacity, the trace's attachment
+  ``tracemalloc``, bytes per live VM / per live flow (and per live
+  emulated address) at the busiest simulated second and the allocation
+  sites holding the most there, bytes still held once the farm has
+  drained. **Fails** if a ``VirtualMachine`` outlives the drain, the
+  drained farm's flow table or the ladder's address table still holds a
+  live row or any column capacity, the trace's attachment
   still caches a materialized packet, or a host's shared-frame store
   still holds an entry, a run or a reference: host memory follows the
   live farm.
@@ -80,9 +81,9 @@ from repro.core.config import HoneyfarmConfig
 from repro.core.honeyfarm import Honeyfarm
 from repro.faults import FaultPlan, host_crash
 from repro.net.addr import IPAddress, Prefix
-from repro.net.flow import FlowTable
 from repro.net.packet import TcpFlags, tcp_packet, udp_packet
 from repro.obs import FlightRecorder, install, uninstall
+from repro.sim.rows import RowTable
 from repro.testing.scenario import Scenario
 from repro.testing.worlds import COOLDOWN_SECONDS, IN_FARM_SCAN_RATE
 from repro.vmm.memory import PAGE_SIZE
@@ -227,8 +228,9 @@ def run_memory(smoke: bool, workers: int) -> Doc:
 HEAP_SEED = 424742  # benchmarks/e2e's default seed
 #: The per-VM and per-address types a farm allocates as it serves
 #: traffic; live instances of each should number what the farm has live.
-#: A flow is a row of the flow table, not an object: see
-#: :func:`flow_table_footprint`.
+#: A flow is a row of the flow table and an emulated address a row of the
+#: ladder's address table, not objects (:func:`table_footprint`): an
+#: ``EmulatedSession`` is a view, and none outlives the call using it.
 HEAP_TYPES = (
     "VirtualMachine", "GuestHost", "GuestAddressSpace", "CloneResult",
     "EmulatedSession",
@@ -251,15 +253,18 @@ def heap_census() -> Dict[str, int]:
     return {name: alive[name] for name in HEAP_TYPES}
 
 
-def flow_table_footprint(table: FlowTable) -> Dict[str, int]:
-    """Live rows of a flow table, and the bytes its columns (the typed
-    arrays and the row -> key list) still have allocated."""
-    columns = [getattr(table, name) for name in FlowTable.COLUMNS]
+def table_footprint(table: RowTable) -> Dict[str, int]:
+    """Live rows of a row table (the flow table, the ladder's address
+    table), and the bytes its columns (the typed arrays and the object
+    lists, the row -> key one among them) still have allocated."""
     column_bytes = sum(
-        sys.getsizeof(column) - sys.getsizeof(array(column.typecode))
-        for column in columns
+        sys.getsizeof(getattr(table, name)) - sys.getsizeof(array(typecode))
+        for name, typecode in table.COLUMNS.items()
     )
-    column_bytes += sys.getsizeof(table.keys) - sys.getsizeof([])
+    column_bytes += sum(
+        sys.getsizeof(getattr(table, name)) - sys.getsizeof([])
+        for name in table.OBJECT_COLUMNS
+    )
     return {"live_rows": len(table.keys) - table.keys.count(None),
             "column_bytes": column_bytes}
 
@@ -313,6 +318,7 @@ def _seconds(run) -> Iterator[Doc]:
         yield {
             "live_vms": farm.live_vms,
             "live_flows": len(farm.gateway.flows),
+            "live_addresses": len(farm.ladder.sessions) if farm.ladder else 0,
             "sim_time": farm.sim.now,
         }
 
@@ -354,7 +360,10 @@ def heap_profile(name: str, size: str, per: str, quotient: str) -> Doc:
         farm = run.farm
         gc.collect()
         base = tracemalloc.get_traced_memory()[0]
-        busiest = {"live_vms": 0, "live_flows": 0, "sim_time": 0.0, "bytes": 0}
+        busiest = {
+            "live_vms": 0, "live_flows": 0, "live_addresses": 0, "sim_time": 0.0,
+            "bytes": 0,
+        }
         for sample in _seconds(run):
             sample["bytes"] = tracemalloc.get_traced_memory()[0] - base
             if sample[per] > busiest[per]:
@@ -364,11 +373,20 @@ def heap_profile(name: str, size: str, per: str, quotient: str) -> Doc:
         clones = farm.clone_engine.completed
         drain(farm)
         retained = heap_census()
-        table = flow_table_footprint(farm.gateway.flows)
+        table = table_footprint(farm.gateway.flows)
+        addresses = (
+            table_footprint(farm.ladder.sessions) if farm.ladder
+            else {"live_rows": 0, "column_bytes": 0}
+        )
         store = shared_store_footprint(farm)
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
+    per_address = {}
+    if farm.ladder:
+        per_address["bytes_per_live_address"] = round(
+            busiest["bytes"] / max(busiest["live_addresses"], 1)
+        )
     return {
         "workload": name,
         "size": size,
@@ -376,12 +394,14 @@ def heap_profile(name: str, size: str, per: str, quotient: str) -> Doc:
         "clones_completed": clones,
         "busiest_second": busiest,
         quotient: round(busiest["bytes"] / max(busiest[per], 1)),
+        **per_address,
         "top_sites_at_busiest": sites,
         "bytes_held_after_drain": held,
         # Materialized and never taken out: nothing is left to deliver.
         "packets_cached_after_drain": len(stream._columns.packets),
         "retained_after_drain": retained,
         "flow_table_after_drain": table,
+        "address_table_after_drain": addresses,
         "shared_store_after_drain": store,
     }
 
@@ -404,12 +424,13 @@ def heap_failures(doc: Doc) -> List[str]:
         for kind, alive in storm["retained_after_drain"].items():
             if alive:
                 failures.append(f"{name}: {alive} {kind} alive after drain")
-        table = storm["flow_table_after_drain"]
-        if table["live_rows"] or table["column_bytes"]:
-            failures.append(
-                f"{name}: flow table holds {table['live_rows']} live rows and"
-                f" {table['column_bytes']} column bytes after drain"
-            )
+        for kind in ("flow", "address"):
+            table = storm[f"{kind}_table_after_drain"]
+            if table["live_rows"] or table["column_bytes"]:
+                failures.append(
+                    f"{name}: {kind} table holds {table['live_rows']} live rows"
+                    f" and {table['column_bytes']} column bytes after drain"
+                )
         cached = storm["packets_cached_after_drain"]
         if cached:
             failures.append(f"{name}: {cached} packets still cached after drain")

@@ -118,9 +118,10 @@ class _WorkerPort:
     one worker process: each method is that method's call sent down the
     pipe, and :meth:`collect` is the reply."""
 
-    def __init__(self, conn, worker: int) -> None:
+    def __init__(self, conn, worker: int, process) -> None:
         self.conn = conn
         self.worker = worker
+        self.process = process
 
     def epoch(self, end: float, inbound: List[Tuple]) -> None:
         self.conn.send(("epoch", end, inbound))
@@ -130,8 +131,18 @@ class _WorkerPort:
 
     def collect(self):
         """The worker's next reply. The only ``recv`` on the coordinator
-        side, so the one place a worker failure surfaces."""
-        message = self.conn.recv()
+        side, so the one place a worker failure surfaces: an exception it
+        shipped back, or its end of the pipe closing because it died."""
+        try:
+            message = self.conn.recv()
+        except (EOFError, ConnectionResetError):
+            # The pipe closed under a worker that sent no error: it
+            # exited, so its exit code is there to be read.
+            self.process.join(timeout=5)
+            raise RuntimeError(
+                f"federation worker {self.worker} died"
+                f" (exit code {self.process.exitcode})"
+            ) from None
         if message[0] == "error":
             raise RuntimeError(
                 f"federation worker {self.worker} failed:\n{message[1]}"
@@ -256,7 +267,7 @@ class ParallelFederation:
                 process.start()
                 child_conn.close()
                 processes.append(process)
-                ports.append(_WorkerPort(parent_conn, worker))
+                ports.append(_WorkerPort(parent_conn, worker, process))
             for port in ports:
                 port.collect()  # ready
             # Shard -> position in ``ports`` of the worker that owns it.

@@ -13,7 +13,12 @@ VM so the attacker sees one continuous session.
 See ``docs/FIDELITY.md`` for the design and the ablation.
 """
 
-from repro.fidelity.emulator import EmulatedSession, FlowProgress, emulator_replies
+from repro.fidelity.emulator import (
+    AddressTable,
+    EmulatedSession,
+    FlowProgress,
+    emulator_replies,
+)
 from repro.fidelity.handoff import HandoffRecord
 from repro.fidelity.ladder import FidelityLadder, LadderVerdict
 from repro.fidelity.triggers import (
@@ -25,6 +30,7 @@ from repro.fidelity.triggers import (
 )
 
 __all__ = [
+    "AddressTable",
     "EmulatedSession",
     "FidelityLadder",
     "FlowProgress",

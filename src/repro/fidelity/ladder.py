@@ -8,12 +8,16 @@ and the ladder either absorbs the packet into an emulated session
 case the gateway falls through to its normal flash-clone dispatch with
 the triggering packet queued for the new VM.
 
-Sessions and pending handoffs are keyed by the address *value* (an
-:class:`~repro.net.addr.IPAddress`'s ``.value``): the span lane resolves
-from a trace row's ints, and keys on them without building an address
-object per flow. The hooks the gateway calls with a VM's address
-(``vm_bound``, ``take_handoff``, ``vm_retired``) take the ``IPAddress``
-and key on its value.
+Sessions are rows of an :class:`~repro.fidelity.emulator.AddressTable`
+(``sessions``), and pending handoffs a dict, both keyed by the address
+*value* (an :class:`~repro.net.addr.IPAddress`'s ``.value``): the span
+lane resolves from a trace row's ints, and keys on them without building
+an address object per flow. An address the emulator tier serves costs a
+row of typed columns, not objects; the per-packet lane handles it
+through an :class:`~repro.fidelity.emulator.EmulatedSession` view. The
+hooks the gateway calls with a VM's address (``vm_bound``,
+``take_handoff``, ``vm_retired``) take the ``IPAddress`` and key on its
+value.
 
 Accounting contract (see ``docs/FIDELITY.md``): packets absorbed by the
 emulator are counted under ``gateway.emulated`` — a first-class bucket
@@ -30,7 +34,7 @@ from itertools import count
 from typing import Dict, List, Optional
 
 from repro.core.config import HoneyfarmConfig
-from repro.fidelity.emulator import EmulatedSession
+from repro.fidelity.emulator import MAX_HANDOFF_PACKETS, AddressTable, EmulatedSession
 from repro.fidelity.handoff import HandoffRecord
 from repro.fidelity.triggers import TRIGGER_NAMES, promotion_trigger
 from repro.net.addr import AddressSpaceInventory, IPAddress
@@ -42,7 +46,7 @@ from repro.sim.metrics import MetricRegistry
 
 __all__ = ["FidelityLadder", "LadderVerdict"]
 
-#: Session stamps (:class:`EmulatedSession`), unique in the process: a
+#: Session stamps (:class:`AddressTable`), unique in the process: a
 #: verdict one ladder's span lane wrote is never trusted under another.
 _stamps = count(1)
 
@@ -61,7 +65,7 @@ class FidelityLadder:
 
     #: Bound on the per-session replay buffer carried into a promoted VM;
     #: the oldest absorbed packets are evicted first.
-    MAX_HANDOFF_PACKETS = 64
+    MAX_HANDOFF_PACKETS = MAX_HANDOFF_PACKETS
 
     def __init__(
         self,
@@ -77,26 +81,21 @@ class FidelityLadder:
         self.registry = registry
         self.inventory = inventory
         self.metrics = metrics or MetricRegistry()
-        self.session_idle_timeout = session_idle_timeout
         # One prefix, no per-address draw: every cold address answers as
         # the same personality, so the prefix lookup and the registry
         # chain run once, here.
-        self._sole_personality = None
+        sole = None
         prefixes = inventory.prefixes
         if (
             len(prefixes) == 1
             and config.personality_mix is None
             and not config.deception.enabled
         ):
-            self._sole_personality = registry.get(config.personality_for(prefixes[0]))
-        #: Live sessions and pending handoffs, by address value.
-        self.sessions: Dict[int, EmulatedSession] = {}
+            sole = registry.get(config.personality_for(prefixes[0]))
+        #: Live sessions and pending handoffs, by address value. A session
+        #: expires ``session_idle_timeout`` after its last packet.
+        self.sessions = AddressTable(session_idle_timeout, sole)
         self.handoffs: Dict[int, HandoffRecord] = {}
-        # Provable lower bound on min(session.last_seen) over live
-        # sessions: lets sweep() skip its full scan whenever nothing can
-        # possibly have expired. Sound because last_seen only increases
-        # and session creators push the floor down to their timestamp.
-        self._session_floor = float("inf")
         handle = self.metrics.handle
         self._c_sessions_started = handle("ladder.sessions_started")
         self._c_sessions_expired = handle("ladder.sessions_expired")
@@ -118,7 +117,8 @@ class FidelityLadder:
 
     def consider(self, packet: Packet, now: float) -> LadderVerdict:
         """Absorb ``packet`` into the emulator tier, or promote its flow."""
-        session = self.session_at(packet.dst.value, now)
+        row = self.session_row(packet.dst.value, now)
+        session = self.sessions.session(row)
         state, flow_created = session.note(packet, now)
         if flow_created:
             self._c_flows_seen.increment()
@@ -129,14 +129,17 @@ class FidelityLadder:
             self._promote(packet.dst, session, trigger, now)
             return LadderVerdict(promoted=True, trigger=trigger)
         replies = session.emulate(packet)
-        self._buffer(session, packet)
+        if self.sessions.absorbed[row] > MAX_HANDOFF_PACKETS:
+            # The chain keeps the most recent conversation context for
+            # the replay; the packet it let go of is already answered.
+            self._c_buffer_dropped.increment()
         return LadderVerdict(promoted=False, replies=replies)
 
     def personality_at(self, value: int) -> Personality:
         """The personality the cold address of value ``value`` answers
         as. Only the per-address draw (several prefixes, a personality
         mix, deception) builds an :class:`IPAddress` for it."""
-        personality = self._sole_personality
+        personality = self.sessions.sole
         if personality is None:
             ip = IPAddress(value)
             personality = self.registry.get(
@@ -144,41 +147,32 @@ class FidelityLadder:
             )
         return personality
 
-    def session_at(self, value: int, now: float) -> EmulatedSession:
-        """The emulated session serving the address of value ``value``,
-        opened at ``now`` if the address has none."""
-        session = self.sessions.get(value)
-        if session is None:
-            session = self.sessions[value] = EmulatedSession(
-                self.personality_at(value), now, next(_stamps)
-            )
+    def session_row(self, value: int, now: float) -> int:
+        """The row of the emulated session serving the address of value
+        ``value``, opened at ``now`` if the address has none."""
+        sessions = self.sessions
+        row = sessions.index.get(value)
+        if row is None:
+            row = sessions.open(value, now, next(_stamps), self.personality_at(value))
             self._c_sessions_started.increment()
-            if now < self._session_floor:
-                self._session_floor = now
-        return session
-
-    def _buffer(self, session: EmulatedSession, packet: Packet) -> None:
-        if len(session.buffered) >= self.MAX_HANDOFF_PACKETS:
-            # Keep the most recent conversation context for the replay;
-            # the evicted prefix is already fully answered.
-            session.evict_oldest()
-            self._c_buffer_dropped.increment()
-        session.hold(packet)
+        return row
 
     def vm_bound(self, ip: IPAddress) -> None:
         """The gateway bound a VM over ``ip``. If the emulator tier was
         serving the address (a respawn after a host crash), the session
         stays under a new stamp, so no span verdict resolved against it
         holds."""
-        session = self.sessions.get(ip.value)
-        if session is not None:
-            session.stamp = next(_stamps)
+        sessions = self.sessions
+        row = sessions.index.get(ip.value)
+        if row is not None:
+            sessions.stamp[row] = next(_stamps)
 
     def restamp(self) -> None:
         """Give every live session a new stamp: a new span lane trusts no
         verdict an earlier one wrote."""
-        for session in self.sessions.values():
-            session.stamp = next(_stamps)
+        stamps = self.sessions.stamp
+        for row in self.sessions.index.values():
+            stamps[row] = next(_stamps)
 
     def _promote(
         self, ip: IPAddress, session: EmulatedSession, trigger: str, now: float
@@ -204,7 +198,7 @@ class FidelityLadder:
         self.handoffs[value] = handoff
         # Every span verdict resolved against the session names a stamp
         # no live session bears from here on.
-        del self.sessions[value]
+        self.sessions.drop(value)
         self._c_promotions.increment()
         self._c_promotions_by_trigger[trigger].increment()
         if _obs.ACTIVE is not None:
@@ -259,28 +253,16 @@ class FidelityLadder:
 
     def sweep(self, now: float) -> int:
         """Expire emulated sessions idle past the session timeout
-        (piggybacks on the gateway's flow sweep).
-
-        O(1) when the floor proves no session can have expired (the
-        common case between bursts); otherwise one scan that also
-        recomputes the exact floor."""
-        timeout = self.session_idle_timeout
-        if now - self._session_floor <= timeout:
-            return 0
-        expired = []
-        floor = float("inf")
-        for value, session in self.sessions.items():
-            last_seen = session.last_seen
-            if now - last_seen > timeout:
-                expired.append(value)
-            elif last_seen < floor:
-                floor = last_seen
-        self._session_floor = floor
-        for value in expired:
-            del self.sessions[value]
+        (piggybacks on the gateway's flow sweep). Visits only sessions
+        old enough to be idle: the address table's creation buckets."""
+        expired = len(self.sessions.expire_idle(now))
         if expired:
-            self._c_sessions_expired.increment(len(expired))
-        return len(expired)
+            self._c_sessions_expired.increment(expired)
+        return expired
+
+    @property
+    def session_idle_timeout(self) -> float:
+        return self.sessions.idle_timeout
 
     @property
     def live_sessions(self) -> int:

@@ -14,8 +14,8 @@ from an external source, whose reply classification is constant per
 the span, and the per-packet lane takes it from there.
 
 The lane decides nothing of its own. Once per flow, :meth:`SpanLane._resolve`
-asks the primitives the per-packet lane runs — ``FidelityLadder.session_at``,
-``EmulatedSession.flow_state``, ``FlowTable.live_record`` / ``create``,
+asks the primitives the per-packet lane runs — ``FidelityLadder.session_row``,
+``AddressTable.flow_state``, ``FlowTable.live_record`` / ``create``,
 ``triggers.vuln_probe``, ``emulator_replies``,
 ``containment.honeypot_initiated`` — and writes the answer on the flow's
 row, as the ``verdict`` column: the reply class and the ``tcp_flags`` it
@@ -23,9 +23,9 @@ was classified under (a code into the lane's small table of classes),
 and the stamp of the session it was resolved against. The flow table is
 the lane's only per-flow index. Per packet, :meth:`SpanLane.run` finds
 the row, checks the verdict, and applies it as plain arithmetic on the
-flow table's columns and the session's handoff buffer (what
-``FlowTable.observe_keyed``, ``EmulatedSession.emulate`` and
-``FidelityLadder._buffer`` do per packet), and
+flow table's columns and the destination's row of the ladder's address
+table, its handoff chain included (what ``FlowTable.observe_keyed`` and
+``EmulatedSession.emulate`` do per packet), and
 ``tests/test_span_lane_parity.py`` holds it to the per-event loop,
 observable by observable.
 
@@ -51,8 +51,8 @@ Correctness rests on three invariants:
     new row starts with no verdict);
   - the ladder holds a session for the destination and its stamp is the
     verdict's. A verdict depends only on state of its *destination
-    address*: that no VM is bound there, and which ``EmulatedSession``
-    the ladder holds for it (every flow of a live session is below the
+    address*: that no VM is bound there, and which session (address
+    row) the ladder holds for it (every flow of a live session is below the
     promotion thresholds: the packet that reaches one promotes, which
     drops the session). A dropped session takes its stamp with it, and
     ``FidelityLadder.vm_bound`` draws the session a new one; stamps are
@@ -69,17 +69,18 @@ Correctness rests on three invariants:
   ladder's sessions, so it trusts no verdict an earlier lane wrote.
   A verdict is a column of its row: it goes when the flow does, and a
   drained table holds none;
-* rows touched here keep their creation-time bucket, as they do on the
-  per-packet lane: ``FlowTable.expire_idle`` refiles them (see
-  :mod:`repro.net.flow`).
+* rows touched here, flow and address rows alike, keep their
+  creation-time bucket, as they do on the per-packet lane:
+  ``RowTable.expire_idle`` refiles them (see :mod:`repro.sim.rows`).
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.containment import ContainmentPolicy, DropAllPolicy, honeypot_initiated
-from repro.fidelity.emulator import emulator_replies
+from repro.fidelity.emulator import MAX_HANDOFF_PACKETS, emulator_replies
 from repro.fidelity.triggers import (
     PROMOTE_PAYLOAD_BYTES,
     PROMOTE_STATE_DEPTH,
@@ -93,7 +94,6 @@ from repro.services.personality import Personality
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.core.gateway import Gateway
-    from repro.fidelity.emulator import EmulatedSession
     from repro.fidelity.ladder import FidelityLadder
     from repro.sim.batch import PacketColumns
 
@@ -162,13 +162,17 @@ class SpanLane:
         went out to the Internet."""
         ladder = self.ladder
         flows = self.gateway.flows
+        addresses = ladder.sessions
         times = columns.times
         keys = columns.keys
         payloads = columns.payloads
         sizes = columns.sizes
         tcp_flags = columns.tcp_flags
+        prev = columns.prev
+        if prev is None:
+            prev = columns.prev = array("q", bytes(8 * len(times)))
         index_get = flows.index.get
-        sessions_get = ladder.sessions.get
+        address_get = addresses.index.get
         verdicts = self.verdicts
         resolve = self._resolve
         row_verdicts = flows.verdict
@@ -177,7 +181,14 @@ class SpanLane:
         packets = flows.packets
         nbytes = flows.bytes
         idle_timeout = flows.idle_timeout
-        buffer_limit = ladder.MAX_HANDOFF_PACKETS
+        stamps = addresses.stamp
+        address_seen = addresses.last_seen
+        absorbed = addresses.absorbed
+        heads = addresses.head
+        chained = addresses.chained
+        banners = addresses.banner
+        holding = addresses.holding
+        buffer_limit = MAX_HANDOFF_PACKETS
         n_replies = n_contained = n_buffer_dropped = 0
         n_resolves = n_reresolves = 0
 
@@ -194,9 +205,9 @@ class SpanLane:
             verdict = None
             stamped = 0 if row is None else row_verdicts[row]
             if stamped:
-                session = sessions_get(dst)
-                if session is not None:  # the validity rule: module docstring
-                    code = stamped ^ (session.stamp << _CODE_BITS)
+                address = address_get(dst)
+                if address is not None:  # the validity rule: module docstring
+                    code = stamped ^ (stamps[address] << _CODE_BITS)
                     if code < _CODES and t - last_seen[row] <= idle_timeout:
                         verdict = verdicts[code]
                         if verdict[4] != tcp_flags[i]:
@@ -216,25 +227,30 @@ class SpanLane:
                 resolved = resolve(columns, i, flow, row, t)
                 if resolved is None:
                     break
-                verdict, row, session, icmp_row = resolved
+                verdict, row, address, icmp_row = resolved
             kind = verdict[0]
             size = sizes[i]
             last_seen[row] = t
-            session.last_seen = t
-            session.packets_absorbed += 1
-            if session.columns is not columns:
-                session.index_into(columns)
-            buffered = session.buffered
-            if len(buffered) >= buffer_limit:
-                session.evict_oldest()
+            address_seen[address] = t
+            # Chain the arrival for the handoff (AddressTable.chain), here
+            # while nothing can leave the chain but a row index.
+            n = absorbed[address]
+            if chained[address] is not columns or (
+                holding and n >= buffer_limit and address in holding
+            ):
+                addresses.chain(address, columns, i)
+            else:
+                absorbed[address] = n + 1
+                prev[i] = heads[address]
+                heads[address] = i
+            if n >= buffer_limit:
                 n_buffer_dropped += 1
-            buffered.append(i)  # a row index, not an object
             if kind == _FIXED:
                 packets[row] += 2
                 nbytes[row] += size + verdict[1]
                 banner = verdict[2]
                 if banner is not None:
-                    session.banner = banner
+                    banners[address] = banner
                 n_replies += 1
                 if verdict[3]:
                     n_contained += 1
@@ -323,10 +339,11 @@ class SpanLane:
     def _resolve(
         self, columns: "PacketColumns", i: int, flow: FiveTuple,
         row: Optional[int], t: float,
-    ) -> Optional[Tuple[Tuple, int, "EmulatedSession", Optional[int]]]:
+    ) -> Optional[Tuple[Tuple, int, int, Optional[int]]]:
         """Resolve arrival ``i`` of flow ``flow``, which the flow index
         files under ``row`` (None: no row), and write its verdict on the
-        row; return ``(verdict, row, session, icmp_row)`` (the
+        row; return ``(verdict, row, address, icmp_row)`` (the
+        destination's row of the ladder's address table, and the
         unreachable's ICMP row, else None), or None to send the packet
         down the per-packet lane. Re-resolving is idempotent.
 
@@ -355,8 +372,13 @@ class SpanLane:
             return None  # VM-backed address: clone/deliver path
 
         ladder = self.ladder
-        session = ladder.session_at(dst, t)
-        personality = session.personality
+        addresses = ladder.sessions
+        address = addresses.index.get(dst)
+        if address is None:
+            address = ladder.session_row(dst, t)
+        personality = addresses.sole
+        if personality is None:
+            personality = addresses.personality[address]
         pid = id(personality)
         ports = self.ports.get(pid)
         if ports is None:
@@ -383,7 +405,7 @@ class SpanLane:
         kind = verdict[0]
         if kind < 0:
             return None
-        state, flow_created = session.flow_state(flow)
+        state, flow_created = addresses.flow_state(address, flow)
         if flow_created:
             ladder._c_flows_seen.increment()
         if (
@@ -424,7 +446,7 @@ class SpanLane:
             del columns.packets[i]
         if row is None:
             row = flows.create(flow, src, t)
-        flows.verdict[row] = session.stamp << _CODE_BITS | code
+        flows.verdict[row] = addresses.stamp[address] << _CODE_BITS | code
         if kind == _UNREACHABLE and icmp_row is None:
             icmp_row = flows.create(icmp_key, dst, t)
-        return verdict, row, session, icmp_row
+        return verdict, row, address, icmp_row

@@ -21,44 +21,24 @@ protocol)`` *is* its flow's key, so the span lane files the trace's own
 tuple and builds none.
 
 **Rows.** The table holds every live flow, emulated or VM-backed, as one
-row of typed columns: ``first_seen`` and ``last_seen`` in ``array('d')``;
-``packets``, ``bytes``, ``initiator`` (the address value that opened the
-flow), ``vm_id`` (:data:`NO_VM` when unbound), ``serial`` and ``verdict``
-in ``array('q')``; and ``keys``, the row's 5-tuple. One dict, ``index``,
-maps each key to its dense row id. Rows are handed out from a free list:
-a removed flow's row goes back on it, and when it runs dry every column
-grows by a block of rows at once. When the table empties, every column
-is released, so a drained table holds no capacity. A live flow costs a
-fixed number of bytes, not a handful of objects.
+row of typed columns (a :class:`~repro.sim.rows.RowTable`: rows, the row
+serial and expiry over rows are described there): ``first_seen`` and
+``last_seen`` in ``array('d')``; ``packets``, ``bytes``, ``initiator``
+(the address value that opened the flow), ``vm_id`` (:data:`NO_VM` when
+unbound), ``serial`` and ``verdict`` in ``array('q')``; and ``keys``, the
+row's 5-tuple. A :class:`FlowRecord` view keeps its row's serial, so
+nothing written through a stale view lands on the flow that moved in.
 
 ``verdict`` is the emulator tier's answer for the flow, written by the
 span lane and read by nothing else (:mod:`repro.fidelity.span`); a new
 row's is 0, no verdict. Like ``vm_id`` it is per-flow state, so it lives
 and dies with the row.
 
-**The row serial.** Every new flow stamps its row with a serial drawn
-from a counter that only rises; freeing the row zeroes it. Whoever keeps
-a row id beyond the call that produced it keeps the serial with it — a
-:class:`FlowRecord` view, an expiry bucket — and the row is still its
-flow exactly while the serials agree. A reused row has a new serial, so
-nothing written through a stale holder can land on the flow that moved
-in.
-
-**Expiry over rows.** Records expire after a configurable idle interval;
-expiry is checked lazily on access and via an explicit
-:meth:`FlowTable.expire_idle` sweep, so no timer per flow exists. The
-sweep visits only flows old enough to possibly be idle: coarse time
-buckets over ``last_seen`` list ``(row, serial)`` pairs. One bucket
-policy: a row is filed under its creation time by :meth:`FlowTable.create`
-and *not* moved when later packets touch it. :meth:`FlowTable.expire_idle`
-visits every bucket old enough to hold an expirable row, and refiles the
-rows it finds still live under their true ``last_seen``. A row's bucket is
-therefore never later than its ``last_seen`` one, so the sweep that
-should expire it always visits it: expiry timing and counts are those of
-re-bucketing on every packet, without the per-packet moves. A live row
-has exactly one bucket entry (a sweep empties each bucket it visits
-before refiling), so an entry is current exactly while its serial is;
-one whose row was freed is dropped when its bucket is swept.
+**Expiry.** Records expire after a configurable idle interval; expiry is
+checked lazily on access (:meth:`FlowTable.live_record`) and via the
+table's creation-bucket sweep, :meth:`~repro.sim.rows.RowTable.expire_idle`,
+so no timer per flow exists and a sweep visits only flows old enough to
+possibly be idle.
 
 A **per-VM index** (``vm_id`` → rows) lets reclaiming a VM drop its
 residual flow state without touching unrelated flows. Most VMs serve one
@@ -68,11 +48,11 @@ set of row ids from then on.
 
 from __future__ import annotations
 
-from array import array
-from typing import Collection, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.net.addr import IPAddress
 from repro.net.packet import Packet
+from repro.sim.rows import RowTable
 
 __all__ = ["NO_VM", "FiveTuple", "FlowRecord", "FlowTable", "flow_key", "packet_flow_key"]
 
@@ -189,7 +169,7 @@ class FlowRecord:
         )
 
 
-class FlowTable:
+class FlowTable(RowTable):
     """Live flows as rows, with idle-based expiry (module docstring).
 
     ``idle_timeout`` matches the gateway's flow-inactivity horizon; once a
@@ -197,50 +177,14 @@ class FlowTable:
     same 5-tuple starts a fresh row (and may be dispatched to a new VM).
     """
 
-    #: Buckets per idle-timeout window; coarser buckets mean fewer moves,
-    #: finer buckets mean tighter expiry scans. 8 keeps both trivial.
-    _BUCKETS_PER_TIMEOUT = 8
-
-    #: The typed columns.
-    COLUMNS = (
-        "first_seen", "last_seen", "packets", "bytes", "initiator", "vm_id",
-        "serial", "verdict",
-    )
-    #: Rows added per growth, at least; else an eighth of the table.
-    _GROWTH = 64
+    COLUMNS = {
+        "first_seen": "d", "last_seen": "d", "packets": "q", "bytes": "q",
+        "initiator": "q", "vm_id": "q", "serial": "q", "verdict": "q",
+    }
 
     def __init__(self, idle_timeout: float = 60.0) -> None:
-        if idle_timeout <= 0:
-            raise ValueError(f"idle_timeout must be positive: {idle_timeout!r}")
-        self.idle_timeout = idle_timeout
-        self.first_seen = array("d")
-        self.last_seen = array("d")
-        self.packets = array("q")
-        self.bytes = array("q")
-        self.initiator = array("q")
-        self.vm_id = array("q")
-        self.serial = array("q")
-        self.verdict = array("q")
-        self.keys: List[Optional[FiveTuple]] = []
-        self.index: Dict[FiveTuple, int] = {}
-        self._free = array("q")
+        super().__init__(idle_timeout)
         self._by_vm: Dict[int, Union[int, Set[int]]] = {}
-        self._buckets: Dict[int, array] = {}
-        self._granularity = max(idle_timeout / self._BUCKETS_PER_TIMEOUT, 1e-9)
-        self._serials_issued = 0
-        self.expired_total = 0
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def __contains__(self, key: FiveTuple) -> bool:
-        return key in self.index
-
-    def holds(self, row: int, serial: int) -> bool:
-        """Whether ``row`` still holds the flow that was stamped
-        ``serial``."""
-        serials = self.serial
-        return row < len(serials) and serials[row] == serial
 
     def record(self, row: int) -> FlowRecord:
         """A view of the live ``row``."""
@@ -280,47 +224,18 @@ class FlowTable:
         if not rows:
             del self._by_vm[vm_id]
 
-    def _file(self, row: int, serial: int, bucket: int) -> None:
-        filed = self._buckets.get(bucket)
-        if filed is None:
-            filed = self._buckets[bucket] = array("q")
-        filed.append(row)
-        filed.append(serial)
-
-    def _grow(self) -> None:
-        """Add a block of free rows to every column."""
-        first = len(self.keys)
-        added = max(self._GROWTH, first >> 3)
-        zeros = bytes(8 * added)
-        for name in self.COLUMNS:
-            getattr(self, name).frombytes(zeros)
-        self.keys.extend([None] * added)
-        # Descending, so rows are handed out lowest first.
-        self._free.extend(range(first + added - 1, first - 1, -1))
-
-    def _free_row(self, row: int) -> None:
-        """Forget the flow in live ``row``; the row joins the free list.
-        Its bucket entry stays behind, dead, until its bucket is swept."""
-        del self.index[self.keys[row]]
-        self.keys[row] = None
-        vm_id = self.vm_id[row]
-        if vm_id != NO_VM:
-            self._unindex_vm(row, vm_id)
-        self.serial[row] = 0
-        self._free.append(row)
+    def _free_rows(self, rows: Sequence[int]) -> None:
+        vm_ids = self.vm_id
+        for row in rows:
+            vm_id = vm_ids[row]
+            if vm_id != NO_VM:
+                self._unindex_vm(row, vm_id)
+        super()._free_rows(rows)
 
     def _release_if_empty(self) -> None:
-        """With no live flow left, let go of every column's capacity and
-        every index (each names only freed rows)."""
-        if self.index or not self.keys:
-            return
-        for name in self.COLUMNS:
-            del getattr(self, name)[:]
-        del self._free[:]
-        self.keys.clear()
-        self.index.clear()
-        self._by_vm.clear()
-        self._buckets.clear()
+        super()._release_if_empty()
+        if not self.index:
+            self._by_vm.clear()  # empty already; this lets go of its capacity
 
     # ------------------------------------------------------------------ #
     # Per-packet operations
@@ -378,31 +293,15 @@ class FlowTable:
 
         The row is indexed and bucketed at ``now`` but carries zero
         packets/bytes: :meth:`observe_keyed` touches it next, the span
-        lane applies its own per-packet arithmetic. Written column by
-        column and filed inline, because this runs once per unique flow
-        of a replay.
+        lane applies its own per-packet arithmetic.
         """
-        if not self._free:
-            self._grow()
-        row = self._free.pop()
-        self._serials_issued += 1
-        serial = self._serials_issued
+        row = self._open(key, now)
         self.first_seen[row] = now
-        self.last_seen[row] = now
         self.packets[row] = 0
         self.bytes[row] = 0
         self.initiator[row] = initiator
         self.vm_id[row] = NO_VM
-        self.serial[row] = serial
         self.verdict[row] = 0
-        self.keys[row] = key
-        self.index[key] = row
-        bucket = int(now / self._granularity)
-        filed = self._buckets.get(bucket)
-        if filed is None:
-            filed = self._buckets[bucket] = array("q")
-        filed.append(row)
-        filed.append(serial)
         return row
 
     # ------------------------------------------------------------------ #
@@ -420,39 +319,6 @@ class FlowTable:
             self._free_row(record.row)
             self._release_if_empty()
 
-    def expire_idle(self, now: float) -> List[FiveTuple]:
-        """Remove every flow idle past the timeout; returns their keys.
-
-        Incremental: only buckets whose entire time range is old enough to
-        contain expired flows are visited, so a sweep's cost tracks the
-        number of *expirable* flows, not the number of live ones.
-        """
-        timeout = self.idle_timeout
-        granularity = self._granularity
-        boundary = int((now - timeout) / granularity)
-        buckets = self._buckets
-        serials = self.serial
-        last_seen = self.last_seen
-        expired: List[FiveTuple] = []
-        for index in sorted(b for b in buckets if b <= boundary):
-            filed = buckets.pop(index)
-            for k in range(0, len(filed), 2):
-                row = filed[k]
-                serial = filed[k + 1]
-                if serials[row] != serial:
-                    continue  # freed since it was filed
-                seen = last_seen[row]
-                if now - seen > timeout:
-                    expired.append(self.keys[row])
-                    self._free_row(row)
-                else:
-                    # Touched since it was filed: refile it under its
-                    # true last_seen (the module docstring's one policy).
-                    self._file(row, serial, int(seen / granularity))
-        self.expired_total += len(expired)
-        self._release_if_empty()
-        return expired
-
     def flows_for_vm(self, vm_id: int) -> List[FlowRecord]:
         """Views of all live flows currently bound to ``vm_id``."""
         return [self.record(row) for row in _rows_of(self._by_vm.get(vm_id, ()))]
@@ -460,8 +326,7 @@ class FlowTable:
     def drop_vm(self, vm_id: int) -> int:
         """Forget all flows bound to a reclaimed VM; returns count dropped."""
         rows = _rows_of(self._by_vm.pop(vm_id, ()))
-        for row in rows:
-            self._free_row(row)
+        self._free_rows(list(rows))
         self._release_if_empty()
         return len(rows)
 

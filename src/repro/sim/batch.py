@@ -196,9 +196,14 @@ class PacketColumns(Sequence[TraceRecord]):
     process-global counter, so every replay of a trace takes its own
     :meth:`attachment`: the same column lists (shifted times apart)
     under a fresh ``packets`` cache.
+
+    An attachment the emulator tier absorbs arrivals from also carries
+    ``prev``: per row, the link its address's handoff chain held before
+    it (an ``array('q')`` the span lane allocates on first use, None
+    until then; see :class:`~repro.fidelity.emulator.AddressTable`).
     """
 
-    __slots__ = ("times", "keys", "payloads", "sizes", "tcp_flags", "packets")
+    __slots__ = ("times", "keys", "payloads", "sizes", "tcp_flags", "packets", "prev")
 
     def __init__(
         self,
@@ -223,6 +228,7 @@ class PacketColumns(Sequence[TraceRecord]):
         self.sizes = sizes
         self.tcp_flags = tcp_flags
         self.packets: Dict[int, Packet] = {}
+        self.prev: Optional[array] = None
 
     @classmethod
     def from_records(cls, records: Iterable[TraceRecord]) -> "PacketColumns":

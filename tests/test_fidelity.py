@@ -11,6 +11,7 @@ import pytest
 from repro.core.config import HoneyfarmConfig
 from repro.core.honeyfarm import Honeyfarm
 from repro.fidelity import (
+    AddressTable,
     EmulatedSession,
     FidelityLadder,
     PROMOTE_PAYLOAD_BYTES,
@@ -24,6 +25,7 @@ from repro.fidelity.emulator import FRESH_FLOW, FlowProgress
 from repro.net.addr import IPAddress
 from repro.net.packet import (
     ICMP_ECHO_REQUEST,
+    PROTO_TCP,
     Packet,
     TcpFlags,
     icmp_packet,
@@ -32,9 +34,11 @@ from repro.net.packet import (
 )
 from repro.obs import FlightRecorder, install, uninstall
 from repro.services.guest import GuestHost
+from repro.sim.batch import TraceRecord
 from repro.sim.rand import RandomStream
 from repro.vmm.memory import GuestAddressSpace
 from repro.vmm.vm import VirtualMachine
+from repro.workloads.trace import replay_into_farm
 
 ATTACKER = IPAddress.parse("203.0.113.9")
 VICTIM = IPAddress.parse("10.16.0.5")
@@ -180,9 +184,15 @@ class TestTriggers:
         assert promotion_trigger(catalog, windows, flow, benign) == "payload_bytes"
 
 
+def one_session(personality) -> EmulatedSession:
+    """A view of the one row of a fresh address table."""
+    table = AddressTable(personality=personality)
+    return table.session(table.open(VICTIM.value, 0.0))
+
+
 class TestEmulatedSession:
     def test_note_tracks_prospective_flow_state(self, registry):
-        session = EmulatedSession(registry.get("windows-default"), 0.0)
+        session = one_session(registry.get("windows-default"))
         probe = tcp_packet(ATTACKER, VICTIM, 1234, 80, flags=PSH_ACK, payload="GET /")
         state, created = session.note(probe, 1.0)
         assert created and state.exchanges == 1 and state.payload_bytes == 5
@@ -199,7 +209,7 @@ class TestEmulatedSession:
         assert list(session.flows.values()) == [(2, 10)]
 
     def test_banner_tracked_from_replies(self, registry):
-        session = EmulatedSession(registry.get("windows-default"), 0.0)
+        session = one_session(registry.get("windows-default"))
         session.emulate(tcp_packet(ATTACKER, VICTIM, 1, 445))
         assert session.banner is None  # SYN/ACK carries no banner
         session.emulate(tcp_packet(ATTACKER, VICTIM, 1, 445, flags=PSH_ACK,
@@ -237,9 +247,25 @@ class TestFidelityLadderUnit:
         session = ladder.sessions[VICTIM.value]
         # The oldest two were evicted; the most recent 64 are kept in order.
         assert session.buffered_packets() == sent[2:]
-        assert session.held == sent[2:]
+        assert len(ladder.sessions.held) == 64  # the evicted two let go
         assert session.buffer_dropped == 2
         assert ladder.metrics.counters()["ladder.handoff_buffer_dropped"] == 2
+
+    def test_a_dropped_session_lets_go_of_its_held_packets(self, sim, registry):
+        ladder = self.make_ladder(sim, registry)
+        held = ladder.sessions.held
+        other, third = IPAddress.parse("10.16.0.6"), IPAddress.parse("10.16.0.7")
+        ladder.consider(icmp_packet(ATTACKER, other), 0.0)
+        for i in range(3):
+            ladder.consider(icmp_packet(ATTACKER, VICTIM), 0.1 * i)
+        exploit = tcp_packet(ATTACKER, VICTIM, 1, 445, flags=PSH_ACK,
+                             payload="exploit:sasser")
+        assert ladder.consider(exploit, 1.0).promoted
+        assert len(held) == 1  # the other address's one packet
+        timeout = ladder.session_idle_timeout
+        ladder.consider(icmp_packet(ATTACKER, third), timeout)
+        assert ladder.sweep(timeout + 0.5) == 1  # the other address expires
+        assert [packet.dst for packet, __ in held.values()] == [third]
 
     def test_state_depth_promotes_deep_conversation(self, sim, registry):
         ladder = self.make_ladder(sim, registry)
@@ -257,6 +283,62 @@ class TestFidelityLadderUnit:
         assert ladder.sweep(ladder.session_idle_timeout + 1.0) == 1
         assert ladder.live_sessions == 0
         assert ladder.metrics.counters()["ladder.sessions_expired"] == 1
+
+
+def _arrival(t: float, src_port: int, dst_port: int = 80, payload: str = ""):
+    """One arrival at the victim from the attacker, on flow ``src_port``."""
+    return TraceRecord(
+        time=t, src=str(ATTACKER), dst=str(VICTIM), protocol=PROTO_TCP,
+        src_port=src_port, dst_port=dst_port, payload=payload,
+        size=40 + len(payload),
+    )
+
+
+@pytest.mark.parametrize("lane", ["per-packet", "span"])
+class TestFlowCounts:
+    """What the ladder counts as one of a session's flows, whichever lane
+    absorbs its packets: ``ladder.flows_seen`` and a promotion's
+    ``HandoffRecord.flows``."""
+
+    def test_flows_of_a_promoted_session(self, lane):
+        farm = Honeyfarm(ladder_config())
+        handoffs = []
+        take_handoff = farm.ladder.take_handoff
+        farm.ladder.take_handoff = lambda ip: handoffs.append(take_handoff(ip)) or handoffs[-1]
+        replay_into_farm(farm, [
+            _arrival(0.1, 1001),  # 0 -> 1 flow
+            _arrival(0.2, 1002),  # 1 -> 2 flows
+            _arrival(0.3, 1003, payload="GET /"),  # a third, with progress
+            _arrival(0.35, 1003, payload="GET /"),
+            _arrival(0.4, 1001),  # the first again: not a new flow
+            _arrival(0.5, 1004, dst_port=445, payload="exploit:sasser"),
+        ], batched=lane == "span")
+        farm.run(until=5.0)
+        counters = farm.metrics.counters()
+        assert (farm.gateway.span_resolves > 0) == (lane == "span")
+        assert counters["ladder.flows_seen"] == 4
+        assert counters["ladder.promotions"] == 1
+        assert [handoff.flows for handoff in handoffs] == [4]
+        assert handoffs[0].payload_bytes == 10 + len("exploit:sasser")
+        assert len(handoffs[0].buffered) == 5
+
+    def test_a_flow_back_after_its_row_expired_is_not_new(self, lane):
+        farm = Honeyfarm(ladder_config(
+            flow_idle_timeout_seconds=5.0, sweep_interval_seconds=1.0,
+        ))
+        replay_into_farm(farm, [
+            _arrival(0.0, 1001),
+            _arrival(3.0, 1002),
+            _arrival(6.0, 1002),  # keeps the session alive
+            _arrival(7.0, 1001),  # its flow row expired at 6
+        ], batched=lane == "span")
+        farm.run(until=7.5)
+        counters = farm.metrics.counters()
+        assert farm.gateway.span_resolves == (3 if lane == "span" else 0)
+        assert farm.gateway.flows.expired_total == 1
+        assert counters["ladder.sessions_started"] == 1
+        assert counters.get("ladder.sessions_expired", 0) == 0
+        assert counters["ladder.flows_seen"] == 2
 
 
 def run_ladder_farm(config, packets, until=5.0, registry=None):

@@ -26,7 +26,7 @@ import pytest
 from repro.core.config import HoneyfarmConfig
 from repro.core.flash_clone import CloneResult
 from repro.core.honeyfarm import Honeyfarm
-from repro.fidelity.emulator import EmulatedSession
+from repro.fidelity.emulator import AddressTable
 from repro.net.addr import IPAddress
 from repro.net.packet import PROTO_TCP, tcp_packet
 from repro.services.guest import GuestHost
@@ -70,14 +70,23 @@ def _assert_census_is_the_live_state(farm: Honeyfarm, before: dict) -> None:
     # A flow is a row: the table's live rows are its flows, and the only
     # FlowRecord views alive are the ones the pending queues hold.
     flows = gateway.flows
-    assert perf_harness.flow_table_footprint(flows)["live_rows"] == len(flows)
+    assert perf_harness.table_footprint(flows)["live_rows"] == len(flows)
     assert sum(1 for serial in flows.serial if serial) == len(flows)
     gc.collect()
     views = sum(type(obj).__name__ == "FlowRecord" for obj in gc.get_objects())
     assert views == sum(len(queue) for queue in gateway._pending.values())
-    # A span verdict is a column of its row, and a session is named by
-    # its stamp: every session alive is one the ladder holds.
-    assert census["EmulatedSession"] == (len(ladder.sessions) if ladder else 0)
+    # An emulated address is a row too, and a session a view of it that
+    # lives only as long as the call using it: the address table's live
+    # rows are the ladder's sessions, and no view is alive.
+    assert census["EmulatedSession"] == 0
+    if ladder is not None:
+        sessions = ladder.sessions
+        assert perf_harness.table_footprint(sessions)["live_rows"] == len(sessions)
+        assert sum(1 for serial in sessions.serial if serial) == len(sessions)
+        # Every held packet is in a live session's handoff window: a
+        # promoted or expired session lets go of the ones it held.
+        assert sum(sessions.holding.values()) == len(sessions.held)
+        assert all(sessions.serial[row] for row in sessions.holding)
 
 
 def test_census_counts_one_live_instance_of_each_type_as_one():
@@ -88,12 +97,13 @@ def test_census_counts_one_live_instance_of_each_type_as_one():
     registry = default_registry()
     snapshot = ReferenceSnapshot(MachineMemory(64 << 20), image_bytes=4 << 20)
     vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), ATTACKER, 0.0)
+    sessions = AddressTable(personality=registry.get("windows-default"))
     alive = (
         vm,
         GuestHost(vm, registry.get("windows-default"), registry.catalog,
                   Simulator(), RandomStream(1)),
         CloneResult(vm=vm, requested_at=0.0, completed_at=0.0),
-        EmulatedSession(registry.get("windows-default"), 0.0),
+        sessions.session(sessions.open(DARKNET, 0.0)),
     )
     assert _census_since(before) == dict.fromkeys(perf_harness.HEAP_TYPES, 1)
     assert vm.guest is alive[1]  # the guest binds itself to the slotted VM
@@ -119,12 +129,12 @@ def test_census_equals_live_state_mid_run_and_zero_after_drain(name):
     clones = farm.clone_engine.completed
     perf_harness.drain(farm)
     assert farm.live_vms == 0 and len(farm.gateway.flows) == 0
-    assert farm.ladder is None or not farm.ladder.sessions
+    assert farm.ladder is None or not (farm.ladder.sessions or farm.ladder.sessions.held)
     assert clones == farm.clone_engine.completed > 0
     assert _census_since(before) == dict.fromkeys(perf_harness.HEAP_TYPES, 0)
-    assert perf_harness.flow_table_footprint(farm.gateway.flows) == {
-        "live_rows": 0, "column_bytes": 0,
-    }
+    tables = [farm.gateway.flows] + ([farm.ladder.sessions] if farm.ladder else [])
+    for table in tables:
+        assert perf_harness.table_footprint(table) == {"live_rows": 0, "column_bytes": 0}
     assert (farm.gateway._span_lane is not None) == (name == "mixed_storm")
     assert stream.remaining == 0
     assert not undelivered
@@ -326,6 +336,51 @@ def test_an_emulated_flow_allocates_only_its_row():
     tuples = sum(1 for block in snapshot.traces if block.size == key_bytes)
     assert tuples < EMULATED_FLOWS // 100, tuples
     assert held / EMULATED_FLOWS <= BYTES_PER_RADIATION_FLOW, held / EMULATED_FLOWS
+
+
+#: Dark addresses :func:`test_an_emulated_address_is_a_row` probes, each
+#: with one flow of three SYNs (a scanner's connect with two retries).
+EMULATED_ADDRESSES = 8_000
+#: Traced bytes per such address, its flow row included: 745 when its
+#: session was an object with a flows dict, a handoff-buffer array and a
+#: boxed ``last_seen``; 521 with the one flow kept as its key tuple.
+BYTES_PER_EMULATED_ADDRESS = 400
+
+
+def test_an_emulated_address_is_a_row():
+    """An address the span lane serves is a row of the ladder's address
+    table: no session object, no flows container for its one flow, no
+    per-address handoff buffer."""
+    farm = Honeyfarm(HoneyfarmConfig(
+        prefixes=("10.16.0.0/16",), num_hosts=2, ladder=True,
+        containment="drop-all", seed=7,
+    ))
+    trace = PacketColumns.from_records(
+        TraceRecord(
+            time=1.0 + k * 1e-4 + retry * 0.1, src=f"198.51.{k >> 8}.{k & 255}",
+            dst=str(IPAddress(DARKNET + k)), protocol=PROTO_TCP,
+            src_port=1024 + k, dst_port=445,
+        )
+        for k in range(EMULATED_ADDRESSES)
+        for retry in range(3)
+    ).sorted_by_time()
+    farm.attach_arrival_columns(trace)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        farm.run(until=5.0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    sessions = farm.ladder.sessions
+    assert len(sessions) == len(farm.gateway.flows) == EMULATED_ADDRESSES
+    assert farm.gateway.span_resolves == EMULATED_ADDRESSES
+    assert all(session.buffered_count == 3 for session in sessions.values())
+    assert held / EMULATED_ADDRESSES <= BYTES_PER_EMULATED_ADDRESS, (
+        held / EMULATED_ADDRESSES
+    )
 
 
 # ---------------------------------------------------------------------- #

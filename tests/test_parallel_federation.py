@@ -8,10 +8,13 @@ conservation holds globally.
 """
 
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
 
+from repro.core import parallel
 from repro.core.config import HoneyfarmConfig
 from repro.core.federation import FederatedHoneyfarm
 from repro.core.intershard import InterShardConfig
@@ -218,6 +221,42 @@ class TestParallelFederationApi:
         lane.run(until=1.0)
         with pytest.raises(ValueError, match="runs once"):
             lane.run(until=1.0)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched worker reaches the child only through fork",
+    )
+    def test_a_dead_worker_is_named(self, monkeypatch):
+        """A worker that dies without a word (no traceback shipped back)
+        surfaces as an error naming it and its exit code, not as the
+        pipe's bare ``EOFError``."""
+        serve = parallel._shard_worker
+
+        class DyingOnFirstEpoch:
+            def __init__(self, conn):
+                self.conn = conn
+
+            def recv(self):
+                message = self.conn.recv()
+                if message[0] == "epoch":
+                    os._exit(3)
+                return message
+
+            def __getattr__(self, name):
+                return getattr(self.conn, name)
+
+        monkeypatch.setattr(
+            parallel, "_shard_worker",
+            lambda conn, payload: serve(DyingOnFirstEpoch(conn), payload),
+        )
+        lane = ParallelFederation(
+            shard_configs(), INTERLINK, 2, shard_records=[[SEED_RECORD], None],
+            start_method="fork",
+        )
+        with pytest.raises(
+            RuntimeError, match=r"federation worker 0 died \(exit code 3\)"
+        ):
+            lane.run(until=5.0)
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ValueError):

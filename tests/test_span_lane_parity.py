@@ -77,7 +77,7 @@ def _observe(farm: Honeyfarm):
         ),
         "sessions": sorted(
             (str(IPAddress(value)), s.created_at, s.last_seen, s.packets_absorbed,
-             s.buffer_dropped, s.banner, s.payload_bytes_total, len(s.buffered),
+             s.buffer_dropped, s.banner, s.payload_bytes_total, s.buffered_count,
              sorted((str(k), f.exchanges, f.payload_bytes) for k, f in s.flows.items()))
             for value, s in sessions.items()
         ),

@@ -466,5 +466,5 @@ def test_span_lane_state_is_per_flow_not_per_packet():
     assert farm.metrics.counters()["gateway.emulated"] == 10_000
     assert farm.gateway.span_resolves == 50
     sessions = farm.ladder.sessions.values()
-    assert sum(len(session.buffered) for session in sessions) == 50 * 64
+    assert sum(session.buffered_count for session in sessions) == 50 * 64
     assert grown < 2_000, f"{grown} new gc-tracked objects"
