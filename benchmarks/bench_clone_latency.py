@@ -31,7 +31,7 @@ from repro.vmm.latency import CloneCostModel
 from repro.vmm.snapshot import ReferenceSnapshot
 
 CLONES = 200
-BASE_IP = IPAddress.parse("10.16.0.1").value
+BASE_IP = IPAddress.parse("10.16.0.1")
 
 
 def run_mode(mode: str, clones: int = CLONES):

@@ -68,7 +68,7 @@ def test_stray_path(benchmark):
 def test_clone_trigger_path(benchmark):
     """First packet to a cold address: includes VM creation bookkeeping."""
     farm = make_farm()
-    base = IPAddress.parse("10.16.1.0").value
+    base = IPAddress.parse("10.16.1.0")
     counter = [0]
 
     def cold_path():

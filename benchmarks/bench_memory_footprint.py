@@ -38,7 +38,7 @@ CONFIG = HoneyfarmConfig(
 )
 
 ATTACKER = IPAddress.parse("203.0.113.70")
-BASE = IPAddress.parse("10.16.0.1").value
+BASE = IPAddress.parse("10.16.0.1")
 
 
 def populate(farm: Honeyfarm, count: int) -> None:

@@ -23,7 +23,7 @@ from repro.net.packet import TcpFlags, tcp_packet
 
 POLICIES = ("least-loaded", "round-robin", "pack")
 ATTACKER = IPAddress.parse("203.0.113.90")
-BASE = IPAddress.parse("10.16.0.0").value
+BASE = IPAddress.parse("10.16.0.0")
 FLOOD = 240
 
 

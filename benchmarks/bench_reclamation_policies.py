@@ -23,7 +23,7 @@ from repro.net.addr import IPAddress
 from repro.net.packet import TcpFlags, tcp_packet
 
 ATTACKER = IPAddress.parse("203.0.113.200")
-BASE = IPAddress.parse("10.16.0.0").value
+BASE = IPAddress.parse("10.16.0.0")
 ADDRESSES = 256
 
 

@@ -23,7 +23,7 @@ from repro.net.addr import IPAddress
 from repro.net.packet import tcp_packet
 
 ATTACKER = IPAddress.parse("203.0.113.5")
-BASE = IPAddress.parse("10.16.0.1").value
+BASE = IPAddress.parse("10.16.0.1")
 POOL_SIZE = 24
 BURSTS = 6
 BURST_VMS = 16

@@ -499,7 +499,7 @@ def reclamation_point(args: Tuple[Optional[float], float, int]) -> Doc:
         seed=ABL_SEED,
     ))
     attacker = IPAddress.parse("203.0.113.200")
-    base = IPAddress.parse("10.16.0.0").value
+    base = IPAddress.parse("10.16.0.0")
     psh_ack = TcpFlags.PSH | TcpFlags.ACK
     for i in range(addresses):
         dst = IPAddress(base + i)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.honeyfarm import Honeyfarm
-from repro.net.addr import IPAddress
+from repro.net.addr import dotted
 from repro.net.packet import Packet, TcpFlags
 from repro.obs import recorder as _obs
 from repro.services.guest import InfectionRecord
@@ -111,8 +111,8 @@ class AdversaryAgent:
         self,
         farm: Honeyfarm,
         rng: RandomStream,
-        source: IPAddress,
-        targets: Tuple[IPAddress, ...],
+        source: int,
+        targets: Tuple[int, ...],
         start: float,
         deadline: float,
         name: str,
@@ -174,9 +174,9 @@ class AdversaryAgent:
     def inject(self, packet: Packet) -> None:
         """Send one packet into the farm, bookkeeping for the oracles."""
         self.report.probes_sent += 1
-        self.injected_pairs.append((str(packet.src), str(packet.dst)))
+        self.injected_pairs.append((dotted(packet.src), dotted(packet.dst)))
         self._emit(
-            "inject", dst=str(packet.dst), protocol=packet.protocol,
+            "inject", dst=dotted(packet.dst), protocol=packet.protocol,
             dst_port=packet.dst_port,
         )
         self.farm.inject(packet)
@@ -192,8 +192,8 @@ class AdversaryAgent:
 
     def _on_infection(self, record: InfectionRecord) -> None:
         if record.source == self.source:
-            self._captures.append((record.time, str(record.victim)))
-            self._emit("capture", victim=str(record.victim))
+            self._captures.append((record.time, dotted(record.victim)))
+            self._emit("capture", victim=dotted(record.victim))
 
     def _emit(self, event: str, **fields) -> None:
         if _obs.ACTIVE is not None:

@@ -22,6 +22,7 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.adversary.base import AdversaryAgent, is_checkin
+from repro.net.addr import dotted
 from repro.net.packet import PROTO_UDP, TcpFlags, tcp_packet, udp_packet
 from repro.services.guest import InfectionRecord
 from repro.workloads.worms import KNOWN_WORMS
@@ -98,13 +99,13 @@ class BotnetCampaign(AdversaryAgent):
         if self._terminal:
             return
         self.report.stage2_pushed += 1
-        self._emit("stage2", victim=str(victim))
+        self._emit("stage2", victim=dotted(victim))
         spec = KNOWN_WORMS[self.worm]
         payload = f"stage:{self.worm}:2"
         # Port derives from the victim address, not push order: infection
         # *order* legitimately varies across clone modes, and the
         # equivalence oracles compare egress as a timing-free multiset.
-        src_port = 51000 + (victim.value % 4096)
+        src_port = 51000 + (victim % 4096)
         if spec.protocol == PROTO_UDP:
             packet = udp_packet(
                 self.source, victim, src_port, spec.port, payload=payload,
@@ -125,7 +126,7 @@ class BotnetCampaign(AdversaryAgent):
         if record.generation >= 1:
             self.report.lateral_infections += 1
             self._emit(
-                "lateral", victim=str(record.victim),
+                "lateral", victim=dotted(record.victim),
                 generation=record.generation,
             )
         # Stage only the campaign's own direct compromises: the C2 has
@@ -144,7 +145,7 @@ class BotnetCampaign(AdversaryAgent):
         if is_checkin(packet):
             self.report.checkins_seen += 1
             self._count("checkins")
-            self._emit("checkin", src=str(packet.src))
+            self._emit("checkin", src=dotted(packet.src))
 
     # -- terminal --------------------------------------------------------- #
 

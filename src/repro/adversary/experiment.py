@@ -73,7 +73,7 @@ def _farm_config(
     return config
 
 
-def _targets(prefix: str, count: int) -> Tuple[IPAddress, ...]:
+def _targets(prefix: str, count: int) -> Tuple[int, ...]:
     parsed = Prefix.parse(prefix)
     # Spread through the prefix so the deception pool is actually
     # sampled, skipping .0 (the network address).

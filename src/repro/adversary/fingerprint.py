@@ -31,6 +31,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.adversary import tells as _tells
 from repro.adversary.base import AdversaryAgent, is_checkin
+from repro.net.addr import dotted
 from repro.net.packet import PROTO_UDP, TcpFlags, tcp_packet, udp_packet
 from repro.workloads.worms import KNOWN_WORMS
 
@@ -103,7 +104,7 @@ class FingerprintScanner(AdversaryAgent):
             return
         now = self.farm.sim.now
         for i, target in enumerate(self._recon_targets):
-            self._probe_sent_at[str(target)] = now
+            self._probe_sent_at[dotted(target)] = now
             self.inject(tcp_packet(
                 self.source, target, 40000 + i, PROBE_PORT,
                 flags=TcpFlags.SYN,
@@ -148,7 +149,7 @@ class FingerprintScanner(AdversaryAgent):
             targeting="local",
         )
         self.farm.register_worm(implant)
-        self._emit("echo_implant", target=str(self._echo_target))
+        self._emit("echo_implant", target=dotted(self._echo_target))
         self._send_exploit(self._echo_target, 0)
         self.farm.sim.schedule_at(
             self.farm.sim.now + ECHO_WINDOW, self._echo_evaluate
@@ -180,7 +181,7 @@ class FingerprintScanner(AdversaryAgent):
     # -- observation ------------------------------------------------------ #
 
     def on_reply(self, packet) -> None:
-        addr = str(packet.src)
+        addr = dotted(packet.src)
         sent = self._probe_sent_at.get(addr)
         if sent is not None and addr not in self._first_reply:
             self._first_reply[addr] = self.farm.sim.now - sent

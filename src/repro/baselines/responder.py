@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.fidelity.emulator import emulator_replies
-from repro.net.addr import AddressSpaceInventory, IPAddress
+from repro.net.addr import AddressSpaceInventory
 from repro.net.packet import Packet
 from repro.services.personality import Personality, PersonalityRegistry
 from repro.services.vulnerabilities import EXPLOIT_PREFIX
@@ -42,7 +42,7 @@ class StatelessResponder:
         self,
         inventory: AddressSpaceInventory,
         personalities: PersonalityRegistry,
-        personality_for: Optional[Callable[[IPAddress], str]] = None,
+        personality_for: Optional[Callable[[int], str]] = None,
         default_personality: str = "windows-default",
     ) -> None:
         self.inventory = inventory
@@ -54,7 +54,7 @@ class StatelessResponder:
         self.would_have_infected = 0
         self.exploit_attempts_by_tag: Dict[str, int] = {}
 
-    def personality_at(self, addr: IPAddress) -> Personality:
+    def personality_at(self, addr: int) -> Personality:
         """The personality impersonating one dark address."""
         if self.personality_for is not None:
             return self.personalities.get(self.personality_for(addr))
@@ -63,7 +63,7 @@ class StatelessResponder:
     def handle_packet(self, packet: Packet) -> List[Packet]:
         """Reply to one probe; mirrors the guest's synchronous behaviour
         minus infection and memory effects."""
-        if not self.inventory.covers(packet.dst.value):
+        if not self.inventory.covers(packet.dst):
             return []
         self.packets_seen += 1
         if packet.payload.startswith(EXPLOIT_PREFIX):

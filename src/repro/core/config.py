@@ -232,7 +232,7 @@ class HoneyfarmConfig:
     def personality_for(self, prefix: Prefix) -> str:
         return self.personality_by_prefix.get(str(prefix), self.default_personality)
 
-    def personality_for_address(self, prefix: Prefix, addr: IPAddress) -> str:
+    def personality_for_address(self, prefix: Prefix, addr: int) -> str:
         """The personality backing one dark address.
 
         With deception enabled, the choice is a stable uniform hash of
@@ -245,12 +245,12 @@ class HoneyfarmConfig:
         """
         if self.deception.enabled:
             pool = self.deception.personality_pool
-            return pool[stable_hash(f"deception:{self.seed}:{addr.value}") % len(pool)]
+            return pool[stable_hash(f"deception:{self.seed}:{addr:d}") % len(pool)]
         if self.personality_mix is None:
             return self.personality_for(prefix)
         names = sorted(self.personality_mix)
         total = sum(self.personality_mix[name] for name in names)
-        roll = stable_hash(f"personality:{addr.value}") / float(1 << 64) * total
+        roll = stable_hash(f"personality:{addr:d}") / float(1 << 64) * total
         acc = 0.0
         for name in names:
             acc += self.personality_mix[name]
@@ -268,17 +268,17 @@ class HoneyfarmConfig:
             names.update(self.deception.personality_pool)
         return tuple(sorted(names))
 
-    def reply_jitter(self, addr: IPAddress) -> float:
+    def reply_jitter(self, addr: int) -> float:
         """The fixed deception delay added to every reply leaving
         ``addr``: a pure function of ``(seed, address)`` in
         ``[0, jitter_max_seconds)``, zero when deception is off."""
         deception = self.deception
         if not deception.enabled or deception.jitter_max_seconds <= 0.0:
             return 0.0
-        unit = stable_hash(f"deception-jitter:{self.seed}:{addr.value}") / float(1 << 64)
+        unit = stable_hash(f"deception-jitter:{self.seed}:{addr:d}") / float(1 << 64)
         return unit * deception.jitter_max_seconds
 
-    def dns_address(self) -> IPAddress:
+    def dns_address(self) -> int:
         return IPAddress.parse(self.dns_server_ip)
 
     def with_overrides(self, **kwargs) -> "HoneyfarmConfig":

@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
-from repro.net.addr import AddressSpaceInventory, IPAddress
+from repro.net.addr import AddressSpaceInventory, dotted
 from repro.net.packet import PROTO_UDP, Packet
 from repro.vmm.vm import VirtualMachine
 
@@ -79,7 +79,7 @@ class Verdict:
     """A policy decision; ``new_destination`` is set for REFLECT."""
 
     action: ContainmentAction
-    new_destination: Optional[IPAddress] = None
+    new_destination: Optional[int] = None
     reason: str = ""
 
 
@@ -149,12 +149,12 @@ class ReflectionPolicy(ContainmentPolicy):
         return Verdict(
             ContainmentAction.REFLECT,
             new_destination=internal,
-            reason=f"scan to {packet.dst} reflected",
+            reason=f"scan to {dotted(packet.dst)} reflected",
         )
 
-    def _reflect_target(self, vm_ip: IPAddress, original: IPAddress) -> IPAddress:
+    def _reflect_target(self, vm_ip: int, original: int) -> int:
         total = self.inventory.total_addresses
-        index = (original.value * 2654435761) % total  # Knuth multiplicative hash
+        index = (original * 2654435761) % total  # Knuth multiplicative hash
         candidate = self.inventory.address_at_flat_index(index)
         if candidate == vm_ip:  # never reflect a VM onto itself
             candidate = self.inventory.address_at_flat_index((index + 1) % total)
@@ -232,17 +232,17 @@ class ReflectionNat:
     """
 
     def __init__(self) -> None:
-        self._map: Dict[Tuple[IPAddress, IPAddress], IPAddress] = {}
-        self._reverse: Dict[Tuple[IPAddress, IPAddress], IPAddress] = {}
+        self._map: Dict[Tuple[int, int], int] = {}
+        self._reverse: Dict[Tuple[int, int], int] = {}
         # Farm address -> keys of the entries it takes part in, as the
         # scanning VM or as the internal stand-in, so a VM teardown
         # visits only that VM's entries.
-        self._map_keys: Dict[IPAddress, Set[Tuple[IPAddress, IPAddress]]] = {}
-        self._reverse_keys: Dict[IPAddress, Set[Tuple[IPAddress, IPAddress]]] = {}
+        self._map_keys: Dict[int, Set[Tuple[int, int]]] = {}
+        self._reverse_keys: Dict[int, Set[Tuple[int, int]]] = {}
         self.translations = 0
         self.outbound_translations = 0
 
-    def record(self, vm_ip: IPAddress, internal: IPAddress, original: IPAddress) -> None:
+    def record(self, vm_ip: int, internal: int, original: int) -> None:
         key = (vm_ip, internal)
         if key not in self._map:
             self._map_keys.setdefault(vm_ip, set()).add(key)
@@ -289,7 +289,7 @@ class ReflectionNat:
         )
         return rewritten
 
-    def forget_vm(self, vm_ip: IPAddress) -> int:
+    def forget_vm(self, vm_ip: int) -> int:
         """Drop all entries involving a reclaimed VM's address."""
         doomed = self._map_keys.pop(vm_ip, ())
         for key in doomed:
@@ -308,7 +308,7 @@ class ReflectionNat:
         return len(self._map)
 
 
-def _discard_key(index: Dict[IPAddress, Set], address: IPAddress, key: Tuple) -> None:
+def _discard_key(index: Dict[int, Set], address: int, key: Tuple) -> None:
     """Remove ``key`` from ``address``'s set in ``index``, dropping the
     set once empty so the index holds live addresses only."""
     keys = index.get(address)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.net.addr import IPAddress
+from repro.net.addr import dotted
 from repro.obs import recorder as _obs
 from repro.sim.engine import Simulator
 from repro.sim.metrics import Histogram, MetricRegistry
@@ -126,7 +126,7 @@ class FlashCloneEngine:
         self,
         host: PhysicalHost,
         snapshot: ReferenceSnapshot,
-        ip: IPAddress,
+        ip: int,
         on_ready: Optional[Callable[[CloneResult], None]] = None,
     ) -> VirtualMachine:
         """Begin cloning ``snapshot`` as a new VM impersonating ``ip``.
@@ -165,7 +165,7 @@ class FlashCloneEngine:
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 self.sim.now, "clone", "started",
-                ip=str(ip), vm_id=vm.vm_id, host=host.name, mode=self.mode,
+                ip=dotted(ip), vm_id=vm.vm_id, host=host.name, mode=self.mode,
                 eta_seconds=total,
             )
         self.sim.schedule(total, self._complete, result, on_ready)
@@ -183,7 +183,7 @@ class FlashCloneEngine:
             if _obs.ACTIVE is not None:
                 _obs.ACTIVE.emit(
                     self.sim.now, "clone", "aborted",
-                    ip=str(vm.ip), vm_id=vm.vm_id,
+                    ip=dotted(vm.ip), vm_id=vm.vm_id,
                 )
             return
         if self.fault_hook is not None:
@@ -195,7 +195,7 @@ class FlashCloneEngine:
                 if _obs.ACTIVE is not None:
                     _obs.ACTIVE.emit(
                         self.sim.now, "clone", "failed",
-                        ip=str(vm.ip), vm_id=vm.vm_id, reason=reason,
+                        ip=dotted(vm.ip), vm_id=vm.vm_id, reason=reason,
                     )
                 if on_ready is not None:
                     on_ready(result)
@@ -206,7 +206,7 @@ class FlashCloneEngine:
             memory = vm.address_space.memory
             _obs.ACTIVE.emit(
                 self.sim.now, "clone", "completed",
-                ip=str(vm.ip), vm_id=vm.vm_id, seconds=result.total_seconds,
+                ip=dotted(vm.ip), vm_id=vm.vm_id, seconds=result.total_seconds,
                 host_shared_frames=memory.shared_frames,
                 host_sharing_savings=memory.sharing_savings_frames,
             )

@@ -43,7 +43,7 @@ from repro.core.containment import (
 from repro.core.ledger import PENDING_DROP_CAUSES
 from repro.fidelity.ladder import FidelityLadder
 from repro.fidelity.span import SpanLane
-from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
+from repro.net.addr import AddressSpaceInventory, Prefix, dotted
 from repro.net.flow import FlowRecord, FlowTable
 from repro.net.gre import GrePacket, GreTunnel, decapsulate, encapsulate
 from repro.net.link import Link
@@ -66,7 +66,7 @@ MAX_PENDING_PER_IP = 256
 class HoneyfarmBackend(Protocol):
     """What the gateway needs from the orchestrator behind it."""
 
-    def spawn_vm(self, ip: IPAddress) -> Optional[VirtualMachine]:
+    def spawn_vm(self, ip: int) -> Optional[VirtualMachine]:
         """Begin flash-cloning a VM for ``ip``; returns the VM (in
         CLONING state) or None if the farm is out of capacity."""
 
@@ -86,9 +86,9 @@ class _EmulatedSource:
 
     __slots__ = ("ip", "vm_id")
 
-    def __init__(self, ip: IPAddress) -> None:
+    def __init__(self, ip: int) -> None:
         self.ip = ip
-        self.vm_id = f"emulated:{ip}"
+        self.vm_id = f"emulated:{dotted(ip)}"
 
 
 class Gateway:
@@ -128,7 +128,7 @@ class Gateway:
         # deception config block is enabled): maps a honeypot source
         # address to its fixed egress delay. None keeps the zero-cost
         # synchronous egress path.
-        self.reply_jitter: Optional[Callable[[IPAddress], float]] = None
+        self.reply_jitter: Optional[Callable[[int], float]] = None
         # Inter-shard port (attached by a federation ShardRunner when the
         # farm is one shard of many): duck-typed against ``is_remote``
         # and ``send``. None on standalone farms — every check below is
@@ -137,17 +137,17 @@ class Gateway:
         # Last-seen infection generation per remote source address,
         # recorded from inter-shard message metadata so infections caused
         # by cross-shard scans chain the epidemic depth correctly.
-        self.remote_generations: Dict[IPAddress, int] = {}
+        self.remote_generations: Dict[int, int] = {}
         self.nat = ReflectionNat()
-        self.vm_map: Dict[IPAddress, VirtualMachine] = {}
+        self.vm_map: Dict[int, VirtualMachine] = {}
         # Packets held while a clone is in flight, each with a view of the
         # flow that already accounted it (observed exactly once). The flow
         # may leave the table first; its view then writes nothing.
-        self._pending: Dict[IPAddress, List[Tuple[Packet, FlowRecord]]] = {}
+        self._pending: Dict[int, List[Tuple[Packet, FlowRecord]]] = {}
         # Watchdog timers over pending queues (armed only when
         # ``pending_timeout`` is configured, so the default path never
         # schedules an extra event).
-        self._pending_timers: Dict[IPAddress, Event] = {}
+        self._pending_timers: Dict[int, Event] = {}
         self._tunnels: Dict[int, GreTunnel] = {}
         self._tunnel_links: Dict[int, Link] = {}
         self._tunnel_by_prefix: Dict[Prefix, int] = {}
@@ -236,7 +236,7 @@ class Gateway:
         for prefix in prefixes:
             if self.inventory.lookup(prefix.network) is None:
                 raise ValueError(f"tunnel prefix {prefix} is not in the farm inventory")
-            start = prefix.network.value
+            start = prefix.network
             end = start + prefix.size - 1
             i = bisect.bisect_left(self._tunnel_starts, start)
             if i > 0 and self._tunnel_ends[i - 1] >= start:
@@ -254,9 +254,9 @@ class Gateway:
             self._tunnel_range_keys.insert(i, tunnel.key)
             self._tunnel_by_prefix[prefix] = tunnel.key
 
-    def _tunnel_key_for(self, addr: IPAddress) -> Optional[int]:
-        i = bisect.bisect_right(self._tunnel_starts, addr.value) - 1
-        if i >= 0 and addr.value <= self._tunnel_ends[i]:
+    def _tunnel_key_for(self, addr: int) -> Optional[int]:
+        i = bisect.bisect_right(self._tunnel_starts, addr) - 1
+        if i >= 0 and addr <= self._tunnel_ends[i]:
             return self._tunnel_range_keys[i]
         return None
 
@@ -279,7 +279,7 @@ class Gateway:
             if _obs.ACTIVE is not None:
                 self._trace_dispatch("ttl_expired", packet)
             return
-        if not self.inventory.covers(packet.dst.value):
+        if not self.inventory.covers(packet.dst):
             self._c_stray.increment()
             if _obs.ACTIVE is not None:
                 self._trace_dispatch("stray", packet)
@@ -421,8 +421,8 @@ class Gateway:
             "gateway",
             "dispatch",
             verdict=verdict,
-            src=str(packet.src),
-            dst=str(packet.dst),
+            src=dotted(packet.src),
+            dst=dotted(packet.dst),
             **extra,
         )
 
@@ -430,17 +430,17 @@ class Gateway:
     # Pending-queue watchdog (armed only when pending_timeout is set)
     # ------------------------------------------------------------------ #
 
-    def _arm_pending_timer(self, ip: IPAddress, vm: VirtualMachine) -> None:
+    def _arm_pending_timer(self, ip: int, vm: VirtualMachine) -> None:
         self._pending_timers[ip] = self.sim.schedule(
             self.pending_timeout, self._pending_timed_out, ip, vm.vm_id
         )
 
-    def _cancel_pending_timer(self, ip: IPAddress) -> None:
+    def _cancel_pending_timer(self, ip: int) -> None:
         timer = self._pending_timers.pop(ip, None)
         if timer is not None:
             timer.cancel()
 
-    def _pending_timed_out(self, ip: IPAddress, vm_id: int) -> None:
+    def _pending_timed_out(self, ip: int, vm_id: int) -> None:
         """The clone a queue was waiting on never delivered; give up.
 
         Drops the held packets (accounted under the ``timeout`` cause) and
@@ -455,7 +455,7 @@ class Gateway:
             if _obs.ACTIVE is not None:
                 _obs.ACTIVE.emit(
                     self.sim.now, "gateway", "pending_dropped",
-                    cause="timeout", ip=str(ip), count=len(queued),
+                    cause="timeout", ip=dotted(ip), count=len(queued),
                 )
         current = self.vm_map.get(ip)
         if (
@@ -465,7 +465,7 @@ class Gateway:
         ):
             self.bind_vm(ip, None)
 
-    def _drop_pending(self, ip: IPAddress, cause: str) -> None:
+    def _drop_pending(self, ip: int, cause: str) -> None:
         self._cancel_pending_timer(ip)
         queued = self._pending.pop(ip, None)
         if queued:
@@ -473,14 +473,14 @@ class Gateway:
             if _obs.ACTIVE is not None:
                 _obs.ACTIVE.emit(
                     self.sim.now, "gateway", "pending_dropped",
-                    cause=cause, ip=str(ip), count=len(queued),
+                    cause=cause, ip=dotted(ip), count=len(queued),
                 )
 
     # ------------------------------------------------------------------ #
     # VM lifecycle notifications from the backend
     # ------------------------------------------------------------------ #
 
-    def bind_vm(self, ip: IPAddress, vm: Optional[VirtualMachine]) -> None:
+    def bind_vm(self, ip: int, vm: Optional[VirtualMachine]) -> None:
         """Point ``ip`` at ``vm``, or at nothing (``None``): the only
         writer of ``vm_map``.
 
@@ -517,7 +517,7 @@ class Gateway:
                 if recorder is not None:
                     recorder.emit(
                         self.sim.now, "gateway", "pending_dropped",
-                        cause="vm_died", ip=str(vm.ip), count=len(queued) - index,
+                        cause="vm_died", ip=dotted(vm.ip), count=len(queued) - index,
                     )
                 break
             record.vm_id = vm.vm_id
@@ -525,7 +525,7 @@ class Gateway:
             if recorder is not None:
                 recorder.emit(
                     self.sim.now, "gateway", "dispatch",
-                    verdict="flushed", src=str(packet.src), dst=str(packet.dst),
+                    verdict="flushed", src=dotted(packet.src), dst=dotted(packet.dst),
                     vm_id=vm.vm_id,
                 )
             self.backend.deliver(vm, packet)
@@ -591,8 +591,8 @@ class Gateway:
             if _obs.ACTIVE is not None:
                 _obs.ACTIVE.emit(
                     self.sim.now, "gateway", "containment",
-                    action="nat-rewrite", src=str(packet.src),
-                    dst=str(packet.dst), vm_id=vm.vm_id,
+                    action="nat-rewrite", src=dotted(packet.src),
+                    dst=dotted(packet.dst), vm_id=vm.vm_id,
                 )
             # Under federation-wide reflection the recorded stand-in may
             # live in a sibling shard's darknet.
@@ -601,9 +601,7 @@ class Gateway:
             return
 
         record, created = self.flows.observe(packet, self.sim.now)
-        if not honeypot_initiated(
-            self.flows.initiator[record.row], created, vm.ip.value
-        ):
+        if not honeypot_initiated(self.flows.initiator[record.row], created, vm.ip):
             self._emit_reply(vm, packet)
             return
 
@@ -613,11 +611,11 @@ class Gateway:
             _obs.ACTIVE.emit(
                 self.sim.now, "gateway", "containment",
                 action=verdict.action.value,
-                src=str(packet.src), dst=str(packet.dst), vm_id=vm.vm_id,
+                src=dotted(packet.src), dst=dotted(packet.dst), vm_id=vm.vm_id,
             )
         if verdict.action is ContainmentAction.ALLOW:
             self._c_out_allowed.increment()
-            if self.inventory.covers(packet.dst.value):
+            if self.inventory.covers(packet.dst):
                 self.process_inbound(packet.decremented_ttl())
             elif not self._route_intershard(packet, reply=False):
                 self._c_initiated_external.increment()
@@ -633,7 +631,7 @@ class Gateway:
             raise AssertionError(f"unhandled containment action: {verdict.action!r}")
 
     def _reflect(
-        self, source_ip: IPAddress, packet: Packet, new_destination: Optional[IPAddress]
+        self, source_ip: int, packet: Packet, new_destination: Optional[int]
     ) -> None:
         """Carry out a REFLECT verdict on ``packet``, emitted by the
         honeypot (VM or emulated address) at ``source_ip``."""
@@ -653,7 +651,7 @@ class Gateway:
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 self.sim.now, "gateway", "containment",
-                action="reply", src=str(packet.src), dst=str(packet.dst),
+                action="reply", src=dotted(packet.src), dst=dotted(packet.dst),
                 vm_id=vm.vm_id,
             )
         self._route_reply(packet)
@@ -661,7 +659,7 @@ class Gateway:
     def _route_reply(self, packet: Packet) -> None:
         """Route an allowed reply (a VM's or the emulator tier's) by its
         destination: internal stand-in, sibling shard, or the Internet."""
-        if self.inventory.covers(packet.dst.value):
+        if self.inventory.covers(packet.dst):
             translated = self.nat.translate_reply_source(packet)
             self.process_inbound(translated.decremented_ttl())
         elif not self._route_intershard(packet, reply=True):
@@ -687,9 +685,7 @@ class Gateway:
         from ``gateway.outbound.reply_allowed``."""
         self._c_emulated_replies.increment()
         record, created = self.flows.observe(packet, self.sim.now)
-        if honeypot_initiated(
-            self.flows.initiator[record.row], created, packet.src.value
-        ):
+        if honeypot_initiated(self.flows.initiator[record.row], created, packet.src):
             verdict = self.policy.decide(
                 _EmulatedSource(packet.src), packet, self.sim.now
             )
@@ -714,7 +710,7 @@ class Gateway:
             _obs.ACTIVE.emit(
                 self.sim.now, "gateway", "intershard",
                 direction="out", reply=reply,
-                src=str(packet.src), dst=str(packet.dst),
+                src=dotted(packet.src), dst=dotted(packet.dst),
             )
         generation = -1
         if not reply:
@@ -751,7 +747,7 @@ class Gateway:
             _obs.ACTIVE.emit(
                 self.sim.now, "gateway", "intershard",
                 direction="in", reply=reply,
-                src=str(packet.src), dst=str(packet.dst),
+                src=dotted(packet.src), dst=dotted(packet.dst),
             )
         if reply:
             packet = self.nat.translate_reply_source(packet)
@@ -793,7 +789,7 @@ class Gateway:
         self,
         vm: VirtualMachine,
         packet: Packet,
-        original_resolver: Optional[IPAddress],
+        original_resolver: Optional[int],
     ) -> None:
         """Complete a DNS transaction against the internal resolver.
 

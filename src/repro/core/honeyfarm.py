@@ -37,7 +37,7 @@ from repro.core.reclamation import (
 )
 from repro.faults.backoff import backoff_delay
 from repro.fidelity.ladder import FidelityLadder
-from repro.net.addr import AddressSpaceInventory, IPAddress
+from repro.net.addr import AddressSpaceInventory, dotted
 from repro.net.packet import Packet
 from repro.obs import recorder as _obs
 from repro.services.dns import DnsServer
@@ -309,9 +309,9 @@ class Honeyfarm:
     def pool_size(self) -> int:
         return len(self._pool)
 
-    def _parking_ip(self) -> IPAddress:
+    def _parking_ip(self) -> int:
         self._pool_parking_counter += 1
-        return IPAddress(0x00000100 + self._pool_parking_counter)
+        return 0x00000100 + self._pool_parking_counter
 
     def _top_up_pool(self) -> None:
         """Clone pool VMs up to the target size.
@@ -347,7 +347,7 @@ class Honeyfarm:
         so it is ready the instant an address is bound to it."""
         self._clone_ready(result)
 
-    def _take_from_pool(self, ip: IPAddress, personality: str) -> Optional[VirtualMachine]:
+    def _take_from_pool(self, ip: int, personality: str) -> Optional[VirtualMachine]:
         """Bind a ready pool VM to ``ip``; returns None when the pool has
         no running VM of the right personality."""
         for index, vm in enumerate(self._pool):
@@ -375,7 +375,7 @@ class Honeyfarm:
     # Backend protocol (called by the gateway)
     # ------------------------------------------------------------------ #
 
-    def spawn_vm(self, ip: IPAddress) -> Optional[VirtualMachine]:
+    def spawn_vm(self, ip: int) -> Optional[VirtualMachine]:
         prefix = self.inventory.lookup(ip)
         if prefix is None:
             return None
@@ -389,7 +389,7 @@ class Honeyfarm:
                 if _obs.ACTIVE is not None:
                     _obs.ACTIVE.emit(
                         self.sim.now, "farm", "vm_spawned",
-                        ip=str(ip), vm_id=pooled.vm_id, host_id=pooled.host_id,
+                        ip=dotted(ip), vm_id=pooled.vm_id, host_id=pooled.host_id,
                         pooled=True,
                     )
                 return pooled
@@ -417,7 +417,7 @@ class Honeyfarm:
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 self.sim.now, "farm", "vm_spawned",
-                ip=str(ip), vm_id=vm.vm_id, host_id=vm.host_id, pooled=False,
+                ip=dotted(ip), vm_id=vm.vm_id, host_id=vm.host_id, pooled=False,
             )
         return vm
 
@@ -596,7 +596,7 @@ class Honeyfarm:
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 self.sim.now, "farm", "vm_retired",
-                ip=str(vm.ip), vm_id=vm.vm_id, host=host.name,
+                ip=dotted(vm.ip), vm_id=vm.vm_id, host=host.name,
             )
 
     def _detain(self, host: PhysicalHost, vm: VirtualMachine) -> None:
@@ -614,7 +614,7 @@ class Honeyfarm:
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 self.sim.now, "farm", "vm_detained",
-                ip=str(vm.ip), vm_id=vm.vm_id, host=host.name,
+                ip=dotted(vm.ip), vm_id=vm.vm_id, host=host.name,
             )
 
     def _sweep(self) -> None:
@@ -676,7 +676,7 @@ class Honeyfarm:
         vms_lost = 0
         clones_aborted = 0
         pool_lost = 0
-        respawn_ips: List[IPAddress] = []
+        respawn_ips: List[int] = []
         for vm in host.vms():
             if vm.parked:
                 pool_lost += 1
@@ -729,7 +729,7 @@ class Honeyfarm:
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(self.sim.now, "farm", "host_repaired", host=host.name)
 
-    def _schedule_respawn(self, ip: IPAddress, attempt: int = 0) -> None:
+    def _schedule_respawn(self, ip: int, attempt: int = 0) -> None:
         delay = backoff_delay(
             attempt,
             RESPAWN_BACKOFF_BASE,
@@ -739,7 +739,7 @@ class Honeyfarm:
         )
         self.sim.schedule(delay, self._attempt_respawn, ip, attempt)
 
-    def _attempt_respawn(self, ip: IPAddress, attempt: int) -> None:
+    def _attempt_respawn(self, ip: int, attempt: int) -> None:
         if self.gateway.vm_map.get(ip) is not None:
             # A fresh packet already re-spawned this address naturally.
             return
@@ -756,7 +756,7 @@ class Honeyfarm:
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 self.sim.now, "farm", "respawned",
-                ip=str(ip), vm_id=vm.vm_id, attempt=attempt,
+                ip=dotted(ip), vm_id=vm.vm_id, attempt=attempt,
             )
 
     # ------------------------------------------------------------------ #

@@ -39,7 +39,6 @@ from repro.core.config import HoneyfarmConfig
 from repro.core.containment import make_policy
 from repro.core.honeyfarm import Honeyfarm
 from repro.core.ledger import packet_ledger
-from repro.net.addr import IPAddress
 from repro.net.packet import Packet, TcpFlags
 from repro.net.shardmap import ShardMap
 from repro.sim.engine import batched_collection
@@ -97,9 +96,9 @@ class InterShardConfig:
 
 def encode_packet(packet: Packet) -> Tuple:
     """Flatten a packet to a compact tuple of primitives (picklable,
-    JSON-able modulo the payload string)."""
+    JSON-able modulo the payload string); addresses leave as plain ints."""
     return (
-        packet.src.value, packet.dst.value, packet.protocol,
+        int(packet.src), int(packet.dst), packet.protocol,
         packet.src_port, packet.dst_port, int(packet.flags),
         packet.icmp_type, packet.payload, packet.size, packet.ttl,
     )
@@ -111,7 +110,7 @@ def decode_packet(wire: Sequence) -> Packet:
     through the same codec, so object identity never leaks into
     behaviour)."""
     return Packet(
-        src=IPAddress(wire[0]), dst=IPAddress(wire[1]), protocol=wire[2],
+        src=wire[0], dst=wire[1], protocol=wire[2],
         src_port=wire[3], dst_port=wire[4], flags=TcpFlags(wire[5]),
         icmp_type=wire[6], payload=wire[7], size=wire[8], ttl=wire[9],
     )
@@ -263,7 +262,7 @@ class ShardRunner:
 
     # -- gateway port ---------------------------------------------------- #
 
-    def is_remote(self, addr: IPAddress) -> bool:
+    def is_remote(self, addr: int) -> bool:
         """True when a *sibling* shard owns ``addr`` (not this shard and
         not the external Internet)."""
         shard = self.shard_map.shard_for(addr)

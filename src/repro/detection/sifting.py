@@ -129,9 +129,9 @@ class ContentSifter:
         state.count += 1
         cap = self.config.max_addresses_per_payload
         if len(state.sources) < cap:
-            state.sources.add(packet.src.value)
+            state.sources.add(packet.src)
         if len(state.destinations) < cap:
-            state.destinations.add(packet.dst.value)
+            state.destinations.add(packet.dst)
 
         if state.alerted:
             return None

@@ -70,7 +70,7 @@ _FRESH_KEYS = 8
 
 def _fresh_keys(flows: tuple) -> Tuple[FiveTuple, ...]:
     """The keys of a ``flows`` entry that is one key or a tuple of keys."""
-    return (flows,) if type(flows[0]) is int else flows
+    return (flows,) if type(flows[0]) is not tuple else flows
 
 
 class AddressTable(RowTable, Mapping):
@@ -193,7 +193,7 @@ class AddressTable(RowTable, Mapping):
             self.flows[row] = key
             return FRESH_FLOW, True
         if type(flows) is tuple:
-            if type(flows[0]) is int:  # one key
+            if type(flows[0]) is not tuple:  # one key
                 if flows == key:
                     return FRESH_FLOW, False
                 self.flows[row] = (flows, key)

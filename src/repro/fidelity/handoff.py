@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.net.addr import IPAddress
 from repro.net.packet import Packet
 
 __all__ = ["HandoffRecord"]
@@ -34,7 +33,7 @@ class HandoffRecord:
     promotion instant; the gateway measures handoff latency against it.
     """
 
-    ip: IPAddress
+    ip: int
     created_at: float
     trigger: str
     buffered: List[Packet] = field(default_factory=list)

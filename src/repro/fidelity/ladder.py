@@ -9,15 +9,11 @@ case the gateway falls through to its normal flash-clone dispatch with
 the triggering packet queued for the new VM.
 
 Sessions are rows of an :class:`~repro.fidelity.emulator.AddressTable`
-(``sessions``), and pending handoffs a dict, both keyed by the address
-*value* (an :class:`~repro.net.addr.IPAddress`'s ``.value``): the span
-lane resolves from a trace row's ints, and keys on them without building
-an address object per flow. An address the emulator tier serves costs a
-row of typed columns, not objects; the per-packet lane handles it
-through an :class:`~repro.fidelity.emulator.EmulatedSession` view. The
-hooks the gateway calls with a VM's address (``vm_bound``,
-``take_handoff``, ``vm_retired``) take the ``IPAddress`` and key on its
-value.
+(``sessions``), and pending handoffs a dict, both keyed by the address,
+a plain int like every address inside the farm. An address the emulator
+tier serves costs a row of typed columns, not objects; the per-packet
+lane handles it through an :class:`~repro.fidelity.emulator.EmulatedSession`
+view.
 
 Accounting contract (see ``docs/FIDELITY.md``): packets absorbed by the
 emulator are counted under ``gateway.emulated`` — a first-class bucket
@@ -37,7 +33,7 @@ from repro.core.config import HoneyfarmConfig
 from repro.fidelity.emulator import MAX_HANDOFF_PACKETS, AddressTable, EmulatedSession
 from repro.fidelity.handoff import HandoffRecord
 from repro.fidelity.triggers import TRIGGER_NAMES, promotion_trigger
-from repro.net.addr import AddressSpaceInventory, IPAddress
+from repro.net.addr import AddressSpaceInventory, dotted
 from repro.net.packet import Packet
 from repro.obs import recorder as _obs
 from repro.services.personality import Personality, PersonalityRegistry
@@ -117,7 +113,7 @@ class FidelityLadder:
 
     def consider(self, packet: Packet, now: float) -> LadderVerdict:
         """Absorb ``packet`` into the emulator tier, or promote its flow."""
-        row = self.session_row(packet.dst.value, now)
+        row = self.session_row(packet.dst, now)
         session = self.sessions.session(row)
         state, flow_created = session.note(packet, now)
         if flow_created:
@@ -137,13 +133,11 @@ class FidelityLadder:
 
     def personality_at(self, value: int) -> Personality:
         """The personality the cold address of value ``value`` answers
-        as. Only the per-address draw (several prefixes, a personality
-        mix, deception) builds an :class:`IPAddress` for it."""
+        as."""
         personality = self.sessions.sole
         if personality is None:
-            ip = IPAddress(value)
             personality = self.registry.get(
-                self.config.personality_for_address(self.inventory.lookup(ip), ip)
+                self.config.personality_for_address(self.inventory.lookup(value), value)
             )
         return personality
 
@@ -157,13 +151,13 @@ class FidelityLadder:
             self._c_sessions_started.increment()
         return row
 
-    def vm_bound(self, ip: IPAddress) -> None:
+    def vm_bound(self, ip: int) -> None:
         """The gateway bound a VM over ``ip``. If the emulator tier was
         serving the address (a respawn after a host crash), the session
         stays under a new stamp, so no span verdict resolved against it
         holds."""
         sessions = self.sessions
-        row = sessions.index.get(ip.value)
+        row = sessions.index.get(ip)
         if row is not None:
             sessions.stamp[row] = next(_stamps)
 
@@ -175,10 +169,9 @@ class FidelityLadder:
             stamps[row] = next(_stamps)
 
     def _promote(
-        self, ip: IPAddress, session: EmulatedSession, trigger: str, now: float
+        self, ip: int, session: EmulatedSession, trigger: str, now: float
     ) -> None:
-        value = ip.value
-        stale = self.handoffs.pop(value, None)
+        stale = self.handoffs.pop(ip, None)
         if stale is not None:
             # A previous promotion for this address never met a running
             # VM (clone refused or still unbound); its state is stale.
@@ -195,16 +188,16 @@ class FidelityLadder:
             banner=session.banner,
             buffer_dropped=session.buffer_dropped,
         )
-        self.handoffs[value] = handoff
+        self.handoffs[ip] = handoff
         # Every span verdict resolved against the session names a stamp
         # no live session bears from here on.
-        self.sessions.drop(value)
+        self.sessions.drop(ip)
         self._c_promotions.increment()
         self._c_promotions_by_trigger[trigger].increment()
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 now, "ladder", "promotion",
-                ip=str(ip), trigger=trigger, buffered=len(handoff.buffered),
+                ip=dotted(ip), trigger=trigger, buffered=len(handoff.buffered),
                 flows=handoff.flows, banner=handoff.banner or "",
             )
 
@@ -212,9 +205,9 @@ class FidelityLadder:
     # Handoff lifecycle (called by the gateway)
     # ------------------------------------------------------------------ #
 
-    def take_handoff(self, ip: IPAddress) -> Optional[HandoffRecord]:
+    def take_handoff(self, ip: int) -> Optional[HandoffRecord]:
         """Claim the pending handoff for ``ip`` (the VM is ready)."""
-        return self.handoffs.pop(ip.value, None)
+        return self.handoffs.pop(ip, None)
 
     def handoff_complete(
         self, handoff: HandoffRecord, replayed: int, vm_id: int, now: float
@@ -227,23 +220,23 @@ class FidelityLadder:
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 now, "ladder", "handoff",
-                ip=str(handoff.ip), vm_id=vm_id, trigger=handoff.trigger,
+                ip=dotted(handoff.ip), vm_id=vm_id, trigger=handoff.trigger,
                 packets=replayed, latency=latency,
             )
 
-    def vm_retired(self, ip: IPAddress, cause: str) -> None:
+    def vm_retired(self, ip: int, cause: str) -> None:
         """The address fell back off the VM rung: demotion.
 
         Any handoff still waiting for that VM is abandoned (the chaos
         layer can fail a clone between promotion and readiness)."""
-        abandoned = self.handoffs.pop(ip.value, None)
+        abandoned = self.handoffs.pop(ip, None)
         if abandoned is not None:
             self._c_handoffs_abandoned.increment()
         self._c_demotions.increment()
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 self.sim.now, "ladder", "demotion",
-                ip=str(ip), cause=cause,
+                ip=dotted(ip), cause=cause,
                 abandoned_handoff=abandoned is not None,
             )
 

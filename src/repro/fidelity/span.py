@@ -29,16 +29,12 @@ table, its handoff chain included (what ``FlowTable.observe_keyed`` and
 ``tests/test_span_lane_parity.py`` holds it to the per-event loop,
 observable by observable.
 
-Addresses stay the arrival key's 32-bit values throughout: inventory
-membership, the ladder's sessions, the flow key and the containment rule
-all take values, so a resolve builds no
-:class:`~repro.net.addr.IPAddress`. It builds one only to ask
-``IPAddress``-keyed state: a federation's ``is_remote``, and ``vm_map``
-when any VM is bound. Nor does it build a key: ``flow_key`` orders
-endpoints high first, so an arrival from a source above the darknet
-(96.1 % of ``radiation_span``'s) is its flow's key, and the row files the
-trace's own tuple. Only a source below the darknet costs a key tuple,
-built by ``flow_key`` to find the flow's row.
+Addresses are the arrival key's ints, as everywhere in the farm, so a
+resolve builds no address object. Nor does it build a key: ``flow_key``
+orders endpoints high first, so an arrival from a source above the
+darknet (96.1 % of ``radiation_span``'s) is its flow's key, and the row
+files the trace's own tuple. Only a source below the darknet costs a
+key tuple, built by ``flow_key`` to find the flow's row.
 
 Correctness rests on three invariants:
 
@@ -86,7 +82,6 @@ from repro.fidelity.triggers import (
     PROMOTE_STATE_DEPTH,
     vuln_probe,
 )
-from repro.net.addr import IPAddress
 from repro.net.flow import FiveTuple, flow_key
 from repro.net.packet import PROTO_ICMP, Packet
 from repro.services.guest import BANNER_PREFIX
@@ -362,13 +357,12 @@ class SpanLane:
         if not covers(dst) or covers(src):
             return None  # stray, or an internal source whose reply re-enters
         port = gateway.intershard
-        if port is not None and port.is_remote(IPAddress(src)):
+        if port is not None and port.is_remote(src):
             # A sibling shard's address probing this darknet: its replies
             # must ride the federation message layer, never the span
             # lane's counter-only absorption.
             return None
-        vm_map = gateway.vm_map
-        if vm_map and IPAddress(dst) in vm_map:
+        if dst in gateway.vm_map:
             return None  # VM-backed address: clone/deliver path
 
         ladder = self.ladder

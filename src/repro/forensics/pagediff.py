@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
+from repro.net.addr import dotted
 from repro.vmm.memory import PAGE_SIZE
 from repro.vmm.vm import VirtualMachine
 
@@ -66,7 +67,7 @@ def diff_vm(vm: VirtualMachine) -> PageDiff:
         generation = guest.infection.generation
     return PageDiff(
         vm_id=vm.vm_id,
-        ip=str(vm.ip),
+        ip=dotted(vm.ip),
         personality=vm.personality,
         pages=frozenset(vm.address_space.private_page_numbers()),
         disk_blocks=(

@@ -5,7 +5,7 @@ networks tunnel traffic destined for dark (unused) address space to the
 honeyfarm gateway over GRE, and the gateway dispatches each packet by
 destination IP. This package provides those pieces as plain-Python models:
 
-* :mod:`repro.net.addr` — IPv4 addresses and CIDR prefixes (int-backed).
+* :mod:`repro.net.addr` — IPv4 addresses (plain ints) and CIDR prefixes.
 * :mod:`repro.net.packet` — IP/TCP/UDP/ICMP packet records.
 * :mod:`repro.net.gre` — GRE encapsulation as used by the tunnels.
 * :mod:`repro.net.flow` — 5-tuple flow keys and a timeout-based flow table.
@@ -13,7 +13,7 @@ destination IP. This package provides those pieces as plain-Python models:
 * :mod:`repro.net.router` — border routers that divert darknet traffic.
 """
 
-from repro.net.addr import IPAddress, Prefix, AddressSpaceInventory
+from repro.net.addr import IPAddress, Prefix, AddressSpaceInventory, dotted
 from repro.net.packet import (
     ICMP_ECHO_REPLY,
     ICMP_ECHO_REQUEST,
@@ -49,6 +49,7 @@ __all__ = [
     "Prefix",
     "TcpFlags",
     "decapsulate",
+    "dotted",
     "encapsulate",
     "flow_key",
     "icmp_packet",

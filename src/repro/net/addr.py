@@ -1,8 +1,13 @@
 """IPv4 addresses, CIDR prefixes, and the honeyfarm's address inventory.
 
-Addresses are immutable wrappers over a 32-bit int, which keeps the
-per-packet fast path (hashing, comparison, prefix membership) cheap — the
-simulator pushes millions of packets through these.
+Inside the farm an address is a plain 32-bit ``int``: packets, flow
+keys, the VM side's maps and the inter-shard codec carry values, which
+hash, compare and sit in arrays as they are. Text exists only at the
+edges. :meth:`IPAddress.parse` reads a dotted quad from a config, the
+CLI or a trace file; :func:`dotted` writes one for recorder events,
+reports and trace files. :class:`IPAddress` is an ``int`` that prints
+as a dotted quad, kept for the values a report prints as they are (an
+infection record's ``source`` and ``victim``).
 
 The :class:`AddressSpaceInventory` models what the paper's gateway must
 know: which prefixes of dark space have been diverted to the honeyfarm
@@ -13,41 +18,44 @@ can allocate honeypot identities inside each prefix.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-__all__ = ["IPAddress", "Prefix", "AddressSpaceInventory"]
+__all__ = ["IPAddress", "Prefix", "AddressSpaceInventory", "dotted"]
 
 _MAX_IPV4 = (1 << 32) - 1
 
 
-class IPAddress:
-    """An immutable IPv4 address backed by an int.
+def dotted(value: int) -> str:
+    """The address ``value`` in dotted-quad notation.
 
-    >>> IPAddress.parse("10.0.0.1").value
-    167772161
+    >>> dotted(167772161)
+    '10.0.0.1'
+    """
+    return f"{value >> 24}.{value >> 16 & 0xFF}.{value >> 8 & 0xFF}.{value & 0xFF}"
+
+
+class IPAddress(int):
+    """An IPv4 address value that prints as a dotted quad.
+
+    >>> IPAddress.parse("10.0.0.1") == 167772161
+    True
     >>> str(IPAddress(167772161))
     '10.0.0.1'
     """
 
-    __slots__ = ("value",)
+    __slots__ = ()
 
-    def __init__(self, value: int) -> None:
-        if not (0 <= value <= _MAX_IPV4):
+    def __new__(cls, value: int) -> "IPAddress":
+        if not 0 <= value <= _MAX_IPV4:
             raise ValueError(f"IPv4 address out of range: {value!r}")
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("IPAddress is immutable")
+        return int.__new__(cls, value)
 
     @classmethod
     def parse(cls, text: str) -> "IPAddress":
-        """Parse dotted-quad notation.
-
-        Unrolled, and built without ``__init__`` (four octets below 256
-        cannot leave the range it checks): reading a large JSONL trace
-        parses two addresses a line."""
+        """Parse dotted-quad notation. Octets are ASCII digits only:
+        ``str.isdigit`` and ``int`` also take other scripts' digits."""
         parts = text.split(".")
-        if len(parts) == 4:
+        if len(parts) == 4 and text.isascii():
             a, b, c, d = parts
             if a.isdigit() and b.isdigit() and c.isdigit() and d.isdigit():
                 a = int(a)
@@ -55,40 +63,19 @@ class IPAddress:
                 c = int(c)
                 d = int(d)
                 if a < 256 and b < 256 and c < 256 and d < 256:
-                    addr = object.__new__(cls)
-                    object.__setattr__(addr, "value", a << 24 | b << 16 | c << 8 | d)
-                    return addr
+                    return cls(a << 24 | b << 16 | c << 8 | d)
                 raise ValueError(f"octet out of range in {text!r}")
         raise ValueError(f"malformed IPv4 address: {text!r}")
 
     def __str__(self) -> str:
-        v = self.value
-        return f"{(v >> 24) & 0xFF}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
+        return dotted(self)
 
     def __repr__(self) -> str:
-        return f"IPAddress('{self}')"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IPAddress) and self.value == other.value
-
-    def __lt__(self, other: "IPAddress") -> bool:
-        return self.value < other.value
-
-    def __le__(self, other: "IPAddress") -> bool:
-        return self.value <= other.value
-
-    def __hash__(self) -> int:
-        # The raw value is its own hash (ints hash to themselves), saving a
-        # call on the per-packet path where addresses key every dict.
-        return self.value
-
-    def offset(self, delta: int) -> "IPAddress":
-        """The address ``delta`` positions away (may be negative)."""
-        return IPAddress(self.value + delta)
+        return f"IPAddress('{dotted(self)}')"
 
 
 class Prefix:
-    """A CIDR prefix, e.g. ``10.1.0.0/16``.
+    """A CIDR prefix, e.g. ``10.1.0.0/16``; ``network`` is an address value.
 
     >>> p = Prefix.parse("10.1.0.0/16")
     >>> p.contains(IPAddress.parse("10.1.2.3"))
@@ -99,13 +86,13 @@ class Prefix:
 
     __slots__ = ("network", "length", "_mask_value", "_size")
 
-    def __init__(self, network: IPAddress, length: int) -> None:
+    def __init__(self, network: int, length: int) -> None:
         if not (0 <= length <= 32):
             raise ValueError(f"prefix length out of range: {length!r}")
         mask = self._mask(length)
-        if network.value & ~mask & _MAX_IPV4:
+        if network & ~mask & _MAX_IPV4:
             raise ValueError(
-                f"{network}/{length} has host bits set; not a valid prefix"
+                f"{dotted(network)}/{length} has host bits set; not a valid prefix"
             )
         object.__setattr__(self, "network", network)
         object.__setattr__(self, "length", length)
@@ -122,11 +109,13 @@ class Prefix:
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
-        """Parse ``a.b.c.d/len`` notation."""
+        """Parse ``a.b.c.d/len`` notation (ASCII digits only)."""
         if "/" not in text:
             raise ValueError(f"prefix must contain '/': {text!r}")
         net, __, length = text.partition("/")
-        return cls(IPAddress.parse(net), int(length))
+        if not (length.isascii() and length.isdigit()):
+            raise ValueError(f"malformed prefix length in {text!r}")
+        return cls(int(IPAddress.parse(net)), int(length))
 
     @property
     def mask(self) -> int:
@@ -137,36 +126,14 @@ class Prefix:
         """Number of addresses covered."""
         return self._size
 
-    @property
-    def first(self) -> IPAddress:
-        return self.network
+    def contains(self, addr: int) -> bool:
+        return (addr & self._mask_value) == self.network
 
-    @property
-    def last(self) -> IPAddress:
-        return IPAddress(self.network.value + self._size - 1)
-
-    def contains(self, addr: IPAddress) -> bool:
-        return (addr.value & self._mask_value) == self.network.value
-
-    def address_at(self, index: int) -> IPAddress:
+    def address_at(self, index: int) -> int:
         """The ``index``-th address inside the prefix (0-based)."""
         if not (0 <= index < self.size):
             raise IndexError(f"index {index} outside {self}")
-        return IPAddress(self.network.value + index)
-
-    def index_of(self, addr: IPAddress) -> int:
-        """Inverse of :meth:`address_at`."""
-        if not self.contains(addr):
-            raise ValueError(f"{addr} is not in {self}")
-        return addr.value - self.network.value
-
-    def overlaps(self, other: "Prefix") -> bool:
-        return self.contains(other.network) or other.contains(self.network)
-
-    def addresses(self) -> Iterator[IPAddress]:
-        """Iterate every address in the prefix (use only on small prefixes)."""
-        for i in range(self.size):
-            yield IPAddress(self.network.value + i)
+        return self.network + index
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -176,10 +143,10 @@ class Prefix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.network.value, self.length))
+        return hash((self.network, self.length))
 
     def __str__(self) -> str:
-        return f"{self.network}/{self.length}"
+        return f"{dotted(self.network)}/{self.length}"
 
     def __repr__(self) -> str:
         return f"Prefix('{self}')"
@@ -213,7 +180,7 @@ class AddressSpaceInventory:
     def add(self, prefix: Prefix) -> None:
         """Register a diverted prefix; overlapping registrations are
         rejected to keep the address→VM mapping unambiguous."""
-        start = prefix.network.value
+        start = prefix.network
         end = start + prefix.size - 1
         i = bisect.bisect_left(self._starts, start)
         # Prefixes either nest or are disjoint, so overlap can only be
@@ -244,31 +211,28 @@ class AddressSpaceInventory:
         """Total dark addresses the farm impersonates."""
         return self._total
 
-    def lookup(self, addr: IPAddress) -> Optional[Prefix]:
+    def lookup(self, addr: int) -> Optional[Prefix]:
         """The registered prefix covering ``addr``, or None."""
-        i = bisect.bisect_right(self._starts, addr.value) - 1
-        if i >= 0 and addr.value <= self._ends[i]:
+        i = bisect.bisect_right(self._starts, addr) - 1
+        if i >= 0 and addr <= self._ends[i]:
             return self._sorted_prefixes[i]
         return None
 
-    def covers(self, value: int) -> bool:
-        """Whether the address ``value`` (an :class:`IPAddress`'s
-        ``.value``) is in a registered prefix: callers on the per-flow
-        path hold values, and this builds no address object for them."""
-        i = bisect.bisect_right(self._starts, value) - 1
-        return i >= 0 and value <= self._ends[i]
+    def covers(self, addr: int) -> bool:
+        """Whether ``addr`` is in a registered prefix."""
+        i = bisect.bisect_right(self._starts, addr) - 1
+        return i >= 0 and addr <= self._ends[i]
 
-    def flat_index(self, addr: IPAddress) -> int:
+    def flat_index(self, addr: int) -> int:
         """A dense 0-based index over all registered addresses, in
         registration order — used to map addresses onto the vulnerable-host
         bitmap in epidemic experiments."""
-        value = addr.value
-        i = bisect.bisect_right(self._starts, value) - 1
-        if i >= 0 and value <= self._ends[i]:
-            return self._sorted_bases[i] + (value - self._starts[i])
-        raise ValueError(f"{addr} is not in any registered prefix")
+        i = bisect.bisect_right(self._starts, addr) - 1
+        if i >= 0 and addr <= self._ends[i]:
+            return self._sorted_bases[i] + (addr - self._starts[i])
+        raise ValueError(f"{dotted(addr)} is not in any registered prefix")
 
-    def address_at_flat_index(self, index: int) -> IPAddress:
+    def address_at_flat_index(self, index: int) -> int:
         """Inverse of :meth:`flat_index`."""
         if index < 0:
             raise IndexError(f"negative flat index: {index}")

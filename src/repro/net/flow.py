@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from typing import Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.net.addr import IPAddress
 from repro.net.packet import Packet
 from repro.sim.rows import RowTable
 
@@ -82,8 +81,7 @@ def flow_key(src: int, src_port: int, dst: int, dst_port: int, protocol: int) ->
 def packet_flow_key(packet: Packet) -> FiveTuple:
     """Canonical key of ``packet``'s conversation."""
     return flow_key(
-        packet.src.value, packet.src_port, packet.dst.value, packet.dst_port,
-        packet.protocol,
+        packet.src, packet.src_port, packet.dst, packet.dst_port, packet.protocol
     )
 
 
@@ -128,8 +126,8 @@ class FlowRecord:
         return self.table.last_seen[self._live_row()]
 
     @property
-    def initiator(self) -> IPAddress:
-        return IPAddress(self.table.initiator[self._live_row()])
+    def initiator(self) -> int:
+        return self.table.initiator[self._live_row()]
 
     @property
     def packets(self) -> int:
@@ -265,7 +263,7 @@ class FlowTable(RowTable):
         row = self.live_record(key, now)
         created = row is None
         if created:
-            row = self.create(key, packet.src.value, now)
+            row = self.create(key, packet.src, now)
         self.last_seen[row] = now
         self.packets[row] += 1
         self.bytes[row] += packet.size

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net.addr import IPAddress
 from repro.net.packet import Packet
 
 __all__ = ["GRE_OVERHEAD_BYTES", "GreTunnel", "GrePacket", "encapsulate", "decapsulate"]
@@ -33,8 +32,8 @@ class GreTunnel:
     """
 
     key: int
-    router_endpoint: IPAddress
-    gateway_endpoint: IPAddress
+    router_endpoint: int
+    gateway_endpoint: int
 
     def __post_init__(self) -> None:
         if not (0 <= self.key <= 0xFFFFFFFF):

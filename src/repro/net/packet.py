@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import IntFlag
 from typing import Optional
 
-from repro.net.addr import IPAddress
+from repro.net.addr import dotted
 
 __all__ = [
     "PROTO_ICMP",
@@ -78,8 +78,8 @@ class Packet:
     reflection path can otherwise create one).
     """
 
-    src: IPAddress
-    dst: IPAddress
+    src: int
+    dst: int
     protocol: int
     src_port: int = 0
     dst_port: int = 0
@@ -123,7 +123,7 @@ class Packet:
             size=size,
         )
 
-    def with_destination(self, dst: IPAddress) -> "Packet":
+    def with_destination(self, dst: int) -> "Packet":
         """Copy of this packet re-addressed to ``dst`` (used by the
         gateway's reflection/proxy containment actions)."""
         return Packet(
@@ -141,26 +141,27 @@ class Packet:
 
     def describe(self) -> str:
         """One-line human-readable rendering for logs and traces."""
+        src, dst = dotted(self.src), dotted(self.dst)
         if self.is_tcp:
             flag_names = str(self.flags) if self.flags else "-"
             return (
-                f"TCP {self.src}:{self.src_port} > {self.dst}:{self.dst_port}"
+                f"TCP {src}:{self.src_port} > {dst}:{self.dst_port}"
                 f" [{flag_names}] {self.payload or ''}".rstrip()
             )
         if self.is_udp:
             return (
-                f"UDP {self.src}:{self.src_port} > {self.dst}:{self.dst_port}"
+                f"UDP {src}:{self.src_port} > {dst}:{self.dst_port}"
                 f" {self.payload or ''}".rstrip()
             )
         if self.is_icmp:
             kind = "echo-req" if self.icmp_type == ICMP_ECHO_REQUEST else "echo-rep"
-            return f"ICMP {self.src} > {self.dst} {kind}"
-        return f"IP(proto={self.protocol}) {self.src} > {self.dst}"
+            return f"ICMP {src} > {dst} {kind}"
+        return f"IP(proto={self.protocol}) {src} > {dst}"
 
 
 def tcp_packet(
-    src: IPAddress,
-    dst: IPAddress,
+    src: int,
+    dst: int,
     src_port: int,
     dst_port: int,
     flags: TcpFlags = TcpFlags.SYN,
@@ -183,8 +184,8 @@ def tcp_packet(
 
 
 def udp_packet(
-    src: IPAddress,
-    dst: IPAddress,
+    src: int,
+    dst: int,
     src_port: int,
     dst_port: int,
     payload: str = "",
@@ -203,8 +204,8 @@ def udp_packet(
 
 
 def icmp_packet(
-    src: IPAddress,
-    dst: IPAddress,
+    src: int,
+    dst: int,
     icmp_type: int = ICMP_ECHO_REQUEST,
     size: int = 64,
 ) -> Packet:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional
 
-from repro.net.addr import IPAddress, Prefix
+from repro.net.addr import Prefix
 from repro.net.gre import GrePacket, GreTunnel, decapsulate, encapsulate
 from repro.net.link import Link
 from repro.net.packet import Packet
@@ -58,7 +58,7 @@ class BorderRouter:
         self.external_sink = external_sink
         self.metrics = metrics or MetricRegistry()
 
-    def covers(self, addr: IPAddress) -> bool:
+    def covers(self, addr: int) -> bool:
         """Whether ``addr`` is in a prefix this router diverts."""
         return any(p.contains(addr) for p in self.dark_prefixes)
 

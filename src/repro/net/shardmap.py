@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import List, Optional, Sequence, Tuple
 
-from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
+from repro.net.addr import AddressSpaceInventory, Prefix
 
 __all__ = ["ShardMap"]
 
@@ -55,7 +55,7 @@ class ShardMap:
         # fixes the flat-index layout (registration order = shard order).
         self._inventory = AddressSpaceInventory([p for p, __ in parsed])
         ranges = sorted(
-            (prefix.first.value, prefix.last.value, shard)
+            (prefix.network, prefix.network + prefix.size - 1, shard)
             for prefix, shard in parsed
         )
         self._starts = [r[0] for r in ranges]
@@ -76,14 +76,14 @@ class ShardMap:
         """
         return self._inventory
 
-    def shard_for(self, addr: IPAddress) -> Optional[int]:
+    def shard_for(self, addr: int) -> Optional[int]:
         """The shard owning ``addr`` (None = outside every shard)."""
-        idx = bisect_right(self._starts, addr.value) - 1
-        if idx < 0 or addr.value > self._ends[idx]:
+        idx = bisect_right(self._starts, addr) - 1
+        if idx < 0 or addr > self._ends[idx]:
             return None
         return self._shards[idx]
 
-    def covers(self, addr: IPAddress) -> bool:
+    def covers(self, addr: int) -> bool:
         return self.shard_for(addr) is not None
 
     def addresses_of(self, shard: int) -> int:

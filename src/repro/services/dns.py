@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.net.addr import IPAddress
+from repro.net.addr import dotted
 from repro.net.packet import PROTO_UDP, Packet
 
 __all__ = ["DnsServer"]
+
+#: The address every synthetic record resolves to: 198.18.0.1.
+_ANSWER = 0xC6120001
 
 
 class DnsServer:
@@ -27,9 +30,9 @@ class DnsServer:
     themselves valuable intelligence (rendezvous domains).
     """
 
-    def __init__(self, address: IPAddress, answer: Optional[IPAddress] = None) -> None:
+    def __init__(self, address: int, answer: Optional[int] = None) -> None:
         self.address = address
-        self.answer = answer or IPAddress.parse("198.18.0.1")
+        self.answer = answer or _ANSWER
         self.queries_answered = 0
         self.query_log: List[Packet] = []
 
@@ -42,7 +45,8 @@ class DnsServer:
             return None
         self.queries_answered += 1
         self.query_log.append(packet)
-        return packet.reply_template(payload=f"dns:answer:{self.answer}", size=90)
+        answer = f"dns:answer:{dotted(self.answer)}"
+        return packet.reply_template(payload=answer, size=90)
 
     def rendezvous_domains(self) -> List[str]:
         """Domains captured malware tried to resolve, in query order.
@@ -60,4 +64,4 @@ class DnsServer:
         return domains
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<DnsServer {self.address} answered={self.queries_answered}>"
+        return f"<DnsServer {dotted(self.address)} answered={self.queries_answered}>"

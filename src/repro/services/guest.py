@@ -186,9 +186,9 @@ class ScanBehavior:
     scan_rate: float
     payload_size: int = 376
     dns_lookup_first: bool = False
-    dns_server: Optional[IPAddress] = None
+    dns_server: Optional[int] = None
     rendezvous_domain: Optional[str] = None
-    cnc_server: Optional[IPAddress] = None
+    cnc_server: Optional[int] = None
     cnc_port: int = 6667
     beacon_interval: Optional[float] = None
     targeting: str = "uniform"
@@ -221,7 +221,8 @@ class ScanBehavior:
 
 @dataclass
 class InfectionRecord:
-    """Forensic record of a compromise — the honeyfarm's primary yield."""
+    """Forensic record of a compromise — the honeyfarm's primary yield.
+    ``source`` and ``victim`` print as dotted quads in reports."""
 
     worm_name: str
     vulnerability: str
@@ -515,8 +516,8 @@ class GuestHost:
         self.infection = InfectionRecord(
             worm_name=vuln.name,
             vulnerability=vuln.name,
-            source=packet.src,
-            victim=self.vm.ip,
+            source=IPAddress(packet.src),
+            victim=IPAddress(self.vm.ip),
             time=now,
             vm_id=self.vm.vm_id,
             generation=self.generation,
@@ -593,16 +594,16 @@ class GuestHost:
                 )
             self._transmit_if_running(scan)
 
-    def _pick_target(self, behavior: ScanBehavior) -> IPAddress:
+    def _pick_target(self, behavior: ScanBehavior) -> int:
         """Choose one scan victim per the worm's targeting strategy."""
         if behavior.targeting == "local":
             roll = self.rng.random()
-            own = self.vm.ip.value
+            own = self.vm.ip
             if roll < behavior.local_same_slash16:
-                return IPAddress((own & 0xFFFF0000) | self.rng.randint(0, 0xFFFF))
+                return (own & 0xFFFF0000) | self.rng.randint(0, 0xFFFF)
             if roll < behavior.local_same_slash16 + behavior.local_same_slash8:
-                return IPAddress((own & 0xFF000000) | self.rng.randint(0, 0xFFFFFF))
-        return IPAddress(self.rng.randint(0, (1 << 32) - 1))
+                return (own & 0xFF000000) | self.rng.randint(0, 0xFFFFFF)
+        return self.rng.randint(0, (1 << 32) - 1)
 
     def _beacon_loop(self, behavior: ScanBehavior):
         """Bot check-in loop: periodically connect to the C&C server.

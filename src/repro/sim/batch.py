@@ -71,7 +71,7 @@ from operator import lt
 from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.net.addr import IPAddress
+from repro.net.addr import IPAddress, dotted
 from repro.net.packet import PROTO_TCP, Packet, TcpFlags
 from repro.obs import recorder as _obs
 from repro.sim.engine import SimulationError, Simulator
@@ -98,10 +98,7 @@ def _row_packet(key: ArrivalKey, payload: str, size: int, tcp_flags: int) -> Pac
         flags = _PSH_ACK
     else:
         flags = TcpFlags.SYN
-    return Packet(
-        IPAddress(src), IPAddress(dst), protocol, src_port, dst_port, flags, 0,
-        payload, size,
-    )
+    return Packet(src, dst, protocol, src_port, dst_port, flags, 0, payload, size)
 
 
 @dataclass(frozen=True)
@@ -128,8 +125,8 @@ class TraceRecord:
         """The row's arrival key, its addresses parsed (once per row); a
         malformed or non-string address raises here."""
         return (
-            IPAddress.parse(self.src).value, self.src_port,
-            IPAddress.parse(self.dst).value, self.dst_port, self.protocol,
+            int(IPAddress.parse(self.src)), self.src_port,
+            int(IPAddress.parse(self.dst)), self.dst_port, self.protocol,
         )
 
     @classmethod
@@ -139,7 +136,7 @@ class TraceRecord:
         """The row holding one entry of each trace column."""
         src, src_port, dst, dst_port, protocol = key
         return cls(
-            time, str(IPAddress(src)), str(IPAddress(dst)), protocol, src_port,
+            time, dotted(src), dotted(dst), protocol, src_port,
             dst_port, payload, size, tcp_flags,
         )
 
@@ -151,8 +148,8 @@ class TraceRecord:
     def from_packet(cls, time: float, packet: Packet) -> "TraceRecord":
         return cls(
             time=time,
-            src=str(packet.src),
-            dst=str(packet.dst),
+            src=dotted(packet.src),
+            dst=dotted(packet.dst),
             protocol=packet.protocol,
             src_port=packet.src_port,
             dst_port=packet.dst_port,

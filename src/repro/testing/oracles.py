@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List
 
-from repro.net.addr import IPAddress, Prefix
+from repro.net.addr import Prefix, dotted
 from repro.sim.batch import PacketColumns
 from repro.testing.scenario import Scenario
 from repro.testing.worlds import WorldObservation
@@ -129,7 +129,7 @@ class ContainmentSafetyOracle(Oracle):
         violations = []
         # Observed packets name addresses as dotted quads.
         trace_pairs = {
-            (str(IPAddress(key[0])), str(IPAddress(key[2]))) for key in set(trace.keys)
+            (dotted(key[0]), dotted(key[2])) for key in set(trace.keys)
         }
         for obs in _farm_worlds(observations):
             if obs.containment == "open":
@@ -410,7 +410,7 @@ class ResponderFidelityOracle(Oracle):
             return []
         violations = []
         prefix = Prefix.parse(scenario.prefix)
-        covered = sum(1 for key in trace.keys if prefix.contains(IPAddress(key[2])))
+        covered = sum(1 for key in trace.keys if prefix.contains(key[2]))
         if responder.packets_seen != covered:
             violations.append(
                 self.violation(

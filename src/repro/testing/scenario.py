@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import DeceptionConfig, HoneyfarmConfig
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.net.addr import IPAddress, Prefix
+from repro.net.addr import Prefix
 from repro.net.packet import PROTO_UDP
 from repro.sim.batch import ArrivalKey, PacketColumns
 from repro.sim.rand import RandomStream, SeedSequence
@@ -315,11 +315,11 @@ class Scenario:
             end = min(wave.start + wave.duration, self.duration)
             for source_index in range(wave.sources):
                 rng = seeds.stream(f"wave-{index}-source-{source_index}")
-                source = self._external_address(rng, inventory_prefix).value
+                source = self._external_address(rng, inventory_prefix)
                 src_port = 1024 + rng.randint(0, 60000)
                 t = wave.start
                 while t < end:
-                    dst = inventory_prefix.network.value + rng.randint(
+                    dst = inventory_prefix.network + rng.randint(
                         0, self.address_count - 1
                     )
                     key = (source, src_port, dst, spec.port, spec.protocol)
@@ -333,9 +333,9 @@ class Scenario:
         return PacketColumns(times, keys, payloads, sizes, [0] * len(times))
 
     @staticmethod
-    def _external_address(rng: RandomStream, prefix: Prefix) -> IPAddress:
+    def _external_address(rng: RandomStream, prefix: Prefix) -> int:
         while True:
-            addr = IPAddress(rng.randint(0x01000000, 0xDFFFFFFF))
+            addr = rng.randint(0x01000000, 0xDFFFFFFF)
             if not prefix.contains(addr):
                 return addr
 

@@ -29,7 +29,7 @@ from repro.core.honeyfarm import Honeyfarm
 from repro.core.intershard import InterShardConfig
 from repro.core.ledger import packet_ledger
 from repro.faults.injectors import ChaosController
-from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
+from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix, dotted
 from repro.obs import FlightRecorder, install, uninstall
 from repro.services.personality import default_registry
 from repro.sim.batch import PacketColumns
@@ -195,8 +195,8 @@ class WorldObservation:
 
 def _packet_key(packet) -> PacketKey:
     return (
-        str(packet.src),
-        str(packet.dst),
+        dotted(packet.src),
+        dotted(packet.dst),
         packet.protocol,
         packet.src_port,
         packet.dst_port,
@@ -275,7 +275,7 @@ def _run_farm(
         counters=dict(farm.metrics.counters()),
     )
     obs.infections = sorted(
-        (str(r.victim), r.worm_name, r.generation) for r in farm.infections
+        (dotted(r.victim), r.worm_name, r.generation) for r in farm.infections
     )
     obs.external_packets = sorted(escaped)
     obs.series_times = list(farm.metrics.series("farm.live_vms_series").times)
@@ -372,8 +372,8 @@ def _run_federation(
     if whole.length > 30:
         raise ValueError(f"prefix {whole} too small to split into shards")
     halves = (
-        Prefix(whole.first, whole.length + 1),
-        Prefix(whole.first.offset(whole.size // 2), whole.length + 1),
+        Prefix(whole.network, whole.length + 1),
+        Prefix(whole.network + whole.size // 2, whole.length + 1),
     )
     base = scenario.farm_config(
         clone_mode=spec.clone_mode,
@@ -403,9 +403,8 @@ def _run_federation(
 
     shard_rows: List[List[int]] = [[], []]
     for row, key in enumerate(trace.keys):
-        dst = IPAddress(key[2])
         for shard, half in enumerate(halves):
-            if half.contains(dst):
+            if half.contains(key[2]):
                 shard_rows[shard].append(row)
                 break
     for shard, rows in enumerate(shard_rows):

@@ -15,8 +15,6 @@ import itertools
 from bisect import bisect_left, bisect_right
 from typing import Iterator, List, Optional
 
-from repro.net.addr import IPAddress
-
 __all__ = ["VirtualInterface", "VirtualBlockDevice", "DiskImage"]
 
 _mac_counter = itertools.count(1)
@@ -44,7 +42,7 @@ class VirtualInterface:
 
     __slots__ = ("ip", "_index")
 
-    def __init__(self, ip: Optional[IPAddress] = None) -> None:
+    def __init__(self, ip: Optional[int] = None) -> None:
         self._index = next(_mac_counter)
         self.ip = ip
 
@@ -52,7 +50,7 @@ class VirtualInterface:
     def mac(self) -> str:
         return _generate_mac(self._index)
 
-    def assign_ip(self, ip: IPAddress) -> None:
+    def assign_ip(self, ip: int) -> None:
         """Rewrite the interface's IP (the clone-time identity swap)."""
         self.ip = ip
 

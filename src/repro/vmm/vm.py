@@ -21,7 +21,6 @@ import enum
 import itertools
 from typing import Any, Optional
 
-from repro.net.addr import IPAddress
 from repro.vmm.devices import VirtualBlockDevice, VirtualInterface
 from repro.vmm.memory import GuestAddressSpace
 from repro.vmm.snapshot import ReferenceSnapshot
@@ -60,7 +59,7 @@ class VirtualMachine:
         self,
         snapshot: ReferenceSnapshot,
         address_space: GuestAddressSpace,
-        ip: IPAddress,
+        ip: int,
         created_at: float,
         host_id: Optional[int] = None,
     ) -> None:
@@ -84,7 +83,7 @@ class VirtualMachine:
     # ------------------------------------------------------------------ #
 
     @property
-    def ip(self) -> IPAddress:
+    def ip(self) -> int:
         assert self.vif.ip is not None
         return self.vif.ip
 
@@ -109,7 +108,7 @@ class VirtualMachine:
         self.state = VMState.PAUSED
         self.last_activity = now
 
-    def begin_reassignment(self, ip: IPAddress, now: float) -> None:
+    def begin_reassignment(self, ip: int, now: float) -> None:
         """RUNNING -> CLONING with a new network identity.
 
         The warm-pool path: a pre-created, pristine VM is bound to the

@@ -228,7 +228,7 @@ class TelescopeWorkload:
         last = self.inventory.total_addresses - 1
         t = start
         for __ in range(replies):
-            dst = address_at(rng.randint(0, last)).value
+            dst = address_at(rng.randint(0, last))
             dst_port = 1024 + rng.randint(0, 60000)
             if t < duration:
                 times.append(t)
@@ -276,7 +276,7 @@ class TelescopeWorkload:
         t = start
         for i in range(probes):
             index = (cursor + i) % total if sweep else rng.randint(0, total - 1)
-            key = (source, src_port, address_at(index).value, port, protocol)
+            key = (source, src_port, address_at(index), port, protocol)
             for offset, packet_payload in burst:
                 when = t + offset
                 if when < duration:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from repro.core.honeyfarm import Honeyfarm
-from repro.net.addr import IPAddress
+from repro.net.addr import dotted
 from repro.sim.batch import ArrivalKey, PacketColumns, TraceRecord
 
 __all__ = ["TraceRecord", "TraceWriter", "TraceReader", "replay_into_farm"]
@@ -37,7 +37,7 @@ def _json_line(
     declaration order."""
     src, src_port, dst, dst_port, protocol = key
     return _encode({
-        "time": time, "src": str(IPAddress(src)), "dst": str(IPAddress(dst)),
+        "time": time, "src": dotted(src), "dst": dotted(dst),
         "protocol": protocol,
         "src_port": src_port, "dst_port": dst_port, "payload": payload,
         "size": size, "tcp_flags": tcp_flags,

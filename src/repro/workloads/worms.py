@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional
 
 from repro.core.honeyfarm import Honeyfarm
-from repro.net.addr import IPAddress
 from repro.net.packet import PROTO_TCP, PROTO_UDP, Packet, TcpFlags
 from repro.services.guest import ScanBehavior
 from repro.sim.metrics import TimeSeries
@@ -58,7 +57,7 @@ class WormSpec:
         if self.targeting not in ("uniform", "local"):
             raise ValueError(f"unknown targeting strategy: {self.targeting!r}")
 
-    def behavior(self, dns_server: Optional[IPAddress] = None) -> ScanBehavior:
+    def behavior(self, dns_server: Optional[int] = None) -> ScanBehavior:
         """The in-farm behaviour an infected honeypot executes."""
         return ScanBehavior(
             worm_name=self.name,
@@ -272,7 +271,7 @@ class InternetOutbreak:
     def _scan_packet(self) -> Packet:
         total = self.farm.inventory.total_addresses
         dst = self.farm.inventory.address_at_flat_index(self.rng.randint(0, total - 1))
-        src = IPAddress(self.rng.randint(0x01000000, 0xDFFFFFFF))
+        src = self.rng.randint(0x01000000, 0xDFFFFFFF)
         worm = self.worm
         flags = TcpFlags.NONE
         if worm.protocol == PROTO_TCP:  # a data segment, or a bare SYN

@@ -40,7 +40,7 @@ class TestDedicatedBaseline:
         # 1 GiB host, 128 MiB images: the image plus ~7 VMs exhaust it.
         farm = dedicated_farm(CONFIG)
         for i in range(30):
-            farm.inject(tcp_packet(ATTACKER, IPAddress(TARGET.value - 20 + i), 1, 445))
+            farm.inject(tcp_packet(ATTACKER, IPAddress(TARGET - 20 + i), 1, 445))
         farm.run(until=60.0)
         counters = farm.metrics.counters()
         assert counters["gateway.no_capacity_drop"] > 0
@@ -127,7 +127,7 @@ class TestStatelessResponder:
         responder = StatelessResponder(
             inventory, registry,
             personality_for=lambda addr: (
-                "linux-server" if addr.value % 2 else "windows-default"
+                "linux-server" if addr % 2 else "windows-default"
             ),
         )
         windows = responder.handle_packet(

@@ -67,7 +67,7 @@ class TestReflectionPolicy:
         verdict = policy.decide(vm, scan(), 0.0)
         assert verdict.action is ContainmentAction.REFLECT
         assert verdict.new_destination is not None
-        assert inventory.covers(verdict.new_destination.value)
+        assert inventory.covers(verdict.new_destination)
 
     def test_reflection_is_deterministic_per_destination(self, vm, inventory):
         policy = ReflectionPolicy(inventory)
@@ -78,7 +78,7 @@ class TestReflectionPolicy:
     def test_different_destinations_spread(self, vm, inventory):
         policy = ReflectionPolicy(inventory)
         targets = {
-            policy.decide(vm, scan(IPAddress(EXTERNAL.value + i)), 0.0).new_destination
+            policy.decide(vm, scan(IPAddress(EXTERNAL + i)), 0.0).new_destination
             for i in range(50)
         }
         assert len(targets) > 10

@@ -63,7 +63,7 @@ class TestFlashClone:
 
     def test_stage_breakdown_means(self, sim, engine, host, snapshot):
         for i in range(3):
-            engine.clone(host, snapshot, IPAddress(IP.value + i))
+            engine.clone(host, snapshot, IPAddress(IP + i))
         sim.run()
         breakdown = engine.stage_breakdown_ms()
         assert breakdown["toolstack"] == pytest.approx(279.0)
@@ -76,7 +76,7 @@ class TestFlashClone:
         tiny.install_snapshot(snap)
         engine.clone(tiny, snap, IP)
         with pytest.raises(HostCapacityError):
-            engine.clone(tiny, snap, IPAddress(IP.value + 1))
+            engine.clone(tiny, snap, IPAddress(IP + 1))
 
     def test_clone_destroyed_mid_pipeline_is_aborted(self, sim, engine, host, snapshot):
         results = []

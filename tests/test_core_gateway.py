@@ -260,7 +260,7 @@ class TestOutboundContainment:
         # The reflected packet was dispatched inbound to a farm address:
         assert len(backend.spawned) == 2
         stand_in = backend.spawned[-1]
-        assert inventory.covers(stand_in.ip.value)
+        assert inventory.covers(stand_in.ip)
 
     def test_reflected_reply_is_nat_translated(self, sim, inventory, backend):
         gw = make_gateway(sim, inventory, backend)

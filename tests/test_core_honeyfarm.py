@@ -45,7 +45,7 @@ class TestOnDemandCloning:
 
     def test_distinct_addresses_get_distinct_vms(self, small_farm):
         for i in range(5):
-            small_farm.inject(probe(dst=IPAddress(TARGET.value + i)))
+            small_farm.inject(probe(dst=IPAddress(TARGET + i)))
         small_farm.run(until=1.0)
         assert small_farm.live_vms == 5
 
@@ -127,7 +127,7 @@ class TestReclamation:
             prefixes=("10.16.0.0/24",), num_hosts=1,
             idle_timeout_seconds=600.0, clone_jitter=0.0,
         ))
-        targets = [IPAddress(TARGET.value + i) for i in range(3)]
+        targets = [IPAddress(TARGET + i) for i in range(3)]
         for i, dst in enumerate(targets):
             farm.inject(probe(dst=dst, sport=4000 + i))
         farm.run(until=1.0)
@@ -276,7 +276,7 @@ class TestMemoryPressure:
             memory_pressure_threshold=0.9,
         ))
         for i in range(64):
-            farm.inject(tcp_packet(ATTACKER, IPAddress(TARGET.value - 25 + i), 80, 80))
+            farm.inject(tcp_packet(ATTACKER, IPAddress(TARGET - 25 + i), 80, 80))
         farm.run(until=30.0)
         counters = farm.metrics.counters()
         host = farm.hosts[0]

@@ -15,7 +15,7 @@ from repro.sim.rand import RandomStream
 from repro.vmm.memory import GuestAddressSpace
 from repro.vmm.vm import VirtualMachine
 
-BASE_IP = IPAddress.parse("10.16.0.10").value
+BASE_IP = IPAddress.parse("10.16.0.10")
 
 
 def add_running_vm(host, snapshot, index, last_activity=0.0):

@@ -15,7 +15,7 @@ ATTACKER = IPAddress.parse("203.0.113.1")
 
 def exploit_packet(src_index: int, dst_index: int, payload="exploit:slammer"):
     return udp_packet(
-        IPAddress(ATTACKER.value + src_index),
+        IPAddress(ATTACKER + src_index),
         IPAddress.parse(f"10.16.0.{dst_index}"),
         1000 + src_index, 1434, payload=payload,
     )
@@ -199,7 +199,7 @@ class TestDetectionOnLiveFarm:
         farm.attach_packet_tap(sifter.observe)
         for i in range(60):
             farm.inject(tcp_packet(
-                IPAddress(ATTACKER.value + i),
+                IPAddress(ATTACKER + i),
                 IPAddress.parse(f"10.16.0.{i % 64}"), 1000 + i, 445,
             ))
         farm.run(until=5.0)

@@ -187,7 +187,7 @@ class TestTriggers:
 def one_session(personality) -> EmulatedSession:
     """A view of the one row of a fresh address table."""
     table = AddressTable(personality=personality)
-    return table.session(table.open(VICTIM.value, 0.0))
+    return table.session(table.open(VICTIM, 0.0))
 
 
 class TestEmulatedSession:
@@ -244,7 +244,7 @@ class TestFidelityLadderUnit:
         sent = [icmp_packet(ATTACKER, VICTIM) for __ in range(66)]
         for i, packet in enumerate(sent):
             ladder.consider(packet, float(i))
-        session = ladder.sessions[VICTIM.value]
+        session = ladder.sessions[VICTIM]
         # The oldest two were evicted; the most recent 64 are kept in order.
         assert session.buffered_packets() == sent[2:]
         assert len(ladder.sessions.held) == 64  # the evicted two let go

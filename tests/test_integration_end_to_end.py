@@ -62,7 +62,7 @@ class TestTunnelledPath:
         farm, router, replies = build_tunnelled_farm()
         for i in range(10):
             router.receive_from_internet(
-                tcp_packet(ATTACKER, IPAddress(TARGET.value + i), 1000 + i, 445)
+                tcp_packet(ATTACKER, IPAddress(TARGET + i), 1000 + i, 445)
             )
         farm.run(until=3.0)
         assert farm.live_vms == 10

@@ -59,6 +59,8 @@ class TestWireCodec:
         decoded = decode_packet(encode_packet(packet))
         assert same_wire_fields(decoded, packet)
         assert decoded.src == A and decoded.dst == EXTERNAL
+        # Addresses cross the wire as plain ints, whatever they left as.
+        assert type(decoded.src) is int and type(decoded.dst) is int
 
     def test_icmp_roundtrip(self):
         packet = icmp_packet(EXTERNAL, A)

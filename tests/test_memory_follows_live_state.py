@@ -43,7 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 import perf_harness  # noqa: E402
 
 ATTACKER = IPAddress.parse("203.0.113.9")
-DARKNET = IPAddress.parse("10.16.1.0").value
+DARKNET = IPAddress.parse("10.16.1.0")
 
 
 # ---------------------------------------------------------------------- #

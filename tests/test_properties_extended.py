@@ -66,7 +66,7 @@ class TestReflectionPolicyProperties:
         vm = VirtualMachine(snap, GuestAddressSpace(snap.image), vm_ip, 0.0)
         verdict = policy.decide(vm, tcp_packet(vm_ip, external, 1024, 445), 0.0)
         if verdict.new_destination is not None:
-            assert inventory.covers(verdict.new_destination.value)
+            assert inventory.covers(verdict.new_destination)
             assert verdict.new_destination != vm_ip
 
 

@@ -45,7 +45,7 @@ def _stream(sim, times, deliver, packets=None):
 
 def _index(packet: Packet) -> int:
     """Which ``_packet(i)`` a delivered packet is, read off its fields."""
-    return packet.dst.value & 0xFFFF
+    return packet.dst & 0xFFFF
 
 
 def _attach(sim, times, log, tag="pkt"):
@@ -127,7 +127,7 @@ class TestOrderingEquivalence:
         scheduled = []
 
         def deliver(packet):
-            log.append(("pkt", packet.dst.value & 0xFF))
+            log.append(("pkt", packet.dst & 0xFF))
             if not scheduled:
                 scheduled.append(sim.call_now(lambda: log.append(("echo", sim.now))))
 

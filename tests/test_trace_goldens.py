@@ -101,7 +101,7 @@ def test_default_telescope_trace_covers_every_generator_branch():
     assert any(r.protocol == PROTO_UDP for r in rows)
     by_source = {}
     for r in rows:
-        by_source.setdefault(r.src, {})[IPAddress.parse(r.dst).value] = None
+        by_source.setdefault(r.src, {})[IPAddress.parse(r.dst)] = None
     assert any(  # destinations in first-touched order walk the prefix
         len(dsts) >= 4 and all(b - a == 1 for a, b in zip(list(dsts), list(dsts)[1:]))
         for dsts in by_source.values()

@@ -211,14 +211,14 @@ class TestPhysicalHost:
             host.evict(vm, now=1.0)
 
     def test_peak_live_vms(self, host, snapshot):
-        vms = [make_vm(snapshot, ip=IPAddress(IP.value + i)) for i in range(3)]
+        vms = [make_vm(snapshot, ip=IPAddress(IP + i)) for i in range(3)]
         for vm in vms:
             host.admit(vm)
         host.evict(vms[0], now=1.0)
         assert host.peak_live_vms == 3
 
     def test_idle_vms_sorted_most_idle_first(self, host, snapshot):
-        vms = [make_vm(snapshot, ip=IPAddress(IP.value + i)) for i in range(3)]
+        vms = [make_vm(snapshot, ip=IPAddress(IP + i)) for i in range(3)]
         for i, vm in enumerate(vms):
             host.admit(vm)
             vm.start(now=0.0)

@@ -35,7 +35,7 @@ class TestPoolLifecycle:
             assert vm.parked
             assert vm.state is VMState.RUNNING
             assert vm.private_pages == 0  # never activated
-            assert not farm.inventory.covers(vm.ip.value)  # parked address
+            assert not farm.inventory.covers(vm.ip)  # parked address
 
     def test_pool_survives_idle_reclamation(self):
         farm = pooled_farm(idle_timeout_seconds=1.0)
@@ -47,7 +47,7 @@ class TestPoolLifecycle:
         farm = pooled_farm()
         farm.run(until=2.0)
         for i in range(4):
-            farm.inject(tcp_packet(ATTACKER, IPAddress(TARGET.value + i), 1, 445))
+            farm.inject(tcp_packet(ATTACKER, IPAddress(TARGET + i), 1, 445))
         farm.run(until=4.0)
         assert farm.pool_size == 8  # refilled
         assert farm.metrics.counters()["farm.pool_hits"] == 4

@@ -50,12 +50,12 @@ class TestGeneration:
     def test_destinations_inside_dark_space(self, workload):
         inventory = AddressSpaceInventory(SLASH16)
         for r in workload.generate(10.0):
-            assert inventory.covers(IPAddress.parse(r.dst).value)
+            assert inventory.covers(IPAddress.parse(r.dst))
 
     def test_sources_outside_dark_space(self, workload):
         inventory = AddressSpaceInventory(SLASH16)
         for r in workload.generate(10.0):
-            assert not inventory.covers(IPAddress.parse(r.src).value)
+            assert not inventory.covers(IPAddress.parse(r.src))
 
     def test_rate_close_to_analytic_estimate(self, workload):
         duration = 120.0
@@ -116,7 +116,7 @@ class TestGeneration:
         for r in session:
             if r.dst not in seen:
                 seen.add(r.dst)
-                first_visits.append(IPAddress.parse(r.dst).value)
+                first_visits.append(IPAddress.parse(r.dst))
         deltas = {(b - a) % 256 for a, b in zip(first_visits, first_visits[1:])}
         assert deltas == {1}  # strictly sequential modulo the /24
 

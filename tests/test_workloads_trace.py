@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.addr import dotted
 from repro.net.packet import PROTO_TCP, PROTO_UDP, TcpFlags
 from repro.workloads.trace import TraceReader, TraceRecord, TraceWriter, replay_into_farm
 
@@ -16,8 +17,8 @@ def record(time=0.0, dst="10.16.0.1", payload="", protocol=PROTO_TCP):
 class TestTraceRecord:
     def test_to_packet_addresses_and_ports(self):
         packet = record().to_packet()
-        assert str(packet.src) == "203.0.113.9"
-        assert str(packet.dst) == "10.16.0.1"
+        assert dotted(packet.src) == "203.0.113.9"
+        assert dotted(packet.dst) == "10.16.0.1"
         assert packet.dst_port == 445
 
     def test_bare_tcp_record_becomes_syn(self):
@@ -74,7 +75,14 @@ class TestPersistence:
         with pytest.raises(ValueError):
             TraceReader(path).read_all()
 
-    @pytest.mark.parametrize("dst", ['"10.16.0.999"', '"10.16.0"', "167772161", "null"])
+    @pytest.mark.parametrize(
+        "dst",
+        [
+            '"10.16.0.999"', '"10.16.0"', "167772161", "null",
+            # Digits outside ASCII: str.isdigit and int() accept them.
+            '"\u0661.\u0662.\u0663.\u0664"', '"\u00b2.16.0.1"',
+        ],
+    )
     def test_reader_rejects_an_unparseable_address(self, tmp_path, dst):
         path = tmp_path / "bad.jsonl"
         with TraceWriter(path) as writer:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import HoneyfarmConfig
 from repro.core.honeyfarm import Honeyfarm
-from repro.net.addr import IPAddress
+from repro.net.addr import IPAddress, dotted
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.sim.rand import RandomStream
 from repro.workloads.trace import TraceRecord
@@ -189,7 +189,7 @@ class TestOutbreakDriving:
             )
             src = IPAddress(draws.randint(0x01000000, 0xDFFFFFFF))
             row = TraceRecord(
-                0.0, str(src), str(dst), worm.protocol,
+                0.0, str(src), dotted(dst), worm.protocol,
                 1024 + draws.randint(0, 60000), worm.port, worm.exploit_tag,
                 worm.payload_size,
             )

@@ -40,8 +40,8 @@ class TestTargetDistribution:
         __, emitted = scanning_guest(snapshot, sim, registry, behavior)
         sim.run(until=20.0)
         assert len(emitted) > 2000
-        same16 = sum(1 for p in emitted if (p.dst.value >> 16) == (VICTIM.value >> 16))
-        same8 = sum(1 for p in emitted if (p.dst.value >> 24) == (VICTIM.value >> 24))
+        same16 = sum(1 for p in emitted if (p.dst >> 16) == (VICTIM >> 16))
+        same8 = sum(1 for p in emitted if (p.dst >> 24) == (VICTIM >> 24))
         n = len(emitted)
         # P(same /16) = 0.375 + tiny uniform contribution.
         assert same16 / n == pytest.approx(0.375, abs=0.04)
@@ -54,7 +54,7 @@ class TestTargetDistribution:
         )
         __, emitted = scanning_guest(snapshot, sim, registry, behavior)
         sim.run(until=10.0)
-        same8 = sum(1 for p in emitted if (p.dst.value >> 24) == (VICTIM.value >> 24))
+        same8 = sum(1 for p in emitted if (p.dst >> 24) == (VICTIM >> 24))
         assert same8 / len(emitted) < 0.02  # true rate 1/256
 
     def test_validation(self):
