@@ -15,7 +15,7 @@ JSON report and a ``failures(doc) -> list[str]`` that is its gate:
   emulated address) at the busiest simulated second and the allocation
   sites holding the most there, bytes still held once the farm has
   drained. **Fails** if a ``VirtualMachine`` outlives the drain, the
-  drained farm's flow table or the ladder's address table still holds a
+  drained farm's flow table or the gateway's address table still holds a
   live row or any column capacity, the trace's attachment
   still caches a materialized packet, or a host's shared-frame store
   still holds an entry, a run or a reference: host memory follows the
@@ -228,8 +228,8 @@ def run_memory(smoke: bool, workers: int) -> Doc:
 HEAP_SEED = 424742  # benchmarks/e2e's default seed
 #: The per-VM and per-address types a farm allocates as it serves
 #: traffic; live instances of each should number what the farm has live.
-#: A flow is a row of the flow table and an emulated address a row of the
-#: ladder's address table, not objects (:func:`table_footprint`): an
+#: A flow is a row of the flow table and a covered address a row of the
+#: gateway's address table, not objects (:func:`table_footprint`): an
 #: ``EmulatedSession`` is a view, and none outlives the call using it.
 HEAP_TYPES = (
     "VirtualMachine", "GuestHost", "GuestAddressSpace", "CloneResult",
@@ -254,7 +254,7 @@ def heap_census() -> Dict[str, int]:
 
 
 def table_footprint(table: RowTable) -> Dict[str, int]:
-    """Live rows of a row table (the flow table, the ladder's address
+    """Live rows of a row table (the flow table, the gateway's address
     table), and the bytes its columns (the typed arrays and the object
     lists, the row -> key one among them) still have allocated."""
     column_bytes = sum(
@@ -318,14 +318,15 @@ def _seconds(run) -> Iterator[Doc]:
         yield {
             "live_vms": farm.live_vms,
             "live_flows": len(farm.gateway.flows),
-            "live_addresses": len(farm.ladder.sessions) if farm.ladder else 0,
+            "live_addresses": len(farm.gateway.addresses),
             "sim_time": farm.sim.now,
         }
 
 
 def drain(farm: Honeyfarm) -> None:
     """Run ``farm`` with no further input until it is quiescent: every VM
-    reclaimed, every flow and emulated session expired."""
+    reclaimed, every flow and emulated session expired, every address
+    row gone."""
     config = farm.config
     step = (
         max(config.idle_timeout_seconds, config.flow_idle_timeout_seconds)
@@ -335,7 +336,7 @@ def drain(farm: Honeyfarm) -> None:
         if not (
             farm.live_vms
             or len(farm.gateway.flows)
-            or (farm.ladder is not None and farm.ladder.sessions)
+            or farm.gateway.addresses
         ):
             return
         farm.run(until=farm.sim.now + step)
@@ -374,10 +375,7 @@ def heap_profile(name: str, size: str, per: str, quotient: str) -> Doc:
         drain(farm)
         retained = heap_census()
         table = table_footprint(farm.gateway.flows)
-        addresses = (
-            table_footprint(farm.ladder.sessions) if farm.ladder
-            else {"live_rows": 0, "column_bytes": 0}
-        )
+        addresses = table_footprint(farm.gateway.addresses)
         store = shared_store_footprint(farm)
         held = tracemalloc.get_traced_memory()[0] - base
     finally:

@@ -75,7 +75,7 @@ def main() -> None:
         farm, escaped_to_cnc = run_policy(policy)
         summary = summarize_containment(farm)
         domains = set(farm.dns_server.rendezvous_domains())
-        index_vm = farm.gateway.vm_map.get(TARGET)
+        index_vm = farm.gateway.vm_at(TARGET)
         beacons = index_vm.guest.beacons_sent if index_vm and index_vm.guest else 0
         rows.append([
             policy,

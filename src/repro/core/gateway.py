@@ -10,7 +10,12 @@ mechanisms (VMs), while the gateway holds all four roles:
 2. **Dispatch** — map each destination address to a live VM; if none
    exists, ask the backend to flash-clone one and queue packets for the
    address until the clone is running (cloning takes ~0.5 s, and the
-   first packet must not be lost — it is usually the exploit).
+   first packet must not be lost — it is usually the exploit). One
+   table holds it all, a row per covered address
+   (:class:`~repro.fidelity.emulator.AddressTable`, ``addresses``): the
+   bound VM, the packets queued for it, and, with the fidelity ladder
+   on, the emulated session or the handoff a promotion left for the
+   clone.
 3. **Containment** — classify each honeypot-emitted packet as a *reply*
    on an externally-initiated flow (always allowed: answering scanners is
    the farm's purpose) or *honeypot-initiated* (subject to the configured
@@ -32,7 +37,7 @@ and the flow table maintains its own indexes — see ``docs/PERFORMANCE.md``.
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol
 
 from repro.core.containment import (
     ContainmentAction,
@@ -41,6 +46,7 @@ from repro.core.containment import (
     honeypot_initiated,
 )
 from repro.core.ledger import PENDING_DROP_CAUSES
+from repro.fidelity.emulator import CLONING, RUNNING, AddressTable
 from repro.fidelity.ladder import FidelityLadder
 from repro.fidelity.span import SpanLane
 from repro.net.addr import AddressSpaceInventory, Prefix, dotted
@@ -50,7 +56,7 @@ from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.obs import recorder as _obs
 from repro.services.dns import DnsServer
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricRegistry
 from repro.vmm.vm import VirtualMachine, VMState
 
@@ -116,13 +122,12 @@ class Gateway:
         self.dns_server = dns_server
         self.metrics = metrics or MetricRegistry()
         self.external_sink = external_sink
-        self.max_pending_per_ip = MAX_PENDING_PER_IP
         # Mirror of every inbound packet (``Honeyfarm.attach_packet_tap``).
         self.packet_tap: Optional[Callable[[Packet], None]] = None
         self.pending_timeout = pending_timeout
         # Fidelity ladder (attached by the farm when ``config.ladder`` is
-        # set): consulted for cold addresses before a clone
-        # is dispatched, and handed the replay when the clone is ready.
+        # set, its sessions rows of ``addresses``): consulted for cold
+        # addresses before a clone is dispatched.
         self.ladder: Optional[FidelityLadder] = None
         # Deception reply-timing jitter (attached by the farm when the
         # deception config block is enabled): maps a honeypot source
@@ -139,15 +144,11 @@ class Gateway:
         # by cross-shard scans chain the epidemic depth correctly.
         self.remote_generations: Dict[int, int] = {}
         self.nat = ReflectionNat()
-        self.vm_map: Dict[int, VirtualMachine] = {}
-        # Packets held while a clone is in flight, each with a view of the
-        # flow that already accounted it (observed exactly once). The flow
-        # may leave the table first; its view then writes nothing.
-        self._pending: Dict[int, List[Tuple[Packet, FlowRecord]]] = {}
-        # Watchdog timers over pending queues (armed only when
-        # ``pending_timeout`` is configured, so the default path never
-        # schedules an extra event).
-        self._pending_timers: Dict[int, Event] = {}
+        # The covered addresses with a VM bound or an emulated session.
+        # A packet held while its VM clones carries a view of the flow
+        # that already accounted it (observed exactly once); the flow may
+        # leave the table first, and its view then writes nothing.
+        self.addresses = AddressTable(flow_idle_timeout)
         self._tunnels: Dict[int, GreTunnel] = {}
         self._tunnel_links: Dict[int, Link] = {}
         self._tunnel_by_prefix: Dict[Prefix, int] = {}
@@ -285,8 +286,9 @@ class Gateway:
                 self._trace_dispatch("stray", packet)
             return
         record, created = self.flows.observe(packet, self.sim.now)
-
-        vm = self.vm_map.get(packet.dst)
+        addresses = self.addresses
+        row = addresses.index.get(packet.dst)
+        vm = None if row is None else addresses.vm[row]
         if vm is None and self.ladder is not None:
             # Cold address with the fidelity ladder attached: let the
             # emulator tier absorb the packet unless a trigger promotes
@@ -300,7 +302,8 @@ class Gateway:
                 for reply in verdict.replies:
                     self._emit_emulated_reply(reply)
                 return
-        self._dispatch_to_vm(packet, record, created, vm)
+            row = addresses.index[packet.dst]
+        self._dispatch_to_vm(packet, record, created, row, vm)
 
     def dispatch_batch(
         self, packets: List[Packet], start: int, end: int, now: float
@@ -354,37 +357,34 @@ class Gateway:
         packet: Packet,
         record: FlowRecord,
         created: bool,
+        row: Optional[int],
         vm: Optional[VirtualMachine],
     ) -> None:
         """The clone/queue/deliver tail of :meth:`process_inbound` (the
         packet has been flow-accounted and was not absorbed by the
-        emulator tier)."""
-        if vm is None:
+        emulator tier). ``row`` is the address's row, if it has one."""
+        addresses = self.addresses
+        spawned = vm is None
+        if spawned:
             vm = self.backend.spawn_vm(packet.dst)
             if vm is None:
                 self._c_no_capacity.increment()
                 if _obs.ACTIVE is not None:
                     self._trace_dispatch("no_capacity", packet)
+                if row is not None:
+                    # A promotion's handoff belongs to the clone it asked
+                    # for: refused, it is abandoned with it.
+                    self._let_go(row)
                 return
             self._c_clones_requested.increment()
-            self.bind_vm(packet.dst, vm)
-            if vm.state is not VMState.RUNNING:
-                # Normal case: the clone pipeline is in flight; hold the
-                # packet until vm_ready flushes it.
-                self._pending[packet.dst] = [(packet, record)]
-                self._c_queued_during_clone.increment()
-                if self.pending_timeout is not None:
-                    self._arm_pending_timer(packet.dst, vm)
-                if _obs.ACTIVE is not None:
-                    self._trace_dispatch("clone_requested", packet, vm_id=vm.vm_id)
-                return
+            row = addresses.bind(packet.dst, vm, self.sim.now)
         if vm.state is VMState.CLONING:
-            queue = self._pending.get(packet.dst)
-            if queue is None:
-                queue = self._pending[packet.dst] = []
-                if self.pending_timeout is not None:
-                    self._arm_pending_timer(packet.dst, vm)
-            if len(queue) >= self.max_pending_per_ip:
+            # The clone pipeline is in flight (a fresh clone's queue is
+            # empty): hold the packet until vm_ready flushes it. The
+            # first one held arms the watchdog, only with a
+            # ``pending_timeout`` (the default path schedules nothing).
+            queued = addresses.queued[row]
+            if queued >= MAX_PENDING_PER_IP:
                 self._c_pending_overflow.increment()
                 # The observe() above already accounted this packet on
                 # its flow record, but the packet never reaches a VM:
@@ -397,13 +397,19 @@ class Gateway:
                 if _obs.ACTIVE is not None:
                     self._trace_dispatch("overflow", packet, vm_id=vm.vm_id)
                 return
-            queue.append((packet, record))
+            if not queued and self.pending_timeout is not None:
+                addresses.timer[row] = self.sim.schedule(
+                    self.pending_timeout, self._pending_timed_out, packet.dst, vm.vm_id
+                )
+            addresses.queue(row, packet, record)
             self._c_queued_during_clone.increment()
             if _obs.ACTIVE is not None:
-                self._trace_dispatch("queued", packet, vm_id=vm.vm_id)
+                self._trace_dispatch(
+                    "clone_requested" if spawned else "queued", packet, vm_id=vm.vm_id
+                )
             return
         if vm.state is not VMState.RUNNING:
-            # Momentary window between reclamation and map cleanup.
+            # Momentary window between reclamation and unbinding.
             self._c_vm_not_running.increment()
             if _obs.ACTIVE is not None:
                 self._trace_dispatch("vm_not_running", packet, vm_id=vm.vm_id)
@@ -427,18 +433,8 @@ class Gateway:
         )
 
     # ------------------------------------------------------------------ #
-    # Pending-queue watchdog (armed only when pending_timeout is set)
+    # Queued packets and their watchdog
     # ------------------------------------------------------------------ #
-
-    def _arm_pending_timer(self, ip: int, vm: VirtualMachine) -> None:
-        self._pending_timers[ip] = self.sim.schedule(
-            self.pending_timeout, self._pending_timed_out, ip, vm.vm_id
-        )
-
-    def _cancel_pending_timer(self, ip: int) -> None:
-        timer = self._pending_timers.pop(ip, None)
-        if timer is not None:
-            timer.cancel()
 
     def _pending_timed_out(self, ip: int, vm_id: int) -> None:
         """The clone a queue was waiting on never delivered; give up.
@@ -448,66 +444,59 @@ class Gateway:
         next packet for it dispatches a fresh clone instead of queueing
         behind a corpse forever.
         """
-        self._pending_timers.pop(ip, None)
-        queued = self._pending.pop(ip, None)
-        if queued:
-            self._c_pending_dropped["timeout"].increment(len(queued))
-            if _obs.ACTIVE is not None:
-                _obs.ACTIVE.emit(
-                    self.sim.now, "gateway", "pending_dropped",
-                    cause="timeout", ip=dotted(ip), count=len(queued),
-                )
-        current = self.vm_map.get(ip)
-        if (
-            current is not None
-            and current.vm_id == vm_id
-            and current.state is not VMState.RUNNING
-        ):
-            self.bind_vm(ip, None)
+        addresses = self.addresses
+        row = addresses.index[ip]
+        addresses.timer[row] = None
+        self._drop_queued(row, "timeout")
+        if addresses.vm[row].vm_id == vm_id and addresses.state[row] == CLONING:
+            self._let_go(row)
 
-    def _drop_pending(self, ip: int, cause: str) -> None:
-        self._cancel_pending_timer(ip)
-        queued = self._pending.pop(ip, None)
-        if queued:
-            self._c_pending_dropped[cause].increment(len(queued))
-            if _obs.ACTIVE is not None:
-                _obs.ACTIVE.emit(
-                    self.sim.now, "gateway", "pending_dropped",
-                    cause=cause, ip=dotted(ip), count=len(queued),
-                )
+    def _drop_queued(self, row: int, cause: str) -> None:
+        """Drop the packets queued on ``row``'s chain (there are some)."""
+        dropped = len(self.addresses.take_queued(row))
+        self._c_pending_dropped[cause].increment(dropped)
+        if _obs.ACTIVE is not None:
+            _obs.ACTIVE.emit(
+                self.sim.now, "gateway", "pending_dropped",
+                cause=cause, ip=dotted(self.addresses.keys[row]), count=dropped,
+            )
 
     # ------------------------------------------------------------------ #
     # VM lifecycle notifications from the backend
     # ------------------------------------------------------------------ #
 
-    def bind_vm(self, ip: int, vm: Optional[VirtualMachine]) -> None:
-        """Point ``ip`` at ``vm``, or at nothing (``None``): the only
-        writer of ``vm_map``.
+    def vm_at(self, ip: int) -> Optional[VirtualMachine]:
+        """The VM bound at ``ip``, cloning or running, or None."""
+        row = self.addresses.index.get(ip)
+        return None if row is None else self.addresses.vm[row]
 
-        The ladder hears of a binding, which outdates every span verdict
-        resolved at the address. Unbinding outdates nothing: the span
-        lane resolves no flow to a VM-backed address."""
-        if vm is None:
-            del self.vm_map[ip]
-            return
-        self.vm_map[ip] = vm
+    def _let_go(self, row: int) -> None:
+        """Unbind ``row``'s VM, or its refused clone: a handoff waiting
+        for it is abandoned."""
         if self.ladder is not None:
-            self.ladder.vm_bound(ip)
+            self.ladder.abandon_handoff(row)
+        self.addresses.unbind(row)
 
     def vm_ready(self, vm: VirtualMachine) -> None:
-        """Flush packets queued while ``vm`` was cloning.
+        """Hand ``vm`` the chain its address held while it cloned: a
+        promotion's replay window, then the queued packets in arrival
+        order.
 
         Each queued packet was already observed by the flow table when it
         arrived; the flush reuses that record rather than observing again
         (which would double-count the packet's flow statistics).
         """
-        self._cancel_pending_timer(vm.ip)
-        if self.ladder is not None:
+        addresses = self.addresses
+        row = addresses.index.get(vm.ip)
+        if row is None or addresses.vm[row] is not vm:
+            return
+        addresses.state[row] = RUNNING
+        queued = addresses.take_queued(row)
+        if addresses.trigger[row]:
             # Replay the emulated prefix of the conversation first, so
             # the queued live packets land on a guest whose state already
             # reflects everything the attacker has seen.
-            self._replay_handoff(vm)
-        queued = self._pending.pop(vm.ip, [])
+            self._replay_handoff(vm, row)
         recorder = _obs.ACTIVE
         for index, (packet, record) in enumerate(queued):
             if vm.state is not VMState.RUNNING:
@@ -530,8 +519,8 @@ class Gateway:
                 )
             self.backend.deliver(vm, packet)
 
-    def _replay_handoff(self, vm: VirtualMachine) -> None:
-        """Replay a promotion's buffered packets into the fresh VM.
+    def _replay_handoff(self, vm: VirtualMachine, row: int) -> None:
+        """Replay a promotion's replay window into the fresh VM.
 
         Replies are suppressed (``deliver_replay``): the emulator already
         answered these packets byte-identically, so re-emitting would
@@ -539,16 +528,14 @@ class Gateway:
         under ``ladder.handoff_packets_replayed`` — each packet was
         already counted once, under ``gateway.emulated``, when absorbed.
         """
-        handoff = self.ladder.take_handoff(vm.ip)
-        if handoff is None:
-            return
+        packets, trigger, promoted_at = self.ladder.take_handoff(row)
         replayed = 0
-        for packet in handoff.buffered:
+        for packet in packets:
             if vm.state is not VMState.RUNNING:
                 break
             self.backend.deliver_replay(vm, packet)
             replayed += 1
-        self.ladder.handoff_complete(handoff, replayed, vm.vm_id, self.sim.now)
+        self.ladder.handoff_complete(vm, trigger, promoted_at, replayed)
 
     def vm_retired(self, vm: VirtualMachine, pending_cause: str = "vm_retired") -> None:
         """Drop all state bound to a reclaimed/detained/crashed VM.
@@ -557,14 +544,17 @@ class Gateway:
         passes ``host_down`` when the VM's host crashed, ``clone_failed``
         when the clone pipeline failed).
         """
-        current = self.vm_map.get(vm.ip)
-        if current is not None and current.vm_id == vm.vm_id:
-            self.bind_vm(vm.ip, None)
-        self._drop_pending(vm.ip, pending_cause)
+        row = self.addresses.index.get(vm.ip)
+        if row is not None and self.addresses.vm[row] is not vm:
+            row = None  # the address is another VM's by now
+        if row is not None and self.addresses.queued[row]:
+            self._drop_queued(row, pending_cause)
         self.flows.drop_vm(vm.vm_id)
         self.nat.forget_vm(vm.ip)
         if self.ladder is not None:
-            self.ladder.vm_retired(vm.ip, pending_cause)
+            self.ladder.vm_retired(vm.ip, pending_cause, row)
+        if row is not None:
+            self.addresses.unbind(row)
 
     # ------------------------------------------------------------------ #
     # Outbound path (honeypot -> anywhere)
@@ -714,7 +704,7 @@ class Gateway:
             )
         generation = -1
         if not reply:
-            src_vm = self.vm_map.get(packet.src)
+            src_vm = self.vm_at(packet.src)
             if (
                 src_vm is not None
                 and src_vm.guest is not None
@@ -843,13 +833,10 @@ class Gateway:
         return dict(self._tunnel_links)
 
     @property
-    def live_vm_count(self) -> int:
-        return len(self.vm_map)
-
-    @property
     def pending_packet_count(self) -> int:
-        """Packets currently held in pending queues (reconciliation)."""
-        return sum(len(queue) for queue in self._pending.values())
+        """Packets currently queued for cloning VMs (reconciliation)."""
+        queued = self.addresses.queued
+        return sum(queued[row] for row in self.addresses.index.values())
 
     def pending_dropped_total(self) -> int:
         """Sum of pending-queue drops across every cause."""
@@ -857,6 +844,6 @@ class Gateway:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Gateway vms={len(self.vm_map)} flows={len(self.flows)}"
+            f"<Gateway addresses={len(self.addresses)} flows={len(self.flows)}"
             f" policy={self.policy.name}>"
         )

@@ -155,8 +155,8 @@ class Honeyfarm:
                 config=self.config,
                 registry=self.personalities,
                 inventory=self.inventory,
+                sessions=self.gateway.addresses,
                 metrics=self.metrics,
-                session_idle_timeout=self.config.flow_idle_timeout_seconds,
             )
             self.gateway.ladder = self.ladder
         else:
@@ -454,7 +454,7 @@ class Honeyfarm:
         federation shards are not in the local VM map; their generation
         travels on the inter-shard message and is looked up from the
         gateway's per-source record instead."""
-        source_vm = self.gateway.vm_map.get(packet.src)
+        source_vm = self.gateway.vm_at(packet.src)
         if source_vm is None or source_vm.guest is None:
             remote = self.gateway.remote_generations.get(packet.src)
             if remote is not None:
@@ -660,7 +660,7 @@ class Honeyfarm:
         """Crash ``host`` now and run the farm's self-healing reaction.
 
         Every resident VM is destroyed; the gateway state bound to each
-        (address map, pending queues — dropped under the ``host_down``
+        (address row, queued packets — dropped under the ``host_down``
         cause — flows, NAT entries) is unwound; the addresses the host
         was serving are re-spawned on surviving hosts under capped
         exponential backoff; and the warm pool tops back up on the
@@ -740,7 +740,7 @@ class Honeyfarm:
         self.sim.schedule(delay, self._attempt_respawn, ip, attempt)
 
     def _attempt_respawn(self, ip: int, attempt: int) -> None:
-        if self.gateway.vm_map.get(ip) is not None:
+        if self.gateway.vm_at(ip) is not None:
             # A fresh packet already re-spawned this address naturally.
             return
         vm = self.spawn_vm(ip)
@@ -751,7 +751,7 @@ class Honeyfarm:
             else:
                 self.metrics.counter("farm.respawns_abandoned").increment()
             return
-        self.gateway.bind_vm(ip, vm)
+        self.gateway.addresses.bind(ip, vm, self.sim.now)
         self.metrics.counter("farm.respawns").increment()
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(

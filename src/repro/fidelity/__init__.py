@@ -7,8 +7,8 @@ packets from a lightweight protocol emulator (personality-faithful,
 SIPHON/Cowrie class) and *promotes* a flow to a real flash clone only
 when the promotion rule decides the conversation got interesting — a
 vulnerability probe, enough payload, enough protocol depth. A handoff
-record replays the emulated prefix of the conversation into the fresh
-VM so the attacker sees one continuous session.
+replays the emulated prefix of the conversation into the fresh VM so
+the attacker sees one continuous session.
 
 See ``docs/FIDELITY.md`` for the design and the ablation.
 """
@@ -19,7 +19,6 @@ from repro.fidelity.emulator import (
     FlowProgress,
     emulator_replies,
 )
-from repro.fidelity.handoff import HandoffRecord
 from repro.fidelity.ladder import FidelityLadder, LadderVerdict
 from repro.fidelity.triggers import (
     PROMOTE_PAYLOAD_BYTES,
@@ -34,7 +33,6 @@ __all__ = [
     "EmulatedSession",
     "FidelityLadder",
     "FlowProgress",
-    "HandoffRecord",
     "LadderVerdict",
     "PROMOTE_PAYLOAD_BYTES",
     "PROMOTE_STATE_DEPTH",

@@ -12,20 +12,22 @@ world-matrix equivalence oracle and ``tests/test_fidelity.py`` still
 check it packet by packet. Exploit packets that would actually infect
 the guest must be promoted *before* it is called.
 
-:class:`AddressTable` holds the per-address state the stateless reply
-function does not need but the promotion engine does, one row per
-emulated address: per-flow exchange depth and payload-byte
-accumulation, the negotiated banner, and the bounded chain of absorbed
-packets that becomes the handoff replay. :class:`EmulatedSession` is a
-view of one row.
+:class:`AddressTable` is the gateway's one table of covered addresses,
+a row each: the VM bound there, if any, and what the stateless reply
+function does not need but the promotion engine does — per-flow
+exchange depth and payload bytes, the negotiated banner, and the bounded
+chain of absorbed packets that becomes the handoff replay, with the
+packets queued for a cloning VM held on top. :class:`EmulatedSession`
+is a view of one row.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import count
 from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.net.flow import FiveTuple, packet_flow_key
+from repro.net.flow import FiveTuple, FlowRecord, packet_flow_key
 from repro.net.packet import PROTO_TCP, PROTO_UDP, Packet
 from repro.services.guest import BANNER_PREFIX, _is_response_payload
 from repro.services.guest import service_replies as emulator_replies
@@ -34,10 +36,11 @@ from repro.sim.rows import RowTable
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.sim.batch import PacketColumns
+    from repro.vmm.vm import VirtualMachine
 
 __all__ = [
-    "FRESH_FLOW", "MAX_HANDOFF_PACKETS", "AddressTable", "EmulatedSession",
-    "FlowProgress", "emulator_replies",
+    "CLONING", "EMULATED", "FRESH_FLOW", "MAX_HANDOFF_PACKETS", "RUNNING",
+    "AddressTable", "EmulatedSession", "FlowProgress", "emulator_replies",
 ]
 
 
@@ -60,12 +63,24 @@ class FlowProgress(NamedTuple):
 FRESH_FLOW = FlowProgress(0, 0)
 
 
-#: Bound on an address's handoff chain: the packets a promotion carries
-#: into the VM, the most recent first kept.
+#: Bound on an address's replay window: the absorbed packets a promotion
+#: carries into the VM, the most recent kept.
 MAX_HANDOFF_PACKETS = 64
 #: Fresh flows an address's ``flows`` lists as a tuple of keys; one more
 #: and it becomes a dict.
 _FRESH_KEYS = 8
+#: A row's ``state``: no VM is bound at the address.
+EMULATED = 0
+#: A VM is bound and not yet handed its chain (the gateway's ``vm_ready``).
+CLONING = 1
+#: A VM is bound and has been handed its chain.
+RUNNING = 2
+#: Where the place of a queued packet on a chain starts: the absorbed
+#: packets' places count up from 0, so the two never meet.
+_QUEUED = 1 << 31
+#: Session stamps, unique in the process: a verdict one table's span
+#: lane wrote is never trusted under another.
+_stamps = count(1)
 
 
 def _fresh_keys(flows: tuple) -> Tuple[FiveTuple, ...]:
@@ -74,23 +89,33 @@ def _fresh_keys(flows: tuple) -> Tuple[FiveTuple, ...]:
 
 
 class AddressTable(RowTable, Mapping):
-    """The emulator tier's live addresses as rows, keyed by address
-    value: ``ladder.sessions``. As a mapping it yields an
+    """The gateway's covered addresses as rows, keyed by address value
+    (``gateway.addresses``; with the fidelity ladder on, also
+    ``ladder.sessions``): one row per address an emulated session
+    serves or a VM is bound to. As a mapping it yields an
     :class:`EmulatedSession` view per address.
 
     Columns (rows, serials and creation-bucket expiry are
     :class:`~repro.sim.rows.RowTable`'s):
 
-    * ``stamp`` names the session, as it stands, to the span lane's
-      verdicts (:mod:`repro.fidelity.span`): a unique int the ladder
-      draws when it opens the row and draws afresh when the gateway
-      binds a VM over the address or a new span lane starts. A flow
-      row's verdict carries the stamp it was resolved against and holds
-      only while the address's live row still bears it; a dropped row
-      takes its stamp with it. A row opened outside a ladder has stamp 0.
-    * ``created_at``, ``last_seen`` (expiry reads it), ``absorbed`` (the
-      packets the emulator answered), ``payload_bytes`` (their
-      application payload), ``banner`` (the last one served, or None).
+    * ``state``: ``EMULATED`` while no VM is bound, ``CLONING`` from the
+      bind until the VM is handed its chain, ``RUNNING`` after. ``vm`` is
+      the bound VM, and ``timer`` the gateway's watchdog over the
+      packets queued for it (only with a ``pending_timeout``).
+    * ``stamp`` names the row's emulated session, as it stands, to the
+      span lane's verdicts (:mod:`repro.fidelity.span`): a unique nonzero
+      int drawn when the session opens, and drawn afresh when a VM is
+      bound over it (a respawn; the session lives on unconsulted until
+      it expires or the VM goes) or a new span lane starts. A row that
+      holds no session has stamp 0, which no verdict carries. A flow
+      row's verdict holds only while the address's live row still bears
+      its stamp, so a promotion or a bound VM outdates it.
+    * ``since`` (when the session opened; once promoted, when the
+      promotion was; for a VM bound to a cold address, the bind),
+      ``last_seen`` (expiry reads it), ``absorbed`` (the packets the
+      emulator answered), ``banner`` (the last one served, or None),
+      ``trigger`` (a promoted row's, as its index in ``TRIGGER_NAMES``
+      from 1; 0 while none).
     * ``personality``, only when the table has no sole ``personality``
       every address answers as.
     * ``flows``: the address's flows, each with its
@@ -100,65 +125,128 @@ class AddressTable(RowTable, Mapping):
       up to ``_FRESH_KEYS`` keys, all while no flow has made progress;
       from the first exchange, or past ``_FRESH_KEYS`` flows, a dict
       key -> progress.
-    * ``head`` and ``chained``: the handoff chain. Every absorbed packet
-      is linked in, newest at ``head``; a link ``>= 0`` is a row of the
-      trace attachment ``chained`` (the span lane's arrivals, no object
-      each), whose ``prev`` column names the link before it, and a link
-      ``< 0`` is a packet the per-packet lane held, in ``held`` with the
-      link before it. The chain's live part is its newest
-      ``min(absorbed, MAX_HANDOFF_PACKETS)`` links, so ``absorbed``
-      doubles as the count and nothing is evicted per packet: only a held
-      packet leaving that window is let go, found by its link, which
-      names the session and the packet's place in it (``holding``
-      counts, per row with any, the held links in its window).
+    * ``head``, ``chained`` and ``queued``: the chain. Every absorbed
+      packet is linked in, newest at ``head``; a link ``>= 0`` is a row
+      of the trace attachment ``chained`` (the span lane's arrivals, no
+      object each), whose ``prev`` column names the link before it, and
+      a link ``< 0`` is a packet the per-packet lane held, in ``held``
+      with the link before it. The replay window is the newest
+      ``min(absorbed, MAX_HANDOFF_PACKETS)`` absorbed links, so
+      ``absorbed`` doubles as their count and nothing is evicted per
+      packet: only a held packet leaving the window is let go, found by
+      its link, which names the row and the packet's place on the chain.
+      A packet that arrives while the row's VM clones is held on top,
+      with the :class:`~repro.net.flow.FlowRecord` view it was observed
+      under; ``queued`` counts them (a row is freed only once they are
+      taken). ``holding`` counts, per row with any, the held links of its
+      replay window.
     """
 
     COLUMNS = {
-        "last_seen": "d", "serial": "q", "created_at": "d", "stamp": "q",
-        "absorbed": "q", "payload_bytes": "q", "head": "q",
+        "last_seen": "d", "serial": "q", "since": "d", "stamp": "q",
+        "absorbed": "q", "head": "q", "queued": "h", "state": "b", "trigger": "b",
     }
-    OBJECT_COLUMNS = ("keys", "flows", "banner", "chained")
+    OBJECT_COLUMNS = ("keys", "flows", "banner", "chained", "vm", "timer")
 
     def __init__(
         self, idle_timeout: float = 60.0, personality: Optional[Personality] = None
     ) -> None:
+        super().__init__(idle_timeout)
+        self.sole = personality
+        self.held: Dict[int, tuple] = {}
+        self.holding: Dict[int, int] = {}
+
+    def answer_as(self, personality: Optional[Personality]) -> None:
+        """Every address answers as ``personality``, or, when None, as
+        its own, kept in a ``personality`` column: set before the first
+        row opens (the column has no capacity until then)."""
         self.sole = personality
         if personality is None:
-            self.OBJECT_COLUMNS = AddressTable.OBJECT_COLUMNS + ("personality",)
-        super().__init__(idle_timeout)
-        self.held: Dict[int, Tuple[Packet, int]] = {}
-        self.holding: Dict[int, int] = {}
+            self.OBJECT_COLUMNS += ("personality",)
+            self.personality: List[Optional[Personality]] = []
+            self._lists.append(self.personality)
 
     # ------------------------------------------------------------------ #
     # Rows
     # ------------------------------------------------------------------ #
 
     def open(
-        self, value: int, now: float, stamp: int = 0,
-        personality: Optional[Personality] = None,
+        self, value: int, now: float, personality: Optional[Personality] = None
     ) -> int:
-        """A new row for the address of value ``value``, answering as
-        ``personality`` (the table's sole one when it has it)."""
+        """A new session row for the address of value ``value``, answering
+        as ``personality`` (the table's sole one when it has it)."""
         row = self._open(value, now)
-        self.created_at[row] = now
-        self.stamp[row] = stamp
-        self.absorbed[row] = 0
-        self.payload_bytes[row] = 0
+        self.since[row] = now
+        self.stamp[row] = next(_stamps)
+        self.absorbed[row] = self.queued[row] = self.trigger[row] = 0
+        self.state[row] = EMULATED
         if self.sole is None:
             self.personality[row] = personality
         return row
 
-    def drop(self, value: int) -> None:
-        """Forget the address of value ``value``."""
-        self._free_row(self.index[value])
-        self._release_if_empty()
+    def promote(self, row: int, trigger: int, now: float) -> None:
+        """``row``'s session ends in a promotion by ``trigger`` (its
+        code): what it absorbed waits on the chain, as the replay window,
+        for the clone."""
+        self.stamp[row] = 0
+        self.since[row] = now
+        self.trigger[row] = trigger
+        self.flows[row] = self.banner[row] = None
+
+    def bind(self, value: int, vm: "VirtualMachine", now: float) -> int:
+        """Bind ``vm`` at the address of value ``value``; returns its row,
+        opened if it has none (one that never expires: only the VM's
+        going frees it)."""
+        row = self.index.get(value)
+        if row is None:
+            row = self._open(value, now, expires=False)
+            self.since[row] = now
+            self.stamp[row] = self.absorbed[row] = self.queued[row] = self.trigger[row] = 0
+        elif self.stamp[row]:
+            self.stamp[row] = next(_stamps)
+        self.state[row] = CLONING
+        self.vm[row] = vm
+        return row
+
+    def unbind(self, row: int) -> None:
+        """``row``'s VM goes, with nothing left queued for it: a session
+        it was bound over answers again, else the row is freed."""
+        self.vm[row] = None
+        if self.stamp[row]:
+            self.state[row] = EMULATED
+        else:
+            self._free_rows((row,))
+            if not self.index:
+                self._release_if_empty()
+
+    def restamp(self) -> None:
+        """Give every live session a new stamp: a new span lane trusts no
+        verdict an earlier one wrote."""
+        for row in self.index.values():
+            if self.stamp[row]:
+                self.stamp[row] = next(_stamps)
+
+    def _expire(self, rows: List[int]) -> List[int]:
+        """Idle sessions expire: a row with a VM bound over its session
+        keeps the VM, and a row with no session (promoted, or bound cold)
+        does not expire. Returns the addresses whose session expired."""
+        stamps, vms = self.stamp, self.vm
+        sessions = [row for row in rows if stamps[row]]
+        keys = [self.keys[row] for row in sessions]
+        self._free_rows([row for row in sessions if vms[row] is None])
+        for row in sessions:
+            if vms[row] is not None:
+                self.drop_replay(row)
+                stamps[row] = 0
+                self.flows[row] = self.banner[row] = None
+        return keys
 
     def _free_rows(self, rows: Sequence[int]) -> None:
         holding = self.holding
         if holding:
             for row in rows:
                 if row in holding:
-                    self._release_held(row)
+                    self._drop_window(row)
         super()._free_rows(rows)
 
     def _release_if_empty(self) -> None:
@@ -167,10 +255,6 @@ class AddressTable(RowTable, Mapping):
             # Empty already; this lets go of their capacity.
             self.held.clear()
             self.holding.clear()
-
-    def session(self, row: int) -> "EmulatedSession":
-        """A view of the live ``row``."""
-        return EmulatedSession(self, row)
 
     def personality_of(self, row: int) -> Personality:
         return self.sole if self.sole is not None else self.personality[row]
@@ -227,7 +311,7 @@ class AddressTable(RowTable, Mapping):
         return dict(flows)
 
     # ------------------------------------------------------------------ #
-    # The handoff chain
+    # The chain
     # ------------------------------------------------------------------ #
 
     def hold(self, row: int, packet: Packet) -> None:
@@ -252,40 +336,78 @@ class AddressTable(RowTable, Mapping):
         self.head[row] = i
         self.absorbed[row] = seq + 1
 
+    def queue(self, row: int, packet: Packet, record: FlowRecord) -> None:
+        """Hold ``packet``, which arrived while ``row``'s VM clones, on
+        top of the chain, with the flow view it was observed under."""
+        n = self.queued[row]
+        link = self._held_link(row, _QUEUED + n)
+        self.held[link] = (packet, self.head[row], record)
+        self.head[row] = link
+        self.queued[row] = n + 1
+
+    def take_queued(self, row: int) -> List[Tuple[Packet, FlowRecord]]:
+        """The packets queued on ``row``'s chain, oldest first, taken off
+        it with their flow views; their watchdog, if any, is stopped."""
+        timer = self.timer[row]
+        if timer is not None:
+            timer.cancel()
+            self.timer[row] = None
+        n = self.queued[row]
+        if not n:
+            return []
+        held = self.held
+        taken = [held.pop(self._held_link(row, _QUEUED + i)) for i in range(n)]
+        self.head[row] = taken[0][1]
+        self.queued[row] = 0
+        return [(packet, record) for packet, __, record in taken]
+
+    def drop_replay(self, row: int) -> None:
+        """Let go of ``row``'s replay window, and of its trigger."""
+        self._drop_window(row)
+        self.absorbed[row] = self.trigger[row] = 0
+        self.chained[row] = None
+
+    def _drop_window(self, row: int) -> None:
+        """Let go of the packets ``row`` holds in its replay window."""
+        absorbed = self.absorbed[row]
+        self._release(row, range(max(0, absorbed - MAX_HANDOFF_PACKETS), absorbed))
+
+    def _release(self, row: int, seqs: Sequence[int]) -> None:
+        """Let go of the packets ``row`` holds at places ``seqs`` on its
+        chain, if it holds them."""
+        held = self.held
+        taken = [held.pop(self._held_link(row, seq), None) for seq in seqs]
+        released = len(taken) - taken.count(None)
+        if released:
+            left = self.holding[row] - released
+            if left:
+                self.holding[row] = left
+            else:
+                del self.holding[row]
+
     def _held_link(self, row: int, seq: int) -> int:
-        """The link of the packet ``row``'s session held as its
-        ``seq``-th absorbed (from 0): negative, and unique to the session
-        (its row serial) and ``seq``, so the packet a full window pushes
-        out is found by key rather than by a walk."""
+        """The link of the packet ``row`` holds at place ``seq`` on its
+        chain: negative, and unique to the row (its serial) and ``seq``,
+        so the packet a full window pushes out is found by key rather
+        than by a walk."""
         return -1 - (self.serial[row] << 32 | seq)
 
     def _make_room(self, row: int, seq: int) -> None:
         """Before link ``seq`` joins ``row``'s chain: let go of the packet
         it pushes out of a full window, if that one is held."""
         if seq >= MAX_HANDOFF_PACKETS and row in self.holding:
-            if self.held.pop(self._held_link(row, seq - MAX_HANDOFF_PACKETS), None):
-                left = self.holding[row] - 1
-                if left:
-                    self.holding[row] = left
-                else:
-                    del self.holding[row]
-
-    def _release_held(self, row: int) -> None:
-        """Let go of every held packet in ``row``'s window."""
-        held = self.held
-        absorbed = self.absorbed[row]
-        for seq in range(max(0, absorbed - MAX_HANDOFF_PACKETS), absorbed):
-            held.pop(self._held_link(row, seq), None)
-        del self.holding[row]
+            self._release(row, (seq - MAX_HANDOFF_PACKETS,))
 
     def _window(self, row: int) -> List[int]:
-        """The live part of ``row``'s chain, newest link first."""
+        """The replay window of ``row``'s chain, newest link first."""
         size = min(self.absorbed[row], MAX_HANDOFF_PACKETS)
         if not size:
             return []
         held = self.held
         columns = self.chained[row]
         link = self.head[row]
+        for __ in range(self.queued[row]):
+            link = held[link][1]
         links = [link]
         for __ in range(size - 1):
             link = held[link][1] if link < 0 else columns.prev[link]
@@ -300,8 +422,7 @@ class AddressTable(RowTable, Mapping):
             link >= 0 for link in self._window(row)
         ):
             packets = self.buffered_packets(row)
-            if row in self.holding:
-                self._release_held(row)
+            self._drop_window(row)
             head = 0
             first = self.absorbed[row] - len(packets)
             for seq, packet in enumerate(packets, first):
@@ -313,8 +434,8 @@ class AddressTable(RowTable, Mapping):
         self.chained[row] = columns
 
     def buffered_packets(self, row: int) -> List[Packet]:
-        """``row``'s handoff chain as packets, oldest first, for a caller
-        that hands them on (a promotion, :meth:`_index_into`): a trace
+        """``row``'s replay window as packets, oldest first, for a caller
+        that hands them on (a VM's handoff, :meth:`_index_into`): a trace
         row's is taken out of its attachment's packet cache."""
         links = self._window(row)
         links.reverse()
@@ -332,7 +453,7 @@ class AddressTable(RowTable, Mapping):
 class EmulatedSession:
     """A view of one address's row of an :class:`AddressTable`, as the
     per-packet lane handles it: ``(table, row, serial)``. Once the row is
-    freed (the address promoted or expired) the view is detached and
+    freed (its session expired, or its VM went) the view is detached and
     reading through it raises :class:`LookupError`."""
 
     __slots__ = ("table", "row", "serial")
@@ -353,7 +474,7 @@ class EmulatedSession:
 
     @property
     def created_at(self) -> float:
-        return self.table.created_at[self._live_row()]
+        return self.table.since[self._live_row()]
 
     @property
     def last_seen(self) -> float:
@@ -364,18 +485,9 @@ class EmulatedSession:
         return self.table.absorbed[self._live_row()]
 
     @property
-    def payload_bytes_total(self) -> int:
-        return self.table.payload_bytes[self._live_row()]
-
-    @property
     def buffered_count(self) -> int:
-        """Packets in the handoff chain's live part."""
+        """Packets in the replay window."""
         return min(self.packets_absorbed, MAX_HANDOFF_PACKETS)
-
-    @property
-    def buffer_dropped(self) -> int:
-        """Absorbed packets that fell off the handoff chain's live part."""
-        return self.packets_absorbed - self.buffered_count
 
     @property
     def banner(self) -> Optional[str]:
@@ -385,15 +497,6 @@ class EmulatedSession:
     def flows(self) -> Dict[FiveTuple, FlowProgress]:
         """A copy: flow key -> progress."""
         return self.table.flows_of(self._live_row())
-
-    def flow_state(self, key: FiveTuple) -> Tuple[FlowProgress, bool]:
-        """The progress of flow ``key`` inside this session, opened on
-        first sight; returns ``(progress, flow_created)``."""
-        return self.table.flow_state(self._live_row(), key)
-
-    def buffered_packets(self) -> List[Packet]:
-        """The handoff chain as packets (:meth:`AddressTable.buffered_packets`)."""
-        return self.table.buffered_packets(self._live_row())
 
     def note(self, packet: Packet, now: float) -> Tuple[FlowProgress, bool]:
         """Account ``packet`` against its flow's progress (opening it on
@@ -410,10 +513,10 @@ class EmulatedSession:
             and packet.payload
             and not _is_response_payload(packet.payload)
         ):
-            size = len(packet.payload)
-            state = FlowProgress(state.exchanges + 1, state.payload_bytes + size)
+            state = FlowProgress(
+                state.exchanges + 1, state.payload_bytes + len(packet.payload)
+            )
             table.advance(row, key, state)
-            table.payload_bytes[row] += size
         return state, created
 
     def emulate(self, packet: Packet) -> List[Packet]:

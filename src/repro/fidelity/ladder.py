@@ -8,12 +8,16 @@ and the ladder either absorbs the packet into an emulated session
 case the gateway falls through to its normal flash-clone dispatch with
 the triggering packet queued for the new VM.
 
-Sessions are rows of an :class:`~repro.fidelity.emulator.AddressTable`
-(``sessions``), and pending handoffs a dict, both keyed by the address,
-a plain int like every address inside the farm. An address the emulator
-tier serves costs a row of typed columns, not objects; the per-packet
-lane handles it through an :class:`~repro.fidelity.emulator.EmulatedSession`
-view.
+Sessions are rows of the gateway's
+:class:`~repro.fidelity.emulator.AddressTable` (``sessions``, the same
+table as ``gateway.addresses``), keyed by the address, a plain int like
+every address inside the farm. An address the emulator tier serves costs
+a row of typed columns, not objects; the per-packet lane handles it
+through an :class:`~repro.fidelity.emulator.EmulatedSession` view. A
+promotion keeps the row: the session's replay window waits on its chain
+for the clone the promotion requested, and is either handed to that VM
+when it is ready (:meth:`FidelityLadder.take_handoff`) or abandoned with
+the clone (refused, failed, timed out or retired).
 
 Accounting contract (see ``docs/FIDELITY.md``): packets absorbed by the
 emulator are counted under ``gateway.emulated`` — a first-class bucket
@@ -26,25 +30,22 @@ so no packet is ever accounted twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.config import HoneyfarmConfig
 from repro.fidelity.emulator import MAX_HANDOFF_PACKETS, AddressTable, EmulatedSession
-from repro.fidelity.handoff import HandoffRecord
 from repro.fidelity.triggers import TRIGGER_NAMES, promotion_trigger
 from repro.net.addr import AddressSpaceInventory, dotted
 from repro.net.packet import Packet
 from repro.obs import recorder as _obs
-from repro.services.personality import Personality, PersonalityRegistry
+from repro.services.personality import PersonalityRegistry
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricRegistry
 
-__all__ = ["FidelityLadder", "LadderVerdict"]
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.vmm.vm import VirtualMachine
 
-#: Session stamps (:class:`AddressTable`), unique in the process: a
-#: verdict one ladder's span lane wrote is never trusted under another.
-_stamps = count(1)
+__all__ = ["FidelityLadder", "LadderVerdict"]
 
 
 @dataclass
@@ -59,18 +60,14 @@ class LadderVerdict:
 class FidelityLadder:
     """See module docstring."""
 
-    #: Bound on the per-session replay buffer carried into a promoted VM;
-    #: the oldest absorbed packets are evicted first.
-    MAX_HANDOFF_PACKETS = MAX_HANDOFF_PACKETS
-
     def __init__(
         self,
         sim: Simulator,
         config: HoneyfarmConfig,
         registry: PersonalityRegistry,
         inventory: AddressSpaceInventory,
+        sessions: AddressTable,
         metrics: Optional[MetricRegistry] = None,
-        session_idle_timeout: float = 60.0,
     ) -> None:
         self.sim = sim
         self.config = config
@@ -88,10 +85,11 @@ class FidelityLadder:
             and not config.deception.enabled
         ):
             sole = registry.get(config.personality_for(prefixes[0]))
-        #: Live sessions and pending handoffs, by address value. A session
-        #: expires ``session_idle_timeout`` after its last packet.
-        self.sessions = AddressTable(session_idle_timeout, sole)
-        self.handoffs: Dict[int, HandoffRecord] = {}
+        #: The gateway's address table, whose rows with a session stamp
+        #: are the live sessions. A session expires the table's
+        #: ``idle_timeout`` after its last packet.
+        self.sessions = sessions
+        sessions.answer_as(sole)
         handle = self.metrics.handle
         self._c_sessions_started = handle("ladder.sessions_started")
         self._c_sessions_expired = handle("ladder.sessions_expired")
@@ -114,7 +112,7 @@ class FidelityLadder:
     def consider(self, packet: Packet, now: float) -> LadderVerdict:
         """Absorb ``packet`` into the emulator tier, or promote its flow."""
         row = self.session_row(packet.dst, now)
-        session = self.sessions.session(row)
+        session = EmulatedSession(self.sessions, row)
         state, flow_created = session.note(packet, now)
         if flow_created:
             self._c_flows_seen.increment()
@@ -122,7 +120,7 @@ class FidelityLadder:
             self.registry.catalog, session.personality, state, packet
         )
         if trigger is not None:
-            self._promote(packet.dst, session, trigger, now)
+            self._promote(row, trigger, now)
             return LadderVerdict(promoted=True, trigger=trigger)
         replies = session.emulate(packet)
         if self.sessions.absorbed[row] > MAX_HANDOFF_PACKETS:
@@ -131,113 +129,89 @@ class FidelityLadder:
             self._c_buffer_dropped.increment()
         return LadderVerdict(promoted=False, replies=replies)
 
-    def personality_at(self, value: int) -> Personality:
-        """The personality the cold address of value ``value`` answers
-        as."""
-        personality = self.sessions.sole
-        if personality is None:
-            personality = self.registry.get(
-                self.config.personality_for_address(self.inventory.lookup(value), value)
-            )
-        return personality
-
     def session_row(self, value: int, now: float) -> int:
         """The row of the emulated session serving the address of value
-        ``value``, opened at ``now`` if the address has none."""
+        ``value``, opened at ``now`` if the address has none: the one
+        place a cold address is given the personality it answers as."""
         sessions = self.sessions
         row = sessions.index.get(value)
         if row is None:
-            row = sessions.open(value, now, next(_stamps), self.personality_at(value))
+            personality = sessions.sole or self.registry.get(
+                self.config.personality_for_address(self.inventory.lookup(value), value)
+            )
+            row = sessions.open(value, now, personality)
             self._c_sessions_started.increment()
         return row
 
-    def vm_bound(self, ip: int) -> None:
-        """The gateway bound a VM over ``ip``. If the emulator tier was
-        serving the address (a respawn after a host crash), the session
-        stays under a new stamp, so no span verdict resolved against it
-        holds."""
+    def _promote(self, row: int, trigger: str, now: float) -> None:
         sessions = self.sessions
-        row = sessions.index.get(ip)
-        if row is not None:
-            sessions.stamp[row] = next(_stamps)
-
-    def restamp(self) -> None:
-        """Give every live session a new stamp: a new span lane trusts no
-        verdict an earlier one wrote."""
-        stamps = self.sessions.stamp
-        for row in self.sessions.index.values():
-            stamps[row] = next(_stamps)
-
-    def _promote(
-        self, ip: int, session: EmulatedSession, trigger: str, now: float
-    ) -> None:
-        stale = self.handoffs.pop(ip, None)
-        if stale is not None:
-            # A previous promotion for this address never met a running
-            # VM (clone refused or still unbound); its state is stale.
-            self._c_handoffs_abandoned.increment()
-        handoff = HandoffRecord(
-            ip=ip,
-            created_at=now,
-            trigger=trigger,
-            # The one choke point every promotion passes through: handoff
-            # replay (and everything downstream) only ever sees packets.
-            buffered=session.buffered_packets(),
-            flows=len(session.flows),
-            payload_bytes=session.payload_bytes_total,
-            banner=session.banner,
-            buffer_dropped=session.buffer_dropped,
-        )
-        self.handoffs[ip] = handoff
-        # Every span verdict resolved against the session names a stamp
-        # no live session bears from here on.
-        self.sessions.drop(ip)
-        self._c_promotions.increment()
-        self._c_promotions_by_trigger[trigger].increment()
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 now, "ladder", "promotion",
-                ip=dotted(ip), trigger=trigger, buffered=len(handoff.buffered),
-                flows=handoff.flows, banner=handoff.banner or "",
+                ip=dotted(sessions.keys[row]), trigger=trigger,
+                buffered=min(sessions.absorbed[row], MAX_HANDOFF_PACKETS),
+                flows=len(sessions.flows_of(row)), banner=sessions.banner[row] or "",
             )
+        # Every span verdict resolved against the session names a stamp
+        # no live session bears from here on.
+        sessions.promote(row, TRIGGER_NAMES.index(trigger) + 1, now)
+        self._c_promotions.increment()
+        self._c_promotions_by_trigger[trigger].increment()
 
     # ------------------------------------------------------------------ #
     # Handoff lifecycle (called by the gateway)
     # ------------------------------------------------------------------ #
 
-    def take_handoff(self, ip: int) -> Optional[HandoffRecord]:
-        """Claim the pending handoff for ``ip`` (the VM is ready)."""
-        return self.handoffs.pop(ip, None)
+    def take_handoff(self, row: int) -> Tuple[List[Packet], str, float]:
+        """Claim the handoff waiting on ``row`` (its VM is ready): the
+        replay window as packets, oldest first, the trigger and the time
+        of the promotion."""
+        sessions = self.sessions
+        handoff = sessions.buffered_packets(row)
+        trigger = TRIGGER_NAMES[sessions.trigger[row] - 1]
+        promoted_at = sessions.since[row]
+        sessions.drop_replay(row)
+        return handoff, trigger, promoted_at
 
     def handoff_complete(
-        self, handoff: HandoffRecord, replayed: int, vm_id: int, now: float
+        self, vm: "VirtualMachine", trigger: str, promoted_at: float, replayed: int
     ) -> None:
-        """Account one finished replay into a running VM."""
+        """Account one finished replay into the running ``vm``."""
         self._c_handoffs_completed.increment()
         self._c_handoff_replayed.increment(replayed)
-        latency = now - handoff.created_at
+        now = self.sim.now
+        latency = now - promoted_at
         self._handoff_latency.observe(latency)
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 now, "ladder", "handoff",
-                ip=dotted(handoff.ip), vm_id=vm_id, trigger=handoff.trigger,
+                ip=dotted(vm.ip), vm_id=vm.vm_id, trigger=trigger,
                 packets=replayed, latency=latency,
             )
 
-    def vm_retired(self, ip: int, cause: str) -> None:
+    def abandon_handoff(self, row: int) -> bool:
+        """The clone a promotion requested will never take its handoff
+        (refused, failed, timed out or retired): let go of the replay
+        window waiting on ``row``. Returns whether one was waiting."""
+        if not self.sessions.trigger[row]:
+            return False
+        self.sessions.drop_replay(row)
+        self._c_handoffs_abandoned.increment()
+        return True
+
+    def vm_retired(self, ip: int, cause: str, row: Optional[int]) -> None:
         """The address fell back off the VM rung: demotion.
 
-        Any handoff still waiting for that VM is abandoned (the chaos
-        layer can fail a clone between promotion and readiness)."""
-        abandoned = self.handoffs.pop(ip, None)
-        if abandoned is not None:
-            self._c_handoffs_abandoned.increment()
+        ``row`` is the address's row when the retired VM was the one bound
+        there, else None: a handoff still waiting for that VM is
+        abandoned (the chaos layer can fail a clone between promotion and
+        readiness)."""
+        abandoned = row is not None and self.abandon_handoff(row)
         self._c_demotions.increment()
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 self.sim.now, "ladder", "demotion",
-                ip=dotted(ip), cause=cause,
-                abandoned_handoff=abandoned is not None,
+                ip=dotted(ip), cause=cause, abandoned_handoff=abandoned,
             )
 
     # ------------------------------------------------------------------ #
@@ -254,15 +228,9 @@ class FidelityLadder:
         return expired
 
     @property
-    def session_idle_timeout(self) -> float:
-        return self.sessions.idle_timeout
-
-    @property
     def live_sessions(self) -> int:
-        return len(self.sessions)
+        stamps = self.sessions.stamp
+        return sum(1 for row in self.sessions.index.values() if stamps[row])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<FidelityLadder sessions={len(self.sessions)}"
-            f" pending_handoffs={len(self.handoffs)}>"
-        )
+        return f"<FidelityLadder sessions={self.live_sessions}>"

@@ -23,7 +23,7 @@ was classified under (a code into the lane's small table of classes),
 and the stamp of the session it was resolved against. The flow table is
 the lane's only per-flow index. Per packet, :meth:`SpanLane.run` finds
 the row, checks the verdict, and applies it as plain arithmetic on the
-flow table's columns and the destination's row of the ladder's address
+flow table's columns and the destination's row of the gateway's address
 table, its handoff chain included (what ``FlowTable.observe_keyed`` and
 ``EmulatedSession.emulate`` do per packet), and
 ``tests/test_span_lane_parity.py`` holds it to the per-event loop,
@@ -45,14 +45,16 @@ Correctness rests on three invariants:
 
   - the flow index finds the row (a freed row leaves the index, and a
     new row starts with no verdict);
-  - the ladder holds a session for the destination and its stamp is the
-    verdict's. A verdict depends only on state of its *destination
-    address*: that no VM is bound there, and which session (address
-    row) the ladder holds for it (every flow of a live session is below the
-    promotion thresholds: the packet that reaches one promotes, which
-    drops the session). A dropped session takes its stamp with it, and
-    ``FidelityLadder.vm_bound`` draws the session a new one; stamps are
-    unique in the process, so neither ever comes back;
+  - the destination's row of the address table bears the verdict's
+    stamp. A verdict depends only on state of its *destination
+    address*: that no VM is bound there, and which session the row
+    holds for it (every flow of a live session is below the promotion
+    thresholds: the packet that reaches one promotes, which ends the
+    session). A row with no session has stamp 0, which no verdict
+    carries: a promotion writes it, and so does a VM bound to a cold
+    address; a VM bound over a live session (a respawn) draws the
+    session a new stamp. A freed row takes its stamp with it. Stamps are
+    unique in the process, so none ever comes back;
   - the flow is not idle;
   - the packet's ``tcp_flags`` are the verdict's: a flow's later packets
     may carry other flags, and another class;
@@ -76,7 +78,7 @@ from array import array
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.containment import ContainmentPolicy, DropAllPolicy, honeypot_initiated
-from repro.fidelity.emulator import MAX_HANDOFF_PACKETS, emulator_replies
+from repro.fidelity.emulator import EMULATED, MAX_HANDOFF_PACKETS, emulator_replies
 from repro.fidelity.triggers import (
     PROMOTE_PAYLOAD_BYTES,
     PROMOTE_STATE_DEPTH,
@@ -135,7 +137,7 @@ class SpanLane:
         self.ports: Dict[int, frozenset] = {}
         self.verdicts: List[Tuple] = []
         self.codes: Dict[Tuple, int] = {}
-        ladder.restamp()
+        ladder.sessions.restamp()
 
     def serves(self, ladder: "FidelityLadder", policy: ContainmentPolicy) -> bool:
         """Whether the verdicts written here still describe the farm:
@@ -338,7 +340,7 @@ class SpanLane:
         """Resolve arrival ``i`` of flow ``flow``, which the flow index
         files under ``row`` (None: no row), and write its verdict on the
         row; return ``(verdict, row, address, icmp_row)`` (the
-        destination's row of the ladder's address table, and the
+        destination's row of the gateway's address table, and the
         unreachable's ICMP row, else None), or None to send the packet
         down the per-packet lane. Re-resolving is idempotent.
 
@@ -362,17 +364,14 @@ class SpanLane:
             # must ride the federation message layer, never the span
             # lane's counter-only absorption.
             return None
-        if dst in gateway.vm_map:
-            return None  # VM-backed address: clone/deliver path
-
         ladder = self.ladder
         addresses = ladder.sessions
         address = addresses.index.get(dst)
         if address is None:
             address = ladder.session_row(dst, t)
-        personality = addresses.sole
-        if personality is None:
-            personality = addresses.personality[address]
+        elif addresses.state[address] != EMULATED:
+            return None  # VM-backed address: clone/deliver path
+        personality = addresses.personality_of(address)
         pid = id(personality)
         ports = self.ports.get(pid)
         if ports is None:

@@ -33,10 +33,12 @@ to hold an expirable row, and refiles the rows it finds still live under
 their true ``last_seen``. A row's bucket is therefore never later than
 its ``last_seen`` one, so the sweep that should expire it always visits
 it: expiry timing and counts are those of re-bucketing on every touch,
-without the per-touch moves. A live row has exactly one bucket entry (a
-sweep empties each bucket it visits before refiling), so an entry is
-current exactly while its serial is; one whose row was freed is dropped
-when its bucket is swept.
+without the per-touch moves. A live row has at most one bucket entry (a
+sweep empties each bucket it visits before refiling; a row opened not
+to expire is never filed), so an entry is current exactly while its serial
+is; one whose row was freed is dropped when its bucket is swept. What
+expiring a row means is the table's (:meth:`RowTable._expire`): by
+default it is freed.
 """
 
 from __future__ import annotations
@@ -100,10 +102,10 @@ class RowTable:
     # Row maintenance
     # ------------------------------------------------------------------ #
 
-    def _open(self, key: Hashable, now: float) -> int:
-        """A new row for ``key``, indexed and filed at ``now``, its
-        ``last_seen`` ``now``; the subclass writes the other columns.
-        Filed inline: this runs once per entity."""
+    def _open(self, key: Hashable, now: float, expires: bool = True) -> int:
+        """A new row for ``key``, indexed and, if it ``expires``, filed at
+        ``now``, its ``last_seen`` ``now``; the subclass writes the other
+        columns. Filed inline: this runs once per entity."""
         if not self._free:
             self._grow()
         row = self._free.pop()
@@ -112,6 +114,8 @@ class RowTable:
         self.serial[row] = serial
         self.keys[row] = key
         self.index[key] = row
+        if not expires:
+            return row
         bucket = int(now / self._granularity)
         filed = self._buckets.get(bucket)
         if filed is None:
@@ -124,9 +128,8 @@ class RowTable:
         """Add a block of free rows to every column."""
         first = len(self.keys)
         added = max(self._GROWTH, first >> 3)
-        zeros = bytes(8 * added)
         for column in self._arrays:
-            column.frombytes(zeros)
+            column.frombytes(bytes(column.itemsize * added))
         for column in self._lists:
             column.extend([None] * added)
         # Descending, so rows are handed out lowest first.
@@ -170,7 +173,7 @@ class RowTable:
     # ------------------------------------------------------------------ #
 
     def expire_idle(self, now: float) -> List[Hashable]:
-        """Remove every row idle past the timeout; returns their keys.
+        """Expire every row idle past the timeout; returns their keys.
 
         Incremental: only buckets whose entire time range is old enough to
         contain expired rows are visited, so a sweep's cost tracks the
@@ -200,8 +203,14 @@ class RowTable:
                         filed = buckets[bucket] = array("q")
                     filed.append(row)
                     filed.append(serial)
-        keys = [self.keys[row] for row in expired]
-        self._free_rows(expired)
-        self.expired_total += len(expired)
+        keys = self._expire(expired)
+        self.expired_total += len(keys)
         self._release_if_empty()
+        return keys
+
+    def _expire(self, rows: List[int]) -> List[Hashable]:
+        """Expire the idle live ``rows``, which the sweep has let go of
+        (none is refiled): free them, and return their keys."""
+        keys = [self.keys[row] for row in rows]
+        self._free_rows(rows)
         return keys

@@ -94,3 +94,27 @@ def test_the_two_bounds_of_one_chain_stay_independent():
     ledger = packet_ledger(farm)
     assert ledger.dropped_by_cause.get("pending_overflow") == 1
     assert ledger.leaked == 0
+
+
+def test_a_refused_promotion_abandons_its_handoff():
+    """A handoff belongs to the clone its promotion asked for. The second
+    promotion here is refused (its one host's one VM slot is taken), so
+    its handoff is abandoned at once: every promotion ends completed or
+    abandoned, and once the sessions have expired no packet is held."""
+    farm = _farm(max_vms_per_host=1, idle_timeout_seconds=1e6)
+    second = IPAddress.parse("10.16.0.6")
+    for dst in (TARGET, second):
+        for __ in range(20):
+            farm.inject(icmp_packet(ATTACKER, dst))
+        farm.inject(tcp_packet(ATTACKER, dst, 1, 445, flags=PSH_ACK,
+                               payload="exploit:sasser"))
+    farm.run(until=400.0)
+    counters = farm.metrics.counters()
+    assert counters["ladder.promotions"] == 2
+    assert counters["gateway.no_capacity_drop"] == 1
+    assert counters["ladder.handoffs_completed"] == 1
+    assert counters["ladder.handoffs_abandoned"] == 1
+    addresses = farm.gateway.addresses
+    assert farm.ladder.live_sessions == 0
+    assert not addresses.held and not addresses.holding
+    assert farm.gateway.vm_at(second) is None and second not in addresses

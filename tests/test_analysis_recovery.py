@@ -158,7 +158,7 @@ class TestRepairRacesRespawn:
     def test_every_displaced_address_is_running_again(self):
         farm, _, displaced = self.run_race()
         for ip in displaced:
-            vm = farm.gateway.vm_map[ip]
+            vm = farm.gateway.vm_at(ip)
             assert vm.state is VMState.RUNNING, ip
         counters = farm.metrics.counters()
         assert counters["farm.respawns"] == len(displaced)

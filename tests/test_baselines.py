@@ -24,7 +24,7 @@ class TestDedicatedBaseline:
         farm = dedicated_farm(CONFIG)
         farm.inject(tcp_packet(ATTACKER, TARGET, 1, 445))
         farm.run(until=10.0)
-        vm = farm.gateway.vm_map[TARGET]
+        vm = farm.gateway.vm_at(TARGET)
         assert vm.state is VMState.CLONING  # still booting: scanner lost
         farm.run(until=60.0)
         assert vm.state is VMState.RUNNING
@@ -33,7 +33,7 @@ class TestDedicatedBaseline:
         farm = dedicated_farm(CONFIG)
         farm.inject(tcp_packet(ATTACKER, TARGET, 1, 445))
         farm.run(until=60.0)
-        vm = farm.gateway.vm_map[TARGET]
+        vm = farm.gateway.vm_at(TARGET)
         assert vm.private_pages == vm.address_space.page_count
 
     def test_memory_caps_coverage(self):
@@ -58,7 +58,7 @@ class TestFullCopyBaseline:
         farm = full_copy_farm(CONFIG)
         farm.inject(tcp_packet(ATTACKER, TARGET, 1, 445))
         farm.run(until=5.0)
-        vm = farm.gateway.vm_map[TARGET]
+        vm = farm.gateway.vm_at(TARGET)
         assert vm.state is VMState.RUNNING
         latency = farm.clone_engine.mean_latency_seconds()  # of the one clone
         assert 0.521 < latency < 2.0

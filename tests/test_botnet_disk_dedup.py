@@ -60,7 +60,7 @@ class TestBotBehavior:
         farm.register_worm(bot_behavior(farm))
         infect_index_case(farm)
         farm.run(until=10.0)
-        vm = farm.gateway.vm_map[TARGET]
+        vm = farm.gateway.vm_at(TARGET)
         assert vm.guest.beacons_sent >= 4  # it kept trying
         assert farm.metrics.counters().get("gateway.initiated_external_out", 0) == 0
 
@@ -85,7 +85,7 @@ class TestBotBehavior:
         farm.run(until=10.0)
         counters = farm.metrics.counters()
         assert counters.get("gateway.initiated_external_out", 0) == 0
-        vm = farm.gateway.vm_map.get(TARGET)
+        vm = farm.gateway.vm_at(TARGET)
         assert vm is not None and vm.guest.beacons_sent >= 4
 
     def test_beaconing_stops_when_guest_stopped(self):
@@ -93,7 +93,7 @@ class TestBotBehavior:
         farm.register_worm(bot_behavior(farm))
         infect_index_case(farm)
         farm.run(until=5.0)
-        vm = farm.gateway.vm_map[TARGET]
+        vm = farm.gateway.vm_at(TARGET)
         count = vm.guest.beacons_sent
         vm.guest.stop()
         farm.run(until=20.0)
@@ -126,7 +126,7 @@ class TestGuestDiskActivity:
                 flags=TcpFlags.PSH | TcpFlags.ACK, payload=f"r{i}",
             ))
         farm.run(until=10.0)
-        vm = farm.gateway.vm_map[TARGET]
+        vm = farm.gateway.vm_at(TARGET)
         personality = vm.guest.personality
         assert 0 < vm.disk.private_blocks <= personality.disk_working_set_cap_blocks
 
@@ -135,7 +135,7 @@ class TestGuestDiskActivity:
         farm.inject(udp_packet(ATTACKER, TARGET, 1, 1434,
                                payload="exploit:slammer"))
         farm.run(until=2.0)
-        vm = farm.gateway.vm_map[TARGET]
+        vm = farm.gateway.vm_at(TARGET)
         personality = vm.guest.personality
         assert vm.disk.private_blocks >= personality.infection_disk_blocks
 
@@ -145,7 +145,7 @@ class TestGuestDiskActivity:
             farm.inject(udp_packet(ATTACKER, IPAddress.parse(f"10.16.0.{i}"),
                                    1, 1434, payload="exploit:slammer"))
         farm.run(until=2.0)
-        vms = [farm.gateway.vm_map[IPAddress.parse(f"10.16.0.{i}")] for i in (9, 10)]
+        vms = [farm.gateway.vm_at(IPAddress.parse(f"10.16.0.{i}")) for i in (9, 10)]
         blocks = [set(vm.disk.dirty_block_numbers()) for vm in vms]
         # Connection-log area may differ; the worm's install region must
         # overlap heavily.

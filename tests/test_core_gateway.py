@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.containment import DropAllPolicy, OpenPolicy, ReflectionPolicy
-from repro.core.gateway import Gateway
+from repro.core.gateway import MAX_PENDING_PER_IP, Gateway
 from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
 from repro.net.gre import GreTunnel, encapsulate
 from repro.net.packet import TcpFlags, tcp_packet, udp_packet
@@ -103,7 +103,7 @@ class TestInboundDispatch:
         gw.process_inbound(tcp_packet(EXTERNAL, DARK1, 1, 445))
         gw.process_inbound(tcp_packet(EXTERNAL, DARK2, 1, 445))
         assert len(backend.spawned) == 2
-        assert gw.live_vm_count == 2
+        assert [gw.vm_at(DARK1), gw.vm_at(DARK2)] == backend.spawned
 
     def test_stray_traffic_dropped(self, sim, inventory, backend):
         gw = make_gateway(sim, inventory, backend)
@@ -129,16 +129,18 @@ class TestInboundDispatch:
     def test_pending_queue_bounded(self, sim, inventory, snapshot):
         backend = FakeBackend(sim, snapshot, instant=False)
         gw = make_gateway(sim, inventory, backend)
-        gw.max_pending_per_ip = 2
-        packets = [tcp_packet(EXTERNAL, DARK1, 1000 + i, 445) for i in range(5)]
+        packets = [
+            tcp_packet(EXTERNAL, DARK1, 1000 + i, 445)
+            for i in range(MAX_PENDING_PER_IP + 3)
+        ]
         for pkt in packets:
             gw.process_inbound(pkt)
         assert gw.metrics.counter("gateway.pending_overflow").value == 3
         # Regression: the three overflowed packets (distinct src ports ->
         # distinct flows) were observed before the drop decision; their
-        # flow accounting must be unwound, leaving only the two queued
-        # flows with exactly one packet each.
-        assert len(gw.flows) == 2
+        # flow accounting must be unwound, leaving only the queued flows
+        # with exactly one packet each.
+        assert len(gw.flows) == MAX_PENDING_PER_IP
         for record in gw.flows:
             assert record.packets == 1
             assert record.bytes == packets[0].size
@@ -150,15 +152,14 @@ class TestInboundDispatch:
         # *existing* record, which must be rolled back but kept alive.
         backend = FakeBackend(sim, snapshot, instant=False)
         gw = make_gateway(sim, inventory, backend)
-        gw.max_pending_per_ip = 2
         pkt = tcp_packet(EXTERNAL, DARK1, 1000, 445)
-        for _ in range(5):
+        for _ in range(MAX_PENDING_PER_IP + 3):
             gw.process_inbound(pkt)
         assert gw.metrics.counter("gateway.pending_overflow").value == 3
         assert len(gw.flows) == 1
         record = next(iter(gw.flows))
-        assert record.packets == 2
-        assert record.bytes == 2 * pkt.size
+        assert record.packets == MAX_PENDING_PER_IP
+        assert record.bytes == MAX_PENDING_PER_IP * pkt.size
 
     def test_flush_through_a_stale_view_leaves_the_reused_row_alone(
         self, sim, inventory, snapshot
@@ -177,7 +178,7 @@ class TestInboundDispatch:
         newcomer, created = gw.flows.observe(
             tcp_packet(EXTERNAL, DARK2, 3000, 80), sim.now
         )
-        [(__, stale)] = gw._pending[DARK1]
+        [(__, __, stale)] = gw.addresses.held.values()
         assert created and newcomer.row == stale.row and not stale.attached
         [vm] = backend.spawned
         backend.finish_clone(gw, vm)
@@ -201,7 +202,7 @@ class TestVmRetirement:
         gw.process_inbound(tcp_packet(EXTERNAL, DARK1, 1, 445))
         vm = backend.spawned[0]
         gw.vm_retired(vm)
-        assert gw.live_vm_count == 0
+        assert gw.vm_at(DARK1) is None
         gw.process_inbound(tcp_packet(EXTERNAL, DARK1, 2, 445))
         assert len(backend.spawned) == 2  # a fresh VM for the same address
 

@@ -24,7 +24,7 @@ class TestOnDemandCloning:
     def test_packet_to_dark_address_creates_vm(self, small_farm):
         small_farm.inject(probe())
         assert small_farm.live_vms == 1
-        vm = small_farm.gateway.vm_map[TARGET]
+        vm = small_farm.gateway.vm_at(TARGET)
         assert vm.state is VMState.CLONING
         small_farm.run(until=1.0)
         assert vm.state is VMState.RUNNING
@@ -60,7 +60,8 @@ class TestOnDemandCloning:
         farm.inject(probe(dst=IPAddress.parse("10.16.0.1")))
         farm.inject(probe(dst=IPAddress.parse("10.17.0.1")))
         farm.run(until=1.0)
-        personalities = {vm.personality for vm in farm.gateway.vm_map.values()}
+        gateway = farm.gateway
+        personalities = {gateway.vm_at(ip).personality for ip in gateway.addresses}
         assert personalities == {"windows-default", "linux-server"}
 
     def test_unknown_personality_rejected_at_build(self):
@@ -131,7 +132,7 @@ class TestReclamation:
         for i, dst in enumerate(targets):
             farm.inject(probe(dst=dst, sport=4000 + i))
         farm.run(until=1.0)
-        oldest, next_oldest, newest = (farm.gateway.vm_map[dst] for dst in targets)
+        oldest, next_oldest, newest = (farm.gateway.vm_at(dst) for dst in targets)
         for age, vm in enumerate((oldest, next_oldest, newest)):
             vm.touch(now=float(age))
         # A worm body covers every page the least recently active VM
@@ -163,7 +164,7 @@ class TestReclamation:
         # The address is free for a fresh clone even while detention holds.
         farm.inject(probe())
         farm.run(until=31.0)
-        assert farm.gateway.vm_map[TARGET].vm_id != detained.vm_id
+        assert farm.gateway.vm_at(TARGET).vm_id != detained.vm_id
 
 
 class TestInfectionAndContainment:

@@ -51,7 +51,7 @@ class TestGatewayEdges:
         honeypot-initiated by definition."""
         small_farm.inject(tcp_packet(ATTACKER, TARGET, 1, 445))
         small_farm.run(until=1.0)
-        vm = small_farm.gateway.vm_map[TARGET]
+        vm = small_farm.gateway.vm_at(TARGET)
         spontaneous = tcp_packet(TARGET, IPAddress.parse("8.8.4.4"), 1234, 80)
         small_farm.gateway.emit_from_vm(vm, spontaneous)
         counters = small_farm.metrics.counters()

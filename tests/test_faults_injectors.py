@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import HoneyfarmConfig
 from repro.core.containment import OpenPolicy
-from repro.core.gateway import Gateway
+from repro.core.gateway import MAX_PENDING_PER_IP, Gateway
 from repro.core.honeyfarm import Honeyfarm
 from repro.faults import (
     ChaosController,
@@ -89,13 +89,13 @@ class TestHostCrash:
         crashed_ips = [vm.ip for vm in victim.vms()]
         farm.crash_host(victim)
         for ip in crashed_ips:
-            assert ip not in farm.gateway.vm_map
+            assert farm.gateway.vm_at(ip) is None
 
     def test_crash_drops_pending_with_host_down_cause(self):
         farm = make_farm()
         # First contact: the clone is in flight, the packet is pending.
         farm.inject(tcp_packet(ATTACKER, IPAddress.parse("10.16.0.10"), 1, 445))
-        vm = farm.gateway.vm_map[IPAddress.parse("10.16.0.10")]
+        vm = farm.gateway.vm_at(IPAddress.parse("10.16.0.10"))
         assert vm.state is VMState.CLONING
         host = farm._hosts_by_id[vm.host_id]
         impact = farm.crash_host(host)
@@ -115,7 +115,7 @@ class TestHostCrash:
         counters = farm.metrics.counters()
         assert counters["farm.respawns"] == len(displaced)
         for ip in displaced:
-            vm = farm.gateway.vm_map[ip]
+            vm = farm.gateway.vm_at(ip)
             assert vm.state is VMState.RUNNING
             assert vm.host_id == survivor.host_id
 
@@ -197,7 +197,7 @@ class TestCloneFaults:
         assert counters["farm.clone_failures.fault"] == counters["clone.failed"]
         assert counters["gateway.pending_dropped_clone_failed"] == 1
         # After the fault window the respawn path healed the address.
-        assert farm.gateway.vm_map[dst].state is VMState.RUNNING
+        assert farm.gateway.vm_at(dst).state is VMState.RUNNING
         # Failed clones never pollute the latency sample set: one sample
         # per clone that reached RUNNING, none for those the hook killed.
         completed = farm.clone_engine.completed
@@ -334,7 +334,7 @@ class TestPendingTimeout:
         sim.run(until=6.0)
         assert gw.pending_packet_count == 0
         assert gw.metrics.counter("gateway.pending_dropped_timeout").value == 2
-        assert dark not in gw.vm_map  # failover: address unbound
+        assert gw.vm_at(dark) is None  # failover: address unbound
         # The next packet re-dispatches a fresh clone.
         gw.process_inbound(tcp_packet(ATTACKER, dark, 3, 445))
         assert len(backend.spawned) == 2
@@ -354,7 +354,7 @@ class TestPendingTimeout:
         backend = FakeBackend(sim, snapshot, instant=False)
         gw = make_gateway(sim, inventory, backend)
         gw.process_inbound(tcp_packet(ATTACKER, IPAddress.parse("10.16.0.5"), 1, 445))
-        assert gw._pending_timers == {}
+        assert not any(gw.addresses.timer)
         assert sim.pending == 0  # zero cost: nothing scheduled by the gateway
 
     def test_vm_retired_accounts_pending(self, sim, inventory, snapshot):
@@ -390,24 +390,26 @@ class TestPendingTimeout:
         from repro.analysis.recovery import packet_ledger
 
         farm = make_farm()
-        farm.gateway.max_pending_per_ip = 2
         dst = IPAddress.parse("10.16.0.30")
-        packets = [tcp_packet(ATTACKER, dst, 1000 + i, 445) for i in range(6)]
+        packets = [
+            tcp_packet(ATTACKER, dst, 1000 + i, 445)
+            for i in range(MAX_PENDING_PER_IP + 4)
+        ]
         for pkt in packets:
             farm.inject(pkt)
-        farm.run(until=5.0)  # clone completes, the queued pair flushes
+        farm.run(until=5.0)  # clone completes, the queued packets flush
         gw = farm.gateway
         assert gw.metrics.counter("gateway.pending_overflow").value == 4
-        assert gw.metrics.counter("gateway.delivered").value == 2
+        assert gw.metrics.counter("gateway.delivered").value == MAX_PENDING_PER_IP
         ledger = packet_ledger(farm)
         assert ledger.dropped_by_cause.get("pending_overflow") == 4
         assert ledger.leaked == 0
-        # Only the two delivered flows survive (pre-fix, the four refused
+        # Only the delivered flows survive (pre-fix, the four refused
         # flows lingered in the table with phantom packet counts); their
         # exact rollback arithmetic is pinned in test_core_gateway. Guest
         # replies ride the same canonical flows, so counts here include
         # outbound traffic too.
-        assert len(gw.flows) == 2
+        assert len(gw.flows) == MAX_PENDING_PER_IP
         for record in gw.flows:
             assert record.packets >= 1
 

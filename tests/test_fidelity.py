@@ -13,7 +13,6 @@ from repro.core.honeyfarm import Honeyfarm
 from repro.fidelity import (
     AddressTable,
     EmulatedSession,
-    FidelityLadder,
     PROMOTE_PAYLOAD_BYTES,
     PROMOTE_STATE_DEPTH,
     TRIGGER_NAMES,
@@ -21,7 +20,7 @@ from repro.fidelity import (
     promotion_trigger,
     vuln_probe,
 )
-from repro.fidelity.emulator import FRESH_FLOW, FlowProgress
+from repro.fidelity.emulator import FRESH_FLOW, MAX_HANDOFF_PACKETS, FlowProgress
 from repro.net.addr import IPAddress
 from repro.net.packet import (
     ICMP_ECHO_REQUEST,
@@ -187,7 +186,7 @@ class TestTriggers:
 def one_session(personality) -> EmulatedSession:
     """A view of the one row of a fresh address table."""
     table = AddressTable(personality=personality)
-    return table.session(table.open(VICTIM, 0.0))
+    return EmulatedSession(table, table.open(VICTIM, 0.0))
 
 
 class TestEmulatedSession:
@@ -233,22 +232,21 @@ class TestFidelityLadderUnit:
         verdict = ladder.consider(exploit, 0.5)
         assert verdict.promoted and verdict.trigger == "vuln_probe"
         assert verdict.replies == []  # the trigger packet is never emulated
-        handoff = ladder.take_handoff(VICTIM)
-        assert handoff is not None
-        assert [p.packet_id for p in handoff.buffered] == [syn.packet_id]
-        assert handoff.trigger == "vuln_probe"
+        packets, trigger, promoted_at = ladder.take_handoff(ladder.sessions.index[VICTIM])
+        assert [p.packet_id for p in packets] == [syn.packet_id]
+        assert (trigger, promoted_at) == ("vuln_probe", 0.5)
 
     def test_handoff_buffer_bounded(self, sim, registry):
         ladder = self.make_ladder(sim, registry)
-        assert FidelityLadder.MAX_HANDOFF_PACKETS == 64
+        assert MAX_HANDOFF_PACKETS == 64
         sent = [icmp_packet(ATTACKER, VICTIM) for __ in range(66)]
         for i, packet in enumerate(sent):
             ladder.consider(packet, float(i))
         session = ladder.sessions[VICTIM]
         # The oldest two were evicted; the most recent 64 are kept in order.
-        assert session.buffered_packets() == sent[2:]
+        assert ladder.sessions.buffered_packets(session.row) == sent[2:]
         assert len(ladder.sessions.held) == 64  # the evicted two let go
-        assert session.buffer_dropped == 2
+        assert session.packets_absorbed - session.buffered_count == 2
         assert ladder.metrics.counters()["ladder.handoff_buffer_dropped"] == 2
 
     def test_a_dropped_session_lets_go_of_its_held_packets(self, sim, registry):
@@ -261,8 +259,13 @@ class TestFidelityLadderUnit:
         exploit = tcp_packet(ATTACKER, VICTIM, 1, 445, flags=PSH_ACK,
                              payload="exploit:sasser")
         assert ladder.consider(exploit, 1.0).promoted
+        assert len(held) == 4  # the promotion's replay window awaits a clone
+        row = ladder.sessions.index[VICTIM]
+        assert ladder.abandon_handoff(row)  # the clone was refused
+        ladder.sessions.unbind(row)
         assert len(held) == 1  # the other address's one packet
-        timeout = ladder.session_idle_timeout
+        assert ladder.metrics.counters()["ladder.handoffs_abandoned"] == 1
+        timeout = ladder.sessions.idle_timeout
         ladder.consider(icmp_packet(ATTACKER, third), timeout)
         assert ladder.sweep(timeout + 0.5) == 1  # the other address expires
         assert [packet.dst for packet, __ in held.values()] == [third]
@@ -280,7 +283,7 @@ class TestFidelityLadderUnit:
         ladder = self.make_ladder(sim, registry)
         ladder.consider(icmp_packet(ATTACKER, VICTIM), 0.0)
         assert ladder.live_sessions == 1
-        assert ladder.sweep(ladder.session_idle_timeout + 1.0) == 1
+        assert ladder.sweep(ladder.sessions.idle_timeout + 1.0) == 1
         assert ladder.live_sessions == 0
         assert ladder.metrics.counters()["ladder.sessions_expired"] == 1
 
@@ -297,14 +300,21 @@ def _arrival(t: float, src_port: int, dst_port: int = 80, payload: str = ""):
 @pytest.mark.parametrize("lane", ["per-packet", "span"])
 class TestFlowCounts:
     """What the ladder counts as one of a session's flows, whichever lane
-    absorbs its packets: ``ladder.flows_seen`` and a promotion's
-    ``HandoffRecord.flows``."""
+    absorbs its packets: ``ladder.flows_seen`` and the flows of a session
+    as it is promoted."""
 
     def test_flows_of_a_promoted_session(self, lane):
         farm = Honeyfarm(ladder_config())
-        handoffs = []
-        take_handoff = farm.ladder.take_handoff
-        farm.ladder.take_handoff = lambda ip: handoffs.append(take_handoff(ip)) or handoffs[-1]
+        sessions = farm.ladder.sessions
+        promoted, handoffs = [], []
+        promote, take_handoff = sessions.promote, farm.ladder.take_handoff
+
+        def spy_promote(row, trigger, now):
+            promoted.append(len(sessions.flows_of(row)))
+            promote(row, trigger, now)
+
+        sessions.promote = spy_promote
+        farm.ladder.take_handoff = lambda row: handoffs.append(take_handoff(row)) or handoffs[-1]
         replay_into_farm(farm, [
             _arrival(0.1, 1001),  # 0 -> 1 flow
             _arrival(0.2, 1002),  # 1 -> 2 flows
@@ -318,9 +328,9 @@ class TestFlowCounts:
         assert (farm.gateway.span_resolves > 0) == (lane == "span")
         assert counters["ladder.flows_seen"] == 4
         assert counters["ladder.promotions"] == 1
-        assert [handoff.flows for handoff in handoffs] == [4]
-        assert handoffs[0].payload_bytes == 10 + len("exploit:sasser")
-        assert len(handoffs[0].buffered) == 5
+        assert promoted == [4]
+        [(packets, __, __)] = handoffs
+        assert len(packets) == 5
 
     def test_a_flow_back_after_its_row_expired_is_not_new(self, lane):
         farm = Honeyfarm(ladder_config(

@@ -26,7 +26,7 @@ import pytest
 from repro.core.config import HoneyfarmConfig
 from repro.core.flash_clone import CloneResult
 from repro.core.honeyfarm import Honeyfarm
-from repro.fidelity.emulator import AddressTable
+from repro.fidelity.emulator import AddressTable, EmulatedSession
 from repro.net.addr import IPAddress
 from repro.net.packet import PROTO_TCP, tcp_packet
 from repro.services.guest import GuestHost
@@ -59,7 +59,7 @@ def _assert_census_is_the_live_state(farm: Honeyfarm, before: dict) -> None:
     """Every per-VM and per-address object alive is one the farm holds
     live, and every flow is a row. (Its own function, so the references
     it takes die with the call.)"""
-    gateway, ladder, engine = farm.gateway, farm.ladder, farm.clone_engine
+    gateway, engine = farm.gateway, farm.clone_engine
     census = _census_since(before)
     # Every VM alive is on a host; one still cloning has its CloneResult
     # (held by the pending completion event) and no guest yet.
@@ -68,25 +68,31 @@ def _assert_census_is_the_live_state(farm: Honeyfarm, before: dict) -> None:
     assert census["CloneResult"] == engine.in_flight
     assert census["GuestHost"] == farm.live_vms - engine.in_flight
     # A flow is a row: the table's live rows are its flows, and the only
-    # FlowRecord views alive are the ones the pending queues hold.
+    # FlowRecord views alive are the ones held with the packets queued on
+    # the address table's chains.
     flows = gateway.flows
     assert perf_harness.table_footprint(flows)["live_rows"] == len(flows)
     assert sum(1 for serial in flows.serial if serial) == len(flows)
     gc.collect()
     views = sum(type(obj).__name__ == "FlowRecord" for obj in gc.get_objects())
-    assert views == sum(len(queue) for queue in gateway._pending.values())
-    # An emulated address is a row too, and a session a view of it that
+    assert views == gateway.pending_packet_count
+    # A covered address is a row too, and a session a view of it that
     # lives only as long as the call using it: the address table's live
-    # rows are the ladder's sessions, and no view is alive.
+    # rows are the VMs bound and the ladder's sessions (a row with no
+    # session has stamp 0), and no view is alive.
     assert census["EmulatedSession"] == 0
-    if ladder is not None:
-        sessions = ladder.sessions
-        assert perf_harness.table_footprint(sessions)["live_rows"] == len(sessions)
-        assert sum(1 for serial in sessions.serial if serial) == len(sessions)
-        # Every held packet is in a live session's handoff window: a
-        # promoted or expired session lets go of the ones it held.
-        assert sum(sessions.holding.values()) == len(sessions.held)
-        assert all(sessions.serial[row] for row in sessions.holding)
+    addresses = gateway.addresses
+    assert perf_harness.table_footprint(addresses)["live_rows"] == len(addresses)
+    assert sum(1 for serial in addresses.serial if serial) == len(addresses)
+    assert all(
+        addresses.vm[row] is not None or addresses.stamp[row]
+        for row in addresses.index.values()
+    )
+    # Every held packet is on a live row's chain, in a replay window or
+    # queued for a cloning VM: a row lets go of the ones it held as its
+    # session expires or its VM takes or drops them.
+    assert sum(addresses.holding.values()) == len(addresses.held) - views
+    assert all(addresses.serial[row] for row in addresses.holding)
 
 
 def test_census_counts_one_live_instance_of_each_type_as_one():
@@ -103,7 +109,7 @@ def test_census_counts_one_live_instance_of_each_type_as_one():
         GuestHost(vm, registry.get("windows-default"), registry.catalog,
                   Simulator(), RandomStream(1)),
         CloneResult(vm=vm, requested_at=0.0, completed_at=0.0),
-        sessions.session(sessions.open(DARKNET, 0.0)),
+        EmulatedSession(sessions, sessions.open(DARKNET, 0.0)),
     )
     assert _census_since(before) == dict.fromkeys(perf_harness.HEAP_TYPES, 1)
     assert vm.guest is alive[1]  # the guest binds itself to the slotted VM
@@ -129,11 +135,10 @@ def test_census_equals_live_state_mid_run_and_zero_after_drain(name):
     clones = farm.clone_engine.completed
     perf_harness.drain(farm)
     assert farm.live_vms == 0 and len(farm.gateway.flows) == 0
-    assert farm.ladder is None or not (farm.ladder.sessions or farm.ladder.sessions.held)
+    assert not (farm.gateway.addresses or farm.gateway.addresses.held)
     assert clones == farm.clone_engine.completed > 0
     assert _census_since(before) == dict.fromkeys(perf_harness.HEAP_TYPES, 0)
-    tables = [farm.gateway.flows] + ([farm.ladder.sessions] if farm.ladder else [])
-    for table in tables:
+    for table in (farm.gateway.flows, farm.gateway.addresses):
         assert perf_harness.table_footprint(table) == {"live_rows": 0, "column_bytes": 0}
     assert (farm.gateway._span_lane is not None) == (name == "mixed_storm")
     assert stream.remaining == 0
@@ -343,12 +348,13 @@ def test_an_emulated_flow_allocates_only_its_row():
 EMULATED_ADDRESSES = 8_000
 #: Traced bytes per such address, its flow row included: 745 when its
 #: session was an object with a flows dict, a handoff-buffer array and a
-#: boxed ``last_seen``; 521 with the one flow kept as its key tuple.
+#: boxed ``last_seen``; 521 with the one flow kept as its key tuple; 397
+#: since the row also holds the address's VM binding and clone queue.
 BYTES_PER_EMULATED_ADDRESS = 400
 
 
 def test_an_emulated_address_is_a_row():
-    """An address the span lane serves is a row of the ladder's address
+    """An address the span lane serves is a row of the gateway's address
     table: no session object, no flows container for its one flow, no
     per-address handoff buffer."""
     farm = Honeyfarm(HoneyfarmConfig(

@@ -64,7 +64,7 @@ class TestWitty:
         target = IPAddress.parse("10.16.0.9")
         farm.inject(udp_packet(ATTACKER, target, 1, 4000, payload="exploit:witty"))
         farm.run(until=2.0)
-        vm = farm.gateway.vm_map[target]
+        vm = farm.gateway.vm_at(target)
         personality = vm.guest.personality
         # Orderly install region + destructive random writes.
         assert vm.disk.private_blocks > (
@@ -79,7 +79,7 @@ class TestWitty:
             farm.inject(udp_packet(ATTACKER, IPAddress.parse(f"10.16.0.{i}"),
                                    1, 4000, payload="exploit:witty"))
         farm.run(until=2.0)
-        vms = [farm.gateway.vm_map[IPAddress.parse(f"10.16.0.{i}")]
+        vms = [farm.gateway.vm_at(IPAddress.parse(f"10.16.0.{i}"))
                for i in (9, 10, 11)]
         disk_sets = [frozenset(vm.disk.dirty_block_numbers()) for vm in vms]
         assert disk_sets[0] != disk_sets[1] != disk_sets[2]

@@ -72,9 +72,8 @@ class TestMixedFarm:
             farm.inject(tcp_packet(ATTACKER, IPAddress.parse(f"10.16.0.{i + 1}"),
                                    1000 + i, 80))
         farm.run(until=3.0)
-        personalities = {
-            vm.personality for vm in farm.gateway.vm_map.values()
-        }
+        gateway = farm.gateway
+        personalities = {gateway.vm_at(ip).personality for ip in gateway.addresses}
         assert personalities == {"windows-default", "linux-server"}
 
     def test_repeat_visit_sees_same_personality(self):
@@ -89,7 +88,7 @@ class TestMixedFarm:
             farm = Honeyfarm(config)
             farm.inject(tcp_packet(ATTACKER, target, 1, 80))
             farm.run(until=1.0)
-            return farm.gateway.vm_map[target].personality
+            return farm.gateway.vm_at(target).personality
 
         assert visit() == visit()
 

@@ -76,11 +76,14 @@ def _observe(farm: Honeyfarm):
         ),
         "sessions": sorted(
             (str(IPAddress(value)), s.created_at, s.last_seen, s.packets_absorbed,
-             s.buffer_dropped, s.banner, s.payload_bytes_total, s.buffered_count,
+             s.banner, s.buffered_count,
              sorted((str(k), f.exchanges, f.payload_bytes) for k, f in s.flows.items()))
             for value, s in sessions.items()
         ),
-        "vms": sorted((str(ip), vm.vm_id) for ip, vm in farm.gateway.vm_map.items()),
+        "vms": sorted(
+            (str(IPAddress(ip)), farm.gateway.vm_at(ip).vm_id)
+            for ip in farm.gateway.addresses if farm.gateway.vm_at(ip)
+        ),
     }
 
 
@@ -451,7 +454,7 @@ def _slammer(t: float, dst: str = _TARGET, src: str = _SOURCE):
 
 
 def _crash_host_of(farm: Honeyfarm, address: str) -> None:
-    vm = farm.gateway.vm_map.get(IPAddress.parse(address))
+    vm = farm.gateway.vm_at(IPAddress.parse(address))
     if vm is None:
         return
     host = next(h for h in farm.hosts if vm in h.vms())

@@ -221,8 +221,9 @@ def test_two_traces_feeding_one_session_hand_off_in_arrival_order(batched):
     replay_into_farm(farm, first, batched=batched)
     replay_into_farm(farm, second, batched=batched)
     farm.run(until=2.0)
-    [handoff] = farm.ladder.handoffs.values()
-    assert [p.src_port for p in handoff.buffered] == [1000, 2000, 1001, 2001]
+    addresses = farm.gateway.addresses
+    replay = addresses.buffered_packets(addresses.index[IPAddress.parse(target)])
+    assert [p.src_port for p in replay] == [1000, 2000, 1001, 2001]
     if batched:
         assert farm.gateway.span_resolves == 4
 

@@ -59,7 +59,7 @@ class TestPoolAssignment:
         farm.run(until=2.0)
         t0 = farm.sim.now
         farm.inject(tcp_packet(ATTACKER, TARGET, 1, 445))
-        vm = farm.gateway.vm_map[TARGET]
+        vm = farm.gateway.vm_at(TARGET)
         farm.run(until=t0 + 0.2)
         assert vm.state is VMState.RUNNING
         latency = vm.started_at - t0
@@ -80,7 +80,7 @@ class TestPoolAssignment:
         # No warm-up: the first packet arrives before any pool VM is ready.
         t0 = farm.sim.now
         farm.inject(tcp_packet(ATTACKER, TARGET, 1, 445))
-        vm = farm.gateway.vm_map[TARGET]
+        vm = farm.gateway.vm_at(TARGET)
         farm.run(until=1.0)
         assert vm.state is VMState.RUNNING
         assert vm.started_at - t0 == pytest.approx(0.521, abs=0.05)
@@ -91,7 +91,7 @@ class TestPoolAssignment:
         farm.run(until=2.0)
         farm.inject(tcp_packet(ATTACKER, TARGET, 1, 445))
         farm.run(until=20.0)
-        assert TARGET not in farm.gateway.vm_map
+        assert farm.gateway.vm_at(TARGET) is None
         assert farm.metrics.counters()["farm.vms_reclaimed"] >= 1
 
     def test_pool_respects_personality(self):
@@ -106,7 +106,7 @@ class TestPoolAssignment:
         t0 = farm.sim.now
         linux_target = IPAddress.parse("10.17.0.9")
         farm.inject(tcp_packet(ATTACKER, linux_target, 1, 80))
-        vm = farm.gateway.vm_map[linux_target]
+        vm = farm.gateway.vm_at(linux_target)
         farm.run(until=t0 + 1.0)
         assert vm.personality == "linux-server"
         assert vm.started_at - t0 > 0.4  # full clone, not a pool hit
