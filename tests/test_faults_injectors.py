@@ -339,6 +339,29 @@ class TestPendingTimeout:
         gw.process_inbound(tcp_packet(ATTACKER, dark, 3, 445))
         assert len(backend.spawned) == 2
 
+    def test_a_stale_clone_after_failover_takes_nothing(self, sim, inventory, snapshot):
+        # The watchdog gave up on clone A and a second packet asked for
+        # clone B. A coming up late, and then being reclaimed, must leave
+        # B's queue and B's watchdog alone: they belong to B.
+        backend = FakeBackend(sim, snapshot, instant=False)
+        gw = Gateway(
+            sim=sim, inventory=inventory, policy=OpenPolicy(),
+            backend=backend, pending_timeout=5.0,
+        )
+        dark = IPAddress.parse("10.16.0.5")
+        gw.process_inbound(tcp_packet(ATTACKER, dark, 1, 445))
+        sim.run(until=6.0)
+        gw.process_inbound(tcp_packet(ATTACKER, dark, 2, 445))
+        stale, fresh = backend.spawned
+        backend.finish_clone(gw, stale)
+        gw.vm_retired(stale)
+        assert backend.delivered == [] and gw.pending_packet_count == 1
+        assert gw.pending_dropped_total() == 1  # the first packet, timed out
+        backend.finish_clone(gw, fresh)
+        assert [(vm, packet.src_port) for vm, packet in backend.delivered] == [(fresh, 2)]
+        sim.run(until=12.0)  # past B's watchdog, which its readiness disarmed
+        assert gw.vm_at(dark) is fresh and gw.pending_dropped_total() == 1
+
     def test_timer_cancelled_when_clone_delivers(self, sim, inventory, snapshot):
         backend = FakeBackend(sim, snapshot, instant=False)
         gw = make_gateway(sim, inventory, backend)

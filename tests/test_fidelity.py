@@ -310,7 +310,8 @@ class TestFlowCounts:
         promote, take_handoff = sessions.promote, farm.ladder.take_handoff
 
         def spy_promote(row, trigger, now):
-            promoted.append(len(sessions.flows_of(row)))
+            flows = sessions.flows_of(row)
+            promoted.append((len(flows), sum(f.payload_bytes for f in flows.values())))
             promote(row, trigger, now)
 
         sessions.promote = spy_promote
@@ -328,7 +329,7 @@ class TestFlowCounts:
         assert (farm.gateway.span_resolves > 0) == (lane == "span")
         assert counters["ladder.flows_seen"] == 4
         assert counters["ladder.promotions"] == 1
-        assert promoted == [4]
+        assert promoted == [(4, 10 + len("exploit:sasser"))]
         [(packets, __, __)] = handoffs
         assert len(packets) == 5
 
