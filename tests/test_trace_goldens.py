@@ -55,6 +55,16 @@ def _telescope() -> TelescopeWorkload:
     return TelescopeWorkload([Prefix.parse("10.16.0.0/16")], TelescopeConfig())
 
 
+def _two_prefixes() -> TelescopeWorkload:
+    # Two disjoint prefixes of different sizes, registered out of address
+    # order: a flat index maps through the registration order, not the
+    # address order, and crosses from one prefix into the other.
+    return TelescopeWorkload(
+        [Prefix.parse("10.200.0.0/18"), Prefix.parse("10.16.0.0/17")],
+        TelescopeConfig(),
+    )
+
+
 def _partitioned() -> PartitionedTelescope:
     return PartitionedTelescope(
         shard_prefixes=(("10.16.0.0/17",), ("10.16.128.0/17",)),
@@ -74,6 +84,7 @@ TRACES = {
     ).build_trace,
     "partitioned_shard0": lambda: _partitioned().build(0),
     "partitioned_shard1": lambda: _partitioned().build(1),
+    "telescope_two_prefixes_60s": lambda: _two_prefixes().generate(60.0),
 }
 
 
@@ -106,3 +117,12 @@ def test_default_telescope_trace_covers_every_generator_branch():
         len(dsts) >= 4 and all(b - a == 1 for a, b in zip(list(dsts), list(dsts)[1:]))
         for dsts in by_source.values()
     ), "no sequential sweep source in the default trace"
+
+
+def test_two_prefix_trace_reaches_both_prefixes():
+    """The multi-prefix golden pins the flat-index mapping only while
+    its destinations land in both registered prefixes."""
+    low, high = Prefix.parse("10.16.0.0/17"), Prefix.parse("10.200.0.0/18")
+    dsts = {IPAddress.parse(r.dst) for r in _two_prefixes().generate(60.0)}
+    assert all(low.contains(d) or high.contains(d) for d in dsts)
+    assert any(low.contains(d) for d in dsts) and any(high.contains(d) for d in dsts)
