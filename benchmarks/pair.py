@@ -8,9 +8,14 @@ Usage, from the repository root::
 Three arms run the same workloads:
 
 * ``parent``: a ``git worktree`` of the ref;
-* ``a/a``: a second worktree of the same ref, at a path of the same
-  length, so the runs show how far two identical trees drift apart;
-* ``change``: this working tree, uncommitted edits included.
+* ``a/a``: a second worktree of the same ref, so the runs show how far
+  two identical trees drift apart;
+* ``change``: this working tree as it is, uncommitted edits and
+  untracked files included (ignored ones not), snapshotted through a
+  scratch index into a third worktree.
+
+The three worktrees sit side by side at paths of the same length, so no
+arm runs from a longer path or a tree with other files in it.
 
 Each arm runs its own unmodified ``benchmarks/e2e/rep.py`` (which puts
 its own tree's ``src`` first on ``sys.path``) in a fresh process per
@@ -64,7 +69,7 @@ REP_TIMEOUT_SECONDS = 600.0
 
 ARMS = ("parent", "a/a", "change")
 #: Worktree directory names: equal length, so no arm's paths are longer.
-WORKTREE_NAMES = {"parent": "parent", "a/a": "aacopy"}
+WORKTREE_NAMES = {"parent": "parent", "a/a": "aacopy", "change": "change"}
 
 
 def load_contract(root: Path = ROOT) -> Dict[str, Any]:
@@ -141,10 +146,23 @@ def compare(
 # Running the arms
 # ---------------------------------------------------------------------- #
 
-def _git(*args: str, cwd: Path = ROOT) -> str:
+def _git(*args: str, env: Optional[Dict[str, str]] = None) -> str:
     return subprocess.run(
-        ["git", *args], cwd=str(cwd), capture_output=True, text=True, check=True,
+        ["git", *args], cwd=str(ROOT), capture_output=True, text=True, check=True,
+        env=env,
     ).stdout.strip()
+
+
+def snapshot_working_tree(scratch: Path) -> str:
+    """A commit of the working tree as it is, made through a scratch
+    index so the repository's own index and refs are untouched."""
+    env = dict(os.environ, GIT_INDEX_FILE=str(scratch / "index"))
+    for role in ("AUTHOR", "COMMITTER"):
+        env.setdefault(f"GIT_{role}_NAME", "pair.py")
+        env.setdefault(f"GIT_{role}_EMAIL", "pair.py@localhost")
+    _git("add", "--all", env=env)
+    tree = _git("write-tree", env=env)
+    return _git("commit-tree", tree, "-p", "HEAD", "-m", "pair.py change arm", env=env)
 
 
 def spawn_rep(tree: Path, workload: str, seed: int, size: str) -> Dict[str, Any]:
@@ -247,14 +265,15 @@ def format_table(rows: Sequence[Dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-def _history_row(args, ref_sha: str, rows, failures) -> Dict[str, Any]:
+def _history_row(args, commits: Dict[str, str], rows, failures) -> Dict[str, Any]:
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
     return {
         "when": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "ref": args.ref,
-        "ref_commit": ref_sha,
+        "ref_commit": commits["parent"],
         "change_commit": _git("rev-parse", "HEAD"),
         "change_dirty": dirty,
+        "change_snapshot": commits["change"],
         "pairs": args.pairs,
         "size": args.size,
         "python_version": platform.python_version(),
@@ -294,16 +313,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     ref_sha = _git("rev-parse", "--verify", f"{args.ref}^{{commit}}")
     scratch = Path(tempfile.mkdtemp(prefix="pair-"))
-    trees = {"change": ROOT}
+    trees: Dict[str, Path] = {}
     try:
+        commits = {"parent": ref_sha, "a/a": ref_sha, "change": snapshot_working_tree(scratch)}
         for arm, name in WORKTREE_NAMES.items():
             trees[arm] = scratch / name
-            _git("worktree", "add", "--detach", "--quiet", str(trees[arm]), ref_sha)
+            _git("worktree", "add", "--detach", "--quiet", str(trees[arm]), commits[arm])
         for tree in trees.values():
             # Bytecode compiled up front: no arm's first repetition pays it.
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "benchmarks/e2e"],
                            cwd=str(tree), capture_output=True, check=True)
-        print(f"parent and a/a: {args.ref} ({ref_sha[:12]}); change: {ROOT}",
+        print(f"parent and a/a: {args.ref} ({ref_sha[:12]}); change: {ROOT} as it is",
               file=sys.stderr)
         results = run_pairs(trees, workloads, seeds, args.pairs, args.size)
     finally:
@@ -324,7 +344,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"OUTSIDE BOUND: {row['workload']} seed {row['seed']} {row['metric']}"
               f" {row['change']['ratio']:.3f}× (bound {row['bound']:.0%})", file=sys.stderr)
     with open(HISTORY, "a") as fh:
-        fh.write(json.dumps(_history_row(args, ref_sha, rows, failures)) + "\n")
+        fh.write(json.dumps(_history_row(args, commits, rows, failures)) + "\n")
     if failures:
         return 1
     return 2 if outside else 0

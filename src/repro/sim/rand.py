@@ -27,7 +27,7 @@ import math
 import random
 from typing import Iterable, List, Optional, Sequence, TypeVar
 
-__all__ = ["SeedSequence", "RandomStream", "stable_hash"]
+__all__ = ["SeedSequence", "RandomStream", "randbelow", "stable_hash"]
 
 T = TypeVar("T")
 
@@ -43,6 +43,22 @@ def stable_hash(label: str, nbytes: int = 8) -> int:
 
 def _derive_seed(root: int, name: str) -> int:
     return stable_hash(f"{root}:{name}")
+
+
+def randbelow(rng: random.Random, n: int) -> int:
+    """The draw ``rng.randrange(n)`` makes, without its argument checks
+    and three calls: ``n.bit_length()`` random bits, drawn again until
+    below ``n`` (CPython's ``Random._randbelow``). So ``randint(a, b)``
+    is ``a + randbelow(rng, b - a + 1)`` and ``choice(seq)`` is
+    ``seq[randbelow(rng, len(seq))]``, draw for draw. The trace
+    generators' per-destination loops inline the same loop, and their
+    exponential gaps as ``expovariate``'s ``-log(1.0 - random()) / rate``;
+    ``tests/test_sim_rand.py`` checks both against the stdlib."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 class SeedSequence:
@@ -61,6 +77,12 @@ class SeedSequence:
     def stream(self, name: str) -> "RandomStream":
         """Return the stream uniquely identified by ``name``."""
         return RandomStream(_derive_seed(self.root_seed, name), name=name)
+
+    def seed_of(self, name: str) -> int:
+        """The seed of the stream named ``name``: a ``random.Random``
+        seeded with it draws what ``stream(name)`` draws, for a loop that
+        draws through the generator's bound methods."""
+        return _derive_seed(self.root_seed, name)
 
     def spawn(self, name: str) -> "SeedSequence":
         """Return a child sequence, for components that themselves own

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 from array import array
+from math import log
+from random import Random
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -25,8 +27,8 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.net.addr import Prefix
 from repro.net.packet import PROTO_UDP
 from repro.sim.batch import ArrivalKey, PacketColumns
-from repro.sim.rand import RandomStream, SeedSequence
-from repro.workloads.telescope import TelescopeConfig, TelescopeWorkload
+from repro.sim.rand import RandomStream, SeedSequence, randbelow
+from repro.workloads.telescope import TelescopeConfig, TelescopeWorkload, random_external_address
 from repro.workloads.worms import KNOWN_WORMS
 
 __all__ = ["AdversarySpec", "WormWave", "Scenario", "ScenarioGenerator"]
@@ -300,7 +302,11 @@ class Scenario:
         order (not yet time-sorted). A UDP worm's scan is the exploit
         datagram; a TCP worm's is a SYN, then the exploit segment."""
         inventory_prefix = Prefix.parse(self.prefix)
+        network, width = inventory_prefix.network, self.address_count
+        bits = width.bit_length()
         seeds = SeedSequence(self.seed).spawn("worm-waves")
+        rng = Random()  # reseeded per source, as the telescope's sessions are
+        random, getrandbits = rng.random, rng.getrandbits
         times = array("d")
         keys: List[ArrivalKey] = []
         payloads: List[str] = []
@@ -314,30 +320,23 @@ class Scenario:
                 burst = ((0.0, "", 40), (_EXPLOIT_PAYLOAD_DELAY, *exploit))
             end = min(wave.start + wave.duration, self.duration)
             for source_index in range(wave.sources):
-                rng = seeds.stream(f"wave-{index}-source-{source_index}")
-                source = self._external_address(rng, inventory_prefix)
-                src_port = 1024 + rng.randint(0, 60000)
+                rng.seed(seeds.seed_of(f"wave-{index}-source-{source_index}"))
+                source = random_external_address(rng, inventory_prefix.contains)
+                src_port = 1024 + randbelow(rng, 60001)
                 t = wave.start
                 while t < end:
-                    dst = inventory_prefix.network + rng.randint(
-                        0, self.address_count - 1
-                    )
-                    key = (source, src_port, dst, spec.port, spec.protocol)
+                    host = getrandbits(bits)
+                    while host >= width:
+                        host = getrandbits(bits)
+                    key = (source, src_port, network + host, spec.port, spec.protocol)
                     for offset, payload, size in burst:
                         if t + offset < self.duration:
                             times.append(t + offset)
                             keys.append(key)
                             payloads.append(payload)
                             sizes.append(size)
-                    t += rng.exponential(wave.rate)
+                    t += -log(1.0 - random()) / wave.rate
         return PacketColumns(times, keys, payloads, sizes, [0] * len(times))
-
-    @staticmethod
-    def _external_address(rng: RandomStream, prefix: Prefix) -> int:
-        while True:
-            addr = rng.randint(0x01000000, 0xDFFFFFFF)
-            if not prefix.contains(addr):
-                return addr
 
     # ------------------------------------------------------------------ #
     # Size (shrinker metric) and serialization

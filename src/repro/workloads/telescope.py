@@ -37,19 +37,20 @@ calibrated at is the module constants beside the port mix.
 
 from __future__ import annotations
 
-import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from math import log
+from random import Random
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.net.addr import AddressSpaceInventory, Prefix
 from repro.net.packet import PROTO_TCP, PROTO_UDP, TcpFlags
 from repro.sim.batch import PacketColumns
-from repro.sim.rand import RandomStream, SeedSequence
+from repro.sim.rand import SeedSequence, randbelow
 
 __all__ = [
     "PartitionedTelescope",
-    "PortProfile",
     "TelescopeConfig",
     "TelescopeWorkload",
 ]
@@ -76,15 +77,23 @@ EXPLOIT_PAYLOAD_DELAY = 0.4   # connect -> payload gap
 
 _SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
 _RST_ACK = int(TcpFlags.RST | TcpFlags.ACK)
+_VICTIM_PORTS = (80, 443, 53, 6667, 25)  # a backscatter victim's service
+#: An exploit-less TCP scanner's burst per destination: (offset, payload,
+#: size) of the SYN and its retransmissions.
+_RETRY_BURST = tuple((retry * RETRY_INTERVAL, "", 40) for retry in range(TCP_SYN_RETRIES))
+#: A source (scanner) or destination (backscatter) port is 1024 plus a
+#: draw below this, of 16 bits.
+_PORT_SPAN = 60001
 
 
-@dataclass(frozen=True)
-class PortProfile:
-    """A source's chosen target service."""
-
-    protocol: int
-    port: int
-    exploit_tag: Optional[str]
+def random_external_address(rng: Random, covered: Callable[[int], bool]) -> int:
+    """A plausible external address, 1.0.0.0 to 223.255.255.255 (as
+    ``randint(0x01000000, 0xDFFFFFFF)`` draws it), redrawn while
+    ``covered``."""
+    while True:
+        value = 0x01000000 + randbelow(rng, 0xDF000000)
+        if not covered(value):
+            return value
 
 
 @dataclass(frozen=True)
@@ -109,8 +118,8 @@ class TelescopeConfig:
     def __post_init__(self) -> None:
         if self.sources_per_second_per_slash16 <= 0:
             raise ValueError("sources_per_second_per_slash16 must be positive")
-        if not (0 < self.probes_min <= self.probes_max):
-            raise ValueError("need 0 < probes_min <= probes_max")
+        if not (0 < self.probes_min < self.probes_max):
+            raise ValueError("need 0 < probes_min < probes_max")
         if not (0.0 <= self.sequential_sweep_fraction <= 1.0):
             raise ValueError("sequential_sweep_fraction must be in [0, 1]")
         if not (0.0 <= self.exploit_source_fraction <= 1.0):
@@ -132,6 +141,9 @@ class TelescopeWorkload:
         self.inventory = AddressSpaceInventory(prefixes)
         self.config = config or TelescopeConfig()
         self._seeds = SeedSequence(self.config.seed)
+        shape = self.config.probes_pareto_shape
+        high = float(self.config.probes_max) ** -shape
+        self._pareto = (high, float(self.config.probes_min) ** -shape - high, -1.0 / shape)
 
     # ------------------------------------------------------------------ #
     # Rates
@@ -153,7 +165,7 @@ class TelescopeWorkload:
         a = self.config.probes_pareto_shape
         low, high = float(self.config.probes_min), float(self.config.probes_max)
         if a == 1.0:
-            return (math.log(high / low)) * low / (1.0 - low / high)
+            return (log(high / low)) * low / (1.0 - low / high)
         num = (low**a) / (1 - (low / high) ** a)
         return num * a / (a - 1) * (low ** (1 - a) - high ** (1 - a))
 
@@ -187,60 +199,73 @@ class TelescopeWorkload:
     # ------------------------------------------------------------------ #
     # Generation
     # ------------------------------------------------------------------ #
+    #
+    # A session draws from one generator reseeded with the session's own
+    # stream seed (``SeedSequence.seed_of``), through its bound methods,
+    # in the order and by the formulas ``RandomStream`` drew with: an
+    # integer through ``randbelow`` (inlined per destination), a gap as
+    # ``expovariate``'s ``-log(1.0 - random()) / rate``, a session size by
+    # ``RandomStream.bounded_pareto``'s inverse CDF. A session stops
+    # drawing once its clock passes the window: none of its later
+    # arrivals would be kept, and the next session reseeds the generator.
 
-    def _random_external_source(self, rng: RandomStream) -> int:
-        """The value of a plausible external address (never inside the
-        dark space)."""
-        while True:
-            value = rng.randint(0x01000000, 0xDFFFFFFF)  # 1.0.0.0–223.x
-            if not self.inventory.covers(value):
-                return value
-
-    def _pick_profile(self, rng: RandomStream) -> PortProfile:
-        roll = rng.random()
+    def _pick_profile(self, rng: Random) -> Tuple[int, int, str]:
+        """A source's target service: ``(protocol, port, exploit payload
+        or "")``."""
+        random = rng.random
+        roll = random()
         acc = 0.0
         for protocol, port, weight, tag in DEFAULT_PORT_MIX:
             acc += weight
             if roll < acc:
-                exploit = tag if rng.bernoulli(self.config.exploit_source_fraction) else None
-                return PortProfile(protocol, port, exploit)
+                exploit = random() < self.config.exploit_source_fraction
+                return protocol, port, tag if exploit and tag else ""
         # Unpopular tail: a random high port, never exploit-carrying.
-        return PortProfile(PROTO_TCP, rng.randint(1024, 65535), None)
+        return PROTO_TCP, 1024 + randbelow(rng, 65536 - 1024), ""
+
+    def _session_size(self, u: float) -> int:
+        """Probes (or replies) of a session: bounded Pareto over
+        ``[probes_min, probes_max]`` at the uniform draw ``u``."""
+        high, span, exponent = self._pareto
+        return int((high + u * span) ** exponent)
 
     def _backscatter_session(
-        self, rng: RandomStream, start: float, source: int, duration: float,
-        columns: Tuple[array, list, list, list, list],
+        self, rng: Random, start: float, source: int, duration: float,
+        appends: Tuple[Callable, ...],
     ) -> None:
         """One DDoS victim's responses to spoofed sources that happened
         to fall in the dark space: SYN/ACKs (service answered) or RSTs
         (no such service), from a well-known port, at the victim's reply
         rate, to uniformly random dark addresses."""
-        times, keys, payloads, sizes, tcp_flags = columns
-        config = self.config
-        victim_port = rng.choice([80, 443, 53, 6667, 25])
-        flags = _SYN_ACK if rng.bernoulli(0.7) else _RST_ACK
-        replies = int(rng.bounded_pareto(
-            config.probes_pareto_shape,
-            float(config.probes_min),
-            float(config.probes_max),
-        ))
-        address_at = self.inventory.address_at_flat_index
-        last = self.inventory.total_addresses - 1
+        add_time, add_key, add_payload, add_size, add_flags = appends
+        random, getrandbits = rng.random, rng.getrandbits
+        victim_port = _VICTIM_PORTS[randbelow(rng, len(_VICTIM_PORTS))]
+        flags = _SYN_ACK if random() < 0.7 else _RST_ACK
+        replies = self._session_size(random())
+        total = self.inventory.total_addresses
+        bits = total.bit_length()
+        bases, offsets = self.inventory.flat_layout
         t = start
         for __ in range(replies):
-            dst = address_at(rng.randint(0, last))
-            dst_port = 1024 + rng.randint(0, 60000)
-            if t < duration:
-                times.append(t)
-                keys.append((source, victim_port, dst, dst_port, PROTO_TCP))
-                payloads.append("")
-                sizes.append(40)
-                tcp_flags.append(flags)
-            t += rng.exponential(PROBE_RATE_PER_SOURCE)
+            if t >= duration:
+                break
+            index = getrandbits(bits)
+            while index >= total:
+                index = getrandbits(bits)
+            port = getrandbits(16)
+            while port >= _PORT_SPAN:
+                port = getrandbits(16)
+            add_time(t)
+            add_key((source, victim_port, index + offsets[bisect_right(bases, index) - 1],
+                     1024 + port, PROTO_TCP))
+            add_payload("")
+            add_size(40)
+            add_flags(flags)
+            t += -log(1.0 - random()) / PROBE_RATE_PER_SOURCE
 
     def _scan_session(
-        self, rng: RandomStream, start: float, source: int, duration: float,
-        columns: Tuple[array, list, list, list, list],
+        self, rng: Random, start: float, source: int, duration: float,
+        appends: Tuple[Callable, ...],
     ) -> None:
         """One scanner's session: a heavy-tailed number of probed
         destinations (a sequential sweep or uniform draws), each of which
@@ -249,69 +274,75 @@ class TelescopeWorkload:
         the SYN on the retry timer; exploit-carrying TCP sources instead
         deliver the payload after connecting. The packets of one burst
         share one arrival-key tuple."""
-        times, keys, payloads, sizes, tcp_flags = columns
-        config = self.config
-        profile = self._pick_profile(rng)
-        probes = int(rng.bounded_pareto(
-            config.probes_pareto_shape,
-            float(config.probes_min),
-            float(config.probes_max),
-        ))
+        add_time, add_key, add_payload, add_size, add_flags = appends
+        random, getrandbits = rng.random, rng.getrandbits
+        protocol, port, payload = self._pick_profile(rng)
+        probes = self._session_size(random())
         total = self.inventory.total_addresses
-        sweep = rng.bernoulli(config.sequential_sweep_fraction)
-        cursor = rng.randint(0, total - 1)
-        src_port = 1024 + rng.randint(0, 60000)
-        payload = profile.exploit_tag or ""
-        protocol, port = profile.protocol, profile.port
+        bits = total.bit_length()
+        sweep = random() < self.config.sequential_sweep_fraction
+        cursor = randbelow(rng, total)
+        src_port = 1024 + randbelow(rng, _PORT_SPAN)
         if protocol == PROTO_UDP:
-            burst = ((0.0, payload),)
+            burst = ((0.0, payload, 40 + len(payload)),)
         elif payload:
             # The connection-opening SYN, then the exploit.
-            burst = ((0.0, ""), (EXPLOIT_PAYLOAD_DELAY, payload))
+            burst = ((0.0, "", 40), (EXPLOIT_PAYLOAD_DELAY, payload, 40 + len(payload)))
         else:
-            burst = tuple(
-                (retry * RETRY_INTERVAL, "") for retry in range(TCP_SYN_RETRIES)
-            )
-        address_at = self.inventory.address_at_flat_index
+            burst = _RETRY_BURST
+        bases, offsets = self.inventory.flat_layout
         t = start
         for i in range(probes):
-            index = (cursor + i) % total if sweep else rng.randint(0, total - 1)
-            key = (source, src_port, address_at(index), port, protocol)
-            for offset, packet_payload in burst:
+            if t >= duration:
+                break
+            if sweep:
+                index = (cursor + i) % total
+            else:
+                index = getrandbits(bits)
+                while index >= total:
+                    index = getrandbits(bits)
+            key = (source, src_port, index + offsets[bisect_right(bases, index) - 1],
+                   port, protocol)
+            for offset, packet_payload, size in burst:
                 when = t + offset
                 if when < duration:
-                    times.append(when)
-                    keys.append(key)
-                    payloads.append(packet_payload)
-                    sizes.append(40 + len(packet_payload))
-                    tcp_flags.append(0)
-            t += rng.exponential(PROBE_RATE_PER_SOURCE)
+                    add_time(when)
+                    add_key(key)
+                    add_payload(packet_payload)
+                    add_size(size)
+                    add_flags(0)
+            t += -log(1.0 - random()) / PROBE_RATE_PER_SOURCE
 
     def generate(self, duration: float, max_records: Optional[int] = None) -> PacketColumns:
         """Every arrival of the sessions starting inside ``[0, duration)``
-        as a trace sorted by time. Sessions may run past ``duration``;
-        arrivals beyond it are trimmed so the trace covers exactly the
-        window. Rows go straight into the trace's columns as address
-        values, one key tuple per destination burst, no per-packet
-        object."""
+        as a trace sorted by time, cut to the first ``max_records`` rows
+        if given. Sessions may run past ``duration``; arrivals beyond it
+        are trimmed so the trace covers exactly the window. Rows go
+        straight into the trace's columns as address values, one key
+        tuple per destination burst, no per-packet object."""
         if duration <= 0:
             raise ValueError(f"duration must be positive: {duration!r}")
-        arrivals = self._seeds.stream("arrivals")
+        if max_records is not None and max_records <= 0:
+            raise ValueError(f"max_records must be positive or None: {max_records!r}")
+        seeds = self._seeds
+        arrival = Random(seeds.seed_of("arrivals")).random
+        rng = Random()  # reseeded per session: the state a new one would have
         columns = (array("d"), [], [], [], [])
         times = columns[0]
+        appends = tuple(column.append for column in columns)
         rate = self.source_rate
         t = 0.0
         source_index = 0
         while True:
-            t += arrivals.exponential(rate)
+            t += -log(1.0 - arrival()) / rate
             if t >= duration:
                 break
-            session_rng = self._seeds.stream(f"session-{source_index}")
-            source = self._random_external_source(session_rng)
-            if session_rng.bernoulli(self.config.backscatter_fraction):
-                self._backscatter_session(session_rng, t, source, duration, columns)
+            rng.seed(seeds.seed_of(f"session-{source_index}"))
+            source = random_external_address(rng, self.inventory.covers)
+            if rng.random() < self.config.backscatter_fraction:
+                self._backscatter_session(rng, t, source, duration, appends)
             else:
-                self._scan_session(session_rng, t, source, duration, columns)
+                self._scan_session(rng, t, source, duration, appends)
             source_index += 1
             if max_records is not None and len(times) >= max_records:
                 break

@@ -1,8 +1,13 @@
 """Unit tests for seeded random streams."""
 
-import pytest
+import math
+import random
 
-from repro.sim.rand import RandomStream, SeedSequence
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.rand import RandomStream, SeedSequence, randbelow
 
 
 class TestSeedSequence:
@@ -143,3 +148,77 @@ class TestReproducibility:
         b2 = SeedSequence(5).stream("b")
         b2.random()
         assert b.random() == b2.random()
+
+
+class TestInlinedDrawsMatchTheStdlib:
+    """The trace generators draw through a bare ``random.Random`` with
+    CPython's own formulas (``randbelow``, inlined per destination, and
+    ``expovariate``'s ``-log(1.0 - random()) / rate``) instead of the
+    stdlib methods ``RandomStream`` calls. ``tests/golden/trace_digests.txt``
+    would catch a CPython release that changes those formulas, but only
+    as a digest mismatch; these name the draw that moved."""
+
+    #: Every width a generator draws below: a one-address prefix, the
+    #: backscatter victim ports, the source and reply ports, a /16, a /16
+    #: plus one address, and the external-source range.
+    WIDTHS = (1, 5, 60_001, 65_536, 65_537, 0xDF000000)
+    #: Gap rates: a telescope source's probes, a worm wave, a source rate.
+    RATES = (12.0, 4.0, 1234.5)
+    MOVED = (
+        "CPython's Random.{method} no longer draws what the trace generators"
+        " inline (repro.sim.rand.randbelow; the gaps in workloads/telescope.py"
+        " and testing/scenario.py): make them follow it, then regenerate"
+        " tests/golden/trace_digests.txt"
+    )
+
+    @staticmethod
+    def _inlined_randbelow(getrandbits, n: int) -> int:
+        # The per-destination loops' shape: the bit count is computed once
+        # per session, the draw repeated while it is out of range.
+        bits = n.bit_length()
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        return r
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+    def test_randint_choice_and_expovariate_draw_for_draw(self, seed):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for width in self.WIDTHS:
+            low = 0x01000000 if width == 0xDF000000 else 1024
+            for __ in range(50):
+                assert low + randbelow(ours, width) == stdlib.randint(
+                    low, low + width - 1
+                ), self.MOVED.format(method="randint")
+                assert self._inlined_randbelow(ours.getrandbits, width) == (
+                    stdlib.randrange(width)
+                ), self.MOVED.format(method="randrange")
+            seq = range(width)
+            assert seq[randbelow(ours, len(seq))] == stdlib.choice(seq), (
+                self.MOVED.format(method="choice")
+            )
+        for rate in self.RATES:
+            for __ in range(50):
+                assert -math.log(1.0 - ours.random()) / rate == stdlib.expovariate(rate), (
+                    self.MOVED.format(method="expovariate")
+                )
+        assert ours.getstate() == stdlib.getstate(), "the two generators drew apart"
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+    def test_a_reseeded_generator_is_a_new_one(self, seed):
+        """The generators reuse one ``random.Random`` per trace and
+        reseed it per source."""
+        reused = random.Random(7)
+        reused.random()
+        reused.seed(seed)
+        assert reused.getstate() == random.Random(seed).getstate()
+
+    def test_seed_of_is_the_streams_seed(self):
+        seeds = SeedSequence(424742).spawn("telescope")
+        stream = seeds.stream("session-3")
+        generator = random.Random(seeds.seed_of("session-3"))
+        assert [generator.random() for __ in range(5)] == [
+            stream.random() for __ in range(5)
+        ]

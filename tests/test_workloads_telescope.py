@@ -1,9 +1,12 @@
 """Unit tests for the background-radiation generator."""
 
+import random
+
 import pytest
 
 from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
 from repro.net.packet import PROTO_TCP, PROTO_UDP
+from repro.sim.rand import RandomStream
 from repro.workloads.telescope import TelescopeConfig, TelescopeWorkload
 from repro.workloads.trace import replay_into_farm
 
@@ -32,11 +35,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TelescopeConfig(probes_min=10, probes_max=5)
 
+    def test_rejects_min_equal_to_max(self):
+        # A bounded Pareto needs low < high; generation used to fail on it.
+        with pytest.raises(ValueError):
+            TelescopeConfig(probes_min=5, probes_max=5)
+
 
 class TestGeneration:
     @pytest.fixture
     def workload(self):
         return TelescopeWorkload(SLASH16, TelescopeConfig(seed=7))
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_rejects_a_record_limit_below_one(self, workload, limit):
+        # -1 used to stop after one session and keep one row.
+        with pytest.raises(ValueError, match="max_records"):
+            workload.generate(60.0, max_records=limit)
+
+    def test_session_size_is_the_bounded_pareto_stream_draw(self, workload):
+        config = workload.config
+        for seed in range(200):
+            expected = RandomStream(seed).bounded_pareto(
+                config.probes_pareto_shape, float(config.probes_min),
+                float(config.probes_max),
+            )
+            assert workload._session_size(random.Random(seed).random()) == int(expected)
 
     def test_records_sorted_by_time(self, workload):
         records = workload.generate(30.0)
