@@ -141,6 +141,10 @@ class TelescopeWorkload:
         self.inventory = AddressSpaceInventory(prefixes)
         self.config = config or TelescopeConfig()
         self._seeds = SeedSequence(self.config.seed)
+        # What every session reads: the address count, its bit length and
+        # the flat layout; the bounded-Pareto session-size constants.
+        total = self.inventory.total_addresses
+        self._flat = (total, total.bit_length(), *self.inventory.flat_layout)
         shape = self.config.probes_pareto_shape
         high = float(self.config.probes_max) ** -shape
         self._pareto = (high, float(self.config.probes_min) ** -shape - high, -1.0 / shape)
@@ -242,9 +246,7 @@ class TelescopeWorkload:
         victim_port = _VICTIM_PORTS[randbelow(rng, len(_VICTIM_PORTS))]
         flags = _SYN_ACK if random() < 0.7 else _RST_ACK
         replies = self._session_size(random())
-        total = self.inventory.total_addresses
-        bits = total.bit_length()
-        bases, offsets = self.inventory.flat_layout
+        total, bits, bases, offsets = self._flat
         t = start
         for __ in range(replies):
             if t >= duration:
@@ -278,8 +280,7 @@ class TelescopeWorkload:
         random, getrandbits = rng.random, rng.getrandbits
         protocol, port, payload = self._pick_profile(rng)
         probes = self._session_size(random())
-        total = self.inventory.total_addresses
-        bits = total.bit_length()
+        total, bits, bases, offsets = self._flat
         sweep = random() < self.config.sequential_sweep_fraction
         cursor = randbelow(rng, total)
         src_port = 1024 + randbelow(rng, _PORT_SPAN)
@@ -290,7 +291,6 @@ class TelescopeWorkload:
             burst = ((0.0, "", 40), (EXPLOIT_PAYLOAD_DELAY, payload, 40 + len(payload)))
         else:
             burst = _RETRY_BURST
-        bases, offsets = self.inventory.flat_layout
         t = start
         for i in range(probes):
             if t >= duration:
