@@ -27,12 +27,13 @@ arm and every workload alike.
 Per workload, seed and end-to-end metric of ``BENCHMARK.json`` it prints
 each arm's median and quartiles, and for ``a/a`` and ``change`` the
 ratio of medians to the parent's and the pairs in which the arm beat the
-parent. A row is **resolved** only when its gap to the parent's median
-is larger than the parent-to-A/A spread (the larger of the parent's
-interquartile range and the A/A arm's gap) *and* the arm moved the same
-way in at least ``RESOLVED_SHARE`` of the pairs; otherwise it is
-**unresolved**. The A/A row is held to the parent's interquartile range
-and the same share of pairs.
+parent. An arm's gap is the median of its per-pair differences from
+the parent; the parent-to-A/A spread is the interquartile range of the
+A/A arm's per-pair differences. A row is **resolved** only when its gap
+is larger than that spread *and* the arm moved the same way in at least
+``RESOLVED_SHARE`` of the pairs; otherwise it is **unresolved**. The A/A
+row is held to the same rule, so on an unchanged tree every row,
+the A/A rows included, should read unresolved.
 
 Exit status: 1 when a ``sim_digest`` differs between arms or between
 repetitions of one arm; 2 when a change row is resolved worse than the
@@ -110,29 +111,33 @@ def compare(
 ) -> Dict[str, Any]:
     """One metric's row: both arms against the parent, pair by pair.
 
-    ``verdict`` is ``better``, ``worse`` or ``unresolved``; ``outside_bound``
-    is true when the change is resolved worse by more than ``bound``.
+    An arm's *gap* is the median of its per-pair differences from the
+    parent run of the same pair, so a slow phase of the host that lands
+    on a whole pair cancels. The *spread* is the interquartile range of
+    the A/A arm's per-pair differences: how far two runs of one tree
+    drift apart. ``verdict`` is ``better``, ``worse`` or ``unresolved``;
+    ``outside_bound`` is true when the change is resolved worse and its
+    ratio of medians is beyond ``bound``.
     """
     if not (len(parent) == len(aa) == len(change)) or not parent:
         raise ValueError("every arm needs the same, non-zero number of pairs")
     stats = {"parent": quartiles(parent), "a/a": quartiles(aa), "change": quartiles(change)}
-    base = stats["parent"]["median"]
-    iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
-    aa_gap = abs(stats["a/a"]["median"] - base)
-    pairs = len(parent)
-    row: Dict[str, Any] = {"better": better, "bound": bound, "arms": stats}
-    for arm, values, spread in (("a/a", aa, iqr), ("change", change, max(iqr, aa_gap))):
-        median = stats[arm]["median"]
+    aa_diffs = quartiles([v - p for v, p in zip(aa, parent)])
+    spread = aa_diffs["q3"] - aa_diffs["q1"]
+    row: Dict[str, Any] = {"better": better, "bound": bound, "arms": stats, "spread": spread}
+    for arm, values in (("a/a", aa), ("change", change)):
+        gap = statistics.median(v - p for v, p in zip(values, parent))
         won = sum(_better(v, p, better) for v, p in zip(values, parent))
         lost = sum(_better(p, v, better) for v, p in zip(values, parent))
-        moved_better = _better(median, base, better)
-        consistent = (won if moved_better else lost) >= RESOLVED_SHARE * pairs
-        resolved = abs(median - base) > spread and consistent
+        moved_better = _better(gap, 0.0, better)
+        consistent = (won if moved_better else lost) >= RESOLVED_SHARE * len(parent)
+        resolved = abs(gap) > spread and consistent
         verdict = ("better" if moved_better else "worse") if resolved else "unresolved"
+        base = stats["parent"]["median"]
         row[arm] = {
-            "ratio": median / base if base else float("nan"),
+            "ratio": stats[arm]["median"] / base if base else float("nan"),
+            "gap": gap,
             "won": won,
-            "spread": spread,
             "verdict": verdict,
         }
     change_row = row["change"]
@@ -233,11 +238,10 @@ def table(results, contract: Dict[str, Any]) -> List[Dict[str, Any]]:
         samples = {arm: [end_to_end(rep) for rep in reps] for arm, reps in arms.items()}
         for metric in contract["end_to_end"]:
             name = metric["name"]
-            row = compare(
-                *(tuple(s[name] for s in samples[arm]) for arm in ARMS),
-                better=metric["better"], bound=metric["bound"],
-            )
-            row.update(workload=workload, seed=seed, metric=name)
+            values = {arm: [sample[name] for sample in samples[arm]] for arm in ARMS}
+            row = compare(*(values[arm] for arm in ARMS),
+                          better=metric["better"], bound=metric["bound"])
+            row.update(workload=workload, seed=seed, metric=name, values=values)
             rows.append(row)
     return rows
 
@@ -245,7 +249,7 @@ def table(results, contract: Dict[str, Any]) -> List[Dict[str, Any]]:
 def format_table(rows: Sequence[Dict[str, Any]]) -> str:
     lines = [
         f"{'workload':<16}{'seed':>8}  {'metric':<18}{'arm':<8}"
-        f"{'median':>12}{'q1':>12}{'q3':>12}{'ratio':>9}{'won':>8}  verdict"
+        f"{'median':>12}{'q1':>12}{'q3':>12}{'ratio':>9}{'won':>8}{'gap':>12}  verdict"
     ]
     for row in rows:
         for arm in ARMS:
@@ -256,9 +260,12 @@ def format_table(rows: Sequence[Dict[str, Any]]) -> str:
             )
             line = (f"{head}{arm:<8}{stats['median']:>12.4g}{stats['q1']:>12.4g}"
                     f"{stats['q3']:>12.4g}")
-            if arm != "parent":
+            if arm == "parent":
+                line += f"{'':17}{'':12}  (a/a spread {row['spread']:.4g})"
+            else:
                 cell = row[arm]
-                line += f"{cell['ratio']:>8.3f}×{cell['won']:>5}/{stats['n']:<2}  {cell['verdict']}"
+                line += (f"{cell['ratio']:>8.3f}×{cell['won']:>5}/{stats['n']:<2}"
+                         f"{cell['gap']:>+12.4g}  {cell['verdict']}")
                 if cell.get("outside_bound"):
                     line += f"  OUTSIDE BOUND ({row['bound']:.0%})"
             lines.append(line)
@@ -284,6 +291,7 @@ def _history_row(args, commits: Dict[str, str], rows, failures) -> Dict[str, Any
             {
                 "workload": row["workload"], "seed": row["seed"], "metric": row["metric"],
                 **{arm: row["arms"][arm] for arm in ARMS},
+                "values": row["values"], "spread": row["spread"],
                 "aa_ratio": row["a/a"]["ratio"], "aa_won": row["a/a"]["won"],
                 "aa_verdict": row["a/a"]["verdict"],
                 "ratio": row["change"]["ratio"], "won": row["change"]["won"],

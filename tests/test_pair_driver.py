@@ -18,6 +18,11 @@ import pair  # noqa: E402
 PARENT = [10.0, 10.4, 9.8, 10.1, 10.3, 9.9, 10.2, 10.0, 9.7, 10.1]
 
 
+def _jittered(values, size):
+    """``values`` moved up and down by ``size`` in turn: an A/A arm."""
+    return [v + (size if i % 2 else -size) for i, v in enumerate(values)]
+
+
 def test_identical_arms_are_unresolved():
     row = pair.compare(PARENT, list(PARENT), list(PARENT), better="lower", bound=0.25)
     assert row["a/a"]["verdict"] == row["change"]["verdict"] == "unresolved"
@@ -26,28 +31,33 @@ def test_identical_arms_are_unresolved():
 
 
 def test_a_shift_won_in_every_pair_resolves_its_way():
-    faster = [v * 0.7 for v in PARENT]
-    row = pair.compare(PARENT, list(PARENT), faster, better="lower", bound=0.25)
+    aa, faster = _jittered(PARENT, 0.01), [v * 0.7 for v in PARENT]
+    row = pair.compare(PARENT, aa, faster, better="lower", bound=0.25)
+    assert row["a/a"]["verdict"] == "unresolved"
     assert row["change"]["verdict"] == "better"
     assert row["change"]["won"] == 10
     assert row["change"]["ratio"] == pytest.approx(0.7)
-    row = pair.compare(PARENT, list(PARENT), faster, better="higher", bound=0.25)
+    row = pair.compare(PARENT, aa, faster, better="higher", bound=0.25)
     assert row["change"]["verdict"] == "worse"
     assert row["change"]["outside_bound"]  # 30 % worse against a 25 % bound
 
 
-def test_a_gap_inside_the_parents_quartiles_is_unresolved():
-    nudged = [v - 0.05 for v in PARENT]  # wins every pair, moves less than the IQR
-    row = pair.compare(PARENT, list(PARENT), nudged, better="lower", bound=0.25)
+def test_a_gap_inside_the_aa_spread_is_unresolved():
+    nudged = [v - 0.05 for v in PARENT]  # wins every pair, by less than A/A drift
+    row = pair.compare(PARENT, _jittered(PARENT, 0.3), nudged, better="lower", bound=0.25)
     assert row["change"]["won"] == 10
     assert row["change"]["verdict"] == "unresolved"
 
 
-def test_the_aa_gap_widens_the_spread_the_change_must_beat():
-    shifted = [v - 1.0 for v in PARENT]
-    row = pair.compare(PARENT, shifted, shifted, better="lower", bound=0.25)
-    assert row["a/a"]["verdict"] == "better"  # the host moved, not the change
-    assert row["change"]["verdict"] == "unresolved"
+def test_a_slow_phase_of_the_host_cancels_within_pairs():
+    # Half the pairs ran while the host was 50 % slower: the parent's
+    # quartiles span the two speeds, but every pair still shows the gain.
+    host = [10.0] * 5 + [15.0] * 5
+    row = pair.compare(host, _jittered(host, 0.05), [v * 0.8 for v in host],
+                       better="lower", bound=0.25)
+    parent = row["arms"]["parent"]
+    assert parent["q3"] - parent["q1"] > abs(row["change"]["gap"])
+    assert row["change"]["verdict"] == "better"
 
 
 def test_a_median_gap_without_a_consistent_direction_is_unresolved():
