@@ -40,6 +40,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from math import log
 from random import Random
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -69,6 +70,8 @@ DEFAULT_PORT_MIX: Tuple[Tuple[int, int, float, Optional[str]], ...] = (
     (PROTO_UDP, 137, 0.02, None),
 )
 _OTHER_PORT_WEIGHT = 0.20  # random unpopular ports
+#: The mix's running weight sums, added up in order as a roll is compared.
+_PORT_MIX_BOUNDS = tuple(accumulate(weight for __, __, weight, __ in DEFAULT_PORT_MIX))
 
 PROBE_RATE_PER_SOURCE = 12.0  # probes/second while a session lasts
 TCP_SYN_RETRIES = 3           # total SYNs sent per unanswered TCP dst
@@ -216,14 +219,11 @@ class TelescopeWorkload:
     def _pick_profile(self, rng: Random) -> Tuple[int, int, str]:
         """A source's target service: ``(protocol, port, exploit payload
         or "")``."""
-        random = rng.random
-        roll = random()
-        acc = 0.0
-        for protocol, port, weight, tag in DEFAULT_PORT_MIX:
-            acc += weight
-            if roll < acc:
-                exploit = random() < self.config.exploit_source_fraction
-                return protocol, port, tag if exploit and tag else ""
+        mix = bisect_right(_PORT_MIX_BOUNDS, rng.random())  # the first bound above the roll
+        if mix < len(DEFAULT_PORT_MIX):
+            protocol, port, __, tag = DEFAULT_PORT_MIX[mix]
+            exploit = rng.random() < self.config.exploit_source_fraction
+            return protocol, port, tag if exploit and tag else ""
         # Unpopular tail: a random high port, never exploit-carrying.
         return PROTO_TCP, 1024 + randbelow(rng, 65536 - 1024), ""
 
