@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 from array import array
+from dataclasses import asdict, dataclass, field, replace
 from math import log
 from random import Random
-from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import DeceptionConfig, HoneyfarmConfig

@@ -70,7 +70,8 @@ DEFAULT_PORT_MIX: Tuple[Tuple[int, int, float, Optional[str]], ...] = (
     (PROTO_UDP, 137, 0.02, None),
 )
 _OTHER_PORT_WEIGHT = 0.20  # random unpopular ports
-#: The mix's running weight sums, added up in order as a roll is compared.
+#: The mix's running weight sums, in mix order: a roll picks the first
+#: entry whose bound is above it, or the unpopular tail past the last.
 _PORT_MIX_BOUNDS = tuple(accumulate(weight for __, __, weight, __ in DEFAULT_PORT_MIX))
 
 PROBE_RATE_PER_SOURCE = 12.0  # probes/second while a session lasts
