@@ -67,7 +67,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from operator import itemgetter, lt
+from operator import lt
 from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -260,23 +260,22 @@ class PacketColumns(Sequence[TraceRecord]):
         would. One index permutation, then one gather per column."""
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be non-negative or None: {limit!r}")
-        # The sort's keys are the times boxed once, in C; they are freed
-        # before the gathers, so they never coexist with the new columns.
+        # The times boxed once, in C: the sort's keys and the gather read
+        # the list, and the constructor packs the gathered one back.
         times = self.times.tolist()
         order = sorted(range(len(times)), key=times.__getitem__)
-        del times
         if limit is not None:
             del order[limit:]
-        return self.take(order)
+        return PacketColumns(*(
+            list(map(column.__getitem__, order))
+            for column in (times, self.keys, self.payloads, self.sizes, self.tcp_flags)
+        ))
 
-    def take(self, rows: Sequence[int]) -> "PacketColumns":
-        """The trace of ``rows``, in the order given: one ``itemgetter``
-        over every column, each column's tuple copied to a list at once."""
-        if len(rows) < 2:  # a one-index itemgetter returns the value, not a tuple
-            return PacketColumns(*([column[i] for i in rows] for column in self._columns()))
-        gather = itemgetter(*rows)
-        return PacketColumns(array("d", gather(self.times)), *(
-            list(gather(column)) for column in (self.keys, self.payloads, self.sizes, self.tcp_flags)
+    def take(self, rows: Iterable[int]) -> "PacketColumns":
+        """The trace of ``rows``, in the order given."""
+        rows = list(rows)
+        return PacketColumns(*(
+            list(map(column.__getitem__, rows)) for column in self._columns()
         ))
 
     def _columns(self) -> Tuple[array, list, list, list, list]:

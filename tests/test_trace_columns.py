@@ -323,10 +323,7 @@ class TestSequenceOfRows:
     def test_sort_cuts_to_any_size_and_rejects_a_negative_limit(self):
         rows = [_syn(2.0, size=1), _syn(1.0, size=2), _syn(2.0, size=3)]
         trace = PacketColumns.from_records(rows)
-        # The gather is one itemgetter, which returns a bare value for one
-        # index and refuses none.
         assert trace.sorted_by_time(1).sizes == [2] and trace.sorted_by_time(0).sizes == []
-        assert trace.take([2]) == [rows[2]] and trace.take([]) == []
         # -5 used to drop the last five rows.
         with pytest.raises(ValueError, match="limit"):
             trace.sorted_by_time(-1)
