@@ -36,11 +36,12 @@ row is held to the same rule, so on an unchanged tree every row,
 the A/A rows included, should read unresolved.
 
 Exit status: 1 when a ``sim_digest`` differs between arms or between
-repetitions of one arm; 2 when a change row is resolved worse than the
-parent by more than the metric's bound; 0 otherwise. Every run appends
-one JSON line to ``benchmarks/reports/BENCH_history.jsonl``. The
-worktrees are removed on exit, and nothing under ``benchmarks/e2e/`` or
-``BENCHMARK.json`` is written.
+repetitions of one arm, or a repetition cannot account for a packet; 2
+when a change row is resolved worse than the parent by more than the
+metric's bound; 0 otherwise. Every run appends one JSON line to
+``benchmarks/reports/BENCH_history.jsonl``. The worktrees are removed
+on exit, and nothing under ``benchmarks/e2e/`` or ``BENCHMARK.json`` is
+written.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ ARMS = ("parent", "a/a", "change")
 WORKTREE_NAMES = {"parent": "parent", "a/a": "aacopy", "change": "change"}
 
 
-def load_contract(root: Path = ROOT) -> Dict[str, Any]:
-    with open(root / "BENCHMARK.json") as fh:
+def load_contract() -> Dict[str, Any]:
+    with open(ROOT / "BENCHMARK.json") as fh:
         return json.load(fh)
 
 
