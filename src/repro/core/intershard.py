@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.core.config import HoneyfarmConfig
 from repro.core.containment import make_policy
@@ -104,20 +104,24 @@ def encode_packet(packet: Packet) -> Tuple:
     )
 
 
+#: Every :class:`TcpFlags` value by its int: a tuple index instead of a
+#: trip through the enum's constructor per decoded packet.
+_TCP_FLAGS = tuple(TcpFlags(value) for value in range(32))
+
+
 def decode_packet(wire: Sequence) -> Packet:
     """Rebuild a packet from :func:`encode_packet` output. The packet is
     a fresh object in either lane (the in-process reference round-trips
     through the same codec, so object identity never leaks into
     behaviour)."""
+    src, dst, protocol, src_port, dst_port, flags, icmp_type, payload, size, ttl = wire
     return Packet(
-        src=wire[0], dst=wire[1], protocol=wire[2],
-        src_port=wire[3], dst_port=wire[4], flags=TcpFlags(wire[5]),
-        icmp_type=wire[6], payload=wire[7], size=wire[8], ttl=wire[9],
+        src, dst, protocol, src_port, dst_port, _TCP_FLAGS[flags],
+        icmp_type, payload, size, ttl,
     )
 
 
-@dataclass(frozen=True)
-class ShardMessage:
+class ShardMessage(NamedTuple):
     """One cross-shard packet in flight.
 
     ``seq`` is the sender's per-shard monotonic message counter; together
@@ -146,12 +150,9 @@ class ShardMessage:
     generation: int = -1
 
     def encode(self) -> Tuple:
-        """The versioned on-pipe form (primitives only)."""
-        return (
-            WIRE_VERSION, self.send_time, self.deliver_time,
-            self.src_shard, self.dst_shard, self.seq, self.reply, self.wire,
-            self.generation,
-        )
+        """The versioned on-pipe form (primitives only): the fields in
+        order behind the version."""
+        return (WIRE_VERSION,) + self
 
     @classmethod
     def decode(cls, encoded: Sequence) -> "ShardMessage":
@@ -160,12 +161,7 @@ class ShardMessage:
                 f"inter-shard wire version mismatch: got {encoded[0]!r},"
                 f" expected {WIRE_VERSION}"
             )
-        return cls(
-            send_time=encoded[1], deliver_time=encoded[2],
-            src_shard=encoded[3], dst_shard=encoded[4],
-            seq=encoded[5], reply=encoded[6], wire=tuple(encoded[7]),
-            generation=encoded[8],
-        )
+        return tuple.__new__(cls, encoded[1:])
 
 
 # ---------------------------------------------------------------------- #
@@ -280,29 +276,20 @@ class ShardRunner:
         now = self.farm.sim.now
         self.sent += 1
         self.outbox.append(ShardMessage(
-            send_time=now,
-            deliver_time=now + self.interlink.latency_seconds,
-            src_shard=self.index,
-            dst_shard=dst_shard,
-            seq=self.sent,
-            reply=reply,
-            wire=encode_packet(packet),
-            generation=generation,
+            now, now + self.interlink.latency_seconds, self.index, dst_shard,
+            self.sent, reply, encode_packet(packet), generation,
         ))
 
     # -- coordinator interface ------------------------------------------- #
 
     def deposit(self, message: ShardMessage) -> None:
         """Accept one inbound message (any epoch ahead of now)."""
-        if message.dst_shard != self.index:
+        __, deliver, src_shard, dst_shard, seq, reply, wire, generation = message
+        if dst_shard != self.index:
             raise ValueError(
-                f"shard {self.index} received a message for shard"
-                f" {message.dst_shard}"
+                f"shard {self.index} received a message for shard {dst_shard}"
             )
-        heapq.heappush(self._mailbox, (
-            message.deliver_time, message.src_shard, message.seq,
-            message.reply, message.wire, message.generation,
-        ))
+        heapq.heappush(self._mailbox, (deliver, src_shard, seq, reply, wire, generation))
 
     def attach_records(self, records, batched: bool = True) -> int:
         """Feed this shard's slice of the workload (pre-run only)."""

@@ -450,14 +450,14 @@ class PacketArrivalStream:
             t = times[i]
             if until is not None and t > until:
                 break
-            seq = base + i
-            if limit_key is not None and limit_key < (t, seq):
+            key = (t, base + i)
+            if limit_key is not None and limit_key < key:
                 break
             queue = sim._queue  # re-read: compaction rebinds the list
+            # A (time, seq, event) entry: its seq is not this arrival's,
+            # so the comparison never reaches the event.
             head = queue[0] if queue else None
-            if head is not None and (
-                head.time < t or (head.time == t and head.seq < seq)
-            ):
+            if head is not None and head < key:
                 break
             if deliver_span is not None and _obs.ACTIVE is None:
                 # Span lane: hand the gateway the longest run of arrivals
@@ -470,7 +470,7 @@ class PacketArrivalStream:
                 if until is not None:
                     lim = bisect_right(times, until, i, lim)
                 if head is not None:
-                    lim = self._span_limit(head.time, head.seq, i, lim)
+                    lim = self._span_limit(head[0], head[1], i, lim)
                 if limit_key is not None:
                     lim = self._span_limit(limit_key[0], limit_key[1], i, lim)
                 if budget is not None and lim - i > budget - delivered:

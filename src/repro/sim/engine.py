@@ -9,7 +9,10 @@ Determinism guarantees:
 
 * Events with equal timestamps fire in insertion order (a monotonically
   increasing sequence number breaks ties), so re-running with the same seed
-  reproduces the exact event interleaving.
+  reproduces the exact event interleaving. The heap holds
+  ``(time, seq, event)`` entries: ``seq`` is unique, so two entries are
+  always decided by their first two fields, compared in C, and the event
+  object itself is never compared.
 * The clock only moves when the loop pops an event; callbacks may schedule
   new events at or after the current time but never in the past.
 """
@@ -141,7 +144,9 @@ class Event:
 
     Holding on to the event lets callers cancel it before it fires — the
     idiom used throughout the reproduction for idle timers that are pushed
-    back whenever a VM receives another packet.
+    back whenever a VM receives another packet. Events carry no ordering
+    of their own: the simulator's heap orders ``(time, seq, event)``
+    entries.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
@@ -174,9 +179,6 @@ class Event:
         if sim is not None:
             sim._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.6f} seq={self.seq} {state}>"
@@ -204,7 +206,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: list[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._streams: List[ArrivalStream] = []
         self._running = False
@@ -251,7 +253,7 @@ class Simulator:
         Idle-timer push-back cancels one event per packet, so cancelled
         events would otherwise pile up and inflate every heap operation to
         O(log dead). Once the dead fraction crosses one half (and the heap
-        is big enough to care), rebuild without them: events carry a strict
+        is big enough to care), rebuild without them: entries carry a strict
         (time, seq) total order, so re-heapifying cannot change firing
         order.
         """
@@ -263,15 +265,16 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        live: list[Event] = []
-        for event in self._queue:
+        live: List[Tuple[float, int, Event]] = []
+        for entry in self._queue:
+            event = entry[2]
             if event.cancelled:
                 # Detach dropped tombstones: the event no longer occupies a
                 # heap slot, so nothing it does later (it is already
                 # cancelled, but belt-and-braces) may touch this simulator.
                 event._sim = None
             else:
-                live.append(event)
+                live.append(entry)
         self._queue = live
         heapq.heapify(self._queue)
         self._cancelled_in_heap = 0
@@ -279,8 +282,7 @@ class Simulator:
 
     def _discard_head(self) -> None:
         """Pop a cancelled event off the heap and forget it."""
-        event = heapq.heappop(self._queue)
-        event._sim = None
+        heapq.heappop(self._queue)[2]._sim = None
         self._cancelled_in_heap -= 1
 
     # ------------------------------------------------------------------ #
@@ -305,11 +307,12 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time!r}; clock is already at {self._now!r}"
             )
+        time = float(time)
         seq = self._seq
         self._seq = seq + 1
-        event = Event(float(time), seq, callback, args)
+        event = Event(time, seq, callback, args)
         event._sim = self
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def reserve_seqs(self, count: int) -> int:
@@ -370,10 +373,10 @@ class Simulator:
         merged by :meth:`run`, which is how streamed workloads execute.
         """
         while self._queue:
-            if self._queue[0].cancelled:
+            if self._queue[0][2].cancelled:
                 self._discard_head()
                 continue
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             event._sim = None  # fired; a late cancel() must not touch the heap count
             self._now = event.time
             self._events_processed += 1
@@ -416,13 +419,13 @@ class Simulator:
                     if max_events is not None and executed >= max_events:
                         break
                     # self._queue is re-read each pass: compaction rebinds it.
-                    while self._queue and self._queue[0].cancelled:
+                    while self._queue and self._queue[0][2].cancelled:
                         self._discard_head()
                     head = self._queue[0] if self._queue else None
                     stream, stream_key, runner_key = self._best_stream()
-                    if stream is not None and (
-                        head is None or stream_key < (head.time, head.seq)
-                    ):
+                    # (time, seq) against (time, seq, event): the seqs
+                    # differ, so the event is never reached.
+                    if stream is not None and (head is None or stream_key < head):
                         if until is not None and stream_key[0] > until:
                             break
                         budget = None if max_events is None else max_events - executed
@@ -432,7 +435,7 @@ class Simulator:
                         continue
                     if head is None:
                         break
-                    if until is not None and head.time > until:
+                    if until is not None and head[0] > until:
                         break
                     self.step()
                     executed += 1
@@ -470,10 +473,10 @@ class Simulator:
         next_time: Optional[float] = None
         while self._queue:
             head = self._queue[0]
-            if head.cancelled:
+            if head[2].cancelled:
                 self._discard_head()
                 continue
-            next_time = head.time
+            next_time = head[0]
             break
         for stream in self._streams:
             key = stream.peek()
@@ -483,8 +486,8 @@ class Simulator:
 
     def reset(self, start_time: float = 0.0) -> None:
         """Discard all pending events and streams and rewind the clock."""
-        for event in self._queue:
-            event._sim = None
+        for entry in self._queue:
+            entry[2]._sim = None
         self._queue.clear()
         self._streams.clear()
         self._now = float(start_time)

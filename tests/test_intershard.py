@@ -79,12 +79,25 @@ class TestWireCodec:
         assert decoded is not packet
         assert same_wire_fields(decoded, packet)
 
+    def test_every_flags_value_decodes_to_its_member(self):
+        wire = list(encode_packet(tcp_packet(EXTERNAL, A, 1, 80)))
+        for value in range(32):
+            wire[5] = value
+            flags = decode_packet(wire).flags
+            assert type(flags) is TcpFlags
+            assert flags is TcpFlags(value)
+        wire[5] = 32  # beyond the five TCP flag bits the simulator models
+        with pytest.raises(IndexError):
+            decode_packet(wire)
+
     def test_message_roundtrip(self):
         message = ShardMessage(
             send_time=1.5, deliver_time=2.0, src_shard=0, dst_shard=1,
             seq=7, reply=True, wire=encode_packet(udp_packet(A, B, 9, 53)),
         )
-        assert ShardMessage.decode(message.encode()) == message
+        decoded = ShardMessage.decode(message.encode())
+        assert decoded == message
+        assert type(decoded) is ShardMessage
 
     def test_message_generation_roundtrip(self):
         message = ShardMessage(

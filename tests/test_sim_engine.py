@@ -3,6 +3,8 @@
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.intershard import run_lockstep
 from repro.sim.engine import SimulationError, Simulator, batched_collection
@@ -237,10 +239,8 @@ class TestCompaction:
 
     def test_compaction_preserves_firing_order(self, sim):
         fired = []
-        for i in range(70):
-            sim.schedule(1.0 + (i % 7) * 0.5, fired.append, i)
+        events = [sim.schedule(1.0 + (i % 7) * 0.5, fired.append, i) for i in range(70)]
         expected_survivors = []
-        events = list(sim._queue)
         for i, event in enumerate(events):
             if i % 2:
                 event.cancel()
@@ -250,6 +250,70 @@ class TestCompaction:
         expected_survivors.sort()
         sim.run()
         assert fired == [arg for _, _, arg in expected_survivors]
+
+
+#: Few distinct times, so equal timestamps are the rule, not the exception.
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+#: One initial event: its time, whether it is cancelled before the run,
+#: and the delays of the children it schedules when it fires (0 is
+#: ``call_now``).
+_INITIAL = st.tuples(
+    _TIMES,
+    st.booleans(),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0]), max_size=2),
+)
+
+
+class TestEventOrderContract:
+    """Whatever the heap holds, events fire in the ``(time, seq)`` order
+    of the live ones — checked against a plain sort."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        initial=st.lists(_INITIAL, min_size=Simulator.COMPACTION_MIN_QUEUE, max_size=100),
+        stream_time=_TIMES,
+        stream_at=st.integers(min_value=0, max_value=Simulator.COMPACTION_MIN_QUEUE - 1),
+        extra_cancelled=st.integers(min_value=0, max_value=100),
+    )
+    def test_firing_order_is_the_sorted_live_keys(
+        self, initial, stream_time, stream_at, extra_cancelled
+    ):
+        sim = Simulator()
+        fired = []
+        handles = []
+
+        def fire(index, children):
+            event = handles[index]
+            fired.append((event.time, event.seq))
+            assert sim.now == event.time
+            for delay in children:
+                child = len(handles)
+                if delay == 0.0:
+                    handles.append(sim.call_now(fire, child, ()))
+                else:
+                    handles.append(sim.schedule(delay, fire, child, ()))
+
+        for index, (time, __, children) in enumerate(initial):
+            if index == stream_at:
+                stream = _OneArrival(sim, stream_time, [])
+            handles.append(sim.schedule_at(time, fire, index, children))
+        # More than half cancelled, so the heap compacts before the run;
+        # the events drawn as cancelled go first.
+        doomed = sorted(range(len(initial)), key=lambda i: not initial[i][1])
+        for index in doomed[: len(initial) // 2 + 1 + extra_cancelled]:
+            handles[index].cancel()
+        assert sim.compactions >= 1
+
+        original = stream.drain
+
+        def drain(until, limit_key, budget):
+            fired.append((stream.time, stream.seq))
+            return original(until, limit_key, budget)
+
+        stream.drain = drain
+        sim.run()
+        live = [(e.time, e.seq) for e in handles if not e.cancelled]
+        assert fired == sorted(live + [(stream.time, stream.seq)])
 
 
 class _OneArrival:
