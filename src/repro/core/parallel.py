@@ -52,6 +52,12 @@ __all__ = ["FederationResult", "ParallelFederation"]
 #: coordinator routes encoded messages without decoding packet bodies.
 _ENC_DST_SHARD = 4
 
+#: How long the coordinator waits for any one worker reply before it
+#: calls the worker hung. Far above any real epoch or farm build; what
+#: it bounds is a stopped or deadlocked worker, which would otherwise
+#: block the coordinator forever.
+_REPLY_DEADLINE_SECONDS = 600.0
+
 
 def _shard_worker(conn, payload: Dict[str, Any]) -> None:
     """Worker main: build this worker's :class:`ShardGroup`, then serve
@@ -122,17 +128,29 @@ class _WorkerPort:
         self.conn = conn
         self.worker = worker
         self.process = process
+        #: The op whose reply :meth:`collect` waits for.
+        self.op = "ready"
+
+    def send(self, op: str, *args: Any) -> None:
+        self.op = op
+        self.conn.send((op, *args))
 
     def epoch(self, end: float, inbound: List[Tuple]) -> None:
-        self.conn.send(("epoch", end, inbound))
+        self.send("epoch", end, inbound)
 
     def deposit(self, inbound: List[Tuple]) -> None:
-        self.conn.send(("deposit", inbound))
+        self.send("deposit", inbound)
 
     def collect(self):
         """The worker's next reply. The only ``recv`` on the coordinator
         side, so the one place a worker failure surfaces: an exception it
-        shipped back, or its end of the pipe closing because it died."""
+        shipped back, its end of the pipe closing because it died, or no
+        reply within :data:`_REPLY_DEADLINE_SECONDS` because it hung."""
+        if not self.conn.poll(_REPLY_DEADLINE_SECONDS):
+            raise RuntimeError(
+                f"federation worker {self.worker} sent no reply to"
+                f" {self.op!r} within {_REPLY_DEADLINE_SECONDS:g} s"
+            )
         try:
             message = self.conn.recv()
         except (EOFError, ConnectionResetError):
@@ -278,17 +296,19 @@ class ParallelFederation:
             )
             reports: List[Dict[str, Any]] = []
             for port in ports:
-                port.conn.send(("reports",))
+                port.send("reports")
             for port in ports:
                 reports.extend(port.collect())
             for port in ports:
-                port.conn.send(("stop",))
+                port.send("stop")
             for process in processes:
                 process.join(timeout=30)
         finally:
             for process in processes:
                 if process.is_alive():
-                    process.terminate()
+                    # SIGKILL, not SIGTERM: a stopped worker holds a
+                    # SIGTERM pending and would outlive the run.
+                    process.kill()
                     process.join(timeout=5)
             for port in ports:
                 port.conn.close()

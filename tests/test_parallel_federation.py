@@ -10,6 +10,7 @@ conservation holds globally.
 import json
 import multiprocessing
 import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,68 @@ class TestParallelFederationApi:
             RuntimeError, match=r"federation worker 0 died \(exit code 3\)"
         ):
             lane.run(until=5.0)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched worker reaches the child only through fork",
+    )
+    def test_a_stopped_worker_is_named_within_the_deadline(self, monkeypatch):
+        """A worker stopped mid-run (SIGSTOP: alive, silent, pipe open)
+        surfaces as an error naming it and the op it never answered, once
+        the reply deadline passes, and no worker outlives the run."""
+        serve = parallel._shard_worker
+
+        class StoppingOnFirstEpoch:
+            def __init__(self, conn):
+                self.conn = conn
+
+            def recv(self):
+                message = self.conn.recv()
+                if message[0] == "epoch":
+                    os.kill(os.getpid(), signal.SIGSTOP)
+                return message
+
+            def __getattr__(self, name):
+                return getattr(self.conn, name)
+
+        def worker(conn, payload):
+            if payload["shards"][0][0] == 0:
+                conn = StoppingOnFirstEpoch(conn)
+            serve(conn, payload)
+
+        monkeypatch.setattr(parallel, "_shard_worker", worker)
+        monkeypatch.setattr(parallel, "_REPLY_DEADLINE_SECONDS", 2.0)
+        lane = ParallelFederation(
+            shard_configs(), INTERLINK, 2, shard_records=[[SEED_RECORD], None],
+            start_method="fork",
+        )
+
+        def still_blocked(signum, frame):
+            raise TimeoutError("the coordinator is still blocked after 10 s")
+
+        previous = signal.signal(signal.SIGALRM, still_blocked)
+        signal.alarm(10)
+        try:
+            with pytest.raises(
+                RuntimeError, match=r"federation worker 0 sent no reply to 'epoch' within 2 s"
+            ):
+                lane.run(until=5.0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_spawned_workers_match_the_reference(self):
+        """Workers started in a fresh interpreter: the payload and every
+        message must unpickle there, and the outcome is the reference's."""
+        reference = run_reference(until=10.0).shard_reports()
+        lane = ParallelFederation(
+            shard_configs(), INTERLINK, 2, shard_records=[[SEED_RECORD], None],
+            worms=(("slammer", 2.0),), start_method="spawn",
+        )
+        result = lane.run(until=10.0)
+        assert sum(report["intershard"]["sent"] for report in result.reports) > 0
+        assert result.reports == reference
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ValueError):
