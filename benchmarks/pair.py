@@ -35,6 +35,12 @@ is larger than that spread *and* the arm moved the same way in at least
 row is held to the same rule, so on an unchanged tree every row,
 the A/A rows included, should read unresolved.
 
+Below the table, each workload and seed gets one host-phase line: the
+pairs in which all three arms ran slower (``packets_per_s``) than their
+own medians by more than the A/A spread. Such a pair is a slow phase of
+the host, not an effect of the change; the per-pair differences cancel
+it, and the line says how often it happened.
+
 Exit status: 1 when a ``sim_digest`` differs between arms or between
 repetitions of one arm, or a repetition cannot account for a packet; 2
 when a change row is resolved worse than the parent by more than the
@@ -66,6 +72,8 @@ DEFAULT_SEED = 424742
 DEFAULT_PAIRS = 10
 #: A resolved row moved the same way in at least this share of pairs.
 RESOLVED_SHARE = 0.8
+#: The metric whose slow pairs mark a slow phase of the host.
+HOST_PHASE_METRIC = "packets_per_s"
 #: A repetition still running after this long is hung.
 REP_TIMEOUT_SECONDS = 600.0
 
@@ -106,6 +114,23 @@ def _better(a: float, b: float, better: str) -> bool:
     return a > b if better == "higher" else a < b
 
 
+def slow_pairs(
+    arms: Sequence[Sequence[float]], better: str, spread: float,
+) -> List[int]:
+    """The pairs (0-based) in which every arm did worse than its own
+    median by more than ``spread``: the host slowed them all together."""
+    medians = [statistics.median(values) for values in arms]
+    flagged = []
+    for index, pair_values in enumerate(zip(*arms)):
+        shortfalls = [
+            (m - v) if better == "higher" else (v - m)
+            for v, m in zip(pair_values, medians)
+        ]
+        if all(shortfall > spread for shortfall in shortfalls):
+            flagged.append(index)
+    return flagged
+
+
 def compare(
     parent: Sequence[float], aa: Sequence[float], change: Sequence[float],
     better: str, bound: float,
@@ -118,14 +143,19 @@ def compare(
     the A/A arm's per-pair differences: how far two runs of one tree
     drift apart. ``verdict`` is ``better``, ``worse`` or ``unresolved``;
     ``outside_bound`` is true when the change is resolved worse and its
-    ratio of medians is beyond ``bound``.
+    ratio of medians is beyond ``bound``. ``slow_pairs`` lists the pairs
+    in which all three arms did worse than their own medians by more
+    than the spread (see :func:`slow_pairs`).
     """
     if not (len(parent) == len(aa) == len(change)) or not parent:
         raise ValueError("every arm needs the same, non-zero number of pairs")
     stats = {"parent": quartiles(parent), "a/a": quartiles(aa), "change": quartiles(change)}
     aa_diffs = quartiles([v - p for v, p in zip(aa, parent)])
     spread = aa_diffs["q3"] - aa_diffs["q1"]
-    row: Dict[str, Any] = {"better": better, "bound": bound, "arms": stats, "spread": spread}
+    row: Dict[str, Any] = {
+        "better": better, "bound": bound, "arms": stats, "spread": spread,
+        "slow_pairs": slow_pairs((parent, aa, change), better, spread),
+    }
     for arm, values in (("a/a", aa), ("change", change)):
         gap = statistics.median(v - p for v, p in zip(values, parent))
         won = sum(_better(v, p, better) for v, p in zip(values, parent))
@@ -273,6 +303,23 @@ def format_table(rows: Sequence[Dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
+def host_phase_lines(rows: Sequence[Dict[str, Any]]) -> List[str]:
+    """One line per workload and seed: how many pairs the host slowed
+    on every arm at once."""
+    lines = []
+    for row in rows:
+        if row["metric"] != HOST_PHASE_METRIC:
+            continue
+        flagged = row["slow_pairs"]
+        which = f" (pair {', '.join(str(i + 1) for i in flagged)})" if flagged else ""
+        lines.append(
+            f"host phase: {row['workload']} seed {row['seed']}: {len(flagged)} of"
+            f" {row['arms']['parent']['n']} pairs ran slower on every arm than"
+            f" its median by more than the a/a spread{which}"
+        )
+    return lines
+
+
 def _history_row(args, commits: Dict[str, str], rows, failures) -> Dict[str, Any]:
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
     return {
@@ -297,6 +344,7 @@ def _history_row(args, commits: Dict[str, str], rows, failures) -> Dict[str, Any
                 "aa_verdict": row["a/a"]["verdict"],
                 "ratio": row["change"]["ratio"], "won": row["change"]["won"],
                 "verdict": row["change"]["verdict"],
+                "slow_pairs": row["slow_pairs"],
             }
             for row in rows
         ],
@@ -346,6 +394,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     failures = digest_failures(results)
     rows = table(results, contract)
     print(format_table(rows))
+    print("\n".join(host_phase_lines(rows)))
     for failure in failures:
         print(f"CHECK FAILED: {failure}", file=sys.stderr)
     outside = [row for row in rows if row["change"]["outside_bound"]]

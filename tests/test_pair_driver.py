@@ -70,3 +70,36 @@ def test_a_median_gap_without_a_consistent_direction_is_unresolved():
 def test_arms_need_the_same_number_of_pairs():
     with pytest.raises(ValueError):
         pair.compare(PARENT, PARENT[:-1], PARENT, better="lower", bound=0.25)
+
+
+def test_a_pair_every_arm_ran_slow_is_a_host_phase():
+    # Pair 4 (index 3): all three arms lost 30 % together. Pair 7: only
+    # the change arm dipped, which is the change's doing, not the host's.
+    parent = list(PARENT)
+    aa = _jittered(PARENT, 0.05)
+    change = [v * 1.1 for v in PARENT]
+    for arm in (parent, aa, change):
+        arm[3] *= 0.7
+    change[6] *= 0.7
+    assert pair.slow_pairs((parent, aa, change), "higher", 0.5) == [3]
+    # The same dip is no slow phase where lower is better.
+    assert pair.slow_pairs((parent, aa, change), "lower", 0.5) == []
+    row = pair.compare(parent, aa, change, better="higher", bound=0.25)
+    row.update(workload="fed_reflect", seed=424742, metric=pair.HOST_PHASE_METRIC)
+    assert row["slow_pairs"] == pair.slow_pairs((parent, aa, change), "higher", row["spread"])
+    assert 3 in row["slow_pairs"] and 6 not in row["slow_pairs"]
+    assert pair.host_phase_lines([row]) == [
+        f"host phase: fed_reflect seed 424742: {len(row['slow_pairs'])} of 10 pairs"
+        " ran slower on every arm than its median by more than the a/a spread"
+        f" (pair {', '.join(str(i + 1) for i in row['slow_pairs'])})"
+    ]
+
+
+def test_arms_slow_in_different_pairs_are_no_host_phase():
+    # Each arm has its own slow pairs, never all three in the same one.
+    parent = [10.0] * 10
+    aa, change = list(parent), list(parent)
+    parent[1] = aa[4] = change[7] = 5.0
+    parent[4] = change[1] = 5.0
+    assert pair.slow_pairs((parent, aa, change), "higher", 1.0) == []
+    assert pair.slow_pairs((parent, aa, change), "lower", 1.0) == []
