@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
-from repro.net.addr import AddressSpaceInventory, dotted
+from repro.net.addr import AddressSpaceInventory
 from repro.net.packet import PROTO_UDP, Packet
 from repro.vmm.vm import VirtualMachine
 
@@ -80,7 +80,12 @@ class Verdict:
 
     action: ContainmentAction
     new_destination: Optional[int] = None
-    reason: str = ""
+
+
+#: The verdicts that carry nothing but their action, built once.
+_ALLOW = Verdict(ContainmentAction.ALLOW)
+_DROP = Verdict(ContainmentAction.DROP)
+_REDIRECT_DNS = Verdict(ContainmentAction.REDIRECT_DNS)
 
 
 def _is_dns_query(packet: Packet) -> bool:
@@ -102,7 +107,7 @@ class OpenPolicy(ContainmentPolicy):
     name = "open"
 
     def decide(self, vm: VirtualMachine, packet: Packet, now: float) -> Verdict:
-        return Verdict(ContainmentAction.ALLOW, reason="open policy")
+        return _ALLOW
 
 
 class DropAllPolicy(ContainmentPolicy):
@@ -111,7 +116,7 @@ class DropAllPolicy(ContainmentPolicy):
     name = "drop-all"
 
     def decide(self, vm: VirtualMachine, packet: Packet, now: float) -> Verdict:
-        return Verdict(ContainmentAction.DROP, reason="drop-all policy")
+        return _DROP
 
 
 class AllowDnsPolicy(ContainmentPolicy):
@@ -121,8 +126,8 @@ class AllowDnsPolicy(ContainmentPolicy):
 
     def decide(self, vm: VirtualMachine, packet: Packet, now: float) -> Verdict:
         if _is_dns_query(packet):
-            return Verdict(ContainmentAction.REDIRECT_DNS, reason="dns redirected")
-        return Verdict(ContainmentAction.DROP, reason="non-dns initiated traffic")
+            return _REDIRECT_DNS
+        return _DROP
 
 
 class ReflectionPolicy(ContainmentPolicy):
@@ -144,12 +149,9 @@ class ReflectionPolicy(ContainmentPolicy):
 
     def decide(self, vm: VirtualMachine, packet: Packet, now: float) -> Verdict:
         if _is_dns_query(packet):
-            return Verdict(ContainmentAction.REDIRECT_DNS, reason="dns redirected")
-        internal = self._reflect_target(vm.ip, packet.dst)
+            return _REDIRECT_DNS
         return Verdict(
-            ContainmentAction.REFLECT,
-            new_destination=internal,
-            reason=f"scan to {dotted(packet.dst)} reflected",
+            ContainmentAction.REFLECT, self._reflect_target(vm.ip, packet.dst)
         )
 
     def _reflect_target(self, vm_ip: int, original: int) -> int:
@@ -180,7 +182,7 @@ class CompositePolicy(ContainmentPolicy):
         if verdict.action is ContainmentAction.DROP:
             return verdict
         if not self.limiter.admit(vm.vm_id, now):
-            return Verdict(ContainmentAction.DROP, reason="outbound rate limit")
+            return _DROP
         return verdict
 
 

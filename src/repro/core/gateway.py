@@ -50,7 +50,7 @@ from repro.fidelity.emulator import CLONING, RUNNING, AddressTable
 from repro.fidelity.ladder import FidelityLadder
 from repro.fidelity.span import SpanLane
 from repro.net.addr import AddressSpaceInventory, Prefix, dotted
-from repro.net.flow import FlowRecord, FlowTable
+from repro.net.flow import FlowTable
 from repro.net.gre import GrePacket, GreTunnel, decapsulate, encapsulate
 from repro.net.link import Link
 from repro.net.packet import Packet
@@ -135,7 +135,7 @@ class Gateway:
         # synchronous egress path.
         self.reply_jitter: Optional[Callable[[int], float]] = None
         # Inter-shard port (attached by a federation ShardRunner when the
-        # farm is one shard of many): duck-typed against ``is_remote``
+        # farm is one shard of many): duck-typed against ``remote_shard``
         # and ``send``. None on standalone farms — every check below is
         # one attribute load and an identity test.
         self.intershard = None
@@ -146,8 +146,10 @@ class Gateway:
         self.nat = ReflectionNat()
         # The covered addresses with a VM bound or an emulated session.
         # A packet held while its VM clones carries a view of the flow
-        # that already accounted it (observed exactly once); the flow may
-        # leave the table first, and its view then writes nothing.
+        # that already accounted it (observed exactly once): the one
+        # holder of a flow row that outlives the call which observed it.
+        # The flow may leave the table first, and its view then writes
+        # nothing.
         self.addresses = AddressTable(flow_idle_timeout)
         self._tunnels: Dict[int, GreTunnel] = {}
         self._tunnel_links: Dict[int, Link] = {}
@@ -285,7 +287,7 @@ class Gateway:
             if _obs.ACTIVE is not None:
                 self._trace_dispatch("stray", packet)
             return
-        record, created = self.flows.observe(packet, self.sim.now)
+        flow, created = self.flows.observe(packet, self.sim.now)
         addresses = self.addresses
         row = addresses.index.get(packet.dst)
         vm = None if row is None else addresses.vm[row]
@@ -303,7 +305,7 @@ class Gateway:
                     self._emit_emulated_reply(reply)
                 return
             row = addresses.index[packet.dst]
-        self._dispatch_to_vm(packet, record, created, row, vm)
+        self._dispatch_to_vm(packet, flow, created, row, vm)
 
     def dispatch_batch(
         self, packets: List[Packet], start: int, end: int, now: float
@@ -355,14 +357,15 @@ class Gateway:
     def _dispatch_to_vm(
         self,
         packet: Packet,
-        record: FlowRecord,
+        flow: int,
         created: bool,
         row: Optional[int],
         vm: Optional[VirtualMachine],
     ) -> None:
         """The clone/queue/deliver tail of :meth:`process_inbound` (the
-        packet has been flow-accounted and was not absorbed by the
-        emulator tier). ``row`` is the address's row, if it has one."""
+        packet has been flow-accounted on the row ``flow``, which it
+        opened if ``created``, and was not absorbed by the emulator
+        tier). ``row`` is the address's row, if it has one."""
         addresses = self.addresses
         spawned = vm is None
         if spawned:
@@ -387,13 +390,17 @@ class Gateway:
             if queued >= MAX_PENDING_PER_IP:
                 self._c_pending_overflow.increment()
                 # The observe() above already accounted this packet on
-                # its flow record, but the packet never reaches a VM:
-                # roll the accounting back, and drop the record entirely
-                # if this packet was the only thing it ever carried.
-                record.packets -= 1
-                record.bytes -= packet.size
-                if created and record.packets == 0:
-                    self.flows.discard(record)
+                # its flow, but the packet never reaches a VM: roll the
+                # accounting back, and drop the flow entirely if this
+                # packet opened it. This branch requested no clone, so
+                # nothing ran since the observe(): ``flow`` is still the
+                # packet's live row.
+                flows = self.flows
+                if created:
+                    flows.discard(flows.record(flow))
+                else:
+                    flows.packets[flow] -= 1
+                    flows.bytes[flow] -= packet.size
                 if _obs.ACTIVE is not None:
                     self._trace_dispatch("overflow", packet, vm_id=vm.vm_id)
                 return
@@ -401,7 +408,7 @@ class Gateway:
                 addresses.timer[row] = self.sim.schedule(
                     self.pending_timeout, self._pending_timed_out, packet.dst, vm.vm_id
                 )
-            addresses.queue(row, packet, record)
+            addresses.queue(row, packet, self.flows.record(flow))
             self._c_queued_during_clone.increment()
             if _obs.ACTIVE is not None:
                 self._trace_dispatch(
@@ -414,7 +421,7 @@ class Gateway:
             if _obs.ACTIVE is not None:
                 self._trace_dispatch("vm_not_running", packet, vm_id=vm.vm_id)
             return
-        record.vm_id = vm.vm_id
+        self.flows.bind(flow, vm.vm_id)
         self._c_delivered.increment()
         if _obs.ACTIVE is not None:
             self._trace_dispatch("delivered", packet, vm_id=vm.vm_id)
@@ -585,13 +592,15 @@ class Gateway:
                     dst=dotted(packet.dst), vm_id=vm.vm_id,
                 )
             # Under federation-wide reflection the recorded stand-in may
-            # live in a sibling shard's darknet.
+            # live in a sibling shard's darknet. The rewrite is a copy of
+            # the guest's packet, the gateway's own to decrement.
             if not self._route_intershard(rewritten, reply=False):
-                self.process_inbound(rewritten.decremented_ttl())
+                rewritten.ttl -= 1
+                self.process_inbound(rewritten)
             return
 
-        record, created = self.flows.observe(packet, self.sim.now)
-        if not honeypot_initiated(self.flows.initiator[record.row], created, vm.ip):
+        flow, created = self.flows.observe(packet, self.sim.now)
+        if not honeypot_initiated(self.flows.initiator[flow], created, vm.ip):
             self._emit_reply(vm, packet)
             return
 
@@ -633,7 +642,8 @@ class Gateway:
         self.nat.record(source_ip, new_destination, packet.dst)
         reflected = packet.with_destination(new_destination)
         if not self._route_intershard(reflected, reply=False):
-            self.process_inbound(reflected.decremented_ttl())
+            reflected.ttl -= 1  # a copy: the emitter's packet is untouched
+            self.process_inbound(reflected)
 
     def _emit_reply(self, vm: VirtualMachine, packet: Packet) -> None:
         """Reply on an externally- or peer-initiated flow: always allowed."""
@@ -674,8 +684,8 @@ class Gateway:
         under the ladder's own buckets so tier accounting stays distinct
         from ``gateway.outbound.reply_allowed``."""
         self._c_emulated_replies.increment()
-        record, created = self.flows.observe(packet, self.sim.now)
-        if honeypot_initiated(self.flows.initiator[record.row], created, packet.src):
+        flow, created = self.flows.observe(packet, self.sim.now)
+        if honeypot_initiated(self.flows.initiator[flow], created, packet.src):
             verdict = self.policy.decide(
                 _EmulatedSource(packet.src), packet, self.sim.now
             )
@@ -693,7 +703,10 @@ class Gateway:
         shard owns its destination; False means the caller keeps routing
         locally (standalone farm, own shard, or genuinely external)."""
         port = self.intershard
-        if port is None or not port.is_remote(packet.dst):
+        if port is None:
+            return False
+        dst_shard = port.remote_shard(packet.dst)
+        if dst_shard is None:
             return False
         self._c_intershard_out.increment()
         if _obs.ACTIVE is not None:
@@ -711,7 +724,7 @@ class Gateway:
                 and src_vm.guest.infection is not None
             ):
                 generation = src_vm.guest.infection.generation
-        port.send(packet, reply, generation)
+        port.send(packet, dst_shard, reply, generation)
         return True
 
     def receive_intershard(
@@ -724,7 +737,9 @@ class Gateway:
         shard whose VM initiated the reflected flow — the exact mirror of
         the local reply path. The TTL decrements once per gateway
         traversal, same as local forwarding, so reflection ping-pong
-        between shards still dies at the TTL horizon. ``generation`` is
+        between shards still dies at the TTL horizon; it decrements in
+        place, since ``packet`` was decoded for this call alone (and a
+        translated reply is a fresh copy of it). ``generation`` is
         the remote sender's infection depth (``-1`` when the source is
         not an infected farm VM); it is remembered per source address so
         an infection this packet causes chains from the true cross-shard
@@ -741,7 +756,8 @@ class Gateway:
             )
         if reply:
             packet = self.nat.translate_reply_source(packet)
-        self.process_inbound(packet.decremented_ttl())
+        packet.ttl -= 1
+        self.process_inbound(packet)
 
     def _send_external(self, packet: Packet) -> None:
         """Ship a permitted packet toward the Internet, applying the

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import HoneyfarmConfig
 from repro.core.containment import make_policy
@@ -196,7 +196,7 @@ class ShardRunner:
     """One shard's farm plus its mailbox, outbox, and epoch driver.
 
     The runner is the gateway's inter-shard port (the gateway duck-types
-    against :meth:`is_remote` and :meth:`send`) and the coordinator's
+    against :meth:`remote_shard` and :meth:`send`) and the coordinator's
     unit of work (:meth:`run_epoch`, :meth:`deposit`, :meth:`report`).
 
     Parameters
@@ -258,21 +258,22 @@ class ShardRunner:
 
     # -- gateway port ---------------------------------------------------- #
 
-    def is_remote(self, addr: int) -> bool:
-        """True when a *sibling* shard owns ``addr`` (not this shard and
-        not the external Internet)."""
+    def remote_shard(self, addr: int) -> Optional[int]:
+        """The *sibling* shard that owns ``addr``, or None when this
+        shard or the external Internet does."""
         shard = self.shard_map.shard_for(addr)
-        return shard is not None and shard != self.index
+        return None if shard == self.index else shard
 
-    def send(self, packet: Packet, reply: bool, generation: int = -1) -> None:
-        """Queue one packet for its owning shard, due one cross-shard
-        latency from now. Called by the gateway after it has already
-        applied local NAT state; the packet crosses the boundary raw.
+    def send(
+        self, packet: Packet, dst_shard: int, reply: bool, generation: int = -1
+    ) -> None:
+        """Queue one packet for ``dst_shard``, the sibling that owns its
+        destination (:meth:`remote_shard`), due one cross-shard latency
+        from now. Called by the gateway after it has already applied
+        local NAT state; the packet crosses the boundary raw.
         ``generation`` is the sending VM's infection generation, or the
         ``-1`` sentinel when the source is not an infected farm VM
         (reply traffic, reflected external scans)."""
-        dst_shard = self.shard_map.shard_for(packet.dst)
-        assert dst_shard is not None and dst_shard != self.index
         now = self.farm.sim.now
         self.sent += 1
         self.outbox.append(ShardMessage(
@@ -435,10 +436,12 @@ def run_lockstep(
     returns the number of epochs run.
 
     Each of ``groups`` is a :class:`ShardGroup` or a stand-in with the
-    same ``epoch`` / ``deposit`` / ``collect`` methods; ``owner_of(message)``
-    is the position in ``groups`` of the one that owns the message's
-    destination shard. The loop never looks inside a message, so a lane
-    may route them in whatever form its transport carries.
+    same ``epoch`` / ``deposit`` / ``collect`` methods; ``owner_of(item)``
+    is the position in ``groups`` of the one that owns the destination of
+    an item ``collect`` returned. The loop never looks inside an item, so
+    a lane may route messages in whatever form its transport carries: the
+    in-process lane's items are messages, the parallel lane's pickled
+    batches of them, one per destination worker.
 
     Final-epoch sends are all due past ``until`` (the epoch is no wider
     than the latency); the closing deposit parks them in their owners'

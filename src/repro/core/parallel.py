@@ -23,13 +23,15 @@ Workers receive *specs*, not live objects: configs, prefix strings,
 worm names, telescope parameters, trace records — everything picklable
 and everything reconstructible to an identical farm in any process.
 Messages are encoded (:meth:`ShardMessage.encode`) only here, at the
-pipe; the coordinator routes the encoded tuples without decoding packet
-bodies.
+pipe, and cross it batched: a worker pickles its epoch's outbox once per
+destination worker, and the coordinator forwards each batch as bytes to
+the worker it names, decoding no message.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import pickle
 import traceback
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -48,10 +50,6 @@ from repro.sim.engine import batched_collection
 
 __all__ = ["FederationResult", "ParallelFederation"]
 
-#: Index of ``dst_shard`` in :meth:`ShardMessage.encode` tuples — the
-#: coordinator routes encoded messages without decoding packet bodies.
-_ENC_DST_SHARD = 4
-
 #: How long the coordinator waits for any one worker reply before it
 #: calls the worker hung. Far above any real epoch or farm build; what
 #: it bounds is a stopped or deadlocked worker, which would otherwise
@@ -66,17 +64,24 @@ def _shard_worker(conn, payload: Dict[str, Any]) -> None:
     Protocol (all tuples, coordinator -> worker unless noted):
 
     * worker sends ``("ready", [shard indices])`` after construction;
-    * ``("epoch", end, inbound)`` — :meth:`ShardGroup.epoch` on the
-      decoded inbound messages, answer ``("done", outbound)`` with the
-      epoch's encoded outbox;
-    * ``("deposit", inbound)`` — :meth:`ShardGroup.deposit` (the
+    * ``("epoch", end, batches)`` — :meth:`ShardGroup.epoch` on the
+      messages of the inbound ``batches``, answer ``("done", batches)``
+      with the epoch's outbox;
+    * ``("deposit", batches)`` — :meth:`ShardGroup.deposit` (the
       post-final-barrier exchange), answer ``("done", [])``;
     * ``("reports",)`` — answer ``("reports", [shard report dicts])``;
     * ``("stop",)`` — exit.
 
+    A batch is ``(position, bytes)``: the pickled list of encoded
+    messages bound for the shards of the worker at ``position`` among
+    the coordinator's workers. A reply holds one batch per destination
+    worker, none for a worker it sends nothing, so the coordinator
+    routes it by ``position`` alone.
+
     Any exception is shipped back as ``("error", formatted traceback)``.
     """
     try:
+        positions = payload["positions"]
         shard_map = ShardMap(payload["spec"])
         runners: List[ShardRunner] = []
         for index, config, records in payload["shards"]:
@@ -103,11 +108,13 @@ def _shard_worker(conn, payload: Dict[str, Any]) -> None:
                     conn.send(("reports", group.reports()))
                 elif op in ("epoch", "deposit"):
                     # The codec lives here, at the pipe, and nowhere else.
-                    *when, inbound = args
-                    getattr(group, op)(
-                        *when, [ShardMessage.decode(encoded) for encoded in inbound]
-                    )
-                    conn.send(("done", [m.encode() for m in group.collect()]))
+                    *when, batches = args
+                    getattr(group, op)(*when, [
+                        ShardMessage.decode(encoded)
+                        for __, batch in batches
+                        for encoded in pickle.loads(batch)
+                    ])
+                    conn.send(("done", _batched(group.collect(), positions)))
                 else:
                     raise ValueError(f"unknown coordinator op: {op!r}")
     except Exception:
@@ -117,6 +124,25 @@ def _shard_worker(conn, payload: Dict[str, Any]) -> None:
             pass
     finally:
         conn.close()
+
+
+def _batched(
+    outbox: Sequence[ShardMessage], positions: Sequence[int]
+) -> List[Tuple[int, bytes]]:
+    """``outbox`` encoded and pickled once per destination worker:
+    ``(position, bytes)`` per worker owning a destination, where
+    ``positions[shard]`` is the position of the worker owning ``shard``."""
+    by_worker: Dict[int, List[Tuple]] = {}
+    for message in outbox:
+        position = positions[message.dst_shard]
+        batch = by_worker.get(position)
+        if batch is None:
+            batch = by_worker[position] = []
+        batch.append(message.encode())
+    return [
+        (position, pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
+        for position, batch in by_worker.items()
+    ]
 
 
 class _WorkerPort:
@@ -135,11 +161,11 @@ class _WorkerPort:
         self.op = op
         self.conn.send((op, *args))
 
-    def epoch(self, end: float, inbound: List[Tuple]) -> None:
-        self.send("epoch", end, inbound)
+    def epoch(self, end: float, batches: List[Tuple[int, bytes]]) -> None:
+        self.send("epoch", end, batches)
 
-    def deposit(self, inbound: List[Tuple]) -> None:
-        self.send("deposit", inbound)
+    def deposit(self, batches: List[Tuple[int, bytes]]) -> None:
+        self.send("deposit", batches)
 
     def collect(self):
         """The worker's next reply. The only ``recv`` on the coordinator
@@ -243,6 +269,7 @@ class ParallelFederation:
         self._ran = False
 
     def _payload_for(self, worker: int) -> Dict[str, Any]:
+        active = sorted(set(self.assignment))
         shards = []
         for index, owner in enumerate(self.assignment):
             if owner != worker:
@@ -259,6 +286,9 @@ class ParallelFederation:
             "telescope": self.telescope,
             "worms": self.worms,
             "batched": self.batched,
+            # Shard -> position of the worker that owns it among the
+            # spawned workers, which is where its batches go.
+            "positions": [active.index(owner) for owner in self.assignment],
         }
 
     def run(self, until: float) -> FederationResult:
@@ -288,10 +318,10 @@ class ParallelFederation:
                 ports.append(_WorkerPort(parent_conn, worker, process))
             for port in ports:
                 port.collect()  # ready
-            # Shard -> position in ``ports`` of the worker that owns it.
-            owner = [active.index(worker) for worker in self.assignment]
+            # A worker names each batch's destination position; the
+            # coordinator forwards the bytes unread.
             epochs = run_lockstep(
-                ports, lambda encoded: owner[encoded[_ENC_DST_SHARD]],
+                ports, lambda batch: batch[0],
                 0.0, until, self.interlink.lookahead,
             )
             reports: List[Dict[str, Any]] = []

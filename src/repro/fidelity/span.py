@@ -359,7 +359,7 @@ class SpanLane:
         if not covers(dst) or covers(src):
             return None  # stray, or an internal source whose reply re-enters
         port = gateway.intershard
-        if port is not None and port.is_remote(src):
+        if port is not None and port.remote_shard(src) is not None:
             # A sibling shard's address probing this darknet: its replies
             # must ride the federation message layer, never the span
             # lane's counter-only absorption.

@@ -26,8 +26,11 @@ serial and expiry over rows are described there): ``first_seen`` and
 ``last_seen`` in ``array('d')``; ``packets``, ``bytes``, ``initiator``
 (the address value that opened the flow), ``vm_id`` (:data:`NO_VM` when
 unbound), ``serial`` and ``verdict`` in ``array('q')``; and ``keys``, the
-row's 5-tuple. A :class:`FlowRecord` view keeps its row's serial, so
-nothing written through a stale view lands on the flow that moved in.
+row's 5-tuple. :meth:`FlowTable.observe` hands back the row itself, for
+use within the call; whoever keeps a flow beyond it (a packet queued
+while its VM clones) takes a :class:`FlowRecord` view
+(:meth:`FlowTable.record`), which keeps its row's serial, so nothing
+written through a stale view lands on the flow that moved in.
 
 ``verdict`` is the emulator tier's answer for the flow, written by the
 span lane and read by nothing else (:mod:`repro.fidelity.span`); a new
@@ -86,7 +89,8 @@ def packet_flow_key(packet: Packet) -> FiveTuple:
 
 
 class FlowRecord:
-    """A view of one flow's row, as the per-packet lane handles it:
+    """A view of one flow's row, for a holder that keeps the flow beyond
+    the call that observed it (a packet queued while its VM clones):
     ``(table, row, serial)``.
 
     While the row still holds the flow the view was made for, reads and
@@ -248,13 +252,16 @@ class FlowTable(RowTable):
         row = self.live_record(packet_flow_key(packet), now)
         return None if row is None else self.record(row)
 
-    def observe(self, packet: Packet, now: float) -> Tuple[FlowRecord, bool]:
-        """Account ``packet``; returns ``(view of its flow, is_new_flow)``."""
+    def observe(self, packet: Packet, now: float) -> Tuple[int, bool]:
+        """Account ``packet``; returns ``(its flow's row, is_new_flow)``.
+        The row holds the flow until the table frees it (a sweep,
+        :meth:`drop_vm`, :meth:`discard`): to keep the flow beyond the
+        call, keep :meth:`record` of the row, not the row."""
         return self.observe_keyed(packet_flow_key(packet), packet, now)
 
     def observe_keyed(
         self, key: FiveTuple, packet: Packet, now: float
-    ) -> Tuple[FlowRecord, bool]:
+    ) -> Tuple[int, bool]:
         """The body of :meth:`observe`, taking the packet's canonical key.
 
         Its own method only because ``benchmarks/e2e/layers.py`` wraps
@@ -267,7 +274,7 @@ class FlowTable(RowTable):
         self.last_seen[row] = now
         self.packets[row] += 1
         self.bytes[row] += packet.size
-        return FlowRecord(self, row, self.serial[row]), created
+        return row, created
 
     def live_record(self, key: FiveTuple, now: float) -> Optional[int]:
         """The row of the flow under ``key`` if it is still live at

@@ -61,9 +61,14 @@ class RowTable:
     COLUMNS: Dict[str, str] = {"last_seen": "d", "serial": "q"}
     #: Object columns (lists). Every table has ``keys``.
     OBJECT_COLUMNS: Tuple[str, ...] = ("keys",)
-    #: Buckets per idle-timeout window; coarser buckets mean fewer moves,
-    #: finer buckets mean tighter expiry scans. 8 keeps both trivial.
-    _BUCKETS_PER_TIMEOUT = 8
+    #: Buckets per idle-timeout window. A sweep visits the bucket that
+    #: straddles the expiry horizon and refiles its live rows into it, so
+    #: a bucket wider than the sweep interval is examined once per sweep
+    #: until its last row expires. 64 makes a bucket no wider than the
+    #: farm's default 1 s sweep (``sweep_interval_seconds``) for any
+    #: timeout up to 64 s, so a row is examined about once; the cost is
+    #: more, smaller buckets.
+    _BUCKETS_PER_TIMEOUT = 64
     #: Rows added per growth, at least; else an eighth of the table.
     _GROWTH = 64
 

@@ -175,9 +175,8 @@ class TestInboundDispatch:
         gw.flows.observe(tcp_packet(EXTERNAL, DARK2, 2000, 80), 4.0)
         sim.run(until=6.0)
         assert gw.sweep_flows() == 1
-        newcomer, created = gw.flows.observe(
-            tcp_packet(EXTERNAL, DARK2, 3000, 80), sim.now
-        )
+        row, created = gw.flows.observe(tcp_packet(EXTERNAL, DARK2, 3000, 80), sim.now)
+        newcomer = gw.flows.record(row)
         [(__, __, stale)] = gw.addresses.held.values()
         assert created and newcomer.row == stale.row and not stale.attached
         [vm] = backend.spawned

@@ -30,10 +30,10 @@ B = IPAddress.parse("10.16.0.70")
 EXTERNAL = IPAddress.parse("198.51.100.9")
 
 
-def shard_config(prefix, seed=11):
+def shard_config(prefix, seed=11, containment="reflect"):
     return HoneyfarmConfig(
         prefixes=(prefix,), num_hosts=1, clone_jitter=0.0,
-        containment="reflect", seed=seed,
+        containment=containment, seed=seed,
     )
 
 
@@ -372,3 +372,60 @@ class TestCrossShardGeneration:
         runner.run_epoch(5.0)
         rows = runner.report()["infections"]
         assert rows and rows[0][4] == 5
+
+
+class CountingShardMap(ShardMap):
+    """A :class:`ShardMap` that counts its ``shard_for`` lookups."""
+
+    lookups = 0
+
+    def shard_for(self, addr):
+        self.lookups += 1
+        return super().shard_for(addr)
+
+
+class TestCrossShardHop:
+    """What one hop costs: a received message becomes one packet whose
+    TTL is one hop lower than the wire's, and a send looks its
+    destination shard up once."""
+
+    def make_runner(self, index, containment="reflect"):
+        configs = [shard_config("10.16.0.0/26", 11, containment),
+                   shard_config("10.16.0.64/26", 12, containment)]
+        shard_map = CountingShardMap(ShardMap.from_configs(configs).spec())
+        return ShardRunner(
+            index, configs[index], shard_map, InterShardConfig(latency_seconds=0.25)
+        )
+
+    @pytest.mark.parametrize("reply", [False, True])
+    def test_a_received_message_is_delivered_one_hop_lower(self, reply):
+        runner = self.make_runner(1)
+        gateway = runner.farm.gateway
+        # B's VM was reflected onto A, a stand-in for EXTERNAL: A's reply
+        # must reach B from EXTERNAL.
+        gateway.nat.record(B, A, EXTERNAL)
+        delivered = []
+        gateway.process_inbound = delivered.append
+        packet = udp_packet(A, B, 1434, 5000)
+        packet.ttl = 50
+        runner.deposit(ShardMessage(0.0, 0.25, 0, 1, 1, reply, encode_packet(packet)))
+        runner.run_epoch(1.0)
+        [arrived] = delivered
+        assert arrived.ttl == 49
+        assert arrived.src == (EXTERNAL if reply else A)
+        assert (arrived.dst, arrived.src_port, arrived.dst_port) == (B, 1434, 5000)
+
+    def test_a_cross_shard_emission_costs_one_shard_lookup(self):
+        runner = self.make_runner(0, containment="open")
+
+        class Emitter:
+            """The fields the gateway reads off an emitting VM."""
+            ip = A
+            vm_id = 1
+
+        runner.shard_map.lookups = 0
+        runner.farm.gateway.emit_from_vm(Emitter, udp_packet(A, B, 5000, 1434))
+        assert runner.shard_map.lookups == 1
+        [message] = runner.outbox
+        assert (message.src_shard, message.dst_shard) == (0, 1)
+        assert decode_packet(message.wire).dst == B

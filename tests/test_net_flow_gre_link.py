@@ -38,8 +38,10 @@ class TestFlowTable:
     def test_observe_creates_then_reuses(self):
         table = FlowTable(idle_timeout=10.0)
         p = tcp_packet(A, B, 1234, 80)
-        rec1, created1 = table.observe(p, now=0.0)
-        rec2, created2 = table.observe(p.reply_template(), now=1.0)
+        row1, created1 = table.observe(p, now=0.0)
+        rec1 = table.record(row1)
+        row2, created2 = table.observe(p.reply_template(), now=1.0)
+        rec2 = table.record(row2)
         assert created1 and not created2
         assert (rec1.row, rec1.serial) == (rec2.row, rec2.serial)
         assert rec1.packets == 2
@@ -48,7 +50,7 @@ class TestFlowTable:
     def test_byte_accounting(self):
         table = FlowTable(idle_timeout=10.0)
         p = tcp_packet(A, B, 1, 2, payload="xxxx")
-        rec, __ = table.observe(p, now=0.0)
+        rec = table.record(table.observe(p, now=0.0)[0])
         assert rec.bytes == p.size
 
     def test_idle_expiry_on_lookup(self):
@@ -63,9 +65,9 @@ class TestFlowTable:
         table = FlowTable(idle_timeout=5.0)
         p = tcp_packet(A, B, 1234, 80)
         table.observe(p, now=0.0)
-        rec, created = table.observe(p, now=100.0)
+        row, created = table.observe(p, now=100.0)
         assert created
-        assert rec.packets == 1
+        assert table.record(row).packets == 1
 
     def test_activity_refreshes_timeout(self):
         table = FlowTable(idle_timeout=5.0)
@@ -84,8 +86,8 @@ class TestFlowTable:
 
     def test_drop_vm_removes_bound_flows(self):
         table = FlowTable(idle_timeout=100.0)
-        rec1, __ = table.observe(tcp_packet(A, B, 1, 80), now=0.0)
-        rec2, __ = table.observe(tcp_packet(A, B, 2, 80), now=0.0)
+        rec1 = table.record(table.observe(tcp_packet(A, B, 1, 80), now=0.0)[0])
+        rec2 = table.record(table.observe(tcp_packet(A, B, 2, 80), now=0.0)[0])
         rec1.vm_id = 7
         rec2.vm_id = 8
         assert table.drop_vm(7) == 1
@@ -104,7 +106,7 @@ class TestFlowRows:
     @pytest.mark.parametrize("leave", ["expire", "drop_vm"])
     def test_stale_view_writes_nothing_into_the_row_that_reused_it(self, leave):
         table = FlowTable(idle_timeout=5.0)
-        stale, __ = table.observe(tcp_packet(A, B, 1, 80), now=0.0)
+        stale = table.record(table.observe(tcp_packet(A, B, 1, 80), now=0.0)[0])
         table.observe(tcp_packet(A, B, 9, 80), now=4.0)  # the table stays non-empty
         stale.vm_id = 7
         if leave == "expire":
@@ -113,7 +115,8 @@ class TestFlowRows:
             assert table.drop_vm(7) == 1
         assert not stale.attached
         packet = tcp_packet(B, A, 80, 2)
-        fresh, created = table.observe(packet, now=6.0)
+        row, created = table.observe(packet, now=6.0)
+        fresh = table.record(row)
         assert created and fresh.row == stale.row  # the freed row, reused
         stale.vm_id = 9
         stale.packets = 100
@@ -127,13 +130,16 @@ class TestFlowRows:
 
     def test_an_emptied_table_releases_its_columns(self):
         table = FlowTable(idle_timeout=5.0)
-        views = [table.observe(tcp_packet(A, B, port, 80), now=0.0)[0] for port in range(1, 200)]
+        views = [
+            table.record(table.observe(tcp_packet(A, B, port, 80), now=0.0)[0])
+            for port in range(1, 200)
+        ]
         views[0].vm_id = 3
         assert len(table.expire_idle(now=10.0)) == 199
         assert len(table) == 0 and table.keys == []
         assert all(len(getattr(table, name)) == 0 for name in FlowTable.COLUMNS)
         assert table.flows_for_vm(3) == []
-        fresh, __ = table.observe(tcp_packet(A, B, 1, 80), now=11.0)
+        fresh = table.record(table.observe(tcp_packet(A, B, 1, 80), now=11.0)[0])
         assert fresh.row == views[0].row == 0 and not views[0].attached
         views[0].vm_id = 4
         assert table.flows_for_vm(4) == [] and fresh.vm_id is None

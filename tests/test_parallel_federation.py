@@ -10,6 +10,7 @@ conservation holds globally.
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 from repro.core import parallel
 from repro.core.config import HoneyfarmConfig
 from repro.core.federation import FederatedHoneyfarm
-from repro.core.intershard import InterShardConfig
+from repro.core.intershard import InterShardConfig, ShardMessage
 from repro.core.parallel import ParallelFederation
 from repro.net.addr import IPAddress
 from repro.net.packet import tcp_packet
@@ -320,6 +321,40 @@ class TestParallelFederationApi:
         result = lane.run(until=10.0)
         assert sum(report["intershard"]["sent"] for report in result.reports) > 0
         assert result.reports == reference
+
+    def test_an_epoch_reply_is_one_batch_per_destination_worker(self, monkeypatch):
+        """Each ``"done"`` reply holds ``(position, bytes)`` batches at
+        distinct positions, none empty, and every message in a batch is
+        bound for a shard of the worker at that position."""
+        replies = []
+        collect = parallel._WorkerPort.collect
+
+        def recording(port):
+            reply = collect(port)
+            if port.op in ("epoch", "deposit"):
+                replies.append(reply)
+            return reply
+
+        monkeypatch.setattr(parallel._WorkerPort, "collect", recording)
+        lane = ParallelFederation(
+            shard_configs(), INTERLINK, 2, shard_records=[[SEED_RECORD], None],
+            worms=(("slammer", 2.0),),
+        )
+        lane.run(until=10.0)
+        active = sorted(set(lane.assignment))
+        owned = {
+            position: {s for s, w in enumerate(lane.assignment) if w == worker}
+            for position, worker in enumerate(active)
+        }
+        batches = [batch for reply in replies for batch in reply]
+        assert batches, "no message crossed a pipe"
+        for reply in replies:
+            positions = [position for position, __ in reply]
+            assert len(set(positions)) == len(positions)
+        for position, data in batches:
+            messages = [ShardMessage.decode(m) for m in pickle.loads(data)]
+            assert messages
+            assert {m.dst_shard for m in messages} <= owned[position]
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ValueError):

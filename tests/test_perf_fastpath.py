@@ -301,7 +301,7 @@ def _pkt(sport, dport=80, src="1.2.3.4", dst="10.0.0.1"):
 class TestFlowTableIndexes:
     def test_vm_index_tracks_rebinding(self):
         table = FlowTable(idle_timeout=60.0)
-        rec, __ = table.observe(_pkt(1), now=0.0)
+        rec = table.record(table.observe(_pkt(1), now=0.0)[0])
         rec.vm_id = 7
         assert [r.key for r in table.flows_for_vm(7)] == [rec.key]
         rec.vm_id = 9
@@ -310,9 +310,9 @@ class TestFlowTableIndexes:
 
     def test_vm_index_keeps_a_vms_only_row_as_an_int(self):
         table = FlowTable(idle_timeout=60.0)
-        first, __ = table.observe(_pkt(1), now=0.0)
-        second, __ = table.observe(_pkt(2), now=0.0)
-        third, __ = table.observe(_pkt(3), now=0.0)
+        first, second, third = (
+            table.record(table.observe(_pkt(sport), now=0.0)[0]) for sport in (1, 2, 3)
+        )
         first.vm_id = 7
         assert table._by_vm[7] == first.row  # no container for one row
         second.vm_id = 7
@@ -328,8 +328,8 @@ class TestFlowTableIndexes:
 
     def test_drop_vm_removes_only_that_vms_flows(self):
         table = FlowTable(idle_timeout=60.0)
-        mine, __ = table.observe(_pkt(1), now=0.0)
-        other, __ = table.observe(_pkt(2), now=0.0)
+        mine = table.record(table.observe(_pkt(1), now=0.0)[0])
+        other = table.record(table.observe(_pkt(2), now=0.0)[0])
         mine.vm_id = 1
         other.vm_id = 2
         mine_key = mine.key
@@ -340,7 +340,7 @@ class TestFlowTableIndexes:
 
     def test_detached_record_vm_writes_do_not_resurrect_index(self):
         table = FlowTable(idle_timeout=60.0)
-        rec, __ = table.observe(_pkt(1), now=0.0)
+        rec = table.record(table.observe(_pkt(1), now=0.0)[0])
         rec.vm_id = 5
         table.drop_vm(5)
         rec.vm_id = 6  # write on the dead record
@@ -378,6 +378,27 @@ class TestFlowTableIndexes:
         table.observe(_pkt(2), now=0.0)
         assert len(table.expire_idle(100.0)) == 2
         assert table.expired_total == 2
+
+    def test_a_sweep_examines_each_row_about_once(self):
+        """Untouched rows opened across one timeout window, swept every
+        second: the pairs the sweeps take out of the buckets stay near
+        one per row. A bucket wider than the sweep interval straddles
+        the horizon for several sweeps, each refiling its live rows."""
+        timeout, rows = 30.0, 3000
+        table = FlowTable(idle_timeout=timeout)
+        for i in range(rows):
+            table.create((i, 1, 0, 80, 6), 1, i * timeout / rows)
+        examined = 0
+        for now in range(1, 2 * int(timeout) + 2):
+            horizon = int((now - timeout) / table._granularity)
+            examined += sum(
+                len(pairs) // 2
+                for bucket, pairs in table._buckets.items()
+                if bucket <= horizon
+            )
+            table.expire_idle(float(now))
+        assert table.expired_total == rows and len(table) == 0
+        assert examined <= 1.5 * rows
 
 
 # --------------------------------------------------------------------- #

@@ -230,8 +230,8 @@ class TestFlowExpiryBoundary:
             log.append(("sweep", sim.now, len(expired)))
 
         def deliver(packet):
-            record, created = table.observe(packet, sim.now)
-            log.append(("pkt", sim.now, created, record.first_seen))
+            row, created = table.observe(packet, sim.now)
+            log.append(("pkt", sim.now, created, table.record(row).first_seen))
 
         sim.schedule_at(sweep_at, sweep)  # scheduled before the arrivals
         times = [arrivals_at, arrivals_at]
