@@ -272,24 +272,13 @@ class ReflectionNat:
     def translate_reply_source(self, reply: Packet) -> Packet:
         """If ``reply`` (internal stand-in → infected VM) matches a
         reflection entry, rewrite its source to the original external
-        address; otherwise return it unchanged."""
+        address. The rewrite is in place: the caller must own ``reply``.
+        Returns ``reply``."""
         original = self._map.get((reply.dst, reply.src))
-        if original is None:
-            return reply
-        self.translations += 1
-        rewritten = Packet(
-            src=original,
-            dst=reply.dst,
-            protocol=reply.protocol,
-            src_port=reply.src_port,
-            dst_port=reply.dst_port,
-            flags=reply.flags,
-            icmp_type=reply.icmp_type,
-            payload=reply.payload,
-            size=reply.size,
-            ttl=reply.ttl,
-        )
-        return rewritten
+        if original is not None:
+            self.translations += 1
+            reply.src = original
+        return reply
 
     def forget_vm(self, vm_ip: int) -> int:
         """Drop all entries involving a reclaimed VM's address."""

@@ -660,8 +660,10 @@ class Gateway:
         """Route an allowed reply (a VM's or the emulator tier's) by its
         destination: internal stand-in, sibling shard, or the Internet."""
         if self.inventory.covers(packet.dst):
-            translated = self.nat.translate_reply_source(packet)
-            self.process_inbound(translated.decremented_ttl())
+            # One copy, translated in place: the emitter may still hold
+            # ``packet``.
+            packet = packet.decremented_ttl()
+            self.process_inbound(self.nat.translate_reply_source(packet))
         elif not self._route_intershard(packet, reply=True):
             # Without the reply=True lane, a reply to a sibling shard's
             # VM would sail out here as a false external escape — the
@@ -737,13 +739,12 @@ class Gateway:
         shard whose VM initiated the reflected flow — the exact mirror of
         the local reply path. The TTL decrements once per gateway
         traversal, same as local forwarding, so reflection ping-pong
-        between shards still dies at the TTL horizon; it decrements in
-        place, since ``packet`` was decoded for this call alone (and a
-        translated reply is a fresh copy of it). ``generation`` is
-        the remote sender's infection depth (``-1`` when the source is
-        not an infected farm VM); it is remembered per source address so
-        an infection this packet causes chains from the true cross-shard
-        generation instead of restarting at zero.
+        between shards still dies at the TTL horizon. Both rewrites are
+        in place, since ``packet`` was decoded for this call alone.
+        ``generation`` is the remote sender's infection depth (``-1``
+        when the source is not an infected farm VM); it is remembered per
+        source address so an infection this packet causes chains from the
+        true cross-shard generation instead of restarting at zero.
         """
         self._c_intershard_in.increment()
         if not reply and generation >= 0:
@@ -755,7 +756,7 @@ class Gateway:
                 src=dotted(packet.src), dst=dotted(packet.dst),
             )
         if reply:
-            packet = self.nat.translate_reply_source(packet)
+            self.nat.translate_reply_source(packet)
         packet.ttl -= 1
         self.process_inbound(packet)
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import HoneyfarmConfig
@@ -41,7 +42,8 @@ from repro.core.honeyfarm import Honeyfarm
 from repro.core.ledger import packet_ledger
 from repro.net.packet import Packet, TcpFlags
 from repro.net.shardmap import ShardMap
-from repro.sim.engine import batched_collection
+from repro.obs import recorder as _obs
+from repro.sim.engine import Simulator, batched_collection
 
 __all__ = [
     "WIRE_VERSION",
@@ -306,25 +308,30 @@ class ShardRunner:
         )
 
     def run_epoch(self, end: float) -> List[ShardMessage]:
-        """Schedule every message due by ``end``, run the farm to
+        """Deliver every message due by ``end`` while the farm runs to
         ``end``, and hand back the epoch's outbound messages.
 
-        Due messages always schedule in the future: a message sent in
-        epoch ``k`` is due strictly after the epoch-``k`` barrier
-        (``deliver = send + latency > barrier`` because the epoch is no
-        wider than the latency), and the barrier is exactly where this
-        shard's clock stands when the message is deposited.
+        The due messages leave the mailbox as one :class:`_DueMessages`
+        arrival stream, whose sequence block is reserved here, before the
+        farm runs: the keys it carries are the ones scheduling each
+        message on the heap at this point would draw, so they fire in
+        the same order against everything else. Due messages are always
+        in the future: a message sent in epoch ``k`` is due strictly
+        after the epoch-``k`` barrier (``deliver = send + latency >
+        barrier`` because the epoch is no wider than the latency), and
+        the barrier is exactly where this shard's clock stands when the
+        message is deposited.
         """
-        sim = self.farm.sim
-        gateway = self.farm.gateway
+        farm = self.farm
         mailbox = self._mailbox
+        due = []
         while mailbox and mailbox[0][0] <= end:
-            deliver, __, __, reply, wire, generation = heapq.heappop(mailbox)
-            sim.schedule_at(
-                deliver, gateway.receive_intershard, decode_packet(wire),
-                reply, generation,
+            due.append(heapq.heappop(mailbox))
+        if due:
+            farm.sim.attach_stream(
+                _DueMessages(farm.sim, due, farm.gateway.receive_intershard)
             )
-        self.farm.run(until=end)
+        farm.run(until=end)
         out, self.outbox = self.outbox, []
         return out
 
@@ -378,6 +385,77 @@ class ShardRunner:
             f" t={self.farm.sim.now:.1f}s sent={self.sent}"
             f" mailbox={len(self._mailbox)}>"
         )
+
+
+class _DueMessages:
+    """One epoch's due mailbox entries as an
+    :class:`~repro.sim.engine.ArrivalStream`.
+
+    ``entries`` are ``(deliver_time, src_shard, seq, reply, wire,
+    generation)`` in mailbox order; item ``i`` carries the key
+    ``(deliver_time, base + i)``. Each message is decoded when it is
+    delivered and handed to ``receive`` (the gateway's
+    ``receive_intershard``, resolved when the stream is attached).
+    """
+
+    __slots__ = ("_sim", "_entries", "_receive", "_base", "_pos")
+
+    def __init__(
+        self,
+        sim: Simulator,
+        entries: List[Tuple[float, int, int, bool, Tuple, int]],
+        receive: Callable[[Packet, bool, int], None],
+    ) -> None:
+        self._sim = sim
+        self._entries = entries
+        self._receive = receive
+        self._base = sim.reserve_seqs(len(entries))
+        self._pos = 0
+
+    def peek(self) -> Optional[Tuple[float, int]]:
+        i = self._pos
+        if i >= len(self._entries):
+            return None
+        return (self._entries[i][0], self._base + i)
+
+    def drain(
+        self,
+        until: Optional[float],
+        limit_key: Optional[Tuple[float, int]],
+        budget: Optional[int],
+    ) -> int:
+        sim = self._sim
+        entries = self._entries
+        receive = self._receive
+        base = self._base
+        start = i = self._pos
+        stop = len(entries)
+        if budget is not None:
+            stop = min(stop, start + budget)
+        recorder = _obs.ACTIVE
+        while i < stop:
+            deliver, __, __, reply, wire, generation = entries[i]
+            if until is not None and deliver > until:
+                break
+            key = (deliver, base + i)
+            if limit_key is not None and limit_key < key:
+                break
+            queue = sim._queue  # re-read: compaction rebinds the list
+            # A (time, seq, event) entry: its seq is not this message's,
+            # so the comparison never reaches the event.
+            if queue and queue[0] < key:
+                break
+            sim.advance_for_stream(deliver)
+            i += 1
+            self._pos = i  # before delivery: a callback may peek
+            if recorder is None:
+                receive(decode_packet(wire), reply, generation)
+            else:
+                # The label Simulator.step gives a scheduled gateway call.
+                started = perf_counter()
+                receive(decode_packet(wire), reply, generation)
+                recorder.record_timing("gateway", perf_counter() - started)
+        return i - start
 
 
 class ShardGroup:

@@ -10,7 +10,7 @@ carried separately so byte counters and bandwidth models still work.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntFlag
 from typing import Optional
 
@@ -67,7 +67,7 @@ class TcpFlags(IntFlag):
         return bool(self._value_ & 0x04)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Packet:
     """One simulated IP packet.
 
@@ -75,28 +75,60 @@ class Packet:
     interpreted by guests and workloads; ``size`` is the wire size in bytes
     used by byte counters and the link bandwidth model. ``ttl`` decrements
     at each router hop, guarding against forwarding loops (the containment
-    reflection path can otherwise create one).
+    reflection path can otherwise create one). ``packet_id`` is drawn from
+    a process-wide counter unless one is passed.
+
+    The dataclass supplies ``==``, ``repr`` and :func:`dataclasses.replace`;
+    ``__init__`` is written out, because every simulated packet is built
+    through it and the generated one pays a validation hook call and an
+    id-factory call on top of the same two checks. Hot call sites pass
+    the fields positionally.
     """
 
     src: int
     dst: int
     protocol: int
-    src_port: int = 0
-    dst_port: int = 0
-    flags: TcpFlags = TcpFlags.NONE
-    icmp_type: int = 0
-    payload: str = ""
-    size: int = 40
-    ttl: int = 64
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    src_port: int
+    dst_port: int
+    flags: TcpFlags
+    icmp_type: int
+    payload: str
+    size: int
+    ttl: int
+    packet_id: int
 
-    def __post_init__(self) -> None:
-        if self.protocol in (PROTO_TCP, PROTO_UDP):
-            for port in (self.src_port, self.dst_port):
-                if not (0 <= port <= 65535):
-                    raise ValueError(f"port out of range: {port!r}")
-        if self.size < 0:
-            raise ValueError(f"packet size must be non-negative: {self.size!r}")
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        protocol: int,
+        src_port: int = 0,
+        dst_port: int = 0,
+        flags: TcpFlags = TcpFlags.NONE,
+        icmp_type: int = 0,
+        payload: str = "",
+        size: int = 40,
+        ttl: int = 64,
+        packet_id: Optional[int] = None,
+    ) -> None:
+        if protocol == PROTO_TCP or protocol == PROTO_UDP:
+            if not 0 <= src_port <= 65535:
+                raise ValueError(f"port out of range: {src_port!r}")
+            if not 0 <= dst_port <= 65535:
+                raise ValueError(f"port out of range: {dst_port!r}")
+        if size < 0:
+            raise ValueError(f"packet size must be non-negative: {size!r}")
+        self.src = src
+        self.dst = dst
+        self.protocol = protocol
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.flags = flags
+        self.icmp_type = icmp_type
+        self.payload = payload
+        self.size = size
+        self.ttl = ttl
+        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
 
     @property
     def is_tcp(self) -> bool:
@@ -113,14 +145,9 @@ class Packet:
     def reply_template(self, payload: str = "", size: int = 40) -> "Packet":
         """A packet going the other way on the same flow (ports swapped)."""
         return Packet(
-            src=self.dst,
-            dst=self.src,
-            protocol=self.protocol,
-            src_port=self.dst_port,
-            dst_port=self.src_port,
-            icmp_type=ICMP_ECHO_REPLY if self.is_icmp else 0,
-            payload=payload,
-            size=size,
+            self.dst, self.src, self.protocol, self.dst_port, self.src_port,
+            TcpFlags.NONE, ICMP_ECHO_REPLY if self.protocol == PROTO_ICMP else 0,
+            payload, size,
         )
 
     def with_destination(self, dst: int) -> "Packet":

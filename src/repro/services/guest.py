@@ -462,14 +462,8 @@ class GuestHost:
             dst_port, payload, size = followups.pop(packet.dst_port)
             if packet.flags.is_synack:
                 followup = Packet(
-                    src=self.vm.ip,
-                    dst=packet.src,
-                    protocol=PROTO_TCP,
-                    src_port=packet.dst_port,
-                    dst_port=dst_port,
-                    flags=_PSH_ACK,
-                    payload=payload,
-                    size=size,
+                    self.vm.ip, packet.src, PROTO_TCP, packet.dst_port,
+                    dst_port, _PSH_ACK, 0, payload, size,
                 )
                 self._transmit_if_running(followup)
             return []
@@ -573,24 +567,15 @@ class GuestHost:
                     src_port, behavior.dst_port, behavior.exploit_tag, behavior.payload_size,
                 )
                 scan = Packet(
-                    src=self.vm.ip,
-                    dst=target,
-                    protocol=PROTO_TCP,
-                    src_port=src_port,
-                    dst_port=behavior.dst_port,
-                    flags=TcpFlags.SYN,
-                    size=40,
+                    self.vm.ip, target, PROTO_TCP, src_port,
+                    behavior.dst_port, TcpFlags.SYN,
                 )
             else:
                 # Single-datagram worms (Slammer) exploit in one packet.
                 scan = Packet(
-                    src=self.vm.ip,
-                    dst=target,
-                    protocol=behavior.protocol,
-                    src_port=src_port,
-                    dst_port=behavior.dst_port,
-                    payload=behavior.exploit_tag,
-                    size=behavior.payload_size,
+                    self.vm.ip, target, behavior.protocol, src_port,
+                    behavior.dst_port, TcpFlags.NONE, 0,
+                    behavior.exploit_tag, behavior.payload_size,
                 )
             self._transmit_if_running(scan)
 

@@ -114,12 +114,16 @@ class SimulationError(Exception):
 class ArrivalStream(Protocol):
     """A pre-sorted source of work merged into :meth:`Simulator.run`.
 
-    Streams exist so bulk workloads (a million telescope arrivals) do not
-    pay one heap entry per item: the stream holds its items in arrival
-    order, owns a contiguous block of sequence numbers reserved via
-    :meth:`Simulator.reserve_seqs` at attach time, and the run loop merges
-    it against the heap by ``(time, seq)`` key — so firing order is
-    bit-identical to scheduling every item individually.
+    Streams exist so bulk work (a million telescope arrivals, a shard's
+    due cross-shard messages) does not pay one heap entry per item: the
+    stream holds its items in arrival order, owns a contiguous block of
+    sequence numbers reserved via :meth:`Simulator.reserve_seqs` at
+    attach time, and the run loop merges it against the heap by
+    ``(time, seq)`` key — so firing order is bit-identical to scheduling
+    every item individually.
+
+    A stream's key may change only when the stream drains: the run loop
+    picks its best stream once per drain, not once per heap event.
     """
 
     def peek(self) -> Optional[Tuple[float, int]]:
@@ -137,6 +141,13 @@ class ArrivalStream(Protocol):
         ``until``; returns how many items were delivered. The stream is
         responsible for advancing the clock and the processed-event count
         via :meth:`Simulator.advance_for_stream` for every item."""
+
+
+#: What :meth:`Simulator._best_stream` returns: the best attached stream,
+#: its key, and the runner-up key.
+_StreamPick = Tuple[
+    Optional[ArrivalStream], Optional[Tuple[float, int]], Optional[Tuple[float, int]]
+]
 
 
 class Event:
@@ -205,10 +216,14 @@ class Simulator:
     COMPACTION_MIN_QUEUE = 64
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current simulated time in seconds. Only the engine writes it.
+        self.now = float(start_time)
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._streams: List[ArrivalStream] = []
+        # _best_stream()'s answer, kept until a drain, an attach or a
+        # reset changes what it would return.
+        self._stream_pick: Optional[_StreamPick] = None
         self._running = False
         self._events_processed = 0
         self._cancelled_in_heap = 0
@@ -217,11 +232,6 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # Clock
     # ------------------------------------------------------------------ #
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -297,15 +307,15 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay!r} seconds in the past")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any
     ) -> Event:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time!r}; clock is already at {self._now!r}"
+                f"cannot schedule at t={time!r}; clock is already at {self.now!r}"
             )
         time = float(time)
         seq = self._seq
@@ -340,19 +350,20 @@ class Simulator:
         Exhausted streams are detached automatically by :meth:`run`.
         """
         key = stream.peek()
-        if key is not None and key[0] < self._now:
+        if key is not None and key[0] < self.now:
             raise SimulationError(
                 f"cannot attach stream starting at t={key[0]!r}; clock is"
-                f" already at {self._now!r}"
+                f" already at {self.now!r}"
             )
         self._streams.append(stream)
+        self._stream_pick = None
 
     def advance_for_stream(self, time: float, count: int = 1) -> None:
         """Clock/accounting hook for streams delivering items from
         :meth:`ArrivalStream.drain`: each delivered item advances the
         clock to its timestamp and counts as one processed event, exactly
         as if it had been popped off the heap."""
-        self._now = time
+        self.now = time
         self._events_processed += count
 
     def call_now(self, callback: Callable[..., Any], *args: Any) -> Event:
@@ -378,7 +389,7 @@ class Simulator:
                 continue
             event = heapq.heappop(self._queue)[2]
             event._sim = None  # fired; a late cancel() must not touch the heap count
-            self._now = event.time
+            self.now = event.time
             self._events_processed += 1
             recorder = _obs.ACTIVE
             if recorder is None:
@@ -422,13 +433,20 @@ class Simulator:
                     while self._queue and self._queue[0][2].cancelled:
                         self._discard_head()
                     head = self._queue[0] if self._queue else None
-                    stream, stream_key, runner_key = self._best_stream()
+                    pick = self._stream_pick
+                    if pick is None:
+                        pick = self._stream_pick = self._best_stream()
+                    stream, stream_key, runner_key = pick
                     # (time, seq) against (time, seq, event): the seqs
                     # differ, so the event is never reached.
                     if stream is not None and (head is None or stream_key < head):
                         if until is not None and stream_key[0] > until:
                             break
                         budget = None if max_events is None else max_events - executed
+                        # The drain moves the stream's key: pick again
+                        # after it (dropped first, so a raise leaves no
+                        # stale pick behind).
+                        self._stream_pick = None
                         executed += stream.drain(until, runner_key, budget)
                         if stream.peek() is None:
                             self._streams.remove(stream)
@@ -439,17 +457,15 @@ class Simulator:
                         break
                     self.step()
                     executed += 1
-                if until is not None and self._now < until:
+                if until is not None and self.now < until:
                     next_time = self._next_pending_time()
                     target = until if next_time is None else min(until, next_time)
-                    if target > self._now:
-                        self._now = target
+                    if target > self.now:
+                        self.now = target
         finally:
             self._running = False
 
-    def _best_stream(
-        self,
-    ) -> Tuple[Optional[ArrivalStream], Optional[Tuple[float, int]], Optional[Tuple[float, int]]]:
+    def _best_stream(self) -> _StreamPick:
         """The attached stream with the earliest key, its key, and the
         runner-up key (the limit a drain of the best stream must respect
         so two streams still interleave in (time, seq) order)."""
@@ -490,12 +506,13 @@ class Simulator:
             entry[2]._sim = None
         self._queue.clear()
         self._streams.clear()
-        self._now = float(start_time)
+        self._stream_pick = None
+        self.now = float(start_time)
         self._events_processed = 0
         self._cancelled_in_heap = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Simulator now={self._now:.6f} pending={len(self._queue)} "
+            f"<Simulator now={self.now:.6f} pending={len(self._queue)} "
             f"processed={self._events_processed}>"
         )

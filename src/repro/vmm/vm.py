@@ -50,7 +50,7 @@ class VirtualMachine:
     """
 
     __slots__ = (
-        "vm_id", "snapshot", "address_space", "vif", "disk", "state",
+        "vm_id", "snapshot", "address_space", "vif", "ip", "disk", "state",
         "created_at", "started_at", "destroyed_at", "last_activity",
         "host_id", "guest", "detained", "parked",
     )
@@ -67,6 +67,9 @@ class VirtualMachine:
         self.snapshot = snapshot
         self.address_space = address_space
         self.vif = VirtualInterface(ip)
+        #: The VM's address: the NIC's, copied here so the per-packet
+        #: paths read one attribute. :meth:`begin_reassignment` moves both.
+        self.ip = ip
         self.disk = VirtualBlockDevice(snapshot.disk)
         self.state = VMState.CLONING
         self.created_at = created_at
@@ -81,11 +84,6 @@ class VirtualMachine:
     # ------------------------------------------------------------------ #
     # Identity
     # ------------------------------------------------------------------ #
-
-    @property
-    def ip(self) -> int:
-        assert self.vif.ip is not None
-        return self.vif.ip
 
     @property
     def personality(self) -> str:
@@ -119,6 +117,7 @@ class VirtualMachine:
         self._require_state(VMState.RUNNING, "reassign")
         self.state = VMState.CLONING
         self.vif.assign_ip(ip)
+        self.ip = ip
         self.last_activity = now
 
     def resume(self, now: float) -> None:

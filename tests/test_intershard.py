@@ -24,6 +24,7 @@ from repro.core.intershard import (
 from repro.net.addr import IPAddress
 from repro.net.packet import TcpFlags, icmp_packet, tcp_packet, udp_packet
 from repro.net.shardmap import ShardMap
+from repro.obs.recorder import recording
 
 A = IPAddress.parse("10.16.0.5")
 B = IPAddress.parse("10.16.0.70")
@@ -232,6 +233,51 @@ class TestShardRunnerMailbox:
             runner.run_epoch(1.0)
             orders.append(delivered)
         assert orders[0] == orders[1] == [448, 447, 446, 445]
+
+    def silenced_runner(self, deliveries):
+        """A runner whose gateway takes each received message by
+        appending its destination port to ``deliveries``."""
+        runner = self.make_runner()
+        runner.farm.gateway.receive_intershard = (
+            lambda packet, reply, generation=-1: deliveries.append(packet.dst_port)
+        )
+        return runner
+
+    def test_a_message_fires_by_its_key_against_the_heap(self):
+        """The epoch's messages hold the seqs scheduling them at the
+        start of the epoch would draw: a heap event already scheduled
+        at a message's deliver time fires before it, one scheduled
+        during the epoch at that time fires after it."""
+        log = []
+        runner = self.silenced_runner(log)
+        sim = runner.farm.sim
+        runner.deposit(self.message(0.5, src_shard=0, seq=1, port=445))
+        sim.schedule_at(0.5, log.append, "before")
+        sim.schedule_at(0.25, sim.schedule_at, 0.5, log.append, "during")
+        runner.run_epoch(1.0)
+        assert log == ["before", 445, "during"]
+
+    def test_each_received_message_is_one_processed_event(self):
+        processed = []
+        for count in (0, 3):
+            runner = self.silenced_runner([])
+            for seq in range(1, count + 1):
+                runner.deposit(self.message(0.25 * seq, src_shard=0, seq=seq, port=445))
+            runner.run_epoch(1.0)
+            processed.append(runner.farm.sim.events_processed)
+        assert processed[1] - processed[0] == 3
+
+    def test_received_messages_are_timed_under_gateway(self):
+        timed = []
+        for count in (0, 2):
+            runner = self.make_runner()
+            runner.farm.gateway.process_inbound = lambda packet: None
+            for seq in range(1, count + 1):
+                runner.deposit(self.message(0.25 * seq, src_shard=0, seq=seq, port=445))
+            with recording() as recorder:
+                runner.run_epoch(1.0)
+            timed.append(recorder.timing.get("gateway", [0])[0])
+        assert timed[1] - timed[0] == 2
 
     def test_messages_beyond_epoch_stay_queued(self):
         runner = self.make_runner()

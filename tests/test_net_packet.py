@@ -75,6 +75,69 @@ class TestPacketConstruction:
         b = tcp_packet(SRC, DST, 1, 2)
         assert a.packet_id != b.packet_id
 
+    @pytest.mark.parametrize("protocol", [PROTO_TCP, PROTO_UDP])
+    @pytest.mark.parametrize("field", ["src_port", "dst_port"])
+    @pytest.mark.parametrize("port", [-1, 65536])
+    def test_each_port_is_checked_on_tcp_and_udp(self, protocol, field, port):
+        with pytest.raises(ValueError, match=f"port out of range: {port}$"):
+            Packet(SRC, DST, protocol, **{field: port})
+
+    @pytest.mark.parametrize("port", [0, 65535])
+    def test_port_bounds_are_inclusive(self, port):
+        p = Packet(SRC, DST, PROTO_UDP, port, port)
+        assert (p.src_port, p.dst_port) == (port, port)
+
+    @pytest.mark.parametrize("protocol", [PROTO_ICMP, 47])
+    def test_portless_protocols_skip_the_port_check(self, protocol):
+        p = Packet(SRC, DST, protocol, 70000, -1)
+        assert (p.src_port, p.dst_port) == (70000, -1)
+
+    @pytest.mark.parametrize("protocol", [PROTO_TCP, PROTO_ICMP])
+    def test_negative_size_rejected_on_any_protocol(self, protocol):
+        with pytest.raises(ValueError, match="packet size must be non-negative: -1"):
+            Packet(SRC, DST, protocol, size=-1)
+        assert Packet(SRC, DST, protocol, size=0).size == 0
+
+    def test_defaults(self):
+        p = Packet(SRC, DST, PROTO_TCP)
+        assert (p.src_port, p.dst_port, p.flags, p.icmp_type) == (0, 0, TcpFlags.NONE, 0)
+        assert (p.payload, p.size, p.ttl) == ("", 40, 64)
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = Packet(SRC, DST, PROTO_TCP, 1, 2, TcpFlags.SYN, 0, "x", 41, 9, 77)
+        keyword = Packet(
+            src=SRC, dst=DST, protocol=PROTO_TCP, src_port=1, dst_port=2,
+            flags=TcpFlags.SYN, icmp_type=0, payload="x", size=41, ttl=9,
+            packet_id=77,
+        )
+        assert positional == keyword
+
+    def test_a_passed_packet_id_is_kept(self):
+        assert Packet(SRC, DST, PROTO_TCP, packet_id=12345).packet_id == 12345
+        assert Packet(SRC, DST, PROTO_TCP, packet_id=0).packet_id == 0
+
+    def test_equality_covers_every_field(self):
+        p = tcp_packet(SRC, DST, 1, 2, payload="x")
+        assert p == replace(p)
+        assert p != replace(p, ttl=p.ttl - 1)
+        assert p != tcp_packet(SRC, DST, 1, 2, payload="x")  # another packet_id
+
+    def test_replace_keeps_the_id_and_validates(self):
+        p = udp_packet(SRC, DST, 53, 53)
+        q = replace(p, dst_port=54)
+        assert (q.dst_port, q.packet_id, q.src) == (54, p.packet_id, p.src)
+        with pytest.raises(ValueError, match="port out of range: 70000"):
+            replace(p, dst_port=70000)
+
+    def test_repr_names_the_fields(self):
+        p = Packet(SRC, DST, PROTO_UDP, 1, 2, packet_id=5)
+        assert repr(p).startswith("Packet(src=")
+        assert "dst_port=2" in repr(p) and repr(p).endswith("packet_id=5)")
+
+    def test_no_instance_dict(self):
+        with pytest.raises(AttributeError):
+            Packet(SRC, DST, PROTO_TCP).extra = 1
+
 
 class TestPacketTransforms:
     def test_reply_template_swaps_endpoints(self):

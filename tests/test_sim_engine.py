@@ -336,6 +336,87 @@ class _OneArrival:
         return 1
 
 
+class _Arrivals:
+    """An arrival stream of several items: item ``i`` at ``times[i]``
+    logs its ``(time, seq)`` key into ``fired`` when it is delivered."""
+
+    def __init__(self, sim, times, fired):
+        self.sim, self.times, self.fired = sim, list(times), fired
+        self.base = sim.reserve_seqs(len(self.times))
+        self.pos = 0
+
+    def peek(self):
+        if self.pos >= len(self.times):
+            return None
+        return (self.times[self.pos], self.base + self.pos)
+
+    def drain(self, until, limit_key, budget):
+        delivered = 0
+        while self.pos < len(self.times) and (budget is None or delivered < budget):
+            key = self.peek()
+            if until is not None and key[0] > until:
+                break
+            if limit_key is not None and limit_key < key:
+                break
+            queue = self.sim._queue
+            if queue and queue[0] < key:
+                break
+            self.sim.advance_for_stream(key[0])
+            self.pos += 1
+            delivered += 1
+            self.fired.append(key)
+        return delivered
+
+
+class TestStreamPick:
+    """The run loop picks its stream once per drain; anything that can
+    change the pick between drains must drop it."""
+
+    def test_a_stream_attached_by_a_callback_interleaves_with_the_heap(self, sim):
+        fired, heap, streams = [], [], []
+
+        def heap_event(time, then=None):
+            def fire():
+                fired.append((event.time, event.seq))
+                if then is not None:
+                    then()
+
+            event = sim.schedule_at(time, fire)
+            heap.append(event)
+
+        def attach():
+            streams.append(_Arrivals(sim, [1.5, 2.0, 3.0, 3.5], fired))
+            sim.attach_stream(streams[0])
+            # Scheduled after the stream's block: at 2.0 it fires after
+            # the stream's item there.
+            heap_event(2.0)
+
+        # The 0.5 event fills the pick, with no stream attached, before
+        # the 1.0 event attaches one.
+        heap_event(0.5)
+        heap_event(1.0, then=attach)
+        for time in (2.0, 3.0, 4.0):
+            heap_event(time)
+        sim.run()
+        [stream] = streams
+        expected = sorted(
+            [(e.time, e.seq) for e in heap]
+            + [(t, stream.base + i) for i, t in enumerate(stream.times)]
+        )
+        assert fired == expected
+        assert sim.events_processed == len(expected)
+
+    def test_reset_drops_the_pick(self, sim):
+        fired = []
+        sim.attach_stream(_Arrivals(sim, [5.0, 6.0], fired))
+        sim.schedule(1.0, lambda: None)
+        sim.run(until=2.0)  # picks the stream, fires only the heap event
+        sim.reset()
+        sim.schedule(1.0, fired.append, "after reset")
+        sim.run()
+        assert fired == ["after reset"]
+
+
 class TestCollectorPolicy:
     """``batched_collection``: one collector policy per drive, however
     many simulators and slices the drive is made of."""

@@ -185,6 +185,15 @@ class TestVMLifecycle:
     def test_personality_comes_from_snapshot(self, snapshot):
         assert make_vm(snapshot).personality == "windows-default"
 
+    def test_ip_follows_reassignment(self, snapshot):
+        vm = make_vm(snapshot)
+        assert vm.ip == vm.vif.ip == IP
+        vm.start(now=0.0)
+        mac = vm.vif.mac
+        vm.begin_reassignment(IP2, 1.0)
+        assert vm.ip == vm.vif.ip == IP2
+        assert vm.vif.mac == mac  # the NIC keeps its MAC; only the address moves
+
 
 class TestPhysicalHost:
     def test_admit_and_evict(self, host, snapshot):
