@@ -259,15 +259,15 @@ class ReflectionNat:
             self._reverse_keys.setdefault(internal, set()).add(key)
             self._reverse[key] = internal
 
-    def translate_outbound_destination(self, packet: Packet) -> Optional[Packet]:
+    def translate_outbound_destination(self, packet: Packet) -> Optional[int]:
         """If ``packet`` (infected VM → external address it was told it
-        reached) matches a reflection entry, rewrite the destination back
-        to the internal stand-in; returns None when no entry applies."""
+        reached) matches a reflection entry, return the internal stand-in
+        its destination must be rewritten to; None when no entry applies.
+        The caller, who owns ``packet``, does the rewrite."""
         internal = self._reverse.get((packet.src, packet.dst))
-        if internal is None:
-            return None
-        self.outbound_translations += 1
-        return packet.with_destination(internal)
+        if internal is not None:
+            self.outbound_translations += 1
+        return internal
 
     def translate_reply_source(self, reply: Packet) -> Packet:
         """If ``reply`` (internal stand-in → infected VM) matches a

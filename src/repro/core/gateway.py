@@ -582,8 +582,8 @@ class Gateway:
         # NAT-translated reply leaves a flow whose initiator looks
         # external, and the VM's next packet (e.g. the exploit payload
         # after the SYN handshake) would sail out the reply path.
-        rewritten = self.nat.translate_outbound_destination(packet)
-        if rewritten is not None:
+        internal = self.nat.translate_outbound_destination(packet)
+        if internal is not None:
             self._c_out_nat_rewritten.increment()
             if _obs.ACTIVE is not None:
                 _obs.ACTIVE.emit(
@@ -591,12 +591,8 @@ class Gateway:
                     action="nat-rewrite", src=dotted(packet.src),
                     dst=dotted(packet.dst), vm_id=vm.vm_id,
                 )
-            # Under federation-wide reflection the recorded stand-in may
-            # live in a sibling shard's darknet. The rewrite is a copy of
-            # the guest's packet, the gateway's own to decrement.
-            if not self._route_intershard(rewritten, reply=False):
-                rewritten.ttl -= 1
-                self.process_inbound(rewritten)
+            packet.dst = internal
+            self._forward_internal(packet)
             return
 
         flow, created = self.flows.observe(packet, self.sim.now)
@@ -615,7 +611,8 @@ class Gateway:
         if verdict.action is ContainmentAction.ALLOW:
             self._c_out_allowed.increment()
             if self.inventory.covers(packet.dst):
-                self.process_inbound(packet.decremented_ttl())
+                packet.ttl -= 1
+                self.process_inbound(packet)
             elif not self._route_intershard(packet, reply=False):
                 self._c_initiated_external.increment()
                 self._send_external(packet)
@@ -640,10 +637,16 @@ class Gateway:
         # through the message layer raw and are translated here, mirroring
         # the local reflection path exactly.
         self.nat.record(source_ip, new_destination, packet.dst)
-        reflected = packet.with_destination(new_destination)
-        if not self._route_intershard(reflected, reply=False):
-            reflected.ttl -= 1  # a copy: the emitter's packet is untouched
-            self.process_inbound(reflected)
+        packet.dst = new_destination
+        self._forward_internal(packet)
+
+    def _forward_internal(self, packet: Packet) -> None:
+        """Forward ``packet``, re-addressed to a stand-in in the
+        federation's dark space, one hop on: to the sibling shard that
+        owns the stand-in, or back into this farm."""
+        if not self._route_intershard(packet, reply=False):
+            packet.ttl -= 1
+            self.process_inbound(packet)
 
     def _emit_reply(self, vm: VirtualMachine, packet: Packet) -> None:
         """Reply on an externally- or peer-initiated flow: always allowed."""
@@ -660,9 +663,7 @@ class Gateway:
         """Route an allowed reply (a VM's or the emulator tier's) by its
         destination: internal stand-in, sibling shard, or the Internet."""
         if self.inventory.covers(packet.dst):
-            # One copy, translated in place: the emitter may still hold
-            # ``packet``.
-            packet = packet.decremented_ttl()
+            packet.ttl -= 1
             self.process_inbound(self.nat.translate_reply_source(packet))
         elif not self._route_intershard(packet, reply=True):
             # Without the reply=True lane, a reply to a sibling shard's
@@ -739,8 +740,7 @@ class Gateway:
         shard whose VM initiated the reflected flow — the exact mirror of
         the local reply path. The TTL decrements once per gateway
         traversal, same as local forwarding, so reflection ping-pong
-        between shards still dies at the TTL horizon. Both rewrites are
-        in place, since ``packet`` was decoded for this call alone.
+        between shards still dies at the TTL horizon.
         ``generation`` is the remote sender's infection depth (``-1``
         when the source is not an infected farm VM); it is remembered per
         source address so an infection this packet causes chains from the
@@ -801,31 +801,21 @@ class Gateway:
         """Complete a DNS transaction against the internal resolver.
 
         When the query targeted an external resolver and was redirected,
-        the response's source is rewritten back to that resolver so the
-        guest cannot tell the difference.
+        it is re-addressed to the internal resolver, and the response's
+        source is rewritten back to the external one so the guest cannot
+        tell the difference.
         """
         if self.dns_server is None:
             self._c_out_dropped.increment()
             return
-        query = (
-            packet
-            if original_resolver is None
-            else packet.with_destination(self.dns_server.address)
-        )
-        response = self.dns_server.handle_query(query)
+        if original_resolver is not None:
+            packet.dst = self.dns_server.address
+        response = self.dns_server.handle_query(packet)
         if response is None:
             self._c_dns_malformed.increment()
             return
         if original_resolver is not None:
-            response = Packet(
-                src=original_resolver,
-                dst=response.dst,
-                protocol=response.protocol,
-                src_port=response.src_port,
-                dst_port=response.dst_port,
-                payload=response.payload,
-                size=response.size,
-            )
+            response.src = original_resolver
         self._c_dns_answered.increment()
         # Small, fixed resolver turnaround before the answer reaches the VM.
         self.sim.schedule(0.001, self._deliver_dns_response, vm, response)

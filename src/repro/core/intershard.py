@@ -114,8 +114,8 @@ _TCP_FLAGS = tuple(TcpFlags(value) for value in range(32))
 def decode_packet(wire: Sequence) -> Packet:
     """Rebuild a packet from :func:`encode_packet` output. The packet is
     a fresh object in either lane (the in-process reference round-trips
-    through the same codec, so object identity never leaks into
-    behaviour)."""
+    through the same codec), and it belongs to the gateway it is handed
+    to, which rewrites it in place."""
     src, dst, protocol, src_port, dst_port, flags, icmp_type, payload, size, ttl = wire
     return Packet(
         src, dst, protocol, src_port, dst_port, _TCP_FLAGS[flags],

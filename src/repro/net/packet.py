@@ -5,11 +5,40 @@ behaviour depends on header fields (addresses, ports, protocol, TCP flags)
 and on an opaque ``payload`` tag that the guest/worm models interpret
 (e.g. ``"exploit:slammer"``), never on wire encoding. Payload *size* is
 carried separately so byte counters and bandwidth models still work.
+
+One packet, one owner
+---------------------
+A ``Packet`` is mutable, and the farm rewrites packets in place: the
+gateway decrements the TTL at every hop, re-addresses a reflected scan
+to its internal stand-in, and translates a reflected reply's source
+back. That is safe because a packet has one owner at a time. A packet
+passed to any of these *belongs to the receiver*, and the sender does
+not read or write it afterwards:
+
+* ``Gateway.process_inbound``, ``Gateway.receive_intershard`` and
+  ``Gateway.emit_from_vm`` (a guest's ``transmit``);
+* the backend's ``deliver`` / ``deliver_replay``, and
+  ``DnsServer.handle_query`` (which logs the query);
+* ``ShardRunner.send`` and the gateway's ``external_sink``;
+* ``encapsulate`` / ``Link.deliver``, and ``Simulator.schedule`` (the
+  scheduled callback receives it).
+
+Some callees only *borrow* a packet for the duration of the call and
+keep no reference to it: the ``packet_tap``, ``policy.decide`` and
+``flows.observe``. ``FidelityLadder.consider`` borrows a packet it
+promotes; one it absorbs joins its address's replay chain in the
+gateway's own address table, where nothing writes it. The recorder
+is never handed a packet, only fields rendered from one.
+
+An owner may rewrite its own packet in place. Anything it logs about
+the packet's *old* fields (a recorder event naming the original
+destination, say) is read before the rewrite. The rule is checked by
+``tests/test_packet_ownership.py``, which hands every receiver a copy,
+scribbles the sender's original, and requires the same outputs.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import IntFlag
 from typing import Optional
@@ -35,8 +64,6 @@ PROTO_UDP = 17
 
 ICMP_ECHO_REQUEST = 8
 ICMP_ECHO_REPLY = 0
-
-_packet_ids = itertools.count(1)
 
 
 class TcpFlags(IntFlag):
@@ -75,14 +102,14 @@ class Packet:
     interpreted by guests and workloads; ``size`` is the wire size in bytes
     used by byte counters and the link bandwidth model. ``ttl`` decrements
     at each router hop, guarding against forwarding loops (the containment
-    reflection path can otherwise create one). ``packet_id`` is drawn from
-    a process-wide counter unless one is passed.
+    reflection path can otherwise create one). A packet has no identity
+    beyond the object: ``==`` compares fields, and "the same packet"
+    means ``is``. Who may write it is the module's ownership rule.
 
     The dataclass supplies ``==``, ``repr`` and :func:`dataclasses.replace`;
     ``__init__`` is written out, because every simulated packet is built
-    through it and the generated one pays a validation hook call and an
-    id-factory call on top of the same two checks. Hot call sites pass
-    the fields positionally.
+    through it and the generated one pays a validation hook call on top
+    of the same two checks. Hot call sites pass the fields positionally.
     """
 
     src: int
@@ -95,7 +122,6 @@ class Packet:
     payload: str
     size: int
     ttl: int
-    packet_id: int
 
     def __init__(
         self,
@@ -109,7 +135,6 @@ class Packet:
         payload: str = "",
         size: int = 40,
         ttl: int = 64,
-        packet_id: Optional[int] = None,
     ) -> None:
         if protocol == PROTO_TCP or protocol == PROTO_UDP:
             if not 0 <= src_port <= 65535:
@@ -128,7 +153,6 @@ class Packet:
         self.payload = payload
         self.size = size
         self.ttl = ttl
-        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
 
     @property
     def is_tcp(self) -> bool:
@@ -148,22 +172,6 @@ class Packet:
             self.dst, self.src, self.protocol, self.dst_port, self.src_port,
             TcpFlags.NONE, ICMP_ECHO_REPLY if self.protocol == PROTO_ICMP else 0,
             payload, size,
-        )
-
-    def with_destination(self, dst: int) -> "Packet":
-        """Copy of this packet re-addressed to ``dst`` (used by the
-        gateway's reflection/proxy containment actions)."""
-        return Packet(
-            self.src, dst, self.protocol, self.src_port, self.dst_port,
-            self.flags, self.icmp_type, self.payload, self.size, self.ttl,
-        )
-
-    def decremented_ttl(self) -> "Packet":
-        """Copy with TTL reduced by one hop."""
-        return Packet(
-            self.src, self.dst, self.protocol, self.src_port, self.dst_port,
-            self.flags, self.icmp_type, self.payload, self.size, self.ttl - 1,
-            self.packet_id,
         )
 
     def describe(self) -> str:

@@ -78,7 +78,8 @@ class BorderRouter:
         if not self.covers(packet.dst):
             self.metrics.counter("router.passthrough").increment()
             return False
-        gre = encapsulate(self.tunnel, packet.decremented_ttl())
+        packet.ttl -= 1
+        gre = encapsulate(self.tunnel, packet)
         self.metrics.counter("router.diverted").increment()
         self.uplink.deliver(gre, gre.size)
         return True

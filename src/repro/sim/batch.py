@@ -188,11 +188,11 @@ class PacketColumns(Sequence[TraceRecord]):
     promotion as it hands over its buffer), and the span lane drops the
     sample it classified a row by when it consumes that row.
 
-    The columns are immutable and may be shared; the cache is not.
-    ``Packet`` is mutable and its ``packet_id`` is drawn from a
-    process-global counter, so every replay of a trace takes its own
-    :meth:`attachment`: the same column lists (shifted times apart)
-    under a fresh ``packets`` cache.
+    The columns are immutable and may be shared; the cache is not. A
+    delivered ``Packet`` belongs to the farm it was handed to, which may
+    rewrite it in place (see :mod:`repro.net.packet`), so every replay
+    of a trace takes its own :meth:`attachment`: the same column lists
+    (shifted times apart) under a fresh ``packets`` cache.
 
     An attachment the emulator tier absorbs arrivals from also carries
     ``prev``: per row, the link its address's handoff chain held before

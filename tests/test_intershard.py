@@ -39,8 +39,7 @@ def shard_config(prefix, seed=11, containment="reflect"):
 
 
 def same_wire_fields(left, right):
-    """Field equality on everything the wire carries (``packet_id`` is
-    process-local identity and deliberately not serialized)."""
+    """Field equality on everything the wire carries."""
     return encode_packet(left) == encode_packet(right)
 
 
@@ -70,7 +69,8 @@ class TestWireCodec:
         assert decoded.is_icmp and decoded.icmp_type == packet.icmp_type
 
     def test_ttl_survives_the_wire(self):
-        packet = tcp_packet(EXTERNAL, A, 1, 80).decremented_ttl()
+        packet = tcp_packet(EXTERNAL, A, 1, 80)
+        packet.ttl = 63
         decoded = decode_packet(encode_packet(packet))
         assert decoded.ttl == packet.ttl
 

@@ -70,11 +70,6 @@ class TestPacketConstruction:
         with pytest.raises(ValueError):
             Packet(src=SRC, dst=DST, protocol=PROTO_TCP, size=-1)
 
-    def test_packet_ids_are_unique(self):
-        a = tcp_packet(SRC, DST, 1, 2)
-        b = tcp_packet(SRC, DST, 1, 2)
-        assert a.packet_id != b.packet_id
-
     @pytest.mark.parametrize("protocol", [PROTO_TCP, PROTO_UDP])
     @pytest.mark.parametrize("field", ["src_port", "dst_port"])
     @pytest.mark.parametrize("port", [-1, 65536])
@@ -104,35 +99,32 @@ class TestPacketConstruction:
         assert (p.payload, p.size, p.ttl) == ("", 40, 64)
 
     def test_positional_and_keyword_construction_agree(self):
-        positional = Packet(SRC, DST, PROTO_TCP, 1, 2, TcpFlags.SYN, 0, "x", 41, 9, 77)
+        positional = Packet(SRC, DST, PROTO_TCP, 1, 2, TcpFlags.SYN, 0, "x", 41, 9)
         keyword = Packet(
             src=SRC, dst=DST, protocol=PROTO_TCP, src_port=1, dst_port=2,
             flags=TcpFlags.SYN, icmp_type=0, payload="x", size=41, ttl=9,
-            packet_id=77,
         )
         assert positional == keyword
-
-    def test_a_passed_packet_id_is_kept(self):
-        assert Packet(SRC, DST, PROTO_TCP, packet_id=12345).packet_id == 12345
-        assert Packet(SRC, DST, PROTO_TCP, packet_id=0).packet_id == 0
 
     def test_equality_covers_every_field(self):
         p = tcp_packet(SRC, DST, 1, 2, payload="x")
         assert p == replace(p)
         assert p != replace(p, ttl=p.ttl - 1)
-        assert p != tcp_packet(SRC, DST, 1, 2, payload="x")  # another packet_id
+        twin = tcp_packet(SRC, DST, 1, 2, payload="x")
+        assert p == twin and p is not twin  # fields, not identity
 
-    def test_replace_keeps_the_id_and_validates(self):
+    def test_replace_copies_the_fields_and_validates(self):
         p = udp_packet(SRC, DST, 53, 53)
         q = replace(p, dst_port=54)
-        assert (q.dst_port, q.packet_id, q.src) == (54, p.packet_id, p.src)
+        assert (q.dst_port, q.src) == (54, p.src) and q is not p
+        assert replace(q, dst_port=53) == p
         with pytest.raises(ValueError, match="port out of range: 70000"):
             replace(p, dst_port=70000)
 
     def test_repr_names_the_fields(self):
-        p = Packet(SRC, DST, PROTO_UDP, 1, 2, packet_id=5)
+        p = Packet(SRC, DST, PROTO_UDP, 1, 2, ttl=5)
         assert repr(p).startswith("Packet(src=")
-        assert "dst_port=2" in repr(p) and repr(p).endswith("packet_id=5)")
+        assert "dst_port=2" in repr(p) and repr(p).endswith("ttl=5)")
 
     def test_no_instance_dict(self):
         with pytest.raises(AttributeError):
@@ -150,20 +142,6 @@ class TestPacketTransforms:
     def test_icmp_reply_is_echo_reply(self):
         r = icmp_packet(SRC, DST).reply_template()
         assert r.icmp_type == ICMP_ECHO_REPLY
-
-    def test_with_destination_preserves_rest(self):
-        p = udp_packet(SRC, DST, 53, 53, payload="q")
-        other = IPAddress.parse("10.16.0.99")
-        q = p.with_destination(other)
-        assert q.dst == other
-        assert q.packet_id != p.packet_id  # a new packet, not an alias
-        assert replace(q, dst=p.dst, packet_id=p.packet_id) == p
-
-    def test_decremented_ttl(self):
-        p = tcp_packet(SRC, DST, 1, 2, flags=TcpFlags.PSH | TcpFlags.ACK, payload="x", size=99)
-        q = p.decremented_ttl()
-        assert q.ttl == p.ttl - 1
-        assert replace(q, ttl=p.ttl) == p  # same packet (and id), one hop on
 
     def test_describe_formats(self):
         assert "TCP" in tcp_packet(SRC, DST, 1, 80).describe()

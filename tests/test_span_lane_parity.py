@@ -323,8 +323,8 @@ def test_interrupted_storm_is_lane_independent(ladder, observer):
         def prepare(farm: Honeyfarm) -> None:
             _register_worms(farm)
             if observer == "tap":
-                # Every field but packet_id (a process-global counter the
-                # lazy batched arm draws from in a different order).
+                # Every field, rendered: the two arms build their own
+                # packet objects.
                 farm.attach_packet_tap(lambda p: tapped.append((
                     str(p.src), str(p.dst), p.protocol, p.src_port, p.dst_port,
                     int(p.flags), p.icmp_type, p.payload, p.size, p.ttl,

@@ -194,6 +194,4 @@ class TestOutbreakDriving:
                 worm.payload_size,
             )
             packet = outbreak._scan_packet()
-            assert packet == dataclasses.replace(
-                row.to_packet(), packet_id=packet.packet_id
-            )
+            assert packet == row.to_packet()
