@@ -31,8 +31,9 @@ and in nothing else.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -286,13 +287,14 @@ class ShardRunner:
     # -- coordinator interface ------------------------------------------- #
 
     def deposit(self, message: ShardMessage) -> None:
-        """Accept one inbound message (any epoch ahead of now)."""
+        """Accept one inbound message (any epoch ahead of now). The
+        mailbox is put in key order once per epoch, by :meth:`run_epoch`."""
         __, deliver, src_shard, dst_shard, seq, reply, wire, generation = message
         if dst_shard != self.index:
             raise ValueError(
                 f"shard {self.index} received a message for shard {dst_shard}"
             )
-        heapq.heappush(self._mailbox, (deliver, src_shard, seq, reply, wire, generation))
+        self._mailbox.append((deliver, src_shard, seq, reply, wire, generation))
 
     def attach_records(self, records, batched: bool = True) -> int:
         """Feed this shard's slice of the workload (pre-run only)."""
@@ -324,9 +326,13 @@ class ShardRunner:
         """
         farm = self.farm
         mailbox = self._mailbox
-        due = []
-        while mailbox and mailbox[0][0] <= end:
-            due.append(heapq.heappop(mailbox))
+        # The leading (deliver_time, src_shard, seq) is unique, so the sort
+        # never compares further into an entry, and it orders messages
+        # parked by an earlier call and this epoch's deposits alike.
+        mailbox.sort()
+        cut = bisect_right(mailbox, end, key=_DELIVER_TIME)
+        due = mailbox[:cut]
+        del mailbox[:cut]
         if due:
             farm.sim.attach_stream(
                 _DueMessages(farm.sim, due, farm.gateway.receive_intershard)
@@ -385,6 +391,9 @@ class ShardRunner:
             f" t={self.farm.sim.now:.1f}s sent={self.sent}"
             f" mailbox={len(self._mailbox)}>"
         )
+
+
+_DELIVER_TIME = itemgetter(0)
 
 
 class _DueMessages:

@@ -234,6 +234,22 @@ class TestShardRunnerMailbox:
             orders.append(delivered)
         assert orders[0] == orders[1] == [448, 447, 446, 445]
 
+    def test_parked_messages_merge_with_later_deposits_in_key_order(self):
+        """A run that stops mid-epoch parks the messages due past its
+        end; the next run delivers them merged with the deposits made
+        since, by the whole key, not by deliver time and arrival."""
+        log = []
+        runner = self.silenced_runner(log)
+        runner.deposit(self.message(0.75, src_shard=2, seq=1, port=445))
+        runner.deposit(self.message(0.50, src_shard=0, seq=1, port=444))
+        runner.run_epoch(0.6)
+        assert log == [444] and runner.undelivered_messages == 1
+        runner.deposit(self.message(0.75, src_shard=0, seq=2, port=446))
+        runner.deposit(self.message(0.70, src_shard=2, seq=2, port=447))
+        runner.run_epoch(1.0)
+        assert log == [444, 447, 446, 445]
+        assert runner.undelivered_messages == 0
+
     def silenced_runner(self, deliveries):
         """A runner whose gateway takes each received message by
         appending its destination port to ``deliveries``."""
