@@ -67,6 +67,17 @@ def test_a_median_gap_without_a_consistent_direction_is_unresolved():
     assert row["change"]["verdict"] == "unresolved"
 
 
+def test_an_aa_arm_that_drifts_in_four_of_five_pairs_is_unresolved():
+    # At 5 pairs a row needs all 5: an unchanged tree drifted one way in
+    # 4 of 5, by more than its own spread, and 4 of 5 once resolved it.
+    parent = PARENT[:5]
+    aa = [v + d for v, d in zip(parent, (0.5, 0.6, 0.55, 0.52, -0.1))]
+    row = pair.compare(parent, aa, list(parent), better="lower", bound=0.25)
+    assert abs(row["a/a"]["gap"]) > row["spread"]
+    assert row["a/a"]["won"] == 1  # worse in the other four
+    assert row["a/a"]["verdict"] == "unresolved"
+
+
 def test_arms_need_the_same_number_of_pairs():
     with pytest.raises(ValueError):
         pair.compare(PARENT, PARENT[:-1], PARENT, better="lower", bound=0.25)
