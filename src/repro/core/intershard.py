@@ -195,6 +195,10 @@ def assign_shards(loads: Sequence[int], workers: int) -> List[int]:
 # The per-shard epoch engine
 # ---------------------------------------------------------------------- #
 
+#: A mailbox entry's ``deliver_time``: the epoch cut bisects on it.
+_DELIVER_TIME = itemgetter(0)
+
+
 class ShardRunner:
     """One shard's farm plus its mailbox, outbox, and epoch driver.
 
@@ -391,9 +395,6 @@ class ShardRunner:
             f" t={self.farm.sim.now:.1f}s sent={self.sent}"
             f" mailbox={len(self._mailbox)}>"
         )
-
-
-_DELIVER_TIME = itemgetter(0)
 
 
 class _DueMessages:

@@ -176,8 +176,8 @@ def _install_oracle(mp: pytest.MonkeyPatch, sites: Counter) -> None:
         mp.setattr(owner, name, _handed_over(getattr(owner, name)))
     for module in (gateway_module, router_module):
         mp.setattr(module, "encapsulate", _handed_over(module.encapsulate))
-    mp.setattr(Gateway, "external_sink", _callback_property("external_sink", _handed_over), raising=False)
-    mp.setattr(Gateway, "packet_tap", _callback_property("packet_tap", _lent), raising=False)
+    for name, wrap in (("external_sink", _handed_over), ("packet_tap", _lent)):
+        mp.setattr(Gateway, name, _callback_property(name, wrap), raising=False)
 
     mp.setattr(FlowTable, "observe", _lent(FlowTable.observe))
     for policy in vars(containment).values():
@@ -303,29 +303,38 @@ def _dns_redirect_oracle(sites: Counter) -> List[str]:
 
 
 def _oracle(case: str) -> Tuple[List[str], Counter]:
-    """(faults, site tally) of one case, computed once per session."""
-    if case not in _RESULTS:
-        sites: Counter = Counter()
-        if case in CORPUS:
-            scenario = Scenario.from_json(CORPUS[case].read_text())
-            faults = _scenario_oracle(scenario, case, sites)
-        elif case == FEDERATION_STORM.stem:
-            scenario = FederationScenario.from_json(FEDERATION_STORM.read_text())
-            faults = _both_ways(
-                f"{case}/in-process",
-                lambda recorded: _run_federation(scenario, recorded),
-                sites,
-            )
-        elif case == OPEN_LOCAL_SCAN.name:
-            faults = _scenario_oracle(OPEN_LOCAL_SCAN, case, sites)
-        else:
-            faults = _dns_redirect_oracle(sites)
-        _RESULTS[case] = (faults, sites)
-    return _RESULTS[case]
+    """(faults, site tally) of one case."""
+    sites: Counter = Counter()
+    if case in CORPUS:
+        scenario = Scenario.from_json(CORPUS[case].read_text())
+        return _scenario_oracle(scenario, case, sites), sites
+    if case == FEDERATION_STORM.stem:
+        scenario = FederationScenario.from_json(FEDERATION_STORM.read_text())
+        faults = _both_ways(
+            f"{case}/in-process",
+            lambda recorded: _run_federation(scenario, recorded),
+            sites,
+        )
+        return faults, sites
+    if case == OPEN_LOCAL_SCAN.name:
+        return _scenario_oracle(OPEN_LOCAL_SCAN, case, sites), sites
+    return _dns_redirect_oracle(sites), sites
 
 
-_RESULTS: Dict[str, Tuple[List[str], Counter]] = {}
 CASES = [*CORPUS, FEDERATION_STORM.stem, OPEN_LOCAL_SCAN.name, DNS_REDIRECT.name]
+
+
+@pytest.fixture(scope="module")
+def oracle() -> Callable[[str], Tuple[List[str], Counter]]:
+    """:func:`_oracle`, each case run once for the module's tests."""
+    results: Dict[str, Tuple[List[str], Counter]] = {}
+
+    def run(case: str) -> Tuple[List[str], Counter]:
+        if case not in results:
+            results[case] = _oracle(case)
+        return results[case]
+
+    return run
 
 
 # --------------------------------------------------------------------- #
@@ -335,23 +344,23 @@ CASES = [*CORPUS, FEDERATION_STORM.stem, OPEN_LOCAL_SCAN.name, DNS_REDIRECT.name
 
 @pytest.mark.slow
 @pytest.mark.parametrize("case", CASES)
-def test_every_hand_off_can_be_a_copy(case: str) -> None:
-    faults, __ = _oracle(case)
+def test_every_hand_off_can_be_a_copy(oracle, case: str) -> None:
+    faults, __ = oracle(case)
     assert not faults, "\n".join(faults)
 
 
 @pytest.mark.slow
-def test_every_in_place_rewrite_site_ran() -> None:
+def test_every_in_place_rewrite_site_ran(oracle) -> None:
     sites: Counter = Counter()
     for case in CASES:
-        sites.update(_oracle(case)[1])
+        sites.update(oracle(case)[1])
     missing = [
         site for site, (__, name) in REWRITE_SITES.items() if sites[name] <= 0
     ]
     assert not missing, f"never ran under the oracle: {missing}"
 
 
-def test_the_oracle_sees_a_sender_that_reads_what_it_gave_away() -> None:
+def test_the_wrappers_scribble_what_was_given_away() -> None:
     """The wrappers themselves: a hand-off scribbles the sender's copy,
     a loan scribbles the borrower's, and a kept packet is left alone."""
     got: List[Packet] = []
