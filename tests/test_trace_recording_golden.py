@@ -1,17 +1,26 @@
-"""Golden digest of a flight-recorder recording.
+"""Golden digests of three recorded runs.
 
 CI's "Flight-recorder trace (smoke)" step records the chaos drill twice
-and ``cmp``s the two files, which proves a tree agrees with itself, not
-with the tree before it: a change that moves every recording at once
-(an event emitted after a rewrite instead of before it, say) passes
-there. This test records the same drill with CI's exact arguments and
-compares the file's sha256 with a committed line. The JSONL carries
-simulated time only, never wall time, so the digest is stable across
-machines. It does carry ``vm_id``s, which a process-wide counter
-draws, so the recording runs in a fresh interpreter, as CI's does.
+and ``cmp``s the two files, and its "Adversary (smoke)" step does the
+same with the adversary report, which proves a tree agrees with itself,
+not with the tree before it: a change that moves every recording at
+once (an event emitted after a rewrite instead of before it, say)
+passes there. These tests record the same runs and compare each file's
+sha256 with its committed line:
 
-Regenerate (after an intentional change to what the recorder emits)
-with::
+* the chaos drill, with CI's exact arguments;
+* a 20 s worm outbreak, whose recording carries the in-farm scans an
+  infected guest's scan loop emits (and the containment event each
+  one meets);
+* the adversary report, whose botnet campaign runs a guest's beacon
+  loop.
+
+The files carry simulated time only, never wall time, so the digests
+are stable across machines. They do carry ``vm_id``s, which a
+process-wide counter draws, so each run is in a fresh interpreter, as
+CI's are.
+
+Regenerate (after an intentional change to what the runs emit) with::
 
     PYTHONPATH=src python -m pytest tests/test_trace_recording_golden.py --update-golden
 """
@@ -23,8 +32,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import List
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "recording_digests.txt"
+
+NEWLINE = b"\n"
 
 #: The arguments of CI's "Flight-recorder trace (smoke)" step.
 CHAOS_DRILL_SMOKE = [
@@ -32,19 +44,49 @@ CHAOS_DRILL_SMOKE = [
     "--snapshot-interval", "5", "--capacity", "50000",
 ]
 
+OUTBREAK_20S = [
+    "trace", "--scenario", "outbreak", "--duration", "20",
+    "--snapshot-interval", "5", "--capacity", "50000",
+]
 
-def test_chaos_drill_recording_matches_its_golden_digest(golden, tmp_path):
-    path = tmp_path / "chaos_drill.jsonl"
+
+def _run_cli(args: List[str]) -> None:
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-m", "repro.cli", *CHAOS_DRILL_SMOKE, "--output", str(path)],
+        [sys.executable, "-m", "repro.cli", *args],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _check_line(golden, name: str, path: Path, count_lines: bool) -> None:
+    """Compare ``name``'s line of the digest file with ``path``'s digest;
+    the other lines are taken as committed, so ``--update-golden``
+    rewrites this line only."""
     data = path.read_bytes()
-    lines = data.count(b"\n")
-    digest = hashlib.sha256(data).hexdigest()
-    golden.check(
-        GOLDEN_PATH, f"chaos_drill_smoke lines={lines} sha256={digest}\n"
-    )
+    line = name
+    if count_lines:
+        line += f" lines={data.count(NEWLINE)}"
+    line += f" sha256={hashlib.sha256(data).hexdigest()}\n"
+    committed = GOLDEN_PATH.read_text().splitlines(keepends=True)
+    others = [old for old in committed if old.split(" ", 1)[0] != name]
+    golden.check(GOLDEN_PATH, "".join(sorted(others + [line])))
+
+
+def test_chaos_drill_recording_matches_its_golden_digest(golden, tmp_path):
+    path = tmp_path / "chaos_drill.jsonl"
+    _run_cli([*CHAOS_DRILL_SMOKE, "--output", str(path)])
+    _check_line(golden, "chaos_drill_smoke", path, count_lines=True)
+
+
+def test_outbreak_recording_matches_its_golden_digest(golden, tmp_path):
+    path = tmp_path / "outbreak.jsonl"
+    _run_cli([*OUTBREAK_20S, "--output", str(path)])
+    _check_line(golden, "outbreak_20s", path, count_lines=True)
+
+
+def test_adversary_report_matches_its_golden_digest(golden, tmp_path):
+    path = tmp_path / "adversary.json"
+    _run_cli(["adversary", "--smoke", "--json", str(path)])
+    _check_line(golden, "adversary_smoke", path, count_lines=False)
