@@ -41,8 +41,7 @@ from repro.net.packet import (
 )
 from repro.services.personality import Personality
 from repro.services.vulnerabilities import VulnerabilityCatalog
-from repro.sim.engine import Simulator
-from repro.sim.process import Process, Sleep, spawn
+from repro.sim.engine import Event, Simulator
 from repro.sim.rand import RandomStream, stable_hash
 from repro.vmm.memory import PINNED, OutOfMemoryError
 from repro.vmm.vm import VirtualMachine, VMState
@@ -276,7 +275,7 @@ class GuestHost:
         "connections_handled", "scans_emitted", "dropped_page_writes",
         "beacons_sent", "_touched", "_page_cursor", "_conn_region_start",
         "_conn_cursor", "_disk_cursor", "_pending_followups",
-        "_scan_process", "_beacon_process",
+        "_scan_wakeup", "_beacon_wakeup", "_stopped",
     )
 
     def __init__(
@@ -320,8 +319,11 @@ class GuestHost:
         # (nor a bot its check-in) on the SYN; the payload follows the
         # established connection. Created by the first follow-up.
         self._pending_followups: Optional[Dict[int, tuple]] = None
-        self._scan_process: Optional[Process] = None
-        self._beacon_process: Optional[Process] = None
+        # The scan and beacon loops each sleep in one pending event,
+        # which stop() cancels; a stopped guest schedules no more steps.
+        self._scan_wakeup: Optional[Event] = None
+        self._beacon_wakeup: Optional[Event] = None
+        self._stopped = False
         self.beacons_sent = 0
         vm.guest = self
 
@@ -528,15 +530,18 @@ class GuestHost:
             self.on_infection(self.infection)
         behavior = self.worm_behaviors.get(packet.payload)
         if behavior is not None and self.transmit is not None:
-            self._scan_process = spawn(
-                self.sim,
-                self._scan_loop(behavior),
-                name=f"scan-vm{self.vm.vm_id}",
-            )
+            self.sim.call_now(self._scan_start, behavior)
         return True
 
-    def _scan_loop(self, behavior: ScanBehavior):
-        """Infected-guest propagation loop (a simulation process)."""
+    # The scan loop is a chain of events, one step each: _scan_start
+    # (the optional DNS lookup), _scan_resume (the beacon loop's start),
+    # then one _scan per scan. Every step that sleeps draws its delay
+    # before it asks whether stop() ran, so a guest stopped from inside
+    # its own transmit draws the same stream as one that was not.
+
+    def _scan_start(self, behavior: ScanBehavior) -> None:
+        if self._stopped:
+            return  # stopped before its first step: the start fires as a no-op
         if behavior.dns_lookup_first and behavior.dns_server is not None:
             domain = behavior.rendezvous_domain or f"{behavior.worm_name}.example"
             query = udp_packet(
@@ -547,37 +552,52 @@ class GuestHost:
                 payload=f"dns:query:{domain}",
             )
             self._transmit_if_running(query)
-            yield Sleep(self.rng.uniform(0.01, 0.05))
-        if behavior.beacon_interval is not None and self._beacon_process is None:
-            self._beacon_process = spawn(
-                self.sim,
-                self._beacon_loop(behavior),
-                name=f"beacon-vm{self.vm.vm_id}",
+            self._sleep_scan(self.rng.uniform(0.01, 0.05), self._scan_resume, behavior)
+        else:
+            self._scan_resume(behavior)
+
+    def _scan_resume(self, behavior: ScanBehavior) -> None:
+        self._scan_wakeup = None
+        if behavior.beacon_interval is not None:
+            self.sim.call_now(self._beacon, behavior)
+        self._sleep_until_next_scan(behavior)
+
+    def _scan(self, behavior: ScanBehavior) -> None:
+        """One scan of an infected guest's propagation loop."""
+        self._scan_wakeup = None
+        if self.vm.state is not VMState.RUNNING:
+            return
+        target = self._pick_target(behavior)
+        src_port = 1024 + self.rng.randint(0, 60000)
+        if behavior.protocol == PROTO_TCP:
+            # Real TCP worms connect first; the exploit follows the
+            # handshake (see handle_packet's SYN/ACK branch).
+            self._queue_followup(
+                src_port, behavior.dst_port, behavior.exploit_tag, behavior.payload_size,
             )
-        while self.vm.state is VMState.RUNNING and self.infected:
-            yield Sleep(self.rng.exponential(behavior.scan_rate))
-            if self.vm.state is not VMState.RUNNING:
-                return
-            target = self._pick_target(behavior)
-            src_port = 1024 + self.rng.randint(0, 60000)
-            if behavior.protocol == PROTO_TCP:
-                # Real TCP worms connect first; the exploit follows the
-                # handshake (see handle_packet's SYN/ACK branch).
-                self._queue_followup(
-                    src_port, behavior.dst_port, behavior.exploit_tag, behavior.payload_size,
-                )
-                scan = Packet(
-                    self.vm.ip, target, PROTO_TCP, src_port,
-                    behavior.dst_port, TcpFlags.SYN,
-                )
-            else:
-                # Single-datagram worms (Slammer) exploit in one packet.
-                scan = Packet(
-                    self.vm.ip, target, behavior.protocol, src_port,
-                    behavior.dst_port, TcpFlags.NONE, 0,
-                    behavior.exploit_tag, behavior.payload_size,
-                )
-            self._transmit_if_running(scan)
+            scan = Packet(
+                self.vm.ip, target, PROTO_TCP, src_port,
+                behavior.dst_port, TcpFlags.SYN,
+            )
+        else:
+            # Single-datagram worms (Slammer) exploit in one packet.
+            scan = Packet(
+                self.vm.ip, target, behavior.protocol, src_port,
+                behavior.dst_port, TcpFlags.NONE, 0,
+                behavior.exploit_tag, behavior.payload_size,
+            )
+        self._transmit_if_running(scan)
+        self._sleep_until_next_scan(behavior)
+
+    def _sleep_until_next_scan(self, behavior: ScanBehavior) -> None:
+        if self.vm.state is VMState.RUNNING and self.infected:
+            self._sleep_scan(self.rng.exponential(behavior.scan_rate), self._scan, behavior)
+
+    def _sleep_scan(
+        self, delay: float, step: Callable[[ScanBehavior], None], behavior: ScanBehavior
+    ) -> None:
+        if not self._stopped:
+            self._scan_wakeup = self.sim.schedule(delay, step, behavior)
 
     def _pick_target(self, behavior: ScanBehavior) -> int:
         """Choose one scan victim per the worm's targeting strategy."""
@@ -590,32 +610,36 @@ class GuestHost:
                 return (own & 0xFF000000) | self.rng.randint(0, 0xFFFFFF)
         return self.rng.randint(0, (1 << 32) - 1)
 
-    def _beacon_loop(self, behavior: ScanBehavior):
-        """Bot check-in loop: periodically connect to the C&C server.
+    def _beacon(self, behavior: ScanBehavior) -> None:
+        """One bot check-in: connect to the C&C server, then sleep a
+        beacon interval. Started once per guest by the scan loop.
 
         The SYN is subject to containment like any initiated traffic;
         whether the bot ever reaches its controller is the policy's call
         (and the point of the botnet example).
         """
-        assert behavior.cnc_server is not None
-        assert behavior.beacon_interval is not None
-        while self.vm.state is VMState.RUNNING and self.infected:
-            src_port = 1024 + self.rng.randint(0, 60000)
-            self._queue_followup(
-                src_port, behavior.cnc_port, f"cnc:checkin:{behavior.worm_name}", 120,
+        self._beacon_wakeup = None
+        if self._stopped or not (self.vm.state is VMState.RUNNING and self.infected):
+            return
+        src_port = 1024 + self.rng.randint(0, 60000)
+        self._queue_followup(
+            src_port, behavior.cnc_port, f"cnc:checkin:{behavior.worm_name}", 120,
+        )
+        syn = Packet(
+            src=self.vm.ip,
+            dst=behavior.cnc_server,
+            protocol=PROTO_TCP,
+            src_port=src_port,
+            dst_port=behavior.cnc_port,
+            flags=TcpFlags.SYN,
+            size=40,
+        )
+        self.beacons_sent += 1
+        self._transmit_if_running(syn)
+        if not self._stopped:
+            self._beacon_wakeup = self.sim.schedule(
+                behavior.beacon_interval, self._beacon, behavior
             )
-            syn = Packet(
-                src=self.vm.ip,
-                dst=behavior.cnc_server,
-                protocol=PROTO_TCP,
-                src_port=src_port,
-                dst_port=behavior.cnc_port,
-                flags=TcpFlags.SYN,
-                size=40,
-            )
-            self.beacons_sent += 1
-            self._transmit_if_running(syn)
-            yield Sleep(behavior.beacon_interval)
 
     def _queue_followup(self, src_port: int, dst_port: int, payload: str, size: int) -> None:
         """Send ``payload`` to ``dst_port`` once the connection opened
@@ -631,13 +655,17 @@ class GuestHost:
             self.transmit(self.vm, packet)
 
     def stop(self) -> None:
-        """Halt propagation (called when the VM is reclaimed or detained)."""
-        if self._scan_process is not None:
-            self._scan_process.cancel()
-            self._scan_process = None
-        if self._beacon_process is not None:
-            self._beacon_process.cancel()
-            self._beacon_process = None
+        """Halt propagation for good (called when the VM is reclaimed,
+        detained or lost with its host): a sleeping loop's wake-up is
+        cancelled in the heap, and a step that is running or still to
+        start schedules nothing."""
+        self._stopped = True
+        if self._scan_wakeup is not None:
+            self._scan_wakeup.cancel()
+            self._scan_wakeup = None
+        if self._beacon_wakeup is not None:
+            self._beacon_wakeup.cancel()
+            self._beacon_wakeup = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         status = f"infected:{self.infection.worm_name}" if self.infection else "clean"

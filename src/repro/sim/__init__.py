@@ -9,8 +9,11 @@ deterministic discrete-event kernel:
   — named, reproducible random streams.
 * :mod:`repro.sim.metrics` — counters, gauges, histograms, and time series
   used by every experiment to record results.
-* :mod:`repro.sim.process` — lightweight generator-based processes for
-  modelling sequential behaviour (e.g. a guest handling a TCP session).
+
+Sequential behaviour (a guest's scan loop, an outbreak's ticks) is a
+callback that does one step and schedules the next with
+:meth:`Simulator.schedule`, keeping the returned :class:`Event` when
+something may need to cancel the pending step.
 
 The kernel is deliberately minimal: events are ``(time, seq, callback)``
 triples ordered by time then insertion sequence, so a given seed always
@@ -25,7 +28,6 @@ from repro.sim.metrics import (
     MetricRegistry,
     TimeSeries,
 )
-from repro.sim.process import Process, Sleep, WaitEvent, spawn
 from repro.sim.rand import RandomStream, SeedSequence
 
 __all__ = [
@@ -34,13 +36,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "Process",
     "RandomStream",
     "SeedSequence",
     "Simulator",
     "SimulationError",
-    "Sleep",
     "TimeSeries",
-    "WaitEvent",
-    "spawn",
 ]

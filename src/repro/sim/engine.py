@@ -181,11 +181,15 @@ class Event:
 
         Cancelling an already-fired or already-cancelled event is a no-op;
         the event is lazily discarded when the loop pops it (or earlier,
-        if the owning simulator compacts its heap).
+        if the owning simulator compacts its heap). The callback and its
+        arguments are dropped at once, so a cancelled event left in the
+        heap keeps nothing they reference alive.
         """
         if self.cancelled:
             return
         self.cancelled = True
+        self.callback = None
+        self.args = ()
         sim = self._sim
         if sim is not None:
             sim._note_cancelled()

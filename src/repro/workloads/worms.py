@@ -32,7 +32,6 @@ from repro.core.honeyfarm import Honeyfarm
 from repro.net.packet import PROTO_TCP, PROTO_UDP, Packet, TcpFlags
 from repro.services.guest import ScanBehavior
 from repro.sim.metrics import TimeSeries
-from repro.sim.process import Sleep, spawn
 from repro.sim.rand import RandomStream
 
 __all__ = ["WormSpec", "KNOWN_WORMS", "OutbreakConfig", "InternetOutbreak"]
@@ -200,6 +199,7 @@ class InternetOutbreak:
         self.prevalence_series = TimeSeries(f"{worm.name}.external_prevalence")
         self.scans_delivered = 0
         self._started = False
+        self._start_time = 0.0
 
     # ------------------------------------------------------------------ #
     # Epidemic mathematics
@@ -252,21 +252,23 @@ class InternetOutbreak:
         if self.config.in_farm_scan_rate is not None:
             in_farm = self.worm.with_scan_rate(self.config.in_farm_scan_rate)
         self.farm.register_worm(in_farm.behavior(self.farm.dns_server.address))
-        spawn(self.farm.sim, self._drive(), name=f"outbreak-{self.worm.name}")
+        self._start_time = self.farm.sim.now
+        self.farm.sim.call_now(self._tick)
 
-    def _drive(self):
-        start_time = self.farm.sim.now
-        while True:
-            t = self.farm.sim.now - start_time
-            self.prevalence_series.record(self.farm.sim.now, self.prevalence(t))
-            expected = self.arrival_rate(t) * self.config.tick_seconds
-            count = self.rng.poisson(expected)
-            for __ in range(count):
-                offset = self.rng.uniform(0.0, self.config.tick_seconds)
-                packet = self._scan_packet()
-                self.farm.sim.schedule(offset, self.farm.inject, packet)
-                self.scans_delivered += 1
-            yield Sleep(self.config.tick_seconds)
+    def _tick(self) -> None:
+        """One tick: record prevalence, schedule the tick's scans, and
+        schedule the next tick."""
+        sim = self.farm.sim
+        t = sim.now - self._start_time
+        self.prevalence_series.record(sim.now, self.prevalence(t))
+        expected = self.arrival_rate(t) * self.config.tick_seconds
+        count = self.rng.poisson(expected)
+        for __ in range(count):
+            offset = self.rng.uniform(0.0, self.config.tick_seconds)
+            packet = self._scan_packet()
+            sim.schedule(offset, self.farm.inject, packet)
+            self.scans_delivered += 1
+        sim.schedule(self.config.tick_seconds, self._tick)
 
     def _scan_packet(self) -> Packet:
         total = self.farm.inventory.total_addresses

@@ -22,7 +22,6 @@ from repro.net.gre import GreTunnel
 from repro.net.packet import tcp_packet
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricRegistry
-from repro.sim.process import Sleep, spawn
 from repro.vmm.memory import GuestAddressSpace
 from repro.vmm.vm import VirtualMachine
 
@@ -243,19 +242,6 @@ class TestHeapCompaction:
         sim.run()
         event.cancel()  # late cancel of an already-fired event
         assert sim.cancelled_pending == 0
-
-    def test_cancelled_process_sleep_leaves_no_live_event(self):
-        sim = Simulator()
-
-        def sleeper():
-            yield Sleep(100.0)
-
-        proc = spawn(sim, sleeper())
-        sim.run(until=1.0)  # start the process; it is now mid-sleep
-        proc.cancel()
-        sim.run()
-        # The wakeup was cancelled in the heap, not fired as a no-op.
-        assert sim.events_processed == 1  # only the spawn bootstrap
 
 
 # --------------------------------------------------------------------- #

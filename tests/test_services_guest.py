@@ -14,6 +14,7 @@ from repro.net.packet import (
 )
 from repro.services.guest import GuestHost, ScanBehavior
 from repro.services.personality import default_registry
+from repro.sim.engine import Simulator
 from repro.sim.rand import RandomStream
 from repro.vmm.memory import GuestAddressSpace
 from repro.vmm.vm import VirtualMachine
@@ -279,3 +280,123 @@ class TestScanBehaviorValidation:
         with pytest.raises(ValueError):
             ScanBehavior("w", PROTO_UDP, 1, "exploit:w", scan_rate=1.0,
                          dns_lookup_first=True)
+
+
+class TestLoopEvents:
+    """The scan and beacon loops are chains of heap events, one step
+    each. A stopped guest must schedule, fire and cancel exactly the
+    events (and draw exactly the random stream) that the farm's digests
+    were recorded with."""
+
+    DNS = IPAddress.parse("198.18.53.53")
+    CNC = IPAddress.parse("198.51.100.66")
+
+    def make_guest(self, vm, sim, registry, behavior, transmit, seed=4):
+        return GuestHost(
+            vm=vm, personality=registry.get("windows-default"),
+            catalog=registry.catalog, sim=sim, rng=RandomStream(seed),
+            transmit=transmit, worm_behaviors={behavior.exploit_tag: behavior},
+        )
+
+    @staticmethod
+    def infect(guest, sim):
+        guest.handle_packet(udp_packet(ATTACKER, VICTIM, 1, 1434,
+                                       payload="exploit:slammer"), sim.now)
+
+    def test_a_stop_before_the_start_leaves_the_start_to_fire(self, vm, sim, registry):
+        emitted = []
+        guest = self.make_guest(vm, sim, registry, SLAMMER, lambda v, p: emitted.append(p))
+        self.infect(guest, sim)
+        assert sim.pending == 1  # the loop's start, at the current time
+        guest.stop()
+        assert sim.cancelled_pending == 0  # the start is not cancelled...
+        sim.run(until=5.0)
+        assert sim.events_processed == 1  # ...it fires, as a no-op
+        assert sim.pending == 0 and emitted == []
+
+    def test_a_stop_while_sleeping_cancels_the_wakeup(self, vm, sim, registry):
+        emitted = []
+        guest = self.make_guest(vm, sim, registry, SLAMMER, lambda v, p: emitted.append(p))
+        self.infect(guest, sim)
+        sim.run(until=0.5)
+        processed, count = sim.events_processed, len(emitted)
+        assert sim.pending == 1  # asleep until its next scan
+        guest.stop()
+        assert sim.cancelled_pending == 1  # cancelled in the heap...
+        sim.run(until=5.0)
+        assert sim.events_processed == processed  # ...never fired
+        assert len(emitted) == count and sim.pending == 0
+
+    @pytest.mark.parametrize("dns_first", [False, True], ids=["scan", "dns-query"])
+    def test_a_stop_inside_its_own_transmit_draws_the_delay_and_schedules_nothing(
+        self, vm, sim, registry, snapshot, dns_first
+    ):
+        # The farm can stop a guest from inside the guest's own transmit
+        # (a pressure eviction of the scanner). The step still tests its
+        # loop condition and draws its next delay, as an unstopped step
+        # does, and then schedules nothing.
+        behavior = ScanBehavior(
+            "slammer", PROTO_UDP, 1434, "exploit:slammer", scan_rate=100.0,
+            dns_lookup_first=dns_first, dns_server=self.DNS if dns_first else None,
+        )
+        emitted = []
+
+        def transmit_and_stop(vm, packet):
+            emitted.append(packet)
+            guest.stop()
+
+        guest = self.make_guest(vm, sim, registry, behavior, transmit_and_stop)
+        twin_sim = Simulator()
+        twin_vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), VICTIM, 0.0)
+        twin_vm.start(now=0.0)
+        twin = self.make_guest(twin_vm, twin_sim, registry, behavior, lambda v, p: None)
+        for each, clock in ((guest, sim), (twin, twin_sim)):
+            self.infect(each, clock)
+            while each.scans_emitted == 0:
+                assert clock.step()
+        assert len(emitted) == 1
+        assert sim.pending == 0 and sim.cancelled_pending == 0
+        assert twin_sim.pending == 1  # the unstopped twin sleeps
+        assert guest.rng.random() == twin.rng.random()  # same draws so far
+        sim.run(until=5.0)
+        assert len(emitted) == 1
+
+    def test_a_second_stop_changes_nothing(self, vm, sim, registry):
+        emitted = []
+        guest = self.make_guest(vm, sim, registry, SLAMMER, lambda v, p: emitted.append(p))
+        self.infect(guest, sim)
+        sim.run(until=0.5)
+        guest.stop()
+        guest.stop()
+        assert sim.cancelled_pending == 1
+        processed, count = sim.events_processed, len(emitted)
+        sim.run(until=5.0)
+        guest.stop()
+        assert sim.cancelled_pending == 0
+        assert sim.events_processed == processed and len(emitted) == count
+
+    def test_one_beacon_loop_per_guest_after_the_dns_pause(self, vm, sim, registry):
+        bot = ScanBehavior(
+            "slammer", PROTO_UDP, 1434, "exploit:slammer", scan_rate=20.0,
+            dns_lookup_first=True, dns_server=self.DNS,
+            cnc_server=self.CNC, beacon_interval=5.0,
+        )
+        sent = []
+        guest = self.make_guest(
+            vm, sim, registry, bot, lambda v, p: sent.append((sim.now, p))
+        )
+        self.infect(guest, sim)
+        sim.run(until=23.0)
+        query_time, query = sent[0]
+        assert query.dst == self.DNS and query_time == 0.0
+        beacons = [t for t, p in sent if p.dst == self.CNC]
+        scans = [t for t, p in sent[1:] if p.dst != self.CNC]
+        # The beacon loop starts once, after the DNS pause, and checks in
+        # every interval: t0, t0 + 5, ..., t0 + 20.
+        assert 0.01 <= beacons[0] <= 0.05 and beacons[0] < scans[0]
+        assert beacons == pytest.approx([beacons[0] + 5.0 * k for k in range(5)])
+        assert guest.beacons_sent == 5
+        assert len(scans) > 100  # the scan loop runs beside it
+        guest.stop()
+        sim.run(until=60.0)
+        assert guest.beacons_sent == 5

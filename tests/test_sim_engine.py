@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
 import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,27 @@ class TestCancellation:
         sim.schedule(1.0, later.cancel)
         sim.run()
         assert fired == []
+
+    def test_a_cancelled_event_frees_its_callback_and_args(self, sim):
+        # A cancelled event stays in the heap until it is popped or
+        # compacted away; it must not keep its callback's owner or its
+        # arguments alive meanwhile.
+        class Owner:
+            def step(self, arg):
+                pass
+
+        class Arg:
+            pass
+
+        owner, arg = Owner(), Arg()
+        owner_ref, arg_ref = weakref.ref(owner), weakref.ref(arg)
+        event = sim.schedule(5.0, owner.step, arg)
+        del owner, arg
+        event.cancel()
+        assert sim.pending == 1  # still a tombstone in the heap
+        assert owner_ref() is None and arg_ref() is None
+        sim.run()
+        assert sim.events_processed == 0
 
 
 class TestRunControl:
