@@ -37,7 +37,7 @@ BASE_IP = IPAddress.parse("10.16.0.1")
 def run_mode(mode: str, clones: int = CLONES):
     """Clone `clones` VMs under `mode`, returning (engine, sim)."""
     sim = Simulator()
-    host = PhysicalHost(memory_bytes=64 << 30, max_vms=100_000)
+    host = PhysicalHost(0, memory_bytes=64 << 30, max_vms=100_000)
     snapshot = ReferenceSnapshot(host.memory, image_bytes=128 << 20)
     host.install_snapshot(snapshot)
     engine = FlashCloneEngine(

@@ -24,6 +24,7 @@ does not grow with the number of VMs it has ever cloned.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -105,6 +106,10 @@ class FlashCloneEngine:
         self.metrics = metrics or MetricRegistry()
         self.mode = mode
         self.in_flight = 0
+        # The farm's VM ids (one engine per farm), drawn in creation
+        # order, so a recording of one seed names the same VMs whatever
+        # else ran earlier in the process.
+        self._ids = itertools.count(1)
         # Aggregates only (module docstring). Histogram handles are
         # resolved on first use and kept, so a run that completes no
         # clone has no ``clone.*`` histogram.
@@ -145,6 +150,7 @@ class FlashCloneEngine:
             address_space=address_space,
             ip=ip,
             created_at=self.sim.now,
+            vm_id=next(self._ids),
         )
         try:
             host.admit(vm)

@@ -17,8 +17,6 @@ from typing import Iterator, List, Optional
 
 __all__ = ["VirtualInterface", "VirtualBlockDevice", "DiskImage"]
 
-_mac_counter = itertools.count(1)
-
 BLOCK_SIZE = 4096
 """Bytes per disk block; CoW granularity for the block device."""
 
@@ -37,13 +35,13 @@ class VirtualInterface:
     assigns the clone whichever dark address the triggering packet
     targeted, after the VM was forked from a reference with a placeholder
     address. The MAC is fixed at creation and formatted from the
-    interface's index when asked for.
+    interface's ``index`` (a VM's NIC takes the VM's id) when asked for.
     """
 
     __slots__ = ("ip", "_index")
 
-    def __init__(self, ip: Optional[int] = None) -> None:
-        self._index = next(_mac_counter)
+    def __init__(self, index: int, ip: Optional[int] = None) -> None:
+        self._index = index
         self.ip = ip
 
     @property

@@ -9,7 +9,6 @@ per-domain costs (hypervisor structures, shadow page tables, CPU).
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterator, List, Optional
 
 from repro.vmm.memory import MachineMemory
@@ -17,8 +16,6 @@ from repro.vmm.snapshot import ReferenceSnapshot
 from repro.vmm.vm import VirtualMachine, VMState
 
 __all__ = ["HostCapacityError", "PhysicalHost"]
-
-_host_ids = itertools.count(1)
 
 DEFAULT_HOST_MEMORY_BYTES = 2 * (1 << 30)
 """2 GiB, matching the class of server in the paper's testbed."""
@@ -42,19 +39,18 @@ class PhysicalHost:
 
     def __init__(
         self,
+        host_id: int,
         memory_bytes: int = DEFAULT_HOST_MEMORY_BYTES,
         max_vms: int = DEFAULT_MAX_VMS,
         name: Optional[str] = None,
-        host_id: Optional[int] = None,
         content_sharing: bool = True,
     ) -> None:
         if max_vms <= 0:
             raise ValueError(f"max_vms must be positive: {max_vms!r}")
-        # Callers that own a cluster (the Honeyfarm) pass farm-local ids so
-        # two identically-seeded farms in one process build identical
-        # clusters; the process-global counter is only the standalone
-        # fallback.
-        self.host_id = next(_host_ids) if host_id is None else int(host_id)
+        # The caller that owns a cluster (the Honeyfarm) numbers its hosts,
+        # so two identically-seeded farms in one process build identical
+        # clusters.
+        self.host_id = int(host_id)
         self.name = name or f"host-{self.host_id}"
         self.memory = MachineMemory(memory_bytes, content_sharing=content_sharing)
         self.max_vms = max_vms

@@ -18,7 +18,6 @@ inspection instead of recycling it.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Optional
 
 from repro.vmm.devices import VirtualBlockDevice, VirtualInterface
@@ -26,8 +25,6 @@ from repro.vmm.memory import GuestAddressSpace
 from repro.vmm.snapshot import ReferenceSnapshot
 
 __all__ = ["VMState", "VirtualMachine"]
-
-_vm_ids = itertools.count(1)
 
 
 class VMState(enum.Enum):
@@ -44,9 +41,11 @@ class VirtualMachine:
 
     Not constructed directly by users — the flash-cloning engine
     (:mod:`repro.core.flash_clone`) builds VMs from snapshots, and the
-    dedicated baseline builds them the slow way. ``guest`` is the
-    behavioural model (:class:`repro.services.guest.GuestHost`) attached
-    once the VM is running.
+    dedicated baseline builds them the slow way. ``vm_id`` is the
+    caller's: the engine numbers the VMs of its farm in creation order,
+    and the NIC's MAC derives from it. ``guest`` is the behavioural model
+    (:class:`repro.services.guest.GuestHost`) attached once the VM is
+    running.
     """
 
     __slots__ = (
@@ -61,12 +60,13 @@ class VirtualMachine:
         address_space: GuestAddressSpace,
         ip: int,
         created_at: float,
+        vm_id: int,
         host_id: Optional[int] = None,
     ) -> None:
-        self.vm_id = next(_vm_ids)
+        self.vm_id = vm_id
         self.snapshot = snapshot
         self.address_space = address_space
-        self.vif = VirtualInterface(ip)
+        self.vif = VirtualInterface(vm_id, ip)
         #: The VM's address: the NIC's, copied here so the per-packet
         #: paths read one attribute. :meth:`begin_reassignment` moves both.
         self.ip = ip

@@ -92,7 +92,7 @@ def seeds() -> SeedSequence:
 @pytest.fixture
 def host() -> PhysicalHost:
     """A 2 GiB host with a default Windows snapshot installed."""
-    host = PhysicalHost(memory_bytes=2 * (1 << 30), max_vms=512)
+    host = PhysicalHost(0, memory_bytes=2 * (1 << 30), max_vms=512)
     snapshot = ReferenceSnapshot(host.memory, personality="windows-default")
     host.install_snapshot(snapshot)
     return host

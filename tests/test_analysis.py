@@ -94,7 +94,7 @@ class TestMemoryStats:
         for i, pages in enumerate((10, 20, 30)):
             vm = VirtualMachine(
                 snapshot, GuestAddressSpace(snapshot.image),
-                IPAddress.parse(f"10.16.0.{i + 1}"), 0.0,
+                IPAddress.parse(f"10.16.0.{i + 1}"), 0.0, vm_id=i + 1,
             )
             for page in range(pages):
                 vm.address_space.write(page)

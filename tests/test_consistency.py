@@ -10,6 +10,8 @@ import pytest
 from repro.analysis.concurrency import concurrency_for_timeout
 from repro.core.config import HoneyfarmConfig
 from repro.core.honeyfarm import Honeyfarm
+from repro.net.addr import IPAddress
+from repro.net.packet import tcp_packet
 from repro.vmm.latency import DEFAULT_STAGE_COSTS_MS
 from repro.workloads.telescope import TelescopeConfig, TelescopeWorkload
 from repro.workloads.trace import replay_into_farm
@@ -71,7 +73,8 @@ class TestTwoFarmsOneProcess:
 
     This pins the farm-local ``PhysicalHost`` ids — with a process-global
     host counter the second farm's hosts would be named ``host-4``
-    onwards, diverging placement hashes, metrics, and fault-plan targets.
+    onwards, diverging placement hashes, metrics, and fault-plan targets —
+    and the farm-local VM ids the recorder's events carry.
     """
 
     @staticmethod
@@ -108,11 +111,17 @@ class TestTwoFarmsOneProcess:
         assert series_a.times == series_b.times
         assert series_a.values == series_b.values
 
-    def test_host_ids_restart_per_farm(self):
+    def test_host_and_vm_numbering_restarts_per_farm(self):
         farm_a = Honeyfarm(self._config())
         farm_b = Honeyfarm(self._config())
         assert [h.name for h in farm_b.hosts] == ["host-0", "host-1"]
         assert [h.name for h in farm_a.hosts] == ["host-0", "host-1"]
+        target = IPAddress.parse("10.16.0.5")
+        for farm in (farm_a, farm_b):
+            farm.inject(tcp_packet(IPAddress.parse("203.0.113.2"), target, 1, 445))
+            farm.run(until=2.0)
+        assert farm_a.gateway.vm_at(target).vm_id == 1
+        assert farm_b.gateway.vm_at(target).vm_id == 1
 
 
 class TestLatencyModelInternalConsistency:

@@ -31,7 +31,7 @@ def inventory():
 
 @pytest.fixture
 def vm(snapshot):
-    vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), VM_IP, 0.0)
+    vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), VM_IP, 0.0, vm_id=1)
     vm.start(now=0.0)
     return vm
 

@@ -11,13 +11,13 @@ from repro.vmm.vm import VirtualMachine
 
 
 def make_host_with_vms(vm_count=3, pages_each=100, image_bytes=64 << 20):
-    host = PhysicalHost(memory_bytes=1 << 30)
+    host = PhysicalHost(0, memory_bytes=1 << 30)
     snapshot = ReferenceSnapshot(host.memory, image_bytes=image_bytes)
     host.install_snapshot(snapshot)
     for i in range(vm_count):
         vm = VirtualMachine(
             snapshot, GuestAddressSpace(snapshot.image),
-            IPAddress.parse(f"10.0.0.{i + 1}"), 0.0,
+            IPAddress.parse(f"10.0.0.{i + 1}"), 0.0, vm_id=i + 1,
         )
         host.admit(vm)
         for page in range(pages_each):
@@ -52,7 +52,7 @@ class TestHostBreakdown:
         assert breakdown.consolidation_factor > 10
 
     def test_released_image_excluded(self):
-        host = PhysicalHost(memory_bytes=1 << 30)
+        host = PhysicalHost(0, memory_bytes=1 << 30)
         snapshot = ReferenceSnapshot(host.memory, image_bytes=64 << 20)
         host.install_snapshot(snapshot)
         snapshot.release()

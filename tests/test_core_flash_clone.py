@@ -70,8 +70,22 @@ class TestFlashClone:
         assert sum(breakdown.values()) == pytest.approx(521.0)
         assert engine.mean_latency_seconds() == pytest.approx(0.521)
 
+    def test_each_engine_numbers_its_vms_from_one(self, sim, engine, host, snapshot):
+        # One engine per farm: a farm's VM ids (and so its MACs) do not
+        # depend on what else ran in the process.
+        vms = [engine.clone(host, snapshot, IPAddress(IP + i)) for i in range(3)]
+        assert [vm.vm_id for vm in vms] == [1, 2, 3]
+        assert [vm.vif.mac for vm in vms] == [
+            "02:70:6b:00:00:01", "02:70:6b:00:00:02", "02:70:6b:00:00:03",
+        ]
+        other_host = PhysicalHost(1)
+        other_snapshot = ReferenceSnapshot(other_host.memory, image_bytes=16 << 20)
+        other_host.install_snapshot(other_snapshot)
+        other = FlashCloneEngine(sim, CloneCostModel(jitter=0.0))
+        assert other.clone(other_host, other_snapshot, IP).vm_id == 1
+
     def test_vm_slot_exhaustion_raises_synchronously(self, sim, engine):
-        tiny = PhysicalHost(memory_bytes=1 << 30, max_vms=1)
+        tiny = PhysicalHost(1, memory_bytes=1 << 30, max_vms=1)
         snap = ReferenceSnapshot(tiny.memory, image_bytes=16 << 20)
         tiny.install_snapshot(snap)
         engine.clone(tiny, snap, IP)
@@ -113,7 +127,7 @@ class TestFullCopyMode:
         assert results[0].total_seconds > 0.521
 
     def test_oom_raises_synchronously(self, sim, engine):
-        small = PhysicalHost(memory_bytes=200 << 20, max_vms=64)
+        small = PhysicalHost(1, memory_bytes=200 << 20, max_vms=64)
         snap = ReferenceSnapshot(small.memory, image_bytes=128 << 20)
         small.install_snapshot(snap)
         with pytest.raises(OutOfMemoryError):

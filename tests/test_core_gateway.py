@@ -36,7 +36,8 @@ class FakeBackend:
         if len(self.spawned) >= self.capacity:
             return None
         vm = VirtualMachine(
-            self.snapshot, GuestAddressSpace(self.snapshot.image), ip, self.sim.now
+            self.snapshot, GuestAddressSpace(self.snapshot.image), ip, self.sim.now,
+            vm_id=len(self.spawned) + 1,
         )
         if self.instant:
             vm.start(self.sim.now)

@@ -22,8 +22,8 @@ ATTACKER = IPAddress.parse("203.0.113.2")
 
 def make_cluster(n=3, memory_bytes=1 << 30, max_vms=64):
     hosts = []
-    for __ in range(n):
-        host = PhysicalHost(memory_bytes=memory_bytes, max_vms=max_vms)
+    for i in range(n):
+        host = PhysicalHost(i, memory_bytes=memory_bytes, max_vms=max_vms)
         snap = ReferenceSnapshot(host.memory, image_bytes=64 << 20)
         host.install_snapshot(snap)
         hosts.append(host)
@@ -33,7 +33,8 @@ def make_cluster(n=3, memory_bytes=1 << 30, max_vms=64):
 def admit_vm(host, pages=0):
     snap = host.snapshot_for("windows-default")
     vm = VirtualMachine(snap, GuestAddressSpace(snap.image),
-                        IPAddress.parse("10.0.0.1"), 0.0)
+                        IPAddress.parse("10.0.0.1"), 0.0,
+                        vm_id=host.vms_created_total + 1)
     host.admit(vm)
     for page in range(pages):
         vm.address_space.write(page)

@@ -20,7 +20,8 @@ BASE_IP = IPAddress.parse("10.16.0.10")
 
 def add_running_vm(host, snapshot, index, last_activity=0.0):
     vm = VirtualMachine(
-        snapshot, GuestAddressSpace(snapshot.image), IPAddress(BASE_IP + index), 0.0
+        snapshot, GuestAddressSpace(snapshot.image), IPAddress(BASE_IP + index), 0.0,
+        vm_id=index + 1,
     )
     host.admit(vm)
     vm.start(now=0.0)

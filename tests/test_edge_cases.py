@@ -61,7 +61,7 @@ class TestGatewayEdges:
 class TestGuestEdges:
     @pytest.fixture
     def guest(self, snapshot, sim, registry):
-        vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), TARGET, 0.0)
+        vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), TARGET, 0.0, vm_id=1)
         vm.start(now=0.0)
         return GuestHost(
             vm=vm, personality=registry.get("windows-default"),
@@ -74,7 +74,7 @@ class TestGuestEdges:
 
     def test_rst_to_pending_connection_cancels_followup(self, snapshot, sim, registry):
         emitted = []
-        vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), TARGET, 0.0)
+        vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), TARGET, 0.0, vm_id=1)
         vm.start(now=0.0)
         behavior = ScanBehavior("blaster", PROTO_TCP, 135, "exploit:blaster",
                                 scan_rate=100.0)
@@ -108,12 +108,12 @@ class TestGuestEdges:
         from repro.sim.engine import Simulator
 
         registry = default_registry()
-        host = PhysicalHost(memory_bytes=(40 + 8 + 32768) * PAGE_SIZE)
+        host = PhysicalHost(0, memory_bytes=(40 + 8 + 32768) * PAGE_SIZE)
         snapshot = ReferenceSnapshot(host.memory, image_bytes=40 * PAGE_SIZE)
         # Exhaust the pool down to 8 free frames: the guest's working set
         # cannot fit and, with no OOM handler, writes must drop.
         host.memory.allocate(host.memory.free_frames - 8)
-        vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), TARGET, 0.0)
+        vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), TARGET, 0.0, vm_id=1)
         vm.start(now=0.0)
         guest = GuestHost(
             vm=vm, personality=registry.get("windows-default"),
@@ -126,12 +126,12 @@ class TestGuestEdges:
 
 class TestVmEdges:
     def test_reassignment_requires_running(self, snapshot):
-        vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), TARGET, 0.0)
+        vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), TARGET, 0.0, vm_id=1)
         with pytest.raises(ValueError):
             vm.begin_reassignment(IPAddress.parse("10.16.0.10"), 0.0)
 
     def test_reassignment_changes_identity(self, snapshot):
-        vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), TARGET, 0.0)
+        vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), TARGET, 0.0, vm_id=1)
         vm.start(now=0.0)
         new_ip = IPAddress.parse("10.16.0.10")
         vm.begin_reassignment(new_ip, 1.0)

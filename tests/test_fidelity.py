@@ -65,7 +65,7 @@ def packet_fields(packet: Packet):
 
 @pytest.fixture
 def vm(snapshot):
-    vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), VICTIM, 0.0)
+    vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), VICTIM, 0.0, vm_id=1)
     vm.start(now=0.0)
     return vm
 

@@ -20,7 +20,7 @@ ATTACKER = IPAddress.parse("203.0.113.1")
 def make_guest_vm(snapshot, sim, registry, index=0):
     vm = VirtualMachine(
         snapshot, GuestAddressSpace(snapshot.image),
-        IPAddress.parse(f"10.16.0.{index + 1}"), 0.0,
+        IPAddress.parse(f"10.16.0.{index + 1}"), 0.0, vm_id=index + 1,
     )
     vm.start(now=0.0)
     guest = GuestHost(

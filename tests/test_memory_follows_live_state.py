@@ -102,7 +102,7 @@ def test_census_counts_one_live_instance_of_each_type_as_one():
     before = perf_harness.heap_census()
     registry = default_registry()
     snapshot = ReferenceSnapshot(MachineMemory(64 << 20), image_bytes=4 << 20)
-    vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), ATTACKER, 0.0)
+    vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), ATTACKER, 0.0, vm_id=1)
     sessions = AddressTable(personality=registry.get("windows-default"))
     alive = (
         vm,
@@ -227,7 +227,9 @@ def test_an_uninfected_clone_holds_only_what_it_changed():
     try:
         before = _traced()
         for index, ip in enumerate(addresses):
-            vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), ip, 0.0)
+            vm = VirtualMachine(
+                snapshot, GuestAddressSpace(snapshot.image), ip, 0.0, vm_id=index + 1
+            )
             vm.start(0.0)
             guest = GuestHost(vm, windows, registry.catalog, sim,
                               seeds.stream(f"guest-{index}"), worm_behaviors=behaviors)

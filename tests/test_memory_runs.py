@@ -117,7 +117,7 @@ class _World:
         snapshot = self.snapshots[key % len(self.snapshots)]
         vm = VirtualMachine(
             snapshot, GuestAddressSpace(snapshot.image),
-            IPAddress.parse(f"10.16.0.{key + 1}"), 0.0,
+            IPAddress.parse(f"10.16.0.{key + 1}"), 0.0, vm_id=key + 1,
         )
         vm.start(now=0.0)
         guest = (GuestHost if self.bulk else _PerPageGuest)(

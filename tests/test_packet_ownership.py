@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import itertools
 import sys
 from collections import Counter
 from pathlib import Path
@@ -55,7 +54,6 @@ from repro.sim.engine import Simulator
 from repro.testing import Scenario, ScenarioGenerator, WormWave, run_world, world_matrix
 from repro.testing import worlds
 from repro.testing.fedscenario import FederationScenario
-from repro.vmm import devices, host, vm
 from repro.workloads.worms import KNOWN_WORMS, WormSpec
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -198,14 +196,6 @@ def _install_oracle(mp: pytest.MonkeyPatch, sites: Counter) -> None:
 Outcome = Tuple[Any, Dict[str, int], List]
 
 
-def _fresh_ids(mp: pytest.MonkeyPatch) -> None:
-    """VM, host and MAC ids come from process-wide counters, and
-    recorder events carry them: restart the counters before each run."""
-    mp.setattr(vm, "_vm_ids", itertools.count(1))
-    mp.setattr(host, "_host_ids", itertools.count(1))
-    mp.setattr(devices, "_mac_counter", itertools.count(1))
-
-
 def _run_farm_world(scenario: Scenario, spec, trace, recorded: bool) -> Outcome:
     made: List[FlightRecorder] = []
 
@@ -256,11 +246,8 @@ def _both_ways(world: str, run: Callable[[bool], Outcome], sites: Counter) -> Li
     faults = []
     for recorded in (False, True):
         label = f"{world} (recorder {'on' if recorded else 'off'})"
+        plain = run(recorded)
         with pytest.MonkeyPatch.context() as mp:
-            _fresh_ids(mp)
-            plain = run(recorded)
-        with pytest.MonkeyPatch.context() as mp:
-            _fresh_ids(mp)
             _install_oracle(mp, sites)
             wrapped = run(recorded)
         faults += _compare(label, plain, wrapped)

@@ -442,7 +442,8 @@ class _CloningBackend:
 
     def spawn_vm(self, ip):
         vm = VirtualMachine(
-            self.snapshot, GuestAddressSpace(self.snapshot.image), ip, self.sim.now
+            self.snapshot, GuestAddressSpace(self.snapshot.image), ip, self.sim.now,
+            vm_id=len(self.vms) + 1,
         )
         self.vms[ip] = vm
         return vm  # stays in CLONING until vm.start()

@@ -6,15 +6,12 @@ arrival stream must produce **bit-identical** observables to the
 per-event loop: the flight-recorder JSONL stream, every metric counter,
 and the end-of-run metric snapshot.
 
-Process-global id counters (vm ids, host ids, MAC suffixes, page-content
-versions) are pinned before each run so the two replays hand out
-identical ids — the goldens get this for free by running in a fresh
-process; here both runs share one interpreter.
+VM, host and MAC ids are the farm's own, so the two replays hand out
+identical ids in one interpreter. Page-content tags still come from a
+process-wide counter, which is reset before each run.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +21,7 @@ from repro.core.honeyfarm import Honeyfarm
 from repro.faults.injectors import ChaosController
 from repro.obs import FlightRecorder, install, uninstall
 from repro.testing.scenario import ScenarioGenerator
+from repro.vmm.memory import reset_content_tags
 from repro.workloads.trace import replay_into_farm
 from repro.workloads.worms import KNOWN_WORMS
 
@@ -32,21 +30,8 @@ pytestmark = pytest.mark.slow  # hypothesis-heavy
 SNAPSHOT_INTERVAL = 2.0
 
 
-def _pin_global_counters():
-    """Rewind the process-global id counters the trace can observe."""
-    import repro.vmm.devices as devices
-    import repro.vmm.host as host
-    import repro.vmm.memory as memory
-    import repro.vmm.vm as vm
-
-    vm._vm_ids = itertools.count(1)
-    host._host_ids = itertools.count(1)
-    devices._mac_counter = itertools.count(1)
-    memory.reset_content_tags()
-
-
 def _replay(scenario, trace, batched: bool):
-    _pin_global_counters()
+    reset_content_tags()  # process-wide, and the trace can observe them
     farm = Honeyfarm(scenario.farm_config())
     dns = farm.config.dns_address()
     for worm in KNOWN_WORMS.values():

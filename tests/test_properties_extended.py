@@ -60,10 +60,10 @@ class TestReflectionPolicyProperties:
         inventory = AddressSpaceInventory([Prefix.parse("10.16.0.0/24")])
         policy = ReflectionPolicy(inventory)
         vm_ip = inventory.address_at_flat_index(raw_vm % 256)
-        host = PhysicalHost(memory_bytes=1 << 30)
+        host = PhysicalHost(0, memory_bytes=1 << 30)
         snap = ReferenceSnapshot(host.memory, image_bytes=16 << 20)
         host.install_snapshot(snap)
-        vm = VirtualMachine(snap, GuestAddressSpace(snap.image), vm_ip, 0.0)
+        vm = VirtualMachine(snap, GuestAddressSpace(snap.image), vm_ip, 0.0, vm_id=1)
         verdict = policy.decide(vm, tcp_packet(vm_ip, external, 1024, 445), 0.0)
         if verdict.new_destination is not None:
             assert inventory.covers(verdict.new_destination)

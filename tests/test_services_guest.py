@@ -25,7 +25,7 @@ VICTIM = IPAddress.parse("10.16.0.5")
 
 @pytest.fixture
 def vm(snapshot):
-    vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), VICTIM, 0.0)
+    vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), VICTIM, 0.0, vm_id=1)
     vm.start(now=0.0)
     return vm
 
@@ -347,7 +347,9 @@ class TestLoopEvents:
 
         guest = self.make_guest(vm, sim, registry, behavior, transmit_and_stop)
         twin_sim = Simulator()
-        twin_vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), VICTIM, 0.0)
+        twin_vm = VirtualMachine(
+            snapshot, GuestAddressSpace(snapshot.image), VICTIM, 0.0, vm_id=1
+        )
         twin_vm.start(now=0.0)
         twin = self.make_guest(twin_vm, twin_sim, registry, behavior, lambda v, p: None)
         for each, clock in ((guest, sim), (twin, twin_sim)):

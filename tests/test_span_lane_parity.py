@@ -23,7 +23,6 @@ when that is replaced through the farm's public attributes.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import os
 import subprocess
 import sys
@@ -41,20 +40,9 @@ from repro.net.flow import FlowTable, flow_key
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, TcpFlags
 from repro.obs import recording
 from repro.testing.scenario import Scenario, WormWave
+from repro.vmm.memory import reset_content_tags
 from repro.workloads.trace import TraceRecord, replay_into_farm
 from repro.workloads.worms import KNOWN_WORMS
-
-
-def _pin_global_counters():
-    import repro.vmm.devices as devices
-    import repro.vmm.host as host
-    import repro.vmm.memory as memory
-    import repro.vmm.vm as vm
-
-    vm._vm_ids = itertools.count(1)
-    host._host_ids = itertools.count(1)
-    devices._mac_counter = itertools.count(1)
-    memory.reset_content_tags()
 
 
 def _observe(farm: Honeyfarm):
@@ -90,7 +78,7 @@ def _observe(farm: Honeyfarm):
 def _run_world(config, trace, batched: bool, until: float, prepare=None):
     """One arm: a fresh farm, the trace replayed per-event or batched,
     ``prepare(farm)`` run before the replay attaches."""
-    _pin_global_counters()
+    reset_content_tags()  # process-wide, and the two arms must match
     farm = Honeyfarm(config)
     if prepare is not None:
         prepare(farm)

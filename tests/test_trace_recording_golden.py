@@ -16,9 +16,14 @@ sha256 with its committed line:
   loop.
 
 The files carry simulated time only, never wall time, so the digests
-are stable across machines. They do carry ``vm_id``s, which a
-process-wide counter draws, so each run is in a fresh interpreter, as
-CI's are.
+are stable across machines. They carry ``vm_id``s too, which each farm
+numbers from one, so a run names the same VMs whatever ran before it
+in the interpreter, and the runs are made in-process.
+
+The digests pin what the loops emit and draw, not what a stopped guest
+cancels: leaving a stopped guest's wake-up in the heap to fire as a
+no-op moves none of them. ``tests/test_services_guest.py``
+(``TestLoopEvents``) pins that.
 
 Regenerate (after an intentional change to what the runs emit) with::
 
@@ -28,11 +33,10 @@ Regenerate (after an intentional change to what the runs emit) with::
 from __future__ import annotations
 
 import hashlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 from typing import List
+
+from repro.cli import main
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "recording_digests.txt"
 
@@ -50,14 +54,9 @@ OUTBREAK_20S = [
 ]
 
 
-def _run_cli(args: List[str]) -> None:
-    src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, "-m", "repro.cli", *args],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
+def _run_cli(args: List[str], capsys) -> None:
+    assert main(args) == 0
+    capsys.readouterr()  # the printed summary is not what is pinned
 
 
 def _check_line(golden, name: str, path: Path, count_lines: bool) -> None:
@@ -74,19 +73,19 @@ def _check_line(golden, name: str, path: Path, count_lines: bool) -> None:
     golden.check(GOLDEN_PATH, "".join(sorted(others + [line])))
 
 
-def test_chaos_drill_recording_matches_its_golden_digest(golden, tmp_path):
+def test_chaos_drill_recording_matches_its_golden_digest(golden, tmp_path, capsys):
     path = tmp_path / "chaos_drill.jsonl"
-    _run_cli([*CHAOS_DRILL_SMOKE, "--output", str(path)])
+    _run_cli([*CHAOS_DRILL_SMOKE, "--output", str(path)], capsys)
     _check_line(golden, "chaos_drill_smoke", path, count_lines=True)
 
 
-def test_outbreak_recording_matches_its_golden_digest(golden, tmp_path):
+def test_outbreak_recording_matches_its_golden_digest(golden, tmp_path, capsys):
     path = tmp_path / "outbreak.jsonl"
-    _run_cli([*OUTBREAK_20S, "--output", str(path)])
+    _run_cli([*OUTBREAK_20S, "--output", str(path)], capsys)
     _check_line(golden, "outbreak_20s", path, count_lines=True)
 
 
-def test_adversary_report_matches_its_golden_digest(golden, tmp_path):
+def test_adversary_report_matches_its_golden_digest(golden, tmp_path, capsys):
     path = tmp_path / "adversary.json"
-    _run_cli(["adversary", "--smoke", "--json", str(path)])
+    _run_cli(["adversary", "--smoke", "--json", str(path)], capsys)
     _check_line(golden, "adversary_smoke", path, count_lines=False)

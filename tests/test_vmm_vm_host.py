@@ -16,19 +16,21 @@ IP2 = IPAddress.parse("10.16.0.11")
 
 
 def make_vm(snapshot, ip=IP, created_at=0.0, eager=False):
+    """A VM numbered by its address's offset from ``IP``: distinct
+    addresses, distinct ids."""
     space = GuestAddressSpace(snapshot.image, eager_copy=eager)
-    return VirtualMachine(snapshot, space, ip, created_at)
+    return VirtualMachine(snapshot, space, ip, created_at, vm_id=ip - IP + 1)
 
 
 class TestVirtualInterface:
     def test_macs_are_unique(self):
-        assert VirtualInterface().mac != VirtualInterface().mac
+        assert VirtualInterface(1).mac != VirtualInterface(2).mac
 
     def test_mac_is_locally_administered(self):
-        assert VirtualInterface().mac.startswith("02:70:6b:")
+        assert VirtualInterface(1).mac.startswith("02:70:6b:")
 
     def test_ip_reassignment(self):
-        vif = VirtualInterface()
+        vif = VirtualInterface(1)
         assert vif.ip is None
         vif.assign_ip(IP)
         assert vif.ip == IP
@@ -179,8 +181,10 @@ class TestVMLifecycle:
         vm.destroy(now=7.0)
         assert vm.lifetime(now=100.0) == 5.0
 
-    def test_vm_ids_unique(self, snapshot):
-        assert make_vm(snapshot).vm_id != make_vm(snapshot, ip=IP2).vm_id
+    def test_a_vm_keeps_the_callers_id_and_its_mac(self, snapshot):
+        first, second = make_vm(snapshot), make_vm(snapshot, ip=IP2)
+        assert (first.vm_id, second.vm_id) == (1, 2)  # the caller's ids
+        assert first.vif.mac == VirtualInterface(1).mac != second.vif.mac
 
     def test_personality_comes_from_snapshot(self, snapshot):
         assert make_vm(snapshot).personality == "windows-default"
@@ -206,7 +210,7 @@ class TestPhysicalHost:
         assert host.vms_destroyed_total == 1
 
     def test_vm_ceiling_enforced(self, snapshot):
-        small = PhysicalHost(memory_bytes=1 << 30, max_vms=2)
+        small = PhysicalHost(1, memory_bytes=1 << 30, max_vms=2)
         small_snapshot = ReferenceSnapshot(small.memory, image_bytes=16 << 20)
         small.install_snapshot(small_snapshot)
         for ip in (IP, IP2):
@@ -257,7 +261,7 @@ class TestPhysicalHost:
             host.install_snapshot(extra)
 
     def test_foreign_snapshot_rejected(self, host):
-        other = PhysicalHost()
+        other = PhysicalHost(1)
         foreign = ReferenceSnapshot(other.memory, personality="linux-server")
         with pytest.raises(ValueError):
             host.install_snapshot(foreign)

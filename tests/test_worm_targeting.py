@@ -16,7 +16,7 @@ VICTIM = IPAddress.parse("10.16.0.5")
 
 
 def scanning_guest(snapshot, sim, registry, behavior):
-    vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), VICTIM, 0.0)
+    vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), VICTIM, 0.0, vm_id=1)
     vm.start(now=0.0)
     emitted = []
     guest = GuestHost(
