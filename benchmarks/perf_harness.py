@@ -16,10 +16,9 @@ JSON report and a ``failures(doc) -> list[str]`` that is its gate:
   sites holding the most there, bytes still held once the farm has
   drained. **Fails** if a ``VirtualMachine`` outlives the drain, the
   drained farm's flow table or the gateway's address table still holds a
-  live row or any column capacity, the trace's attachment
-  still caches a materialized packet, or a host's shared-frame store
-  still holds an entry, a run or a reference: host memory follows the
-  live farm.
+  live row or any column capacity, or a host's shared-frame store still
+  holds an entry, a run or a reference: host memory follows the live
+  farm.
 * ``sweeps`` — the two grid-shaped experiments: F-CONC (exact
   concurrency-vs-idle-timeout curves from one telescope trace) and
   A-ABL2 (one farm run per memory-pressure threshold on a small host).
@@ -302,10 +301,10 @@ def top_sites(snapshot: tracemalloc.Snapshot) -> List[Doc]:
 
 
 def _storm(name: str, size: str):
-    """``name``'s e2e storm, set up with its trace attached, and the
-    arrival stream the trace is attached as."""
+    """``name``'s e2e storm, set up with its trace attached."""
     run = e2e_workloads.prepare(name, HEAP_SEED, size)
-    return run, run.farm.attach_arrival_columns(run.trace)
+    run.farm.attach_arrival_columns(run.trace)
+    return run
 
 
 def _seconds(run) -> Iterator[Doc]:
@@ -353,11 +352,11 @@ def heap_profile(name: str, size: str, per: str, quotient: str) -> Doc:
     are the whole process's at that sample (a snapshot per sample would
     cost more than the storm, so a plain run finds the sample first)."""
     # The first second at which ``per`` peaks, as the traced run finds it.
-    snapshot_at = max(_seconds(_storm(name, size)[0]), key=lambda s: s[per])["sim_time"]
+    snapshot_at = max(_seconds(_storm(name, size)), key=lambda s: s[per])["sim_time"]
     sites: List[Doc] = []
     tracemalloc.start()
     try:
-        run, stream = _storm(name, size)
+        run = _storm(name, size)
         farm = run.farm
         gc.collect()
         base = tracemalloc.get_traced_memory()[0]
@@ -395,8 +394,6 @@ def heap_profile(name: str, size: str, per: str, quotient: str) -> Doc:
         **per_address,
         "top_sites_at_busiest": sites,
         "bytes_held_after_drain": held,
-        # Materialized and never taken out: nothing is left to deliver.
-        "packets_cached_after_drain": len(stream._columns.packets),
         "retained_after_drain": retained,
         "flow_table_after_drain": table,
         "address_table_after_drain": addresses,
@@ -429,9 +426,6 @@ def heap_failures(doc: Doc) -> List[str]:
                     f"{name}: {kind} table holds {table['live_rows']} live rows"
                     f" and {table['column_bytes']} column bytes after drain"
                 )
-        cached = storm["packets_cached_after_drain"]
-        if cached:
-            failures.append(f"{name}: {cached} packets still cached after drain")
         store = storm["shared_store_after_drain"]
         if any(store.values()):
             failures.append(

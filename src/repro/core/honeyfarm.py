@@ -248,11 +248,8 @@ class Honeyfarm:
         for k in range(start, end):
             self.inject(packets[k])
 
-    def attach_arrival_columns(
-        self, trace: PacketColumns, time_offset: float = 0.0
-    ) -> PacketArrivalStream:
-        """Stream a time-sorted columnar trace into this farm's run
-        loop, ``time_offset`` later than its timestamps say.
+    def attach_arrival_columns(self, trace: PacketColumns) -> PacketArrivalStream:
+        """Stream a time-sorted columnar trace into this farm's run loop.
 
         The batched equivalent of scheduling one injection event per
         packet: firing order (and therefore every verdict, counter, and
@@ -267,7 +264,7 @@ class Honeyfarm:
         """
         stream = PacketArrivalStream(
             self.sim,
-            trace.attachment(time_offset),
+            trace.attachment(),
             self.inject,
             self.gateway.dispatch_span if self.ladder is not None else None,
         )

@@ -429,21 +429,16 @@ class _DueMessages:
         return (self._entries[i][0], self._base + i)
 
     def drain(
-        self,
-        until: Optional[float],
-        limit_key: Optional[Tuple[float, int]],
-        budget: Optional[int],
-    ) -> int:
+        self, until: Optional[float], limit_key: Optional[Tuple[float, int]]
+    ) -> None:
         sim = self._sim
         entries = self._entries
         receive = self._receive
         base = self._base
-        start = i = self._pos
-        stop = len(entries)
-        if budget is not None:
-            stop = min(stop, start + budget)
+        i = self._pos
+        n = len(entries)
         recorder = _obs.ACTIVE
-        while i < stop:
+        while i < n:
             deliver, __, __, reply, wire, generation = entries[i]
             if until is not None and deliver > until:
                 break
@@ -465,7 +460,6 @@ class _DueMessages:
                 started = perf_counter()
                 receive(decode_packet(wire), reply, generation)
                 recorder.record_timing("gateway", perf_counter() - started)
-        return i - start
 
 
 class ShardGroup:

@@ -436,13 +436,13 @@ class AddressTable(RowTable, Mapping):
     def buffered_packets(self, row: int) -> List[Packet]:
         """``row``'s replay window as packets, oldest first, for a caller
         that hands them on (a VM's handoff, :meth:`_index_into`): a trace
-        row's is taken out of its attachment's packet cache."""
+        row's is built from its attachment."""
         links = self._window(row)
         links.reverse()
         held = self.held
         columns = self.chained[row]
         return [
-            held[link][0] if link < 0 else columns.take_packet(link)
+            held[link][0] if link < 0 else columns.packet_at(link)
             for link in links
         ]
 

@@ -384,10 +384,9 @@ class SpanLane:
             flags,
         )
         code = self.classes.get(class_key)
-        sampled = code is None
-        if sampled:
-            # The sample stays cached for the per-packet lane in case
-            # this packet goes there.
+        if code is None:
+            # A throwaway sample: if the row leaves the span lane, the
+            # per-packet lane builds the packet it delivers.
             code = self._code(
                 self._classify(columns.packet_at(i), personality) + (flags,)
             )
@@ -433,10 +432,6 @@ class SpanLane:
                 flows.initiator[icmp_row], False, dst
             ):
                 return None  # externally-initiated ICMP flow: reply routes out
-        if sampled:
-            # The span lane consumes this row: the sample _classify read
-            # is nobody's to deliver.
-            del columns.packets[i]
         if row is None:
             row = flows.create(flow, src, t)
         flows.verdict[row] = addresses.stamp[address] << _CODE_BITS | code

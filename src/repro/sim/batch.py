@@ -12,9 +12,9 @@ own.
 
 :class:`PacketArrivalStream` replays a trace without a heap entry, an
 ``Event`` object or a dispatch-loop pass per packet: it walks one trace
-attachment's ``times`` column and lazy ``packets`` cache in place (a
-struct-of-arrays layout, so no per-arrival container is ever allocated
-and attaching copies nothing), reserves a contiguous block of tie-break
+attachment's columns in place (a struct-of-arrays layout, so no
+per-arrival container is ever allocated and attaching copies nothing),
+reserves a contiguous block of tie-break
 sequence numbers at attach time, and :meth:`Simulator.run` merges it
 against the event heap by ``(time, seq)``.
 
@@ -44,8 +44,8 @@ Dispatch has two lanes:
 
 * **span lane** — offered when the stream has a ``deliver_span`` and no
   flight recorder is installed: a whole *multi-timestamp* run of
-  arrivals, bounded by the next heap event / ``until`` / budget via
-  binary search, goes to ``deliver_span(columns, start, limit)``
+  arrivals, bounded by the next heap event / ``until`` via binary
+  search, goes to ``deliver_span(columns, start, limit)``
   (normally :meth:`~repro.core.gateway.Gateway.dispatch_span`), which
   processes the prefix it can prove equivalent to per-event dispatch
   without ever materializing a :class:`~repro.net.packet.Packet` and
@@ -69,7 +69,7 @@ from functools import cached_property
 from itertools import islice
 from operator import lt
 from time import perf_counter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.net.addr import IPAddress, dotted
 from repro.net.packet import PROTO_TCP, Packet, TcpFlags
@@ -144,20 +144,6 @@ class TraceRecord:
         """Materialize the packet (see :func:`_row_packet`)."""
         return _row_packet(self.key, self.payload, self.size, self.tcp_flags)
 
-    @classmethod
-    def from_packet(cls, time: float, packet: Packet) -> "TraceRecord":
-        return cls(
-            time=time,
-            src=dotted(packet.src),
-            dst=dotted(packet.dst),
-            protocol=packet.protocol,
-            src_port=packet.src_port,
-            dst_port=packet.dst_port,
-            payload=packet.payload,
-            size=packet.size,
-            tcp_flags=int(packet.flags) if packet.is_tcp else 0,
-        )
-
 
 class PacketColumns(Sequence[TraceRecord]):
     """A packet trace as a struct of arrays: the in-memory trace.
@@ -178,29 +164,24 @@ class PacketColumns(Sequence[TraceRecord]):
 
     A background-radiation packet is absorbed by the gateway's span lane
     without ever becoming an object: building a
-    :class:`~repro.net.packet.Packet` (~6 µs) costs more than the whole
-    span-lane budget, so ``packet_at(i)`` materializes ``packets[i]``
-    only when a packet leaves the span lane (slow-path dispatch,
-    promotion-buffer replay, the per-packet lane), at most once; the
-    ``packets`` cache is a dict holding the packets materialized and not
-    yet delivered. Whoever delivers a row's packet takes it out through
-    :meth:`take_packet` (the per-packet lane as it hands it over, a
-    promotion as it hands over its buffer), and the span lane drops the
-    sample it classified a row by when it consumes that row.
+    :class:`~repro.net.packet.Packet` (~6 µs) costs more than the span
+    lane spends on a whole row, so :meth:`packet_at` builds one only when a row
+    leaves the span lane: the per-packet lane delivers it, a promotion
+    hands over its buffer, or the span lane classifies a row by a sample
+    it then throws away. Each call builds a new packet, owned by its
+    caller, so every build is counted where it happens.
 
-    The columns are immutable and may be shared; the cache is not. A
-    delivered ``Packet`` belongs to the farm it was handed to, which may
-    rewrite it in place (see :mod:`repro.net.packet`), so every replay
-    of a trace takes its own :meth:`attachment`: the same column lists
-    (shifted times apart) under a fresh ``packets`` cache.
-
-    An attachment the emulator tier absorbs arrivals from also carries
-    ``prev``: per row, the link its address's handoff chain held before
-    it (an ``array('q')`` the span lane allocates on first use, None
-    until then; see :class:`~repro.fidelity.emulator.AddressTable`).
+    The columns are immutable and may be shared. A delivered ``Packet``
+    belongs to the farm it was handed to, which may rewrite it in place
+    (see :mod:`repro.net.packet`); a trace's packets are therefore built
+    per delivery, never shared. Every replay of a trace takes its own
+    :meth:`attachment`, the same column lists under a ``prev`` of its
+    own: per row, the link its address's handoff chain held before it
+    (an ``array('q')`` the span lane allocates on first use, None until
+    then; see :class:`~repro.fidelity.emulator.AddressTable`).
     """
 
-    __slots__ = ("times", "keys", "payloads", "sizes", "tcp_flags", "packets", "prev")
+    __slots__ = ("times", "keys", "payloads", "sizes", "tcp_flags", "prev")
 
     def __init__(
         self,
@@ -224,7 +205,6 @@ class PacketColumns(Sequence[TraceRecord]):
         self.payloads = payloads
         self.sizes = sizes
         self.tcp_flags = tcp_flags
-        self.packets: Dict[int, Packet] = {}
         self.prev: Optional[array] = None
 
     @classmethod
@@ -244,15 +224,10 @@ class PacketColumns(Sequence[TraceRecord]):
             tcp_flags.append(row.tcp_flags)
         return cls(*columns)
 
-    def attachment(self, time_offset: float = 0.0) -> "PacketColumns":
-        """This trace for one replay, ``time_offset`` later: shared
-        columns, a packet cache of its own (see the class docstring)."""
-        times = self.times
-        if time_offset:
-            times = array("d", [t + time_offset for t in times])
-        return PacketColumns(
-            times, self.keys, self.payloads, self.sizes, self.tcp_flags
-        )
+    def attachment(self) -> "PacketColumns":
+        """This trace for one replay: shared columns, a ``prev`` of its
+        own (see the class docstring)."""
+        return PacketColumns(*self._columns())
 
     def sorted_by_time(self, limit: Optional[int] = None) -> "PacketColumns":
         """The first ``limit`` rows (all, if None) in time order. Stable:
@@ -282,27 +257,14 @@ class PacketColumns(Sequence[TraceRecord]):
         return self.times, self.keys, self.payloads, self.sizes, self.tcp_flags
 
     def packet_at(self, i: int) -> Packet:
-        """Materialize (and cache) the packet for row ``i``."""
-        packet = self.packets.get(i)
-        if packet is None:
-            packet = self.packets[i] = _row_packet(
-                self.keys[i], self.payloads[i], self.sizes[i], self.tcp_flags[i]
-            )
-        return packet
-
-    def take_packet(self, i: int) -> Packet:
-        """The packet for row ``i``, taken out of the cache: the one
-        already materialized, else a new one. For a consumer that
-        delivers it, after which nothing reads the row's entry again."""
-        packet = self.packets.pop(i, None)
-        if packet is None:
-            packet = self.packet_at(i)
-            del self.packets[i]
-        return packet
+        """A new packet for row ``i``, the caller's."""
+        return _row_packet(
+            self.keys[i], self.payloads[i], self.sizes[i], self.tcp_flags[i]
+        )
 
     def to_packets(self) -> Iterator[Packet]:
-        """A new packet per row, in row order, cached nowhere: the trace
-        as a replay that owns its packets outright."""
+        """A new packet per row, in row order: the trace as a replay that
+        owns its packets outright."""
         return map(_row_packet, self.keys, self.payloads, self.sizes, self.tcp_flags)
 
     # ------------------------------------------------------------------ #
@@ -338,11 +300,11 @@ class PacketColumns(Sequence[TraceRecord]):
         return NotImplemented
 
     def __reduce__(self):
-        # Columns only: the packet cache belongs to one replay.
+        # Columns only: ``prev`` belongs to one replay.
         return PacketColumns, self._columns()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<PacketColumns n={len(self)} materialized={len(self.packets)}>"
+        return f"<PacketColumns n={len(self)}>"
 
 
 class PacketArrivalStream:
@@ -350,9 +312,8 @@ class PacketArrivalStream:
 
     ``columns`` is one replay's :meth:`PacketColumns.attachment`, kept
     by reference: its ``times`` must be non-decreasing, the only pass
-    over them is that check, and the per-packet lane takes each packet
-    it delivers out of its ``packets`` cache
-    (:meth:`PacketColumns.take_packet`). ``deliver`` is the
+    over them is that check, and the per-packet lane builds each packet
+    it delivers (:meth:`PacketColumns.packet_at`). ``deliver`` is the
     per-packet injection callable the per-event loop would have
     scheduled (``farm.inject``);
     ``deliver_span(columns, start, limit) -> consumed``, if given, is
@@ -433,17 +394,13 @@ class PacketArrivalStream:
         return cut
 
     def drain(
-        self,
-        until: Optional[float],
-        limit_key: Optional[Tuple[float, int]],
-        budget: Optional[int],
-    ) -> int:
+        self, until: Optional[float], limit_key: Optional[Tuple[float, int]]
+    ) -> None:
         sim = self._sim
         times = self._times
         base = self._base_seq
         n = self._len
         i = self._pos
-        delivered = 0
         deliver_span = self._deliver_span
         columns = self._columns
         while i < n:
@@ -473,8 +430,6 @@ class PacketArrivalStream:
                     lim = self._span_limit(head[0], head[1], i, lim)
                 if limit_key is not None:
                     lim = self._span_limit(limit_key[0], limit_key[1], i, lim)
-                if budget is not None and lim - i > budget - delivered:
-                    lim = i + (budget - delivered)
                 if lim > i:
                     done = deliver_span(columns, i, lim)
                     if done:
@@ -485,21 +440,12 @@ class PacketArrivalStream:
                         sim.advance_for_stream(times[i + done - 1], done)
                         i += done
                         self._pos = i
-                        delivered += done
-                        if budget is not None and delivered >= budget:
-                            break
                         continue
             end = self._batch_end(i, t)
-            if budget is not None and end - i > budget - delivered:
-                end = i + (budget - delivered)
             sim.advance_for_stream(t, end - i)
             self._pos = end  # before dispatch: callbacks may inspect us
             self._dispatch_slice(i, end)
-            delivered += end - i
             i = end
-            if budget is not None and delivered >= budget:
-                break
-        return delivered
 
     # ------------------------------------------------------------------ #
     # Per-packet lane
@@ -507,12 +453,10 @@ class PacketArrivalStream:
 
     def _dispatch_slice(self, start: int, end: int) -> None:
         recorder = _obs.ACTIVE
-        take = self._columns.take_packet
+        packet_at = self._columns.packet_at
         deliver = self._deliver
         for k in range(start, end):
-            # Materialized at most once (the span lane may have built it
-            # to classify it), and delivered, the farm's.
-            packet = take(k)
+            packet = packet_at(k)
             if recorder is None:
                 deliver(packet)
             else:

@@ -131,16 +131,13 @@ class ArrivalStream(Protocol):
         exhausted."""
 
     def drain(
-        self,
-        until: Optional[float],
-        limit_key: Optional[Tuple[float, int]],
-        budget: Optional[int],
-    ) -> int:
+        self, until: Optional[float], limit_key: Optional[Tuple[float, int]]
+    ) -> None:
         """Deliver items while they outrank the simulator's heap head,
         ``limit_key`` (the best key among *other* attached streams), and
-        ``until``; returns how many items were delivered. The stream is
-        responsible for advancing the clock and the processed-event count
-        via :meth:`Simulator.advance_for_stream` for every item."""
+        ``until``. The stream is responsible for advancing the clock and
+        the processed-event count via :meth:`Simulator.advance_for_stream`
+        for every item."""
 
 
 #: What :meth:`Simulator._best_stream` returns: the best attached stream,
@@ -153,11 +150,13 @@ _StreamPick = Tuple[
 class Event:
     """A scheduled callback, returned by :meth:`Simulator.schedule`.
 
-    Holding on to the event lets callers cancel it before it fires — the
-    idiom used throughout the reproduction for idle timers that are pushed
-    back whenever a VM receives another packet. Events carry no ordering
-    of their own: the simulator's heap orders ``(time, seq, event)``
-    entries.
+    Holding on to the event lets callers cancel it before it fires. Three
+    do: a stopped guest cancels its pending scan or beacon wake-up, an
+    address's clone queue cancels its watchdog when the queue is flushed
+    or dropped (:meth:`~repro.fidelity.emulator.AddressTable.take_queued`),
+    and the flight recorder cancels its snapshot timer when it stops.
+    Events carry no ordering of their own: the simulator's heap orders
+    ``(time, seq, event)`` entries.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
@@ -219,14 +218,14 @@ class Simulator:
     #: heap costs more bookkeeping than the dead events it would remove.
     COMPACTION_MIN_QUEUE = 64
 
-    def __init__(self, start_time: float = 0.0) -> None:
+    def __init__(self) -> None:
         #: Current simulated time in seconds. Only the engine writes it.
-        self.now = float(start_time)
+        self.now = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._streams: List[ArrivalStream] = []
-        # _best_stream()'s answer, kept until a drain, an attach or a
-        # reset changes what it would return.
+        # _best_stream()'s answer, kept until a drain or an attach
+        # changes what it would return.
         self._stream_pick: Optional[_StreamPick] = None
         self._running = False
         self._events_processed = 0
@@ -264,12 +263,13 @@ class Simulator:
     def _note_cancelled(self) -> None:
         """Called by :meth:`Event.cancel` while the event sits in the heap.
 
-        Idle-timer push-back cancels one event per packet, so cancelled
-        events would otherwise pile up and inflate every heap operation to
-        O(log dead). Once the dead fraction crosses one half (and the heap
-        is big enough to care), rebuild without them: entries carry a strict
-        (time, seq) total order, so re-heapifying cannot change firing
-        order.
+        Cancelled events stay in the heap until the loop pops them, so
+        cancellations (a watchdog per flushed clone queue, a wake-up per
+        guest a sweep stops; see :class:`Event`) would pile up and inflate
+        every heap operation to O(log dead). Once the dead fraction
+        crosses one half (and the heap is big enough to care), rebuild
+        without them: entries carry a strict (time, seq) total order, so
+        re-heapifying cannot change firing order.
         """
         self._cancelled_in_heap += 1
         if (
@@ -410,29 +410,24 @@ class Simulator:
             return True
         return False
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, ``until`` is reached, or ``max_events``.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the queue and the streams drain, or ``until`` is
+        reached.
 
-        When ``until`` is given, the clock is advanced on **every** exit
-        path, so time-based metrics close their final interval
-        consistently: to exactly ``until`` when the queue drained or only
-        later events remain, and — when ``max_events`` stops the loop with
-        earlier events still pending — to the next pending event's time
-        (never past it, so the clock cannot run backwards on resume).
-        Events scheduled at exactly ``until`` still fire.
+        When ``until`` is given, the clock ends at exactly ``until``
+        whether work remains after it or not, so time-based metrics close
+        their final interval consistently. Events scheduled at exactly
+        ``until`` still fire.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run())")
         self._running = True
-        executed = 0
         # A heap-only run keeps the default collector policy: its steady
         # per-event allocation profile is the one the defaults suit.
         policy = batched_collection() if self._streams else nullcontext()
         try:
             with policy:
                 while True:
-                    if max_events is not None and executed >= max_events:
-                        break
                     # self._queue is re-read each pass: compaction rebinds it.
                     while self._queue and self._queue[0][2].cancelled:
                         self._discard_head()
@@ -446,12 +441,11 @@ class Simulator:
                     if stream is not None and (head is None or stream_key < head):
                         if until is not None and stream_key[0] > until:
                             break
-                        budget = None if max_events is None else max_events - executed
                         # The drain moves the stream's key: pick again
                         # after it (dropped first, so a raise leaves no
                         # stale pick behind).
                         self._stream_pick = None
-                        executed += stream.drain(until, runner_key, budget)
+                        stream.drain(until, runner_key)
                         if stream.peek() is None:
                             self._streams.remove(stream)
                         continue
@@ -460,12 +454,8 @@ class Simulator:
                     if until is not None and head[0] > until:
                         break
                     self.step()
-                    executed += 1
-                if until is not None and self.now < until:
-                    next_time = self._next_pending_time()
-                    target = until if next_time is None else min(until, next_time)
-                    if target > self.now:
-                        self.now = target
+                if until is not None and until > self.now:
+                    self.now = until
         finally:
             self._running = False
 
@@ -486,34 +476,6 @@ class Simulator:
             elif runner_key is None or key < runner_key:
                 runner_key = key
         return best, best_key, runner_key
-
-    def _next_pending_time(self) -> Optional[float]:
-        """Time of the next live event or stream arrival, discarding dead
-        heads en route."""
-        next_time: Optional[float] = None
-        while self._queue:
-            head = self._queue[0]
-            if head[2].cancelled:
-                self._discard_head()
-                continue
-            next_time = head[0]
-            break
-        for stream in self._streams:
-            key = stream.peek()
-            if key is not None and (next_time is None or key[0] < next_time):
-                next_time = key[0]
-        return next_time
-
-    def reset(self, start_time: float = 0.0) -> None:
-        """Discard all pending events and streams and rewind the clock."""
-        for entry in self._queue:
-            entry[2]._sim = None
-        self._queue.clear()
-        self._streams.clear()
-        self._stream_pick = None
-        self.now = float(start_time)
-        self._events_processed = 0
-        self._cancelled_in_heap = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

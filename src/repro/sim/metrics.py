@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "TimeSeries", "MetricRegistry"]
 
@@ -58,10 +58,10 @@ class Gauge:
 
     __slots__ = ("name", "value", "peak", "_last_time", "_weighted_sum", "_start_time")
 
-    def __init__(self, name: str = "", initial: float = 0.0, time: float = 0.0) -> None:
+    def __init__(self, name: str = "", time: float = 0.0) -> None:
         self.name = name
-        self.value = initial
-        self.peak = initial
+        self.value = 0.0
+        self.peak = 0.0
         self._last_time = time
         self._weighted_sum = 0.0
         self._start_time = time
@@ -109,28 +109,25 @@ class Histogram:
     few hundred thousand samples so exactness is affordable and removes a
     source of noise from paper-shape comparisons.
 
-    The first two moments (sum and sum of squares) are maintained
-    incrementally on :meth:`observe`, so ``total``/``mean``/``stddev``
-    are O(1): end-of-run report generation calls them across hundreds of
-    histograms, and a per-call rescan of every stored sample made that
-    quadratic in run length.
+    The sum is maintained incrementally on :meth:`observe`, so
+    ``total``/``mean`` are O(1): end-of-run report generation calls them
+    across hundreds of histograms, and a per-call rescan of every stored
+    sample made that quadratic in run length.
     """
 
-    __slots__ = ("name", "_values", "_sorted", "_total", "_sum_squares")
+    __slots__ = ("name", "_values", "_sorted", "_total")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._values: List[float] = []
         self._sorted = True
         self._total = 0.0
-        self._sum_squares = 0.0
 
     def observe(self, value: float) -> None:
         if self._values and value < self._values[-1]:
             self._sorted = False
         self._values.append(value)
         self._total += value
-        self._sum_squares += value * value
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
@@ -158,19 +155,6 @@ class Histogram:
     def max(self) -> float:
         self._ensure_sorted()
         return self._values[-1] if self._values else 0.0
-
-    def stddev(self) -> float:
-        """Population standard deviation (O(1), from running moments).
-
-        The variance is clamped at zero: for near-constant samples the
-        two running sums can cancel to a tiny negative float.
-        """
-        n = len(self._values)
-        if n < 2:
-            return 0.0
-        mean = self._total / n
-        variance = self._sum_squares / n - mean * mean
-        return math.sqrt(variance) if variance > 0.0 else 0.0
 
     def percentile(self, p: float) -> float:
         """Exact percentile via linear interpolation; ``p`` in [0, 100]."""
@@ -243,7 +227,7 @@ class TimeSeries:
             return 0.0
         return self.values[idx]
 
-    def resample(self, interval: float, end: Optional[float] = None) -> "TimeSeries":
+    def resample(self, interval: float) -> "TimeSeries":
         """Step-resample onto a uniform grid (for aligned figure series).
 
         Grid points are derived as ``start + i * interval`` rather than by
@@ -257,7 +241,7 @@ class TimeSeries:
         out = TimeSeries(self.name)
         if not self.times:
             return out
-        stop = self.times[-1] if end is None else end
+        stop = self.times[-1]
         start = self.times[0]
         i = 0
         t = start
@@ -291,7 +275,7 @@ class MetricRegistry:
     returns the same object thereafter, so producer code never needs to
     thread metric objects through constructors.
 
-    Re-registering a name with construction kwargs that disagree with the
+    Re-registering a gauge with a ``time`` that disagrees with the
     original registration raises :class:`ValueError` — silently returning
     the first-registered object would hide the mismatch until the metric's
     numbers looked wrong.
@@ -304,7 +288,6 @@ class MetricRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._gauge_creation: Dict[str, Tuple[float, float]] = {}  # (initial, time)
         self._histograms: Dict[str, Histogram] = {}
         self._series: Dict[str, TimeSeries] = {}
 
@@ -324,28 +307,14 @@ class MetricRegistry:
         """
         return self.counter(name)
 
-    def gauge(
-        self,
-        name: str,
-        time: Optional[float] = None,
-        initial: Optional[float] = None,
-    ) -> Gauge:
+    def gauge(self, name: str, time: Optional[float] = None) -> Gauge:
         gauge = self._gauges.get(name)
         if gauge is None:
-            created = (0.0 if initial is None else initial, 0.0 if time is None else time)
-            self._gauge_creation[name] = created
-            gauge = self._gauges[name] = Gauge(name, initial=created[0], time=created[1])
-            return gauge
-        created_initial, created_time = self._gauge_creation[name]
-        if time is not None and time != created_time:
+            gauge = self._gauges[name] = Gauge(name, 0.0 if time is None else time)
+        elif time is not None and time != gauge._start_time:
             raise ValueError(
-                f"gauge {name!r} already registered with time={created_time!r};"
+                f"gauge {name!r} already registered with time={gauge._start_time!r};"
                 f" got conflicting time={time!r}"
-            )
-        if initial is not None and initial != created_initial:
-            raise ValueError(
-                f"gauge {name!r} already registered with initial={created_initial!r};"
-                f" got conflicting initial={initial!r}"
             )
         return gauge
 

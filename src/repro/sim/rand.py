@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Iterable, List, Optional, Sequence, TypeVar
+from typing import Optional, Sequence, TypeVar
 
 __all__ = ["SeedSequence", "RandomStream", "randbelow", "stable_hash"]
 
@@ -138,19 +138,11 @@ class RandomStream:
         """True with probability ``p``."""
         return self._rng.random() < p
 
-    # -- choice / shuffling -------------------------------------------- #
+    # -- choice --------------------------------------------------------- #
 
     def choice(self, seq: Sequence[T]) -> T:
         """Uniformly pick one element of a non-empty sequence."""
         return self._rng.choice(seq)
-
-    def sample(self, seq: Sequence[T], k: int) -> List[T]:
-        """Sample ``k`` distinct elements."""
-        return self._rng.sample(seq, k)
-
-    def shuffle(self, seq: list) -> None:
-        """Shuffle ``seq`` in place."""
-        self._rng.shuffle(seq)
 
     def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
         """Pick one element with probability proportional to its weight."""
@@ -180,10 +172,6 @@ class RandomStream:
         """Log-normal value (used for guest service/think times)."""
         return self._rng.lognormvariate(mu, sigma)
 
-    def normal(self, mu: float, sigma: float) -> float:
-        """Gaussian value."""
-        return self._rng.gauss(mu, sigma)
-
     def poisson(self, mean: float) -> int:
         """Poisson-distributed count (Knuth for small mean, normal approx
         for large)."""
@@ -201,12 +189,6 @@ class RandomStream:
             if p <= limit:
                 return k
             k += 1
-
-    # -- misc ----------------------------------------------------------- #
-
-    def fork(self, name: str) -> "RandomStream":
-        """Derive a sub-stream; deterministic in (this stream's seed, name)."""
-        return RandomStream(_derive_seed(self.seed, name), name=f"{self.name}/{name}")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RandomStream(name={self.name!r}, seed={self.seed})"

@@ -109,12 +109,10 @@ class TraceReader:
 def replay_into_farm(
     farm: Honeyfarm,
     records: Iterable[TraceRecord],
-    time_offset: float = 0.0,
     batched: bool = False,
 ) -> int:
     """Feed every arrival of a trace (or of any iterable of rows) into
-    the farm at its timestamp plus ``time_offset``; returns the number
-    of packets.
+    the farm at its timestamp; returns the number of packets.
 
     ``batched=False`` schedules one injection event per row.
     ``batched=True`` attaches the trace's columns as a lazy arrival
@@ -124,13 +122,12 @@ def replay_into_farm(
     arrival the gateway's span lane fully absorbs. Either way the trace
     itself is left untouched, so one trace can drive many farms.
 
-    Arrivals must not be earlier than the farm's current simulated time
-    after the offset is applied.
+    Arrivals must not be earlier than the farm's current simulated time.
     """
     trace = PacketColumns.from_records(records)
     if batched:
-        farm.attach_arrival_columns(trace, time_offset)
+        farm.attach_arrival_columns(trace)
     else:
         for t, packet in zip(trace.times, trace.to_packets()):
-            farm.sim.schedule_at(t + time_offset, farm.inject, packet)
+            farm.sim.schedule_at(t, farm.inject, packet)
     return len(trace)

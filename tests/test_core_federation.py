@@ -108,10 +108,9 @@ class TestIsolationAndAggregation:
         federation.register_worm(worm)
         federation.inject(udp_packet(ATTACKER, IPAddress.parse("10.16.0.5"),
                                      1, 1434, payload="exploit:slammer"))
-        federation.attach_shard_records(1, [TraceRecord.from_packet(
-            1.0,
-            udp_packet(ATTACKER, IPAddress.parse("10.17.0.5"),
-                       1, 1434, payload="exploit:slammer"),
+        federation.attach_shard_records(1, [TraceRecord(
+            1.0, "203.0.113.1", "10.17.0.5", PROTO_UDP, 1, 1434,
+            payload="exploit:slammer", size=28 + len("exploit:slammer"),
         )])
         federation.run(until=5.0)
         merged = federation.infections()

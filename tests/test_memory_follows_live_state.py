@@ -121,15 +121,10 @@ def test_census_equals_live_state_mid_run_and_zero_after_drain(name):
     run = perf_harness.e2e_workloads.prepare(name, perf_harness.HEAP_SEED, "smoke")
     farm = run.farm
     stream = farm.attach_arrival_columns(run.trace)
-    # Materialized and not yet delivered: nothing between two drains,
-    # whichever lane consumed a row and whether or not a promotion
-    # handed its buffer over.
-    undelivered = stream._columns.packets
 
     farm.run(until=run.scenario.duration * 0.5)
     assert farm.live_vms > 0 and len(farm.gateway.flows) > 0
     _assert_census_is_the_live_state(farm, before)
-    assert not undelivered
 
     farm.run(until=run.scenario.duration + perf_harness.e2e_workloads.COOLDOWN_SECONDS)
     clones = farm.clone_engine.completed
@@ -142,7 +137,6 @@ def test_census_equals_live_state_mid_run_and_zero_after_drain(name):
         assert perf_harness.table_footprint(table) == {"live_rows": 0, "column_bytes": 0}
     assert (farm.gateway._span_lane is not None) == (name == "mixed_storm")
     assert stream.remaining == 0
-    assert not undelivered
 
 
 # ---------------------------------------------------------------------- #
@@ -405,7 +399,6 @@ def test_no_generator_exists_before_the_first_draw():
     seeds = SeedSequence(424742).spawn("guests")
     streams = [seeds.stream(f"guest-{n}") for n in range(100)]
     streams.append(RandomStream(7, name="direct"))
-    streams.append(streams[0].fork("child"))
     assert len({stream.seed for stream in streams}) == len(streams)
     assert pickle.loads(pickle.dumps(streams[3])).seed == streams[3].seed
     assert _generators() == before
@@ -423,21 +416,12 @@ PARENT_DRAWS = {
     "random": "e62360604a7dc96f",
     "bernoulli": "14a22ef31ed052d0",
     "choice": "d612478c16c5cefa",
-    "sample": "fdea013d03bce16f",
-    "shuffle": "3fab972cc6a2556e",
     "weighted_choice": "52adfad5bc3493b3",
     "exponential": "d3f9cf1b5be1f9d6",
     "bounded_pareto": "a97e3baf3df3285b",
     "lognormal": "2534dad068e11c6a",
-    "normal": "e3ad34aed8c294d1",
     "poisson": "3c17702f1eadbcdc",
-    "fork": "76f3e2b69422b8c6",
 }
-
-def _shuffled(stream: RandomStream) -> list:
-    seq = list(range(9))
-    stream.shuffle(seq)
-    return seq
 
 
 DRAWS = {
@@ -446,15 +430,11 @@ DRAWS = {
     "random": lambda s: s.random(),
     "bernoulli": lambda s: s.bernoulli(0.3),
     "choice": lambda s: s.choice("abcdefg"),
-    "sample": lambda s: s.sample(range(50), 4),
-    "shuffle": _shuffled,
     "weighted_choice": lambda s: s.weighted_choice("xyz", (0.2, 0.5, 0.3)),
     "exponential": lambda s: s.exponential(4.0),
     "bounded_pareto": lambda s: s.bounded_pareto(1.1, 1.0, 500.0),
     "lognormal": lambda s: s.lognormal(0.0, 0.5),
-    "normal": lambda s: s.normal(1.0, 2.0),
     "poisson": lambda s: (s.poisson(3.5), s.poisson(900.0)),
-    "fork": lambda s: s.fork("child").random(),
 }
 
 

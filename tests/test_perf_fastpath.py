@@ -250,25 +250,6 @@ class TestHeapCompaction:
 
 
 class TestRunClockAdvance:
-    def test_until_reached_when_max_events_exhausts_queue(self):
-        sim = Simulator()
-        for i in range(3):
-            sim.schedule(float(i), lambda: None)
-        sim.run(until=10.0, max_events=3)
-        assert sim.now == 10.0
-
-    def test_max_events_with_earlier_work_pending_stops_at_next_event(self):
-        sim = Simulator()
-        for i in range(5):
-            sim.schedule(float(i), lambda: None)
-        sim.run(until=10.0, max_events=2)
-        # Clock parks at the next pending event (t=2), never past it —
-        # resuming must not schedule into the past.
-        assert sim.now == 2.0
-        sim.run(until=10.0)
-        assert sim.now == 10.0
-        assert sim.events_processed == 5
-
     def test_empty_queue_still_advances_to_until(self):
         sim = Simulator()
         sim.run(until=42.0)
@@ -399,17 +380,11 @@ class TestRegistryStrictness:
         with pytest.raises(ValueError, match="conflicting time"):
             reg.gauge("g", time=6.0)
 
-    def test_gauge_conflicting_initial_rejected(self):
-        reg = MetricRegistry()
-        reg.gauge("g", initial=1.0)
-        with pytest.raises(ValueError, match="conflicting initial"):
-            reg.gauge("g", initial=2.0)
-
     def test_gauge_bare_reaccess_allowed(self):
         reg = MetricRegistry()
-        first = reg.gauge("g", time=5.0, initial=2.0)
+        first = reg.gauge("g", time=5.0)
         assert reg.gauge("g") is first
-        assert reg.gauge("g", time=5.0, initial=2.0) is first
+        assert reg.gauge("g", time=5.0) is first
 
     def test_handle_is_the_same_counter(self):
         reg = MetricRegistry()

@@ -17,7 +17,7 @@ import pytest
 from repro.net.addr import IPAddress
 from repro.net.flow import FlowTable
 from repro.net.packet import PROTO_TCP, Packet, TcpFlags
-from repro.sim.batch import PacketArrivalStream, PacketColumns, TraceRecord
+from repro.sim.batch import PacketArrivalStream, PacketColumns
 from repro.sim.engine import SimulationError, Simulator
 
 
@@ -37,8 +37,12 @@ def _stream(sim, times, deliver, packets=None):
     goes to the ``i``-th address) at ``times``."""
     if packets is None:
         packets = [_packet(i) for i in range(len(times))]
-    columns = PacketColumns.from_records(
-        TraceRecord.from_packet(t, p) for t, p in zip(times, packets)
+    columns = PacketColumns(
+        times,
+        [(p.src, p.src_port, p.dst, p.dst_port, p.protocol) for p in packets],
+        [p.payload for p in packets],
+        [p.size for p in packets],
+        [int(p.flags) for p in packets],
     )
     return PacketArrivalStream(sim, columns, deliver)
 
@@ -59,8 +63,8 @@ class TestStreamValidation:
         with pytest.raises(SimulationError):
             _stream(sim, [1.0, 0.5], lambda p: None)
 
-    def test_attach_in_past_rejected(self):
-        sim = Simulator(start_time=5.0)
+    def test_attach_in_past_rejected(self, sim):
+        sim.run(until=5.0)
         stream = _stream(sim, [1.0], lambda p: None)
         with pytest.raises(SimulationError):
             sim.attach_stream(stream)
@@ -178,16 +182,6 @@ class TestAccounting:
         sim.run()
         assert len(log) == 3
         assert sim.now == 7.0
-
-    def test_max_events_budget_splits_a_batch(self, sim):
-        log = []
-        stream = _attach(sim, [1.0] * 5, log)
-        sim.run(max_events=3)
-        assert len(log) == 3
-        assert stream.remaining == 2
-        assert sim.events_processed == 3
-        sim.run()
-        assert len(log) == 5
 
     def test_exhausted_stream_is_detached(self, sim):
         log = []

@@ -134,8 +134,6 @@ def test_two_farms_never_share_a_packet(monkeypatch, second_batched):
 
     assert first and len(second) == len(alone)
     assert not {id(p) for p in first} & {id(p) for p in second}
-    # The trace's own cache was never the replays'.
-    assert not trace.packets
     assert trace == SCENARIO.build_trace()
 
 
@@ -172,37 +170,16 @@ def test_a_replay_parses_no_address(monkeypatch, ladder, batched):
 
 def test_attachment_shares_columns_and_owns_its_caches():
     trace = SCENARIO.build_trace()
-    plain, shifted = trace.attachment(), trace.attachment(100.0)
-    for attached in (plain, shifted):
-        assert attached.keys is trace.keys and attached.payloads is trace.payloads
-        assert attached.sizes is trace.sizes and attached.tcp_flags is trace.tcp_flags
-        assert attached.packets is not trace.packets
-    assert plain.times is trace.times
-    assert list(shifted.times) == [t + 100.0 for t in trace.times]
-    packet = plain.packet_at(3)
-    assert plain.packet_at(3) is packet
-    assert shifted.packet_at(3) is not packet
-    assert 3 not in trace.packets
-
-
-def test_time_offset_shifts_both_lanes_alike():
-    trace = SCENARIO.build_trace()
-
-    def counters(batched):
-        farm = Honeyfarm(SCENARIO.farm_config(ladder=True))
-        farm.run(until=100.0)
-        assert replay_into_farm(
-            farm, trace, time_offset=100.0, batched=batched
-        ) == len(trace)
-        farm.run(until=99.0 + trace.times[0])
-        assert "gateway.packets_in" not in farm.metrics.counters()
-        farm.run(until=105.0 + SCENARIO.duration)
-        return farm.metrics.counters()
-
-    batched = counters(True)
-    assert batched["gateway.packets_in"] >= len(trace)
-    assert batched == counters(False)
-    assert trace.times[0] < SCENARIO.duration  # the trace itself never moved
+    attached = trace.attachment()
+    assert attached.times is trace.times and attached.keys is trace.keys
+    assert attached.payloads is trace.payloads
+    assert attached.sizes is trace.sizes and attached.tcp_flags is trace.tcp_flags
+    attached.prev = array("q", [0]) * len(trace)
+    assert trace.prev is None and trace.attachment().prev is None
+    # Every build is a new packet, its caller's.
+    packet = attached.packet_at(3)
+    assert attached.packet_at(3) is not packet
+    assert attached.packet_at(3) == packet == trace[3].to_packet()
 
 
 @pytest.mark.parametrize("batched", [True, False])
@@ -329,10 +306,10 @@ class TestSequenceOfRows:
 
     def test_pickle_carries_the_columns_and_not_the_caches(self):
         attached = _mixed_trace().attachment()
-        attached.packet_at(0)
+        attached.prev = array("q", [0]) * len(attached)
         clone = pickle.loads(pickle.dumps(attached))
         assert clone == attached
-        assert not clone.packets
+        assert clone.prev is None
         # A burst's packets share one key tuple, across the pipe too
         # (pickle memoises tuples; an int is never shared that way).
         shared = len({id(key) for key in attached.keys})
@@ -383,7 +360,7 @@ def test_every_constructor_builds_the_same_column_types(tmp_path):
     )
     assert by_hand == trace
     for built in (
-        trace, back, extra, joined, by_hand, trace[3:9], trace.attachment(1.0),
+        trace, back, extra, joined, by_hand, trace[3:9], trace.attachment(),
         trace.sorted_by_time(), pickle.loads(pickle.dumps(trace)),
     ):
         assert [type(column) for column in built._columns()] == [array, list, list, list, list]
