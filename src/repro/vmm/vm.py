@@ -61,7 +61,6 @@ class VirtualMachine:
         ip: int,
         created_at: float,
         vm_id: int,
-        host_id: Optional[int] = None,
     ) -> None:
         self.vm_id = vm_id
         self.snapshot = snapshot
@@ -76,7 +75,9 @@ class VirtualMachine:
         self.started_at: Optional[float] = None
         self.destroyed_at: Optional[float] = None
         self.last_activity = created_at
-        self.host_id = host_id
+        #: The host that admitted the VM, set by
+        #: :meth:`~repro.vmm.host.PhysicalHost.admit`.
+        self.host_id: Optional[int] = None
         self.guest: Any = None
         self.detained = False
         self.parked = False  # waiting in the warm pool, exempt from reclamation
