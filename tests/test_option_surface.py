@@ -9,6 +9,10 @@ that defines the class), ``benchmarks/`` or ``examples/``. Tests do not
 count. A field nobody sets is a constant that has not been written as
 one yet; the few kept anyway are listed below with the reason, and that
 list may only shrink.
+
+The simulation kernel (``src/repro/sim/``) is held to the same rule:
+each public name it defines has a reader there, and each defaulted
+parameter a caller that passes it.
 """
 
 from __future__ import annotations
@@ -95,5 +99,126 @@ def test_every_config_field_has_a_caller_or_a_reason():
     stale = sorted(set(KEPT_WITHOUT_A_CALLER) - uncalled)
     assert not stale, (
         "has a caller now, or is gone (drop it from KEPT_WITHOUT_A_CALLER):\n"
+        + "\n".join(stale)
+    )
+
+
+#: ``Class.name`` / ``Class.method(param)`` of the kernel -> why it stays
+#: with no caller outside tests. May only shrink.
+KERNEL_KEPT = {
+    "RandomStream.bounded_pareto":
+        "the reference the telescope's inlined session-size draw is tested"
+        " against (tests/test_workloads_telescope.py)",
+    "Simulator.cancelled_pending":
+        "how the guest-loop and compaction tests see a cancellation that is"
+        " still in the heap",
+}
+
+KERNEL = ROOT / "src" / "repro" / "sim"
+
+
+def _defaulted(func: ast.FunctionDef, bound: int) -> list:
+    """``(position, name)`` of each defaulted parameter of ``func``,
+    positions counted after the ``bound`` leading ones a call does not
+    write (``self`` or ``cls``); None for keyword-only ones."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [
+        (i - bound, arg.arg) for i, arg in enumerate(positional) if i >= first
+    ]
+    found += [
+        (None, arg.arg)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return found
+
+
+def _kernel_surface() -> list:
+    """``(label, the name a caller writes, defaulted parameters)`` for
+    every public function, class and method of the kernel; a class's
+    ``__init__`` parameters go under the class name."""
+    surface = []
+    for path in sorted(KERNEL.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                surface.append((node.name, node.name, _defaulted(node, 0)))
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            surface.append((node.name, node.name, []))
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                decorators = {getattr(d, "id", None) for d in item.decorator_list}
+                bound = 0 if "staticmethod" in decorators else 1
+                if item.name == "__init__":
+                    surface.append((node.name, node.name, _defaulted(item, bound)))
+                elif not item.name.startswith("_"):
+                    surface.append(
+                        (f"{node.name}.{item.name}", item.name, _defaulted(item, bound))
+                    )
+    return surface
+
+
+def _loads_and_calls() -> tuple:
+    """Every name the scanned files load (a bare name or an attribute),
+    and their calls grouped by the name called."""
+    loaded, calls = set(), {}
+    for directory in SCANNED:
+        for path in directory.rglob("*.py"):
+            if "tests" in path.relative_to(ROOT).parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    called = getattr(func, "id", None) or getattr(func, "attr", None)
+                    calls.setdefault(called, []).append(node)
+    return loaded, calls
+
+
+def _passes(call: ast.Call, position, name: str) -> bool:
+    """Whether ``call`` writes the parameter: by keyword, by position,
+    or possibly (``*args`` / ``**kwargs``)."""
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_kernel_name_and_parameter_has_a_caller():
+    """Every public function, class and method name defined under
+    ``src/repro/sim/`` is loaded somewhere under ``src/repro``,
+    ``benchmarks/`` or ``examples/`` (tests do not count), and every
+    defaulted parameter is passed, by keyword or by position, at some
+    call of that name there.
+
+    Names are matched, not types: a ``run(until, x)`` on any other
+    object counts as passing ``Simulator.run``'s second parameter, and
+    any ``.sample(...)`` as a reader of a kernel ``sample``. So the gate
+    is a floor: what it flags has no caller, but what it passes may
+    still have none.
+    """
+    loaded, calls = _loads_and_calls()
+    uncalled = set()
+    for label, name, params in _kernel_surface():
+        if name not in loaded:
+            uncalled.add(label)
+        for position, param in params:
+            if not any(_passes(call, position, param) for call in calls.get(name, ())):
+                uncalled.add(f"{label}({param})")
+    unexplained = sorted(uncalled - set(KERNEL_KEPT))
+    assert not unexplained, (
+        "kernel surface with no caller outside tests (delete it):\n"
+        + "\n".join(unexplained)
+    )
+    stale = sorted(set(KERNEL_KEPT) - uncalled)
+    assert not stale, (
+        "has a caller now, or is gone (drop it from KERNEL_KEPT):\n"
         + "\n".join(stale)
     )
